@@ -28,30 +28,35 @@
 //!
 //! Within a shard, state is split by how hot its access path is:
 //!
-//! * **statistics** live on relaxed atomics ([`AtomicCacheStats`]) — both
-//!   recording and the aggregate [`StorageSystem::stats`] read are
-//!   lock-free;
-//! * **metadata** (plus the hot-hit descriptor) sits behind an `RwLock`
-//!   read view — read-only probes ([`CacheEngine::contains_block`],
-//!   [`CacheEngine::cached_priority`], residency counts) take the shared
-//!   read lock and never serialize with each other;
-//! * **decision state** (the policy and the slot allocator) stays behind
-//!   the stripe mutex, which every mutating path takes *together with* the
-//!   view's write lock (always mutex first).
+//! * **metadata** (plus the hot-hit descriptor and its pending tally) sits
+//!   behind an `RwLock` read view — read-only probes
+//!   ([`CacheEngine::contains_block`], [`CacheEngine::cached_priority`],
+//!   residency counts) take the shared read lock and never serialize with
+//!   each other;
+//! * **decision state and accounting** (the policy, the slot allocator,
+//!   the shard's statistics and its ledger of SSD traffic) stay behind the
+//!   stripe mutex, which every mutating path takes *together with* the
+//!   view's write lock (always mutex first). Counters are plain `u64`s
+//!   written where the lock is already held; [`StorageSystem::stats`]
+//!   takes each stripe briefly and sums them.
 //!
 //! On top of that split sits an optimistic fast path for the hottest
 //! possible case: a single-block read that repeats the immediately
 //! preceding hit on its shard. When the installed policy declares repeat
 //! hits idempotent ([`CachePolicy::repeat_hit_idempotent`]) the repeat is
-//! served entirely under the read view — statistics recorded on atomics,
-//! the SSD transfer issued as usual — without acquiring the stripe mutex,
-//! because the skipped `on_hit` call is provably a no-op. Anything that
-//! could perturb policy order (a different block's hit, a write, an
-//! allocation, an eviction, a trim, a drain) falls back to the full mutex
-//! path and invalidates the descriptor. The fast path alters no simulated
-//! timing, no hit ratio and no policy decision; it only removes mutex
-//! traffic. [`CacheEngine::with_optimistic_reads`] turns it off to
-//! reproduce the fully locked hot path (the pre-optimization engine), and
+//! served entirely under the read view, without acquiring the stripe
+//! mutex, because the skipped `on_hit` call is provably a no-op: it bumps
+//! the descriptor's tally and advances the clock, nothing else. Whoever
+//! next replaces the descriptor — or reads the statistics — holds the
+//! view's write lock, sees the exact tally and credits it (hit, class and
+//! priority counters, SSD ledger, migration heat) to the descriptor it
+//! was counted against. Anything that could perturb policy order (a
+//! different block's hit, a write, an allocation, an eviction, a trim, a
+//! drain) falls back to the full mutex path and invalidates the
+//! descriptor. The fast path alters no simulated timing, no hit ratio and
+//! no policy decision; it only removes mutex traffic.
+//! [`CacheEngine::with_optimistic_reads`] turns it off to reproduce the
+//! fully locked hot path (the pre-optimization engine), and
 //! [`crate::ContentionCounters`] reports how often each path was taken.
 
 use crate::allocator::SlotAllocator;
@@ -60,11 +65,11 @@ use crate::lru::ListBackend;
 use crate::metadata::{BlockState, CacheEntry, CacheMetadata};
 use crate::migration::{MigrationConfig, MigrationCounters, MigrationStats, ShardMigration};
 use crate::policy::{CachePolicy, CachePolicyKind, HitOutcome, PolicyRequest, RemoveReason};
-use crate::stats::{AtomicCacheStats, CacheAction, CacheStats};
+use crate::stats::{CacheAction, CacheStats, LocalCacheStats};
 use crate::system::StorageSystem;
 use hstorage_storage::{
-    BlockAddr, BlockRange, CachePriority, ClassifiedRequest, Direction, HddDevice, HddParameters,
-    IoRequest, PolicyConfig, QosPolicy, SimClock, SsdDevice, SsdParameters, StorageDevice,
+    BlockAddr, BlockRange, CachePriority, ClassifiedRequest, DeviceStats, Direction, HddDevice,
+    HddParameters, IoRequest, PolicyConfig, SimClock, SsdDevice, SsdParameters, StorageDevice,
     TrimCommand,
 };
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
@@ -83,26 +88,14 @@ struct DeviceBatch {
 }
 
 /// The block whose repeat read hit the optimistic path may serve without
-/// the stripe mutex: the last read hit on the shard, fingerprinted by its
-/// request shape so only a *bit-identical* repeat (same class, QoS and
-/// resolved priority — the arguments `on_hit` would receive) matches.
+/// the stripe mutex: the last read hit on the shard, with everything that
+/// hit was made of, so only a *bit-identical* repeat matches — the same
+/// arguments `on_hit` would receive, and the same SSD transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HotHit {
     lbn: BlockAddr,
-    fingerprint: u64,
-}
-
-/// Packs the request shape a read hit hands to `CachePolicy::on_hit` into
-/// the hot-hit fingerprint. Direction is not encoded: only read hits
-/// publish a descriptor and only reads consult it.
-fn hit_fingerprint(req: &PolicyRequest) -> u64 {
-    let qos = match req.qos {
-        QosPolicy::Priority(p) => 0x100 | p.0 as u64,
-        QosPolicy::NonCachingNonEviction => 0x200,
-        QosPolicy::NonCachingEviction => 0x300,
-        QosPolicy::WriteBuffer => 0x400,
-    };
-    ((req.class as u64) << 16) | ((req.prio.0 as u64) << 32) | qos
+    shape: PolicyRequest,
+    sequential: bool,
 }
 
 /// The shared read view of one shard: everything a read-only probe or an
@@ -113,12 +106,17 @@ struct MetaView {
     meta: CacheMetadata,
     /// `Some` exactly while the last completed shard visit was a read hit
     /// and nothing has perturbed policy order since; any such block is
-    /// guaranteed resident.
+    /// guaranteed resident. Replaced only through [`Shard::set_hot`].
     hot: Option<HotHit>,
+    /// Repeat hits served against `hot` and not yet accounted for. Readers
+    /// add to it inside the read guard, so a holder of the write lock
+    /// reads the exact count, with no add in flight.
+    fast_hits: AtomicU64,
 }
 
-/// The decision state of one shard, only ever touched under the stripe
-/// mutex: the pluggable policy and the physical slot allocator.
+/// The state of one shard that is only ever touched under the stripe
+/// mutex: the pluggable policy, the physical slot allocator, and the
+/// shard's share of the accounting.
 struct ShardInner {
     policy: Box<dyn CachePolicy>,
     alloc: SlotAllocator,
@@ -126,19 +124,28 @@ struct ShardInner {
     /// request shapes and the pending promote/demote queues. `None` while
     /// migration is disabled — the foreground hooks then cost one branch.
     migration: Option<ShardMigration>,
+    /// Class, priority, action and contention counters of the blocks this
+    /// shard handled.
+    stats: LocalCacheStats,
+    /// SSD traffic priced under this shard's lock: the device's own
+    /// mutex-guarded ledger sees only what is served outside one. The
+    /// two sum to the device statistics [`StorageSystem::stats`] reports.
+    ssd: DeviceStats,
 }
 
 /// One lock-striped partition of the cache. See the module docs for how
-/// the three pieces (atomic statistics, `RwLock` read view, mutex-guarded
-/// decision state) divide the hot path.
+/// the two pieces (`RwLock` read view, mutex-guarded decision state and
+/// accounting) divide the hot path.
 struct Shard {
     /// Shared read view (metadata + hot-hit descriptor).
     view: RwLock<MetaView>,
-    /// Decision state. Lock order: `inner` **before** `view`.
+    /// Decision state and accounting. Lock order: `inner` **before**
+    /// `view`.
     inner: Mutex<ShardInner>,
-    /// Striped statistics on relaxed atomics — recording never takes (or
-    /// extends) either lock.
-    stats: AtomicCacheStats,
+    /// Nanoseconds the SSD takes for the one transfer the fast path ever
+    /// issues — a single-block read — indexed by its sequential flag.
+    /// Immutable after construction.
+    hit_service_ns: [u64; 2],
     /// Maximum blocks this shard's slice of the write buffer may hold.
     /// Immutable after construction.
     write_buffer_limit: u64,
@@ -146,11 +153,6 @@ struct Shard {
     /// under the stripe mutex; atomic so the occupancy getters and the
     /// flush pre-check can read it lock-free.
     write_buffer_resident: AtomicU64,
-    /// Heat earned by optimistic fast-path hits, which never take the
-    /// stripe mutex: an atomic side-counter folded into the hot block's
-    /// heat at the next migration round, so the fast path stays lock-free
-    /// with migration enabled (its one extra cost is this relaxed add).
-    fast_heat: AtomicU64,
     /// Lock-free migration counters (see [`MigrationCounters`]).
     migration_counters: MigrationCounters,
 }
@@ -161,6 +163,7 @@ impl Shard {
         capacity: u64,
         policy: Box<dyn CachePolicy>,
         backend: ListBackend,
+        hit_service_ns: [u64; 2],
     ) -> Self {
         Shard {
             view: RwLock::new(MetaView {
@@ -168,25 +171,58 @@ impl Shard {
                 // rehashes mid-run on the flat backend.
                 meta: CacheMetadata::with_backend(backend, capacity as usize),
                 hot: None,
+                fast_hits: AtomicU64::new(0),
             }),
             inner: Mutex::new(ShardInner {
                 policy,
                 alloc: SlotAllocator::new(capacity),
                 migration: None,
+                stats: LocalCacheStats::new(),
+                ssd: DeviceStats::new(),
             }),
-            stats: AtomicCacheStats::new(),
+            hit_service_ns,
             write_buffer_limit: (capacity as f64 * config.write_buffer_fraction).floor() as u64,
             write_buffer_resident: AtomicU64::new(0),
-            fast_heat: AtomicU64::new(0),
             migration_counters: MigrationCounters::default(),
         }
     }
 
-    /// Acquires the shard's write-side lock pair (stripe mutex first, then
-    /// the view's write lock) and counts the acquisition.
-    fn lock_for_write(&self) -> (MutexGuard<'_, ShardInner>, RwLockWriteGuard<'_, MetaView>) {
-        self.stats.record_lock_acquisition();
+    /// Acquires the shard's lock pair: stripe mutex first, then the view's
+    /// write lock.
+    fn lock_pair(&self) -> (MutexGuard<'_, ShardInner>, RwLockWriteGuard<'_, MetaView>) {
         (self.inner.lock(), self.view.write())
+    }
+
+    /// [`Self::lock_pair`] for the submission paths, which count the
+    /// acquisition.
+    fn lock_for_write(&self) -> (MutexGuard<'_, ShardInner>, RwLockWriteGuard<'_, MetaView>) {
+        let (mut inner, view) = self.lock_pair();
+        inner.stats.contention.lock_acquisitions += 1;
+        (inner, view)
+    }
+
+    /// Replaces the hot descriptor. The repeat hits tallied against the old
+    /// one are credited first, exactly as the slow path would have recorded
+    /// each of them: a cache hit of its class and priority, a single-block
+    /// SSD read, and one unit of heat.
+    fn set_hot(&self, inner: &mut ShardInner, view: &mut MetaView, hot: Option<HotHit>) {
+        let hits = std::mem::take(view.fast_hits.get_mut());
+        if hits > 0 {
+            let old = view.hot.expect("repeat hits tallied against no descriptor");
+            inner.stats.record_action(CacheAction::CacheHit, hits);
+            inner.stats.record_class(old.shape.class, hits, hits);
+            inner.stats.record_priority(old.shape.prio.0, hits, hits);
+            inner.stats.contention.fast_path_hits += hits;
+            inner.ssd.record(
+                &IoRequest::read(BlockRange::new(old.lbn, 1), old.sequential),
+                Duration::from_nanos(self.hit_service_ns[usize::from(old.sequential)]),
+                hits,
+            );
+            if let Some(mig) = inner.migration.as_mut() {
+                mig.heat.record_n(old.lbn, hits);
+            }
+        }
+        view.hot = hot;
     }
 
     /// Evicts `victim` (a block the policy *selected* via
@@ -215,7 +251,7 @@ impl Shard {
             self.debit_write_buffer(1);
         }
         inner.alloc.release(entry.pbn);
-        self.stats.record_action(CacheAction::Eviction, 1);
+        inner.stats.record_action(CacheAction::Eviction, 1);
     }
 
     /// Deducts `n` blocks from the write-buffer occupancy. An underflow
@@ -254,13 +290,30 @@ impl Shard {
         inner.alloc.allocate()
     }
 
-    /// Handles one block of a request; returns `true` on a cache hit.
+    /// Handles one block of a request (`sequential` is the request's I/O
+    /// flag), recording it against the request's class and priority.
     fn handle_block(
         &self,
         inner: &mut ShardInner,
         view: &mut MetaView,
         lbn: BlockAddr,
         req: &PolicyRequest,
+        sequential: bool,
+        batch: &mut DeviceBatch,
+    ) {
+        let hit = self.place_block(inner, view, lbn, req, sequential, batch);
+        inner.stats.record_class(req.class, 1, u64::from(hit));
+        inner.stats.record_priority(req.prio.0, 1, u64::from(hit));
+    }
+
+    /// The caching decision for one block; returns `true` on a cache hit.
+    fn place_block(
+        &self,
+        inner: &mut ShardInner,
+        view: &mut MetaView,
+        lbn: BlockAddr,
+        req: &PolicyRequest,
+        sequential: bool,
         batch: &mut DeviceBatch,
     ) -> bool {
         if let Some(mig) = inner.migration.as_mut() {
@@ -280,7 +333,7 @@ impl Shard {
                         .fetch_add(1, Ordering::Relaxed);
                 }
             }
-            self.stats.record_action(CacheAction::CacheHit, 1);
+            inner.stats.record_action(CacheAction::CacheHit, 1);
             match inner.policy.on_hit(lbn, entry.priority, req) {
                 HitOutcome::Unchanged => {}
                 HitOutcome::Moved(new) => self.apply_move(inner, view, lbn, entry.priority, new),
@@ -292,10 +345,12 @@ impl Shard {
                     // bit-identical repeat of this read may skip the mutex
                     // (consulted only when the policy declares repeats
                     // idempotent and optimistic reads are enabled).
-                    view.hot = Some(HotHit {
+                    let hot = HotHit {
                         lbn,
-                        fingerprint: hit_fingerprint(req),
-                    });
+                        shape: *req,
+                        sequential,
+                    };
+                    self.set_hot(inner, view, Some(hot));
                 }
                 Direction::Write => {
                     batch.ssd_write += 1;
@@ -304,7 +359,7 @@ impl Shard {
                     }
                     // A write hit dirties state a repeat read would not
                     // reproduce; drop the descriptor.
-                    view.hot = None;
+                    self.set_hot(inner, view, None);
                 }
             }
             return true;
@@ -314,7 +369,7 @@ impl Shard {
         if !inner.policy.admits(req) {
             // Bypassing: straight to the second-level device. `admits` is
             // a pure query, so the hot descriptor stays valid.
-            self.stats.record_action(CacheAction::Bypassing, 1);
+            inner.stats.record_action(CacheAction::Bypassing, 1);
             match req.direction {
                 Direction::Read => batch.hdd_read += 1,
                 Direction::Write => batch.hdd_write += 1,
@@ -325,20 +380,20 @@ impl Shard {
         // The allocation path may perturb policy order even when it ends
         // in a bypass (ARC adapts its target on ghost hits inside
         // `pop_victim`), so the descriptor is cleared up front.
-        view.hot = None;
+        self.set_hot(inner, view, None);
         match self.try_allocate(inner, view, lbn, req, batch) {
             Some(pbn) => {
                 let state = match req.direction {
                     Direction::Read => {
                         // Read allocation: fetch from HDD, place in SSD.
-                        self.stats.record_action(CacheAction::ReadAllocation, 1);
+                        inner.stats.record_action(CacheAction::ReadAllocation, 1);
                         batch.hdd_read += 1;
                         batch.ssd_write += 1;
                         BlockState::Clean
                     }
                     Direction::Write => {
                         // Write allocation: place in SSD, mark dirty.
-                        self.stats.record_action(CacheAction::WriteAllocation, 1);
+                        inner.stats.record_action(CacheAction::WriteAllocation, 1);
                         batch.ssd_write += 1;
                         BlockState::Dirty
                     }
@@ -367,7 +422,7 @@ impl Shard {
             }
             None => {
                 // Not cache-worthy relative to current residents: bypass.
-                self.stats.record_action(CacheAction::Bypassing, 1);
+                inner.stats.record_action(CacheAction::Bypassing, 1);
                 match req.direction {
                     Direction::Read => batch.hdd_read += 1,
                     Direction::Write => batch.hdd_write += 1,
@@ -397,7 +452,7 @@ impl Shard {
         } else if is_buffered && !was_buffered {
             self.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
         }
-        self.stats.record_action(CacheAction::ReAllocation, 1);
+        inner.stats.record_action(CacheAction::ReAllocation, 1);
     }
 
     /// Drains the shard's write buffer if its occupancy exceeds the limit:
@@ -437,8 +492,9 @@ impl Shard {
         // shipped policy — this zeroes the counter) so a policy whose
         // drain is partial cannot desynchronize the occupancy accounting.
         self.debit_write_buffer(removed);
-        view.hot = None;
-        self.stats
+        self.set_hot(inner, view, None);
+        inner
+            .stats
             .record_action(CacheAction::WriteBufferFlush, dirty_blocks);
         Some(dirty_blocks)
     }
@@ -447,7 +503,7 @@ impl Shard {
     /// Conservatively drops the hot descriptor either way (an absent trim
     /// may still touch ghost history).
     fn trim_block(&self, inner: &mut ShardInner, view: &mut MetaView, lbn: BlockAddr) -> u64 {
-        view.hot = None;
+        self.set_hot(inner, view, None);
         if let Some(mig) = inner.migration.as_mut() {
             // The block's lifetime ended: discard its heat, shape and any
             // queued migration so an in-flight candidate cannot resurrect
@@ -479,8 +535,9 @@ impl Shard {
     /// Runs one tier-migration round on this shard (no-op when migration
     /// is disabled). Under the caller's lock pair the round:
     ///
-    /// 1. folds the optimistic fast path's atomic hit counter into the
-    ///    current hot block's heat, advances the round counter, applies
+    /// 1. drops the hot descriptor — crediting the heat of the repeat hits
+    ///    tallied against it, and sending the next hit through the queues
+    ///    this round rebuilds — then advances the round counter, applies
     ///    decay on the half-life cadence and prunes the tracker;
     /// 2. re-validates the pending promote/demote queues against current
     ///    residency;
@@ -505,10 +562,12 @@ impl Shard {
     /// migration-off runs of identical foreground traffic.
     fn migration_round(&self, inner: &mut ShardInner, view: &mut MetaView) -> DeviceBatch {
         let mut batch = DeviceBatch::default();
+        self.set_hot(inner, view, None);
         let ShardInner {
             policy,
             alloc,
             migration,
+            ..
         } = inner;
         let Some(mig) = migration.as_mut() else {
             return batch;
@@ -523,18 +582,6 @@ impl Shard {
             track_cap,
             resident_scratch,
         } = mig;
-
-        let fast_hits = self.fast_heat.swap(0, Ordering::Relaxed);
-        if fast_hits > 0 {
-            if let Some(hot) = view.hot {
-                // The fast path serves only the shard's hot descriptor, so
-                // the accumulated count belongs to the block it currently
-                // names. If a slow-path visit cleared the descriptor since,
-                // the count is dropped — an acceptable undercount for a
-                // lock-free hot path.
-                heat.record_n(hot.lbn, fast_hits);
-            }
-        }
 
         *rounds += 1;
         if *rounds % u64::from(config.half_life_rounds) == 0 {
@@ -621,7 +668,6 @@ impl Shard {
         }
 
         let mut budget = config.round_budget;
-        let mut moved = false;
         let mut next_absent = 0usize;
         let mut next_resident = 0usize;
 
@@ -641,7 +687,6 @@ impl Shard {
             );
             next_absent += 1;
             budget -= 1;
-            moved = true;
         }
 
         // Demote/promote pairs: a cold resident makes room for a strictly
@@ -682,7 +727,6 @@ impl Shard {
             next_absent += 1;
             next_resident += 1;
             budget -= 2;
-            moved = true;
         }
 
         // Queue what the budget did not cover for the lazy window: an
@@ -703,11 +747,6 @@ impl Shard {
             queued += 1;
             next_absent += 1;
             next_resident += 1;
-        }
-
-        if moved {
-            // Residency changed behind the descriptor's back.
-            view.hot = None;
         }
         batch
     }
@@ -839,6 +878,10 @@ impl CacheEngine {
         assert!(shards > 0, "shard count must be positive");
         let kind = CachePolicyKind::default();
         let backend = ListBackend::default();
+        let hit_service_ns = [false, true].map(|sequential| {
+            let hit = IoRequest::read(BlockRange::new(0u64, 1), sequential);
+            ssd.service_time(&hit).as_nanos() as u64
+        });
         let n = shards as u64;
         let shards = (0..n)
             .map(|i| {
@@ -848,6 +891,7 @@ impl CacheEngine {
                     capacity,
                     kind.build_backed(&config, capacity, backend),
                     backend,
+                    hit_service_ns,
                 )
             })
             .collect();
@@ -1092,9 +1136,10 @@ impl CacheEngine {
     }
 
     /// The migration heat learned for `lbn` so far (0 with migration
-    /// disabled). Pending fast-path heat that has not yet been folded
-    /// into the tracker — see [`Self::reset_stats`] and the migration
-    /// round — is not included.
+    /// disabled). Repeat hits still tallied on the shard's hot descriptor
+    /// are not included: they reach the tracker when the descriptor is
+    /// next replaced, or at the next [`StorageSystem::stats`],
+    /// [`StorageSystem::reset_stats`] or migration round.
     pub fn learned_heat(&self, lbn: BlockAddr) -> u64 {
         let shard = self.shard(lbn);
         let inner = shard.inner.lock();
@@ -1200,10 +1245,11 @@ impl CacheEngine {
     /// read view iff it is a single-block read repeating the immediately
     /// preceding hit on its shard (same block, same request shape). The
     /// skipped `on_hit` is a no-op by the
-    /// [`CachePolicy::repeat_hit_idempotent`] contract, so metadata,
-    /// policy state, statistics totals and the SSD transfer (timing
-    /// included) come out identical to the mutex path. Returns `false`
-    /// when the request must take the slow path.
+    /// [`CachePolicy::repeat_hit_idempotent`] contract, and the hit is
+    /// tallied on the descriptor for [`Shard::set_hot`] to account, so
+    /// metadata, policy state, statistics totals and the SSD transfer
+    /// (timing included) come out identical to the mutex path. Returns
+    /// `false` when the request must take the slow path.
     fn try_fast_read_hit(&self, req: &ClassifiedRequest, preq: &PolicyRequest) -> bool {
         if !self.hit_fast_path
             || req.blocks() != 1
@@ -1216,12 +1262,14 @@ impl CacheEngine {
             return false;
         }
         let lbn = req.io.range.start;
+        let sequential = req.io.sequential;
         let shard = self.shard(lbn);
         {
             let view = shard.view.read();
             let expected = HotHit {
                 lbn,
-                fingerprint: hit_fingerprint(preq),
+                shape: *preq,
+                sequential,
             };
             if view.hot != Some(expected) {
                 return false;
@@ -1230,27 +1278,45 @@ impl CacheEngine {
                 view.meta.contains(lbn),
                 "hot-hit descriptor names a non-resident block"
             );
+            // Inside the guard: a writer replacing the descriptor must
+            // find every hit that matched it already counted.
+            view.fast_hits.fetch_add(1, Ordering::Relaxed);
         }
-        // Statistics are atomics and the device has its own
-        // synchronization, so the view is released first — mirroring the
-        // slow path, which issues device traffic after dropping its shard
-        // guards.
-        shard.stats.record_action(CacheAction::CacheHit, 1);
-        shard.stats.record_class(req.class, 1, 1);
-        shard.stats.record_priority(preq.prio.0, 1, 1);
-        shard.stats.record_fast_path_hit();
-        if self.migration.enabled {
-            // Heat for the hot block, folded in at the next migration
-            // round — one relaxed add keeps the fast path lock-free.
-            shard.fast_heat.fetch_add(1, Ordering::Relaxed);
-        }
-        self.ssd
-            .serve(&IoRequest::read(BlockRange::new(lbn, 1), req.io.sequential));
+        // The clock is the one thing a repeat hit moves right away —
+        // `now()` stays exact with no fold.
+        self.clock
+            .advance_nanos(shard.hit_service_ns[usize::from(sequential)]);
         true
     }
 
-    /// Issues the accumulated device traffic for one request.
-    fn flush_batch(&self, req: &ClassifiedRequest, batch: DeviceBatch) {
+    /// Prices the SSD traffic one request accumulated and records it in
+    /// `inner`'s ledger, under the stripe mutex the caller already holds;
+    /// returns the service time to advance the clock by once it is
+    /// released.
+    fn charge_ssd(
+        &self,
+        inner: &mut ShardInner,
+        req: &ClassifiedRequest,
+        batch: &DeviceBatch,
+    ) -> Duration {
+        let seq = req.io.sequential;
+        let start = req.io.range.start;
+        let mut total = Duration::ZERO;
+        for io in [
+            IoRequest::read(BlockRange::new(start, batch.ssd_read), seq),
+            IoRequest::write(BlockRange::new(start, batch.ssd_write), seq),
+        ] {
+            if io.blocks() > 0 {
+                let t = self.ssd.service_time(&io);
+                inner.ssd.record(&io, t, 1);
+                total += t;
+            }
+        }
+        total
+    }
+
+    /// Issues the HDD traffic one request accumulated.
+    fn serve_hdd(&self, req: &ClassifiedRequest, batch: &DeviceBatch) {
         let seq = req.io.sequential;
         let start = req.io.range.start;
         if batch.hdd_read > 0 {
@@ -1262,18 +1328,6 @@ impl CacheEngine {
         if batch.hdd_write > 0 {
             self.hdd.serve(&IoRequest::write(
                 BlockRange::new(start, batch.hdd_write),
-                seq,
-            ));
-        }
-        if batch.ssd_read > 0 {
-            self.ssd.serve(&IoRequest::read(
-                BlockRange::new(start, batch.ssd_read),
-                seq,
-            ));
-        }
-        if batch.ssd_write > 0 {
-            self.ssd.serve(&IoRequest::write(
-                BlockRange::new(start, batch.ssd_write),
                 seq,
             ));
         }
@@ -1301,7 +1355,6 @@ impl CacheEngine {
             _ => {}
         }
         let preqs: Vec<PolicyRequest> = reqs.iter().map(|r| self.policy_request(r)).collect();
-        let mut hits = vec![0u64; reqs.len()];
         let mut batches = vec![DeviceBatch::default(); reqs.len()];
 
         if self.shards.len() == 1 {
@@ -1309,21 +1362,10 @@ impl CacheEngine {
             let shard = &self.shards[0];
             let (mut inner, mut view) = shard.lock_for_write();
             for (i, req) in reqs.iter().enumerate() {
+                let seq = req.io.sequential;
                 for lbn in req.io.range.iter() {
-                    if shard.handle_block(&mut inner, &mut view, lbn, &preqs[i], &mut batches[i]) {
-                        hits[i] += 1;
-                    }
+                    shard.handle_block(&mut inner, &mut view, lbn, &preqs[i], seq, &mut batches[i]);
                 }
-            }
-            drop(view);
-            drop(inner);
-            // Request-level counters are atomics; recording them after the
-            // guards drop changes nothing about the totals.
-            for (i, req) in reqs.iter().enumerate() {
-                shard.stats.record_class(req.class, req.blocks(), hits[i]);
-                shard
-                    .stats
-                    .record_priority(preqs[i].prio.0, req.blocks(), hits[i]);
             }
         } else {
             // Group block work by shard, preserving request order within
@@ -1342,19 +1384,9 @@ impl CacheEngine {
                 let (mut inner, mut view) = shard.lock_for_write();
                 for &(i, lbn) in blocks {
                     let i = i as usize;
-                    if shard.handle_block(&mut inner, &mut view, lbn, &preqs[i], &mut batches[i]) {
-                        hits[i] += 1;
-                    }
+                    let seq = reqs[i].io.sequential;
+                    shard.handle_block(&mut inner, &mut view, lbn, &preqs[i], seq, &mut batches[i]);
                 }
-            }
-            // Request-level counters are striped to the run's first shard;
-            // the aggregate view sums all stripes, so placement is free.
-            let shard = self.shard(reqs[0].io.range.start);
-            for (i, req) in reqs.iter().enumerate() {
-                shard.stats.record_class(req.class, req.blocks(), hits[i]);
-                shard
-                    .stats
-                    .record_priority(preqs[i].prio.0, req.blocks(), hits[i]);
             }
         }
 
@@ -1447,38 +1479,34 @@ impl CacheEngine {
             return;
         }
         let mut batch = DeviceBatch::default();
-        let mut hits = 0u64;
         // Hold one shard's lock pair at a time, re-acquiring only when the
         // next block hashes to a different shard: with one shard the whole
         // request's block work is handled under a single acquisition,
         // exactly like the unsharded implementation.
-        let mut guard: Option<(MutexGuard<'_, ShardInner>, RwLockWriteGuard<'_, MetaView>)> = None;
-        let mut guard_idx = usize::MAX;
+        let mut idx = self.shard_index(req.io.range.start);
+        let mut guard = self.shards[idx].lock_for_write();
         for lbn in req.io.range.iter() {
-            let idx = self.shard_index(lbn);
-            if guard_idx != idx {
+            let next = self.shard_index(lbn);
+            if next != idx {
                 // Release the old shard before acquiring the next one:
                 // assigning directly would briefly hold both shards'
                 // locks, and ascending block addresses make the
                 // transition order cyclic (N-1 → 0), which can deadlock N
                 // concurrent multi-block submits.
-                drop(guard.take());
-                guard = Some(self.shards[idx].lock_for_write());
-                guard_idx = idx;
+                drop(guard);
+                guard = self.shards[next].lock_for_write();
+                idx = next;
             }
-            let (inner, view) = guard.as_mut().expect("shard guard just acquired");
-            if self.shards[idx].handle_block(inner, view, lbn, &preq, &mut batch) {
-                hits += 1;
-            }
+            let (inner, view) = &mut guard;
+            self.shards[idx].handle_block(inner, view, lbn, &preq, req.io.sequential, &mut batch);
         }
+        // The request's SSD traffic goes on the ledger of the last shard
+        // it held; the aggregate view sums all ledgers, so placement is
+        // free.
+        let ssd_time = self.charge_ssd(&mut guard.0, &req, &batch);
         drop(guard);
-        // Request-level counters are striped to the first shard (the only
-        // shard, when unsharded); they are atomics, so no lock is needed
-        // and the aggregate view sums all stripes.
-        let shard = self.shard(req.io.range.start);
-        shard.stats.record_class(req.class, req.blocks(), hits);
-        shard.stats.record_priority(preq.prio.0, req.blocks(), hits);
-        self.flush_batch(&req, batch);
+        self.serve_hdd(&req, &batch);
+        self.clock.advance(ssd_time);
         // Only write-buffer traffic can grow the buffer, so the flush
         // check is needed — and its cost paid — only under a buffering
         // policy and only then.
@@ -1518,32 +1546,34 @@ impl CacheEngine {
         self.submit_run(&run);
     }
 
-    /// [`StorageSystem::reset_stats`] below the journal wrapper. Before
-    /// the counters clear, any heat the optimistic fast path accumulated
-    /// is folded into the migration tracker, so learned heat survives
-    /// the reset instead of riding a side-counter whose hot descriptor a
-    /// later slow-path visit may invalidate (which would drop it at the
-    /// next round's fold).
-    fn reset_stats_inner(&self) {
-        if self.migration.enabled {
-            for shard in &self.shards {
-                if shard.fast_heat.load(Ordering::Relaxed) == 0 {
-                    continue;
-                }
-                let (mut inner, view) = shard.lock_for_write();
-                if let Some(hot) = view.hot {
-                    let fast_hits = shard.fast_heat.swap(0, Ordering::Relaxed);
-                    if fast_hits > 0 {
-                        if let Some(mig) = inner.migration.as_mut() {
-                            mig.heat.record_n(hot.lbn, fast_hits);
-                        }
-                    }
-                }
-            }
-        }
+    /// Takes each stripe in turn (uncounted: this is a statistics read, not
+    /// a submission), credits the repeat hits still tallied on its hot
+    /// descriptor and hands the settled accounting to `f`.
+    fn for_each_settled(&self, mut f: impl FnMut(&mut ShardInner, &MetaView)) {
         for shard in &self.shards {
-            shard.stats.reset();
+            let (mut inner, mut view) = shard.lock_pair();
+            let hot = view.hot;
+            shard.set_hot(&mut inner, &mut view, hot);
+            f(&mut inner, &view);
         }
+    }
+
+    /// Busy time of the SSD across the device's own ledger and every
+    /// shard's.
+    fn ssd_busy_time(&self) -> Duration {
+        let mut busy = self.ssd.stats().busy_time;
+        self.for_each_settled(|inner, _| busy += inner.ssd.busy_time);
+        busy
+    }
+
+    /// [`StorageSystem::reset_stats`] below the journal wrapper. Settling
+    /// first means the heat of tallied repeat hits reaches the migration
+    /// tracker before the counters clear: learned heat survives a reset.
+    fn reset_stats_inner(&self) {
+        self.for_each_settled(|inner, _| {
+            inner.stats.reset();
+            inner.ssd = DeviceStats::new();
+        });
         self.ssd.reset_stats();
         self.hdd.reset_stats();
     }
@@ -1565,7 +1595,7 @@ impl CacheEngine {
                     trimmed += shard.trim_block(&mut inner, &mut view, next);
                 }
                 if trimmed > 0 {
-                    shard.stats.record_action(CacheAction::Trim, trimmed);
+                    inner.stats.record_action(CacheAction::Trim, trimmed);
                 }
             }
         }
@@ -1603,16 +1633,14 @@ impl StorageSystem for CacheEngine {
     }
 
     fn stats(&self) -> CacheStats {
-        // Lock-free aggregation: per-shard snapshots are atomic reads, and
-        // the residency count takes only the shared read view.
         let mut aggregate = CacheStats::new();
-        let mut resident = 0u64;
-        for shard in &self.shards {
-            aggregate.merge(&shard.stats.snapshot());
-            resident += shard.view.read().meta.len() as u64;
-        }
-        aggregate.resident_blocks = resident;
-        aggregate.ssd = Some(self.ssd.stats());
+        let mut ssd = self.ssd.stats();
+        self.for_each_settled(|inner, view| {
+            aggregate.merge(&inner.stats.snapshot());
+            aggregate.resident_blocks += view.meta.len() as u64;
+            ssd.merge(&inner.ssd);
+        });
+        aggregate.ssd = Some(ssd);
         aggregate.hdd = Some(self.hdd.stats());
         aggregate
     }
@@ -1663,7 +1691,8 @@ impl CacheEngine {
         // other serves, so rounds keep firing even when one device is
         // saturated (exactly the phase where migration matters). The
         // per-device minimum would stagnate there.
-        let idle_ns = (self.ssd.idle_time() + self.hdd.idle_time()).as_nanos() as u64;
+        let ssd_idle = self.clock.now().saturating_sub(self.ssd_busy_time());
+        let idle_ns = (ssd_idle + self.hdd.idle_time()).as_nanos() as u64;
         let threshold_ns = self.migration.idle_threshold.as_nanos() as u64;
         let mark = self.idle_mark.load(Ordering::Acquire);
         if idle_ns.saturating_sub(mark) < threshold_ns {
@@ -2431,7 +2460,8 @@ mod tests {
     fn probes_do_not_take_the_stripe_mutex() {
         // Hold every shard's stripe mutex and drive the read-only probes:
         // if any of them needed the mutex this test would deadlock. (The
-        // probes go through the RwLock read view and the atomics instead.)
+        // probes go through the RwLock read view instead; `stats()` is not
+        // one of them — it takes each stripe to sum the shard counters.)
         let c = engine(CachePolicyKind::SemanticPriority, 64);
         c.submit(read_req(1, 1, RequestClass::Random, QosPolicy::priority(2)));
         let guards: Vec<_> = c.shards.iter().map(|s| s.inner.lock()).collect();
@@ -2440,9 +2470,6 @@ mod tests {
         assert_eq!(c.resident_blocks(), 1);
         assert_eq!(c.write_buffer_resident(), 0);
         assert_eq!(c.write_buffer_limit(), 6);
-        let stats = c.stats();
-        assert_eq!(stats.resident_blocks, 1);
-        assert_eq!(stats.class(RequestClass::Random).accessed_blocks, 1);
         drop(guards);
     }
 
@@ -2649,7 +2676,7 @@ mod tests {
         let c = engine(CachePolicyKind::SemanticPriority, 16)
             .with_migration(MigrationConfig::on().with_idle_threshold(Duration::from_secs(3600)));
         // Two slow-path accesses record heat directly; the third rides the
-        // hot fast path and parks one pending count in `fast_heat`.
+        // hot fast path and is tallied on the descriptor, uncredited.
         for _ in 0..3 {
             c.submit(read_req(1, 1, RequestClass::Random, QosPolicy::priority(2)));
         }

@@ -66,8 +66,7 @@ pub use recovery::{
     RecoveryOutcome, ReplayPlan,
 };
 pub use stats::{
-    AtomicCacheStats, CacheAction, CacheStats, ClassCounters, ContentionCounters, LatencyHistogram,
-    LocalCacheStats,
+    CacheAction, CacheStats, ClassCounters, ContentionCounters, LatencyHistogram, LocalCacheStats,
 };
 pub use system::StorageSystem;
 pub use table::{BlockTable, OpenMap};

@@ -7,9 +7,9 @@
 //! This module adds the missing feedback loop:
 //!
 //! * a per-shard [`HeatTracker`] — decayed access counters fed from the
-//!   engine's existing hit/miss events (plus an atomic side-counter for
-//!   hits served by the lock-light optimistic read path), cheap enough to
-//!   ride the hot path;
+//!   engine's existing hit/miss events (hits served by the lock-light
+//!   optimistic read path are tallied on its descriptor and credited in
+//!   bulk), cheap enough to ride the hot path;
 //! * a background **migration round**, run by
 //!   [`StorageSystem::migrate_idle`](crate::StorageSystem::migrate_idle)
 //!   when enough *idle* simulated device time has accrued since the last
@@ -262,8 +262,9 @@ impl HeatTracker {
         self.record_n(lbn, 1);
     }
 
-    /// Records `n` accesses to `lbn` at once (used to fold the optimistic
-    /// fast path's atomic hit counter in at round time).
+    /// Records `n` accesses to `lbn` at once (how the optimistic fast
+    /// path's tallied hits are credited when their descriptor is
+    /// replaced).
     pub fn record_n(&mut self, lbn: BlockAddr, n: u64) {
         if n == 0 {
             return;

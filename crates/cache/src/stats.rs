@@ -9,7 +9,6 @@
 use hstorage_storage::{DeviceStats, RequestClass};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// The six actions a cache may take for a request (Section 5.1), plus the
@@ -36,7 +35,7 @@ pub enum CacheAction {
 
 impl CacheAction {
     /// Every action, in declaration order. The order is the array layout of
-    /// [`AtomicCacheStats`]: `ALL[a.index()] == a`.
+    /// [`LocalCacheStats`]: `ALL[a.index()] == a`.
     pub const ALL: [CacheAction; 8] = [
         CacheAction::CacheHit,
         CacheAction::ReadAllocation,
@@ -100,8 +99,9 @@ impl ClassCounters {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ContentionCounters {
     /// Times a shard's stripe mutex was acquired on the submission paths
-    /// (per-block work, trims, and write-buffer drains; read-only probes
-    /// and statistics reads never count — they no longer take the mutex).
+    /// (per-block work, trims, write-buffer drains and migration rounds;
+    /// read-only probes never take it, and the statistics reads that do
+    /// are not counted).
     pub lock_acquisitions: u64,
     /// Single-block repeat read hits served entirely through the
     /// optimistic read view, without touching the stripe mutex.
@@ -245,180 +245,15 @@ impl CacheStats {
     }
 }
 
-/// Lock-free statistics for one cache shard: every counter of
-/// [`CacheStats`] that the submission paths update, held on relaxed
-/// [`AtomicU64`]s so recording never takes (or extends) the shard's stripe
-/// mutex and reading never blocks a writer.
-///
-/// Aggregation is order-independent: [`AtomicCacheStats::snapshot`]
-/// produces a [`CacheStats`] that merges (via [`CacheStats::merge`]) to
-/// exactly what the old mutex-guarded per-shard `CacheStats` would have
-/// accumulated for the same set of record calls, in any order and from any
-/// number of threads. Key-presence semantics are preserved too: a counter
-/// recorded with a zero amount still creates its map entry in the
-/// snapshot, just as `CacheStats::record_action(a, 0)` creates a zero
-/// entry (per-shard "seen" bitmasks track which keys were ever touched).
-///
-/// Individual counters are `Relaxed`; a snapshot taken while writers are
-/// active is a per-counter-atomic view, not a cross-counter consistent
-/// cut. Quiesced (no concurrent submits), it is exact — which is what the
-/// equivalence suites and the bench gate read.
-pub struct AtomicCacheStats {
-    class_accessed: [AtomicU64; CLASS_SLOTS],
-    class_hits: [AtomicU64; CLASS_SLOTS],
-    class_seen: AtomicU64,
-    prio_accessed: [AtomicU64; PRIO_SLOTS],
-    prio_hits: [AtomicU64; PRIO_SLOTS],
-    prio_seen: [AtomicU64; PRIO_SLOTS / 64],
-    actions: [AtomicU64; ACTION_SLOTS],
-    actions_seen: AtomicU64,
-    lock_acquisitions: AtomicU64,
-    fast_path_hits: AtomicU64,
-}
-
 const CLASS_SLOTS: usize = 5;
 const PRIO_SLOTS: usize = 256;
 const ACTION_SLOTS: usize = CacheAction::ALL.len();
 
-// `[AtomicU64; 256]` has no blanket `Default`/`Debug` story that reads
-// well, so both are hand-rolled: `Default` zero-fills, `Debug` shows the
-// materialized snapshot instead of 500+ raw atomics.
-impl Default for AtomicCacheStats {
-    fn default() -> Self {
-        AtomicCacheStats {
-            class_accessed: std::array::from_fn(|_| AtomicU64::new(0)),
-            class_hits: std::array::from_fn(|_| AtomicU64::new(0)),
-            class_seen: AtomicU64::new(0),
-            prio_accessed: std::array::from_fn(|_| AtomicU64::new(0)),
-            prio_hits: std::array::from_fn(|_| AtomicU64::new(0)),
-            prio_seen: std::array::from_fn(|_| AtomicU64::new(0)),
-            actions: std::array::from_fn(|_| AtomicU64::new(0)),
-            actions_seen: AtomicU64::new(0),
-            lock_acquisitions: AtomicU64::new(0),
-            fast_path_hits: AtomicU64::new(0),
-        }
-    }
-}
-
-impl std::fmt::Debug for AtomicCacheStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AtomicCacheStats")
-            .field("snapshot", &self.snapshot())
-            .finish()
-    }
-}
-
-impl AtomicCacheStats {
-    /// Creates a zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `blocks` accessed of class `class`, of which `hits` were
-    /// served from cache. Equivalent to [`CacheStats::record_class`].
-    pub fn record_class(&self, class: RequestClass, blocks: u64, hits: u64) {
-        let i = class as usize;
-        self.class_seen.fetch_or(1 << i, Ordering::Relaxed);
-        self.class_accessed[i].fetch_add(blocks, Ordering::Relaxed);
-        self.class_hits[i].fetch_add(hits, Ordering::Relaxed);
-    }
-
-    /// Records `blocks` accessed at priority `prio`, of which `hits` were
-    /// served from cache. Equivalent to [`CacheStats::record_priority`].
-    pub fn record_priority(&self, prio: u8, blocks: u64, hits: u64) {
-        let i = prio as usize;
-        self.prio_seen[i / 64].fetch_or(1 << (i % 64), Ordering::Relaxed);
-        self.prio_accessed[i].fetch_add(blocks, Ordering::Relaxed);
-        self.prio_hits[i].fetch_add(hits, Ordering::Relaxed);
-    }
-
-    /// Adds `blocks` to the counter of `action`. Equivalent to
-    /// [`CacheStats::record_action`] (including the zero-amount case: the
-    /// action's key appears in the snapshot even when `blocks == 0`).
-    pub fn record_action(&self, action: CacheAction, blocks: u64) {
-        let i = action.index();
-        self.actions_seen.fetch_or(1 << i, Ordering::Relaxed);
-        self.actions[i].fetch_add(blocks, Ordering::Relaxed);
-    }
-
-    /// Counts one acquisition of the owning shard's stripe mutex.
-    pub fn record_lock_acquisition(&self) {
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request served entirely on the optimistic fast path.
-    pub fn record_fast_path_hit(&self) {
-        self.fast_path_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Materializes the counters as a [`CacheStats`] (no device statistics
-    /// and no residency — the engine attaches both on the aggregate, as it
-    /// did for the locked per-shard snapshots).
-    pub fn snapshot(&self) -> CacheStats {
-        let mut out = CacheStats::new();
-        let class_seen = self.class_seen.load(Ordering::Relaxed);
-        for (i, class) in RequestClass::all().iter().enumerate() {
-            if class_seen & (1 << i) != 0 {
-                out.per_class.insert(
-                    class.label().to_string(),
-                    ClassCounters {
-                        accessed_blocks: self.class_accessed[i].load(Ordering::Relaxed),
-                        cache_hits: self.class_hits[i].load(Ordering::Relaxed),
-                    },
-                );
-            }
-        }
-        for i in 0..PRIO_SLOTS {
-            if self.prio_seen[i / 64].load(Ordering::Relaxed) & (1 << (i % 64)) != 0 {
-                out.per_priority.insert(
-                    i as u8,
-                    ClassCounters {
-                        accessed_blocks: self.prio_accessed[i].load(Ordering::Relaxed),
-                        cache_hits: self.prio_hits[i].load(Ordering::Relaxed),
-                    },
-                );
-            }
-        }
-        let actions_seen = self.actions_seen.load(Ordering::Relaxed);
-        for (i, action) in CacheAction::ALL.iter().enumerate() {
-            if actions_seen & (1 << i) != 0 {
-                out.actions.insert(
-                    format!("{action:?}"),
-                    self.actions[i].load(Ordering::Relaxed),
-                );
-            }
-        }
-        out.contention = ContentionCounters {
-            lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
-            fast_path_hits: self.fast_path_hits.load(Ordering::Relaxed),
-        };
-        out
-    }
-
-    /// Zeroes every counter and every "seen" mask.
-    pub fn reset(&self) {
-        for a in self
-            .class_accessed
-            .iter()
-            .chain(self.class_hits.iter())
-            .chain(self.prio_accessed.iter())
-            .chain(self.prio_hits.iter())
-            .chain(self.prio_seen.iter())
-            .chain(self.actions.iter())
-        {
-            a.store(0, Ordering::Relaxed);
-        }
-        self.class_seen.store(0, Ordering::Relaxed);
-        self.actions_seen.store(0, Ordering::Relaxed);
-        self.lock_acquisitions.store(0, Ordering::Relaxed);
-        self.fast_path_hits.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Single-threaded twin of [`AtomicCacheStats`]: the same fixed
-/// enum-indexed counter arrays, on plain `u64`s behind `&mut self`, for
-/// systems that already serialize recording under one mutex (the LRU
-/// baseline cache and the passthrough configurations).
+/// The recording side of [`CacheStats`]: fixed enum-indexed counter
+/// arrays on plain `u64`s behind `&mut self`, for state that is already
+/// written under a lock — each [`crate::CacheEngine`] shard keeps one
+/// beside its policy under the stripe mutex, the LRU baseline cache and
+/// the passthrough configurations one under their only mutex.
 ///
 /// Recording is a bounds-checked array add — no `BTreeMap` walk, no key
 /// allocation — and the map-shaped [`CacheStats`] is rendered only at
@@ -435,6 +270,9 @@ pub struct LocalCacheStats {
     prio_seen: [u64; PRIO_SLOTS / 64],
     actions: [u64; ACTION_SLOTS],
     actions_seen: u64,
+    /// Which path served the requests (see [`ContentionCounters`]); the
+    /// owner bumps the fields directly.
+    pub contention: ContentionCounters,
 }
 
 impl Default for LocalCacheStats {
@@ -448,6 +286,7 @@ impl Default for LocalCacheStats {
             prio_seen: [0; PRIO_SLOTS / 64],
             actions: [0; ACTION_SLOTS],
             actions_seen: 0,
+            contention: ContentionCounters::default(),
         }
     }
 }
@@ -515,6 +354,7 @@ impl LocalCacheStats {
                 out.actions.insert(format!("{action:?}"), self.actions[i]);
             }
         }
+        out.contention = self.contention;
         out
     }
 
@@ -859,70 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_stats_snapshot_matches_locked_recording() {
-        // The same record calls against the atomic and the mutex-era
-        // mutable stats must materialize identical snapshots.
-        let atomic = AtomicCacheStats::new();
-        let mut locked = CacheStats::new();
-        for (class, blocks, hits) in [
-            (RequestClass::Random, 100, 90),
-            (RequestClass::Random, 10, 0),
-            (RequestClass::Sequential, 1_000, 3),
-        ] {
-            atomic.record_class(class, blocks, hits);
-            locked.record_class(class, blocks, hits);
-        }
-        for (prio, blocks, hits) in [(2u8, 100, 90), (3, 10, 0), (2, 5, 5)] {
-            atomic.record_priority(prio, blocks, hits);
-            locked.record_priority(prio, blocks, hits);
-        }
-        for (action, blocks) in [
-            (CacheAction::CacheHit, 98),
-            (CacheAction::Eviction, 4),
-            (CacheAction::CacheHit, 1),
-        ] {
-            atomic.record_action(action, blocks);
-            locked.record_action(action, blocks);
-        }
-        assert_eq!(atomic.snapshot(), locked);
-    }
-
-    #[test]
-    fn atomic_zero_amount_records_create_their_keys() {
-        // BTreeMap presence semantics: recording zero still creates the
-        // entry, and the equivalence suites compare whole maps.
-        let atomic = AtomicCacheStats::new();
-        let mut locked = CacheStats::new();
-        atomic.record_action(CacheAction::WriteBufferFlush, 0);
-        locked.record_action(CacheAction::WriteBufferFlush, 0);
-        atomic.record_class(RequestClass::Update, 0, 0);
-        locked.record_class(RequestClass::Update, 0, 0);
-        atomic.record_priority(7, 0, 0);
-        locked.record_priority(7, 0, 0);
-        let snap = atomic.snapshot();
-        assert_eq!(snap, locked);
-        assert!(snap.actions.contains_key("WriteBufferFlush"));
-        assert!(snap.per_class.contains_key("update"));
-        assert!(snap.per_priority.contains_key(&7));
-    }
-
-    #[test]
-    fn atomic_reset_clears_counters_and_presence() {
-        let atomic = AtomicCacheStats::new();
-        atomic.record_class(RequestClass::Random, 10, 4);
-        atomic.record_priority(2, 10, 4);
-        atomic.record_action(CacheAction::CacheHit, 4);
-        atomic.record_lock_acquisition();
-        atomic.record_fast_path_hit();
-        atomic.reset();
-        let snap = atomic.snapshot();
-        assert_eq!(snap, CacheStats::new());
-        assert!(snap.per_class.is_empty());
-        assert!(snap.actions.is_empty());
-        assert_eq!(snap.contention, ContentionCounters::default());
-    }
-
-    #[test]
     fn contention_is_excluded_from_equality_but_merged() {
         let mut a = CacheStats::new();
         a.record_class(RequestClass::Random, 10, 4);
@@ -962,11 +738,23 @@ mod tests {
             local.record_action(action, blocks);
             locked.record_action(action, blocks);
         }
-        assert_eq!(local.snapshot(), locked);
+        local.record_class(RequestClass::Update, 0, 0);
+        locked.record_class(RequestClass::Update, 0, 0);
+        local.record_priority(7, 0, 0);
+        locked.record_priority(7, 0, 0);
+        local.contention.lock_acquisitions += 3;
+        local.contention.fast_path_hits += 1;
+        let snap = local.snapshot();
+        assert_eq!(snap, locked);
         // Zero-amount records still create their keys, as in the map path.
-        assert!(local.snapshot().actions.contains_key("Trim"));
+        assert!(snap.actions.contains_key("Trim"));
+        assert!(snap.per_class.contains_key("update"));
+        assert!(snap.per_priority.contains_key(&7));
+        assert_eq!(snap.contention.lock_acquisitions, 3);
+        assert_eq!(snap.contention.fast_path_hits, 1);
         local.reset();
         assert_eq!(local.snapshot(), CacheStats::new());
+        assert_eq!(local.snapshot().contention, ContentionCounters::default());
     }
 
     #[test]
@@ -975,47 +763,41 @@ mod tests {
         // change: the rendered snapshot is the wire format (serialized in
         // bench reports and compared across versions), so the BTreeMap
         // keys must stay byte-identical to the strings the old map-based
-        // recording produced. Both the atomic and the local twin are
-        // pinned here.
-        let atomic = AtomicCacheStats::new();
+        // recording produced.
         let mut local = LocalCacheStats::new();
         for class in RequestClass::all() {
-            atomic.record_class(class, 1, 1);
             local.record_class(class, 1, 1);
         }
         for action in CacheAction::ALL {
-            atomic.record_action(action, 1);
             local.record_action(action, 1);
         }
         for prio in [0u8, 1, 2, 7, 255] {
-            atomic.record_priority(prio, 1, 0);
             local.record_priority(prio, 1, 0);
         }
-        for snap in [atomic.snapshot(), local.snapshot()] {
-            let classes: Vec<&str> = snap.per_class.keys().map(String::as_str).collect();
-            assert_eq!(
-                classes,
-                ["random", "sequential", "temp-trim", "temporary", "update"],
-                "per_class keys must keep the legacy label strings"
-            );
-            let actions: Vec<&str> = snap.actions.keys().map(String::as_str).collect();
-            assert_eq!(
-                actions,
-                [
-                    "Bypassing",
-                    "CacheHit",
-                    "Eviction",
-                    "ReAllocation",
-                    "ReadAllocation",
-                    "Trim",
-                    "WriteAllocation",
-                    "WriteBufferFlush",
-                ],
-                "actions keys must keep the legacy Debug-format strings"
-            );
-            let prios: Vec<u8> = snap.per_priority.keys().copied().collect();
-            assert_eq!(prios, [0, 1, 2, 7, 255]);
-        }
+        let snap = local.snapshot();
+        let classes: Vec<&str> = snap.per_class.keys().map(String::as_str).collect();
+        assert_eq!(
+            classes,
+            ["random", "sequential", "temp-trim", "temporary", "update"],
+            "per_class keys must keep the legacy label strings"
+        );
+        let actions: Vec<&str> = snap.actions.keys().map(String::as_str).collect();
+        assert_eq!(
+            actions,
+            [
+                "Bypassing",
+                "CacheHit",
+                "Eviction",
+                "ReAllocation",
+                "ReadAllocation",
+                "Trim",
+                "WriteAllocation",
+                "WriteBufferFlush",
+            ],
+            "actions keys must keep the legacy Debug-format strings"
+        );
+        let prios: Vec<u8> = snap.per_priority.keys().copied().collect();
+        assert_eq!(prios, [0, 1, 2, 7, 255]);
     }
 
     #[test]

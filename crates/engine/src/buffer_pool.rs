@@ -12,14 +12,12 @@
 
 use hstorage_cache::lru::LruList;
 use hstorage_storage::BlockAddr;
-use std::collections::HashSet;
 
 /// A fixed-capacity LRU buffer pool.
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity: u64,
     lru: LruList,
-    resident: HashSet<BlockAddr>,
     hits: u64,
     misses: u64,
 }
@@ -31,7 +29,6 @@ impl BufferPool {
         BufferPool {
             capacity,
             lru: LruList::new(),
-            resident: HashSet::new(),
             hits: 0,
             misses: 0,
         }
@@ -44,7 +41,7 @@ impl BufferPool {
 
     /// Number of blocks currently buffered.
     pub fn resident(&self) -> u64 {
-        self.resident.len() as u64
+        self.lru.len() as u64
     }
 
     /// Buffer-pool hits so far.
@@ -65,22 +62,16 @@ impl BufferPool {
             self.misses += 1;
             return false;
         }
-        if self.resident.contains(&block) {
-            self.lru.touch(&block);
+        if self.lru.touch(&block) {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
         if cacheable {
-            while self.resident.len() as u64 >= self.capacity {
-                if let Some(evicted) = self.lru.pop_lru() {
-                    self.resident.remove(&evicted);
-                } else {
-                    break;
-                }
+            if self.lru.len() as u64 >= self.capacity {
+                self.lru.pop_lru();
             }
             self.lru.insert_mru(block);
-            self.resident.insert(block);
         }
         false
     }
@@ -88,18 +79,12 @@ impl BufferPool {
     /// Drops a block from the pool (e.g. when its temporary file is
     /// deleted). Returns whether it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> bool {
-        if self.resident.remove(&block) {
-            self.lru.remove(&block);
-            true
-        } else {
-            false
-        }
+        self.lru.remove(&block)
     }
 
     /// Drops everything and clears the counters.
     pub fn clear(&mut self) {
         self.lru = LruList::new();
-        self.resident.clear();
         self.hits = 0;
         self.misses = 0;
     }

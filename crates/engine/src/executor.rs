@@ -317,8 +317,10 @@ impl QueryExecutor {
         if self.pending.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.pending);
-        storage.submit_batch(batch);
+        // The next batch starts at full capacity: a taken `Vec` would
+        // regrow 0→4→8→16 on every scan batch.
+        let next = Vec::with_capacity(self.config.io_batch_size);
+        storage.submit_batch(std::mem::replace(&mut self.pending, next));
     }
 
     fn pick(&mut self, range: &BlockRange) -> BlockAddr {

@@ -37,14 +37,8 @@ impl QueryStats {
 
     /// Records one storage request of `blocks` blocks of the given class.
     pub fn record_request(&mut self, class: RequestClass, blocks: u64) {
-        *self
-            .requests_by_class
-            .entry(class.label().to_string())
-            .or_default() += 1;
-        *self
-            .blocks_by_class
-            .entry(class.label().to_string())
-            .or_default() += blocks;
+        bump(&mut self.requests_by_class, class, 1);
+        bump(&mut self.blocks_by_class, class, blocks);
     }
 
     /// Total storage requests.
@@ -90,6 +84,17 @@ impl QueryStats {
             0.0
         } else {
             self.blocks(class) as f64 / total as f64
+        }
+    }
+}
+
+/// Adds `n` to `class`'s counter, allocating its key only the first time
+/// the class is seen.
+fn bump(counters: &mut BTreeMap<String, u64>, class: RequestClass, n: u64) {
+    match counters.get_mut(class.label()) {
+        Some(count) => *count += n,
+        None => {
+            counters.insert(class.label().to_string(), n);
         }
     }
 }

@@ -35,12 +35,18 @@ impl SimClock {
     }
 
     /// Advances the clock by `d` and returns the new time.
+    pub fn advance(&self, d: Duration) -> Duration {
+        self.advance_nanos(nanos(d))
+    }
+
+    /// Advances the clock by a number of nanoseconds and returns the new
+    /// time.
     ///
     /// Saturates at `u64::MAX` nanoseconds (~584 years of virtual time)
     /// instead of wrapping, preserving the semantics of the earlier
     /// `u128`-based implementation.
-    pub fn advance(&self, d: Duration) -> Duration {
-        let delta = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+    #[inline]
+    pub fn advance_nanos(&self, delta: u64) -> Duration {
         let prev = self.nanos.fetch_add(delta, Ordering::Relaxed);
         match prev.checked_add(delta) {
             Some(new) => Duration::from_nanos(new),
@@ -54,15 +60,15 @@ impl SimClock {
         }
     }
 
-    /// Advances the clock by a number of nanoseconds.
-    pub fn advance_nanos(&self, nanos: u64) -> Duration {
-        self.advance(Duration::from_nanos(nanos))
-    }
-
     /// Resets the clock to zero. Used between independent experiment runs.
     pub fn reset(&self) {
         self.nanos.store(0, Ordering::Relaxed);
     }
+}
+
+/// `d` in whole nanoseconds, saturating at `u64::MAX` like the clock.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -70,8 +70,9 @@ pub trait StorageDevice: Send + Sync {
     fn idle_time(&self) -> Duration;
 }
 
-/// Coalesces a queue of requests into merged transfers and serves each via
-/// `serve`, returning the total service time.
+/// Coalesces a queue of requests into merged transfers and prices each via
+/// `charge`, returning the total service time. The caller advances the
+/// clock by that total, once.
 ///
 /// Consecutive requests merge while they have the same direction and
 /// sequential flag, are physically adjacent (`prev.range.end() ==
@@ -81,7 +82,7 @@ pub trait StorageDevice: Send + Sync {
 pub(crate) fn serve_merged(
     reqs: &[IoRequest],
     queue_depth: usize,
-    mut serve: impl FnMut(&IoRequest) -> Duration,
+    mut charge: impl FnMut(&IoRequest) -> Duration,
 ) -> Duration {
     let mut total = Duration::ZERO;
     let mut pending: Option<(IoRequest, usize)> = None;
@@ -99,36 +100,16 @@ pub(crate) fn serve_merged(
             }
             _ => {
                 if let Some((merged, _)) = pending.take() {
-                    total += serve(&merged);
+                    total += charge(&merged);
                 }
                 pending = Some((*req, 1));
             }
         }
     }
     if let Some((merged, _)) = pending.take() {
-        total += serve(&merged);
+        total += charge(&merged);
     }
     total
-}
-
-/// Records a served request into `stats`.
-pub(crate) fn record(stats: &mut DeviceStats, req: &IoRequest, service: Duration) {
-    match req.direction {
-        crate::request::Direction::Read => {
-            stats.read_requests += 1;
-            stats.blocks_read += req.blocks();
-        }
-        crate::request::Direction::Write => {
-            stats.write_requests += 1;
-            stats.blocks_written += req.blocks();
-        }
-    }
-    if req.sequential {
-        stats.sequential_requests += 1;
-    } else {
-        stats.random_requests += 1;
-    }
-    stats.busy_time += service;
 }
 
 #[cfg(test)]
@@ -140,22 +121,22 @@ mod tests {
     #[test]
     fn record_updates_counters() {
         let mut s = DeviceStats::new();
-        record(
-            &mut s,
+        s.record(
             &IoRequest::read(BlockRange::new(0u64, 4), true),
             Duration::from_micros(100),
+            1,
         );
-        record(
-            &mut s,
+        s.record(
             &IoRequest::write(BlockRange::new(4u64, 2), false),
             Duration::from_micros(50),
+            3,
         );
         assert_eq!(s.read_requests, 1);
-        assert_eq!(s.write_requests, 1);
+        assert_eq!(s.write_requests, 3);
         assert_eq!(s.blocks_read, 4);
-        assert_eq!(s.blocks_written, 2);
+        assert_eq!(s.blocks_written, 6);
         assert_eq!(s.sequential_requests, 1);
-        assert_eq!(s.random_requests, 1);
-        assert_eq!(s.busy_time, Duration::from_micros(150));
+        assert_eq!(s.random_requests, 3);
+        assert_eq!(s.busy_time, Duration::from_micros(250));
     }
 }

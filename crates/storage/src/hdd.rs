@@ -14,7 +14,7 @@
 
 use crate::block::{BlockAddr, BLOCK_SIZE};
 use crate::clock::SimClock;
-use crate::device::{record, DeviceKind, StorageDevice};
+use crate::device::{serve_merged, DeviceKind, StorageDevice};
 use crate::request::IoRequest;
 use crate::stats::DeviceStats;
 use parking_lot::Mutex;
@@ -78,6 +78,17 @@ struct HddState {
     /// Block address immediately after the last request served, used to
     /// detect physically contiguous accesses that avoid repositioning.
     next_contiguous: Option<BlockAddr>,
+}
+
+impl HddState {
+    /// Prices `req` at the current head position, records it and moves
+    /// the head past it.
+    fn charge(&mut self, device: &HddDevice, req: &IoRequest) -> Duration {
+        let t = device.service_time_at(self.next_contiguous, req);
+        self.next_contiguous = Some(req.range.end());
+        self.stats.record(req, t, 1);
+        t
+    }
 }
 
 /// A simulated hard disk drive. Service accounting and head position are
@@ -144,17 +155,19 @@ impl StorageDevice for HddDevice {
     }
 
     fn serve(&self, req: &IoRequest) -> Duration {
-        let mut state = self.state.lock();
-        let t = self.service_time_at(state.next_contiguous, req);
-        state.next_contiguous = Some(req.range.end());
-        record(&mut state.stats, req, t);
-        drop(state);
+        let t = self.state.lock().charge(self, req);
         self.clock.advance(t);
         t
     }
 
     fn serve_batch(&self, reqs: &[IoRequest]) -> Duration {
-        crate::device::serve_merged(reqs, self.params.queue_depth, |r| self.serve(r))
+        // One acquisition for the whole queue: the head moves and the
+        // ledger grows transfer by transfer, as if each were served alone.
+        let mut state = self.state.lock();
+        let total = serve_merged(reqs, self.params.queue_depth, |r| state.charge(self, r));
+        drop(state);
+        self.clock.advance(total);
+        total
     }
 
     fn stats(&self) -> DeviceStats {

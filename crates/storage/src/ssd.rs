@@ -11,9 +11,9 @@
 //! random requests per block at the rated IOPS (Table 2 IOPS are 4 KiB;
 //! we conservatively charge one IO per 8 KiB database block).
 
-use crate::block::BLOCK_SIZE;
+use crate::block::{BlockRange, BLOCK_SIZE};
 use crate::clock::SimClock;
-use crate::device::{record, DeviceKind, StorageDevice};
+use crate::device::{serve_merged, DeviceKind, StorageDevice};
 use crate::request::{Direction, IoRequest};
 use crate::stats::DeviceStats;
 use parking_lot::Mutex;
@@ -74,15 +74,37 @@ impl Default for SsdParameters {
 pub struct SsdDevice {
     params: SsdParameters,
     clock: SimClock,
+    /// [`Self::model_time`] of a one-block request, by [`memo_index`].
+    /// Nearly every cache hit is one of these four transfers, so the f64
+    /// model is evaluated for them once, here, and never per request.
+    single_block: [Duration; 4],
     stats: Mutex<DeviceStats>,
+}
+
+/// Slot of a one-block request in [`SsdDevice::single_block`].
+fn memo_index(direction: Direction, sequential: bool) -> usize {
+    2 * usize::from(direction.is_write()) + usize::from(sequential)
 }
 
 impl SsdDevice {
     /// Creates an SSD with the given parameters sharing `clock`.
     pub fn new(params: SsdParameters, clock: SimClock) -> Self {
+        let mut single_block = [Duration::ZERO; 4];
+        for direction in [Direction::Read, Direction::Write] {
+            for sequential in [false, true] {
+                let one_block = IoRequest {
+                    range: BlockRange::new(0u64, 1),
+                    direction,
+                    sequential,
+                };
+                single_block[memo_index(direction, sequential)] =
+                    Self::model_time(&params, &one_block);
+            }
+        }
         SsdDevice {
             params,
             clock,
+            single_block,
             stats: Mutex::new(DeviceStats::new()),
         }
     }
@@ -96,6 +118,26 @@ impl SsdDevice {
     pub fn params(&self) -> &SsdParameters {
         &self.params
     }
+
+    /// The service-time model itself: sequential requests at the
+    /// sequential bandwidth, random requests per block at the rated IOPS,
+    /// plus the command overhead.
+    fn model_time(params: &SsdParameters, req: &IoRequest) -> Duration {
+        let t = if req.sequential {
+            let bw = match req.direction {
+                Direction::Read => params.sequential_read_bandwidth,
+                Direction::Write => params.sequential_write_bandwidth,
+            };
+            Duration::from_secs_f64(req.bytes() as f64 / bw)
+        } else {
+            let iops = match req.direction {
+                Direction::Read => params.random_read_iops,
+                Direction::Write => params.random_write_iops,
+            };
+            Duration::from_secs_f64(req.blocks() as f64 / iops)
+        };
+        t + params.command_overhead
+    }
 }
 
 impl StorageDevice for SsdDevice {
@@ -108,31 +150,32 @@ impl StorageDevice for SsdDevice {
     }
 
     fn service_time(&self, req: &IoRequest) -> Duration {
-        let t = if req.sequential {
-            let bw = match req.direction {
-                Direction::Read => self.params.sequential_read_bandwidth,
-                Direction::Write => self.params.sequential_write_bandwidth,
-            };
-            Duration::from_secs_f64(req.bytes() as f64 / bw)
+        if req.blocks() == 1 {
+            self.single_block[memo_index(req.direction, req.sequential)]
         } else {
-            let iops = match req.direction {
-                Direction::Read => self.params.random_read_iops,
-                Direction::Write => self.params.random_write_iops,
-            };
-            Duration::from_secs_f64(req.blocks() as f64 / iops)
-        };
-        t + self.params.command_overhead
+            Self::model_time(&self.params, req)
+        }
     }
 
     fn serve(&self, req: &IoRequest) -> Duration {
         let t = self.service_time(req);
         self.clock.advance(t);
-        record(&mut self.stats.lock(), req, t);
+        self.stats.lock().record(req, t, 1);
         t
     }
 
     fn serve_batch(&self, reqs: &[IoRequest]) -> Duration {
-        crate::device::serve_merged(reqs, self.params.queue_depth, |r| self.serve(r))
+        // Service times need no lock: the batch is priced into a local
+        // ledger, which the device's own then absorbs in one acquisition.
+        let mut batch = DeviceStats::new();
+        let total = serve_merged(reqs, self.params.queue_depth, |r| {
+            let t = self.service_time(r);
+            batch.record(r, t, 1);
+            t
+        });
+        self.clock.advance(total);
+        self.stats.lock().merge(&batch);
+        total
     }
 
     fn stats(&self) -> DeviceStats {
@@ -151,7 +194,6 @@ impl StorageDevice for SsdDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockRange;
     use crate::hdd::HddDevice;
 
     fn ssd() -> SsdDevice {

@@ -1,5 +1,7 @@
 //! Per-device statistics.
 
+use crate::clock::nanos;
+use crate::request::{Direction, IoRequest};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -36,6 +38,32 @@ impl DeviceStats {
     /// Total blocks transferred.
     pub fn total_blocks(&self) -> u64 {
         self.blocks_read + self.blocks_written
+    }
+
+    /// Records `times` served copies of `req`, each taking `service`. A
+    /// ledger that is not the device's own (the cache engine keeps one per
+    /// shard, written under the shard lock) is charged through here.
+    pub fn record(&mut self, req: &IoRequest, service: Duration, times: u64) {
+        match req.direction {
+            Direction::Read => {
+                self.read_requests += times;
+                self.blocks_read += req.blocks() * times;
+            }
+            Direction::Write => {
+                self.write_requests += times;
+                self.blocks_written += req.blocks() * times;
+            }
+        }
+        if req.sequential {
+            self.sequential_requests += times;
+        } else {
+            self.random_requests += times;
+        }
+        self.busy_time += match times {
+            // Every served request comes through here: no conversion.
+            1 => service,
+            n => Duration::from_nanos(nanos(service).saturating_mul(n)),
+        };
     }
 
     /// Merges another stats snapshot into this one.

@@ -1,0 +1,370 @@
+//! Accounting suite for the shard-local counters: statistics and device
+//! ledgers are written under the stripe mutex, repeat hits are tallied on
+//! the hot descriptor and credited by whoever next holds the write lock,
+//! and `stats()` folds what is still pending. None of that may lose,
+//! double-count or misattribute a single block — serially against a fully
+//! locked twin, and concurrently against what each thread knows it sent.
+//!
+//! The stress test reads `HSTORAGE_STRESS_THREADS` (default 8) so the CI
+//! contention job can re-run it at 16 and 32 threads.
+
+use hstorage_cache::{CacheAction, HybridCache, MigrationConfig, StorageSystem};
+use hstorage_storage::{
+    BlockRange, ClassifiedRequest, DeviceStats, Direction, IoRequest, PolicyConfig, QosPolicy,
+    RequestClass, SimClock, SsdDevice, SsdParameters, StorageDevice, TrimCommand,
+};
+use std::time::Duration;
+
+mod common;
+
+/// xorshift64*: the trace generator's only source of randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Submit(ClassifiedRequest),
+    Batch(Vec<ClassifiedRequest>),
+    Trim(BlockRange),
+    Reset,
+    Pulse,
+}
+
+impl Op {
+    fn apply(&self, engine: &HybridCache) {
+        match self {
+            Op::Submit(req) => engine.submit(*req),
+            Op::Batch(reqs) => engine.submit_batch(reqs.clone()),
+            Op::Trim(range) => engine.trim(&TrimCommand::single(*range)),
+            Op::Reset => engine.reset_stats(),
+            Op::Pulse => {
+                engine.migrate_idle();
+            }
+        }
+    }
+}
+
+/// One request over a 96-block address space (the engines hold 64): mostly
+/// the single-block reads the fast path serves, with every shape that must
+/// fall off it mixed in — writes, buffered updates, multi-block reads,
+/// bypassed scans, and temp reads whose I/O flag differs under one class.
+fn request(rng: &mut Rng) -> ClassifiedRequest {
+    let lbn = rng.below(96);
+    let read = |len, sequential| IoRequest::read(BlockRange::new(lbn, len), sequential);
+    let write = |len| IoRequest::write(BlockRange::new(lbn, len), false);
+    match rng.below(16) {
+        0 => ClassifiedRequest::new(write(1), RequestClass::Update, QosPolicy::priority(3)),
+        1 => ClassifiedRequest::new(write(1), RequestClass::Update, QosPolicy::WriteBuffer),
+        2 => ClassifiedRequest::new(
+            read(1 + rng.below(6), false),
+            RequestClass::Random,
+            QosPolicy::priority(2),
+        ),
+        3 => ClassifiedRequest::new(
+            read(8, true),
+            RequestClass::Sequential,
+            QosPolicy::NonCachingNonEviction,
+        ),
+        4 | 5 => ClassifiedRequest::new(
+            read(1, rng.below(2) == 0),
+            RequestClass::TemporaryData,
+            QosPolicy::priority(1),
+        ),
+        6 | 7 => {
+            ClassifiedRequest::new(read(1, false), RequestClass::Random, QosPolicy::priority(3))
+        }
+        _ => ClassifiedRequest::new(read(1, false), RequestClass::Random, QosPolicy::priority(2)),
+    }
+}
+
+/// A repeat-heavy trace: every drawn request is submitted one to four
+/// times in a row, between occasional batches, trims, statistics resets
+/// and migration pulses.
+fn trace(seed: u64) -> Vec<Op> {
+    let mut rng = Rng(seed);
+    let mut ops = Vec::new();
+    for _ in 0..500 {
+        match rng.below(64) {
+            0 => ops.push(Op::Reset),
+            1..=3 => ops.push(Op::Trim(BlockRange::new(rng.below(96), 1 + rng.below(4)))),
+            4..=7 => ops.push(Op::Pulse),
+            8..=11 => ops.push(Op::Batch(
+                (0..2 + rng.below(6)).map(|_| request(&mut rng)).collect(),
+            )),
+            _ => {
+                let req = request(&mut rng);
+                for _ in 0..1 + rng.below(4) {
+                    ops.push(Op::Submit(req));
+                }
+            }
+        }
+    }
+    ops
+}
+
+/// Fold exactness. Three engines run one trace: `twin` takes the mutex on
+/// every submit and records each block as it happens; `probed` serves
+/// repeats optimistically and has its statistics read after every
+/// operation, so every fold happens at a read; `quiet` is read only at the
+/// end, so its tallies are credited by the writers that replace the
+/// descriptor. All three must agree — statistics (device ledgers
+/// included), clock and migration state — for every policy, with migration
+/// off and with rounds actually running.
+#[test]
+fn folded_statistics_equal_a_locked_twin_after_every_operation() {
+    let eager = MigrationConfig::on()
+        .with_idle_threshold(Duration::ZERO)
+        .with_round_budget(4);
+    for kind in common::matrix_kinds() {
+        for migration in [MigrationConfig::off(), eager] {
+            let build = || {
+                HybridCache::with_shard_count(PolicyConfig::paper_default(), 64, 4)
+                    .with_cache_policy(kind)
+                    .with_migration(migration)
+            };
+            let (probed, quiet) = (build(), build());
+            let twin = build().with_optimistic_reads(false);
+            let mut fast_path_hits = 0;
+            for (i, op) in trace(0x5EED_0013).iter().enumerate() {
+                for engine in [&probed, &quiet, &twin] {
+                    op.apply(engine);
+                }
+                let context = format!("{kind}, migration {}, op {i} {op:?}", migration.enabled);
+                let (folded, locked) = (probed.stats(), twin.stats());
+                assert_eq!(folded, locked, "{context}");
+                // A fast-path hit replaces exactly one lock acquisition.
+                assert_eq!(locked.contention.fast_path_hits, 0, "{context}");
+                assert_eq!(
+                    folded.contention.lock_acquisitions + folded.contention.fast_path_hits,
+                    locked.contention.lock_acquisitions,
+                    "{context}"
+                );
+                fast_path_hits += folded.contention.fast_path_hits;
+                assert_eq!(probed.now(), twin.now(), "{context}");
+                assert_eq!(quiet.now(), twin.now(), "{context}");
+                assert_eq!(
+                    probed.migration_stats(),
+                    twin.migration_stats(),
+                    "{context}"
+                );
+            }
+            assert!(
+                fast_path_hits > 0,
+                "{kind}: the trace must use the fast path"
+            );
+            assert_eq!(quiet.stats(), twin.stats(), "{kind}");
+            assert_eq!(quiet.migration_stats(), twin.migration_stats(), "{kind}");
+            for optimistic in [&probed, &quiet] {
+                assert_eq!(optimistic.resident_set(), twin.resident_set(), "{kind}");
+                assert_eq!(optimistic.heat_snapshot(), twin.heat_snapshot(), "{kind}");
+            }
+        }
+    }
+}
+
+/// Thread count of the stress test: `HSTORAGE_STRESS_THREADS`, or 8.
+fn stress_threads() -> u64 {
+    std::env::var("HSTORAGE_STRESS_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(8)
+}
+
+/// What one thread of the conservation test knows it caused.
+#[derive(Default)]
+struct Expected {
+    blocks: u64,
+    hits: u64,
+    allocations: u64,
+    bypasses: u64,
+    ssd: DeviceStats,
+}
+
+/// N-thread conservation. A shared working set is made resident, then
+/// every thread reads it (each address four times in a row, so repeats
+/// race with other threads re-arming the same shards), allocates private
+/// blocks and bypasses private scans. The cache is never full, so each
+/// request's outcome — and its SSD traffic — is known to the thread that
+/// sent it whatever the interleaving; the engine's totals must be the sum.
+#[test]
+fn concurrent_submits_conserve_every_counter() {
+    const SHARED: u64 = 256;
+    const PER_THREAD: u64 = 4_000;
+    let threads = stress_threads();
+    let engine = HybridCache::with_shard_count(
+        PolicyConfig::paper_default(),
+        2 * (SHARED + threads * PER_THREAD),
+        8,
+    )
+    .with_migration(common::matrix_migration());
+    let shared_read = |lbn: u64, len: u64, sequential: bool| {
+        ClassifiedRequest::new(
+            IoRequest::read(BlockRange::new(lbn, len), sequential),
+            if sequential {
+                RequestClass::TemporaryData
+            } else {
+                RequestClass::Random
+            },
+            QosPolicy::priority(2),
+        )
+    };
+    for lbn in 0..SHARED {
+        engine.submit(shared_read(lbn, 1, false));
+    }
+    engine.reset_stats();
+    let start = engine.now();
+    // The model alone, to price what each thread sends.
+    let model = SsdDevice::intel_320(SimClock::new());
+
+    let expected: Vec<Expected> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (engine, model) = (&engine, &model);
+                scope.spawn(move || {
+                    let mut rng = Rng(0xACC0 + t);
+                    let mut mine = Expected::default();
+                    let mut ssd = |direction, lbn: u64, len: u64, sequential: bool| {
+                        let io = IoRequest {
+                            range: BlockRange::new(lbn, len),
+                            direction,
+                            sequential,
+                        };
+                        mine.ssd.record(&io, model.service_time(&io), 1);
+                    };
+                    let private = 1_000_000 * (t + 1);
+                    for i in 0..PER_THREAD {
+                        match rng.below(8) {
+                            // A private block's first read allocates it.
+                            0 => {
+                                engine.submit(shared_read(private + i, 1, false));
+                                ssd(Direction::Write, private + i, 1, false);
+                                mine.blocks += 1;
+                                mine.allocations += 1;
+                            }
+                            // A private scan bypasses the cache: no SSD.
+                            1 => {
+                                engine.submit(ClassifiedRequest::new(
+                                    IoRequest::read(
+                                        BlockRange::new(private + 500_000 + 4 * i, 4),
+                                        true,
+                                    ),
+                                    RequestClass::Sequential,
+                                    QosPolicy::NonCachingNonEviction,
+                                ));
+                                mine.blocks += 4;
+                                mine.bypasses += 4;
+                            }
+                            // A multi-block shared hit, across shards.
+                            2 => {
+                                let lbn = rng.below(SHARED - 3);
+                                engine.submit(shared_read(lbn, 3, false));
+                                ssd(Direction::Read, lbn, 3, false);
+                                mine.blocks += 3;
+                                mine.hits += 3;
+                            }
+                            // Shared single-block hits, four in a row.
+                            draw => {
+                                let lbn = rng.below(SHARED);
+                                let sequential = draw == 3;
+                                for _ in 0..4 {
+                                    engine.submit(shared_read(lbn, 1, sequential));
+                                    ssd(Direction::Read, lbn, 1, sequential);
+                                }
+                                mine.blocks += 4;
+                                mine.hits += 4;
+                            }
+                        }
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a submitting thread panicked"))
+            .collect()
+    });
+
+    let stats = engine.stats();
+    let sum = |f: fn(&Expected) -> u64| expected.iter().map(f).sum::<u64>();
+    let totals = stats.totals();
+    assert_eq!(totals.accessed_blocks, sum(|e| e.blocks));
+    assert_eq!(totals.cache_hits, sum(|e| e.hits));
+    assert_eq!(stats.action(CacheAction::CacheHit), sum(|e| e.hits));
+    assert_eq!(
+        stats.action(CacheAction::ReadAllocation),
+        sum(|e| e.allocations)
+    );
+    assert_eq!(stats.action(CacheAction::Bypassing), sum(|e| e.bypasses));
+    assert_eq!(stats.action(CacheAction::Eviction), 0);
+    // Both views of the same blocks add up to them.
+    assert_eq!(
+        stats.priority(2).accessed_blocks,
+        sum(|e| e.blocks - e.bypasses)
+    );
+    assert_eq!(stats.resident_blocks, SHARED + sum(|e| e.allocations));
+
+    let mut ssd = DeviceStats::new();
+    for e in &expected {
+        ssd.merge(&e.ssd);
+    }
+    assert_eq!(stats.ssd.as_ref(), Some(&ssd));
+    // One clock, advanced by every transfer of either device.
+    let hdd = stats.hdd.expect("the engine has an HDD");
+    assert_eq!(engine.now() - start, ssd.busy_time + hdd.busy_time);
+    assert!(stats.contention.fast_path_hits > 0);
+}
+
+/// The memoised single-block service times are the f64 model's, to the
+/// nanosecond, for parameters other than the defaults too; multi-block
+/// requests still evaluate it.
+#[test]
+fn memoised_service_times_equal_the_model() {
+    let odd = SsdParameters {
+        sequential_read_bandwidth: 123.4e6,
+        sequential_write_bandwidth: 98.7e6,
+        random_read_iops: 31_337.0,
+        random_write_iops: 7_919.0,
+        command_overhead: Duration::from_nanos(12_345),
+        ..SsdParameters::intel_320()
+    };
+    for params in [SsdParameters::intel_320(), odd] {
+        let ssd = SsdDevice::new(params, SimClock::new());
+        for blocks in [1u64, 2, 64] {
+            for direction in [Direction::Read, Direction::Write] {
+                for sequential in [false, true] {
+                    let io = IoRequest {
+                        range: BlockRange::new(7u64, blocks),
+                        direction,
+                        sequential,
+                    };
+                    let transfer = match (sequential, direction) {
+                        (true, Direction::Read) => {
+                            io.bytes() as f64 / params.sequential_read_bandwidth
+                        }
+                        (true, Direction::Write) => {
+                            io.bytes() as f64 / params.sequential_write_bandwidth
+                        }
+                        (false, Direction::Read) => blocks as f64 / params.random_read_iops,
+                        (false, Direction::Write) => blocks as f64 / params.random_write_iops,
+                    };
+                    let model = Duration::from_secs_f64(transfer) + params.command_overhead;
+                    assert_eq!(ssd.service_time(&io), model, "{io:?}");
+                    // And `serve` charges exactly that.
+                    let before = ssd.stats().busy_time;
+                    assert_eq!(ssd.serve(&io), model);
+                    assert_eq!(ssd.stats().busy_time - before, model);
+                }
+            }
+        }
+    }
+}

@@ -1,18 +1,15 @@
-//! Contention suite for the lock-light cache hot path: the atomic
-//! statistics must aggregate exactly like the old locked `CacheStats`
-//! merge (no counter lost or double-counted, under any interleaving), and
-//! the optimistic repeat-hit engine must be observably identical to the
-//! fully locked one.
+//! Contention suite for the lock-light cache hot path: the optimistic
+//! repeat-hit engine must be observably identical to the fully locked
+//! one. (`tests/accounting.rs` checks the accounting behind it.)
 //!
-//! The stress tests read `HSTORAGE_STRESS_THREADS` (default 8) so the CI
-//! contention job can re-run them at 16 and 32 threads.
+//! The stress test reads `HSTORAGE_STRESS_THREADS` (default 8) so the CI
+//! contention job can re-run it at 16 and 32 threads.
 
-use hstorage_cache::{AtomicCacheStats, CacheAction, CacheStats, HybridCache, StorageSystem};
+use hstorage_cache::{HybridCache, StorageSystem};
 use hstorage_storage::{
     BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
 
 mod common;
 
@@ -23,181 +20,6 @@ fn stress_threads() -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or(8)
-}
-
-// ---------------------------------------------------------------------------
-// Atomic statistics vs the locked CacheStats ground truth
-// ---------------------------------------------------------------------------
-
-/// One statistics-recording operation, applicable to both implementations.
-#[derive(Debug, Clone, Copy)]
-enum StatOp {
-    Class {
-        class: RequestClass,
-        blocks: u64,
-        hits: u64,
-    },
-    Priority {
-        prio: u8,
-        blocks: u64,
-        hits: u64,
-    },
-    Action {
-        action: CacheAction,
-        blocks: u64,
-    },
-    LockAcquisition,
-    FastPathHit,
-}
-
-fn apply_atomic(stats: &AtomicCacheStats, op: StatOp) {
-    match op {
-        StatOp::Class {
-            class,
-            blocks,
-            hits,
-        } => stats.record_class(class, blocks, hits),
-        StatOp::Priority { prio, blocks, hits } => stats.record_priority(prio, blocks, hits),
-        StatOp::Action { action, blocks } => stats.record_action(action, blocks),
-        StatOp::LockAcquisition => stats.record_lock_acquisition(),
-        StatOp::FastPathHit => stats.record_fast_path_hit(),
-    }
-}
-
-fn apply_locked(stats: &mut CacheStats, op: StatOp) {
-    match op {
-        StatOp::Class {
-            class,
-            blocks,
-            hits,
-        } => stats.record_class(class, blocks, hits),
-        StatOp::Priority { prio, blocks, hits } => stats.record_priority(prio, blocks, hits),
-        StatOp::Action { action, blocks } => stats.record_action(action, blocks),
-        StatOp::LockAcquisition => stats.contention.lock_acquisitions += 1,
-        StatOp::FastPathHit => stats.contention.fast_path_hits += 1,
-    }
-}
-
-/// An arbitrary recording operation. Zero-amount records are generated on
-/// purpose: they must still create the per-key map entries, exactly like
-/// the locked implementation.
-fn arb_stat_op() -> impl Strategy<Value = StatOp> {
-    (0usize..5, 0usize..5, any::<u8>(), 0u64..50, 0u64..50).prop_map(
-        |(kind, class_i, prio, blocks, hits)| {
-            let hits = hits.min(blocks);
-            match kind {
-                0 => StatOp::Class {
-                    class: RequestClass::all()[class_i],
-                    blocks,
-                    hits,
-                },
-                1 => StatOp::Priority { prio, blocks, hits },
-                2 => StatOp::Action {
-                    action: CacheAction::ALL[(class_i + prio as usize) % CacheAction::ALL.len()],
-                    blocks,
-                },
-                3 => StatOp::LockAcquisition,
-                _ => StatOp::FastPathHit,
-            }
-        },
-    )
-}
-
-/// A deterministic operation stream, disjoint per `(thread, index)` — the
-/// same stream a stress thread applies concurrently and the ground-truth
-/// replay applies sequentially.
-fn stress_op(thread: usize, i: u64) -> StatOp {
-    let mut x = (thread as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(i)
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    x ^= x >> 29;
-    let blocks = (x >> 3) % 16;
-    let hits = (x >> 13) % (blocks + 1);
-    match x % 5 {
-        0 => StatOp::Class {
-            class: RequestClass::all()[(x >> 23) as usize % 5],
-            blocks,
-            hits,
-        },
-        1 => StatOp::Priority {
-            prio: (x >> 23) as u8,
-            blocks,
-            hits,
-        },
-        2 => StatOp::Action {
-            action: CacheAction::ALL[(x >> 23) as usize % CacheAction::ALL.len()],
-            blocks,
-        },
-        3 => StatOp::LockAcquisition,
-        _ => StatOp::FastPathHit,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Per-shard atomic recording plus order-independent snapshot merging
-    /// reproduces the locked `CacheStats` accounting exactly — per-shard
-    /// and in the aggregate, key presence included.
-    #[test]
-    fn atomic_stats_aggregation_matches_locked_merge(
-        ops in prop::collection::vec((0usize..4, arb_stat_op()), 1..200),
-    ) {
-        let shards: Vec<AtomicCacheStats> =
-            (0..4).map(|_| AtomicCacheStats::new()).collect();
-        let mut ground: Vec<CacheStats> = vec![CacheStats::new(); 4];
-        for &(shard, op) in &ops {
-            apply_atomic(&shards[shard], op);
-            apply_locked(&mut ground[shard], op);
-        }
-        for (atomic, locked) in shards.iter().zip(&ground) {
-            let snap = atomic.snapshot();
-            prop_assert_eq!(&snap, locked);
-            prop_assert_eq!(snap.contention, locked.contention);
-        }
-        // Aggregation across shards commutes with the per-shard recording:
-        // merging snapshots equals merging the locked ground truths.
-        let mut from_atomic = CacheStats::new();
-        let mut from_locked = CacheStats::new();
-        for (atomic, locked) in shards.iter().zip(&ground) {
-            from_atomic.merge(&atomic.snapshot());
-            from_locked.merge(locked);
-        }
-        prop_assert_eq!(&from_atomic, &from_locked);
-        prop_assert_eq!(from_atomic.contention, from_locked.contention);
-    }
-}
-
-/// N threads hammer one shared `AtomicCacheStats` with disjoint
-/// deterministic operation streams; the final snapshot must equal a
-/// single-threaded locked replay of every stream — any lost or
-/// double-counted increment shows up as a counter mismatch.
-#[test]
-fn concurrent_stats_recording_loses_no_counter() {
-    const OPS_PER_THREAD: u64 = 20_000;
-    let threads = stress_threads();
-    let stats = Arc::new(AtomicCacheStats::new());
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let stats = Arc::clone(&stats);
-            s.spawn(move || {
-                for i in 0..OPS_PER_THREAD {
-                    apply_atomic(&stats, stress_op(t, i));
-                }
-            });
-        }
-    });
-    let mut ground = CacheStats::new();
-    for t in 0..threads {
-        for i in 0..OPS_PER_THREAD {
-            apply_locked(&mut ground, stress_op(t, i));
-        }
-    }
-    let snap = stats.snapshot();
-    assert_eq!(snap, ground);
-    assert_eq!(snap.contention, ground.contention);
 }
 
 // ---------------------------------------------------------------------------
