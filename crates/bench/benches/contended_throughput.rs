@@ -8,10 +8,9 @@
 //! once. Two engine configurations are compared:
 //!
 //! * `optimistic` — the lock-light hot path: repeat hits are served under
-//!   the shard's `RwLock` read view with atomic statistics, never taking
-//!   the stripe mutex;
-//! * `locked` — `with_optimistic_reads(false)`, the pre-optimization hot
-//!   path that takes the stripe mutex on every submission.
+//!   the shard's read lock, sharing it;
+//! * `locked` — `with_optimistic_reads(false)`, the hot path that takes
+//!   the shard's write lock on every submission.
 //!
 //! Both serve the identical workload with identical simulated timing and
 //! statistics; what diverges is wall-clock scalability under contention.

@@ -7,7 +7,7 @@
 //!
 //! * `hit` — reads cycling over a resident working set far larger than
 //!   one block per shard, so the optimistic descriptor never matches and
-//!   every submit pays the full locked path: stripe mutex, metadata
+//!   every submit pays the full locked path: write lock, metadata
 //!   probe, policy-list touch. This is the path the open-addressing
 //!   table and the arena-backed lists were built for.
 //! * `miss` — never-repeating cold reads: table insert, list push and —

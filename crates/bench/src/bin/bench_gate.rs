@@ -126,7 +126,7 @@ fn sim_random_seconds() -> f64 {
 /// `1.0` iff the two engines' logical statistics / simulated clocks came
 /// out bit-identical — the optimistic path's correctness contract — and
 /// the rate is the fraction of hot-path visits the lock-light engine
-/// served without the stripe mutex.
+/// served under the shared side of the shard lock.
 fn hot_read_equivalence() -> (f64, f64, f64) {
     let optimistic = warmed_cache(true);
     let locked = warmed_cache(false);
@@ -145,7 +145,7 @@ fn hot_read_equivalence() -> (f64, f64, f64) {
 /// pre-warmed runs of the interior hit cycle on the given shard-interior
 /// backend. The working set holds hundreds of resident blocks per shard,
 /// so the optimistic descriptor never matches and every submit pays the
-/// locked path — stripe mutex, metadata probe, policy-list touch — which
+/// locked path — write lock, metadata probe, policy-list touch — which
 /// is exactly where the flat and the legacy map interior differ.
 fn interior_wall_throughput(backend: ListBackend) -> f64 {
     let mut rates: Vec<f64> = (0..WALL_RUNS)

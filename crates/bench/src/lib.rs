@@ -143,8 +143,8 @@ pub mod workload {
     /// The `i`-th hot read of the contended workload: a single-block
     /// priority-2 random read that rotates over the [`HOT_SET`] every 16
     /// requests. All threads share one schedule, so under contention they
-    /// pile onto the same shard — worst case for a mutex hot path, best
-    /// case for an optimistic read view.
+    /// pile onto the same shard — worst case for an exclusive hot path,
+    /// best case for an optimistic shared one.
     pub fn hot_read(i: u64) -> ClassifiedRequest {
         ClassifiedRequest::new(
             IoRequest::read(BlockRange::new((i / 16) % HOT_SET, 1), false),
@@ -206,7 +206,7 @@ pub mod workload {
     /// each shard holds hundreds of distinct resident blocks, consecutive
     /// hits to a shard land on different blocks — the optimistic hit
     /// descriptor never matches, so every submit takes the full locked
-    /// path: stripe mutex, metadata probe, policy-list touch. That is
+    /// path: write lock, metadata probe, policy-list touch. That is
     /// exactly the path the interior backends (flat vs map) differ on.
     pub fn interior_hit_read(i: u64) -> ClassifiedRequest {
         ClassifiedRequest::new(

@@ -26,37 +26,40 @@
 //! [`CacheEngine::with_shard_count`] enables real parallelism for the
 //! threaded drivers and benches.
 //!
-//! Within a shard, state is split by how hot its access path is:
+//! Each shard keeps all of its state behind **one** `RwLock`:
 //!
-//! * **metadata** (plus the hot-hit descriptor and its pending tally) sits
-//!   behind an `RwLock` read view — read-only probes
-//!   ([`CacheEngine::contains_block`], [`CacheEngine::cached_priority`],
-//!   residency counts) take the shared read lock and never serialize with
-//!   each other;
-//! * **decision state and accounting** (the policy, the slot allocator,
-//!   the shard's statistics and its ledger of SSD traffic) stay behind the
-//!   stripe mutex, which every mutating path takes *together with* the
-//!   view's write lock (always mutex first). Counters are plain `u64`s
-//!   written where the lock is already held; [`StorageSystem::stats`]
-//!   takes each stripe briefly and sums them.
+//! * mutating paths (a submission's slow path, a TRIM, a write-buffer
+//!   drain, a migration round, a statistics fold) hold the write lock
+//!   for their whole visit, so counters are plain `u64`s written where
+//!   the lock is already held and [`StorageSystem::stats`] takes each
+//!   shard briefly and sums them;
+//! * read-only probes ([`CacheEngine::contains_block`],
+//!   [`CacheEngine::cached_priority`], residency counts, learned heat)
+//!   take the read lock and never serialize with each other.
 //!
-//! On top of that split sits an optimistic fast path for the hottest
-//! possible case: a single-block read that repeats the immediately
-//! preceding hit on its shard. When the installed policy declares repeat
-//! hits idempotent ([`CachePolicy::repeat_hit_idempotent`]) the repeat is
-//! served entirely under the read view, without acquiring the stripe
-//! mutex, because the skipped `on_hit` call is provably a no-op: it bumps
-//! the descriptor's tally and advances the clock, nothing else. Whoever
-//! next replaces the descriptor — or reads the statistics — holds the
-//! view's write lock, sees the exact tally and credits it (hit, class and
-//! priority counters, SSD ledger, migration heat) to the descriptor it
-//! was counted against. Anything that could perturb policy order (a
-//! different block's hit, a write, an allocation, an eviction, a trim, a
-//! drain) falls back to the full mutex path and invalidates the
-//! descriptor. The fast path alters no simulated timing, no hit ratio and
-//! no policy decision; it only removes mutex traffic.
-//! [`CacheEngine::with_optimistic_reads`] turns it off to reproduce the
-//! fully locked hot path (the pre-optimization engine), and
+//! A request, a [`StorageSystem::submit_batch`] run and a TRIM walk their
+//! blocks **shard-major** (`CacheEngine::visit_shards`): each shard they
+//! touch is locked once and its blocks (`first, first + N, …`) handled
+//! under that acquisition, one shard at a time. Per-shard order stays
+//! request order, ascending within a request — what a block-by-block
+//! walk produces — so no decision or counter moves.
+//!
+//! On top of that sits an optimistic fast path for the hottest possible
+//! case: a single-block read that repeats the immediately preceding hit
+//! on its shard. When the installed policy declares repeat hits
+//! idempotent ([`CachePolicy::repeat_hit_idempotent`]) the repeat is
+//! served under the *read* lock, because the skipped `on_hit` call is
+//! provably a no-op: it bumps the descriptor's tally and advances the
+//! clock, nothing else. Whoever next replaces the descriptor — or reads
+//! the statistics — holds the write lock, sees the exact tally and
+//! credits it (hit, class and priority counters, SSD ledger, migration
+//! heat) to the descriptor it was counted against. Anything that could
+//! perturb policy order (a different block's hit, a write, an
+//! allocation, an eviction, a trim, a drain) takes the write lock and
+//! invalidates the descriptor. The fast path alters no simulated timing,
+//! no hit ratio and no policy decision; it only lets repeat hits share
+//! the lock. [`CacheEngine::with_optimistic_reads`] turns it off to
+//! reproduce the always-exclusive hot path, and
 //! [`crate::ContentionCounters`] reports how often each path was taken.
 
 use crate::allocator::SlotAllocator;
@@ -72,7 +75,7 @@ use hstorage_storage::{
     HddParameters, IoRequest, PolicyConfig, SimClock, SsdDevice, SsdParameters, StorageDevice,
     TrimCommand,
 };
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -87,10 +90,49 @@ struct DeviceBatch {
     hdd_write: u64,
 }
 
-/// The block whose repeat read hit the optimistic path may serve without
-/// the stripe mutex: the last read hit on the shard, with everything that
-/// hit was made of, so only a *bit-identical* repeat matches — the same
-/// arguments `on_hit` would receive, and the same SSD transfer.
+/// `x % n` for an `x` below `2 * n`, without the division.
+fn wrap(x: u64, n: u64) -> u64 {
+    x - if x >= n { n } else { 0 }
+}
+
+/// The blocks of `ranges` that live on shard `shard` of `n`, as
+/// `(range index, block)` pairs: ranges in order, and within a range
+/// ascending with stride `n` — the order a block-by-block walk of the
+/// ranges would reach this shard in.
+struct ShardBlocks<I> {
+    ranges: std::iter::Enumerate<I>,
+    n: u64,
+    shard: u64,
+    /// The range being strided through: its index, the next block of it
+    /// on this shard, and its one-past-the-end address.
+    index: usize,
+    next: u64,
+    end: u64,
+}
+
+impl<I: Iterator<Item = BlockRange>> Iterator for ShardBlocks<I> {
+    type Item = (usize, BlockAddr);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.next >= self.end {
+            let (index, range) = self.ranges.next()?;
+            // Distance from the range's first block to its first block on
+            // this shard.
+            let skip = wrap(self.shard + self.n - range.start.0 % self.n, self.n);
+            self.index = index;
+            self.next = range.start.0.saturating_add(skip);
+            self.end = range.end().0;
+        }
+        let lbn = self.next;
+        self.next = lbn.saturating_add(self.n);
+        Some((self.index, BlockAddr(lbn)))
+    }
+}
+
+/// The block whose repeat read hit the optimistic path may serve under the
+/// read lock: the last read hit on the shard, with everything that hit was
+/// made of, so only a *bit-identical* repeat matches — the same arguments
+/// `on_hit` would receive, and the same SSD transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HotHit {
     lbn: BlockAddr,
@@ -98,11 +140,11 @@ struct HotHit {
     sequential: bool,
 }
 
-/// The shared read view of one shard: everything a read-only probe or an
-/// optimistic repeat hit needs. Mutating paths hold this view's write lock
-/// (in addition to the stripe mutex), so a holder of the read lock sees a
-/// consistent metadata + hot-descriptor pair without any versioning.
-struct MetaView {
+/// Everything one shard owns, behind its one lock: mutating visits hold
+/// the write lock, read-only probes and optimistic repeat hits the read
+/// lock, so either sees a consistent metadata + hot-descriptor pair
+/// without any versioning.
+struct ShardState {
     meta: CacheMetadata,
     /// `Some` exactly while the last completed shard visit was a read hit
     /// and nothing has perturbed policy order since; any such block is
@@ -112,12 +154,6 @@ struct MetaView {
     /// add to it inside the read guard, so a holder of the write lock
     /// reads the exact count, with no add in flight.
     fast_hits: AtomicU64,
-}
-
-/// The state of one shard that is only ever touched under the stripe
-/// mutex: the pluggable policy, the physical slot allocator, and the
-/// shard's share of the accounting.
-struct ShardInner {
     policy: Box<dyn CachePolicy>,
     alloc: SlotAllocator,
     /// Tier-migration state ([`crate::MigrationConfig`]): heat tracker,
@@ -133,15 +169,9 @@ struct ShardInner {
     ssd: DeviceStats,
 }
 
-/// One lock-striped partition of the cache. See the module docs for how
-/// the two pieces (`RwLock` read view, mutex-guarded decision state and
-/// accounting) divide the hot path.
+/// One lock-striped partition of the cache (see the module docs).
 struct Shard {
-    /// Shared read view (metadata + hot-hit descriptor).
-    view: RwLock<MetaView>,
-    /// Decision state and accounting. Lock order: `inner` **before**
-    /// `view`.
-    inner: Mutex<ShardInner>,
+    state: RwLock<ShardState>,
     /// Nanoseconds the SSD takes for the one transfer the fast path ever
     /// issues — a single-block read — indexed by its sequential flag.
     /// Immutable after construction.
@@ -150,7 +180,7 @@ struct Shard {
     /// Immutable after construction.
     write_buffer_limit: u64,
     /// Blocks currently resident in the write-buffer group. Only mutated
-    /// under the stripe mutex; atomic so the occupancy getters and the
+    /// under the write lock; atomic so the occupancy getters and the
     /// flush pre-check can read it lock-free.
     write_buffer_resident: AtomicU64,
     /// Lock-free migration counters (see [`MigrationCounters`]).
@@ -166,14 +196,12 @@ impl Shard {
         hit_service_ns: [u64; 2],
     ) -> Self {
         Shard {
-            view: RwLock::new(MetaView {
+            state: RwLock::new(ShardState {
                 // Pre-sized to the shard's slot count: a full shard never
                 // rehashes mid-run on the flat backend.
                 meta: CacheMetadata::with_backend(backend, capacity as usize),
                 hot: None,
                 fast_hits: AtomicU64::new(0),
-            }),
-            inner: Mutex::new(ShardInner {
                 policy,
                 alloc: SlotAllocator::new(capacity),
                 migration: None,
@@ -187,42 +215,35 @@ impl Shard {
         }
     }
 
-    /// Acquires the shard's lock pair: stripe mutex first, then the view's
-    /// write lock.
-    fn lock_pair(&self) -> (MutexGuard<'_, ShardInner>, RwLockWriteGuard<'_, MetaView>) {
-        (self.inner.lock(), self.view.write())
-    }
-
-    /// [`Self::lock_pair`] for the submission paths, which count the
-    /// acquisition.
-    fn lock_for_write(&self) -> (MutexGuard<'_, ShardInner>, RwLockWriteGuard<'_, MetaView>) {
-        let (mut inner, view) = self.lock_pair();
-        inner.stats.contention.lock_acquisitions += 1;
-        (inner, view)
+    /// Takes the write lock for a submission-path visit, counting it.
+    fn lock_for_write(&self) -> RwLockWriteGuard<'_, ShardState> {
+        let mut st = self.state.write();
+        st.stats.contention.lock_acquisitions += 1;
+        st
     }
 
     /// Replaces the hot descriptor. The repeat hits tallied against the old
     /// one are credited first, exactly as the slow path would have recorded
     /// each of them: a cache hit of its class and priority, a single-block
     /// SSD read, and one unit of heat.
-    fn set_hot(&self, inner: &mut ShardInner, view: &mut MetaView, hot: Option<HotHit>) {
-        let hits = std::mem::take(view.fast_hits.get_mut());
+    fn set_hot(&self, st: &mut ShardState, hot: Option<HotHit>) {
+        let hits = std::mem::take(st.fast_hits.get_mut());
         if hits > 0 {
-            let old = view.hot.expect("repeat hits tallied against no descriptor");
-            inner.stats.record_action(CacheAction::CacheHit, hits);
-            inner.stats.record_class(old.shape.class, hits, hits);
-            inner.stats.record_priority(old.shape.prio.0, hits, hits);
-            inner.stats.contention.fast_path_hits += hits;
-            inner.ssd.record(
+            let old = st.hot.expect("repeat hits tallied against no descriptor");
+            st.stats.record_action(CacheAction::CacheHit, hits);
+            st.stats.record_class(old.shape.class, hits, hits);
+            st.stats.record_priority(old.shape.prio.0, hits, hits);
+            st.stats.contention.fast_path_hits += hits;
+            st.ssd.record(
                 &IoRequest::read(BlockRange::new(old.lbn, 1), old.sequential),
                 Duration::from_nanos(self.hit_service_ns[usize::from(old.sequential)]),
                 hits,
             );
-            if let Some(mig) = inner.migration.as_mut() {
+            if let Some(mig) = st.migration.as_mut() {
                 mig.heat.record_n(old.lbn, hits);
             }
         }
-        view.hot = hot;
+        st.hot = hot;
     }
 
     /// Evicts `victim` (a block the policy *selected* via
@@ -230,35 +251,28 @@ impl Shard {
     /// dirty. The engine completes the removal by announcing it to the
     /// policy with [`RemoveReason::Evict`], so ghost-keeping policies
     /// observe their own evictions.
-    fn evict(
-        &self,
-        inner: &mut ShardInner,
-        view: &mut MetaView,
-        victim: BlockAddr,
-        batch: &mut DeviceBatch,
-    ) {
-        let entry = view
+    fn evict(&self, st: &mut ShardState, victim: BlockAddr, batch: &mut DeviceBatch) {
+        let entry = st
             .meta
             .remove(victim)
             .expect("victim tracked by policy but not in metadata");
-        inner
-            .policy
+        st.policy
             .on_remove_reasoned(victim, entry.priority, RemoveReason::Evict);
         if entry.is_dirty() {
             batch.hdd_write += 1;
         }
-        if inner.policy.write_buffered(entry.priority) {
+        if st.policy.write_buffered(entry.priority) {
             self.debit_write_buffer(1);
         }
-        inner.alloc.release(entry.pbn);
-        inner.stats.record_action(CacheAction::Eviction, 1);
+        st.alloc.release(entry.pbn);
+        st.stats.record_action(CacheAction::Eviction, 1);
     }
 
     /// Deducts `n` blocks from the write-buffer occupancy. An underflow
     /// would mean the insert/move/remove accounting diverged from the
     /// policy's group labelling — a bug worth failing loudly on, not one
-    /// to paper over with silent saturation. Callers hold the stripe
-    /// mutex (occupancy has exactly one mutator at a time), so the
+    /// to paper over with silent saturation. Callers hold the shard's
+    /// write lock (occupancy has exactly one mutator at a time), so the
     /// load/store pair cannot lose an update.
     fn debit_write_buffer(&self, n: u64) {
         let resident = self.write_buffer_resident.load(Ordering::Relaxed);
@@ -276,54 +290,51 @@ impl Shard {
     /// must bypass the cache.
     fn try_allocate(
         &self,
-        inner: &mut ShardInner,
-        view: &mut MetaView,
+        st: &mut ShardState,
         incoming: BlockAddr,
         req: &PolicyRequest,
         batch: &mut DeviceBatch,
     ) -> Option<u64> {
-        if let Some(pbn) = inner.alloc.allocate() {
+        if let Some(pbn) = st.alloc.allocate() {
             return Some(pbn);
         }
-        let victim = inner.policy.pop_victim(incoming, req)?;
-        self.evict(inner, view, victim, batch);
-        inner.alloc.allocate()
+        let victim = st.policy.pop_victim(incoming, req)?;
+        self.evict(st, victim, batch);
+        st.alloc.allocate()
     }
 
     /// Handles one block of a request (`sequential` is the request's I/O
     /// flag), recording it against the request's class and priority.
     fn handle_block(
         &self,
-        inner: &mut ShardInner,
-        view: &mut MetaView,
+        st: &mut ShardState,
         lbn: BlockAddr,
         req: &PolicyRequest,
         sequential: bool,
         batch: &mut DeviceBatch,
     ) {
-        let hit = self.place_block(inner, view, lbn, req, sequential, batch);
-        inner.stats.record_class(req.class, 1, u64::from(hit));
-        inner.stats.record_priority(req.prio.0, 1, u64::from(hit));
+        let hit = self.place_block(st, lbn, req, sequential, batch);
+        st.stats.record_class(req.class, 1, u64::from(hit));
+        st.stats.record_priority(req.prio.0, 1, u64::from(hit));
     }
 
     /// The caching decision for one block; returns `true` on a cache hit.
     fn place_block(
         &self,
-        inner: &mut ShardInner,
-        view: &mut MetaView,
+        st: &mut ShardState,
         lbn: BlockAddr,
         req: &PolicyRequest,
         sequential: bool,
         batch: &mut DeviceBatch,
     ) -> bool {
-        if let Some(mig) = inner.migration.as_mut() {
+        if let Some(mig) = st.migration.as_mut() {
             // Every foreground access — hit, miss or bypass — is one unit
             // of heat and refreshes the remembered request shape.
             mig.note_access(lbn, req);
         }
-        if let Some(entry) = view.meta.get(lbn).copied() {
+        if let Some(entry) = st.meta.get(lbn).copied() {
             // --- Cache hit ---
-            if let Some(mig) = inner.migration.as_mut() {
+            if let Some(mig) = st.migration.as_mut() {
                 // Lazy cancellation: a hit on a queued demotion candidate
                 // proves the block is still hot, so the demotion is
                 // dropped instead of executed at the next round.
@@ -333,16 +344,16 @@ impl Shard {
                         .fetch_add(1, Ordering::Relaxed);
                 }
             }
-            inner.stats.record_action(CacheAction::CacheHit, 1);
-            match inner.policy.on_hit(lbn, entry.priority, req) {
+            st.stats.record_action(CacheAction::CacheHit, 1);
+            match st.policy.on_hit(lbn, entry.priority, req) {
                 HitOutcome::Unchanged => {}
-                HitOutcome::Moved(new) => self.apply_move(inner, view, lbn, entry.priority, new),
+                HitOutcome::Moved(new) => self.apply_move(st, lbn, entry.priority, new),
             }
             match req.direction {
                 Direction::Read => {
                     batch.ssd_read += 1;
                     // Publish the hot-hit descriptor: an immediate
-                    // bit-identical repeat of this read may skip the mutex
+                    // bit-identical repeat of this read may share the lock
                     // (consulted only when the policy declares repeats
                     // idempotent and optimistic reads are enabled).
                     let hot = HotHit {
@@ -350,26 +361,26 @@ impl Shard {
                         shape: *req,
                         sequential,
                     };
-                    self.set_hot(inner, view, Some(hot));
+                    self.set_hot(st, Some(hot));
                 }
                 Direction::Write => {
                     batch.ssd_write += 1;
-                    if let Some(e) = view.meta.get_mut(lbn) {
+                    if let Some(e) = st.meta.get_mut(lbn) {
                         e.state = BlockState::Dirty;
                     }
                     // A write hit dirties state a repeat read would not
                     // reproduce; drop the descriptor.
-                    self.set_hot(inner, view, None);
+                    self.set_hot(st, None);
                 }
             }
             return true;
         }
 
         // --- Cache miss ---
-        if !inner.policy.admits(req) {
+        if !st.policy.admits(req) {
             // Bypassing: straight to the second-level device. `admits` is
             // a pure query, so the hot descriptor stays valid.
-            inner.stats.record_action(CacheAction::Bypassing, 1);
+            st.stats.record_action(CacheAction::Bypassing, 1);
             match req.direction {
                 Direction::Read => batch.hdd_read += 1,
                 Direction::Write => batch.hdd_write += 1,
@@ -380,26 +391,26 @@ impl Shard {
         // The allocation path may perturb policy order even when it ends
         // in a bypass (ARC adapts its target on ghost hits inside
         // `pop_victim`), so the descriptor is cleared up front.
-        self.set_hot(inner, view, None);
-        match self.try_allocate(inner, view, lbn, req, batch) {
+        self.set_hot(st, None);
+        match self.try_allocate(st, lbn, req, batch) {
             Some(pbn) => {
                 let state = match req.direction {
                     Direction::Read => {
                         // Read allocation: fetch from HDD, place in SSD.
-                        inner.stats.record_action(CacheAction::ReadAllocation, 1);
+                        st.stats.record_action(CacheAction::ReadAllocation, 1);
                         batch.hdd_read += 1;
                         batch.ssd_write += 1;
                         BlockState::Clean
                     }
                     Direction::Write => {
                         // Write allocation: place in SSD, mark dirty.
-                        inner.stats.record_action(CacheAction::WriteAllocation, 1);
+                        st.stats.record_action(CacheAction::WriteAllocation, 1);
                         batch.ssd_write += 1;
                         BlockState::Dirty
                     }
                 };
-                let group = inner.policy.on_insert(lbn, req);
-                view.meta.insert(
+                let group = st.policy.on_insert(lbn, req);
+                st.meta.insert(
                     lbn,
                     CacheEntry {
                         pbn,
@@ -407,10 +418,10 @@ impl Shard {
                         state,
                     },
                 );
-                if inner.policy.write_buffered(group) {
+                if st.policy.write_buffered(group) {
                     self.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
                 }
-                if let Some(mig) = inner.migration.as_mut() {
+                if let Some(mig) = st.migration.as_mut() {
                     // Lazy promotion: the foreground admission just
                     // performed the migration a round had queued.
                     if mig.note_insert(lbn) {
@@ -422,7 +433,7 @@ impl Shard {
             }
             None => {
                 // Not cache-worthy relative to current residents: bypass.
-                inner.stats.record_action(CacheAction::Bypassing, 1);
+                st.stats.record_action(CacheAction::Bypassing, 1);
                 match req.direction {
                     Direction::Read => batch.hdd_read += 1,
                     Direction::Write => batch.hdd_write += 1,
@@ -436,55 +447,49 @@ impl Shard {
     /// accounting and statistics.
     fn apply_move(
         &self,
-        inner: &mut ShardInner,
-        view: &mut MetaView,
+        st: &mut ShardState,
         lbn: BlockAddr,
         old: CachePriority,
         new: CachePriority,
     ) {
-        if let Some(e) = view.meta.get_mut(lbn) {
+        if let Some(e) = st.meta.get_mut(lbn) {
             e.priority = new;
         }
-        let was_buffered = inner.policy.write_buffered(old);
-        let is_buffered = inner.policy.write_buffered(new);
+        let was_buffered = st.policy.write_buffered(old);
+        let is_buffered = st.policy.write_buffered(new);
         if was_buffered && !is_buffered {
             self.debit_write_buffer(1);
         } else if is_buffered && !was_buffered {
             self.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
         }
-        inner.stats.record_action(CacheAction::ReAllocation, 1);
+        st.stats.record_action(CacheAction::ReAllocation, 1);
     }
 
     /// Drains the shard's write buffer if its occupancy exceeds the limit:
     /// buffered blocks are dropped from the cache and the number of *dirty*
     /// blocks (which must be written to the HDD by the caller, outside the
-    /// shard locks) is returned.
-    fn drain_write_buffer_if_full(
-        &self,
-        inner: &mut ShardInner,
-        view: &mut MetaView,
-    ) -> Option<u64> {
+    /// shard lock) is returned.
+    fn drain_write_buffer_if_full(&self, st: &mut ShardState) -> Option<u64> {
         if self.write_buffer_limit == 0
             || self.write_buffer_resident.load(Ordering::Relaxed) <= self.write_buffer_limit
         {
             return None;
         }
-        let buffered = inner.policy.drain_write_buffer();
+        let buffered = st.policy.drain_write_buffer();
         let mut dirty_blocks = 0u64;
         let mut removed = 0u64;
         for lbn in buffered {
-            if let Some(entry) = view.meta.remove(lbn) {
+            if let Some(entry) = st.meta.remove(lbn) {
                 // The drain names buffered blocks without untracking them;
                 // the engine completes each removal. A drain is an engine
                 // displacement, so ghost-keeping policies see `Evict`, not
                 // `Trim` (the block's data is still live on the HDD).
-                inner
-                    .policy
+                st.policy
                     .on_remove_reasoned(lbn, entry.priority, RemoveReason::Evict);
                 if entry.is_dirty() {
                     dirty_blocks += 1;
                 }
-                inner.alloc.release(entry.pbn);
+                st.alloc.release(entry.pbn);
                 removed += 1;
             }
         }
@@ -492,9 +497,8 @@ impl Shard {
         // shipped policy — this zeroes the counter) so a policy whose
         // drain is partial cannot desynchronize the occupancy accounting.
         self.debit_write_buffer(removed);
-        self.set_hot(inner, view, None);
-        inner
-            .stats
+        self.set_hot(st, None);
+        st.stats
             .record_action(CacheAction::WriteBufferFlush, dirty_blocks);
         Some(dirty_blocks)
     }
@@ -502,9 +506,9 @@ impl Shard {
     /// Invalidates one block if resident; returns 1 if it was trimmed.
     /// Conservatively drops the hot descriptor either way (an absent trim
     /// may still touch ghost history).
-    fn trim_block(&self, inner: &mut ShardInner, view: &mut MetaView, lbn: BlockAddr) -> u64 {
-        self.set_hot(inner, view, None);
-        if let Some(mig) = inner.migration.as_mut() {
+    fn trim_block(&self, st: &mut ShardState, lbn: BlockAddr) -> u64 {
+        self.set_hot(st, None);
+        if let Some(mig) = st.migration.as_mut() {
             // The block's lifetime ended: discard its heat, shape and any
             // queued migration so an in-flight candidate cannot resurrect
             // dead data at the next round.
@@ -515,25 +519,24 @@ impl Shard {
                     .fetch_add(cancelled, Ordering::Relaxed);
             }
         }
-        let Some(entry) = view.meta.remove(lbn) else {
+        let Some(entry) = st.meta.remove(lbn) else {
             // The block's lifetime ended while not resident: policies
             // keeping history about absent addresses (ghost lists)
             // must still forget it.
-            inner.policy.on_trim_absent(lbn);
+            st.policy.on_trim_absent(lbn);
             return 0;
         };
-        inner
-            .policy
+        st.policy
             .on_remove_reasoned(lbn, entry.priority, RemoveReason::Trim);
-        if inner.policy.write_buffered(entry.priority) {
+        if st.policy.write_buffered(entry.priority) {
             self.debit_write_buffer(1);
         }
-        inner.alloc.release(entry.pbn);
+        st.alloc.release(entry.pbn);
         1
     }
 
     /// Runs one tier-migration round on this shard (no-op when migration
-    /// is disabled). Under the caller's lock pair the round:
+    /// is disabled). Under the caller's write lock the round:
     ///
     /// 1. drops the hot descriptor — crediting the heat of the repeat hits
     ///    tallied against it, and sending the next hit through the queues
@@ -556,19 +559,20 @@ impl Shard {
     ///    next round.
     ///
     /// Returns the device traffic the round generated; the engine issues
-    /// it after the shard locks are released. The round deliberately
+    /// it after the shard lock is released. The round deliberately
     /// records no [`CacheAction`]: migration is background work, and the
     /// per-action statistics stay bit-comparable between migration-on and
     /// migration-off runs of identical foreground traffic.
-    fn migration_round(&self, inner: &mut ShardInner, view: &mut MetaView) -> DeviceBatch {
+    fn migration_round(&self, st: &mut ShardState) -> DeviceBatch {
         let mut batch = DeviceBatch::default();
-        self.set_hot(inner, view, None);
-        let ShardInner {
+        self.set_hot(st, None);
+        let ShardState {
+            meta,
             policy,
             alloc,
             migration,
             ..
-        } = inner;
+        } = st;
         let Some(mig) = migration.as_mut() else {
             return batch;
         };
@@ -589,12 +593,12 @@ impl Shard {
         }
         heat.retain_hottest(*track_cap);
         shapes.retain(|lbn, _| heat.heat(*lbn) > 0);
-        pending_demote.retain(|lbn| view.meta.contains(*lbn));
-        pending_promote.retain(|lbn| !view.meta.contains(*lbn) && heat.heat(*lbn) > 0);
+        pending_demote.retain(|lbn| meta.contains(*lbn));
+        pending_promote.retain(|lbn| !meta.contains(*lbn) && heat.heat(*lbn) > 0);
 
         let mut absents: Vec<(u64, BlockAddr, PolicyRequest)> = heat
             .iter()
-            .filter(|(lbn, heat)| **heat > 0 && !view.meta.contains(**lbn))
+            .filter(|(lbn, heat)| **heat > 0 && !meta.contains(**lbn))
             .filter_map(|(lbn, h)| {
                 let shape = shapes.get(lbn)?;
                 // A promotion is a background fetch, whatever direction
@@ -623,8 +627,7 @@ impl Shard {
         residents.clear();
         if !absents.is_empty() {
             residents.extend(
-                view.meta
-                    .iter()
+                meta.iter()
                     .filter(|(_, e)| !policy.write_buffered(e.priority))
                     .map(|(lbn, _)| (heat.heat(lbn), lbn)),
             );
@@ -639,7 +642,7 @@ impl Shard {
         fn promote(
             shard: &Shard,
             policy: &mut Box<dyn CachePolicy>,
-            view: &mut MetaView,
+            meta: &mut CacheMetadata,
             pending_promote: &mut std::collections::HashSet<BlockAddr>,
             batch: &mut DeviceBatch,
             lbn: BlockAddr,
@@ -647,7 +650,7 @@ impl Shard {
             pbn: u64,
         ) {
             let group = policy.on_insert(lbn, preq);
-            view.meta.insert(
+            meta.insert(
                 lbn,
                 CacheEntry {
                     pbn,
@@ -678,7 +681,7 @@ impl Shard {
             promote(
                 self,
                 policy,
-                view,
+                meta,
                 pending_promote,
                 &mut batch,
                 lbn,
@@ -697,8 +700,7 @@ impl Shard {
             if absent_heat <= resident_heat {
                 break;
             }
-            let entry = view
-                .meta
+            let entry = meta
                 .remove(resident_lbn)
                 .expect("demotion candidate was checked resident");
             policy.on_remove_reasoned(resident_lbn, entry.priority, RemoveReason::Evict);
@@ -717,7 +719,7 @@ impl Shard {
             promote(
                 self,
                 policy,
-                view,
+                meta,
                 pending_promote,
                 &mut batch,
                 absent_lbn,
@@ -936,7 +938,7 @@ impl CacheEngine {
             self.hit_fast_path = false;
             return;
         };
-        let policy = &shard.inner.get_mut().policy;
+        let policy = &shard.state.get_mut().policy;
         self.write_buffering = policy.write_buffered(CachePriority(0));
         for group in 1..=u8::MAX {
             assert!(
@@ -957,13 +959,12 @@ impl CacheEngine {
         self.policy_kind = kind;
         self.name = kind.system_name().to_string();
         for shard in &mut self.shards {
+            let st = shard.state.get_mut();
             assert!(
-                shard.view.get_mut().meta.is_empty(),
+                st.meta.is_empty(),
                 "cache policy must be selected before submitting traffic"
             );
-            let inner = shard.inner.get_mut();
-            inner.policy =
-                kind.build_backed(&self.config, inner.alloc.capacity(), self.interior_backend);
+            st.policy = kind.build_backed(&self.config, st.alloc.capacity(), self.interior_backend);
         }
         self.refresh_policy_traits();
         self
@@ -983,15 +984,14 @@ impl CacheEngine {
     pub fn with_interior_backend(mut self, backend: ListBackend) -> Self {
         self.interior_backend = backend;
         for shard in &mut self.shards {
-            let inner = shard.inner.get_mut();
-            let capacity = inner.alloc.capacity();
-            let view = shard.view.get_mut();
+            let st = shard.state.get_mut();
+            let capacity = st.alloc.capacity();
             assert!(
-                view.meta.is_empty(),
+                st.meta.is_empty(),
                 "interior backend must be selected before submitting traffic"
             );
-            view.meta = CacheMetadata::with_backend(backend, capacity as usize);
-            inner.policy = self
+            st.meta = CacheMetadata::with_backend(backend, capacity as usize);
+            st.policy = self
                 .policy_kind
                 .build_backed(&self.config, capacity, backend);
         }
@@ -1015,24 +1015,23 @@ impl CacheEngine {
     ) -> Self {
         self.name = name.into();
         for shard in &mut self.shards {
+            let st = shard.state.get_mut();
             assert!(
-                shard.view.get_mut().meta.is_empty(),
+                st.meta.is_empty(),
                 "cache policy must be installed before submitting traffic"
             );
-            let inner = shard.inner.get_mut();
-            inner.policy = factory(inner.alloc.capacity());
+            st.policy = factory(st.alloc.capacity());
         }
         self.refresh_policy_traits();
         self
     }
 
     /// Enables or disables the optimistic repeat-hit read path (default:
-    /// enabled). Disabled, every submission takes the stripe mutex — the
+    /// enabled). Disabled, every submission takes the write lock — the
     /// pre-optimization hot path — which is what the contended-throughput
     /// bench compares against and what the equivalence suites pin the
     /// optimistic path to. The knob never changes caching behaviour, only
-    /// which locks the hot path touches; read-only probes stay lock-free
-    /// either way.
+    /// which side of the lock a repeat hit takes.
     pub fn with_optimistic_reads(mut self, enabled: bool) -> Self {
         self.optimistic_reads = enabled;
         self.refresh_policy_traits();
@@ -1056,14 +1055,14 @@ impl CacheEngine {
         config.validate().expect("invalid migration configuration");
         self.migration = config;
         for shard in &mut self.shards {
+            let st = shard.state.get_mut();
             assert!(
-                shard.view.get_mut().meta.is_empty(),
+                st.meta.is_empty(),
                 "migration must be configured before submitting traffic"
             );
-            let inner = shard.inner.get_mut();
-            inner.migration = config
+            st.migration = config
                 .enabled
-                .then(|| ShardMigration::new(config, inner.alloc.capacity()));
+                .then(|| ShardMigration::new(config, st.alloc.capacity()));
         }
         self
     }
@@ -1084,7 +1083,7 @@ impl CacheEngine {
         config.validate().expect("invalid journal configuration");
         for shard in &mut self.shards {
             assert!(
-                shard.view.get_mut().meta.is_empty(),
+                shard.state.get_mut().meta.is_empty(),
                 "journaling must be configured before submitting traffic"
             );
         }
@@ -1122,12 +1121,12 @@ impl CacheEngine {
 
     /// The resident set as `(lbn, priority, dirty)` triples, sorted by
     /// block address — the recovery suite's convergence fingerprint.
-    /// Takes each shard's read view in turn.
+    /// Takes each shard's read lock in turn.
     pub fn resident_set(&self) -> Vec<(BlockAddr, CachePriority, bool)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let view = shard.view.read();
-            for (lbn, entry) in view.meta.iter() {
+            let st = shard.state.read();
+            for (lbn, entry) in st.meta.iter() {
                 out.push((lbn, entry.priority, entry.is_dirty()));
             }
         }
@@ -1141,9 +1140,8 @@ impl CacheEngine {
     /// next replaced, or at the next [`StorageSystem::stats`],
     /// [`StorageSystem::reset_stats`] or migration round.
     pub fn learned_heat(&self, lbn: BlockAddr) -> u64 {
-        let shard = self.shard(lbn);
-        let inner = shard.inner.lock();
-        inner.migration.as_ref().map_or(0, |mig| mig.heat.heat(lbn))
+        let st = self.shard(lbn).state.read();
+        st.migration.as_ref().map_or(0, |mig| mig.heat.heat(lbn))
     }
 
     /// Every block with non-zero learned heat as `(lbn, heat)` pairs,
@@ -1152,8 +1150,8 @@ impl CacheEngine {
     pub fn heat_snapshot(&self) -> Vec<(BlockAddr, u64)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let inner = shard.inner.lock();
-            if let Some(mig) = inner.migration.as_ref() {
+            let st = shard.state.read();
+            if let Some(mig) = st.migration.as_ref() {
                 out.extend(
                     mig.heat
                         .iter()
@@ -1204,32 +1202,28 @@ impl CacheEngine {
             .sum()
     }
 
-    /// Whether `lbn` is currently resident in the cache. Served through
-    /// the shard's read view — never contends with other probes, only
+    /// Whether `lbn` is currently resident in the cache. Served under
+    /// the shard's read lock — never contends with other probes, only
     /// with a concurrent mutation of the same shard.
     pub fn contains_block(&self, lbn: BlockAddr) -> bool {
-        self.shard(lbn).view.read().meta.contains(lbn)
+        self.shard(lbn).state.read().meta.contains(lbn)
     }
 
     /// The priority group `lbn` currently lives in, if resident (for the
     /// non-semantic policies this is the informational label recorded at
-    /// insertion). Served through the shard's read view, like
+    /// insertion). Served under the shard's read lock, like
     /// [`Self::contains_block`].
     pub fn cached_priority(&self, lbn: BlockAddr) -> Option<CachePriority> {
         self.shard(lbn)
-            .view
+            .state
             .read()
             .meta
             .get(lbn)
             .map(|e| e.priority)
     }
 
-    fn shard_index(&self, lbn: BlockAddr) -> usize {
-        (lbn.0 % self.shards.len() as u64) as usize
-    }
-
     fn shard(&self, lbn: BlockAddr) -> &Shard {
-        &self.shards[self.shard_index(lbn)]
+        &self.shards[(lbn.0 % self.shards.len() as u64) as usize]
     }
 
     fn policy_request(&self, req: &ClassifiedRequest) -> PolicyRequest {
@@ -1242,13 +1236,13 @@ impl CacheEngine {
     }
 
     /// The optimistic fast path: serves `req` entirely under the shard's
-    /// read view iff it is a single-block read repeating the immediately
+    /// read lock iff it is a single-block read repeating the immediately
     /// preceding hit on its shard (same block, same request shape). The
     /// skipped `on_hit` is a no-op by the
     /// [`CachePolicy::repeat_hit_idempotent`] contract, and the hit is
     /// tallied on the descriptor for [`Shard::set_hot`] to account, so
     /// metadata, policy state, statistics totals and the SSD transfer
-    /// (timing included) come out identical to the mutex path. Returns
+    /// (timing included) come out identical to the slow path. Returns
     /// `false` when the request must take the slow path.
     fn try_fast_read_hit(&self, req: &ClassifiedRequest, preq: &PolicyRequest) -> bool {
         if !self.hit_fast_path
@@ -1265,22 +1259,22 @@ impl CacheEngine {
         let sequential = req.io.sequential;
         let shard = self.shard(lbn);
         {
-            let view = shard.view.read();
+            let st = shard.state.read();
             let expected = HotHit {
                 lbn,
                 shape: *preq,
                 sequential,
             };
-            if view.hot != Some(expected) {
+            if st.hot != Some(expected) {
                 return false;
             }
             debug_assert!(
-                view.meta.contains(lbn),
+                st.meta.contains(lbn),
                 "hot-hit descriptor names a non-resident block"
             );
             // Inside the guard: a writer replacing the descriptor must
             // find every hit that matched it already counted.
-            view.fast_hits.fetch_add(1, Ordering::Relaxed);
+            st.fast_hits.fetch_add(1, Ordering::Relaxed);
         }
         // The clock is the one thing a repeat hit moves right away —
         // `now()` stays exact with no fold.
@@ -1290,12 +1284,12 @@ impl CacheEngine {
     }
 
     /// Prices the SSD traffic one request accumulated and records it in
-    /// `inner`'s ledger, under the stripe mutex the caller already holds;
+    /// `st`'s ledger, under the shard lock the caller already holds;
     /// returns the service time to advance the clock by once it is
     /// released.
     fn charge_ssd(
         &self,
-        inner: &mut ShardInner,
+        st: &mut ShardState,
         req: &ClassifiedRequest,
         batch: &DeviceBatch,
     ) -> Duration {
@@ -1308,7 +1302,7 @@ impl CacheEngine {
         ] {
             if io.blocks() > 0 {
                 let t = self.ssd.service_time(&io);
-                inner.ssd.record(&io, t, 1);
+                st.ssd.record(&io, t, 1);
                 total += t;
             }
         }
@@ -1333,11 +1327,53 @@ impl CacheEngine {
         }
     }
 
+    /// The shard-major traversal every mutating block walk goes through —
+    /// one request, a run of requests, a TRIM's ranges. Each shard the
+    /// `ranges` touch is visited exactly once: its write lock is taken
+    /// (and counted), `visit` is handed the shard's blocks as
+    /// `(range index, block)` pairs and must consume them, and the lock is
+    /// released before the next shard's is taken — never two at once, so
+    /// concurrent walks cannot deadlock. Ranges without blocks touch no
+    /// shard.
+    fn visit_shards<I>(
+        &self,
+        ranges: I,
+        mut visit: impl FnMut(&Shard, &mut ShardState, &mut std::iter::Peekable<ShardBlocks<I>>),
+    ) where
+        I: ExactSizeIterator<Item = BlockRange> + Clone,
+    {
+        let n = self.shards.len() as u64;
+        let Some(first) = ranges.clone().next() else {
+            return;
+        };
+        // A lone range touches the `min(len, n)` shards from its first
+        // block's on; several ranges may touch any.
+        let span = if ranges.len() == 1 { first.len } else { n };
+        let base = first.start.0 % n;
+        for k in 0..span.min(n) {
+            let idx = wrap(base + k, n);
+            let mut blocks = ShardBlocks {
+                ranges: ranges.clone().enumerate(),
+                n,
+                shard: idx,
+                index: 0,
+                next: 0,
+                end: 0,
+            }
+            .peekable();
+            if blocks.peek().is_none() {
+                continue;
+            }
+            let shard = &self.shards[idx as usize];
+            visit(shard, &mut shard.lock_for_write(), &mut blocks);
+            debug_assert!(blocks.peek().is_none(), "visit left blocks unhandled");
+        }
+    }
+
     /// Serves a run of non-write-buffer requests as one vectored submission:
-    /// block-level work is grouped by shard so each shard lock is taken once
-    /// for the whole run, and the accumulated device traffic is issued as
-    /// one queue per device so adjacent transfers merge up to the device
-    /// queue depth.
+    /// each touched shard is locked once for the whole run, and the
+    /// accumulated device traffic is issued as one queue per device so
+    /// adjacent transfers merge up to the device queue depth.
     ///
     /// Per-shard block order equals request order, so the cache state and
     /// cache-level statistics after a run are identical to submitting each
@@ -1354,48 +1390,23 @@ impl CacheEngine {
             [one] => return self.submit_inner(*one),
             _ => {}
         }
-        let preqs: Vec<PolicyRequest> = reqs.iter().map(|r| self.policy_request(r)).collect();
-        let mut batches = vec![DeviceBatch::default(); reqs.len()];
-
-        if self.shards.len() == 1 {
-            // The whole run's block work under a single lock acquisition.
-            let shard = &self.shards[0];
-            let (mut inner, mut view) = shard.lock_for_write();
-            for (i, req) in reqs.iter().enumerate() {
-                let seq = req.io.sequential;
-                for lbn in req.io.range.iter() {
-                    shard.handle_block(&mut inner, &mut view, lbn, &preqs[i], seq, &mut batches[i]);
-                }
+        let mut work: Vec<(PolicyRequest, DeviceBatch)> = reqs
+            .iter()
+            .map(|r| (self.policy_request(r), DeviceBatch::default()))
+            .collect();
+        self.visit_shards(reqs.iter().map(|r| r.io.range), |shard, st, blocks| {
+            for (i, lbn) in blocks {
+                let (preq, batch) = &mut work[i];
+                shard.handle_block(st, lbn, preq, reqs[i].io.sequential, batch);
             }
-        } else {
-            // Group block work by shard, preserving request order within
-            // each shard, and visit every touched shard exactly once.
-            let mut per_shard: Vec<Vec<(u32, BlockAddr)>> = vec![Vec::new(); self.shards.len()];
-            for (i, req) in reqs.iter().enumerate() {
-                for lbn in req.io.range.iter() {
-                    per_shard[self.shard_index(lbn)].push((i as u32, lbn));
-                }
-            }
-            for (idx, blocks) in per_shard.iter().enumerate() {
-                if blocks.is_empty() {
-                    continue;
-                }
-                let shard = &self.shards[idx];
-                let (mut inner, mut view) = shard.lock_for_write();
-                for &(i, lbn) in blocks {
-                    let i = i as usize;
-                    let seq = reqs[i].io.sequential;
-                    shard.handle_block(&mut inner, &mut view, lbn, &preqs[i], seq, &mut batches[i]);
-                }
-            }
-        }
+        });
 
         // Issue the device traffic as one queue per device, in request
         // order (the order `submit` would have served it in), letting the
         // device merge adjacent same-direction transfers.
-        let mut hdd_q = Vec::new();
-        let mut ssd_q = Vec::new();
-        for (req, b) in reqs.iter().zip(&batches) {
+        let mut hdd_q = Vec::with_capacity(reqs.len());
+        let mut ssd_q = Vec::with_capacity(reqs.len());
+        for (req, (_, b)) in reqs.iter().zip(&work) {
             let seq = req.io.sequential;
             let start = req.io.range.start;
             if b.hdd_read > 0 {
@@ -1428,7 +1439,7 @@ impl CacheEngine {
     fn maybe_flush_write_buffers(&self) {
         for (idx, shard) in self.shards.iter().enumerate() {
             // Lock-free occupancy screen. Occupancy only moves under the
-            // stripe mutex and the thread that pushed it over the limit
+            // write lock and the thread that pushed it over the limit
             // sees its own increment here, so a needed flush is never
             // skipped; shards that cannot need one are not locked at all.
             if shard.write_buffer_limit == 0
@@ -1436,10 +1447,7 @@ impl CacheEngine {
             {
                 continue;
             }
-            let (mut inner, mut view) = shard.lock_for_write();
-            let drained = shard.drain_write_buffer_if_full(&mut inner, &mut view);
-            drop(view);
-            drop(inner);
+            let drained = shard.drain_write_buffer_if_full(&mut shard.lock_for_write());
             if let Some(dirty_blocks) = drained {
                 // The drain tore down the buffer inside the enclosing
                 // journal batch; the note marks the torn-drain window the
@@ -1479,32 +1487,20 @@ impl CacheEngine {
             return;
         }
         let mut batch = DeviceBatch::default();
-        // Hold one shard's lock pair at a time, re-acquiring only when the
-        // next block hashes to a different shard: with one shard the whole
-        // request's block work is handled under a single acquisition,
-        // exactly like the unsharded implementation.
-        let mut idx = self.shard_index(req.io.range.start);
-        let mut guard = self.shards[idx].lock_for_write();
-        for lbn in req.io.range.iter() {
-            let next = self.shard_index(lbn);
-            if next != idx {
-                // Release the old shard before acquiring the next one:
-                // assigning directly would briefly hold both shards'
-                // locks, and ascending block addresses make the
-                // transition order cyclic (N-1 → 0), which can deadlock N
-                // concurrent multi-block submits.
-                drop(guard);
-                guard = self.shards[next].lock_for_write();
-                idx = next;
+        let mut left = req.blocks();
+        let mut ssd_time = Duration::ZERO;
+        self.visit_shards(std::iter::once(req.io.range), |shard, st, blocks| {
+            for (_, lbn) in blocks {
+                shard.handle_block(st, lbn, &preq, req.io.sequential, &mut batch);
+                left -= 1;
             }
-            let (inner, view) = &mut guard;
-            self.shards[idx].handle_block(inner, view, lbn, &preq, req.io.sequential, &mut batch);
-        }
-        // The request's SSD traffic goes on the ledger of the last shard
-        // it held; the aggregate view sums all ledgers, so placement is
-        // free.
-        let ssd_time = self.charge_ssd(&mut guard.0, &req, &batch);
-        drop(guard);
+            // The request's SSD traffic goes on the ledger of the last
+            // shard it visits; the aggregate view sums all ledgers, so
+            // placement is free.
+            if left == 0 {
+                ssd_time = self.charge_ssd(st, &req, &batch);
+            }
+        });
         self.serve_hdd(&req, &batch);
         self.clock.advance(ssd_time);
         // Only write-buffer traffic can grow the buffer, so the flush
@@ -1546,15 +1542,15 @@ impl CacheEngine {
         self.submit_run(&run);
     }
 
-    /// Takes each stripe in turn (uncounted: this is a statistics read, not
-    /// a submission), credits the repeat hits still tallied on its hot
-    /// descriptor and hands the settled accounting to `f`.
-    fn for_each_settled(&self, mut f: impl FnMut(&mut ShardInner, &MetaView)) {
+    /// Takes each shard's write lock in turn (uncounted: this is a
+    /// statistics read, not a submission), credits the repeat hits still
+    /// tallied on its hot descriptor and hands the settled state to `f`.
+    fn for_each_settled(&self, mut f: impl FnMut(&mut ShardState)) {
         for shard in &self.shards {
-            let (mut inner, mut view) = shard.lock_pair();
-            let hot = view.hot;
-            shard.set_hot(&mut inner, &mut view, hot);
-            f(&mut inner, &view);
+            let mut st = shard.state.write();
+            let hot = st.hot;
+            shard.set_hot(&mut st, hot);
+            f(&mut st);
         }
     }
 
@@ -1562,7 +1558,7 @@ impl CacheEngine {
     /// shard's.
     fn ssd_busy_time(&self) -> Duration {
         let mut busy = self.ssd.stats().busy_time;
-        self.for_each_settled(|inner, _| busy += inner.ssd.busy_time);
+        self.for_each_settled(|st| busy += st.ssd.busy_time);
         busy
     }
 
@@ -1570,9 +1566,9 @@ impl CacheEngine {
     /// first means the heat of tallied repeat hits reaches the migration
     /// tracker before the counters clear: learned heat survives a reset.
     fn reset_stats_inner(&self) {
-        self.for_each_settled(|inner, _| {
-            inner.stats.reset();
-            inner.ssd = DeviceStats::new();
+        self.for_each_settled(|st| {
+            st.stats.reset();
+            st.ssd = DeviceStats::new();
         });
         self.ssd.reset_stats();
         self.hdd.reset_stats();
@@ -1580,25 +1576,12 @@ impl CacheEngine {
 
     /// [`StorageSystem::trim`] below the journal wrapper.
     fn trim_inner(&self, cmd: &TrimCommand) {
-        for range in &cmd.ranges {
-            let mut blocks_iter = range.iter().peekable();
-            while let Some(lbn) = blocks_iter.next() {
-                let idx = self.shard_index(lbn);
-                let shard = &self.shards[idx];
-                let (mut inner, mut view) = shard.lock_for_write();
-                let mut trimmed = shard.trim_block(&mut inner, &mut view, lbn);
-                while let Some(&next) = blocks_iter.peek() {
-                    if self.shard_index(next) != idx {
-                        break;
-                    }
-                    blocks_iter.next();
-                    trimmed += shard.trim_block(&mut inner, &mut view, next);
-                }
-                if trimmed > 0 {
-                    inner.stats.record_action(CacheAction::Trim, trimmed);
-                }
+        self.visit_shards(cmd.ranges.iter().copied(), |shard, st, blocks| {
+            let trimmed: u64 = blocks.map(|(_, lbn)| shard.trim_block(st, lbn)).sum();
+            if trimmed > 0 {
+                st.stats.record_action(CacheAction::Trim, trimmed);
             }
-        }
+        });
     }
 }
 
@@ -1635,10 +1618,10 @@ impl StorageSystem for CacheEngine {
     fn stats(&self) -> CacheStats {
         let mut aggregate = CacheStats::new();
         let mut ssd = self.ssd.stats();
-        self.for_each_settled(|inner, view| {
-            aggregate.merge(&inner.stats.snapshot());
-            aggregate.resident_blocks += view.meta.len() as u64;
-            ssd.merge(&inner.ssd);
+        self.for_each_settled(|st| {
+            aggregate.merge(&st.stats.snapshot());
+            aggregate.resident_blocks += st.meta.len() as u64;
+            ssd.merge(&st.ssd);
         });
         aggregate.ssd = Some(ssd);
         aggregate.hdd = Some(self.hdd.stats());
@@ -1656,7 +1639,7 @@ impl StorageSystem for CacheEngine {
     fn resident_blocks(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.view.read().meta.len() as u64)
+            .map(|s| s.state.read().meta.len() as u64)
             .sum()
     }
 
@@ -1712,10 +1695,7 @@ impl CacheEngine {
         self.migration_rounds.fetch_add(1, Ordering::Relaxed);
         let mut total = DeviceBatch::default();
         for shard in &self.shards {
-            let (mut inner, mut view) = shard.lock_for_write();
-            let batch = shard.migration_round(&mut inner, &mut view);
-            drop(view);
-            drop(inner);
+            let batch = shard.migration_round(&mut shard.lock_for_write());
             total.hdd_read += batch.hdd_read;
             total.hdd_write += batch.hdd_write;
             total.ssd_read += batch.ssd_read;
@@ -2396,7 +2376,7 @@ mod tests {
     fn optimistic_reads_match_the_locked_path_for_every_policy() {
         // The fast path must change nothing observable: logical statistics,
         // simulated time, residency and per-block state all agree with the
-        // engine that takes the mutex on every submission.
+        // engine that takes the write lock on every submission.
         for kind in CachePolicyKind::all() {
             let optimistic = engine(kind, 64);
             let locked = engine(kind, 64).with_optimistic_reads(false);
@@ -2420,7 +2400,7 @@ mod tests {
             }
             // And the diagnostic counters prove the paths diverged where
             // they should: repeats were served lock-free on one engine and
-            // through the mutex on the other.
+            // under the write lock on the other.
             assert!(
                 optimistic.stats().contention.fast_path_hits > 0,
                 "{kind}: the repeat-heavy trace must exercise the fast path"
@@ -2457,20 +2437,40 @@ mod tests {
     }
 
     #[test]
-    fn probes_do_not_take_the_stripe_mutex() {
-        // Hold every shard's stripe mutex and drive the read-only probes:
-        // if any of them needed the mutex this test would deadlock. (The
-        // probes go through the RwLock read view instead; `stats()` is not
-        // one of them — it takes each stripe to sum the shard counters.)
-        let c = engine(CachePolicyKind::SemanticPriority, 64);
-        c.submit(read_req(1, 1, RequestClass::Random, QosPolicy::priority(2)));
-        let guards: Vec<_> = c.shards.iter().map(|s| s.inner.lock()).collect();
+    fn probes_and_repeat_hits_share_the_read_lock() {
+        // Hold every shard's read lock and drive the read-only probes and a
+        // repeat hit: if any of them needed the write lock this test would
+        // deadlock. A slow-path submit does need it, and must wait.
+        let c = CacheEngine::with_shard_count(PolicyConfig::paper_default(), 64, 4);
+        let hot = read_req(1, 1, RequestClass::Random, QosPolicy::priority(2));
+        c.submit(hot); // miss
+        c.submit(hot); // hit: arms the descriptor
+        let guards: Vec<_> = c.shards.iter().map(|s| s.state.read()).collect();
         assert!(c.contains_block(BlockAddr(1)));
         assert_eq!(c.cached_priority(BlockAddr(1)), Some(CachePriority(2)));
         assert_eq!(c.resident_blocks(), 1);
+        assert_eq!(c.resident_set().len(), 1);
+        assert_eq!(c.learned_heat(BlockAddr(1)), 0);
         assert_eq!(c.write_buffer_resident(), 0);
-        assert_eq!(c.write_buffer_limit(), 6);
-        drop(guards);
+        assert_eq!(c.write_buffer_limit(), 4);
+        c.submit(hot); // repeat hit: read lock only
+        std::thread::scope(|s| {
+            let (done, slow) = std::sync::mpsc::channel();
+            let c = &c;
+            s.spawn(move || {
+                c.submit(read_req(2, 1, RequestClass::Random, QosPolicy::priority(2)));
+                done.send(()).expect("receiver outlives the scope");
+            });
+            assert!(
+                slow.recv_timeout(Duration::from_millis(100)).is_err(),
+                "a slow-path submit must wait for the readers"
+            );
+            drop(guards);
+            slow.recv()
+                .expect("the submit completes once the readers leave");
+        });
+        assert_eq!(c.stats().contention.fast_path_hits, 1);
+        assert!(c.contains_block(BlockAddr(2)));
     }
 
     /// An eager migration config: every `migrate_idle` call runs a round.

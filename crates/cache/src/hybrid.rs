@@ -418,21 +418,24 @@ mod tests {
 
     #[test]
     fn concurrent_multi_block_submits_do_not_deadlock_across_shards() {
-        // Regression canary: multi-block requests walk the shards in
-        // ascending (cyclic) order, so holding one shard's lock while
-        // acquiring the next deadlocks once every shard has a waiter.
+        // Regression canary: multi-block requests, batch runs and TRIMs
+        // walk the shards in cyclic order, so holding one shard's lock
+        // while acquiring the next deadlocks once every shard has a
+        // waiter. Each thread mixes all three kinds of walk.
         let c = HybridCache::with_shard_count(PolicyConfig::paper_default(), 4_096, 8);
+        let req =
+            |t: u64, i: u64| read_req(t + i * 16, 16, RequestClass::Random, QosPolicy::priority(2));
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let c = &c;
                 s.spawn(move || {
-                    for i in 0..200u64 {
-                        c.submit(read_req(
-                            t + i * 16,
-                            16,
-                            RequestClass::Random,
-                            QosPolicy::priority(2),
-                        ));
+                    for i in (0..200u64).step_by(4) {
+                        c.submit(req(t, i));
+                        c.submit_batch(vec![req(t, i + 1), req(t, i + 2), req(t, i + 3)]);
+                        c.trim(&TrimCommand::new(vec![
+                            BlockRange::new(t + i * 16, 24),
+                            BlockRange::new(t + i * 16 + 40, 24),
+                        ]));
                     }
                 });
             }

@@ -190,13 +190,12 @@ impl FlatList {
     }
 
     fn insert_mru(&mut self, key: BlockAddr) -> bool {
-        if let Some(&slot) = self.index.get(key.0) {
-            self.list.move_front(&mut self.arena, slot);
-            return false;
+        let FlatList { arena, list, index } = self;
+        let (&mut slot, fresh) = index.get_or_insert_with(key.0, || list.push_front(arena, key));
+        if !fresh {
+            list.move_front(arena, slot);
         }
-        let slot = self.list.push_front(&mut self.arena, key);
-        self.index.insert(key.0, slot);
-        true
+        fresh
     }
 
     fn touch(&mut self, key: &BlockAddr) -> bool {

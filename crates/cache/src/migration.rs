@@ -338,9 +338,9 @@ impl HeatTracker {
     }
 }
 
-/// Lock-free per-shard migration counters, mirroring the engine's
-/// atomic-statistics split: foreground hooks and background rounds bump
-/// them under the stripe mutex (or not — the fold is a plain atomic add),
+/// Lock-free per-shard migration counters: foreground hooks and
+/// background rounds bump them under the shard's write lock (or not —
+/// the fold is a plain atomic add),
 /// while [`migration_stats`](crate::StorageSystem::migration_stats)
 /// aggregates without taking any shard lock.
 #[derive(Debug, Default)]
@@ -363,7 +363,7 @@ impl MigrationCounters {
     }
 }
 
-/// Per-shard migration state, owned by the shard's stripe mutex alongside
+/// Per-shard migration state, owned by the shard's lock alongside
 /// the policy and the allocator (it is decision state: every mutation
 /// happens under the same lock as the policy calls it feeds).
 pub(crate) struct ShardMigration {

@@ -25,8 +25,10 @@
 //!   best algorithm per stream.
 //!
 //! A policy instance is **per shard**: the engine builds one via
-//! [`CachePolicyKind::build`] (or a custom factory) for each of its lock
-//! stripes, so implementations need no internal synchronisation.
+//! [`CachePolicyKind::build`] (or a custom factory) for each of its
+//! shards and keeps it behind that shard's lock, so implementations need
+//! no internal synchronisation — only to be `Send + Sync`, which plain
+//! data is.
 
 mod arc;
 mod cflru;
@@ -98,6 +100,10 @@ pub enum RemoveReason {
 }
 
 /// A cache-replacement algorithm: the decision half of the hybrid cache.
+///
+/// The trait is `Send + Sync`: each instance lives inside its shard's
+/// reader-writer lock, mutated only under the write lock (`&mut self`) and
+/// shared between readers of that lock (`&self`).
 ///
 /// The engine calls exactly one method per block event and mirrors the
 /// outcome in its own metadata; the policy maintains whatever ordering
@@ -189,7 +195,7 @@ pub enum RemoveReason {
 /// assert!(engine.contains_block(BlockAddr(11)));
 /// assert!(engine.contains_block(BlockAddr(12)));
 /// ```
-pub trait CachePolicy: Send {
+pub trait CachePolicy: Send + Sync {
     /// Called when `lbn` (tracked, currently labelled `current`) is hit.
     /// The policy refreshes its internal ordering and reports whether the
     /// block moved to a different group.
@@ -209,9 +215,9 @@ pub trait CachePolicy: Send {
     ///
     /// Policies declaring `true` opt their blocks into the engine's
     /// optimistic read path: a single-block read that repeats the
-    /// immediately preceding hit on its shard is served through the shared
-    /// metadata read view — statistics and device timing recorded, policy
-    /// untouched — without acquiring the stripe mutex. That is only sound
+    /// immediately preceding hit on its shard is served under the shard's
+    /// *read* lock — statistics and device timing recorded, policy
+    /// untouched — sharing it with other readers. That is only sound
     /// when the skipped `on_hit` is provably a no-op, which is exactly
     /// this contract. Every shipped policy satisfies it (an LRU touch of
     /// the block that is already most-recent does not reorder anything);

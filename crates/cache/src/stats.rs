@@ -85,9 +85,9 @@ impl ClassCounters {
     }
 }
 
-/// Hot-path contention diagnostics: how often the cache took a shard
-/// stripe mutex versus serving a request entirely on the optimistic
-/// lock-free path.
+/// Hot-path contention diagnostics: how often the cache took a shard's
+/// lock exclusively versus serving a request on the optimistic,
+/// shared-lock path.
 ///
 /// These counters describe the *execution path*, not the cache's logical
 /// behaviour: two runs that make identical caching decisions can take
@@ -98,13 +98,14 @@ impl ClassCounters {
 /// state only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ContentionCounters {
-    /// Times a shard's stripe mutex was acquired on the submission paths
-    /// (per-block work, trims, write-buffer drains and migration rounds;
-    /// read-only probes never take it, and the statistics reads that do
-    /// are not counted).
+    /// Exclusive shard-lock acquisitions on the submission paths: one per
+    /// shard a request, batch run or TRIM touches, plus write-buffer
+    /// drains and migration rounds. Read-only probes take the lock
+    /// shared, and the statistics reads that take it exclusively are not
+    /// counted.
     pub lock_acquisitions: u64,
-    /// Single-block repeat read hits served entirely through the
-    /// optimistic read view, without touching the stripe mutex.
+    /// Single-block repeat read hits served entirely under the shared
+    /// (read) side of the shard lock.
     pub fast_path_hits: u64,
 }
 
@@ -252,7 +253,7 @@ const ACTION_SLOTS: usize = CacheAction::ALL.len();
 /// The recording side of [`CacheStats`]: fixed enum-indexed counter
 /// arrays on plain `u64`s behind `&mut self`, for state that is already
 /// written under a lock — each [`crate::CacheEngine`] shard keeps one
-/// beside its policy under the stripe mutex, the LRU baseline cache and
+/// beside its policy under the shard lock, the LRU baseline cache and
 /// the passthrough configurations one under their only mutex.
 ///
 /// Recording is a bounds-checked array add — no `BTreeMap` walk, no key

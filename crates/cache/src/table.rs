@@ -131,24 +131,42 @@ impl<V: Copy + Default> OpenMap<V> {
     /// Inserts `key → value`, returning the previous value if the key was
     /// already present.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        if let Some(i) = self.find(key) {
-            return Some(std::mem::replace(&mut self.values[i], value));
-        }
-        // Grow *before* placing so the probe chain is computed against the
-        // final capacity.
+        let (slot, fresh) = self.get_or_insert_with(key, || value);
+        (!fresh).then(|| std::mem::replace(slot, value))
+    }
+
+    /// The one probe behind every insertion: walks `key`'s chain once,
+    /// stopping at the key or at the first vacant slot, where `make()`'s
+    /// value is placed. Returns the key's value and whether it was just
+    /// inserted.
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        key: u64,
+        make: impl FnOnce() -> V,
+    ) -> (&mut V, bool) {
         if (self.len + 1) * 8 > self.keys.len() * 7 {
+            // At the load bound only a *new* key grows the table, so the
+            // key is looked up first — and the growth happens before
+            // placing, so the chain is walked against the final capacity.
+            // Below the bound (the common case) the one walk serves both.
+            if let Some(i) = self.find(key) {
+                return (&mut self.values[i], false);
+            }
             self.grow();
         }
         let mask = self.keys.len() - 1;
         let mut i = self.home(key);
         while self.used[i] {
+            if self.keys[i] == key {
+                return (&mut self.values[i], false);
+            }
             i = (i + 1) & mask;
         }
         self.keys[i] = key;
-        self.values[i] = value;
+        self.values[i] = make();
         self.used[i] = true;
         self.len += 1;
-        None
+        (&mut self.values[i], true)
     }
 
     /// Removes `key`, returning its value if it was present. The probe
@@ -334,19 +352,12 @@ impl BlockTable {
     /// entry if it existed. A replace keeps the slot's node index; a fresh
     /// insert starts it at [`NO_NODE`].
     pub fn insert(&mut self, lbn: BlockAddr, entry: CacheEntry) -> Option<CacheEntry> {
-        match self.map.get_mut(lbn.0) {
-            Some(slot) => Some(std::mem::replace(&mut slot.entry, entry)),
-            None => {
-                self.map.insert(
-                    lbn.0,
-                    TableSlot {
-                        entry,
-                        node: NO_NODE,
-                    },
-                );
-                None
-            }
-        }
+        let fresh = TableSlot {
+            entry,
+            node: NO_NODE,
+        };
+        let (slot, inserted) = self.map.get_or_insert_with(lbn.0, || fresh);
+        (!inserted).then(|| std::mem::replace(&mut slot.entry, entry))
     }
 
     /// Removes a block, returning its metadata.

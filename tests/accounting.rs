@@ -1,5 +1,5 @@
 //! Accounting suite for the shard-local counters: statistics and device
-//! ledgers are written under the stripe mutex, repeat hits are tallied on
+//! ledgers are written under the shard's write lock, repeat hits are tallied on
 //! the hot descriptor and credited by whoever next holds the write lock,
 //! and `stats()` folds what is still pending. None of that may lose,
 //! double-count or misattribute a single block — serially against a fully
@@ -16,18 +16,7 @@ use hstorage_storage::{
 use std::time::Duration;
 
 mod common;
-
-/// xorshift64*: the trace generator's only source of randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n
-    }
-}
+use common::Rng;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -110,7 +99,7 @@ fn trace(seed: u64) -> Vec<Op> {
     ops
 }
 
-/// Fold exactness. Three engines run one trace: `twin` takes the mutex on
+/// Fold exactness. Three engines run one trace: `twin` takes the write lock on
 /// every submit and records each block as it happens; `probed` serves
 /// repeats optimistically and has its statistics read after every
 /// operation, so every fold happens at a read; `quiet` is read only at the
@@ -170,15 +159,6 @@ fn folded_statistics_equal_a_locked_twin_after_every_operation() {
     }
 }
 
-/// Thread count of the stress test: `HSTORAGE_STRESS_THREADS`, or 8.
-fn stress_threads() -> u64 {
-    std::env::var("HSTORAGE_STRESS_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(8)
-}
-
 /// What one thread of the conservation test knows it caused.
 #[derive(Default)]
 struct Expected {
@@ -199,7 +179,7 @@ struct Expected {
 fn concurrent_submits_conserve_every_counter() {
     const SHARED: u64 = 256;
     const PER_THREAD: u64 = 4_000;
-    let threads = stress_threads();
+    let threads = common::stress_threads();
     let engine = HybridCache::with_shard_count(
         PolicyConfig::paper_default(),
         2 * (SHARED + threads * PER_THREAD),

@@ -52,3 +52,29 @@ pub fn matrix_migration() -> MigrationConfig {
         Err(_) => MigrationConfig::off(),
     }
 }
+
+/// Thread count of the stress tests: `HSTORAGE_STRESS_THREADS` (the CI
+/// contention job re-runs them at 8, 16 and 32), or 8.
+#[allow(dead_code)] // every suite compiles this module; only three stress
+pub fn stress_threads() -> u64 {
+    std::env::var("HSTORAGE_STRESS_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(8)
+}
+
+/// xorshift64*: the seeded trace generators' only source of randomness.
+#[allow(dead_code)] // only the suites that generate traces draw from it
+pub struct Rng(pub u64);
+
+#[allow(dead_code)]
+impl Rng {
+    /// The next draw, reduced to `0..n`.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n
+    }
+}

@@ -13,15 +13,6 @@ use proptest::prelude::*;
 
 mod common;
 
-/// Thread count of the stress tests: `HSTORAGE_STRESS_THREADS`, or 8.
-fn stress_threads() -> usize {
-    std::env::var("HSTORAGE_STRESS_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(8)
-}
-
 // ---------------------------------------------------------------------------
 // Optimistic engine vs fully locked engine
 // ---------------------------------------------------------------------------
@@ -98,8 +89,8 @@ proptest! {
 fn contended_hot_reads_lose_no_counter() {
     const BLOCKS_PER_THREAD: u64 = 16;
     const REPEATS: u64 = 64;
-    let threads = stress_threads();
-    let capacity = 2 * threads as u64 * BLOCKS_PER_THREAD;
+    let threads = common::stress_threads();
+    let capacity = 2 * threads * BLOCKS_PER_THREAD;
     let read = |lbn: u64| {
         ClassifiedRequest::new(
             IoRequest::read(BlockRange::new(lbn, 1), false),
@@ -111,14 +102,14 @@ fn contended_hot_reads_lose_no_counter() {
     let concurrent = build();
     let twin = build().with_optimistic_reads(false);
     // Warm every thread's slice into residency on both engines.
-    for t in 0..threads as u64 {
+    for t in 0..threads {
         for b in 0..BLOCKS_PER_THREAD {
             concurrent.submit(read(t * BLOCKS_PER_THREAD + b));
             twin.submit(read(t * BLOCKS_PER_THREAD + b));
         }
     }
     std::thread::scope(|s| {
-        for t in 0..threads as u64 {
+        for t in 0..threads {
             let concurrent = &concurrent;
             s.spawn(move || {
                 for b in 0..BLOCKS_PER_THREAD {
@@ -129,7 +120,7 @@ fn contended_hot_reads_lose_no_counter() {
             });
         }
     });
-    for t in 0..threads as u64 {
+    for t in 0..threads {
         for b in 0..BLOCKS_PER_THREAD {
             for _ in 0..REPEATS {
                 twin.submit(read(t * BLOCKS_PER_THREAD + b));
