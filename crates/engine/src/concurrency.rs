@@ -13,7 +13,9 @@
 //!
 //! The structures are updated at query start and end; the priority of a
 //! random request to `oid` is computed by Function (1) using the *lowest*
-//! registered level for `oid` and the global bounds.
+//! registered level for `oid` and the global bounds. Every update moves
+//! the registry's *generation*, so an answer stays valid for as long as
+//! [`ConcurrencyRegistry::generation`] returns the value it was read at.
 
 use crate::catalog::ObjectId;
 use crate::plan::PlanTree;
@@ -21,6 +23,7 @@ use crate::priority::random_request_priority;
 use hstorage_storage::{CachePriority, PolicyConfig};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[derive(Debug, Default)]
@@ -59,10 +62,21 @@ pub struct QueryTicket {
     ticket: u64,
 }
 
+#[derive(Debug, Default)]
+struct Shared {
+    inner: Mutex<RegistryInner>,
+    /// Number of registrations and unregistrations so far. Bumped only
+    /// while `inner` is locked, so read under the lock it names the state
+    /// read with it. Loaded without the lock (Acquire, pairing with the
+    /// Release bump) it only says whether that state may have changed; it
+    /// publishes no data of its own.
+    generation: AtomicU64,
+}
+
 /// The shared registry of running queries.
 #[derive(Debug, Clone, Default)]
 pub struct ConcurrencyRegistry {
-    inner: Arc<Mutex<RegistryInner>>,
+    shared: Arc<Shared>,
 }
 
 impl ConcurrencyRegistry {
@@ -75,7 +89,8 @@ impl ConcurrencyRegistry {
     /// randomly, the level of the accessing operator, and folds the query's
     /// `llow`/`lhigh` into the global bounds.
     pub fn register_query(&self, plan: &PlanTree) -> QueryTicket {
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
+        self.shared.generation.fetch_add(1, Ordering::Release);
         let ticket = inner.next_ticket;
         inner.next_ticket += 1;
 
@@ -94,7 +109,8 @@ impl ConcurrencyRegistry {
 
     /// Unregisters a finished query, removing its contribution.
     pub fn unregister_query(&self, plan: &PlanTree, ticket: QueryTicket) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
+        self.shared.generation.fetch_add(1, Ordering::Release);
         inner.query_bounds.remove(&ticket.ticket);
         for (oid, level) in plan.random_object_levels() {
             if let Some(list) = inner.objects.get_mut(&oid) {
@@ -114,12 +130,19 @@ impl ConcurrencyRegistry {
 
     /// Number of queries currently registered.
     pub fn active_queries(&self) -> usize {
-        self.inner.lock().query_bounds.len()
+        self.shared.inner.lock().query_bounds.len()
     }
 
     /// The global level bounds `(gl_low, gl_high)` over all running queries.
     pub fn global_bounds(&self) -> Option<(u32, u32)> {
-        self.inner.lock().global_bounds()
+        self.shared.inner.lock().global_bounds()
+    }
+
+    /// The registry's generation: it changes with every
+    /// [`Self::register_query`] and [`Self::unregister_query`], and with
+    /// nothing else. One atomic load, no lock.
+    pub fn generation(&self) -> u64 {
+        self.shared.generation.load(Ordering::Acquire)
     }
 
     /// The priority of a random request to `oid` under Rule 5: Function (1)
@@ -136,11 +159,29 @@ impl ConcurrencyRegistry {
         fallback_level: u32,
         fallback_bounds: (u32, u32),
     ) -> CachePriority {
-        let inner = self.inner.lock();
+        self.random_priority_versioned(config, oid, fallback_level, fallback_bounds)
+            .1
+    }
+
+    /// [`Self::random_priority`] together with the generation of the state
+    /// it was computed from, both read under one lock: the priority holds
+    /// for these arguments until [`Self::generation`] returns another value.
+    pub fn random_priority_versioned(
+        &self,
+        config: &PolicyConfig,
+        oid: ObjectId,
+        fallback_level: u32,
+        fallback_bounds: (u32, u32),
+    ) -> (u64, CachePriority) {
+        let inner = self.shared.inner.lock();
+        let generation = self.shared.generation.load(Ordering::Relaxed);
         let level = inner.lowest_level_for(oid).unwrap_or(fallback_level);
         let (gl_low, gl_high) = inner.global_bounds().unwrap_or(fallback_bounds);
         drop(inner);
-        random_request_priority(config, level, gl_low, gl_high)
+        (
+            generation,
+            random_request_priority(config, level, gl_low, gl_high),
+        )
     }
 }
 
@@ -210,6 +251,27 @@ mod tests {
         reg.unregister_query(&a, t);
         assert_eq!(reg.active_queries(), 0);
         assert!(reg.global_bounds().is_none());
+    }
+
+    #[test]
+    fn generation_moves_with_every_registration_and_with_nothing_else() {
+        let cfg = PolicyConfig::paper_default();
+        let reg = ConcurrencyRegistry::new();
+        let shared = reg.clone();
+        let start = reg.generation();
+        let a = plan_a();
+        let t = reg.register_query(&a);
+        assert_eq!(shared.generation(), start + 1);
+        // Reading prices nothing and moves nothing, and reports the
+        // generation it read at.
+        let (at, prio) = reg.random_priority_versioned(&cfg, oid(1), 5, (0, 5));
+        assert_eq!((at, prio), (start + 1, CachePriority(2)));
+        assert_eq!(reg.active_queries(), 1);
+        assert_eq!(reg.generation(), start + 1);
+        reg.unregister_query(&a, t);
+        assert_eq!(shared.generation(), start + 2);
+        let (at, prio) = reg.random_priority_versioned(&cfg, oid(1), 5, (0, 5));
+        assert_eq!((at, prio), (start + 2, CachePriority(6)));
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! The query executor.
 //!
-//! The executor turns a compiled [`RequestProgram`]
-//! into classified I/O against a [`StorageSystem`], going through the DBMS
-//! buffer pool first and assigning a QoS policy to every request via the
-//! policy assignment table at issue time.
+//! The executor reads a compiled [`RequestProgram`] through its cursor and
+//! turns each operation into classified I/O against a [`StorageSystem`],
+//! going through the DBMS buffer pool first and assigning a QoS policy to
+//! every request at issue time. Only a random request's policy depends on
+//! what else is running (Rule 5), and only through registrations: the
+//! executor keeps the priorities it has resolved until the registry's
+//! generation moves, so a request costs the registry one atomic load, and
+//! its lock only after a query has started or ended somewhere.
 //!
 //! Storage is accessed through `&dyn StorageSystem`: the storage service is
 //! shared, and all its mutation is interior. Two multi-stream drivers are
@@ -33,12 +37,13 @@ use crate::catalog::Catalog;
 use crate::concurrency::ConcurrencyRegistry;
 use crate::plan::PlanTree;
 use crate::policy_table::PolicyAssignmentTable;
-use crate::program::{compile, CompileOptions, IoOp, RequestProgram};
+use crate::program::{compile, CompileOptions, IoOp, ProgramCursor, RequestProgram};
 use crate::semantic::SemanticInfo;
 use crate::stats::QueryStats;
 use hstorage_cache::StorageSystem;
 use hstorage_storage::{
-    BlockAddr, BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, TrimCommand,
+    BlockAddr, BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass,
+    TrimCommand,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -92,10 +97,25 @@ impl ExecutorConfig {
     }
 }
 
+/// How many resolved priorities an executor keeps before it starts over: a
+/// probe alternates between two objects and a pipelined plan between a few
+/// probes (four objects in the widest TPC-H plan).
+const MEMO_ENTRIES: usize = 8;
+
+/// The random-request policies resolved against one registry generation.
+/// Any registration changes the generation and so empties the memo: Rule 5
+/// never sees a state older than the last query start or end.
+#[derive(Default)]
+struct PolicyMemo {
+    generation: u64,
+    entries: Vec<(SemanticInfo, (u32, u32), QosPolicy)>,
+}
+
 /// Executes query plans against a storage system.
 pub struct QueryExecutor {
     policy_table: PolicyAssignmentTable,
     registry: ConcurrencyRegistry,
+    memo: PolicyMemo,
     buffer_pool: BufferPool,
     config: ExecutorConfig,
     rng: SmallRng,
@@ -119,6 +139,7 @@ impl QueryExecutor {
         QueryExecutor {
             policy_table: PolicyAssignmentTable::new(policy),
             registry,
+            memo: PolicyMemo::default(),
             buffer_pool: BufferPool::new(config.buffer_pool_blocks),
             rng: SmallRng::seed_from_u64(config.seed),
             pending: Vec::with_capacity(config.io_batch_size),
@@ -168,8 +189,8 @@ impl QueryExecutor {
         let ticket = self.registry.register_query(plan);
         let mut stats = QueryStats::new(&program.name);
         let io_start = storage.now();
-        for op in &program.ops {
-            self.execute_op(op, program.level_bounds, catalog, storage, &mut stats);
+        for op in program.cursor() {
+            self.execute_op(&op, program.level_bounds, catalog, storage, &mut stats);
         }
         self.flush_pending(storage);
         self.registry.unregister_query(plan, ticket);
@@ -235,7 +256,7 @@ impl QueryExecutor {
             }
             IoOp::UpdateWrite { info, table_range } => {
                 let block = self.pick(table_range);
-                let policy = self.policy_table.assign(info, &self.registry, level_bounds);
+                let policy = self.assign(info, level_bounds);
                 let io = IoRequest::write(BlockRange::new(block, 1), false);
                 stats.record_request(info.request_class(), 1);
                 self.flush_pending(storage);
@@ -271,6 +292,41 @@ impl QueryExecutor {
         );
     }
 
+    /// The policy assignment table's answer for `info`, from the memo when
+    /// the request is random and the registry has not changed since the
+    /// same question was last asked.
+    fn assign(&mut self, info: &SemanticInfo, level_bounds: (u32, u32)) -> QosPolicy {
+        if info.request_class() != RequestClass::Random {
+            return self.policy_table.assign(info, &self.registry, level_bounds);
+        }
+        let memo = &mut self.memo;
+        let generation = self.registry.generation();
+        if memo.generation != generation {
+            memo.generation = generation;
+            memo.entries.clear();
+        }
+        let known = memo
+            .entries
+            .iter()
+            .find(|(i, bounds, _)| i == info && *bounds == level_bounds);
+        if let Some(&(_, _, policy)) = known {
+            return policy;
+        }
+        let (resolved_at, policy) =
+            self.policy_table
+                .assign_random(info, &self.registry, level_bounds);
+        // A registration between the load above and the locked read makes
+        // the answer newer than the memo: use it, and let the next request
+        // find the new generation.
+        if resolved_at == generation {
+            if memo.entries.len() == MEMO_ENTRIES {
+                memo.entries.clear();
+            }
+            memo.entries.push((*info, level_bounds, policy));
+        }
+        policy
+    }
+
     /// Issues one classified storage request.
     #[allow(clippy::too_many_arguments)]
     fn issue(
@@ -283,7 +339,7 @@ impl QueryExecutor {
         is_write: bool,
         sequential: bool,
     ) {
-        let policy = self.policy_table.assign(info, &self.registry, level_bounds);
+        let policy = self.assign(info, level_bounds);
         let io = if is_write {
             IoRequest::write(range, sequential)
         } else {
@@ -344,8 +400,8 @@ fn finalize(stats: &mut QueryStats, io_start: Duration, storage: &dyn StorageSys
 struct ActiveQuery {
     plan: PlanTree,
     ticket: crate::concurrency::QueryTicket,
-    program: RequestProgram,
-    cursor: usize,
+    level_bounds: (u32, u32),
+    cursor: ProgramCursor,
     stats: QueryStats,
     io_start: Duration,
 }
@@ -409,8 +465,8 @@ pub fn run_concurrent(
                     active[idx] = Some(ActiveQuery {
                         plan,
                         ticket,
-                        program,
-                        cursor: 0,
+                        level_bounds: program.level_bounds,
+                        cursor: program.cursor(),
                         stats,
                         io_start: storage.now(),
                     });
@@ -421,27 +477,16 @@ pub fn run_concurrent(
             };
             any_work = true;
 
-            // Split borrows: the ops are read out of `program` while the
-            // stats are written, so the slice executes in place — no
-            // per-slice clone of the `IoOp`s.
-            let ActiveQuery {
-                program,
-                cursor,
-                stats,
-                ..
-            } = query;
-            let end = (*cursor + ops_per_slice).min(program.ops.len());
-            for op in &program.ops[*cursor..end] {
-                executor.execute_op(op, program.level_bounds, catalog, storage, stats);
+            for op in query.cursor.by_ref().take(ops_per_slice) {
+                executor.execute_op(&op, query.level_bounds, catalog, storage, &mut query.stats);
             }
             // The slice boundary is also the batch boundary: flushing here
             // keeps the interleaving deterministic (a stream's batched scan
             // I/O never drifts into another stream's slice) and lets the
             // completion check below observe a fully up-to-date clock.
             executor.flush_pending(storage);
-            *cursor = end;
 
-            if query.cursor >= query.program.ops.len() {
+            if query.cursor.len() == 0 {
                 let mut done = active[idx].take().expect("query was active");
                 executor.registry.unregister_query(&done.plan, done.ticket);
                 finalize(&mut done.stats, done.io_start, storage);
@@ -553,7 +598,6 @@ mod tests {
     use crate::catalog::ObjectKind;
     use crate::plan::{Access, OperatorKind, PlanNode};
     use hstorage_cache::{HybridCache, StorageConfig, StorageConfigKind};
-    use hstorage_storage::{QosPolicy, RequestClass};
 
     fn small_catalog() -> (Catalog, crate::catalog::ObjectId, crate::catalog::ObjectId) {
         let mut cat = Catalog::new();
@@ -944,6 +988,110 @@ mod tests {
         fn resident_blocks(&self) -> u64 {
             self.inner.resident_blocks()
         }
+    }
+
+    /// Keeps the policy of every request submitted, and nothing else.
+    #[derive(Default)]
+    struct PolicyRecorder {
+        policies: std::sync::Mutex<Vec<QosPolicy>>,
+    }
+
+    impl StorageSystem for PolicyRecorder {
+        fn name(&self) -> &str {
+            "policy recorder"
+        }
+        fn submit(&self, req: ClassifiedRequest) {
+            self.policies.lock().unwrap().push(req.policy);
+        }
+        fn submit_batch(&self, reqs: Vec<ClassifiedRequest>) {
+            reqs.into_iter().for_each(|req| self.submit(req));
+        }
+        fn trim(&self, _cmd: &TrimCommand) {}
+        fn stats(&self) -> hstorage_cache::CacheStats {
+            hstorage_cache::CacheStats::new()
+        }
+        fn now(&self) -> Duration {
+            Duration::ZERO
+        }
+        fn reset_stats(&self) {}
+        fn resident_blocks(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_registration_reprices_the_next_request_and_the_memo_dies_with_it() {
+        let (mut cat, orders, idx_orders) = small_catalog();
+        let supplier = cat.register(
+            "supplier",
+            ObjectKind::Table,
+            BlockRange::new(10_000u64, 200),
+        );
+        let idx_supplier = cat.register(
+            "idx_supplier",
+            ObjectKind::Index,
+            BlockRange::new(10_200u64, 20),
+        );
+        // A reaches `orders` at level 1, beside a deeper probe of
+        // `supplier` at level 0; B reaches `orders` at level 0.
+        let deep = PlanNode::node(
+            OperatorKind::HashJoin,
+            Access::None,
+            vec![random_plan(supplier, idx_supplier, 6).root],
+        );
+        let plan_a = PlanTree::new(
+            "A",
+            PlanNode::node(
+                OperatorKind::NestedLoop,
+                Access::None,
+                vec![deep, random_plan(orders, idx_orders, 6).root],
+            ),
+        );
+        let plan_b = random_plan(orders, idx_orders, 6);
+
+        let registry = ConcurrencyRegistry::new();
+        let cfg = ExecutorConfig {
+            buffer_pool_blocks: 0,
+            ..ExecutorConfig::default()
+        };
+        let policy = PolicyConfig::paper_default();
+        let mut a = QueryExecutor::with_registry(cfg, policy, registry.clone());
+        let mut b = QueryExecutor::with_registry(cfg, policy, registry.clone());
+        let storage = PolicyRecorder::default();
+        let mut stats = QueryStats::new("unused");
+        let probes_orders = |op: &IoOp| matches!(op, IoOp::IndexProbe { table_info, .. } if table_info.oid == orders);
+        let program_a = a.compile(&plan_a, &mut cat);
+        let program_b = b.compile(&plan_b, &mut cat);
+        let mut ops_a = program_a.cursor().filter(probes_orders);
+        let mut ops_b = program_b.cursor();
+        // The policy of the table request of the executor's next probe of
+        // `orders`.
+        let mut next =
+            |exec: &mut QueryExecutor, ops: &mut dyn Iterator<Item = IoOp>, bounds: (u32, u32)| {
+                let op = ops.next().expect("six probes");
+                exec.execute_op(&op, bounds, &mut cat, &storage, &mut stats);
+                *storage.policies.lock().unwrap().last().expect("submitted")
+            };
+        let (bounds_a, bounds_b) = (program_a.level_bounds, program_b.level_bounds);
+        assert_eq!((bounds_a, bounds_b), ((0, 1), (0, 0)));
+
+        let ticket_a = registry.register_query(&plan_a);
+        assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(3));
+        assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(3));
+        // B starts between two of A's probes: Rule 5 prices `orders` by
+        // B's lower level from A's very next request on, and for both.
+        let ticket_b = registry.register_query(&plan_b);
+        assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(2));
+        assert_eq!(next(&mut b, &mut ops_b, bounds_b), QosPolicy::priority(2));
+        // A's registration ends but it keeps issuing, as an executor whose
+        // registration was skipped would: B's entry still prices `orders`.
+        registry.unregister_query(&plan_a, ticket_a);
+        assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(2));
+        // With B gone too the registry knows nothing, and A falls back to
+        // its own level and bounds instead of a remembered answer.
+        registry.unregister_query(&plan_b, ticket_b);
+        assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(3));
+        assert_eq!(next(&mut b, &mut ops_b, bounds_b), QosPolicy::priority(2));
     }
 
     #[test]

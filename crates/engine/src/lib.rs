@@ -56,7 +56,7 @@ pub use migration::MigrationDriver;
 pub use plan::{Access, OperatorKind, PlanNode, PlanTree};
 pub use policy_table::PolicyAssignmentTable;
 pub use priority::random_request_priority;
-pub use program::{compile, CompileOptions, IoOp, RequestProgram};
+pub use program::{compile, CompileOptions, IoOp, ProgramCursor, RequestProgram};
 pub use semantic::{AccessPattern, ContentType, SemanticInfo};
 pub use service::{
     run_streams_service, QueryRequest, QueryResponse, QueryService, ServiceConfig, ServiceReport,

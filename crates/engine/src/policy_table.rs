@@ -61,13 +61,24 @@ impl PolicyAssignmentTable {
             // Rules 2 and 5: random requests get a priority derived from the
             // plan level of the lowest operator accessing the object, over
             // the global level bounds.
-            RequestClass::Random => {
-                debug_assert_eq!(info.pattern, AccessPattern::Random);
-                let level = info.level.unwrap_or(query_bounds.0);
-                let prio = registry.random_priority(&self.config, info.oid, level, query_bounds);
-                QosPolicy::Priority(prio)
-            }
+            RequestClass::Random => self.assign_random(info, registry, query_bounds).1,
         }
+    }
+
+    /// [`Self::assign`] for a random request, together with the registry
+    /// generation the answer was read at: it holds for this `info` and
+    /// `query_bounds` until [`ConcurrencyRegistry::generation`] moves on.
+    pub fn assign_random(
+        &self,
+        info: &SemanticInfo,
+        registry: &ConcurrencyRegistry,
+        query_bounds: (u32, u32),
+    ) -> (u64, QosPolicy) {
+        debug_assert_eq!(info.pattern, AccessPattern::Random);
+        let level = info.level.unwrap_or(query_bounds.0);
+        let (generation, prio) =
+            registry.random_priority_versioned(&self.config, info.oid, level, query_bounds);
+        (generation, QosPolicy::Priority(prio))
     }
 }
 

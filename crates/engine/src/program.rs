@@ -1,21 +1,35 @@
 //! Request programs: the compiled I/O behaviour of a query plan.
 //!
 //! The executor first *compiles* a plan tree against the catalog into a
-//! flat sequence of [`IoOp`]s (the order an iterator-model executor with
-//! blocking operators would issue them in), and then *executes* the
-//! program, assigning QoS policies at issue time so that Rule 5 sees the
-//! registry state of the moment. Keeping compilation separate from
-//! execution is also what lets the concurrent-workload driver interleave
-//! several programs over one storage system.
+//! [`RequestProgram`] and then *executes* it, assigning QoS policies at
+//! issue time so that Rule 5 sees the registry state of the moment.
+//! Keeping compilation separate from execution is also what lets the
+//! concurrent-workload driver interleave several programs over one
+//! storage system.
+//!
+//! A program is a **stream tree**, one node per plan operator rather than
+//! one element per request: a leaf is either the same [`IoOp`] repeated
+//! (index probes, update writes, a temp-file deletion) or whole passes
+//! over a block range cut into fixed-size requests (scans, spill writes
+//! and reads); an inner node runs its children back to back (blocking
+//! operators) or merges them proportionally (pipelined joins, a spill's
+//! generation phase). A [`ProgramCursor`] walks the tree and yields the
+//! operations by value in the order an iterator-model executor with
+//! blocking operators would issue them. Every node knows its length when
+//! it is built, so the proportional merge can be decided one operation at
+//! a time — least `yielded / length` first, the earlier child on a tie —
+//! exactly as it would be over materialised sequences; the differential
+//! test `tests/program_stream.rs` holds the cursor to that.
 
 use crate::catalog::{Catalog, ObjectId};
-use crate::plan::{Access, ExecStep, OperatorKind, PlanTree};
+use crate::plan::{Access, PlanNode, PlanTree};
 use crate::semantic::{ContentType, SemanticInfo};
 use hstorage_storage::BlockRange;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// One unit of work of a compiled query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum IoOp {
     /// A sequential read of a contiguous range of a table.
     SequentialRead {
@@ -69,8 +83,169 @@ pub enum IoOp {
     },
 }
 
+/// Which operation a chunked stream cuts its range into.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+enum ChunkKind {
+    SequentialRead,
+    TempWrite,
+    TempRead,
+}
+
+/// A node of the stream tree together with its read position: a program
+/// holds the tree at position zero, a cursor advances its own copy.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Stream {
+    /// Operations the stream yields in total.
+    len: u64,
+    /// Operations yielded so far.
+    taken: u64,
+    shape: Shape,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Shape {
+    /// The same operation, `len` times.
+    Repeat(IoOp),
+    /// Whole passes over `range`, `chunk` blocks a request (the last
+    /// request of a pass takes what is left).
+    Chunked {
+        kind: ChunkKind,
+        info: SemanticInfo,
+        range: BlockRange,
+        chunk: u64,
+        /// What the current pass has not handed out yet.
+        rest: BlockRange,
+    },
+    /// The children back to back; `current` is the first that may still
+    /// have operations.
+    Concat {
+        children: Vec<Stream>,
+        current: usize,
+    },
+    /// The children merged proportionally, order kept within each. This
+    /// models pipelined execution: the inputs of a non-blocking join
+    /// produce and consume rows concurrently, so their I/O interleaves
+    /// rather than running back to back. Each child carries its progress,
+    /// `taken / len` (infinite once exhausted), recomputed only when it
+    /// advances.
+    Interleave(Vec<(f64, Stream)>),
+}
+
+impl Stream {
+    fn repeat(op: IoOp, count: u64) -> Self {
+        Stream {
+            len: count,
+            taken: 0,
+            shape: Shape::Repeat(op),
+        }
+    }
+
+    fn chunked(
+        kind: ChunkKind,
+        info: SemanticInfo,
+        range: BlockRange,
+        chunk: u64,
+        passes: u32,
+    ) -> Self {
+        Stream {
+            len: range.len.div_ceil(chunk) * u64::from(passes),
+            taken: 0,
+            shape: Shape::Chunked {
+                kind,
+                info,
+                range,
+                chunk,
+                rest: range,
+            },
+        }
+    }
+
+    fn concat(parts: Vec<Stream>) -> Self {
+        Self::combine(parts, |children| Shape::Concat {
+            children,
+            current: 0,
+        })
+    }
+
+    fn interleave(parts: Vec<Stream>) -> Self {
+        Self::combine(parts, |children| {
+            Shape::Interleave(children.into_iter().map(|c| (0.0, c)).collect())
+        })
+    }
+
+    /// An inner node over the non-empty `parts`. An empty part yields
+    /// nothing under either combination, and a lone part is the
+    /// combination, so the tree only keeps nodes that decide something.
+    fn combine(mut parts: Vec<Stream>, shape: impl FnOnce(Vec<Stream>) -> Shape) -> Self {
+        parts.retain(|part| part.len > 0);
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        Stream {
+            len: parts.iter().map(|part| part.len).sum(),
+            taken: 0,
+            shape: shape(parts),
+        }
+    }
+
+    fn is_exhausted(&self) -> bool {
+        self.taken == self.len
+    }
+
+    fn next(&mut self) -> Option<IoOp> {
+        if self.is_exhausted() {
+            return None;
+        }
+        self.taken += 1;
+        Some(match &mut self.shape {
+            Shape::Repeat(op) => *op,
+            Shape::Chunked {
+                kind,
+                info,
+                range,
+                chunk,
+                rest,
+            } => {
+                let (piece, left) = rest.split_at(*chunk);
+                *rest = if left.is_empty() { *range } else { left };
+                let info = *info;
+                match kind {
+                    ChunkKind::SequentialRead => IoOp::SequentialRead { info, range: piece },
+                    ChunkKind::TempWrite => IoOp::TempWrite { info, range: piece },
+                    ChunkKind::TempRead => IoOp::TempRead { info, range: piece },
+                }
+            }
+            Shape::Concat { children, current } => loop {
+                match children[*current].next() {
+                    Some(op) => break op,
+                    None => *current += 1,
+                }
+            },
+            Shape::Interleave(children) => {
+                // The child that is the least far through, the first of
+                // them on a tie. `taken < len` here, so some child has
+                // finite progress.
+                let mut least = 0;
+                for (i, (progress, _)) in children.iter().enumerate() {
+                    if *progress < children[least].0 {
+                        least = i;
+                    }
+                }
+                let (progress, child) = &mut children[least];
+                let op = child.next().expect("a child with finite progress");
+                *progress = if child.is_exhausted() {
+                    f64::INFINITY
+                } else {
+                    child.taken as f64 / child.len as f64
+                };
+                op
+            }
+        })
+    }
+}
+
 /// A compiled query: its name, the plan-level bounds used by Function (1),
-/// and the ordered list of I/O operations.
+/// and the operations as a stream tree read through [`Self::cursor`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestProgram {
     /// Query name.
@@ -78,21 +253,49 @@ pub struct RequestProgram {
     /// The query's own `(llow, lhigh)` over random operators; `(0, 0)` when
     /// the plan has no random operators.
     pub level_bounds: (u32, u32),
-    /// Ordered operations.
-    pub ops: Vec<IoOp>,
+    ops: Stream,
 }
 
 impl RequestProgram {
     /// Number of operations.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.ops.len as usize
     }
 
     /// Whether the program is empty.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.ops.len == 0
+    }
+
+    /// A cursor at the program's first operation. Its size is that of the
+    /// plan, not of the request stream.
+    pub fn cursor(&self) -> ProgramCursor {
+        ProgramCursor {
+            ops: self.ops.clone(),
+        }
     }
 }
+
+/// Yields a program's operations in order; `len()` is what remains.
+#[derive(Debug, Clone)]
+pub struct ProgramCursor {
+    ops: Stream,
+}
+
+impl Iterator for ProgramCursor {
+    type Item = IoOp;
+
+    fn next(&mut self) -> Option<IoOp> {
+        self.ops.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.ops.len - self.ops.taken) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for ProgramCursor {}
 
 /// Compilation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -122,32 +325,20 @@ fn hot_subset(range: BlockRange, fraction: f64) -> BlockRange {
     BlockRange::new(range.start, len)
 }
 
-/// Merges several operation streams proportionally, preserving the order
-/// within each stream. This models pipelined execution: the children of a
-/// non-blocking join produce and consume rows concurrently, so their I/O
-/// interleaves rather than running back to back.
-fn interleave(streams: Vec<Vec<IoOp>>) -> Vec<IoOp> {
-    let total: usize = streams.iter().map(|s| s.len()).sum();
-    let mut cursors = vec![0usize; streams.len()];
-    let mut out = Vec::with_capacity(total);
-    for _ in 0..total {
-        // Pick the stream that is the least far through, proportionally.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, stream) in streams.iter().enumerate() {
-            if cursors[i] >= stream.len() {
-                continue;
-            }
-            let progress = cursors[i] as f64 / stream.len() as f64;
-            match best {
-                Some((_, p)) if p <= progress => {}
-                _ => best = Some((i, progress)),
-            }
-        }
-        let (i, _) = best.expect("total count guarantees a non-exhausted stream");
-        out.push(streams[i][cursors[i]].clone());
-        cursors[i] += 1;
-    }
-    out
+/// What a plan walk needs besides the node it is at.
+struct Compiler<'a> {
+    catalog: &'a mut Catalog,
+    options: CompileOptions,
+    /// Effective level of every operator, by pre-order index.
+    levels: Vec<u32>,
+    /// Rule 2: the level that determines the priority of requests to an
+    /// object is the lowest level of any operator that accesses it
+    /// randomly — not necessarily the accessing operator's own level.
+    object_levels: HashMap<ObjectId, u32>,
+    /// Pre-order index of the next operator visited.
+    next_index: usize,
+    /// Consumption phases and deletions of the spills met so far.
+    deferred: Vec<Stream>,
 }
 
 /// Compiles a plan tree into a request program.
@@ -163,200 +354,156 @@ fn interleave(streams: Vec<Vec<IoOp>>) -> Vec<IoOp> {
 /// actually consumed by the upper part of the plan. Temporary files are
 /// allocated from the catalog's temp region; the corresponding
 /// [`IoOp::TempDelete`] drops them again at execution time.
+///
+/// # Panics
+///
+/// If either request size in `options` is zero.
 pub fn compile(plan: &PlanTree, catalog: &mut Catalog, options: CompileOptions) -> RequestProgram {
-    let level_bounds = plan.random_level_bounds().unwrap_or((0, 0));
-    let object_levels = plan.random_object_levels();
-    let levels = plan.operator_levels();
-    let eff: Vec<u32> = levels.iter().map(|l| l.effective_level).collect();
-
-    fn walk(
-        node: &crate::plan::PlanNode,
-        counter: &mut usize,
-        eff: &[u32],
-        catalog: &mut Catalog,
-        options: &CompileOptions,
-        object_levels: &std::collections::HashMap<ObjectId, u32>,
-        deferred: &mut Vec<IoOp>,
-    ) -> Vec<IoOp> {
-        let my_index = *counter;
-        *counter += 1;
-        let child_streams: Vec<Vec<IoOp>> = node
-            .children
-            .iter()
-            .map(|c| walk(c, counter, eff, catalog, options, object_levels, deferred))
-            .collect();
-
-        // Blocking children finish before their siblings start; pipelined
-        // children interleave.
-        let any_blocking_child = node.children.iter().any(|c| c.kind.is_blocking());
-        let mut ops = if child_streams.len() <= 1 || any_blocking_child {
-            child_streams.into_iter().flatten().collect()
-        } else {
-            interleave(child_streams)
-        };
-
-        let step = ExecStep {
-            kind: node.kind,
-            access: node.access,
-            level: eff[my_index],
-        };
-        let mut own = Vec::new();
-        compile_step(&step, catalog, options, object_levels, &mut own);
-        if let Access::TempSpill { .. } = node.access {
-            // Generation (writes) interleaves with the input; consumption
-            // (reads) and deletion are deferred to the end of the query.
-            let (writes, rest): (Vec<IoOp>, Vec<IoOp>) = own
-                .into_iter()
-                .partition(|op| matches!(op, IoOp::TempWrite { .. }));
-            ops = interleave(vec![ops, writes]);
-            deferred.extend(rest);
-        } else {
-            ops.extend(own);
-        }
-        ops
-    }
-
-    let mut counter = 0;
-    let mut deferred = Vec::new();
-    let mut ops = walk(
-        &plan.root,
-        &mut counter,
-        &eff,
-        catalog,
-        &options,
-        &object_levels,
-        &mut deferred,
+    assert!(
+        options.seq_blocks_per_request > 0,
+        "seq_blocks_per_request must be positive"
     );
-    ops.extend(deferred);
-
+    assert!(
+        options.temp_blocks_per_request > 0,
+        "temp_blocks_per_request must be positive"
+    );
+    let mut compiler = Compiler {
+        catalog,
+        options,
+        levels: plan
+            .operator_levels()
+            .iter()
+            .map(|l| l.effective_level)
+            .collect(),
+        object_levels: plan.random_object_levels(),
+        next_index: 0,
+        deferred: Vec::new(),
+    };
+    let mut parts = vec![compiler.walk(&plan.root)];
+    parts.append(&mut compiler.deferred);
     RequestProgram {
         name: plan.name.clone(),
-        level_bounds,
-        ops,
+        level_bounds: plan.random_level_bounds().unwrap_or((0, 0)),
+        ops: Stream::concat(parts),
     }
 }
 
-fn compile_step(
-    step: &ExecStep,
-    catalog: &mut Catalog,
-    options: &CompileOptions,
-    object_levels: &std::collections::HashMap<ObjectId, u32>,
-    ops: &mut Vec<IoOp>,
-) {
-    match step.access {
-        Access::None => {}
-        Access::SeqScan { table, passes } => {
-            let Some(info) = catalog.get(table) else {
-                return;
-            };
-            let range = info.range;
-            let sem = SemanticInfo::sequential_scan(table, step.level);
-            for _ in 0..passes {
-                let mut remaining = range;
-                while !remaining.is_empty() {
-                    let (chunk, rest) = remaining.split_at(options.seq_blocks_per_request);
-                    ops.push(IoOp::SequentialRead {
-                        info: sem,
-                        range: chunk,
-                    });
-                    remaining = rest;
-                }
+impl Compiler<'_> {
+    fn walk(&mut self, node: &PlanNode) -> Stream {
+        let level = self.levels[self.next_index];
+        self.next_index += 1;
+        let children: Vec<Stream> = node.children.iter().map(|c| self.walk(c)).collect();
+        // Blocking children finish before their siblings start; pipelined
+        // children interleave.
+        let input = if node.children.iter().any(|c| c.kind.is_blocking()) {
+            Stream::concat(children)
+        } else {
+            Stream::interleave(children)
+        };
+        match node.access {
+            Access::TempSpill {
+                blocks,
+                read_passes,
+            } if blocks > 0 => {
+                let oid = self.catalog.allocate_temp(blocks);
+                let range = self.catalog.get(oid).expect("temp just allocated").range;
+                let chunk = self.options.temp_blocks_per_request;
+                // Consumption (one or more read streams) and the deletion
+                // at the end of the file's lifetime wait for the end of
+                // the query; generation (one write stream) interleaves
+                // with the input.
+                self.deferred.push(Stream::chunked(
+                    ChunkKind::TempRead,
+                    SemanticInfo::temporary(oid, false),
+                    range,
+                    chunk,
+                    read_passes,
+                ));
+                let delete = IoOp::TempDelete {
+                    info: SemanticInfo::temporary_delete(oid),
+                    range,
+                    oid,
+                };
+                self.deferred.push(Stream::repeat(delete, 1));
+                let writes = Stream::chunked(
+                    ChunkKind::TempWrite,
+                    SemanticInfo::temporary(oid, true),
+                    range,
+                    chunk,
+                    1,
+                );
+                Stream::interleave(vec![input, writes])
             }
-        }
-        Access::IndexScan {
-            index,
-            table,
-            lookups,
-            index_hot_fraction,
-            table_hot_fraction,
-        } => {
-            let (Some(index_obj), Some(table_obj)) = (catalog.get(index), catalog.get(table))
-            else {
-                return;
-            };
-            let index_hot = hot_subset(index_obj.range, index_hot_fraction);
-            let table_hot = hot_subset(table_obj.range, table_hot_fraction);
-            // Rule 2: the level that determines the priority of requests to
-            // an object is the lowest level of any operator that accesses
-            // it randomly — not necessarily this operator's own level.
-            let index_level = *object_levels.get(&index).unwrap_or(&step.level);
-            let table_level = *object_levels.get(&table).unwrap_or(&step.level);
-            let index_info = SemanticInfo::random_access(index, ContentType::Index, index_level);
-            let table_info =
-                SemanticInfo::random_access(table, ContentType::RegularTable, table_level);
-            for _ in 0..lookups {
-                ops.push(IoOp::IndexProbe {
-                    index_info,
-                    index_hot,
-                    table_info,
-                    table_hot,
-                });
-            }
-        }
-        Access::TempSpill {
-            blocks,
-            read_passes,
-        } => {
-            if blocks == 0 {
-                return;
-            }
-            let oid = catalog.allocate_temp(blocks);
-            let range = catalog.get(oid).expect("temp just allocated").range;
-            let write_info = SemanticInfo::temporary(oid, true);
-            let read_info = SemanticInfo::temporary(oid, false);
-            // Generation phase: one write stream.
-            let mut remaining = range;
-            while !remaining.is_empty() {
-                let (chunk, rest) = remaining.split_at(options.temp_blocks_per_request);
-                ops.push(IoOp::TempWrite {
-                    info: write_info,
-                    range: chunk,
-                });
-                remaining = rest;
-            }
-            // Consumption phase: one or more read streams.
-            for _ in 0..read_passes {
-                let mut remaining = range;
-                while !remaining.is_empty() {
-                    let (chunk, rest) = remaining.split_at(options.temp_blocks_per_request);
-                    ops.push(IoOp::TempRead {
-                        info: read_info,
-                        range: chunk,
-                    });
-                    remaining = rest;
-                }
-            }
-            // End of lifetime: delete the file.
-            ops.push(IoOp::TempDelete {
-                info: SemanticInfo::temporary_delete(oid),
-                range,
-                oid,
-            });
-        }
-        Access::Update { table, blocks } => {
-            let Some(table_obj) = catalog.get(table) else {
-                return;
-            };
-            let info = SemanticInfo::update(table);
-            for _ in 0..blocks {
-                ops.push(IoOp::UpdateWrite {
-                    info,
-                    table_range: table_obj.range,
-                });
-            }
+            access => Stream::concat(vec![input, self.own_io(access, level)]),
         }
     }
-    // Operator kinds are only needed for level computation; the access spec
-    // above fully describes the I/O. Blocking operators without a TempSpill
-    // access (in-memory hash/sort) produce no I/O.
-    let _ = OperatorKind::Hash;
+
+    /// The I/O of one operator that runs where the operator stands in the
+    /// plan (everything but a spill). Operator kinds are only needed for
+    /// level computation: the access fully describes the I/O, and an
+    /// in-memory hash or sort has none.
+    fn own_io(&self, access: Access, level: u32) -> Stream {
+        let nothing = Stream::concat(Vec::new());
+        match access {
+            Access::None | Access::TempSpill { .. } => nothing,
+            Access::SeqScan { table, passes } => match self.catalog.get(table) {
+                Some(table_obj) => Stream::chunked(
+                    ChunkKind::SequentialRead,
+                    SemanticInfo::sequential_scan(table, level),
+                    table_obj.range,
+                    self.options.seq_blocks_per_request,
+                    passes,
+                ),
+                None => nothing,
+            },
+            Access::IndexScan {
+                index,
+                table,
+                lookups,
+                index_hot_fraction,
+                table_hot_fraction,
+            } => {
+                let (Some(index_obj), Some(table_obj)) =
+                    (self.catalog.get(index), self.catalog.get(table))
+                else {
+                    return nothing;
+                };
+                let level_of = |oid| *self.object_levels.get(&oid).unwrap_or(&level);
+                let probe = IoOp::IndexProbe {
+                    index_info: SemanticInfo::random_access(
+                        index,
+                        ContentType::Index,
+                        level_of(index),
+                    ),
+                    index_hot: hot_subset(index_obj.range, index_hot_fraction),
+                    table_info: SemanticInfo::random_access(
+                        table,
+                        ContentType::RegularTable,
+                        level_of(table),
+                    ),
+                    table_hot: hot_subset(table_obj.range, table_hot_fraction),
+                };
+                Stream::repeat(probe, lookups)
+            }
+            Access::Update { table, blocks } => match self.catalog.get(table) {
+                Some(table_obj) => {
+                    let write = IoOp::UpdateWrite {
+                        info: SemanticInfo::update(table),
+                        table_range: table_obj.range,
+                    };
+                    Stream::repeat(write, blocks)
+                }
+                None => nothing,
+            },
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::ObjectKind;
-    use crate::plan::PlanNode;
+    use crate::plan::OperatorKind;
 
     fn setup() -> (Catalog, ObjectId, ObjectId) {
         let mut cat = Catalog::new();
@@ -380,8 +527,7 @@ mod tests {
         let prog = compile(&plan, &mut cat, CompileOptions::default());
         assert_eq!(prog.len(), 1000usize.div_ceil(64));
         let total: u64 = prog
-            .ops
-            .iter()
+            .cursor()
             .map(|op| match op {
                 IoOp::SequentialRead { range, .. } => range.len,
                 _ => 0,
@@ -408,7 +554,7 @@ mod tests {
         );
         let prog = compile(&plan, &mut cat, CompileOptions::default());
         assert_eq!(prog.len(), 250);
-        match &prog.ops[0] {
+        match prog.cursor().next().unwrap() {
             IoOp::IndexProbe {
                 index_hot,
                 table_hot,
@@ -438,26 +584,29 @@ mod tests {
         let prog = compile(&plan, &mut cat, CompileOptions::default());
         assert_eq!(cat.len(), before + 1);
         let writes = prog
-            .ops
-            .iter()
+            .cursor()
             .filter(|o| matches!(o, IoOp::TempWrite { .. }))
             .count();
         let reads = prog
-            .ops
-            .iter()
+            .cursor()
             .filter(|o| matches!(o, IoOp::TempRead { .. }))
             .count();
         let deletes = prog
-            .ops
-            .iter()
+            .cursor()
             .filter(|o| matches!(o, IoOp::TempDelete { .. }))
             .count();
         assert_eq!(writes, 2); // 64 blocks / 32 per request
         assert_eq!(reads, 4); // two passes
         assert_eq!(deletes, 1);
         // Writes come before reads, delete is last.
-        assert!(matches!(prog.ops.first().unwrap(), IoOp::TempWrite { .. }));
-        assert!(matches!(prog.ops.last().unwrap(), IoOp::TempDelete { .. }));
+        assert!(matches!(
+            prog.cursor().next().unwrap(),
+            IoOp::TempWrite { .. }
+        ));
+        assert!(matches!(
+            prog.cursor().last().unwrap(),
+            IoOp::TempDelete { .. }
+        ));
     }
 
     #[test]
@@ -469,10 +618,7 @@ mod tests {
         );
         let prog = compile(&plan, &mut cat, CompileOptions::default());
         assert_eq!(prog.len(), 17);
-        assert!(prog
-            .ops
-            .iter()
-            .all(|o| matches!(o, IoOp::UpdateWrite { .. })));
+        assert!(prog.cursor().all(|o| matches!(o, IoOp::UpdateWrite { .. })));
     }
 
     #[test]
@@ -494,5 +640,32 @@ mod tests {
         );
         let prog = compile(&plan, &mut cat, CompileOptions::default());
         assert_eq!(prog.level_bounds, (0, 0));
+    }
+
+    fn scan_with(options: CompileOptions) {
+        let (mut cat, table, _) = setup();
+        let plan = PlanTree::new(
+            "scan",
+            PlanNode::leaf(OperatorKind::SeqScan, Access::SeqScan { table, passes: 1 }),
+        );
+        compile(&plan, &mut cat, options);
+    }
+
+    #[test]
+    #[should_panic(expected = "seq_blocks_per_request must be positive")]
+    fn zero_sequential_request_size_is_rejected() {
+        scan_with(CompileOptions {
+            seq_blocks_per_request: 0,
+            ..CompileOptions::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "temp_blocks_per_request must be positive")]
+    fn zero_temporary_request_size_is_rejected() {
+        scan_with(CompileOptions {
+            temp_blocks_per_request: 0,
+            ..CompileOptions::default()
+        });
     }
 }

@@ -5,6 +5,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+/// Number of request classes (the length of [`RequestClass::all`]).
+const CLASSES: usize = 5;
+
 /// Statistics of one query execution.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueryStats {
@@ -16,10 +19,12 @@ pub struct QueryStats {
     pub io_time: Duration,
     /// Simulated CPU time.
     pub cpu_time: Duration,
-    /// Number of storage I/O requests issued, per request class.
-    pub requests_by_class: BTreeMap<String, u64>,
-    /// Number of blocks requested from storage, per request class.
-    pub blocks_by_class: BTreeMap<String, u64>,
+    /// Storage I/O requests issued, indexed by `RequestClass as usize`;
+    /// [`Self::requests_by_class`] is the external form.
+    requests: [u64; CLASSES],
+    /// Blocks requested from storage, indexed like `requests`;
+    /// [`Self::blocks_by_class`] is the external form.
+    blocks: [u64; CLASSES],
     /// Buffer-pool hits during the query.
     pub buffer_pool_hits: u64,
     /// Buffer-pool misses during the query.
@@ -37,34 +42,48 @@ impl QueryStats {
 
     /// Records one storage request of `blocks` blocks of the given class.
     pub fn record_request(&mut self, class: RequestClass, blocks: u64) {
-        bump(&mut self.requests_by_class, class, 1);
-        bump(&mut self.blocks_by_class, class, blocks);
+        self.requests[class as usize] += 1;
+        self.blocks[class as usize] += blocks;
+    }
+
+    /// Number of storage I/O requests issued, per request-class label. A
+    /// class the query never issued has no entry.
+    pub fn requests_by_class(&self) -> BTreeMap<String, u64> {
+        self.by_class(&self.requests)
+    }
+
+    /// Number of blocks requested from storage, per request-class label. A
+    /// class the query never issued has no entry.
+    pub fn blocks_by_class(&self) -> BTreeMap<String, u64> {
+        self.by_class(&self.blocks)
+    }
+
+    fn by_class(&self, counters: &[u64; CLASSES]) -> BTreeMap<String, u64> {
+        RequestClass::all()
+            .into_iter()
+            .filter(|&class| self.requests[class as usize] > 0)
+            .map(|class| (class.label().to_string(), counters[class as usize]))
+            .collect()
     }
 
     /// Total storage requests.
     pub fn total_requests(&self) -> u64 {
-        self.requests_by_class.values().sum()
+        self.requests.iter().sum()
     }
 
     /// Total blocks requested from storage.
     pub fn total_blocks(&self) -> u64 {
-        self.blocks_by_class.values().sum()
+        self.blocks.iter().sum()
     }
 
     /// Requests of one class.
     pub fn requests(&self, class: RequestClass) -> u64 {
-        self.requests_by_class
-            .get(class.label())
-            .copied()
-            .unwrap_or(0)
+        self.requests[class as usize]
     }
 
     /// Blocks of one class.
     pub fn blocks(&self, class: RequestClass) -> u64 {
-        self.blocks_by_class
-            .get(class.label())
-            .copied()
-            .unwrap_or(0)
+        self.blocks[class as usize]
     }
 
     /// Fraction of requests belonging to `class` (0 when nothing was issued).
@@ -88,17 +107,6 @@ impl QueryStats {
     }
 }
 
-/// Adds `n` to `class`'s counter, allocating its key only the first time
-/// the class is seen.
-fn bump(counters: &mut BTreeMap<String, u64>, class: RequestClass, n: u64) {
-    match counters.get_mut(class.label()) {
-        Some(count) => *count += n,
-        None => {
-            counters.insert(class.label().to_string(), n);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +124,19 @@ mod tests {
         assert!((s.request_fraction(RequestClass::Random) - 1.0 / 3.0).abs() < 1e-9);
         assert!((s.block_fraction(RequestClass::Sequential) - 128.0 / 129.0).abs() < 1e-9);
         assert_eq!(s.request_fraction(RequestClass::Update), 0.0);
+    }
+
+    #[test]
+    fn class_maps_hold_exactly_the_classes_seen() {
+        let mut s = QueryStats::new("spill");
+        s.record_request(RequestClass::TemporaryData, 32);
+        s.record_request(RequestClass::TemporaryData, 8);
+        s.record_request(RequestClass::Update, 0);
+        let requests = BTreeMap::from([("temporary".to_string(), 2), ("update".to_string(), 1)]);
+        let blocks = BTreeMap::from([("temporary".to_string(), 40), ("update".to_string(), 0)]);
+        assert_eq!(s.requests_by_class(), requests);
+        assert_eq!(s.blocks_by_class(), blocks);
+        assert!(QueryStats::new("empty").requests_by_class().is_empty());
     }
 
     #[test]
