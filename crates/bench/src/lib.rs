@@ -33,7 +33,7 @@ pub fn report_concurrency_scale() -> TpchScale {
 /// construction and drive loop live here, once.
 pub mod workload {
     use hstorage_cache::{
-        CachePolicyKind, HybridCache, ListBackend, StorageConfig, StorageConfigKind, StorageSystem,
+        CachePolicyKind, HybridCache, StorageConfig, StorageConfigKind, StorageSystem,
     };
     use hstorage_engine::{
         run_streams_service, Access, Catalog, ConcurrencyRegistry, ExecutorConfig, ObjectKind,
@@ -157,19 +157,9 @@ pub mod workload {
     /// the [`HOT_SET`] is resident (first pass allocates) and every
     /// shard's optimistic hit descriptor is armed (second pass hits), so
     /// every subsequent [`hot_read`] is a cache hit. Statistics are reset
-    /// after warm-up; the `optimistic` flag selects the lock-light or the
-    /// fully locked (pre-optimization) hot path.
-    pub fn warmed_cache(optimistic: bool) -> HybridCache {
-        warmed_backend_cache(optimistic, ListBackend::default())
-    }
-
-    /// As [`warmed_cache`], with an explicit shard-interior backend — the
-    /// contended bench runs the flat and the legacy map interior
-    /// side-by-side at full thread count.
-    pub fn warmed_backend_cache(optimistic: bool, backend: ListBackend) -> HybridCache {
-        let cache = fresh_cache(1)
-            .with_interior_backend(backend)
-            .with_optimistic_reads(optimistic);
+    /// after warm-up.
+    pub fn warmed_cache() -> HybridCache {
+        let cache = fresh_cache(1);
         for _ in 0..2 {
             for b in 0..HOT_SET {
                 cache.submit(hot_read(b * 16));
@@ -193,73 +183,6 @@ pub mod workload {
                 });
             }
         });
-        cache.resident_blocks()
-    }
-
-    /// Distinct blocks of the shard-interior latency working set: half the
-    /// cache capacity, so the set is fully resident after one warm-up pass
-    /// and every shard holds `INTERIOR_SET / SHARDS` distinct hot blocks.
-    pub const INTERIOR_SET: u64 = BLOCKS / 2;
-
-    /// The `i`-th read of the interior *hit* cycle: a single-block
-    /// priority-2 random read cycling over the [`INTERIOR_SET`]. Because
-    /// each shard holds hundreds of distinct resident blocks, consecutive
-    /// hits to a shard land on different blocks — the optimistic hit
-    /// descriptor never matches, so every submit takes the full locked
-    /// path: write lock, metadata probe, policy-list touch. That is
-    /// exactly the path the interior backends (flat vs map) differ on.
-    pub fn interior_hit_read(i: u64) -> ClassifiedRequest {
-        ClassifiedRequest::new(
-            IoRequest::read(BlockRange::new(i % INTERIOR_SET, 1), false),
-            RequestClass::Random,
-            QosPolicy::priority(2),
-        )
-    }
-
-    /// The `i`-th read of the interior *miss* cycle: a never-repeating
-    /// address past the warmed set, so every submit misses, probes the
-    /// table, allocates a slot and — once the cache fills — evicts. This
-    /// exercises the insert/remove and list push/pop half of the interior.
-    pub fn interior_miss_read(i: u64) -> ClassifiedRequest {
-        ClassifiedRequest::new(
-            IoRequest::read(BlockRange::new(INTERIOR_SET + 1 + i, 1), false),
-            RequestClass::Random,
-            QosPolicy::priority(2),
-        )
-    }
-
-    /// A fresh single-queue-depth sharded cache running the default policy
-    /// on the chosen shard-interior backend (cold — miss-cycle starting
-    /// point).
-    pub fn fresh_interior_cache(backend: ListBackend) -> HybridCache {
-        fresh_cache(1).with_interior_backend(backend)
-    }
-
-    /// A cache on the chosen interior backend pre-warmed so the whole
-    /// [`INTERIOR_SET`] is resident; statistics are reset after warm-up so
-    /// every subsequent [`interior_hit_read`] is a cache hit.
-    pub fn warmed_interior_cache(backend: ListBackend) -> HybridCache {
-        let cache = fresh_interior_cache(backend);
-        for i in 0..INTERIOR_SET {
-            cache.submit(interior_hit_read(i));
-        }
-        cache.reset_stats();
-        cache
-    }
-
-    /// Drives `n` single-thread submits of the given shape through
-    /// `cache`, offset by `base` so back-to-back runs of the miss cycle
-    /// keep generating fresh addresses. Returns the resident block count
-    /// so benches have a value to `black_box`.
-    pub fn interior_submits(
-        cache: &HybridCache,
-        base: u64,
-        n: u64,
-        make: impl Fn(u64) -> ClassifiedRequest,
-    ) -> u64 {
-        for i in base..base + n {
-            cache.submit(make(i));
-        }
         cache.resident_blocks()
     }
 
@@ -305,13 +228,13 @@ pub mod workload {
     /// at **one worker** — fully deterministic: the closed-loop driver
     /// executes every stream's head query in stream order, then the
     /// follow-ups generation by generation — and returns the simulated
-    /// per-request latency percentiles in milliseconds: `(p50, p99, p999)`.
+    /// per-request latency percentiles in milliseconds: `(p50, p99)`.
     ///
     /// The workload mixes sequential scans, random index lookups and
     /// temporary spills across 24 streams so the latency distribution has
     /// a genuine tail; being simulated device time, the percentiles are
     /// bit-identical on every machine and serve as gated CI rows.
-    pub fn service_latency_percentiles() -> (f64, f64, f64) {
+    pub fn service_latency_percentiles() -> (f64, f64) {
         let mut catalog = Catalog::new();
         let table = catalog.register("orders", ObjectKind::Table, BlockRange::new(0u64, 600));
         let index = catalog.register("idx", ObjectKind::Index, BlockRange::new(20_000u64, 80));
@@ -382,7 +305,6 @@ pub mod workload {
         (
             ms(report.latency.p50().expect("non-empty workload")),
             ms(report.latency.p99().expect("non-empty workload")),
-            ms(report.latency.p999().expect("non-empty workload")),
         )
     }
 

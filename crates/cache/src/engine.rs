@@ -58,18 +58,17 @@
 //! allocation, an eviction, a trim, a drain) takes the write lock and
 //! invalidates the descriptor. The fast path alters no simulated timing,
 //! no hit ratio and no policy decision; it only lets repeat hits share
-//! the lock. [`CacheEngine::with_optimistic_reads`] turns it off to
-//! reproduce the always-exclusive hot path, and
-//! [`crate::ContentionCounters`] reports how often each path was taken.
+//! the lock. A policy that answers `false` takes the write lock on every
+//! submission, and [`crate::ContentionCounters`] reports how often each
+//! path was taken.
 
 use crate::allocator::SlotAllocator;
 use crate::journal::{Journal, JournalConfig, JournalOp, JournalSnapshot};
-use crate::lru::ListBackend;
-use crate::metadata::{BlockState, CacheEntry, CacheMetadata};
 use crate::migration::{MigrationConfig, MigrationCounters, MigrationStats, ShardMigration};
 use crate::policy::{CachePolicy, CachePolicyKind, HitOutcome, PolicyRequest, RemoveReason};
 use crate::stats::{CacheAction, CacheStats, LocalCacheStats};
 use crate::system::StorageSystem;
+use crate::table::{BlockState, BlockTable, CacheEntry};
 use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, DeviceStats, Direction, HddDevice,
     HddParameters, IoRequest, PolicyConfig, SimClock, SsdDevice, SsdParameters, StorageDevice,
@@ -145,7 +144,7 @@ struct HotHit {
 /// lock, so either sees a consistent metadata + hot-descriptor pair
 /// without any versioning.
 struct ShardState {
-    meta: CacheMetadata,
+    meta: BlockTable,
     /// `Some` exactly while the last completed shard visit was a read hit
     /// and nothing has perturbed policy order since; any such block is
     /// guaranteed resident. Replaced only through [`Shard::set_hot`].
@@ -192,14 +191,13 @@ impl Shard {
         config: &PolicyConfig,
         capacity: u64,
         policy: Box<dyn CachePolicy>,
-        backend: ListBackend,
         hit_service_ns: [u64; 2],
     ) -> Self {
         Shard {
             state: RwLock::new(ShardState {
                 // Pre-sized to the shard's slot count: a full shard never
-                // rehashes mid-run on the flat backend.
-                meta: CacheMetadata::with_backend(backend, capacity as usize),
+                // rehashes mid-run.
+                meta: BlockTable::with_capacity(capacity as usize),
                 hot: None,
                 fast_hits: AtomicU64::new(0),
                 policy,
@@ -642,7 +640,7 @@ impl Shard {
         fn promote(
             shard: &Shard,
             policy: &mut Box<dyn CachePolicy>,
-            meta: &mut CacheMetadata,
+            meta: &mut BlockTable,
             pending_promote: &mut std::collections::HashSet<BlockAddr>,
             batch: &mut DeviceBatch,
             lbn: BlockAddr,
@@ -764,20 +762,13 @@ impl Shard {
 pub struct CacheEngine {
     config: PolicyConfig,
     policy_kind: CachePolicyKind,
-    /// The [`Self::with_interior_backend`] knob (default
-    /// [`ListBackend::Flat`]): which data-structure layout backs every
-    /// shard's resident-block table and the policies' recency lists.
-    interior_backend: ListBackend,
     name: String,
     /// Whether the installed policy maintains a write buffer (group 0).
     /// When it does not, the write-buffer flush checks and the batch
     /// run-splitting they require are skipped entirely.
     write_buffering: bool,
-    /// The [`Self::with_optimistic_reads`] knob (default `true`).
-    optimistic_reads: bool,
-    /// Derived: the knob is on **and** the installed policy declares
-    /// repeat hits idempotent — the precondition for consulting the
-    /// hot-hit descriptor.
+    /// Whether the installed policy declares repeat hits idempotent —
+    /// the precondition for consulting the hot-hit descriptor.
     hit_fast_path: bool,
     cache_capacity: u64,
     /// The [`Self::with_migration`] knob set (default: disabled).
@@ -879,7 +870,6 @@ impl CacheEngine {
         config.validate().expect("invalid policy configuration");
         assert!(shards > 0, "shard count must be positive");
         let kind = CachePolicyKind::default();
-        let backend = ListBackend::default();
         let hit_service_ns = [false, true].map(|sequential| {
             let hit = IoRequest::read(BlockRange::new(0u64, 1), sequential);
             ssd.service_time(&hit).as_nanos() as u64
@@ -891,8 +881,7 @@ impl CacheEngine {
                 Shard::new(
                     &config,
                     capacity,
-                    kind.build_backed(&config, capacity, backend),
-                    backend,
+                    kind.build(&config, capacity),
                     hit_service_ns,
                 )
             })
@@ -900,10 +889,8 @@ impl CacheEngine {
         let mut engine = CacheEngine {
             config,
             policy_kind: kind,
-            interior_backend: backend,
             name: kind.system_name().to_string(),
             write_buffering: true,
-            optimistic_reads: true,
             hit_fast_path: false,
             cache_capacity: cache_capacity_blocks,
             migration: MigrationConfig::default(),
@@ -930,8 +917,7 @@ impl CacheEngine {
     ///   any other group buffered would accumulate occupancy the engine
     ///   never flushes;
     /// * [`Self::hit_fast_path`] — optimistic repeat hits are consulted
-    ///   only when the policy declares them idempotent **and** the
-    ///   [`Self::with_optimistic_reads`] knob is on.
+    ///   only when the policy declares them idempotent.
     fn refresh_policy_traits(&mut self) {
         let Some(shard) = self.shards.first_mut() else {
             self.write_buffering = false;
@@ -947,7 +933,7 @@ impl CacheEngine {
                  write buffer is group 0 (see CachePolicy::write_buffered)"
             );
         }
-        self.hit_fast_path = self.optimistic_reads && policy.repeat_hit_idempotent();
+        self.hit_fast_path = policy.repeat_hit_idempotent();
     }
 
     /// Selects which shipped [`CachePolicyKind`] drives the engine's
@@ -964,44 +950,10 @@ impl CacheEngine {
                 st.meta.is_empty(),
                 "cache policy must be selected before submitting traffic"
             );
-            st.policy = kind.build_backed(&self.config, st.alloc.capacity(), self.interior_backend);
+            st.policy = kind.build(&self.config, st.alloc.capacity());
         }
         self.refresh_policy_traits();
         self
-    }
-
-    /// Selects which data-structure layout backs every shard's
-    /// resident-block table and the installed policy's recency lists:
-    /// [`ListBackend::Flat`] (the default) uses open-addressing tables
-    /// and arena-backed intrusive lists, [`ListBackend::Map`] the legacy
-    /// `HashMap`-plus-heap-node structures. The knob never changes a
-    /// caching decision — the equivalence suites and the bench gate pin
-    /// the two backends to identical statistics — only the memory the
-    /// hot path walks. Must be called before any traffic is submitted
-    /// (shard metadata and policy state are rebuilt empty), and before
-    /// [`Self::with_policy_factory`] if a custom policy is installed
-    /// (this knob rebuilds the shipped [`CachePolicyKind`]'s policies).
-    pub fn with_interior_backend(mut self, backend: ListBackend) -> Self {
-        self.interior_backend = backend;
-        for shard in &mut self.shards {
-            let st = shard.state.get_mut();
-            let capacity = st.alloc.capacity();
-            assert!(
-                st.meta.is_empty(),
-                "interior backend must be selected before submitting traffic"
-            );
-            st.meta = CacheMetadata::with_backend(backend, capacity as usize);
-            st.policy = self
-                .policy_kind
-                .build_backed(&self.config, capacity, backend);
-        }
-        self.refresh_policy_traits();
-        self
-    }
-
-    /// The interior data-structure backend in force.
-    pub fn interior_backend(&self) -> ListBackend {
-        self.interior_backend
     }
 
     /// Installs a custom [`CachePolicy`] built by `factory` (called once
@@ -1026,20 +978,8 @@ impl CacheEngine {
         self
     }
 
-    /// Enables or disables the optimistic repeat-hit read path (default:
-    /// enabled). Disabled, every submission takes the write lock — the
-    /// pre-optimization hot path — which is what the contended-throughput
-    /// bench compares against and what the equivalence suites pin the
-    /// optimistic path to. The knob never changes caching behaviour, only
-    /// which side of the lock a repeat hit takes.
-    pub fn with_optimistic_reads(mut self, enabled: bool) -> Self {
-        self.optimistic_reads = enabled;
-        self.refresh_policy_traits();
-        self
-    }
-
-    /// Whether the optimistic repeat-hit path is in force (the knob is on
-    /// and the installed policy declares repeat hits idempotent).
+    /// Whether the optimistic repeat-hit path is in force (the installed
+    /// policy declares repeat hits idempotent).
     pub fn optimistic_reads_active(&self) -> bool {
         self.hit_fast_path
     }
@@ -2331,86 +2271,6 @@ mod tests {
             batched.submit_batch(reqs);
             assert_eq!(batched.stats(), sequential.stats(), "{kind}");
             assert_eq!(batched.now(), sequential.now(), "{kind}");
-        }
-    }
-
-    /// A repeat-heavy single-block trace (every policy admits at least the
-    /// priority-2 random reads, and the back-to-back repeats are what the
-    /// fast path serves).
-    fn repeat_heavy_trace() -> Vec<ClassifiedRequest> {
-        let mut reqs = Vec::new();
-        for round in 0..40u64 {
-            for i in 0..6u64 {
-                let r = read_req(i, 1, RequestClass::Random, QosPolicy::priority(2));
-                // Three consecutive identical reads: the second and third
-                // are bit-identical repeats of the first's hit.
-                reqs.push(r);
-                reqs.push(r);
-                reqs.push(r);
-            }
-            // Perturbations between repeat bursts: a miss-and-allocate, a
-            // write hit, a buffered update, and a trim.
-            reqs.push(read_req(
-                100 + round,
-                1,
-                RequestClass::Random,
-                QosPolicy::priority(2),
-            ));
-            reqs.push(write_req(
-                round % 6,
-                1,
-                RequestClass::Update,
-                QosPolicy::priority(3),
-            ));
-            reqs.push(write_req(
-                200 + round % 5,
-                1,
-                RequestClass::Update,
-                QosPolicy::WriteBuffer,
-            ));
-        }
-        reqs
-    }
-
-    #[test]
-    fn optimistic_reads_match_the_locked_path_for_every_policy() {
-        // The fast path must change nothing observable: logical statistics,
-        // simulated time, residency and per-block state all agree with the
-        // engine that takes the write lock on every submission.
-        for kind in CachePolicyKind::all() {
-            let optimistic = engine(kind, 64);
-            let locked = engine(kind, 64).with_optimistic_reads(false);
-            assert!(optimistic.optimistic_reads_active(), "{kind}");
-            assert!(!locked.optimistic_reads_active(), "{kind}");
-            for req in repeat_heavy_trace() {
-                optimistic.submit(req);
-                locked.submit(req);
-            }
-            optimistic.trim(&TrimCommand::single(BlockRange::new(0u64, 3)));
-            locked.trim(&TrimCommand::single(BlockRange::new(0u64, 3)));
-            assert_eq!(optimistic.stats(), locked.stats(), "{kind}");
-            assert_eq!(optimistic.now(), locked.now(), "{kind}");
-            assert_eq!(optimistic.resident_blocks(), locked.resident_blocks());
-            for lbn in 0..250u64 {
-                assert_eq!(
-                    optimistic.cached_priority(BlockAddr(lbn)),
-                    locked.cached_priority(BlockAddr(lbn)),
-                    "{kind} block {lbn}"
-                );
-            }
-            // And the diagnostic counters prove the paths diverged where
-            // they should: repeats were served lock-free on one engine and
-            // under the write lock on the other.
-            assert!(
-                optimistic.stats().contention.fast_path_hits > 0,
-                "{kind}: the repeat-heavy trace must exercise the fast path"
-            );
-            assert_eq!(locked.stats().contention.fast_path_hits, 0, "{kind}");
-            assert!(
-                optimistic.stats().contention.lock_acquisitions
-                    < locked.stats().contention.lock_acquisitions,
-                "{kind}: the fast path must shed lock acquisitions"
-            );
         }
     }
 

@@ -37,7 +37,6 @@ pub mod hybrid;
 pub mod journal;
 pub mod lru;
 pub mod lru_cache;
-pub mod metadata;
 pub mod migration;
 pub mod passthrough;
 pub mod policy;
@@ -53,7 +52,6 @@ pub use config::{StorageConfig, StorageConfigKind};
 pub use engine::CacheEngine;
 pub use hybrid::HybridCache;
 pub use journal::{Journal, JournalConfig, JournalOp, JournalRecord, JournalSnapshot};
-pub use lru::ListBackend;
 pub use lru_cache::LruCache;
 pub use migration::{HeatTracker, MigrationConfig, MigrationStats};
 pub use passthrough::{HddOnly, SsdOnly};

@@ -11,6 +11,20 @@
 //! separately for requests of different priorities, all requests are
 //! managed through a single LRU stack").
 //!
+//! This is the paper's *legacy* storage system, not the engine running
+//! [`CachePolicyKind::Lru`](crate::CachePolicyKind::Lru), and it stays a
+//! separate implementation because it differs from that engine in two
+//! observable ways:
+//!
+//! * it ignores TRIM, so dead temporary data stays resident until LRU
+//!   ages it out (the engine invalidates trimmed blocks under every
+//!   policy);
+//! * it charges the dirty write-backs a request causes as one
+//!   **non-sequential** HDD write, whatever the request was; the engine
+//!   issues them with the request's own sequential flag, so behind a scan
+//!   they count as a sequential HDD request there and as a random one
+//!   here.
+//!
 //! The baseline shares the `&self` [`StorageSystem`] interface; since a
 //! single LRU stack is one global structure by definition, it serializes
 //! behind one mutex rather than lock-striping (it is a comparison point,
@@ -18,10 +32,9 @@
 
 use crate::allocator::SlotAllocator;
 use crate::arena::{ListArena, ListHandle};
-use crate::metadata::{BlockState, CacheEntry};
 use crate::stats::{CacheAction, CacheStats, LocalCacheStats};
 use crate::system::StorageSystem;
-use crate::table::BlockTable;
+use crate::table::{BlockState, BlockTable, CacheEntry};
 use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, Direction, HddDevice, IoRequest,
     PolicyConfig, SimClock, SsdDevice, StorageDevice, TrimCommand,
@@ -248,7 +261,7 @@ impl StorageSystem for LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hstorage_storage::{QosPolicy, RequestClass};
+    use hstorage_storage::{DeviceStats, QosPolicy, RequestClass};
 
     fn read_req(start: u64, len: u64, class: RequestClass) -> ClassifiedRequest {
         let sequential = matches!(class, RequestClass::Sequential);
@@ -308,6 +321,37 @@ mod tests {
         c.trim(&TrimCommand::single(BlockRange::new(0u64, 20)));
         // Stale temporary data stays resident.
         assert_eq!(c.resident_blocks(), 20);
+    }
+
+    #[test]
+    fn write_backs_are_charged_as_random_hdd_writes() {
+        use crate::{CacheEngine, CachePolicyKind};
+        let engine = CacheEngine::new(PolicyConfig::paper_default(), 8)
+            .with_cache_policy(CachePolicyKind::Lru);
+        let legacy = LruCache::new(8);
+        // Fill both caches with dirty blocks, then scan past them twice:
+        // each scan request evicts four dirty victims.
+        let fill = ClassifiedRequest::new(
+            IoRequest::write(BlockRange::new(0u64, 8), true),
+            RequestClass::TemporaryData,
+            QosPolicy::priority(1),
+        );
+        let scans = [100, 104].map(|start| read_req(start, 4, RequestClass::Sequential));
+        for req in std::iter::once(fill).chain(scans) {
+            engine.submit(req);
+            legacy.submit(req);
+        }
+        let on_engine = engine.stats().hdd.expect("the engine has an HDD");
+        let on_legacy = legacy.stats().hdd.expect("the LRU cache has an HDD");
+        assert_eq!(on_legacy.blocks_written, 8, "two write-backs of four");
+        // Same transfers, same blocks, same time — only the two write-back
+        // requests sit on the other side of the sequential flag.
+        let expected = DeviceStats {
+            sequential_requests: on_legacy.sequential_requests + 2,
+            random_requests: on_legacy.random_requests - 2,
+            ..on_legacy
+        };
+        assert_eq!(on_engine, expected);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::policy::{CachePolicy, GhostList, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_storage::{BlockAddr, CachePriority};
 
-use crate::lru::{ListBackend, LruList};
+use crate::lru::LruList;
 
 /// The self-tuning recency/frequency policy. Invariants (asserted by the
 /// property tests): `|T1| + |T2| ≤ c`, `p ∈ [0, c]`, `|B1| ≤ c`,
@@ -57,17 +57,12 @@ impl ArcPolicy {
     /// Creates the policy for a shard of `shard_capacity` slots. Each
     /// ghost directory remembers up to `c` addresses.
     pub fn new(shard_capacity: u64) -> Self {
-        Self::new_backed(shard_capacity, ListBackend::default())
-    }
-
-    /// Creates the policy on an explicit interior backend.
-    pub fn new_backed(shard_capacity: u64, backend: ListBackend) -> Self {
         let capacity = (shard_capacity.max(1)) as usize;
         ArcPolicy {
-            t1: LruList::with_backend(backend),
-            t2: LruList::with_backend(backend),
-            b1: GhostList::with_backend(capacity, backend),
-            b2: GhostList::with_backend(capacity, backend),
+            t1: LruList::new(),
+            t2: LruList::new(),
+            b1: GhostList::new(capacity),
+            b2: GhostList::new(capacity),
             capacity,
             p: 0,
             adapted: None,

@@ -11,7 +11,7 @@
 //!
 //! A ghost entry holds **no cache space**; only the address is remembered.
 
-use crate::lru::{ListBackend, LruList};
+use crate::lru::LruList;
 use hstorage_storage::BlockAddr;
 
 /// A capacity-bounded FIFO/LRU of remembered block addresses.
@@ -26,13 +26,8 @@ impl GhostList {
     /// addresses. A capacity of 0 remembers nothing (every
     /// [`GhostList::remember`] is immediately aged out).
     pub fn new(capacity: usize) -> Self {
-        Self::with_backend(capacity, ListBackend::default())
-    }
-
-    /// Creates an empty ghost list on an explicit interior backend.
-    pub fn with_backend(capacity: usize, backend: ListBackend) -> Self {
         GhostList {
-            list: LruList::with_backend(backend),
+            list: LruList::new(),
             capacity,
         }
     }

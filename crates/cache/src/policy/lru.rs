@@ -1,6 +1,6 @@
 //! Plain least-recently-used replacement behind the [`CachePolicy`] trait.
 
-use crate::lru::{ListBackend, LruList};
+use crate::lru::LruList;
 use crate::policy::{CachePolicy, HitOutcome, PolicyRequest};
 use hstorage_storage::{BlockAddr, CachePriority};
 
@@ -19,13 +19,6 @@ impl LruPolicy {
     /// Creates an empty LRU policy.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty LRU policy on an explicit interior backend.
-    pub fn with_backend(backend: ListBackend) -> Self {
-        LruPolicy {
-            stack: LruList::with_backend(backend),
-        }
     }
 }
 

@@ -24,7 +24,6 @@
 //! is owned by the inner the buffer drain visits and the engine's
 //! occupancy accounting can never strand.
 
-use crate::lru::ListBackend;
 use crate::policy::{
     ArcPolicy, CachePolicy, CflruPolicy, HitOutcome, LruPolicy, PolicyRequest, RemoveReason,
     SemanticPriorityPolicy, TwoQPolicy,
@@ -130,30 +129,16 @@ impl StreamPolicyKind {
     ///
     /// [`CachePolicyKind::build`]: crate::policy::CachePolicyKind::build
     pub fn build(&self, config: &PolicyConfig, shard_capacity: u64) -> Box<dyn CachePolicy> {
-        self.build_backed(config, shard_capacity, ListBackend::default())
-    }
-
-    /// Like [`StreamPolicyKind::build`], on an explicit interior backend.
-    pub fn build_backed(
-        &self,
-        config: &PolicyConfig,
-        shard_capacity: u64,
-        backend: ListBackend,
-    ) -> Box<dyn CachePolicy> {
         match self {
-            StreamPolicyKind::SemanticPriority => {
-                Box::new(SemanticPriorityPolicy::new_backed(*config, backend))
+            StreamPolicyKind::SemanticPriority => Box::new(SemanticPriorityPolicy::new(*config)),
+            StreamPolicyKind::Lru => Box::new(LruPolicy::new()),
+            StreamPolicyKind::Cflru { window_pct } => {
+                Box::new(CflruPolicy::with_window(shard_capacity, *window_pct))
             }
-            StreamPolicyKind::Lru => Box::new(LruPolicy::with_backend(backend)),
-            StreamPolicyKind::Cflru { window_pct } => Box::new(CflruPolicy::with_window_backed(
-                shard_capacity,
-                *window_pct,
-                backend,
-            )),
-            StreamPolicyKind::TwoQ { kin_pct, kout_pct } => Box::new(
-                TwoQPolicy::with_knobs_backed(shard_capacity, *kin_pct, *kout_pct, backend),
-            ),
-            StreamPolicyKind::Arc => Box::new(ArcPolicy::new_backed(shard_capacity, backend)),
+            StreamPolicyKind::TwoQ { kin_pct, kout_pct } => {
+                Box::new(TwoQPolicy::with_knobs(shard_capacity, *kin_pct, *kout_pct))
+            }
+            StreamPolicyKind::Arc => Box::new(ArcPolicy::new(shard_capacity)),
         }
     }
 }
@@ -262,7 +247,7 @@ pub struct PerStreamPolicy {
     /// request resolving to group 0 routes here irrespective of class.
     buffering: Option<usize>,
     /// Which inner tracks each resident block (contains/point lookups
-    /// only, so the flat open-addressing map serves both backends).
+    /// only).
     owner: OpenMap<u32>,
     /// Resident block count per inner (drives victim-stealing fallback).
     owned: Vec<usize>,
@@ -273,17 +258,6 @@ impl PerStreamPolicy {
     /// `routing` (see [`StreamRouting::validate`]) — the configuration
     /// layers validate earlier, but direct construction is checked too.
     pub fn new(config: PolicyConfig, shard_capacity: u64, routing: StreamRouting) -> Self {
-        Self::new_backed(config, shard_capacity, routing, ListBackend::default())
-    }
-
-    /// Builds the compositor on an explicit interior backend (threaded
-    /// into every inner policy).
-    pub fn new_backed(
-        config: PolicyConfig,
-        shard_capacity: u64,
-        routing: StreamRouting,
-        backend: ListBackend,
-    ) -> Self {
         routing
             .validate()
             .expect("invalid per-stream routing configuration");
@@ -308,7 +282,7 @@ impl PerStreamPolicy {
         }
         let inners: Vec<Box<dyn CachePolicy>> = kinds
             .iter()
-            .map(|k| k.build_backed(&config, shard_capacity, backend))
+            .map(|k| k.build(&config, shard_capacity))
             .collect();
         let buffering = inners
             .iter()

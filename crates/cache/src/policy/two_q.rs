@@ -8,7 +8,7 @@
 //! traffic therefore churns through the small probationary queue without
 //! ever displacing the hot working set in `Am`.
 
-use crate::lru::{ListBackend, LruList};
+use crate::lru::LruList;
 use crate::policy::{CachePolicy, GhostList, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_storage::{BlockAddr, CachePriority};
 
@@ -48,22 +48,12 @@ impl TwoQPolicy {
     /// Creates the policy with explicit `Kin`/`Kout` fractions, each an
     /// integer percentage of `shard_capacity` (floored, minimum 1).
     pub fn with_knobs(shard_capacity: u64, kin_pct: u8, kout_pct: u8) -> Self {
-        Self::with_knobs_backed(shard_capacity, kin_pct, kout_pct, ListBackend::default())
-    }
-
-    /// Creates the policy with explicit knobs and interior backend.
-    pub fn with_knobs_backed(
-        shard_capacity: u64,
-        kin_pct: u8,
-        kout_pct: u8,
-        backend: ListBackend,
-    ) -> Self {
         let sized =
             |pct: u8| ((shard_capacity as f64 * (pct as f64 / 100.0)).floor() as usize).max(1);
         TwoQPolicy {
-            a1in: LruList::with_backend(backend),
-            a1out: GhostList::with_backend(sized(kout_pct), backend),
-            am: LruList::with_backend(backend),
+            a1in: LruList::new(),
+            a1out: GhostList::new(sized(kout_pct)),
+            am: LruList::new(),
             kin: sized(kin_pct),
         }
     }

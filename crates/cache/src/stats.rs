@@ -92,7 +92,7 @@ impl ClassCounters {
 /// These counters describe the *execution path*, not the cache's logical
 /// behaviour: two runs that make identical caching decisions can take
 /// different counts depending on thread interleaving and whether the
-/// optimistic read path is enabled. They are therefore excluded from
+/// policy opts into the optimistic read path. They are therefore excluded from
 /// [`CacheStats`]'s `PartialEq` — the equivalence suites (sharded ≡
 /// unsharded, batched ≡ sequential, optimistic ≡ locked) compare logical
 /// state only.
@@ -153,8 +153,8 @@ pub struct CacheStats {
 /// Equality compares the cache's *logical* state — class/priority/action
 /// counters, residency and device statistics — and deliberately ignores
 /// [`CacheStats::contention`], which varies with thread interleaving and
-/// the optimistic-read configuration without the cache behaving any
-/// differently.
+/// the policy's use of the optimistic read path without the cache behaving
+/// any differently.
 impl PartialEq for CacheStats {
     fn eq(&self, other: &Self) -> bool {
         self.per_class == other.per_class

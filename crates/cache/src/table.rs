@@ -1,10 +1,10 @@
-//! Open-addressing hash tables for the cache hot path.
+//! Cache metadata (Section 5.2) on open-addressing hash tables.
 //!
-//! The paper's per-request metadata lookup (`lbn → (pbn, prio, state)`,
-//! Section 5.2) sits on the submit path of every shard, and after the
-//! lock-light refactor the remaining cost is the probe itself. This module
-//! replaces the `std::HashMap` there with a flat, cache-line-friendly
-//! open-addressing table:
+//! The storage system tracks cached blocks with a hash table keyed by the
+//! logical block number. Each entry is `< lbn, (pbn, prio) >` in the paper;
+//! [`CacheEntry`] additionally records the clean/dirty state that Section
+//! 5.1 describes for valid blocks. The lookup sits on the submit path of
+//! every shard, so the table is flat and cache-line-friendly:
 //!
 //! * power-of-two capacity with Fibonacci hashing (a single multiply and
 //!   shift — no SipHash state, no per-lookup hasher construction);
@@ -18,8 +18,34 @@
 //! [`CacheEntry`] with a `u32` policy-node index so a single probe can
 //! reach both the metadata and the owning list node.
 
-use crate::metadata::{BlockState, CacheEntry};
 use hstorage_storage::{BlockAddr, CachePriority};
+
+/// State of a valid cached block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockState {
+    /// An identical copy exists on the second-level device.
+    Clean,
+    /// The cached copy is newer than the second-level copy.
+    Dirty,
+}
+
+/// Metadata for one cached block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheEntry {
+    /// Physical block number inside the SSD cache.
+    pub pbn: u64,
+    /// Current caching priority (which priority group the block lives in).
+    pub priority: CachePriority,
+    /// Clean or dirty.
+    pub state: BlockState,
+}
+
+impl CacheEntry {
+    /// Whether the entry is dirty.
+    pub fn is_dirty(&self) -> bool {
+        self.state == BlockState::Dirty
+    }
+}
 
 /// Fibonacci-hashing multiplier: `2^64 / φ`, the canonical odd constant.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -300,8 +326,8 @@ impl Default for TableSlot {
 }
 
 /// The shard-metadata table `lbn → (CacheEntry, node)` on the flat
-/// [`OpenMap`] engine — the drop-in interior behind
-/// [`CacheMetadata`](crate::metadata::CacheMetadata).
+/// [`OpenMap`] engine. Iteration order is unspecified (every engine
+/// consumer sorts or counts).
 #[derive(Debug, Clone, Default)]
 pub struct BlockTable {
     map: OpenMap<TableSlot>,
@@ -412,11 +438,69 @@ mod tests {
     use std::collections::HashMap;
 
     fn entry(pbn: u64) -> CacheEntry {
+        entry_in(pbn, 2, false)
+    }
+
+    fn entry_in(pbn: u64, prio: u8, dirty: bool) -> CacheEntry {
         CacheEntry {
             pbn,
-            priority: CachePriority(2),
-            state: BlockState::Clean,
+            priority: CachePriority(prio),
+            state: if dirty {
+                BlockState::Dirty
+            } else {
+                BlockState::Clean
+            },
         }
+    }
+
+    #[test]
+    fn insert_lookup_remove() {
+        let mut m = BlockTable::with_capacity(8);
+        assert!(m.is_empty());
+        m.insert(BlockAddr(5), entry_in(0, 2, false));
+        assert!(m.contains(BlockAddr(5)));
+        assert_eq!(m.get(BlockAddr(5)).unwrap().pbn, 0);
+        assert_eq!(m.len(), 1);
+        let removed = m.remove(BlockAddr(5)).unwrap();
+        assert_eq!(removed.priority, CachePriority(2));
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn dirty_count_tracks_state() {
+        let dirty = |m: &BlockTable| m.iter().filter(|(_, e)| e.is_dirty()).count();
+        let mut m = BlockTable::with_capacity(8);
+        m.insert(BlockAddr(1), entry_in(0, 1, true));
+        m.insert(BlockAddr(2), entry_in(1, 1, false));
+        m.insert(BlockAddr(3), entry_in(2, 3, true));
+        assert_eq!(dirty(&m), 2);
+        m.get_mut(BlockAddr(1)).unwrap().state = BlockState::Clean;
+        assert_eq!(dirty(&m), 1);
+    }
+
+    #[test]
+    fn insert_replaces_existing_entry() {
+        let mut m = BlockTable::with_capacity(8);
+        m.insert(BlockAddr(9), entry_in(10, 4, false));
+        m.insert(BlockAddr(9), entry_in(11, 2, true));
+        let e = m.get(BlockAddr(9)).unwrap();
+        assert_eq!(e.pbn, 11);
+        assert_eq!(e.priority, CachePriority(2));
+        assert!(e.is_dirty());
+        assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn iter_yields_every_entry_once() {
+        // Pre-sized for 4, so the walk also crosses three growths.
+        let mut m = BlockTable::with_capacity(4);
+        for i in 0..50u64 {
+            m.insert(BlockAddr(i), entry_in(i, 1, i % 2 == 0));
+        }
+        let mut pairs: Vec<(u64, u64)> = m.iter().map(|(lbn, e)| (lbn.0, e.pbn)).collect();
+        pairs.sort_unstable();
+        let model: Vec<(u64, u64)> = (0..50u64).map(|i| (i, i)).collect();
+        assert_eq!(pairs, model);
     }
 
     #[test]

@@ -120,7 +120,9 @@ fn folded_statistics_equal_a_locked_twin_after_every_operation() {
                     .with_migration(migration)
             };
             let (probed, quiet) = (build(), build());
-            let twin = build().with_optimistic_reads(false);
+            let config = PolicyConfig::paper_default();
+            let twin =
+                build().with_policy_factory(kind.system_name(), common::locked(kind, &config));
             let mut fast_path_hits = 0;
             for (i, op) in trace(0x5EED_0013).iter().enumerate() {
                 for engine in [&probed, &quiet, &twin] {

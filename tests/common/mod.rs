@@ -1,6 +1,8 @@
 //! Helpers shared by the integration suites.
 
+use hstorage_cache::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_cache::{CachePolicyKind, MigrationConfig};
+use hstorage_storage::{BlockAddr, CachePriority, PolicyConfig};
 
 /// Env var the CI policy matrix sets to focus the equivalence suites on a
 /// single replacement policy (one of [`CachePolicyKind::label`]'s values:
@@ -77,4 +79,72 @@ impl Rng {
         self.0 ^= self.0 >> 27;
         (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n
     }
+}
+
+/// A shipped policy that declares repeat hits *not* idempotent and
+/// forwards everything else, so the engine takes the write lock on every
+/// submission: the fully locked twin the optimistic fast path is held to.
+#[allow(dead_code)] // only the contention and accounting suites build twins
+struct Locked(Box<dyn CachePolicy>);
+
+impl CachePolicy for Locked {
+    fn on_hit(
+        &mut self,
+        lbn: BlockAddr,
+        current: CachePriority,
+        req: &PolicyRequest,
+    ) -> HitOutcome {
+        self.0.on_hit(lbn, current, req)
+    }
+
+    fn admits(&self, req: &PolicyRequest) -> bool {
+        self.0.admits(req)
+    }
+
+    fn repeat_hit_idempotent(&self) -> bool {
+        false
+    }
+
+    fn pop_victim(&mut self, incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr> {
+        self.0.pop_victim(incoming, req)
+    }
+
+    fn steal_victim(&mut self, req: &PolicyRequest) -> Option<BlockAddr> {
+        self.0.steal_victim(req)
+    }
+
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
+        self.0.on_insert(lbn, req)
+    }
+
+    fn on_remove(&mut self, lbn: BlockAddr, group: CachePriority) {
+        self.0.on_remove(lbn, group);
+    }
+
+    fn on_remove_reasoned(&mut self, lbn: BlockAddr, group: CachePriority, reason: RemoveReason) {
+        self.0.on_remove_reasoned(lbn, group, reason);
+    }
+
+    fn on_trim_absent(&mut self, lbn: BlockAddr) {
+        self.0.on_trim_absent(lbn);
+    }
+
+    fn write_buffered(&self, group: CachePriority) -> bool {
+        self.0.write_buffered(group)
+    }
+
+    fn drain_write_buffer(&mut self) -> Vec<BlockAddr> {
+        self.0.drain_write_buffer()
+    }
+}
+
+/// The per-shard factory of `kind`'s [`Locked`] twin, for
+/// `CacheEngine::with_policy_factory`.
+#[allow(dead_code)]
+pub fn locked(
+    kind: CachePolicyKind,
+    config: &PolicyConfig,
+) -> impl Fn(u64) -> Box<dyn CachePolicy> {
+    let config = *config;
+    move |capacity| Box::new(Locked(kind.build(&config, capacity)))
 }

@@ -5,9 +5,10 @@
 //! The stress test reads `HSTORAGE_STRESS_THREADS` (default 8) so the CI
 //! contention job can re-run it at 16 and 32 threads.
 
-use hstorage_cache::{HybridCache, StorageSystem};
+use hstorage_cache::{CachePolicyKind, HybridCache, StorageSystem};
 use hstorage_storage::{
-    BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass,
+    BlockAddr, BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass,
+    TrimCommand,
 };
 use proptest::prelude::*;
 
@@ -16,6 +17,13 @@ mod common;
 // ---------------------------------------------------------------------------
 // Optimistic engine vs fully locked engine
 // ---------------------------------------------------------------------------
+
+/// `optimistic` with `kind`'s policies behind [`common::locked`], so every
+/// submission takes the write lock.
+fn locked_twin(optimistic: HybridCache, kind: CachePolicyKind) -> HybridCache {
+    let config = PolicyConfig::paper_default();
+    optimistic.with_policy_factory(kind.system_name(), common::locked(kind, &config))
+}
 
 /// An arbitrary classified request over a bounded address space, biased
 /// toward single-block reads (the shape the fast path serves).
@@ -59,7 +67,7 @@ proptest! {
                     .with_migration(common::matrix_migration())
             };
             let optimistic = build();
-            let locked = build().with_optimistic_reads(false);
+            let locked = locked_twin(build(), kind);
             for &(req, repeats) in &trace {
                 for _ in 0..repeats {
                     optimistic.submit(req);
@@ -74,17 +82,120 @@ proptest! {
                 "{}",
                 kind
             );
-            prop_assert_eq!(locked.stats().contention.fast_path_hits, 0, "{}", kind);
+            // The twin really is the locked path: it never served a repeat
+            // lock-free, and each one the optimistic engine did replaces
+            // exactly one of the twin's lock acquisitions.
+            let (fast, slow) = (optimistic.stats().contention, locked.stats().contention);
+            prop_assert_eq!(slow.fast_path_hits, 0, "{}", kind);
+            prop_assert_eq!(
+                fast.lock_acquisitions + fast.fast_path_hits,
+                slow.lock_acquisitions,
+                "{}",
+                kind
+            );
         }
+    }
+}
+
+fn read_req(start: u64, class: RequestClass, policy: QosPolicy) -> ClassifiedRequest {
+    ClassifiedRequest::new(
+        IoRequest::read(BlockRange::new(start, 1), false),
+        class,
+        policy,
+    )
+}
+
+fn write_req(start: u64, class: RequestClass, policy: QosPolicy) -> ClassifiedRequest {
+    ClassifiedRequest::new(
+        IoRequest::write(BlockRange::new(start, 1), false),
+        class,
+        policy,
+    )
+}
+
+/// A repeat-heavy single-block trace (every policy admits at least the
+/// priority-2 random reads, and the back-to-back repeats are what the
+/// fast path serves).
+fn repeat_heavy_trace() -> Vec<ClassifiedRequest> {
+    let mut reqs = Vec::new();
+    for round in 0..40u64 {
+        for i in 0..6u64 {
+            let r = read_req(i, RequestClass::Random, QosPolicy::priority(2));
+            // Three consecutive identical reads: the second and third
+            // are bit-identical repeats of the first's hit.
+            reqs.push(r);
+            reqs.push(r);
+            reqs.push(r);
+        }
+        // Perturbations between repeat bursts: a miss-and-allocate, a
+        // write hit and a buffered update.
+        reqs.push(read_req(
+            100 + round,
+            RequestClass::Random,
+            QosPolicy::priority(2),
+        ));
+        reqs.push(write_req(
+            round % 6,
+            RequestClass::Update,
+            QosPolicy::priority(3),
+        ));
+        reqs.push(write_req(
+            200 + round % 5,
+            RequestClass::Update,
+            QosPolicy::WriteBuffer,
+        ));
+    }
+    reqs
+}
+
+#[test]
+fn optimistic_reads_match_the_locked_path_for_every_policy() {
+    // The fast path must change nothing observable: logical statistics,
+    // simulated time, residency and per-block state all agree with the
+    // engine that takes the write lock on every submission.
+    for kind in CachePolicyKind::all() {
+        let build = || HybridCache::new(PolicyConfig::paper_default(), 64).with_cache_policy(kind);
+        let optimistic = build();
+        let locked = locked_twin(build(), kind);
+        assert!(optimistic.optimistic_reads_active(), "{kind}");
+        assert!(!locked.optimistic_reads_active(), "{kind}");
+        for req in repeat_heavy_trace() {
+            optimistic.submit(req);
+            locked.submit(req);
+        }
+        optimistic.trim(&TrimCommand::single(BlockRange::new(0u64, 3)));
+        locked.trim(&TrimCommand::single(BlockRange::new(0u64, 3)));
+        assert_eq!(optimistic.stats(), locked.stats(), "{kind}");
+        assert_eq!(optimistic.now(), locked.now(), "{kind}");
+        assert_eq!(optimistic.resident_blocks(), locked.resident_blocks());
+        for lbn in 0..250u64 {
+            assert_eq!(
+                optimistic.cached_priority(BlockAddr(lbn)),
+                locked.cached_priority(BlockAddr(lbn)),
+                "{kind} block {lbn}"
+            );
+        }
+        // And the diagnostic counters prove the paths diverged where
+        // they should: repeats were served lock-free on one engine and
+        // under the write lock on the other.
+        assert!(
+            optimistic.stats().contention.fast_path_hits > 0,
+            "{kind}: the repeat-heavy trace must exercise the fast path"
+        );
+        assert_eq!(locked.stats().contention.fast_path_hits, 0, "{kind}");
+        assert!(
+            optimistic.stats().contention.lock_acquisitions
+                < locked.stats().contention.lock_acquisitions,
+            "{kind}: the fast path must shed lock acquisitions"
+        );
     }
 }
 
 /// N threads repeat-read disjoint resident block slices of one shared
 /// engine. Every access is a cache hit, so the logical statistics and the
 /// simulated clock are interleaving-independent — they must equal a
-/// single-threaded replay on a twin engine (run with the fast path off,
-/// proving the concurrent lock-free accounting against the fully locked
-/// ground truth).
+/// single-threaded replay on a [`common::locked`] twin, proving the
+/// concurrent lock-free accounting against the fully locked ground truth.
 #[test]
 fn contended_hot_reads_lose_no_counter() {
     const BLOCKS_PER_THREAD: u64 = 16;
@@ -100,7 +211,7 @@ fn contended_hot_reads_lose_no_counter() {
     };
     let build = || HybridCache::with_shard_count(PolicyConfig::paper_default(), capacity, 8);
     let concurrent = build();
-    let twin = build().with_optimistic_reads(false);
+    let twin = locked_twin(build(), CachePolicyKind::default());
     // Warm every thread's slice into residency on both engines.
     for t in 0..threads {
         for b in 0..BLOCKS_PER_THREAD {
