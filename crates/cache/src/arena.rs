@@ -11,8 +11,13 @@
 //!
 //! [`ListArena`] owns the node storage; [`ListHandle`] is the head/tail
 //! cursor of one list threaded through it. Handles borrow the arena per
-//! call, so several lists could share one arena — the shipped lists use
-//! one arena per list, which keeps `Clone` trivial.
+//! call, so several lists share one arena: a policy keeps all of its
+//! resident lists (priority groups, 2Q's `A1in`/`Am`, ARC's `T1`/`T2`)
+//! in one slab and moves a node between them with
+//! [`ListHandle::detach`] / [`ListHandle::attach_front`], so a node's
+//! index stays valid for as long as its block is resident — the handle
+//! the engine's block table stores for it. [`NodeFlags`] is the one bit
+//! of per-node state such a policy needs beside the links.
 
 use hstorage_storage::BlockAddr;
 
@@ -129,11 +134,10 @@ impl ListHandle {
     }
 
     /// Allocates a node for `key` and links it at the front. Returns the
-    /// node index for colocation in an index structure.
+    /// node index, which stays the node's address until it is freed.
     pub fn push_front(&mut self, arena: &mut ListArena, key: BlockAddr) -> u32 {
         let slot = arena.alloc(key);
-        self.link_front(arena, slot);
-        self.len += 1;
+        self.attach_front(arena, slot);
         slot
     }
 
@@ -162,9 +166,22 @@ impl ListHandle {
 
     /// Unlinks and frees a specific node (which must belong to this list).
     pub fn remove(&mut self, arena: &mut ListArena, slot: u32) {
-        self.unlink(arena, slot);
+        self.detach(arena, slot);
         arena.release(slot);
+    }
+
+    /// Unlinks a node (which must belong to this list) *without* freeing
+    /// it, so it can be re-linked into another list over the same arena
+    /// under the same index.
+    pub fn detach(&mut self, arena: &mut ListArena, slot: u32) {
+        self.unlink(arena, slot);
         self.len -= 1;
+    }
+
+    /// Links a detached node at the front of this list.
+    pub fn attach_front(&mut self, arena: &mut ListArena, slot: u32) {
+        self.link_front(arena, slot);
+        self.len += 1;
     }
 
     /// Moves a node (which must belong to this list) to the front.
@@ -178,16 +195,22 @@ impl ListHandle {
 
     /// Iterates keys front → back (most → least recently used).
     pub fn iter_front<'a>(&self, arena: &'a ListArena) -> ListIter<'a> {
-        ListIter {
+        ListIter(NodeIter {
             arena,
             cur: self.head,
             forward: true,
-        }
+        })
     }
 
     /// Iterates keys back → front (least → most recently used).
     pub fn iter_back<'a>(&self, arena: &'a ListArena) -> ListIter<'a> {
-        ListIter {
+        ListIter(self.nodes_back(arena))
+    }
+
+    /// Iterates node indices back → front — for a scan that consults
+    /// per-node state ([`NodeFlags`]) on its way from the LRU end.
+    pub fn nodes_back<'a>(&self, arena: &'a ListArena) -> NodeIter<'a> {
+        NodeIter {
             arena,
             cur: self.tail,
             forward: false,
@@ -231,23 +254,60 @@ impl ListHandle {
     }
 }
 
-/// Iterator over the keys of one [`ListHandle`]'s list.
-pub struct ListIter<'a> {
+/// Iterator over the node indices of one [`ListHandle`]'s list.
+pub struct NodeIter<'a> {
     arena: &'a ListArena,
     cur: u32,
     forward: bool,
 }
 
-impl<'a> Iterator for ListIter<'a> {
-    type Item = &'a BlockAddr;
+impl<'a> Iterator for NodeIter<'a> {
+    type Item = u32;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.cur == NIL {
             return None;
         }
-        let node = &self.arena.nodes[self.cur as usize];
+        let slot = self.cur;
+        let node = &self.arena.nodes[slot as usize];
         self.cur = if self.forward { node.next } else { node.prev };
-        Some(&node.key)
+        Some(slot)
+    }
+}
+
+/// Iterator over the keys of one [`ListHandle`]'s list.
+pub struct ListIter<'a>(NodeIter<'a>);
+
+impl<'a> Iterator for ListIter<'a> {
+    type Item = &'a BlockAddr;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let slot = self.0.next()?;
+        Some(self.0.arena.key_ref(slot))
+    }
+}
+
+/// One flag per arena node, indexed like the arena: which of a policy's
+/// two lists a node is on, or whether its block is dirty. Reading it is
+/// one load beside the node; setting it grows the vector with the slab.
+#[derive(Debug, Clone, Default)]
+pub struct NodeFlags(Vec<bool>);
+
+impl NodeFlags {
+    /// The flag of `node` (which must have been [`NodeFlags::set`]).
+    #[inline]
+    pub fn get(&self, node: u32) -> bool {
+        self.0[node as usize]
+    }
+
+    /// Sets the flag of `node`.
+    #[inline]
+    pub fn set(&mut self, node: u32, value: bool) {
+        let i = node as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, false);
+        }
+        self.0[i] = value;
     }
 }
 
@@ -298,6 +358,49 @@ mod tests {
         let order: Vec<BlockAddr> = list.iter_back(&arena).copied().collect();
         assert_eq!(order, vec![BlockAddr(1), BlockAddr(3)]);
         assert_eq!(list.len(), 2);
+    }
+
+    #[test]
+    fn detach_and_attach_move_a_node_between_lists_under_its_index() {
+        let mut arena = ListArena::new();
+        let (mut a, mut b) = (ListHandle::new(), ListHandle::new());
+        let n1 = a.push_front(&mut arena, BlockAddr(1));
+        let n2 = a.push_front(&mut arena, BlockAddr(2));
+        let n3 = a.push_front(&mut arena, BlockAddr(3));
+        let n4 = b.push_front(&mut arena, BlockAddr(4));
+        let (slots, live) = (arena.slots(), arena.live());
+        a.detach(&mut arena, n2);
+        assert_eq!(a.len(), 2);
+        let order: Vec<u64> = a.iter_front(&arena).map(|k| k.0).collect();
+        assert_eq!(order, vec![3, 1]);
+        b.attach_front(&mut arena, n2);
+        assert_eq!(b.len(), 2);
+        let order: Vec<u64> = b.iter_front(&arena).map(|k| k.0).collect();
+        assert_eq!(order, vec![2, 4]);
+        let nodes: Vec<u32> = b.nodes_back(&arena).collect();
+        assert_eq!(nodes, vec![n4, n2], "the node kept its index");
+        // The free list is untouched: nothing was freed or allocated.
+        assert_eq!((arena.slots(), arena.live()), (slots, live));
+        // A detached head and tail leave consistent ends behind.
+        a.detach(&mut arena, n3);
+        a.detach(&mut arena, n1);
+        assert!(a.is_empty());
+        assert_eq!(a.back(&arena), None);
+        a.attach_front(&mut arena, n1);
+        assert_eq!(a.back(&arena), Some(&BlockAddr(1)));
+        assert_eq!(arena.live(), live);
+    }
+
+    #[test]
+    fn node_flags_grow_with_the_slab() {
+        let mut flags = NodeFlags::default();
+        flags.set(5, true);
+        flags.set(2, false);
+        assert!(flags.get(5));
+        assert!(!flags.get(2));
+        assert!(!flags.get(0), "never-set nodes below a set one read false");
+        flags.set(5, false);
+        assert!(!flags.get(5));
     }
 
     #[test]

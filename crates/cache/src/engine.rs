@@ -68,7 +68,7 @@ use crate::migration::{MigrationConfig, MigrationCounters, MigrationStats, Shard
 use crate::policy::{CachePolicy, CachePolicyKind, HitOutcome, PolicyRequest, RemoveReason};
 use crate::stats::{CacheAction, CacheStats, LocalCacheStats};
 use crate::system::StorageSystem;
-use crate::table::{BlockState, BlockTable, CacheEntry};
+use crate::table::{BlockState, BlockTable, CacheEntry, TableSlot};
 use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, DeviceStats, Direction, HddDevice,
     HddParameters, IoRequest, PolicyConfig, SimClock, SsdDevice, SsdParameters, StorageDevice,
@@ -220,28 +220,38 @@ impl Shard {
         st
     }
 
-    /// Replaces the hot descriptor. The repeat hits tallied against the old
-    /// one are credited first, exactly as the slow path would have recorded
-    /// each of them: a cache hit of its class and priority, a single-block
-    /// SSD read, and one unit of heat.
+    /// Replaces the hot descriptor, first crediting the repeat hits tallied
+    /// against the old one. Inline, so the caller's descriptor is stored
+    /// straight into the shard state rather than passed through memory.
+    #[inline]
     fn set_hot(&self, st: &mut ShardState, hot: Option<HotHit>) {
-        let hits = std::mem::take(st.fast_hits.get_mut());
-        if hits > 0 {
-            let old = st.hot.expect("repeat hits tallied against no descriptor");
-            st.stats.record_action(CacheAction::CacheHit, hits);
-            st.stats.record_class(old.shape.class, hits, hits);
-            st.stats.record_priority(old.shape.prio.0, hits, hits);
-            st.stats.contention.fast_path_hits += hits;
-            st.ssd.record(
-                &IoRequest::read(BlockRange::new(old.lbn, 1), old.sequential),
-                Duration::from_nanos(self.hit_service_ns[usize::from(old.sequential)]),
-                hits,
-            );
-            if let Some(mig) = st.migration.as_mut() {
-                mig.heat.record_n(old.lbn, hits);
-            }
+        if *st.fast_hits.get_mut() > 0 {
+            self.credit_fast_hits(st);
         }
         st.hot = hot;
+    }
+
+    /// Credits the repeat hits tallied against the hot descriptor exactly
+    /// as the slow path would have recorded each of them: a cache hit of
+    /// its class and priority, a single-block SSD read, and one unit of
+    /// heat.
+    #[cold]
+    #[inline(never)]
+    fn credit_fast_hits(&self, st: &mut ShardState) {
+        let hits = std::mem::take(st.fast_hits.get_mut());
+        let old = st.hot.expect("repeat hits tallied against no descriptor");
+        st.stats.record_action(CacheAction::CacheHit, hits);
+        st.stats.record_class(old.shape.class, hits, hits);
+        st.stats.record_priority(old.shape.prio.0, hits, hits);
+        st.stats.contention.fast_path_hits += hits;
+        st.ssd.record(
+            &IoRequest::read(BlockRange::new(old.lbn, 1), old.sequential),
+            Duration::from_nanos(self.hit_service_ns[usize::from(old.sequential)]),
+            hits,
+        );
+        if let Some(mig) = st.migration.as_mut() {
+            mig.heat.record_n(old.lbn, hits);
+        }
     }
 
     /// Evicts `victim` (a block the policy *selected* via
@@ -250,12 +260,12 @@ impl Shard {
     /// policy with [`RemoveReason::Evict`], so ghost-keeping policies
     /// observe their own evictions.
     fn evict(&self, st: &mut ShardState, victim: BlockAddr, batch: &mut DeviceBatch) {
-        let entry = st
+        let TableSlot { entry, node } = st
             .meta
             .remove(victim)
             .expect("victim tracked by policy but not in metadata");
         st.policy
-            .on_remove_reasoned(victim, entry.priority, RemoveReason::Evict);
+            .on_remove(victim, node, entry.priority, RemoveReason::Evict);
         if entry.is_dirty() {
             batch.hdd_write += 1;
         }
@@ -330,8 +340,21 @@ impl Shard {
             // of heat and refreshes the remembered request shape.
             mig.note_access(lbn, req);
         }
-        if let Some(entry) = st.meta.get(lbn).copied() {
+        if let Some(slot) = st.meta.get_mut(lbn) {
             // --- Cache hit ---
+            // The slot carries the block's node handle, so the policy
+            // reaches its list node without a lookup of its own; the
+            // handle stays valid through a move, so nothing is written
+            // back but the label.
+            let current = slot.entry.priority;
+            if req.direction == Direction::Write {
+                slot.entry.state = BlockState::Dirty;
+            }
+            let outcome = st.policy.on_hit(lbn, slot.node, current, req);
+            if let HitOutcome::Moved(new) = outcome {
+                slot.entry.priority = new;
+                self.apply_move(st, current, new);
+            }
             if let Some(mig) = st.migration.as_mut() {
                 // Lazy cancellation: a hit on a queued demotion candidate
                 // proves the block is still hot, so the demotion is
@@ -343,17 +366,13 @@ impl Shard {
                 }
             }
             st.stats.record_action(CacheAction::CacheHit, 1);
-            match st.policy.on_hit(lbn, entry.priority, req) {
-                HitOutcome::Unchanged => {}
-                HitOutcome::Moved(new) => self.apply_move(st, lbn, entry.priority, new),
-            }
             match req.direction {
                 Direction::Read => {
                     batch.ssd_read += 1;
                     // Publish the hot-hit descriptor: an immediate
                     // bit-identical repeat of this read may share the lock
                     // (consulted only when the policy declares repeats
-                    // idempotent and optimistic reads are enabled).
+                    // idempotent).
                     let hot = HotHit {
                         lbn,
                         shape: *req,
@@ -363,9 +382,6 @@ impl Shard {
                 }
                 Direction::Write => {
                     batch.ssd_write += 1;
-                    if let Some(e) = st.meta.get_mut(lbn) {
-                        e.state = BlockState::Dirty;
-                    }
                     // A write hit dirties state a repeat read would not
                     // reproduce; drop the descriptor.
                     self.set_hot(st, None);
@@ -407,13 +423,16 @@ impl Shard {
                         BlockState::Dirty
                     }
                 };
-                let group = st.policy.on_insert(lbn, req);
+                let (group, node) = st.policy.on_insert(lbn, req);
                 st.meta.insert(
                     lbn,
-                    CacheEntry {
-                        pbn,
-                        priority: group,
-                        state,
+                    TableSlot {
+                        entry: CacheEntry {
+                            pbn,
+                            priority: group,
+                            state,
+                        },
+                        node,
                     },
                 );
                 if st.policy.write_buffered(group) {
@@ -441,18 +460,9 @@ impl Shard {
         false
     }
 
-    /// Mirrors a policy-initiated group move in the metadata, write-buffer
-    /// accounting and statistics.
-    fn apply_move(
-        &self,
-        st: &mut ShardState,
-        lbn: BlockAddr,
-        old: CachePriority,
-        new: CachePriority,
-    ) {
-        if let Some(e) = st.meta.get_mut(lbn) {
-            e.priority = new;
-        }
+    /// Mirrors a policy-initiated group move (already relabelled in the
+    /// block's slot) in the write-buffer accounting and statistics.
+    fn apply_move(&self, st: &mut ShardState, old: CachePriority, new: CachePriority) {
         let was_buffered = st.policy.write_buffered(old);
         let is_buffered = st.policy.write_buffered(new);
         if was_buffered && !is_buffered {
@@ -477,13 +487,13 @@ impl Shard {
         let mut dirty_blocks = 0u64;
         let mut removed = 0u64;
         for lbn in buffered {
-            if let Some(entry) = st.meta.remove(lbn) {
+            if let Some(TableSlot { entry, node }) = st.meta.remove(lbn) {
                 // The drain names buffered blocks without untracking them;
                 // the engine completes each removal. A drain is an engine
                 // displacement, so ghost-keeping policies see `Evict`, not
                 // `Trim` (the block's data is still live on the HDD).
                 st.policy
-                    .on_remove_reasoned(lbn, entry.priority, RemoveReason::Evict);
+                    .on_remove(lbn, node, entry.priority, RemoveReason::Evict);
                 if entry.is_dirty() {
                     dirty_blocks += 1;
                 }
@@ -517,7 +527,7 @@ impl Shard {
                     .fetch_add(cancelled, Ordering::Relaxed);
             }
         }
-        let Some(entry) = st.meta.remove(lbn) else {
+        let Some(TableSlot { entry, node }) = st.meta.remove(lbn) else {
             // The block's lifetime ended while not resident: policies
             // keeping history about absent addresses (ghost lists)
             // must still forget it.
@@ -525,7 +535,7 @@ impl Shard {
             return 0;
         };
         st.policy
-            .on_remove_reasoned(lbn, entry.priority, RemoveReason::Trim);
+            .on_remove(lbn, node, entry.priority, RemoveReason::Trim);
         if st.policy.write_buffered(entry.priority) {
             self.debit_write_buffer(1);
         }
@@ -626,7 +636,7 @@ impl Shard {
         if !absents.is_empty() {
             residents.extend(
                 meta.iter()
-                    .filter(|(_, e)| !policy.write_buffered(e.priority))
+                    .filter(|(_, slot)| !policy.write_buffered(slot.entry.priority))
                     .map(|(lbn, _)| (heat.heat(lbn), lbn)),
             );
             residents.sort_unstable();
@@ -647,13 +657,16 @@ impl Shard {
             preq: &PolicyRequest,
             pbn: u64,
         ) {
-            let group = policy.on_insert(lbn, preq);
+            let (group, node) = policy.on_insert(lbn, preq);
             meta.insert(
                 lbn,
-                CacheEntry {
-                    pbn,
-                    priority: group,
-                    state: BlockState::Clean,
+                TableSlot {
+                    entry: CacheEntry {
+                        pbn,
+                        priority: group,
+                        state: BlockState::Clean,
+                    },
+                    node,
                 },
             );
             if policy.write_buffered(group) {
@@ -698,10 +711,10 @@ impl Shard {
             if absent_heat <= resident_heat {
                 break;
             }
-            let entry = meta
+            let TableSlot { entry, node } = meta
                 .remove(resident_lbn)
                 .expect("demotion candidate was checked resident");
-            policy.on_remove_reasoned(resident_lbn, entry.priority, RemoveReason::Evict);
+            policy.on_remove(resident_lbn, node, entry.priority, RemoveReason::Evict);
             if entry.is_dirty() {
                 batch.hdd_write += 1;
             }
@@ -1066,8 +1079,8 @@ impl CacheEngine {
         let mut out = Vec::new();
         for shard in &self.shards {
             let st = shard.state.read();
-            for (lbn, entry) in st.meta.iter() {
-                out.push((lbn, entry.priority, entry.is_dirty()));
+            for (lbn, slot) in st.meta.iter() {
+                out.push((lbn, slot.entry.priority, slot.entry.is_dirty()));
             }
         }
         out.sort_unstable_by_key(|(lbn, _, _)| lbn.0);
@@ -1159,7 +1172,7 @@ impl CacheEngine {
             .read()
             .meta
             .get(lbn)
-            .map(|e| e.priority)
+            .map(|slot| slot.entry.priority)
     }
 
     fn shard(&self, lbn: BlockAddr) -> &Shard {
@@ -1249,22 +1262,26 @@ impl CacheEngine {
         total
     }
 
-    /// Issues the HDD traffic one request accumulated.
-    fn serve_hdd(&self, req: &ClassifiedRequest, batch: &DeviceBatch) {
+    /// Prices and records the HDD traffic one request accumulated and
+    /// moves the head, returning the service time for the caller's one
+    /// clock advance.
+    fn charge_hdd(&self, req: &ClassifiedRequest, batch: &DeviceBatch) -> Duration {
         let seq = req.io.sequential;
         let start = req.io.range.start;
+        let mut total = Duration::ZERO;
         if batch.hdd_read > 0 {
-            self.hdd.serve(&IoRequest::read(
+            total += self.hdd.charge(&IoRequest::read(
                 BlockRange::new(start, batch.hdd_read),
                 seq,
             ));
         }
         if batch.hdd_write > 0 {
-            self.hdd.serve(&IoRequest::write(
+            total += self.hdd.charge(&IoRequest::write(
                 BlockRange::new(start, batch.hdd_write),
                 seq,
             ));
         }
+        total
     }
 
     /// The shard-major traversal every mutating block walk goes through —
@@ -1441,8 +1458,11 @@ impl CacheEngine {
                 ssd_time = self.charge_ssd(st, &req, &batch);
             }
         });
-        self.serve_hdd(&req, &batch);
-        self.clock.advance(ssd_time);
+        // One clock add for the whole request: the SSD time priced under
+        // the shard lock plus the HDD time — the same integer-nanosecond
+        // sum as advancing per device.
+        let hdd_time = self.charge_hdd(&req, &batch);
+        self.clock.advance(ssd_time + hdd_time);
         // Only write-buffer traffic can grow the buffer, so the flush
         // check is needed — and its cost paid — only under a buffering
         // policy and only then.

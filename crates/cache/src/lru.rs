@@ -1,10 +1,12 @@
-//! An order-preserving LRU list with O(1) touch/insert/remove.
+//! An order-preserving LRU list with O(1) touch/insert/remove by address.
 //!
-//! Each priority group (Section 5.1), the ghost directories and the
-//! baseline LRU cache are built on this structure: one intrusive list in
-//! a private arena ([`crate::arena`]) indexed by an open-addressing
-//! `lbn → node` map ([`crate::table::OpenMap`]) — dense `u32` links, no
-//! per-node heap allocation, no SipHash.
+//! One intrusive list in a private arena ([`crate::arena`]) indexed by an
+//! open-addressing `lbn → node` map ([`crate::table::OpenMap`]) — dense
+//! `u32` links, no per-node heap allocation, no SipHash. It is for lists
+//! whose keys have no other index: the ghost directories, which remember
+//! *absent* addresses, and the DBMS buffer pool. Lists of resident cache
+//! blocks need no index of their own — the engine's block table carries
+//! each block's node handle (see [`crate::priority_group`]).
 
 use crate::arena::{ListArena, ListHandle, ListIter};
 use crate::table::OpenMap;

@@ -34,7 +34,7 @@ use crate::allocator::SlotAllocator;
 use crate::arena::{ListArena, ListHandle};
 use crate::stats::{CacheAction, CacheStats, LocalCacheStats};
 use crate::system::StorageSystem;
-use crate::table::{BlockState, BlockTable, CacheEntry};
+use crate::table::{BlockState, BlockTable, CacheEntry, TableSlot};
 use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, Direction, HddDevice, IoRequest,
     PolicyConfig, SimClock, SsdDevice, StorageDevice, TrimCommand,
@@ -42,13 +42,10 @@ use hstorage_storage::{
 use parking_lot::Mutex;
 use std::time::Duration;
 
-/// The mutable cache-management state, all behind one lock.
-///
-/// The single mutex makes this baseline the one cache whose metadata and
-/// recency state share a structure: each [`BlockTable`] slot colocates
-/// the block's [`CacheEntry`] with the index of its LRU arena node, so a
-/// hit resolves membership, metadata and stack position in one probe
-/// chain and touches the stack with two or three arena-index writes.
+/// The mutable cache-management state, all behind one lock. Each
+/// [`BlockTable`] slot colocates the block's [`CacheEntry`] with the index
+/// of its LRU arena node, as in the engine, so a hit resolves membership,
+/// metadata and stack position in one probe chain.
 struct LruInner {
     table: BlockTable,
     arena: ListArena,
@@ -63,7 +60,11 @@ impl LruInner {
             .lru
             .pop_back(&mut self.arena)
             .expect("evicting from an empty cache");
-        let entry = self.table.remove(victim).expect("LRU/metadata mismatch");
+        let entry = self
+            .table
+            .remove(victim)
+            .expect("LRU/metadata mismatch")
+            .entry;
         self.stats.record_action(CacheAction::Eviction, 1);
         self.alloc.release(entry.pbn);
         if entry.is_dirty() {
@@ -157,17 +158,15 @@ impl StorageSystem for LruCache {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         for lbn in req.io.range.iter() {
-            if let Some(node) = inner.table.node(lbn) {
+            if let Some(slot) = inner.table.get_mut(lbn) {
                 hits += 1;
-                inner.lru.move_front(&mut inner.arena, node);
+                inner.lru.move_front(&mut inner.arena, slot.node);
                 inner.stats.record_action(CacheAction::CacheHit, 1);
                 match req.io.direction {
                     Direction::Read => ssd_read += 1,
                     Direction::Write => {
                         ssd_write += 1;
-                        if let Some(e) = inner.table.get_mut(lbn) {
-                            e.state = BlockState::Dirty;
-                        }
+                        slot.entry.state = BlockState::Dirty;
                     }
                 }
             } else {
@@ -187,18 +186,20 @@ impl StorageSystem for LruCache {
                         BlockState::Dirty
                     }
                 };
+                let node = inner.lru.push_front(&mut inner.arena, lbn);
                 inner.table.insert(
                     lbn,
-                    CacheEntry {
-                        pbn,
-                        // The LRU cache has a single stack; the recorded
-                        // priority is informational only.
-                        priority: CachePriority(prio.0),
-                        state,
+                    TableSlot {
+                        entry: CacheEntry {
+                            pbn,
+                            // The LRU cache has a single stack; the
+                            // recorded priority is informational only.
+                            priority: CachePriority(prio.0),
+                            state,
+                        },
+                        node,
                     },
                 );
-                let node = inner.lru.push_front(&mut inner.arena, lbn);
-                inner.table.set_node(lbn, node);
             }
         }
 

@@ -22,24 +22,27 @@
 //! * `REPLACE` is split across the selection-only `pop_victim` (which
 //!   picks the list and victim, including the `x ∈ B2` tie-break — why
 //!   the trait passes the incoming block address) and the engine's
-//!   follow-up `on_remove_reasoned` with `Evict`, which untracks the
+//!   follow-up `on_remove` with `Evict`, which untracks the
 //!   victim and remembers it in the matching ghost directory;
 //! * the directory bound (`|T1| + |B1| ≤ c`, total ≤ `2c`) is enforced at
 //!   insertion of a complete miss, as in the paper's case IV.
 
+use crate::arena::{ListArena, ListHandle, NodeFlags};
 use crate::policy::{CachePolicy, GhostList, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_storage::{BlockAddr, CachePriority};
-
-use crate::lru::LruList;
 
 /// The self-tuning recency/frequency policy. Invariants (asserted by the
 /// property tests): `|T1| + |T2| ≤ c`, `p ∈ [0, c]`, `|B1| ≤ c`,
 /// `|B2| ≤ c`.
 pub struct ArcPolicy {
+    /// The nodes of both resident lists.
+    arena: ListArena,
     /// Resident blocks seen exactly once since entering the cache.
-    t1: LruList,
+    t1: ListHandle,
     /// Resident blocks seen at least twice (the frequency-protected set).
-    t2: LruList,
+    t2: ListHandle,
+    /// Whether each node is on `T2` (else `T1`).
+    in_t2: NodeFlags,
     /// Ghost directory of recent `T1` evictions.
     b1: GhostList,
     /// Ghost directory of recent `T2` evictions.
@@ -59,8 +62,10 @@ impl ArcPolicy {
     pub fn new(shard_capacity: u64) -> Self {
         let capacity = (shard_capacity.max(1)) as usize;
         ArcPolicy {
-            t1: LruList::new(),
-            t2: LruList::new(),
+            arena: ListArena::new(),
+            t1: ListHandle::new(),
+            t2: ListHandle::new(),
+            in_t2: NodeFlags::default(),
             b1: GhostList::new(capacity),
             b2: GhostList::new(capacity),
             capacity,
@@ -105,18 +110,18 @@ impl ArcPolicy {
     /// otherwise from `T2`, without removing it. The engine's Evict
     /// notification completes the step, moving the victim into the
     /// matching ghost directory (see
-    /// [`CachePolicy::on_remove_reasoned`]).
+    /// [`CachePolicy::on_remove`]).
     fn peek_replace(&self, prefer_t1_on_tie: bool) -> Option<BlockAddr> {
         let from_t1 = !self.t1.is_empty()
             && (self.t1.len() > self.p || (self.t1.len() == self.p && prefer_t1_on_tie));
         if from_t1 {
-            return self.t1.peek_lru().copied();
+            return self.t1.back(&self.arena).copied();
         }
-        if let Some(&victim) = self.t2.peek_lru() {
+        if let Some(&victim) = self.t2.back(&self.arena) {
             return Some(victim);
         }
         // T2 empty (e.g. p ≥ |T1| on a cold full shard): fall back to T1.
-        self.t1.peek_lru().copied()
+        self.t1.back(&self.arena).copied()
     }
 
     /// Applies the ghost-hit adaptation of `p` for a miss on `lbn`, at
@@ -143,16 +148,19 @@ impl ArcPolicy {
 impl CachePolicy for ArcPolicy {
     fn on_hit(
         &mut self,
-        lbn: BlockAddr,
+        _lbn: BlockAddr,
+        node: u32,
         _current: CachePriority,
         _req: &PolicyRequest,
     ) -> HitOutcome {
         // Any hit proves reuse: the block moves to (or refreshes in) the
         // frequency-protected list.
-        if self.t1.remove(&lbn) {
-            self.t2.insert_mru(lbn);
+        if self.in_t2.get(node) {
+            self.t2.move_front(&mut self.arena, node);
         } else {
-            self.t2.touch(&lbn);
+            self.t1.detach(&mut self.arena, node);
+            self.t2.attach_front(&mut self.arena, node);
+            self.in_t2.set(node, true);
         }
         HitOutcome::Unchanged
     }
@@ -184,7 +192,7 @@ impl CachePolicy for ArcPolicy {
         self.peek_replace(false)
     }
 
-    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
         // Free-slot misses skip pop_victim, so the ghost adaptation runs
         // here in that case (the marker makes it a no-op otherwise).
         self.maybe_adapt(lbn);
@@ -194,13 +202,16 @@ impl CachePolicy for ArcPolicy {
             // twice overall, so it enters the frequency list directly.
             // (Total directory size is unchanged: one ghost became one
             // resident.)
-            self.t2.insert_mru(lbn);
+            let node = self.t2.push_front(&mut self.arena, lbn);
+            self.in_t2.set(node, true);
+            (req.prio, node)
         } else {
             // Complete miss: track the newcomer in T1, then re-establish
             // the paper's directory bounds (case IV deletions) by aging
             // out the oldest ghosts — set-equivalent to deleting them
             // before REPLACE, and it keeps the REPLACE-fresh ghost alive.
-            self.t1.insert_mru(lbn);
+            let node = self.t1.push_front(&mut self.arena, lbn);
+            self.in_t2.set(node, false);
             while self.t1.len() + self.b1.len() > self.capacity {
                 if self.b1.pop_oldest().is_none() {
                     break;
@@ -212,37 +223,33 @@ impl CachePolicy for ArcPolicy {
                     break;
                 }
             }
-        }
-        req.prio
-    }
-
-    fn on_remove(&mut self, lbn: BlockAddr, _group: CachePriority) {
-        if !self.t1.remove(&lbn) {
-            self.t2.remove(&lbn);
+            (req.prio, node)
         }
     }
 
-    fn on_remove_reasoned(&mut self, lbn: BlockAddr, group: CachePriority, reason: RemoveReason) {
+    fn on_remove(
+        &mut self,
+        lbn: BlockAddr,
+        node: u32,
+        _group: CachePriority,
+        reason: RemoveReason,
+    ) {
+        let in_t2 = self.in_t2.get(node);
+        let list = if in_t2 { &mut self.t2 } else { &mut self.t1 };
+        list.remove(&mut self.arena, node);
         match reason {
             RemoveReason::Trim => {
                 // Lifetime over: forget the block entirely, history
                 // included (a resident block is never ghosted, but the
                 // forget is kept defensive for compositor fan-out).
-                self.on_remove(lbn, group);
                 self.b1.forget(lbn);
                 self.b2.forget(lbn);
             }
-            RemoveReason::Evict => {
-                // The removal half of REPLACE (whether the victim was our
-                // own selection or a compositor steal): untrack the block
-                // and remember it in the ghost directory of the list it
-                // left.
-                if self.t1.remove(&lbn) {
-                    self.b1.remember(lbn);
-                } else if self.t2.remove(&lbn) {
-                    self.b2.remember(lbn);
-                }
-            }
+            // The removal half of REPLACE (whether the victim was our own
+            // selection or a compositor steal): remember the block in the
+            // ghost directory of the list it left.
+            RemoveReason::Evict if in_t2 => self.b2.remember(lbn),
+            RemoveReason::Evict => self.b1.remember(lbn),
         }
     }
 
@@ -257,6 +264,7 @@ impl CachePolicy for ArcPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Tracked;
     use hstorage_storage::{Direction, PolicyConfig, QosPolicy, RequestClass};
 
     fn req() -> PolicyRequest {
@@ -271,49 +279,29 @@ mod tests {
 
     /// Engine-contract harness: replays accesses against the policy the
     /// way the engine would (hit → on_hit; miss → pop_victim when full →
-    /// on_insert), tracking residency.
-    struct Harness {
-        policy: ArcPolicy,
-        resident: std::collections::HashSet<BlockAddr>,
-        capacity: usize,
+    /// on_insert), tracking residency and node handles.
+    fn harness(capacity: u64) -> Tracked<ArcPolicy> {
+        Tracked::new(ArcPolicy::new(capacity))
     }
 
-    impl Harness {
-        fn new(capacity: u64) -> Self {
-            Harness {
-                policy: ArcPolicy::new(capacity),
-                resident: std::collections::HashSet::new(),
-                capacity: capacity as usize,
-            }
-        }
-
+    impl Tracked<ArcPolicy> {
         fn access(&mut self, lbn: BlockAddr) {
-            if self.resident.contains(&lbn) {
-                self.policy.on_hit(lbn, CachePriority(2), &req());
+            if self.contains(lbn) {
+                self.hit(lbn, &req());
                 return;
             }
-            if self.resident.len() == self.capacity {
-                match self.policy.pop_victim(lbn, &req()) {
-                    Some(victim) => {
-                        assert!(self.resident.remove(&victim), "victim {victim:?} tracked");
-                        // The engine completes the eviction it was handed.
-                        self.policy.on_remove_reasoned(
-                            victim,
-                            CachePriority(2),
-                            RemoveReason::Evict,
-                        );
-                    }
-                    None => return, // bypass
-                }
+            // The engine completes the eviction it was handed; `None` is
+            // a bypass.
+            if self.len() == self.policy.capacity() && self.evict_for(lbn, &req()).is_none() {
+                return;
             }
-            self.policy.on_insert(lbn, &req());
-            self.resident.insert(lbn);
+            self.insert(lbn, &req());
         }
     }
 
     #[test]
     fn one_shot_scan_does_not_displace_the_reused_set() {
-        let mut h = Harness::new(8);
+        let mut h = harness(8);
         // Establish a reused set: touch 0..4 twice (second touch promotes
         // to T2).
         for round in 0..2 {
@@ -328,7 +316,7 @@ mod tests {
             h.access(BlockAddr(i));
         }
         for i in 0..4u64 {
-            assert!(h.resident.contains(&BlockAddr(i)), "hot block {i} evicted");
+            assert!(h.contains(BlockAddr(i)), "hot block {i} evicted");
         }
         assert_eq!(h.policy.t2_len(), 4);
     }
@@ -338,7 +326,7 @@ mod tests {
         // With |T1| at capacity, the directory bound |T1| + |B1| ≤ c
         // leaves no room for recency ghosts — the paper's case IV(b):
         // pure one-shot traffic is forgotten entirely.
-        let mut h = Harness::new(4);
+        let mut h = harness(4);
         for i in 0..10u64 {
             h.access(BlockAddr(i));
         }
@@ -348,7 +336,7 @@ mod tests {
 
     #[test]
     fn b1_ghost_hit_grows_p_and_reinserts_into_t2() {
-        let mut h = Harness::new(4);
+        let mut h = harness(4);
         // Two re-referenced blocks in T2, two once-seen in T1.
         for i in 0..2u64 {
             h.access(BlockAddr(i));
@@ -370,7 +358,7 @@ mod tests {
 
     #[test]
     fn b2_ghost_hit_shrinks_p() {
-        let mut h = Harness::new(2);
+        let mut h = harness(2);
         // Build a T2 block, then force it out so B2 remembers it.
         h.access(BlockAddr(1));
         h.access(BlockAddr(1)); // promote to T2
@@ -391,7 +379,7 @@ mod tests {
 
     #[test]
     fn p_and_residency_stay_within_bounds_under_churn() {
-        let mut h = Harness::new(16);
+        let mut h = harness(16);
         // Establish a reused set in T2 …
         for i in 0..4u64 {
             h.access(BlockAddr(i));
@@ -414,7 +402,7 @@ mod tests {
 
     #[test]
     fn trim_forgets_residents_and_ghosts() {
-        let mut h = Harness::new(2);
+        let mut h = harness(2);
         h.access(BlockAddr(0));
         h.access(BlockAddr(0)); // T2
         h.access(BlockAddr(1)); // T1; full
@@ -422,10 +410,10 @@ mod tests {
         let ghosted = BlockAddr(1);
         assert!(h.policy.b1.contains(ghosted));
         // Resident trim.
-        let resident = *h.resident.iter().next().expect("something resident");
-        h.policy
-            .on_remove_reasoned(resident, CachePriority(2), RemoveReason::Trim);
-        assert_eq!(h.policy.t1_len() + h.policy.t2_len(), h.resident.len() - 1);
+        let resident = BlockAddr(2);
+        assert!(h.contains(resident), "2 took the evicted block's slot");
+        h.remove(resident, RemoveReason::Trim);
+        assert_eq!(h.policy.t1_len() + h.policy.t2_len(), h.len());
         // Absent trim clears the ghost, so a later re-use is a cold miss.
         h.policy.on_trim_absent(ghosted);
         assert!(!h.policy.b1.contains(ghosted));
@@ -449,13 +437,12 @@ mod tests {
             ),
         ) {
             use proptest::prelude::prop_assert;
-            let mut h = Harness::new(capacity);
+            let mut h = harness(capacity);
             for (addr, is_trim) in events {
                 let lbn = BlockAddr(addr);
                 if is_trim {
-                    if h.resident.remove(&lbn) {
-                        h.policy
-                            .on_remove_reasoned(lbn, CachePriority(2), RemoveReason::Trim);
+                    if h.contains(lbn) {
+                        h.remove(lbn, RemoveReason::Trim);
                     } else {
                         h.policy.on_trim_absent(lbn);
                     }
@@ -464,7 +451,7 @@ mod tests {
                 }
                 let c = h.policy.capacity();
                 prop_assert!(h.policy.t1_len() + h.policy.t2_len() <= c);
-                prop_assert!(h.policy.t1_len() + h.policy.t2_len() == h.resident.len());
+                prop_assert!(h.policy.t1_len() + h.policy.t2_len() == h.len());
                 prop_assert!(h.policy.p() <= c);
                 prop_assert!(h.policy.b1_len() <= c);
                 prop_assert!(h.policy.b2_len() <= c);
@@ -475,36 +462,42 @@ mod tests {
 
     #[test]
     fn steal_victim_replaces_without_adapting() {
-        let mut p = ArcPolicy::new(4);
-        p.on_insert(BlockAddr(1), &req());
-        p.on_insert(BlockAddr(2), &req());
-        let p_before = p.p();
+        let mut p = Tracked::new(ArcPolicy::new(4));
+        p.insert(BlockAddr(1), &req());
+        p.insert(BlockAddr(2), &req());
+        let p_before = p.policy.p();
         // A compositor steals a slot for a foreign block: plain REPLACE,
         // completed by the engine's Evict notification.
-        let victim = p.steal_victim(&req()).expect("resident blocks exist");
+        let victim = p
+            .policy
+            .steal_victim(&req())
+            .expect("resident blocks exist");
         assert_eq!(victim, BlockAddr(1), "T1 LRU under p = 0");
-        p.on_remove_reasoned(victim, CachePriority(2), RemoveReason::Evict);
-        assert_eq!(p.p(), p_before, "no adaptation for a foreign insert");
-        assert!(p.b1.contains(BlockAddr(1)), "victim ghosted as usual");
+        p.remove(victim, RemoveReason::Evict);
+        assert_eq!(p.policy.p(), p_before, "no adaptation for a foreign insert");
+        assert!(
+            p.policy.b1.contains(BlockAddr(1)),
+            "victim ghosted as usual"
+        );
         // A later genuine miss on the ghost still adapts normally.
-        p.on_insert(BlockAddr(1), &req());
-        assert!(p.p() > p_before, "B1 ghost hit must still grow p");
-        assert!(!p.b1.contains(BlockAddr(1)));
+        p.insert(BlockAddr(1), &req());
+        assert!(p.policy.p() > p_before, "B1 ghost hit must still grow p");
+        assert!(!p.policy.b1.contains(BlockAddr(1)));
     }
 
     #[test]
     fn external_evict_is_remembered_as_a_ghost() {
-        let mut p = ArcPolicy::new(4);
-        p.on_insert(BlockAddr(1), &req()); // T1
-        p.on_insert(BlockAddr(2), &req());
-        p.on_hit(BlockAddr(2), CachePriority(2), &req()); // T2
-        p.on_remove_reasoned(BlockAddr(1), CachePriority(2), RemoveReason::Evict);
-        p.on_remove_reasoned(BlockAddr(2), CachePriority(2), RemoveReason::Evict);
-        assert!(p.b1.contains(BlockAddr(1)), "T1 evict lands in B1");
-        assert!(p.b2.contains(BlockAddr(2)), "T2 evict lands in B2");
-        assert_eq!(p.t1_len() + p.t2_len(), 0);
+        let mut p = Tracked::new(ArcPolicy::new(4));
+        p.insert(BlockAddr(1), &req()); // T1
+        p.insert(BlockAddr(2), &req());
+        p.hit(BlockAddr(2), &req()); // T2
+        p.remove(BlockAddr(1), RemoveReason::Evict);
+        p.remove(BlockAddr(2), RemoveReason::Evict);
+        assert!(p.policy.b1.contains(BlockAddr(1)), "T1 evict lands in B1");
+        assert!(p.policy.b2.contains(BlockAddr(2)), "T2 evict lands in B2");
+        assert_eq!(p.policy.t1_len() + p.policy.t2_len(), 0);
         // Re-inserting a ghosted address goes straight to T2.
-        p.on_insert(BlockAddr(1), &req());
-        assert_eq!(p.t2_len(), 1);
+        p.insert(BlockAddr(1), &req());
+        assert_eq!(p.policy.t2_len(), 1);
     }
 }

@@ -7,9 +7,8 @@
 //! plain LRU block (dirty or not) when the whole window is dirty. Recency
 //! handling is otherwise identical to LRU.
 
-use crate::lru::LruList;
-use crate::policy::{CachePolicy, HitOutcome, PolicyRequest};
-use crate::table::OpenMap;
+use crate::arena::{ListArena, ListHandle, NodeFlags};
+use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_storage::{BlockAddr, CachePriority, Direction};
 
 /// Write-aware LRU: prefers clean victims inside a clean-first window to
@@ -21,10 +20,10 @@ use hstorage_storage::{BlockAddr, CachePriority, Direction};
 /// the cache — which mirrors the engine's clean/dirty metadata exactly
 /// (resident blocks are never cleaned in place).
 pub struct CflruPolicy {
-    stack: LruList,
-    /// Dirty-address set (contains-only: membership queries are
-    /// order-free).
-    dirty: OpenMap<()>,
+    arena: ListArena,
+    stack: ListHandle,
+    /// Whether each node's block is dirty.
+    dirty: NodeFlags,
     /// How many blocks from the LRU end are searched for a clean victim
     /// before falling back to plain LRU.
     window: usize,
@@ -48,8 +47,9 @@ impl CflruPolicy {
         let window =
             ((shard_capacity as f64 * (window_pct as f64 / 100.0)).floor() as usize).max(1);
         CflruPolicy {
-            stack: LruList::new(),
-            dirty: OpenMap::new(),
+            arena: ListArena::new(),
+            stack: ListHandle::new(),
+            dirty: NodeFlags::default(),
             window,
         }
     }
@@ -63,13 +63,14 @@ impl CflruPolicy {
 impl CachePolicy for CflruPolicy {
     fn on_hit(
         &mut self,
-        lbn: BlockAddr,
+        _lbn: BlockAddr,
+        node: u32,
         _current: CachePriority,
         req: &PolicyRequest,
     ) -> HitOutcome {
-        self.stack.touch(&lbn);
+        self.stack.move_front(&mut self.arena, node);
         if req.direction == Direction::Write {
-            self.dirty.insert(lbn.0, ());
+            self.dirty.set(node, true);
         }
         HitOutcome::Unchanged
     }
@@ -78,10 +79,9 @@ impl CachePolicy for CflruPolicy {
         true
     }
 
-    // Re-touching the most-recent block keeps the stack order; re-adding
-    // an address to the dirty set is a set no-op. A repeat hit (same
-    // direction included — the contract requires identical arguments)
-    // therefore changes nothing.
+    // Re-touching the most-recent block keeps the stack order; re-setting
+    // a dirty flag is a no-op. A repeat hit (same direction included — the
+    // contract requires identical arguments) therefore changes nothing.
     fn repeat_hit_idempotent(&self) -> bool {
         true
     }
@@ -92,34 +92,36 @@ impl CachePolicy for CflruPolicy {
         // window; whole window dirty → plain LRU fallback (pays the
         // write-back).
         self.stack
-            .iter_lru()
+            .nodes_back(&self.arena)
             .take(self.window)
-            .find(|lbn| !self.dirty.contains(lbn.0))
-            .copied()
-            .or_else(|| self.stack.peek_lru().copied())
+            .find(|&node| !self.dirty.get(node))
+            .map(|node| self.arena.key(node))
+            .or_else(|| self.stack.back(&self.arena).copied())
     }
 
-    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
-        self.stack.insert_mru(lbn);
-        // Every path by which a block leaves the policy also clears its
-        // dirty bit, so an inserted block is clean unless this request
-        // writes it.
-        if req.direction == Direction::Write {
-            self.dirty.insert(lbn.0, ());
-        }
-        req.prio
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
+        let node = self.stack.push_front(&mut self.arena, lbn);
+        // A recycled node carries its previous block's flag, so every
+        // insert writes it: clean unless this request writes the block.
+        self.dirty.set(node, req.direction == Direction::Write);
+        (req.prio, node)
     }
 
-    fn on_remove(&mut self, lbn: BlockAddr, _group: CachePriority) {
-        self.stack.remove(&lbn);
-        self.dirty.remove(lbn.0);
+    fn on_remove(
+        &mut self,
+        _lbn: BlockAddr,
+        node: u32,
+        _group: CachePriority,
+        _reason: RemoveReason,
+    ) {
+        self.stack.remove(&mut self.arena, node);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::RemoveReason;
+    use crate::policy::Tracked;
     use hstorage_storage::{PolicyConfig, QosPolicy, RequestClass};
 
     fn req(direction: Direction) -> PolicyRequest {
@@ -132,41 +134,38 @@ mod tests {
         }
     }
 
-    /// Emulates the engine: select a victim, then complete the eviction
-    /// with the reasoned removal notification.
-    fn pop(p: &mut CflruPolicy) -> Option<BlockAddr> {
-        let victim = p.pop_victim(BlockAddr(u64::MAX), &req(Direction::Read))?;
-        p.on_remove_reasoned(victim, CachePriority(2), RemoveReason::Evict);
-        Some(victim)
+    /// Emulates the engine: select a victim, then complete the eviction.
+    fn pop(p: &mut Tracked<CflruPolicy>) -> Option<BlockAddr> {
+        p.pop(&req(Direction::Read))
     }
 
     #[test]
     fn prefers_a_clean_victim_over_the_dirty_lru_block() {
-        let mut p = CflruPolicy::new(16); // window = 4
-        assert_eq!(p.window(), 4);
-        p.on_insert(BlockAddr(1), &req(Direction::Write)); // dirty, LRU end
-        p.on_insert(BlockAddr(2), &req(Direction::Read)); // clean
-        p.on_insert(BlockAddr(3), &req(Direction::Read)); // clean
-                                                          // Plain LRU would evict 1; CFLRU skips the dirty block and takes
-                                                          // the oldest clean one inside the window.
+        let mut p = Tracked::new(CflruPolicy::new(16)); // window = 4
+        assert_eq!(p.policy.window(), 4);
+        p.insert(BlockAddr(1), &req(Direction::Write)); // dirty, LRU end
+        p.insert(BlockAddr(2), &req(Direction::Read)); // clean
+        p.insert(BlockAddr(3), &req(Direction::Read)); // clean
+                                                       // Plain LRU would evict 1; CFLRU skips the dirty block and takes
+                                                       // the oldest clean one inside the window.
         assert_eq!(pop(&mut p), Some(BlockAddr(2)));
     }
 
     #[test]
     fn falls_back_to_lru_when_the_window_is_all_dirty() {
-        let mut p = CflruPolicy::new(8); // window = 2
-        p.on_insert(BlockAddr(1), &req(Direction::Write));
-        p.on_insert(BlockAddr(2), &req(Direction::Write));
-        p.on_insert(BlockAddr(3), &req(Direction::Read)); // clean but outside window
+        let mut p = Tracked::new(CflruPolicy::new(8)); // window = 2
+        p.insert(BlockAddr(1), &req(Direction::Write));
+        p.insert(BlockAddr(2), &req(Direction::Write));
+        p.insert(BlockAddr(3), &req(Direction::Read)); // clean but outside window
         assert_eq!(pop(&mut p), Some(BlockAddr(1)));
     }
 
     #[test]
     fn a_write_hit_dirties_a_clean_block() {
-        let mut p = CflruPolicy::new(16);
-        p.on_insert(BlockAddr(1), &req(Direction::Read));
-        p.on_insert(BlockAddr(2), &req(Direction::Read));
-        p.on_hit(BlockAddr(1), CachePriority(2), &req(Direction::Write));
+        let mut p = Tracked::new(CflruPolicy::new(16));
+        p.insert(BlockAddr(1), &req(Direction::Read));
+        p.insert(BlockAddr(2), &req(Direction::Read));
+        p.hit(BlockAddr(1), &req(Direction::Write));
         // Block 1 is now dirty (and MRU); block 2 is the clean victim.
         assert_eq!(pop(&mut p), Some(BlockAddr(2)));
         // Only the dirty block remains; window exhausted, LRU fallback.
@@ -193,9 +192,22 @@ mod tests {
         );
         // A 1%-window CFLRU degenerates toward plain LRU: with the LRU
         // block dirty it pays the write-back immediately.
-        let mut lru_like = CflruPolicy::with_window(100, 1);
-        lru_like.on_insert(BlockAddr(1), &req(Direction::Write));
-        lru_like.on_insert(BlockAddr(2), &req(Direction::Read));
+        let mut lru_like = Tracked::new(CflruPolicy::with_window(100, 1));
+        lru_like.insert(BlockAddr(1), &req(Direction::Write));
+        lru_like.insert(BlockAddr(2), &req(Direction::Read));
         assert_eq!(pop(&mut lru_like), Some(BlockAddr(1)));
+    }
+
+    #[test]
+    fn a_recycled_node_starts_clean() {
+        let mut p = Tracked::new(CflruPolicy::new(16));
+        p.insert(BlockAddr(1), &req(Direction::Write));
+        assert_eq!(pop(&mut p), Some(BlockAddr(1)));
+        // Block 2 reuses block 1's node. A read insert must not inherit
+        // the dirty flag: 2 is then the oldest clean block and the victim
+        // (a dirty 2 would be skipped for the clean 3).
+        p.insert(BlockAddr(2), &req(Direction::Read));
+        p.insert(BlockAddr(3), &req(Direction::Read));
+        assert_eq!(pop(&mut p), Some(BlockAddr(2)));
     }
 }

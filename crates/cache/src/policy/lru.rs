@@ -1,7 +1,7 @@
 //! Plain least-recently-used replacement behind the [`CachePolicy`] trait.
 
-use crate::lru::LruList;
-use crate::policy::{CachePolicy, HitOutcome, PolicyRequest};
+use crate::arena::{ListArena, ListHandle};
+use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_storage::{BlockAddr, CachePriority};
 
 /// Classification-blind LRU: every miss is admitted, all resident blocks
@@ -12,7 +12,8 @@ use hstorage_storage::{BlockAddr, CachePriority};
 /// evaluation contrasts against, now selectable inside the same engine.
 #[derive(Default)]
 pub struct LruPolicy {
-    stack: LruList,
+    arena: ListArena,
+    stack: ListHandle,
 }
 
 impl LruPolicy {
@@ -25,11 +26,12 @@ impl LruPolicy {
 impl CachePolicy for LruPolicy {
     fn on_hit(
         &mut self,
-        lbn: BlockAddr,
+        _lbn: BlockAddr,
+        node: u32,
         _current: CachePriority,
         _req: &PolicyRequest,
     ) -> HitOutcome {
-        self.stack.touch(&lbn);
+        self.stack.move_front(&mut self.arena, node);
         HitOutcome::Unchanged
     }
 
@@ -46,25 +48,30 @@ impl CachePolicy for LruPolicy {
     fn pop_victim(&mut self, _incoming: BlockAddr, _req: &PolicyRequest) -> Option<BlockAddr> {
         // Selection only: the block leaves the stack when the engine's
         // Evict notification reaches `on_remove`.
-        self.stack.peek_lru().copied()
+        self.stack.back(&self.arena).copied()
     }
 
-    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
-        self.stack.insert_mru(lbn);
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
         // A single stack has no groups; the recorded priority is
         // informational, mirroring the paper's LRU baseline tables.
-        req.prio
+        (req.prio, self.stack.push_front(&mut self.arena, lbn))
     }
 
-    fn on_remove(&mut self, lbn: BlockAddr, _group: CachePriority) {
-        self.stack.remove(&lbn);
+    fn on_remove(
+        &mut self,
+        _lbn: BlockAddr,
+        node: u32,
+        _group: CachePriority,
+        _reason: RemoveReason,
+    ) {
+        self.stack.remove(&mut self.arena, node);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::RemoveReason;
+    use crate::policy::Tracked;
     use hstorage_storage::{Direction, PolicyConfig, QosPolicy, RequestClass};
 
     fn req(qos: QosPolicy) -> PolicyRequest {
@@ -77,14 +84,6 @@ mod tests {
         }
     }
 
-    /// Emulates the engine: select a victim, then complete the eviction
-    /// with the reasoned removal notification.
-    fn pop(p: &mut LruPolicy, req: &PolicyRequest) -> Option<BlockAddr> {
-        let victim = p.pop_victim(BlockAddr(u64::MAX), req)?;
-        p.on_remove_reasoned(victim, req.prio, RemoveReason::Evict);
-        Some(victim)
-    }
-
     #[test]
     fn admits_everything_including_scans() {
         let p = LruPolicy::new();
@@ -95,26 +94,26 @@ mod tests {
 
     #[test]
     fn evicts_in_recency_order_regardless_of_priority() {
-        let mut p = LruPolicy::new();
+        let mut p = Tracked::new(LruPolicy::new());
         let high = req(QosPolicy::priority(1));
         let low = req(QosPolicy::priority(5));
-        p.on_insert(BlockAddr(1), &high);
-        p.on_insert(BlockAddr(2), &low);
-        p.on_insert(BlockAddr(3), &high);
+        p.insert(BlockAddr(1), &high);
+        p.insert(BlockAddr(2), &low);
+        p.insert(BlockAddr(3), &high);
         // Touch the oldest: it becomes MRU.
-        p.on_hit(BlockAddr(1), CachePriority(1), &low);
-        assert_eq!(pop(&mut p, &high), Some(BlockAddr(2)));
-        assert_eq!(pop(&mut p, &high), Some(BlockAddr(3)));
-        assert_eq!(pop(&mut p, &high), Some(BlockAddr(1)));
-        assert_eq!(pop(&mut p, &high), None);
+        p.hit(BlockAddr(1), &low);
+        assert_eq!(p.pop(&high), Some(BlockAddr(2)));
+        assert_eq!(p.pop(&high), Some(BlockAddr(3)));
+        assert_eq!(p.pop(&high), Some(BlockAddr(1)));
+        assert_eq!(p.pop(&high), None);
     }
 
     #[test]
     fn remove_untracks_a_block() {
-        let mut p = LruPolicy::new();
+        let mut p = Tracked::new(LruPolicy::new());
         let r = req(QosPolicy::priority(2));
-        p.on_insert(BlockAddr(9), &r);
-        p.on_remove(BlockAddr(9), CachePriority(2));
-        assert_eq!(pop(&mut p, &r), None);
+        p.insert(BlockAddr(9), &r);
+        p.remove(BlockAddr(9), RemoveReason::Trim);
+        assert_eq!(p.pop(&r), None);
     }
 }

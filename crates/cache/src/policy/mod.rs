@@ -81,9 +81,8 @@ pub enum HitOutcome {
     Moved(CachePriority),
 }
 
-/// Why the engine removed a tracked block without asking the policy for a
-/// victim — the lifetime hint behind
-/// [`CachePolicy::on_remove_reasoned`].
+/// Why a resident block left the engine — the lifetime hint
+/// [`CachePolicy::on_remove`] receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RemoveReason {
     /// A TRIM invalidated the block: its lifetime has **ended** and the
@@ -92,10 +91,11 @@ pub enum RemoveReason {
     /// policy's end-of-lifetime handling of `NonCachingEviction` data).
     Trim,
     /// The engine displaced the block — it was selected by
-    /// [`CachePolicy::pop_victim`] / [`CachePolicy::steal_victim`] or
-    /// swept up by a write-buffer drain — and its slot was released. The
-    /// address is still live, so ghost-keeping policies may remember it
-    /// exactly as they would one of their own evictions.
+    /// [`CachePolicy::pop_victim`] / [`CachePolicy::steal_victim`], swept
+    /// up by a write-buffer drain or demoted by a migration round — and
+    /// its slot was released. The address is still live, so ghost-keeping
+    /// policies may remember it exactly as they would one of their own
+    /// evictions.
     Evict,
 }
 
@@ -106,32 +106,42 @@ pub enum RemoveReason {
 /// shared between readers of that lock (`&self`).
 ///
 /// The engine calls exactly one method per block event and mirrors the
-/// outcome in its own metadata; the policy maintains whatever ordering
-/// structures it needs (LRU lists, FIFO queues, ghost lists) and must keep
-/// them consistent with the engine's resident set:
+/// outcome in its own metadata; the policy keeps whatever ordering
+/// structures it needs (LRU lists, FIFO queues, ghost lists) consistent
+/// with the engine's resident set:
 ///
 /// * every block passed to [`CachePolicy::on_insert`] is tracked until the
-///   engine announces its removal via
-///   [`CachePolicy::on_remove_reasoned`] — with [`RemoveReason::Trim`]
-///   when a TRIM invalidates it, with [`RemoveReason::Evict`] when the
-///   engine releases the slot itself (after the policy selected the block
-///   via [`CachePolicy::pop_victim`] / [`CachePolicy::steal_victim`], or
-///   after a write-buffer drain returned it);
+///   engine announces its removal via [`CachePolicy::on_remove`] — with
+///   [`RemoveReason::Trim`] when a TRIM invalidates it, with
+///   [`RemoveReason::Evict`] when the engine releases the slot itself;
 /// * [`CachePolicy::pop_victim`], [`CachePolicy::steal_victim`] and
 ///   [`CachePolicy::drain_write_buffer`] are **selection-only**: they name
-///   tracked blocks without untracking them — the follow-up
-///   `on_remove_reasoned(…, Evict)` call does that. (Legacy policies that
-///   eagerly untrack inside `pop_victim` keep working, because the default
-///   removal hooks tolerate already-absent blocks.)
+///   tracked blocks without untracking them — the follow-up `on_remove`
+///   call does that, exactly once per block.
+///
+/// # Node handles
+///
+/// The engine's block table is the only address index of resident blocks
+/// (the paper's one hash table `<lbn, (pbn, prio)>`, Section 5.2): the
+/// `u32` that [`CachePolicy::on_insert`] returns beside the group label is
+/// stored in the block's table slot and handed back, unchanged, to every
+/// later [`CachePolicy::on_hit`] and to the [`CachePolicy::on_remove`]
+/// that retires the block. The shipped policies return the index of the
+/// block's list node and move that node between their own lists, so a hit
+/// or a removal reaches the node without a lookup of their own. A policy
+/// that would rather keep its own index returns
+/// [`NO_NODE`](crate::table::NO_NODE) and ignores the argument.
 ///
 /// # Worked example: a custom FIFO policy
 ///
 /// A policy that evicts in plain insertion order — no recency, no
 /// semantics — plugs into the engine through
-/// [`CacheEngine::with_policy_factory`](crate::engine::CacheEngine::with_policy_factory):
+/// [`CacheEngine::with_policy_factory`](crate::engine::CacheEngine::with_policy_factory).
+/// It keeps its own queue, so it needs no node handle:
 ///
 /// ```
-/// use hstorage_cache::policy::{CachePolicy, HitOutcome, PolicyRequest};
+/// use hstorage_cache::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
+/// use hstorage_cache::table::NO_NODE;
 /// use hstorage_cache::{CacheEngine, StorageSystem};
 /// use hstorage_storage::{
 ///     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, IoRequest, PolicyConfig,
@@ -148,6 +158,7 @@ pub enum RemoveReason {
 ///     fn on_hit(
 ///         &mut self,
 ///         _lbn: BlockAddr,
+///         _node: u32,
 ///         _current: CachePriority,
 ///         _req: &PolicyRequest,
 ///     ) -> HitOutcome {
@@ -159,18 +170,25 @@ pub enum RemoveReason {
 ///     }
 ///
 ///     fn pop_victim(&mut self, _incoming: BlockAddr, _req: &PolicyRequest) -> Option<BlockAddr> {
-///         // Selection only: the engine follows up with
-///         // `on_remove_reasoned(…, RemoveReason::Evict)`, which lands in
-///         // `on_remove` below and dequeues the block.
+///         // Selection only: the engine follows up with `on_remove`
+///         // below, which dequeues the block.
 ///         self.queue.front().copied()
 ///     }
 ///
-///     fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
+///     fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
 ///         self.queue.push_back(lbn);
-///         req.prio // recorded in the metadata, informational for FIFO
+///         // The label is informational for FIFO; the queue is its own
+///         // index, so there is no node handle to store.
+///         (req.prio, NO_NODE)
 ///     }
 ///
-///     fn on_remove(&mut self, lbn: BlockAddr, _group: CachePriority) {
+///     fn on_remove(
+///         &mut self,
+///         lbn: BlockAddr,
+///         _node: u32,
+///         _group: CachePriority,
+///         _reason: RemoveReason,
+///     ) {
 ///         self.queue.retain(|&b| b != lbn);
 ///     }
 /// }
@@ -196,11 +214,17 @@ pub enum RemoveReason {
 /// assert!(engine.contains_block(BlockAddr(12)));
 /// ```
 pub trait CachePolicy: Send + Sync {
-    /// Called when `lbn` (tracked, currently labelled `current`) is hit.
-    /// The policy refreshes its internal ordering and reports whether the
-    /// block moved to a different group.
-    fn on_hit(&mut self, lbn: BlockAddr, current: CachePriority, req: &PolicyRequest)
-        -> HitOutcome;
+    /// Called when `lbn` (tracked at `node`, currently labelled `current`)
+    /// is hit. The policy refreshes its internal ordering and reports
+    /// whether the block moved to a different group; its node handle must
+    /// stay the same.
+    fn on_hit(
+        &mut self,
+        lbn: BlockAddr,
+        node: u32,
+        current: CachePriority,
+        req: &PolicyRequest,
+    ) -> HitOutcome;
 
     /// Whether a block missing from the cache may be admitted at all under
     /// this request. Returning `false` bypasses the cache (the transfer
@@ -232,10 +256,9 @@ pub trait CachePolicy: Send + Sync {
     /// incoming block is not worth a resident one (the request then
     /// bypasses the cache). This is **selection-only** — the policy keeps
     /// tracking the named block until the engine completes the eviction
-    /// with [`CachePolicy::on_remove_reasoned`] and
-    /// [`RemoveReason::Evict`]. Most policies ignore `incoming`; ARC
-    /// consults its ghost lists for it to bias the recency/frequency
-    /// trade-off of its `REPLACE` step.
+    /// with [`CachePolicy::on_remove`] and [`RemoveReason::Evict`]. Most
+    /// policies ignore `incoming`; ARC consults its ghost lists for it to
+    /// bias the recency/frequency trade-off of its `REPLACE` step.
     fn pop_victim(&mut self, incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr>;
 
     /// Like [`CachePolicy::pop_victim`] (and equally selection-only), but
@@ -250,30 +273,21 @@ pub trait CachePolicy: Send + Sync {
         self.pop_victim(BlockAddr(u64::MAX), req)
     }
 
-    /// `lbn` was just allocated a slot: start tracking it. The returned
-    /// priority is recorded as the block's group label in the engine's
-    /// metadata (and handed back via `current` on later events).
-    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority;
+    /// `lbn` was just allocated a slot: start tracking it. Returns the
+    /// group label the engine records for the block (and hands back via
+    /// `current` on later hits) and the node handle it stores beside it
+    /// (see [Node handles](CachePolicy#node-handles)).
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32);
 
-    /// `lbn` (labelled `group`) is gone from the engine's resident set —
-    /// a TRIM invalidated it, or the engine completed an eviction the
-    /// policy selected: stop tracking it. Must tolerate blocks that are
-    /// already untracked.
-    fn on_remove(&mut self, lbn: BlockAddr, group: CachePriority);
-
-    /// Reason-aware variant of [`CachePolicy::on_remove`]: the engine (or
-    /// a compositor) reports *why* the block went away, so policies can
-    /// exploit lifetime hints — a [`RemoveReason::Trim`] means the address
-    /// is dead and any ghost history for it must be dropped, while a
-    /// [`RemoveReason::Evict`] completes a displacement the policy (or a
-    /// sibling stream's steal) selected, which ghost-keeping policies may
-    /// remember like one of their own evictions. The default forwards to
-    /// [`CachePolicy::on_remove`], so existing policies compile (and
-    /// behave) unchanged.
-    fn on_remove_reasoned(&mut self, lbn: BlockAddr, group: CachePriority, reason: RemoveReason) {
-        let _ = reason;
-        self.on_remove(lbn, group);
-    }
+    /// `lbn` (tracked at `node`, labelled `group`) is gone from the
+    /// engine's resident set: stop tracking it. `reason` says why, so
+    /// policies can exploit lifetime hints — a [`RemoveReason::Trim`]
+    /// means the address is dead and any ghost history for it must be
+    /// dropped, while a [`RemoveReason::Evict`] completes a displacement
+    /// the policy (or a sibling stream's steal) selected, which
+    /// ghost-keeping policies may remember like one of their own
+    /// evictions.
+    fn on_remove(&mut self, lbn: BlockAddr, node: u32, group: CachePriority, reason: RemoveReason);
 
     /// A TRIM invalidated `lbn` while it was **not** resident. The block's
     /// lifetime has ended and its address may be re-used for unrelated
@@ -301,8 +315,8 @@ pub trait CachePolicy: Send + Sync {
     /// Name every write-buffered block (called by the engine when the
     /// buffer exceeds its share of the cache). Selection-only, like
     /// [`CachePolicy::pop_victim`]: the engine completes each removal via
-    /// [`CachePolicy::on_remove_reasoned`] with [`RemoveReason::Evict`].
-    /// Policies without a write buffer return nothing.
+    /// [`CachePolicy::on_remove`] with [`RemoveReason::Evict`]. Policies
+    /// without a write buffer return nothing.
     fn drain_write_buffer(&mut self) -> Vec<BlockAddr> {
         Vec::new()
     }
@@ -490,6 +504,81 @@ impl CachePolicyKind {
 impl fmt::Display for CachePolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// The engine's side of the node-handle contract, for unit tests that
+/// drive one policy directly: remembers each resident block's node handle
+/// and group label by address and hands them back, the way the block
+/// table does.
+#[cfg(test)]
+pub(crate) struct Tracked<P> {
+    pub(crate) policy: P,
+    slots: std::collections::HashMap<BlockAddr, (u32, CachePriority)>,
+}
+
+#[cfg(test)]
+impl<P: CachePolicy> Tracked<P> {
+    pub(crate) fn new(policy: P) -> Self {
+        Tracked {
+            policy,
+            slots: std::collections::HashMap::new(),
+        }
+    }
+
+    /// `on_insert`, remembering the node and label.
+    pub(crate) fn insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
+        let (group, node) = self.policy.on_insert(lbn, req);
+        assert!(
+            self.slots.insert(lbn, (node, group)).is_none(),
+            "{lbn:?} inserted twice"
+        );
+        group
+    }
+
+    /// `on_hit` with the remembered node and label, mirroring a move.
+    pub(crate) fn hit(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> HitOutcome {
+        let (node, group) = self.slots[&lbn];
+        let outcome = self.policy.on_hit(lbn, node, group, req);
+        if let HitOutcome::Moved(new) = outcome {
+            self.slots.insert(lbn, (node, new));
+        }
+        outcome
+    }
+
+    /// `on_remove` of a resident block; absent blocks are ignored, as the
+    /// engine never reports them.
+    pub(crate) fn remove(&mut self, lbn: BlockAddr, reason: RemoveReason) {
+        if let Some((node, group)) = self.slots.remove(&lbn) {
+            self.policy.on_remove(lbn, node, group, reason);
+        }
+    }
+
+    /// The engine's eviction: select a victim for `incoming`, then retire
+    /// it with [`RemoveReason::Evict`].
+    pub(crate) fn evict_for(
+        &mut self,
+        incoming: BlockAddr,
+        req: &PolicyRequest,
+    ) -> Option<BlockAddr> {
+        let victim = self.policy.pop_victim(incoming, req)?;
+        self.remove(victim, RemoveReason::Evict);
+        Some(victim)
+    }
+
+    /// [`Tracked::evict_for`] on behalf of an address no test uses.
+    pub(crate) fn pop(&mut self, req: &PolicyRequest) -> Option<BlockAddr> {
+        self.evict_for(BlockAddr(u64::MAX), req)
+    }
+
+    /// Whether `lbn` is resident.
+    pub(crate) fn contains(&self, lbn: BlockAddr) -> bool {
+        self.slots.contains_key(&lbn)
+    }
+
+    /// Number of resident blocks.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
     }
 }
 

@@ -11,9 +11,11 @@
 //! buffer) is unaware that several algorithms share a shard.
 //!
 //! Ownership: each resident block belongs to exactly one inner policy —
-//! the one its *inserting* request was routed to. Hits are forwarded to
-//! the owner (not re-routed by the hitting request's class, which may
-//! differ), and engine-initiated removals fan out with their
+//! the one its *inserting* request was routed to — and the compositor
+//! records the owner in the high bits of the block's node handle, so the
+//! engine's block table carries it with the inner's own node. Hits are
+//! forwarded to the owner (not re-routed by the hitting request's class,
+//! which may differ), and engine-initiated removals fan out with their
 //! [`RemoveReason`]: a TRIM also tells every *other* inner to drop any
 //! ghost history for the dead address.
 //!
@@ -28,7 +30,6 @@ use crate::policy::{
     ArcPolicy, CachePolicy, CflruPolicy, HitOutcome, LruPolicy, PolicyRequest, RemoveReason,
     SemanticPriorityPolicy, TwoQPolicy,
 };
-use crate::table::OpenMap;
 use hstorage_storage::{BlockAddr, CachePriority, PolicyConfig, RequestClass};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -230,8 +231,13 @@ impl fmt::Display for StreamRouting {
     }
 }
 
+/// Bits of a compositor node handle below the owner index: the inner
+/// policy's own node handle. The three bits above address up to eight
+/// inners — a routing has at most five streams.
+const INNER_BITS: u32 = 29;
+
 /// The compositor: routes block events to per-stream inner policies and
-/// keeps the block → owner mapping.
+/// records each block's owner in its node handle.
 ///
 /// Inner policies are deduplicated by kind — with the default routing the
 /// sequential, temporary and update streams share **one**
@@ -246,9 +252,6 @@ pub struct PerStreamPolicy {
     /// Index of the write-buffering inner, if the routing has one: every
     /// request resolving to group 0 routes here irrespective of class.
     buffering: Option<usize>,
-    /// Which inner tracks each resident block (contains/point lookups
-    /// only).
-    owner: OpenMap<u32>,
     /// Resident block count per inner (drives victim-stealing fallback).
     owned: Vec<usize>,
 }
@@ -292,7 +295,6 @@ impl PerStreamPolicy {
             inners,
             route,
             buffering,
-            owner: OpenMap::new(),
             owned,
         }
     }
@@ -316,6 +318,15 @@ impl PerStreamPolicy {
         self.route[Self::slot(class)]
     }
 
+    /// Splits a compositor node handle into the owning inner's index and
+    /// that inner's node handle.
+    fn unpack(node: u32) -> (usize, u32) {
+        (
+            (node >> INNER_BITS) as usize,
+            node & ((1 << INNER_BITS) - 1),
+        )
+    }
+
     /// The inner serving `req`: write-buffer traffic (group 0) goes to
     /// the buffering inner whatever its class, everything else routes by
     /// request class.
@@ -333,6 +344,7 @@ impl CachePolicy for PerStreamPolicy {
     fn on_hit(
         &mut self,
         lbn: BlockAddr,
+        node: u32,
         current: CachePriority,
         req: &PolicyRequest,
     ) -> HitOutcome {
@@ -340,13 +352,8 @@ impl CachePolicy for PerStreamPolicy {
         // request may differ from the class that inserted the block (a
         // scan re-reading random-cached pages must not consult the wrong
         // inner).
-        match self.owner.get(lbn.0) {
-            Some(&idx) => self.inners[idx as usize].on_hit(lbn, current, req),
-            None => {
-                debug_assert!(false, "hit on unowned block {lbn:?}");
-                HitOutcome::Unchanged
-            }
-        }
+        let (idx, inner) = Self::unpack(node);
+        self.inners[idx].on_hit(lbn, inner, current, req)
     }
 
     fn admits(&self, req: &PolicyRequest) -> bool {
@@ -371,16 +378,10 @@ impl CachePolicy for PerStreamPolicy {
         // stream can carve space out of a cache another stream filled.
         // Selection only: ownership bookkeeping (and the robbed inner's
         // untracking/ghosting) happens when the engine completes the
-        // eviction via `on_remove_reasoned`.
+        // eviction via `on_remove`.
         let primary = self.route_for(req);
         if self.owned[primary] > 0 {
-            let victim = self.inners[primary].pop_victim(incoming, req)?;
-            debug_assert_eq!(
-                self.owner.get(victim.0),
-                Some(&(primary as u32)),
-                "victim owned by its inner"
-            );
-            return Some(victim);
+            return self.inners[primary].pop_victim(incoming, req);
         }
         for idx in (0..self.inners.len()).filter(|&i| i != primary) {
             if self.owned[idx] == 0 {
@@ -390,44 +391,33 @@ impl CachePolicy for PerStreamPolicy {
             // track, so the adaptation-free steal hook is used — ARC must
             // not tune `p` (or consume ghost state) for a foreign insert.
             if let Some(victim) = self.inners[idx].steal_victim(req) {
-                debug_assert_eq!(
-                    self.owner.get(victim.0),
-                    Some(&(idx as u32)),
-                    "stolen victim owned by the robbed inner"
-                );
                 return Some(victim);
             }
         }
         None
     }
 
-    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
         let idx = self.route_for(req);
-        self.owner.insert(lbn.0, idx as u32);
         self.owned[idx] += 1;
-        self.inners[idx].on_insert(lbn, req)
+        let (group, inner) = self.inners[idx].on_insert(lbn, req);
+        assert!(
+            inner >> INNER_BITS == 0,
+            "inner node handle {inner} does not fit below the owner bits"
+        );
+        (group, (idx as u32) << INNER_BITS | inner)
     }
 
-    fn on_remove(&mut self, lbn: BlockAddr, group: CachePriority) {
-        if let Some(idx) = self.owner.remove(lbn.0) {
-            let idx = idx as usize;
-            self.owned[idx] -= 1;
-            self.inners[idx].on_remove(lbn, group);
-        }
-    }
-
-    fn on_remove_reasoned(&mut self, lbn: BlockAddr, group: CachePriority, reason: RemoveReason) {
-        if let Some(idx) = self.owner.remove(lbn.0) {
-            let idx = idx as usize;
-            self.owned[idx] -= 1;
-            self.inners[idx].on_remove_reasoned(lbn, group, reason);
-            if reason == RemoveReason::Trim {
-                // The address is dead for every stream: ghost-keeping
-                // inners that ever saw it must forget it too.
-                for (j, inner) in self.inners.iter_mut().enumerate() {
-                    if j != idx {
-                        inner.on_trim_absent(lbn);
-                    }
+    fn on_remove(&mut self, lbn: BlockAddr, node: u32, group: CachePriority, reason: RemoveReason) {
+        let (idx, inner) = Self::unpack(node);
+        self.owned[idx] -= 1;
+        self.inners[idx].on_remove(lbn, inner, group, reason);
+        if reason == RemoveReason::Trim {
+            // The address is dead for every stream: ghost-keeping inners
+            // that ever saw it must forget it too.
+            for (j, other) in self.inners.iter_mut().enumerate() {
+                if j != idx {
+                    other.on_trim_absent(lbn);
                 }
             }
         }
@@ -458,6 +448,7 @@ impl CachePolicy for PerStreamPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Tracked;
     use hstorage_storage::{Direction, QosPolicy};
 
     fn preq(class: RequestClass, qos: QosPolicy, direction: Direction) -> PolicyRequest {
@@ -507,13 +498,13 @@ mod tests {
 
     #[test]
     fn hits_are_forwarded_to_the_owner_not_the_hitting_class() {
-        let mut p = policy();
+        let mut p = Tracked::new(policy());
         let random = preq(
             RequestClass::Random,
             QosPolicy::priority(2),
             Direction::Read,
         );
-        p.on_insert(BlockAddr(7), &random);
+        p.insert(BlockAddr(7), &random);
         // A sequential re-read of the ARC-owned block must reach ARC (a
         // T1→T2 promotion), not the semantic inner (which would panic in
         // debug: it never tracked the block).
@@ -522,22 +513,19 @@ mod tests {
             QosPolicy::NonCachingNonEviction,
             Direction::Read,
         );
-        assert_eq!(
-            p.on_hit(BlockAddr(7), CachePriority(2), &scan),
-            HitOutcome::Unchanged
-        );
+        assert_eq!(p.hit(BlockAddr(7), &scan), HitOutcome::Unchanged);
     }
 
     #[test]
     fn empty_stream_steals_a_victim_from_other_streams() {
-        let mut p = policy();
+        let mut p = Tracked::new(policy());
         let random = preq(
             RequestClass::Random,
             QosPolicy::priority(2),
             Direction::Read,
         );
         for i in 0..4u64 {
-            p.on_insert(BlockAddr(i), &random);
+            p.insert(BlockAddr(i), &random);
         }
         // A temporary-data write arrives with the (shared) semantic inner
         // empty: the victim must come from ARC's stock.
@@ -546,14 +534,13 @@ mod tests {
             QosPolicy::priority(1),
             Direction::Write,
         );
-        let victim = p.pop_victim(BlockAddr(100), &temp).expect("steal succeeds");
-        p.on_remove_reasoned(victim, CachePriority(2), RemoveReason::Evict);
-        assert_eq!(p.owned[1], 3, "ARC gave up one block");
+        p.evict_for(BlockAddr(100), &temp).expect("steal succeeds");
+        assert_eq!(p.policy.owned[1], 3, "ARC gave up one block");
     }
 
     #[test]
     fn primary_refusal_is_respected_when_it_owns_blocks() {
-        let mut p = policy();
+        let mut p = Tracked::new(policy());
         // Fill the semantic inner with top-priority temporary data.
         let temp = preq(
             RequestClass::TemporaryData,
@@ -561,7 +548,7 @@ mod tests {
             Direction::Write,
         );
         for i in 0..4u64 {
-            p.on_insert(BlockAddr(i), &temp);
+            p.insert(BlockAddr(i), &temp);
         }
         // A lower-priority update-stream read routed to the same semantic
         // inner: it declines (prio 5 cannot displace prio 1), and the
@@ -571,8 +558,8 @@ mod tests {
             QosPolicy::priority(5),
             Direction::Read,
         );
-        assert_eq!(p.pop_victim(BlockAddr(200), &weak), None);
-        assert_eq!(p.owned[0], 4);
+        assert_eq!(p.policy.pop_victim(BlockAddr(200), &weak), None);
+        assert_eq!(p.policy.owned[0], 4);
     }
 
     #[test]
@@ -584,7 +571,11 @@ mod tests {
             update: StreamPolicyKind::Lru,
         };
         assert!(routing.validate().is_ok());
-        let mut p = PerStreamPolicy::new(PolicyConfig::paper_default(), 8, routing);
+        let mut p = Tracked::new(PerStreamPolicy::new(
+            PolicyConfig::paper_default(),
+            8,
+            routing,
+        ));
         let random = preq(
             RequestClass::Random,
             QosPolicy::priority(2),
@@ -592,48 +583,50 @@ mod tests {
         );
         // Insert on the 2Q stream, evict it (ghosted), then trim the
         // absent address: the ghost must die so a re-use is a cold start.
-        p.on_insert(BlockAddr(3), &random);
-        let victim = p.pop_victim(BlockAddr(4), &random).expect("2Q evicts");
+        p.insert(BlockAddr(3), &random);
+        let victim = p.evict_for(BlockAddr(4), &random).expect("2Q evicts");
         assert_eq!(victim, BlockAddr(3));
-        p.on_remove_reasoned(victim, CachePriority(2), RemoveReason::Evict);
-        p.on_trim_absent(BlockAddr(3));
-        p.on_insert(BlockAddr(3), &random);
-        p.on_insert(BlockAddr(4), &random);
-        p.on_insert(BlockAddr(5), &random);
+        p.policy.on_trim_absent(BlockAddr(3));
+        p.insert(BlockAddr(3), &random);
+        p.insert(BlockAddr(4), &random);
+        p.insert(BlockAddr(5), &random);
         // Were the ghost alive, 3 would sit protected in Am and the
         // probationary FIFO would give up 4; after the trim, 3 is a
         // first-touch block again and evicts first.
-        assert_eq!(p.pop_victim(BlockAddr(6), &random), Some(BlockAddr(3)));
+        assert_eq!(
+            p.policy.pop_victim(BlockAddr(6), &random),
+            Some(BlockAddr(3))
+        );
     }
 
     #[test]
     fn resident_trim_fans_out_with_its_reason() {
-        let mut p = policy();
+        let mut p = Tracked::new(policy());
         let random = preq(
             RequestClass::Random,
             QosPolicy::priority(2),
             Direction::Read,
         );
-        p.on_insert(BlockAddr(9), &random);
-        p.on_remove_reasoned(BlockAddr(9), CachePriority(2), RemoveReason::Trim);
-        assert_eq!(p.owned[1], 0);
-        // Unknown blocks are ignored (engine never reports them, but the
-        // fan-out must not underflow).
-        p.on_remove_reasoned(BlockAddr(9), CachePriority(2), RemoveReason::Trim);
+        p.insert(BlockAddr(9), &random);
+        p.remove(BlockAddr(9), RemoveReason::Trim);
+        assert_eq!(p.policy.owned[1], 0);
+        // The engine never reports an absent block again (the harness
+        // drops the second TRIM, as the block table would).
+        p.remove(BlockAddr(9), RemoveReason::Trim);
     }
 
     #[test]
     fn write_buffer_is_served_by_the_semantic_inner() {
-        let mut p = policy();
+        let mut p = Tracked::new(policy());
         let upd = preq(
             RequestClass::Update,
             QosPolicy::WriteBuffer,
             Direction::Write,
         );
-        assert!(p.write_buffered(CachePriority(0)));
-        assert!(!p.write_buffered(CachePriority(2)));
-        p.on_insert(BlockAddr(1), &upd);
-        p.on_insert(
+        assert!(p.policy.write_buffered(CachePriority(0)));
+        assert!(!p.policy.write_buffered(CachePriority(2)));
+        p.insert(BlockAddr(1), &upd);
+        p.insert(
             BlockAddr(2),
             &preq(
                 RequestClass::Random,
@@ -641,20 +634,20 @@ mod tests {
                 Direction::Read,
             ),
         );
-        let mut drained = p.drain_write_buffer();
+        let mut drained = p.policy.drain_write_buffer();
         drained.sort();
         assert_eq!(drained, vec![BlockAddr(1)]);
         // The engine completes the drain with one Evict per block.
         for lbn in &drained {
-            p.on_remove_reasoned(*lbn, CachePriority(0), RemoveReason::Evict);
+            p.remove(*lbn, RemoveReason::Evict);
         }
-        assert_eq!(p.owned[0], 0);
-        assert_eq!(p.owned[1], 1, "the ARC block stays");
+        assert_eq!(p.policy.owned[0], 0);
+        assert_eq!(p.policy.owned[1], 1, "the ARC block stays");
     }
 
     #[test]
     fn write_buffer_qos_on_a_foreign_stream_routes_to_the_buffering_inner() {
-        let mut p = policy();
+        let mut p = Tracked::new(policy());
         // A WriteBuffer-QoS request arriving with Random class (a stream
         // routed to ARC) resolves to group 0, so it must be owned by the
         // buffering semantic inner — otherwise the engine would count it
@@ -665,30 +658,32 @@ mod tests {
             QosPolicy::WriteBuffer,
             Direction::Write,
         );
-        assert_eq!(p.on_insert(BlockAddr(5), &odd), CachePriority(0));
-        assert_eq!(p.owned[0], 1, "owned by the buffering semantic inner");
-        assert_eq!(p.owned[1], 0);
-        assert_eq!(p.drain_write_buffer(), vec![BlockAddr(5)]);
-        p.on_remove_reasoned(BlockAddr(5), CachePriority(0), RemoveReason::Evict);
-        assert_eq!(p.owned[0], 0);
+        assert_eq!(p.insert(BlockAddr(5), &odd), CachePriority(0));
+        assert_eq!(
+            p.policy.owned[0], 1,
+            "owned by the buffering semantic inner"
+        );
+        assert_eq!(p.policy.owned[1], 0);
+        assert_eq!(p.policy.drain_write_buffer(), vec![BlockAddr(5)]);
+        p.remove(BlockAddr(5), RemoveReason::Evict);
+        assert_eq!(p.policy.owned[0], 0);
     }
 
     #[test]
     fn stealing_uses_the_adaptation_free_hook() {
-        let mut p = policy();
+        let mut p = Tracked::new(policy());
         let random = preq(
             RequestClass::Random,
             QosPolicy::priority(2),
             Direction::Read,
         );
         // Make address 100 a B1 ghost of the ARC inner.
-        p.on_insert(BlockAddr(100), &random);
-        p.on_insert(BlockAddr(101), &random);
-        p.on_hit(BlockAddr(101), CachePriority(2), &random); // 101 → T2
-        let ghosted = p.pop_victim(BlockAddr(102), &random).expect("ARC evicts");
+        p.insert(BlockAddr(100), &random);
+        p.insert(BlockAddr(101), &random);
+        p.hit(BlockAddr(101), &random); // 101 → T2
+        let ghosted = p.evict_for(BlockAddr(102), &random).expect("ARC evicts");
         assert_eq!(ghosted, BlockAddr(100));
-        p.on_remove_reasoned(ghosted, CachePriority(2), RemoveReason::Evict);
-        p.on_insert(BlockAddr(102), &random);
+        p.insert(BlockAddr(102), &random);
         // A temp-stream miss for the ghosted address steals from ARC (the
         // semantic inner owns nothing): ARC must neither consume the
         // ghost nor tune p for a block it will never track, so a later
@@ -699,10 +694,9 @@ mod tests {
             QosPolicy::priority(1),
             Direction::Write,
         );
-        let stolen = p.pop_victim(BlockAddr(100), &temp).expect("steal succeeds");
-        p.on_remove_reasoned(stolen, CachePriority(2), RemoveReason::Evict);
-        p.on_insert(BlockAddr(100), &temp); // owned by semantic now
-        assert_eq!(p.owned[0], 1);
+        p.evict_for(BlockAddr(100), &temp).expect("steal succeeds");
+        p.insert(BlockAddr(100), &temp); // owned by semantic now
+        assert_eq!(p.policy.owned[0], 1);
     }
 
     #[test]

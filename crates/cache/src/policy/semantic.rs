@@ -1,7 +1,7 @@
 //! The paper's semantic, priority-driven policy (Section 5.1), expressed
 //! behind the [`CachePolicy`] trait.
 
-use crate::policy::{CachePolicy, HitOutcome, PolicyRequest};
+use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
 use crate::priority_group::PriorityGroups;
 use hstorage_storage::{BlockAddr, CachePriority, PolicyConfig, QosPolicy};
 
@@ -42,7 +42,8 @@ impl SemanticPriorityPolicy {
 impl CachePolicy for SemanticPriorityPolicy {
     fn on_hit(
         &mut self,
-        lbn: BlockAddr,
+        _lbn: BlockAddr,
+        node: u32,
         current: CachePriority,
         req: &PolicyRequest,
     ) -> HitOutcome {
@@ -54,7 +55,7 @@ impl CachePolicy for SemanticPriorityPolicy {
             QosPolicy::NonCachingEviction => {
                 let target = self.config.non_caching_eviction();
                 if current != target {
-                    self.groups.reallocate(lbn, current, target);
+                    self.groups.reallocate(node, current, target);
                     HitOutcome::Moved(target)
                 } else {
                     HitOutcome::Unchanged
@@ -62,10 +63,10 @@ impl CachePolicy for SemanticPriorityPolicy {
             }
             QosPolicy::Priority(_) | QosPolicy::WriteBuffer => {
                 if current != req.prio {
-                    self.groups.reallocate(lbn, current, req.prio);
+                    self.groups.reallocate(node, current, req.prio);
                     HitOutcome::Moved(req.prio)
                 } else {
-                    self.groups.touch(lbn, req.prio);
+                    self.groups.touch(node, req.prio);
                     HitOutcome::Unchanged
                 }
             }
@@ -97,13 +98,18 @@ impl CachePolicy for SemanticPriorityPolicy {
         }
     }
 
-    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
-        self.groups.insert(lbn, req.prio);
-        req.prio
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
+        (req.prio, self.groups.insert(lbn, req.prio))
     }
 
-    fn on_remove(&mut self, lbn: BlockAddr, group: CachePriority) {
-        self.groups.remove(lbn, group);
+    fn on_remove(
+        &mut self,
+        _lbn: BlockAddr,
+        node: u32,
+        group: CachePriority,
+        _reason: RemoveReason,
+    ) {
+        self.groups.remove(node, group);
     }
 
     fn write_buffered(&self, group: CachePriority) -> bool {
@@ -120,7 +126,7 @@ impl CachePolicy for SemanticPriorityPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::RemoveReason;
+    use crate::policy::Tracked;
     use hstorage_storage::{Direction, RequestClass};
 
     fn req(qos: QosPolicy, config: &PolicyConfig) -> PolicyRequest {
@@ -132,14 +138,8 @@ mod tests {
         }
     }
 
-    /// Emulates the engine's eviction protocol: select a victim, then
-    /// complete the removal with the Evict notification. The engine passes
-    /// the victim's metadata group; in these tests that always equals the
-    /// displacing request's priority.
-    fn pop(p: &mut SemanticPriorityPolicy, req: &PolicyRequest) -> Option<BlockAddr> {
-        let victim = p.pop_victim(BlockAddr(u64::MAX), req)?;
-        p.on_remove_reasoned(victim, req.prio, RemoveReason::Evict);
-        Some(victim)
+    fn tracked(config: PolicyConfig) -> Tracked<SemanticPriorityPolicy> {
+        Tracked::new(SemanticPriorityPolicy::new(config))
     }
 
     #[test]
@@ -156,68 +156,62 @@ mod tests {
     #[test]
     fn displacement_requires_an_equal_or_lower_priority_resident() {
         let config = PolicyConfig::paper_default();
-        let mut p = SemanticPriorityPolicy::new(config);
+        let mut p = tracked(config);
         let r2 = req(QosPolicy::priority(2), &config);
-        p.on_insert(BlockAddr(1), &r2);
+        p.insert(BlockAddr(1), &r2);
         // A lower-priority (numerically higher) request must not displace.
-        assert_eq!(pop(&mut p, &req(QosPolicy::priority(4), &config)), None);
+        assert_eq!(p.pop(&req(QosPolicy::priority(4), &config)), None);
         // An equal-priority request displaces the LRU resident.
-        assert_eq!(pop(&mut p, &r2), Some(BlockAddr(1)));
+        assert_eq!(p.pop(&r2), Some(BlockAddr(1)));
         // Empty shard: nothing to displace.
-        assert_eq!(pop(&mut p, &r2), None);
+        assert_eq!(p.pop(&r2), None);
     }
 
     #[test]
     fn hits_promote_demote_and_touch() {
         let config = PolicyConfig::paper_default();
-        let mut p = SemanticPriorityPolicy::new(config);
+        let mut p = tracked(config);
         let r3 = req(QosPolicy::priority(3), &config);
-        p.on_insert(BlockAddr(1), &r3);
+        p.insert(BlockAddr(1), &r3);
         // Same priority: touch, no move.
-        assert_eq!(
-            p.on_hit(BlockAddr(1), CachePriority(3), &r3),
-            HitOutcome::Unchanged
-        );
+        assert_eq!(p.hit(BlockAddr(1), &r3), HitOutcome::Unchanged);
         // Different priority: re-allocation.
         let r2 = req(QosPolicy::priority(2), &config);
         assert_eq!(
-            p.on_hit(BlockAddr(1), CachePriority(3), &r2),
+            p.hit(BlockAddr(1), &r2),
             HitOutcome::Moved(CachePriority(2))
         );
         // Eviction policy demotes to the evict-first group.
         let evict = req(QosPolicy::NonCachingEviction, &config);
         assert_eq!(
-            p.on_hit(BlockAddr(1), CachePriority(2), &evict),
+            p.hit(BlockAddr(1), &evict),
             HitOutcome::Moved(config.non_caching_eviction())
         );
         // Non-eviction leaves the layout untouched.
         let scan = req(QosPolicy::NonCachingNonEviction, &config);
-        assert_eq!(
-            p.on_hit(BlockAddr(1), config.non_caching_eviction(), &scan),
-            HitOutcome::Unchanged
-        );
+        assert_eq!(p.hit(BlockAddr(1), &scan), HitOutcome::Unchanged);
     }
 
     #[test]
     fn drain_returns_only_the_write_buffer_group() {
         let config = PolicyConfig::paper_default();
-        let mut p = SemanticPriorityPolicy::new(config);
-        p.on_insert(BlockAddr(1), &req(QosPolicy::WriteBuffer, &config));
-        p.on_insert(BlockAddr(2), &req(QosPolicy::priority(2), &config));
-        p.on_insert(BlockAddr(3), &req(QosPolicy::WriteBuffer, &config));
-        assert!(p.write_buffered(CachePriority(0)));
-        assert!(!p.write_buffered(CachePriority(2)));
-        let mut drained = p.drain_write_buffer();
+        let mut p = tracked(config);
+        p.insert(BlockAddr(1), &req(QosPolicy::WriteBuffer, &config));
+        p.insert(BlockAddr(2), &req(QosPolicy::priority(2), &config));
+        p.insert(BlockAddr(3), &req(QosPolicy::WriteBuffer, &config));
+        assert!(p.policy.write_buffered(CachePriority(0)));
+        assert!(!p.policy.write_buffered(CachePriority(2)));
+        let mut drained = p.policy.drain_write_buffer();
         // The engine completes the drain with one Evict per block.
         for lbn in &drained {
-            p.on_remove_reasoned(*lbn, CachePriority(0), RemoveReason::Evict);
+            p.remove(*lbn, RemoveReason::Evict);
         }
         drained.sort();
         assert_eq!(drained, vec![BlockAddr(1), BlockAddr(3)]);
-        assert!(p.drain_write_buffer().is_empty());
+        assert!(p.policy.drain_write_buffer().is_empty());
         // The regular-priority block is still tracked.
         assert_eq!(
-            pop(&mut p, &req(QosPolicy::priority(2), &config)),
+            p.pop(&req(QosPolicy::priority(2), &config)),
             Some(BlockAddr(2))
         );
     }

@@ -8,7 +8,7 @@
 //! traffic therefore churns through the small probationary queue without
 //! ever displacing the hot working set in `Am`.
 
-use crate::lru::LruList;
+use crate::arena::{ListArena, ListHandle, NodeFlags};
 use crate::policy::{CachePolicy, GhostList, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_storage::{BlockAddr, CachePriority};
 
@@ -16,13 +16,17 @@ use hstorage_storage::{BlockAddr, CachePriority};
 /// `Am`, sized by tunable fractions of the shard capacity (defaults:
 /// `Kin` = 25%, `Kout` = 50%, the 2Q paper's recommendation).
 pub struct TwoQPolicy {
+    /// The nodes of both resident queues.
+    arena: ListArena,
     /// Probationary FIFO of resident first-time blocks.
-    a1in: LruList,
+    a1in: ListHandle,
+    /// Main LRU of re-referenced (hot) resident blocks.
+    am: ListHandle,
+    /// Whether each node is on `Am` (else `A1in`).
+    in_am: NodeFlags,
     /// Ghost FIFO of addresses recently evicted from `A1in` (not
     /// resident; holds no cache space).
     a1out: GhostList,
-    /// Main LRU of re-referenced (hot) resident blocks.
-    am: LruList,
     /// Target size of `A1in` in blocks.
     kin: usize,
 }
@@ -51,9 +55,11 @@ impl TwoQPolicy {
         let sized =
             |pct: u8| ((shard_capacity as f64 * (pct as f64 / 100.0)).floor() as usize).max(1);
         TwoQPolicy {
-            a1in: LruList::new(),
+            arena: ListArena::new(),
+            a1in: ListHandle::new(),
+            am: ListHandle::new(),
+            in_am: NodeFlags::default(),
             a1out: GhostList::new(sized(kout_pct)),
-            am: LruList::new(),
             kin: sized(kin_pct),
         }
     }
@@ -77,15 +83,17 @@ impl TwoQPolicy {
 impl CachePolicy for TwoQPolicy {
     fn on_hit(
         &mut self,
-        lbn: BlockAddr,
+        _lbn: BlockAddr,
+        node: u32,
         _current: CachePriority,
         _req: &PolicyRequest,
     ) -> HitOutcome {
-        // `touch` is a no-op for keys Am does not hold. A hit in A1in
-        // deliberately does nothing: the queue is FIFO, so correlated
-        // re-references within the probation window do not count as reuse
-        // (that is 2Q's scan resistance).
-        self.am.touch(&lbn);
+        // A hit in A1in deliberately does nothing: the queue is FIFO, so
+        // correlated re-references within the probation window do not
+        // count as reuse (that is 2Q's scan resistance).
+        if self.in_am.get(node) {
+            self.am.move_front(&mut self.arena, node);
+        }
         HitOutcome::Unchanged
     }
 
@@ -102,59 +110,54 @@ impl CachePolicy for TwoQPolicy {
     fn pop_victim(&mut self, _incoming: BlockAddr, _req: &PolicyRequest) -> Option<BlockAddr> {
         // Selection only: reclaim from the probationary queue while it is
         // over target, otherwise from the LRU end of Am. Ghosting happens
-        // when the engine completes the eviction (`on_remove_reasoned`
-        // with `Evict`): A1in victims are remembered, Am victims are
-        // forgotten entirely.
+        // when the engine completes the eviction (`on_remove` with
+        // `Evict`): A1in victims are remembered, Am victims are forgotten
+        // entirely.
         if self.a1in.len() >= self.kin {
-            if let Some(&victim) = self.a1in.peek_lru() {
+            if let Some(&victim) = self.a1in.back(&self.arena) {
                 return Some(victim);
             }
         }
-        if let Some(&victim) = self.am.peek_lru() {
+        if let Some(&victim) = self.am.back(&self.arena) {
             return Some(victim);
         }
         // Am empty (e.g. tiny shard): fall back to whatever A1in holds.
-        self.a1in.peek_lru().copied()
+        self.a1in.back(&self.arena).copied()
     }
 
-    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
-        if self.a1out.forget(lbn) {
-            // Re-reference after probation: the block is hot.
-            self.am.insert_mru(lbn);
-        } else {
-            self.a1in.insert_mru(lbn);
-        }
-        req.prio
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
+        // Re-reference after probation: the block is hot.
+        let hot = self.a1out.forget(lbn);
+        let list = if hot { &mut self.am } else { &mut self.a1in };
+        let node = list.push_front(&mut self.arena, lbn);
+        self.in_am.set(node, hot);
+        (req.prio, node)
     }
 
-    fn on_remove(&mut self, lbn: BlockAddr, _group: CachePriority) {
-        if !self.a1in.remove(&lbn) {
-            self.am.remove(&lbn);
-        }
-    }
-
-    fn on_remove_reasoned(&mut self, lbn: BlockAddr, group: CachePriority, reason: RemoveReason) {
+    fn on_remove(
+        &mut self,
+        lbn: BlockAddr,
+        node: u32,
+        _group: CachePriority,
+        reason: RemoveReason,
+    ) {
+        let in_am = self.in_am.get(node);
+        let list = if in_am { &mut self.am } else { &mut self.a1in };
+        list.remove(&mut self.arena, node);
         match reason {
+            // Lifetime hint: the address is dead, so no history may
+            // survive either (a resident block is never ghosted, but
+            // compositor fan-out keeps this defensive).
             RemoveReason::Trim => {
-                // Lifetime hint: the address is dead, so no history may
-                // survive either (a resident block is never ghosted, but
-                // compositor fan-out keeps this defensive).
-                self.on_remove(lbn, group);
                 self.a1out.forget(lbn);
             }
-            RemoveReason::Evict => {
-                // The eviction completes here, with 2Q's own ghosting
-                // rules: a block displaced out of probation is remembered
-                // (a prompt re-reference of the address reads as reuse),
-                // while an Am block has already proven its reuse and is
-                // forgotten entirely — exactly the asymmetry the victim
-                // selection promises.
-                if self.a1in.remove(&lbn) {
-                    self.a1out.remember(lbn);
-                } else {
-                    self.am.remove(&lbn);
-                }
-            }
+            // The eviction completes here, with 2Q's own ghosting rules: a
+            // block displaced out of probation is remembered (a prompt
+            // re-reference of the address reads as reuse), while an Am
+            // block has already proven its reuse and is forgotten entirely
+            // — exactly the asymmetry the victim selection promises.
+            RemoveReason::Evict if !in_am => self.a1out.remember(lbn),
+            RemoveReason::Evict => {}
         }
     }
 
@@ -169,6 +172,7 @@ impl CachePolicy for TwoQPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Tracked;
     use hstorage_storage::{Direction, PolicyConfig, QosPolicy, RequestClass};
 
     fn req() -> PolicyRequest {
@@ -181,23 +185,24 @@ mod tests {
         }
     }
 
-    /// Emulates the engine: select a victim, then complete the eviction
-    /// with the reasoned removal notification.
-    fn pop(p: &mut TwoQPolicy) -> Option<BlockAddr> {
-        let victim = p.pop_victim(BlockAddr(u64::MAX), &req())?;
-        p.on_remove_reasoned(victim, CachePriority(2), RemoveReason::Evict);
-        Some(victim)
+    fn tracked(shard_capacity: u64) -> Tracked<TwoQPolicy> {
+        Tracked::new(TwoQPolicy::new(shard_capacity))
+    }
+
+    /// Emulates the engine: select a victim, then complete the eviction.
+    fn pop(p: &mut Tracked<TwoQPolicy>) -> Option<BlockAddr> {
+        p.pop(&req())
     }
 
     #[test]
     fn first_time_blocks_are_probationary_and_evict_fifo() {
-        let mut p = TwoQPolicy::new(4); // kin = 1, kout = 2
-        p.on_insert(BlockAddr(1), &req());
-        p.on_insert(BlockAddr(2), &req());
+        let mut p = tracked(4); // kin = 1, kout = 2
+        p.insert(BlockAddr(1), &req());
+        p.insert(BlockAddr(2), &req());
         // Hits in A1in do not reorder the FIFO.
-        p.on_hit(BlockAddr(1), CachePriority(2), &req());
+        p.hit(BlockAddr(1), &req());
         assert_eq!(pop(&mut p), Some(BlockAddr(1)));
-        assert_eq!(p.ghost_len(), 1);
+        assert_eq!(p.policy.ghost_len(), 1);
     }
 
     #[test]
@@ -226,15 +231,15 @@ mod tests {
 
     #[test]
     fn ghost_re_reference_promotes_to_the_main_queue() {
-        let mut p = TwoQPolicy::new(4);
-        p.on_insert(BlockAddr(1), &req());
+        let mut p = tracked(4);
+        p.insert(BlockAddr(1), &req());
         let evicted = pop(&mut p).unwrap();
         assert_eq!(evicted, BlockAddr(1));
         // The address is remembered; re-inserting it lands in Am.
-        p.on_insert(BlockAddr(1), &req());
-        p.on_insert(BlockAddr(2), &req()); // probationary
-        p.on_insert(BlockAddr(3), &req()); // probationary, A1in over target
-                                           // Victims come from the probationary queue, not the hot block.
+        p.insert(BlockAddr(1), &req());
+        p.insert(BlockAddr(2), &req()); // probationary
+        p.insert(BlockAddr(3), &req()); // probationary, A1in over target
+                                        // Victims come from the probationary queue, not the hot block.
         assert_eq!(pop(&mut p), Some(BlockAddr(2)));
         assert_eq!(pop(&mut p), Some(BlockAddr(3)));
         // Only when probation is empty does Am give up its LRU block.
@@ -244,24 +249,24 @@ mod tests {
 
     #[test]
     fn ghost_list_is_bounded() {
-        let mut p = TwoQPolicy::new(4); // kout = 2
+        let mut p = tracked(4); // kout = 2
         for i in 0..10u64 {
-            p.on_insert(BlockAddr(i), &req());
+            p.insert(BlockAddr(i), &req());
             pop(&mut p);
         }
-        assert!(p.ghost_len() <= p.kout());
+        assert!(p.policy.ghost_len() <= p.policy.kout());
     }
 
     #[test]
     fn scan_does_not_displace_the_hot_set() {
-        let mut p = TwoQPolicy::new(8); // kin = 2
-                                        // Establish a hot block in Am via ghost promotion.
-        p.on_insert(BlockAddr(100), &req());
+        let mut p = tracked(8); // kin = 2
+                                // Establish a hot block in Am via ghost promotion.
+        p.insert(BlockAddr(100), &req());
         while pop(&mut p).is_some() {}
-        p.on_insert(BlockAddr(100), &req());
+        p.insert(BlockAddr(100), &req());
         // A long one-shot scan churns through probation only.
         for i in 0..50u64 {
-            p.on_insert(BlockAddr(i), &req());
+            p.insert(BlockAddr(i), &req());
             if i >= 2 {
                 let victim = pop(&mut p).unwrap();
                 assert_ne!(victim, BlockAddr(100), "hot block must survive the scan");
@@ -271,58 +276,58 @@ mod tests {
 
     #[test]
     fn trim_forgets_a_resident_block() {
-        let mut p = TwoQPolicy::new(4);
-        p.on_insert(BlockAddr(1), &req());
+        let mut p = tracked(4);
+        p.insert(BlockAddr(1), &req());
         pop(&mut p); // 1 is now a ghost
-        p.on_insert(BlockAddr(1), &req()); // promoted to Am
-        p.on_remove_reasoned(BlockAddr(1), CachePriority(2), RemoveReason::Trim);
+        p.insert(BlockAddr(1), &req()); // promoted to Am
+        p.remove(BlockAddr(1), RemoveReason::Trim);
         assert_eq!(pop(&mut p), None);
     }
 
     #[test]
     fn trim_of_an_absent_block_forgets_its_ghost() {
-        let mut p = TwoQPolicy::new(4);
-        p.on_insert(BlockAddr(1), &req());
+        let mut p = tracked(4);
+        p.insert(BlockAddr(1), &req());
         pop(&mut p); // 1 is evicted and remembered as a ghost
-        assert_eq!(p.ghost_len(), 1);
+        assert_eq!(p.policy.ghost_len(), 1);
         // The block's lifetime ends (TRIM) while it is not resident.
-        p.on_trim_absent(BlockAddr(1));
-        assert_eq!(p.ghost_len(), 0);
+        p.policy.on_trim_absent(BlockAddr(1));
+        assert_eq!(p.policy.ghost_len(), 0);
         // Re-using the address is a first touch again: probation, not Am.
-        p.on_insert(BlockAddr(1), &req());
-        p.on_insert(BlockAddr(2), &req());
+        p.insert(BlockAddr(1), &req());
+        p.insert(BlockAddr(2), &req());
         assert_eq!(pop(&mut p), Some(BlockAddr(1)), "1 is probationary again");
     }
 
     #[test]
     fn external_evict_is_remembered_as_reuse_history() {
-        let mut p = TwoQPolicy::new(4);
-        p.on_insert(BlockAddr(1), &req());
+        let mut p = tracked(4);
+        p.insert(BlockAddr(1), &req());
         // The engine (or a compositor steal) displaces the probationary
         // block: 2Q exploits the hint by ghosting it, so the next touch of
         // the address is a promotion to Am — unlike a TRIM, after which it
         // would restart probation.
-        p.on_remove_reasoned(BlockAddr(1), CachePriority(2), RemoveReason::Evict);
-        assert_eq!(p.ghost_len(), 1);
-        p.on_insert(BlockAddr(1), &req());
-        p.on_insert(BlockAddr(2), &req());
+        p.remove(BlockAddr(1), RemoveReason::Evict);
+        assert_eq!(p.policy.ghost_len(), 1);
+        p.insert(BlockAddr(1), &req());
+        p.insert(BlockAddr(2), &req());
         // 2 (probation) evicts before the promoted 1.
         assert_eq!(pop(&mut p), Some(BlockAddr(2)));
     }
 
     #[test]
     fn evicting_a_main_queue_block_leaves_no_ghost() {
-        let mut p = TwoQPolicy::new(4);
-        p.on_insert(BlockAddr(1), &req());
+        let mut p = tracked(4);
+        p.insert(BlockAddr(1), &req());
         pop(&mut p); // ghosted out of probation
-        p.on_insert(BlockAddr(1), &req()); // promoted to Am
-        assert_eq!(p.ghost_len(), 0);
+        p.insert(BlockAddr(1), &req()); // promoted to Am
+        assert_eq!(p.policy.ghost_len(), 0);
         // Evicting out of Am forgets the address entirely: re-inserting it
         // restarts probation rather than reading as reuse.
-        p.on_remove_reasoned(BlockAddr(1), CachePriority(2), RemoveReason::Evict);
-        assert_eq!(p.ghost_len(), 0);
-        p.on_insert(BlockAddr(1), &req());
-        p.on_insert(BlockAddr(2), &req());
+        p.remove(BlockAddr(1), RemoveReason::Evict);
+        assert_eq!(p.policy.ghost_len(), 0);
+        p.insert(BlockAddr(1), &req());
+        p.insert(BlockAddr(2), &req());
         assert_eq!(pop(&mut p), Some(BlockAddr(1)), "1 is probationary again");
     }
 }

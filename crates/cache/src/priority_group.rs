@@ -8,24 +8,33 @@
 //! We keep one extra group at index 0 for the write buffer, which the
 //! paper describes as a special priority that "wins" cache space over any
 //! other priority — i.e. it is evicted last.
+//!
+//! All groups are lists over one [`ListArena`], and the structure keeps no
+//! address index: a block is reached through the node handle
+//! [`PriorityGroups::insert`] returned, which the engine stores in the
+//! block's table slot — the paper's one hash table `<lbn, (pbn, prio)>`
+//! over the groups. Re-allocation moves the node between groups, so the
+//! handle stays valid for as long as the block is resident.
 
-use crate::lru::LruList;
+use crate::arena::{ListArena, ListHandle};
 use hstorage_storage::{BlockAddr, CachePriority};
 
 /// The set of per-priority LRU groups.
 #[derive(Debug, Clone)]
 pub struct PriorityGroups {
+    /// The nodes of every group.
+    arena: ListArena,
     /// `groups[k]` holds blocks of priority `k`; index 0 is the write buffer.
-    groups: Vec<LruList>,
+    groups: Vec<ListHandle>,
 }
 
 impl PriorityGroups {
     /// Creates groups for priorities `0..=total_priorities`.
     pub fn new(total_priorities: u8) -> Self {
-        let groups = (0..=total_priorities as usize)
-            .map(|_| LruList::new())
-            .collect();
-        PriorityGroups { groups }
+        PriorityGroups {
+            arena: ListArena::new(),
+            groups: vec![ListHandle::new(); total_priorities as usize + 1],
+        }
     }
 
     /// Number of priority levels (including the write-buffer group 0 and the
@@ -36,12 +45,12 @@ impl PriorityGroups {
 
     /// Total number of blocks across all groups.
     pub fn len(&self) -> usize {
-        self.groups.iter().map(|g| g.len()).sum()
+        self.arena.live()
     }
 
     /// Whether all groups are empty.
     pub fn is_empty(&self) -> bool {
-        self.groups.iter().all(|g| g.is_empty())
+        self.len() == 0
     }
 
     /// Number of blocks in the group for `prio`.
@@ -52,26 +61,29 @@ impl PriorityGroups {
             .unwrap_or(0)
     }
 
-    /// Inserts `lbn` into the group for `prio` at the MRU position.
-    pub fn insert(&mut self, lbn: BlockAddr, prio: CachePriority) {
-        self.groups[prio.0 as usize].insert_mru(lbn);
+    /// Inserts `lbn` into the group for `prio` at the MRU position and
+    /// returns its node handle.
+    pub fn insert(&mut self, lbn: BlockAddr, prio: CachePriority) -> u32 {
+        self.groups[prio.0 as usize].push_front(&mut self.arena, lbn)
     }
 
-    /// Marks `lbn` (known to live in group `prio`) as most recently used.
-    pub fn touch(&mut self, lbn: BlockAddr, prio: CachePriority) -> bool {
-        self.groups[prio.0 as usize].touch(&lbn)
+    /// Marks the block at `node` (which lives in group `prio`) as most
+    /// recently used.
+    pub fn touch(&mut self, node: u32, prio: CachePriority) {
+        self.groups[prio.0 as usize].move_front(&mut self.arena, node);
     }
 
-    /// Removes `lbn` from the group for `prio`. Returns whether it was there.
-    pub fn remove(&mut self, lbn: BlockAddr, prio: CachePriority) -> bool {
-        self.groups[prio.0 as usize].remove(&lbn)
+    /// Removes the block at `node` from the group for `prio`.
+    pub fn remove(&mut self, node: u32, prio: CachePriority) {
+        self.groups[prio.0 as usize].remove(&mut self.arena, node);
     }
 
-    /// Re-allocation (action 5 of Section 5.1): moves a block from its old
-    /// group to a new one, placing it at the MRU position of the new group.
-    pub fn reallocate(&mut self, lbn: BlockAddr, old: CachePriority, new: CachePriority) {
-        self.groups[old.0 as usize].remove(&lbn);
-        self.groups[new.0 as usize].insert_mru(lbn);
+    /// Re-allocation (action 5 of Section 5.1): moves the block at `node`
+    /// from its old group to the MRU position of a new one, keeping its
+    /// node handle.
+    pub fn reallocate(&mut self, node: u32, old: CachePriority, new: CachePriority) {
+        self.groups[old.0 as usize].detach(&mut self.arena, node);
+        self.groups[new.0 as usize].attach_front(&mut self.arena, node);
     }
 
     /// The eviction victim according to selective eviction: the LRU block of
@@ -81,7 +93,7 @@ impl PriorityGroups {
     /// removing it.
     pub fn peek_victim(&self) -> Option<(BlockAddr, CachePriority)> {
         for (k, group) in self.groups.iter().enumerate().rev() {
-            if let Some(&lbn) = group.peek_lru() {
+            if let Some(&lbn) = group.back(&self.arena) {
                 return Some((lbn, CachePriority(k as u8)));
             }
         }
@@ -91,7 +103,7 @@ impl PriorityGroups {
     /// Removes and returns the selective-eviction victim.
     pub fn pop_victim(&mut self) -> Option<(BlockAddr, CachePriority)> {
         for (k, group) in self.groups.iter_mut().enumerate().rev() {
-            if let Some(lbn) = group.pop_lru() {
+            if let Some(lbn) = group.pop_back(&mut self.arena) {
                 return Some((lbn, CachePriority(k as u8)));
             }
         }
@@ -106,13 +118,14 @@ impl PriorityGroups {
 
     /// Iterates all blocks in the group for `prio`, MRU first.
     pub fn iter_group(&self, prio: CachePriority) -> impl Iterator<Item = &BlockAddr> {
-        self.groups[prio.0 as usize].iter_mru()
+        self.groups[prio.0 as usize].iter_front(&self.arena)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, VecDeque};
 
     fn b(n: u64) -> BlockAddr {
         BlockAddr(n)
@@ -146,21 +159,25 @@ mod tests {
     #[test]
     fn reallocate_moves_between_groups() {
         let mut g = PriorityGroups::new(8);
-        g.insert(b(1), CachePriority(2));
+        let node = g.insert(b(1), CachePriority(2));
         assert_eq!(g.group_len(CachePriority(2)), 1);
-        g.reallocate(b(1), CachePriority(2), CachePriority(5));
+        g.reallocate(node, CachePriority(2), CachePriority(5));
         assert_eq!(g.group_len(CachePriority(2)), 0);
         assert_eq!(g.group_len(CachePriority(5)), 1);
         assert_eq!(g.peek_victim(), Some((b(1), CachePriority(5))));
+        // The handle survives the move.
+        g.touch(node, CachePriority(5));
+        g.remove(node, CachePriority(5));
+        assert!(g.is_empty());
     }
 
     #[test]
     fn lru_within_a_group() {
         let mut g = PriorityGroups::new(4);
-        g.insert(b(1), CachePriority(2));
+        let one = g.insert(b(1), CachePriority(2));
         g.insert(b(2), CachePriority(2));
         g.insert(b(3), CachePriority(2));
-        g.touch(b(1), CachePriority(2));
+        g.touch(one, CachePriority(2));
         assert_eq!(g.pop_victim(), Some((b(2), CachePriority(2))));
         assert_eq!(g.pop_victim(), Some((b(3), CachePriority(2))));
         assert_eq!(g.pop_victim(), Some((b(1), CachePriority(2))));
@@ -172,10 +189,87 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.lowest_occupied_priority(), None);
         g.insert(b(1), CachePriority(1));
-        g.insert(b(2), CachePriority(6));
+        let two = g.insert(b(2), CachePriority(6));
         assert_eq!(g.len(), 2);
         assert_eq!(g.lowest_occupied_priority(), Some(CachePriority(6)));
-        g.remove(b(2), CachePriority(6));
+        g.remove(two, CachePriority(6));
         assert_eq!(g.lowest_occupied_priority(), Some(CachePriority(1)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The groups agree with one `VecDeque` per priority (front = MRU)
+        /// on any insert / touch / remove / reallocate / pop trace: same
+        /// victim, same lengths, same order inside every group after every
+        /// operation, with each block reached only through the node handle
+        /// its insert returned.
+        #[test]
+        fn priority_groups_match_a_vecdeque_per_group_model(
+            ops in proptest::collection::vec((0u8..5, 0u64..24, 0u8..6), 1..300),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let mut groups = PriorityGroups::new(5);
+            let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); 6];
+            // lbn → (node, group): the engine's table slot.
+            let mut slots: HashMap<u64, (u32, u8)> = HashMap::new();
+            let take = |model: &mut Vec<VecDeque<u64>>, group: u8, key: u64| {
+                let g = &mut model[group as usize];
+                let at = g.iter().position(|&k| k == key).expect("modelled");
+                g.remove(at);
+            };
+            for (op, key, prio) in ops {
+                match (op, slots.get(&key).copied()) {
+                    (0, None) => {
+                        let node = groups.insert(BlockAddr(key), CachePriority(prio));
+                        slots.insert(key, (node, prio));
+                        model[prio as usize].push_front(key);
+                    }
+                    (1, Some((node, group))) => {
+                        groups.touch(node, CachePriority(group));
+                        take(&mut model, group, key);
+                        model[group as usize].push_front(key);
+                    }
+                    (2, Some((node, group))) => {
+                        groups.remove(node, CachePriority(group));
+                        slots.remove(&key);
+                        take(&mut model, group, key);
+                    }
+                    (3, Some((node, group))) => {
+                        groups.reallocate(node, CachePriority(group), CachePriority(prio));
+                        slots.insert(key, (node, prio));
+                        take(&mut model, group, key);
+                        model[prio as usize].push_front(key);
+                    }
+                    (4, _) => {
+                        let want = model
+                            .iter_mut()
+                            .enumerate()
+                            .rev()
+                            .find_map(|(k, g)| g.pop_back().map(|lbn| (BlockAddr(lbn), CachePriority(k as u8))));
+                        let got = groups.pop_victim();
+                        prop_assert_eq!(got, want);
+                        if let Some((lbn, _)) = got {
+                            slots.remove(&lbn.0);
+                        }
+                    }
+                    _ => {}
+                }
+                let total: usize = model.iter().map(VecDeque::len).sum();
+                prop_assert_eq!(groups.len(), total);
+                let victim = model
+                    .iter()
+                    .enumerate()
+                    .rev()
+                    .find_map(|(k, g)| g.back().map(|&lbn| (BlockAddr(lbn), CachePriority(k as u8))));
+                prop_assert_eq!(groups.peek_victim(), victim);
+                for (k, g) in model.iter().enumerate() {
+                    let prio = CachePriority(k as u8);
+                    prop_assert_eq!(groups.group_len(prio), g.len());
+                    let order: Vec<u64> = groups.iter_group(prio).map(|b| b.0).collect();
+                    prop_assert_eq!(order, Vec::from(g.clone()));
+                }
+            }
+        }
     }
 }

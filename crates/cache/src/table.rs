@@ -15,8 +15,9 @@
 //!
 //! [`OpenMap`] is the generic engine (`u64` keys, `Copy` values), and
 //! [`BlockTable`] the shard-metadata wrapper whose slots colocate the
-//! [`CacheEntry`] with a `u32` policy-node index so a single probe can
-//! reach both the metadata and the owning list node.
+//! [`CacheEntry`] with the policy's `u32` node handle, so a single probe
+//! reaches both the metadata and the block's place in its policy's lists
+//! — the table is the only address index of resident blocks.
 
 use hstorage_storage::{BlockAddr, CachePriority};
 
@@ -53,7 +54,8 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Smallest table capacity ever allocated (slots, power of two).
 const MIN_CAPACITY: usize = 8;
 
-/// Sentinel for "no policy node attached" in a [`BlockTable`] slot.
+/// The node handle of a block whose policy keeps its own index (see the
+/// [`CachePolicy`](crate::policy::CachePolicy#node-handles) docs).
 pub const NO_NODE: u32 = u32::MAX;
 
 /// A flat open-addressing hash map from `u64` keys to `Copy` values.
@@ -301,14 +303,14 @@ impl<'a, V> Iterator for OpenMapIter<'a, V> {
     }
 }
 
-/// One [`BlockTable`] slot: the block's metadata entry plus the owning
-/// policy's `u32` list-node index (or [`NO_NODE`]), colocated so a single
+/// One [`BlockTable`] slot: the block's metadata entry plus the node
+/// handle its policy returned from `on_insert`, colocated so a single
 /// probe reaches both.
 #[derive(Debug, Clone, Copy)]
 pub struct TableSlot {
     /// The resident block's metadata.
     pub entry: CacheEntry,
-    /// Arena index of the list node tracking this block, or [`NO_NODE`].
+    /// The policy's node handle for this block, or [`NO_NODE`].
     pub node: u32,
 }
 
@@ -356,16 +358,16 @@ impl BlockTable {
         self.map.is_empty()
     }
 
-    /// Looks up a block's metadata.
+    /// Looks up a block's slot.
     #[inline]
-    pub fn get(&self, lbn: BlockAddr) -> Option<&CacheEntry> {
-        self.map.get(lbn.0).map(|slot| &slot.entry)
+    pub fn get(&self, lbn: BlockAddr) -> Option<&TableSlot> {
+        self.map.get(lbn.0)
     }
 
-    /// Mutable metadata lookup.
+    /// Mutable slot lookup.
     #[inline]
-    pub fn get_mut(&mut self, lbn: BlockAddr) -> Option<&mut CacheEntry> {
-        self.map.get_mut(lbn.0).map(|slot| &mut slot.entry)
+    pub fn get_mut(&mut self, lbn: BlockAddr) -> Option<&mut TableSlot> {
+        self.map.get_mut(lbn.0)
     }
 
     /// Whether a block is resident.
@@ -374,61 +376,26 @@ impl BlockTable {
         self.map.contains(lbn.0)
     }
 
-    /// Inserts (or replaces) a block's metadata, returning the previous
-    /// entry if it existed. A replace keeps the slot's node index; a fresh
-    /// insert starts it at [`NO_NODE`].
-    pub fn insert(&mut self, lbn: BlockAddr, entry: CacheEntry) -> Option<CacheEntry> {
-        let fresh = TableSlot {
-            entry,
-            node: NO_NODE,
-        };
-        let (slot, inserted) = self.map.get_or_insert_with(lbn.0, || fresh);
-        (!inserted).then(|| std::mem::replace(&mut slot.entry, entry))
-    }
-
-    /// Removes a block, returning its metadata.
-    pub fn remove(&mut self, lbn: BlockAddr) -> Option<CacheEntry> {
-        self.map.remove(lbn.0).map(|slot| slot.entry)
-    }
-
-    /// The policy-node index attached to a resident block.
+    /// Inserts (or replaces) a block's slot, returning the previous one if
+    /// it existed. The probe only claims the slot; the caller's inlined
+    /// copy then writes `slot` into it from registers. Handing `slot` to
+    /// the out-of-line probe instead would spill it to the stack and
+    /// reload it with one wide load the narrower stores cannot forward to.
     #[inline]
-    pub fn node(&self, lbn: BlockAddr) -> Option<u32> {
-        self.map.get(lbn.0).map(|slot| slot.node)
+    pub fn insert(&mut self, lbn: BlockAddr, slot: TableSlot) -> Option<TableSlot> {
+        let (at, fresh) = self.map.get_or_insert_with(lbn.0, TableSlot::default);
+        let old = std::mem::replace(at, slot);
+        (!fresh).then_some(old)
     }
 
-    /// Attaches a policy-node index to a resident block. Returns `false`
-    /// if the block is not resident.
-    pub fn set_node(&mut self, lbn: BlockAddr, node: u32) -> bool {
-        match self.map.get_mut(lbn.0) {
-            Some(slot) => {
-                slot.node = node;
-                true
-            }
-            None => false,
-        }
+    /// Removes a block, returning its slot.
+    pub fn remove(&mut self, lbn: BlockAddr) -> Option<TableSlot> {
+        self.map.remove(lbn.0)
     }
 
-    /// Iterates all `(lbn, entry)` pairs in unspecified (slot) order.
-    pub fn iter(&self) -> BlockTableIter<'_> {
-        BlockTableIter {
-            inner: self.map.iter(),
-        }
-    }
-}
-
-/// Iterator over a [`BlockTable`]'s `(lbn, entry)` pairs in slot order.
-pub struct BlockTableIter<'a> {
-    inner: OpenMapIter<'a, TableSlot>,
-}
-
-impl<'a> Iterator for BlockTableIter<'a> {
-    type Item = (BlockAddr, &'a CacheEntry);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner
-            .next()
-            .map(|(key, slot)| (BlockAddr(key), &slot.entry))
+    /// Iterates all `(lbn, slot)` pairs in unspecified (slot) order.
+    pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &TableSlot)> {
+        self.map.iter().map(|(key, slot)| (BlockAddr(key), slot))
     }
 }
 
@@ -437,19 +404,22 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
-    fn entry(pbn: u64) -> CacheEntry {
+    fn entry(pbn: u64) -> TableSlot {
         entry_in(pbn, 2, false)
     }
 
-    fn entry_in(pbn: u64, prio: u8, dirty: bool) -> CacheEntry {
-        CacheEntry {
-            pbn,
-            priority: CachePriority(prio),
-            state: if dirty {
-                BlockState::Dirty
-            } else {
-                BlockState::Clean
+    fn entry_in(pbn: u64, prio: u8, dirty: bool) -> TableSlot {
+        TableSlot {
+            entry: CacheEntry {
+                pbn,
+                priority: CachePriority(prio),
+                state: if dirty {
+                    BlockState::Dirty
+                } else {
+                    BlockState::Clean
+                },
             },
+            node: NO_NODE,
         }
     }
 
@@ -459,22 +429,22 @@ mod tests {
         assert!(m.is_empty());
         m.insert(BlockAddr(5), entry_in(0, 2, false));
         assert!(m.contains(BlockAddr(5)));
-        assert_eq!(m.get(BlockAddr(5)).unwrap().pbn, 0);
+        assert_eq!(m.get(BlockAddr(5)).unwrap().entry.pbn, 0);
         assert_eq!(m.len(), 1);
         let removed = m.remove(BlockAddr(5)).unwrap();
-        assert_eq!(removed.priority, CachePriority(2));
+        assert_eq!(removed.entry.priority, CachePriority(2));
         assert!(m.is_empty());
     }
 
     #[test]
     fn dirty_count_tracks_state() {
-        let dirty = |m: &BlockTable| m.iter().filter(|(_, e)| e.is_dirty()).count();
+        let dirty = |m: &BlockTable| m.iter().filter(|(_, s)| s.entry.is_dirty()).count();
         let mut m = BlockTable::with_capacity(8);
         m.insert(BlockAddr(1), entry_in(0, 1, true));
         m.insert(BlockAddr(2), entry_in(1, 1, false));
         m.insert(BlockAddr(3), entry_in(2, 3, true));
         assert_eq!(dirty(&m), 2);
-        m.get_mut(BlockAddr(1)).unwrap().state = BlockState::Clean;
+        m.get_mut(BlockAddr(1)).unwrap().entry.state = BlockState::Clean;
         assert_eq!(dirty(&m), 1);
     }
 
@@ -483,7 +453,7 @@ mod tests {
         let mut m = BlockTable::with_capacity(8);
         m.insert(BlockAddr(9), entry_in(10, 4, false));
         m.insert(BlockAddr(9), entry_in(11, 2, true));
-        let e = m.get(BlockAddr(9)).unwrap();
+        let e = m.get(BlockAddr(9)).unwrap().entry;
         assert_eq!(e.pbn, 11);
         assert_eq!(e.priority, CachePriority(2));
         assert!(e.is_dirty());
@@ -497,7 +467,7 @@ mod tests {
         for i in 0..50u64 {
             m.insert(BlockAddr(i), entry_in(i, 1, i % 2 == 0));
         }
-        let mut pairs: Vec<(u64, u64)> = m.iter().map(|(lbn, e)| (lbn.0, e.pbn)).collect();
+        let mut pairs: Vec<(u64, u64)> = m.iter().map(|(lbn, s)| (lbn.0, s.entry.pbn)).collect();
         pairs.sort_unstable();
         let model: Vec<(u64, u64)> = (0..50u64).map(|i| (i, i)).collect();
         assert_eq!(pairs, model);
@@ -507,26 +477,36 @@ mod tests {
     fn insert_get_remove_round_trip() {
         let mut t = BlockTable::new();
         assert!(t.is_empty());
-        assert_eq!(t.insert(BlockAddr(5), entry(50)), None);
+        assert!(t.insert(BlockAddr(5), entry(50)).is_none());
         assert!(t.contains(BlockAddr(5)));
-        assert_eq!(t.get(BlockAddr(5)).unwrap().pbn, 50);
+        assert_eq!(t.get(BlockAddr(5)).unwrap().entry.pbn, 50);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.remove(BlockAddr(5)).unwrap().pbn, 50);
+        assert_eq!(t.remove(BlockAddr(5)).unwrap().entry.pbn, 50);
         assert!(t.is_empty());
-        assert_eq!(t.remove(BlockAddr(5)), None);
+        assert!(t.remove(BlockAddr(5)).is_none());
     }
 
     #[test]
     fn replace_keeps_the_node_hint() {
         let mut t = BlockTable::new();
         t.insert(BlockAddr(9), entry(1));
-        assert_eq!(t.node(BlockAddr(9)), Some(NO_NODE));
-        assert!(t.set_node(BlockAddr(9), 7));
-        let old = t.insert(BlockAddr(9), entry(2));
-        assert_eq!(old.unwrap().pbn, 1);
-        assert_eq!(t.node(BlockAddr(9)), Some(7), "replace keeps the node");
-        assert!(!t.set_node(BlockAddr(42), 0), "absent block has no node");
-        assert_eq!(t.node(BlockAddr(42)), None);
+        assert_eq!(t.get(BlockAddr(9)).unwrap().node, NO_NODE);
+        t.get_mut(BlockAddr(9)).unwrap().node = 7;
+        let old = t.insert(
+            BlockAddr(9),
+            TableSlot {
+                node: 7,
+                ..entry(2)
+            },
+        );
+        assert_eq!(old.unwrap().entry.pbn, 1);
+        let slot = t.get(BlockAddr(9)).unwrap();
+        assert_eq!(
+            (slot.entry.pbn, slot.node),
+            (2, 7),
+            "the slot is replaced whole"
+        );
+        assert!(t.get(BlockAddr(42)).is_none(), "absent block has no slot");
     }
 
     #[test]
@@ -537,7 +517,7 @@ mod tests {
         }
         assert_eq!(t.len(), 1000);
         for i in 0..1000u64 {
-            assert_eq!(t.get(BlockAddr(i)).unwrap().pbn, i * 10, "lbn {i}");
+            assert_eq!(t.get(BlockAddr(i)).unwrap().entry.pbn, i * 10, "lbn {i}");
         }
         t.map.assert_probe_invariant();
     }
@@ -549,8 +529,8 @@ mod tests {
         let mut t = BlockTable::new();
         t.insert(BlockAddr(0), entry(1));
         t.insert(BlockAddr(u64::MAX), entry(2));
-        assert_eq!(t.get(BlockAddr(0)).unwrap().pbn, 1);
-        assert_eq!(t.get(BlockAddr(u64::MAX)).unwrap().pbn, 2);
+        assert_eq!(t.get(BlockAddr(0)).unwrap().entry.pbn, 1);
+        assert_eq!(t.get(BlockAddr(u64::MAX)).unwrap().entry.pbn, 2);
     }
 
     #[test]

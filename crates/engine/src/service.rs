@@ -368,25 +368,29 @@ impl QueryService {
 
     /// Closes the queue, lets the workers drain the remaining requests,
     /// joins them, and returns each worker's statistics shard in worker
-    /// order.
+    /// order. Panics if a worker panicked.
     pub fn shutdown(mut self) -> Vec<WorkerStats> {
-        self.shutdown_in_place()
+        self.close_and_join()
+            .into_iter()
+            .map(|joined| joined.expect("service worker panicked"))
+            .collect()
     }
 
-    fn shutdown_in_place(&mut self) -> Vec<WorkerStats> {
+    /// Closes the queue and joins every worker, each join's outcome in
+    /// worker order (spawn order == worker index, so the shards arrive
+    /// already sorted by `WorkerStats::worker`).
+    fn close_and_join(&mut self) -> Vec<std::thread::Result<WorkerStats>> {
         self.queue.close();
-        // Spawn order == worker index, so the collected shards arrive
-        // already sorted by `WorkerStats::worker`.
-        self.workers
-            .drain(..)
-            .map(|handle| handle.join().expect("service worker panicked"))
-            .collect()
+        self.workers.drain(..).map(|handle| handle.join()).collect()
     }
 }
 
 impl Drop for QueryService {
+    /// Joins the workers and ignores how they ended: a worker's panic is
+    /// reported by [`QueryService::shutdown`], never re-raised inside
+    /// `drop` (which would abort a thread that is already unwinding).
     fn drop(&mut self) {
-        let _ = self.shutdown_in_place();
+        let _ = self.close_and_join();
     }
 }
 
@@ -711,6 +715,41 @@ mod tests {
             other => panic!("expected Closed, got {:?}", other.map(|_| ())),
         }
         svc.shutdown();
+    }
+
+    #[test]
+    fn dropping_a_service_whose_worker_panicked_does_not_panic() {
+        let (cat, table) = small_catalog();
+        let storage = shared_storage();
+        let registry = ConcurrencyRegistry::new();
+        // A zero scan chunk makes `compile` panic inside the worker.
+        let broken = ExecutorConfig {
+            seq_blocks_per_request: 0,
+            ..cfg()
+        };
+        let svc = QueryService::start(
+            broken,
+            ServiceConfig {
+                workers: 1,
+                queue_depth: 1,
+            },
+            PolicyConfig::paper_default(),
+            &registry,
+            &cat,
+            &storage,
+        );
+        let (reply, responses) = mpsc::channel();
+        svc.submit(QueryRequest {
+            stream: 0,
+            plan: seq_plan(table),
+            reply,
+        })
+        .expect("the queue is open");
+        // The worker dies with the request: its reply sender is dropped
+        // unanswered.
+        assert!(responses.recv().is_err(), "the worker cannot answer");
+        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(svc)));
+        assert!(dropped.is_ok(), "drop must not re-raise the worker's panic");
     }
 
     #[test]

@@ -128,6 +128,15 @@ impl HddDevice {
         self.params.avg_seek + self.params.avg_rotational_latency
     }
 
+    /// Prices `req` at the current head position, records it and moves
+    /// the head past it — everything [`StorageDevice::serve`] does except
+    /// advancing the clock, which the caller does once for all the device
+    /// time a request spent (`serve` is this plus that add, so there is
+    /// one pricing path).
+    pub fn charge(&self, req: &IoRequest) -> Duration {
+        self.state.lock().charge(self, req)
+    }
+
     /// Service time given the current head position.
     fn service_time_at(&self, next_contiguous: Option<BlockAddr>, req: &IoRequest) -> Duration {
         let contiguous = next_contiguous == Some(req.range.start);
@@ -155,7 +164,7 @@ impl StorageDevice for HddDevice {
     }
 
     fn serve(&self, req: &IoRequest) -> Duration {
-        let t = self.state.lock().charge(self, req);
+        let t = self.charge(req);
         self.clock.advance(t);
         t
     }
@@ -284,6 +293,22 @@ mod tests {
         d.serve(&IoRequest::read(BlockRange::new(0u64, 16), false));
         assert!(clock.now() > Duration::ZERO);
         assert_eq!(clock.now(), d.stats().busy_time);
+    }
+
+    #[test]
+    fn charge_is_serve_without_the_clock_add() {
+        let clock = SimClock::new();
+        let (charged, served) = (HddDevice::cheetah(clock.clone()), hdd());
+        let reqs = [
+            IoRequest::read(BlockRange::new(0u64, 8), true),
+            IoRequest::read(BlockRange::new(8u64, 8), true),
+            IoRequest::write(BlockRange::new(500u64, 1), false),
+        ];
+        for req in &reqs {
+            assert_eq!(charged.charge(req), served.serve(req));
+        }
+        assert_eq!(charged.stats(), served.stats(), "same ledger, same head");
+        assert_eq!(clock.now(), Duration::ZERO, "the caller advances the clock");
     }
 
     #[test]

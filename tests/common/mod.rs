@@ -2,7 +2,10 @@
 
 use hstorage_cache::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_cache::{CachePolicyKind, MigrationConfig};
-use hstorage_storage::{BlockAddr, CachePriority, PolicyConfig};
+use hstorage_storage::{
+    BlockAddr, BlockRange, CachePriority, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy,
+    RequestClass,
+};
 
 /// Env var the CI policy matrix sets to focus the equivalence suites on a
 /// single replacement policy (one of [`CachePolicyKind::label`]'s values:
@@ -81,6 +84,49 @@ impl Rng {
     }
 }
 
+/// One request over a 256-block address space (the engines hold 96, so
+/// shards fill and evict): multi-block reads and writes of every class
+/// whose handling is per block. Buffered updates stay single-block — the
+/// write-buffer flush check is per *request*, the one thing a block-wise
+/// replay would legitimately do differently.
+#[allow(dead_code)] // only the trace-driven suites draw requests
+pub fn request(rng: &mut Rng) -> ClassifiedRequest {
+    let start = rng.below(256);
+    let len = 1 + rng.below(40);
+    let read = |len, sequential| IoRequest::read(BlockRange::new(start, len), sequential);
+    let write = |len| IoRequest::write(BlockRange::new(start, len), false);
+    match rng.below(9) {
+        0 => ClassifiedRequest::new(write(1), RequestClass::Update, QosPolicy::WriteBuffer),
+        1 => ClassifiedRequest::new(write(len), RequestClass::Update, QosPolicy::priority(3)),
+        2 => ClassifiedRequest::new(
+            read(len, true),
+            RequestClass::Sequential,
+            QosPolicy::NonCachingNonEviction,
+        ),
+        3 => ClassifiedRequest::new(
+            write(len),
+            RequestClass::TemporaryData,
+            QosPolicy::priority(1),
+        ),
+        4 => ClassifiedRequest::new(
+            read(len, false),
+            RequestClass::TemporaryData,
+            QosPolicy::priority(1),
+        ),
+        5 => ClassifiedRequest::new(read(0, false), RequestClass::Random, QosPolicy::priority(2)),
+        6 => ClassifiedRequest::new(
+            read(len, false),
+            RequestClass::TemporaryDataTrim,
+            QosPolicy::NonCachingEviction,
+        ),
+        _ => ClassifiedRequest::new(
+            read(len, false),
+            RequestClass::Random,
+            QosPolicy::priority(2 + rng.below(3) as u8),
+        ),
+    }
+}
+
 /// A shipped policy that declares repeat hits *not* idempotent and
 /// forwards everything else, so the engine takes the write lock on every
 /// submission: the fully locked twin the optimistic fast path is held to.
@@ -91,10 +137,11 @@ impl CachePolicy for Locked {
     fn on_hit(
         &mut self,
         lbn: BlockAddr,
+        node: u32,
         current: CachePriority,
         req: &PolicyRequest,
     ) -> HitOutcome {
-        self.0.on_hit(lbn, current, req)
+        self.0.on_hit(lbn, node, current, req)
     }
 
     fn admits(&self, req: &PolicyRequest) -> bool {
@@ -113,16 +160,12 @@ impl CachePolicy for Locked {
         self.0.steal_victim(req)
     }
 
-    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
         self.0.on_insert(lbn, req)
     }
 
-    fn on_remove(&mut self, lbn: BlockAddr, group: CachePriority) {
-        self.0.on_remove(lbn, group);
-    }
-
-    fn on_remove_reasoned(&mut self, lbn: BlockAddr, group: CachePriority, reason: RemoveReason) {
-        self.0.on_remove_reasoned(lbn, group, reason);
+    fn on_remove(&mut self, lbn: BlockAddr, node: u32, group: CachePriority, reason: RemoveReason) {
+        self.0.on_remove(lbn, node, group, reason);
     }
 
     fn on_trim_absent(&mut self, lbn: BlockAddr) {

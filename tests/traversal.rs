@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 mod common;
-use common::Rng;
+use common::{request, Rng};
 
 /// What a policy is told about one block, in the order it is told.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,11 +49,12 @@ impl CachePolicy for Recording {
     fn on_hit(
         &mut self,
         lbn: BlockAddr,
+        node: u32,
         current: CachePriority,
         req: &PolicyRequest,
     ) -> HitOutcome {
         self.log(Event::Hit(lbn, current, req.class));
-        self.inner.on_hit(lbn, current, req)
+        self.inner.on_hit(lbn, node, current, req)
     }
 
     fn admits(&self, req: &PolicyRequest) -> bool {
@@ -65,18 +66,14 @@ impl CachePolicy for Recording {
         self.inner.pop_victim(incoming, req)
     }
 
-    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> CachePriority {
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
         self.log(Event::Insert(lbn, req.class));
         self.inner.on_insert(lbn, req)
     }
 
-    fn on_remove(&mut self, lbn: BlockAddr, group: CachePriority) {
-        self.inner.on_remove(lbn, group);
-    }
-
-    fn on_remove_reasoned(&mut self, lbn: BlockAddr, group: CachePriority, reason: RemoveReason) {
+    fn on_remove(&mut self, lbn: BlockAddr, node: u32, group: CachePriority, reason: RemoveReason) {
         self.log(Event::Remove(lbn, reason));
-        self.inner.on_remove_reasoned(lbn, group, reason);
+        self.inner.on_remove(lbn, node, group, reason);
     }
 
     fn on_trim_absent(&mut self, lbn: BlockAddr) {
@@ -118,48 +115,6 @@ enum Op {
     Submit(ClassifiedRequest),
     Batch(Vec<ClassifiedRequest>),
     Trim(Vec<BlockRange>),
-}
-
-/// One request over a 256-block address space (the engines hold 96, so
-/// shards fill and evict): multi-block reads and writes of every class
-/// whose handling is per block. Buffered updates stay single-block — the
-/// write-buffer flush check is per *request*, the one thing a block-wise
-/// replay would legitimately do differently.
-fn request(rng: &mut Rng) -> ClassifiedRequest {
-    let start = rng.below(256);
-    let len = 1 + rng.below(40);
-    let read = |len, sequential| IoRequest::read(BlockRange::new(start, len), sequential);
-    let write = |len| IoRequest::write(BlockRange::new(start, len), false);
-    match rng.below(9) {
-        0 => ClassifiedRequest::new(write(1), RequestClass::Update, QosPolicy::WriteBuffer),
-        1 => ClassifiedRequest::new(write(len), RequestClass::Update, QosPolicy::priority(3)),
-        2 => ClassifiedRequest::new(
-            read(len, true),
-            RequestClass::Sequential,
-            QosPolicy::NonCachingNonEviction,
-        ),
-        3 => ClassifiedRequest::new(
-            write(len),
-            RequestClass::TemporaryData,
-            QosPolicy::priority(1),
-        ),
-        4 => ClassifiedRequest::new(
-            read(len, false),
-            RequestClass::TemporaryData,
-            QosPolicy::priority(1),
-        ),
-        5 => ClassifiedRequest::new(read(0, false), RequestClass::Random, QosPolicy::priority(2)),
-        6 => ClassifiedRequest::new(
-            read(len, false),
-            RequestClass::TemporaryDataTrim,
-            QosPolicy::NonCachingEviction,
-        ),
-        _ => ClassifiedRequest::new(
-            read(len, false),
-            RequestClass::Random,
-            QosPolicy::priority(2 + rng.below(3) as u8),
-        ),
-    }
 }
 
 fn trace(seed: u64, ops: usize) -> Vec<Op> {
