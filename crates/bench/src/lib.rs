@@ -4,6 +4,8 @@
 //! the paper at a reduced TPC-H scale; the `run_experiments` binary runs
 //! them all once and prints the rows, which is what EXPERIMENTS.md records.
 
+#![forbid(unsafe_code)]
+
 use hstorage_tpch::TpchScale;
 
 /// The scale the Criterion benches run at. Small enough that a single

@@ -50,8 +50,10 @@
 //! idempotent ([`CachePolicy::repeat_hit_idempotent`]) the repeat is
 //! served under the *read* lock, because the skipped `on_hit` call is
 //! provably a no-op: it bumps the descriptor's tally and advances the
-//! clock, nothing else. Whoever next replaces the descriptor — or reads
-//! the statistics — holds the write lock, sees the exact tally and
+//! clock, nothing else. The descriptor's block address is mirrored in an
+//! atomic outside the lock, so a read of any other block is turned away
+//! without taking the read lock. Whoever next replaces the descriptor —
+//! or reads the statistics — holds the write lock, sees the exact tally and
 //! credits it (hit, class and priority counters, SSD ledger, migration
 //! heat) to the descriptor it was counted against. Anything that could
 //! perturb policy order (a different block's hit, a write, an
@@ -88,6 +90,15 @@ struct DeviceBatch {
     hdd_read: u64,
     hdd_write: u64,
 }
+
+/// How far ahead of the block it handles a shard walk prefetches the
+/// block table, in strides of the shard count: far enough for two extent
+/// groups' lines to arrive, near enough to stay inside a scan's next
+/// request.
+const PREFETCH_STRIDES: u64 = 8;
+
+/// `Shard::hot_lbn` of a shard whose hot descriptor is `None`.
+const NO_HOT: u64 = u64::MAX;
 
 /// `x % n` for an `x` below `2 * n`, without the division.
 fn wrap(x: u64, n: u64) -> u64 {
@@ -171,6 +182,14 @@ struct ShardState {
 /// One lock-striped partition of the cache (see the module docs).
 struct Shard {
     state: RwLock<ShardState>,
+    /// The block address of `ShardState::hot`, or [`NO_HOT`], readable
+    /// without the lock: the fast path compares it first, so a request
+    /// that cannot match takes no read lock. Written only by
+    /// [`Shard::set_hot`], under the write lock. It is a screen, never a
+    /// verdict: a stale value sends a request to the slow path, and a hit
+    /// is admitted only by the full comparison under the read lock — so it
+    /// publishes nothing, and `Relaxed` accesses suffice.
+    hot_lbn: AtomicU64,
     /// Nanoseconds the SSD takes for the one transfer the fast path ever
     /// issues — a single-block read — indexed by its sequential flag.
     /// Immutable after construction.
@@ -187,17 +206,21 @@ struct Shard {
 }
 
 impl Shard {
+    /// A shard with `capacity` slots, one of `stride` shards (the address
+    /// distance between its consecutive blocks).
     fn new(
         config: &PolicyConfig,
         capacity: u64,
+        stride: usize,
         policy: Box<dyn CachePolicy>,
         hit_service_ns: [u64; 2],
     ) -> Self {
         Shard {
             state: RwLock::new(ShardState {
                 // Pre-sized to the shard's slot count: a full shard never
-                // rehashes mid-run.
-                meta: BlockTable::with_capacity(capacity as usize),
+                // rehashes mid-run. Grouped by the shard stride, so a
+                // scan's blocks on this shard land in adjacent slots.
+                meta: BlockTable::with_capacity(capacity as usize, stride),
                 hot: None,
                 fast_hits: AtomicU64::new(0),
                 policy,
@@ -206,6 +229,7 @@ impl Shard {
                 stats: LocalCacheStats::new(),
                 ssd: DeviceStats::new(),
             }),
+            hot_lbn: AtomicU64::new(NO_HOT),
             hit_service_ns,
             write_buffer_limit: (capacity as f64 * config.write_buffer_fraction).floor() as u64,
             write_buffer_resident: AtomicU64::new(0),
@@ -221,12 +245,19 @@ impl Shard {
     }
 
     /// Replaces the hot descriptor, first crediting the repeat hits tallied
-    /// against the old one. Inline, so the caller's descriptor is stored
-    /// straight into the shard state rather than passed through memory.
+    /// against the old one, and keeps `hot_lbn` in step (stored only when
+    /// it changes, so repeated replacements on one block leave its cache
+    /// line clean). Inline, so the caller's descriptor is
+    /// stored straight into the shard state rather than passed through
+    /// memory.
     #[inline]
     fn set_hot(&self, st: &mut ShardState, hot: Option<HotHit>) {
         if *st.fast_hits.get_mut() > 0 {
             self.credit_fast_hits(st);
+        }
+        let hint = hot.map_or(NO_HOT, |h| h.lbn.0);
+        if self.hot_lbn.load(Ordering::Relaxed) != hint {
+            self.hot_lbn.store(hint, Ordering::Relaxed);
         }
         st.hot = hot;
     }
@@ -894,6 +925,7 @@ impl CacheEngine {
                 Shard::new(
                     &config,
                     capacity,
+                    shards,
                     kind.build(&config, capacity),
                     hit_service_ns,
                 )
@@ -1211,6 +1243,11 @@ impl CacheEngine {
         let lbn = req.io.range.start;
         let sequential = req.io.sequential;
         let shard = self.shard(lbn);
+        // Lock-free screen: a request for any other block cannot match,
+        // so it goes to the slow path without touching the read lock.
+        if shard.hot_lbn.load(Ordering::Relaxed) != lbn.0 {
+            return false;
+        }
         {
             let st = shard.state.read();
             let expected = HotHit {
@@ -1284,6 +1321,12 @@ impl CacheEngine {
         total
     }
 
+    /// The address distance of a shard walk's table prefetch: the block
+    /// [`PREFETCH_STRIDES`] ahead on the same shard.
+    fn prefetch_distance(&self) -> u64 {
+        PREFETCH_STRIDES * self.shards.len() as u64
+    }
+
     /// The shard-major traversal every mutating block walk goes through —
     /// one request, a run of requests, a TRIM's ranges. Each shard the
     /// `ranges` touch is visited exactly once: its write lock is taken
@@ -1351,8 +1394,12 @@ impl CacheEngine {
             .iter()
             .map(|r| (self.policy_request(r), DeviceBatch::default()))
             .collect();
+        let ahead = self.prefetch_distance();
         self.visit_shards(reqs.iter().map(|r| r.io.range), |shard, st, blocks| {
             for (i, lbn) in blocks {
+                // Past a request's end the prefetch usually names the next
+                // request's block; where it names none, it is harmless.
+                st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
                 let (preq, batch) = &mut work[i];
                 shard.handle_block(st, lbn, preq, reqs[i].io.sequential, batch);
             }
@@ -1446,8 +1493,10 @@ impl CacheEngine {
         let mut batch = DeviceBatch::default();
         let mut left = req.blocks();
         let mut ssd_time = Duration::ZERO;
+        let ahead = self.prefetch_distance();
         self.visit_shards(std::iter::once(req.io.range), |shard, st, blocks| {
             for (_, lbn) in blocks {
+                st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
                 shard.handle_block(st, lbn, &preq, req.io.sequential, &mut batch);
                 left -= 1;
             }
@@ -1509,6 +1558,11 @@ impl CacheEngine {
         for shard in &self.shards {
             let mut st = shard.state.write();
             let hot = st.hot;
+            debug_assert_eq!(
+                shard.hot_lbn.load(Ordering::Relaxed),
+                hot.map_or(NO_HOT, |h| h.lbn.0),
+                "hot_lbn disagrees with the hot descriptor"
+            );
             shard.set_hot(&mut st, hot);
             f(&mut st);
         }
@@ -1536,8 +1590,14 @@ impl CacheEngine {
 
     /// [`StorageSystem::trim`] below the journal wrapper.
     fn trim_inner(&self, cmd: &TrimCommand) {
+        let ahead = self.prefetch_distance();
         self.visit_shards(cmd.ranges.iter().copied(), |shard, st, blocks| {
-            let trimmed: u64 = blocks.map(|(_, lbn)| shard.trim_block(st, lbn)).sum();
+            let trimmed: u64 = blocks
+                .map(|(_, lbn)| {
+                    st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
+                    shard.trim_block(st, lbn)
+                })
+                .sum();
             if trimmed > 0 {
                 st.stats.record_action(CacheAction::Trim, trimmed);
             }

@@ -26,6 +26,9 @@
 //! [`StorageConfig`] so the same engine can compare replacement
 //! algorithms under identical mechanism.
 
+// The one `unsafe` block of the workspace is the block table's prefetch
+// hint (`table::prefetch_line`); everything else stays safe code.
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

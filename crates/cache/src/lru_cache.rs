@@ -122,7 +122,7 @@ impl LruCache {
             ssd,
             hdd,
             inner: Mutex::new(LruInner {
-                table: BlockTable::with_capacity(cache_capacity_blocks as usize),
+                table: BlockTable::with_capacity(cache_capacity_blocks as usize, 1),
                 arena: ListArena::new(),
                 lru: ListHandle::new(),
                 alloc: SlotAllocator::new(cache_capacity_blocks),

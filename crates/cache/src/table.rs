@@ -4,17 +4,32 @@
 //! logical block number. Each entry is `< lbn, (pbn, prio) >` in the paper;
 //! [`CacheEntry`] additionally records the clean/dirty state that Section
 //! 5.1 describes for valid blocks. The lookup sits on the submit path of
-//! every shard, so the table is flat and cache-line-friendly:
+//! every shard, so the table is flat, and a shard walk reads it in
+//! address order and ahead of use:
 //!
-//! * power-of-two capacity with Fibonacci hashing (a single multiply and
-//!   shift — no SipHash state, no per-lookup hasher construction);
+//! * three parallel arrays — `keys`, `values` and an occupancy bitset (one
+//!   bit per slot, so a shard's whole occupancy map stays in L1/L2) — over
+//!   a power-of-two slot count;
+//! * Fibonacci hashing (one multiply and shift) and, in a [`BlockTable`],
+//!   **extent groups**: a block's aligned run of 4 consecutive *local*
+//!   addresses hashes to a group of 4 adjacent slots, and its offset in
+//!   the run is its offset in the group. A local address is the address
+//!   with the table's stride shifted out — an engine shard holds every
+//!   `N`-th block, so its table is built with stride `N` and a scan's
+//!   consecutive blocks on that shard land in adjacent slots (a
+//!   non-power-of-two `N` shifts out only its factor of two and gets
+//!   partial locality). A plain [`OpenMap`], probed at random, hashes each
+//!   key alone;
 //! * linear probing, so a probe touches consecutive slots of one dense
 //!   array instead of chasing bucket pointers;
 //! * backward-shift deletion instead of tombstones, so probe chains never
-//!   grow from churn and the table needs no rehash-on-delete heuristics.
+//!   grow from churn and the table needs no rehash-on-delete heuristics;
+//! * [`BlockTable::prefetch`], which starts loading a key's home slot, so a
+//!   shard walk can ask for the table lines it will need a few blocks
+//!   from now (the engine prefetches 8 strides ahead).
 //!
 //! [`OpenMap`] is the generic engine (`u64` keys, `Copy` values), and
-//! [`BlockTable`] the shard-metadata wrapper whose slots colocate the
+//! [`BlockTable`] the shard-metadata wrapper whose slot value pairs the
 //! [`CacheEntry`] with the policy's `u32` node handle, so a single probe
 //! reaches both the metadata and the block's place in its policy's lists
 //! — the table is the only address index of resident blocks.
@@ -51,12 +66,38 @@ impl CacheEntry {
 /// Fibonacci-hashing multiplier: `2^64 / φ`, the canonical odd constant.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Smallest table capacity ever allocated (slots, power of two).
+/// `log2` of a [`BlockTable`]'s extent-group size: runs of 4 consecutive
+/// local addresses share one hash and 4 adjacent slots. Larger groups
+/// lengthen the probe chains of clustered keys faster than they add
+/// locality.
+const BLOCK_GROUP_BITS: u32 = 2;
+
+/// Smallest table capacity ever allocated (slots, power of two; at least
+/// two of a [`BlockTable`]'s extent groups).
 const MIN_CAPACITY: usize = 8;
 
 /// The node handle of a block whose policy keeps its own index (see the
 /// [`CachePolicy`](crate::policy::CachePolicy#node-handles) docs).
 pub const NO_NODE: u32 = u32::MAX;
+
+/// Hints the CPU to start loading the cache line holding `*p` into L1
+/// without waiting for it.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline(always)]
+fn prefetch_line<T>(p: &T) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: a prefetch is a hint with no architectural effect — it never
+    // faults and changes no memory the program can observe — and the
+    // address comes from a live reference anyway. It needs only SSE,
+    // which every x86_64 target has.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>((p as *const T).cast()) }
+}
+
+/// Off x86_64 a prefetch is a no-op.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn prefetch_line<T>(_: &T) {}
 
 /// A flat open-addressing hash map from `u64` keys to `Copy` values.
 ///
@@ -65,31 +106,54 @@ pub const NO_NODE: u32 = u32::MAX;
 /// holds tombstones and every lookup terminates at the first empty slot.
 /// Iteration order is unspecified (slot order) — callers that need a
 /// deterministic order must sort, exactly as with `std::HashMap`.
+///
+/// With the default `GROUP_BITS = 0` each key is Fibonacci-hashed alone.
+/// A positive `GROUP_BITS` hashes runs of `2^GROUP_BITS` consecutive local
+/// addresses to that many adjacent slots (the extent groups of the module
+/// docs) — worth it only where walks read the table in address order and
+/// prefetch ahead, as they do the [`BlockTable`]; in a map probed at
+/// random, grouping only lengthens probe chains.
 #[derive(Debug, Clone)]
-pub struct OpenMap<V> {
+pub struct OpenMap<V, const GROUP_BITS: u32 = 0> {
     keys: Vec<u64>,
     values: Vec<V>,
-    used: Vec<bool>,
+    /// Occupancy, one bit per slot (slot `i` is bit `i % 64` of word
+    /// `i / 64`).
+    used: Vec<u64>,
     len: usize,
-    /// `64 - log2(capacity)`: maps the 64-bit hash onto a slot index.
+    /// `64 - log2(capacity >> GROUP_BITS)`: maps the 64-bit hash onto an
+    /// extent-group index (a slot index in a plain map).
     shift: u32,
+    /// Low key bits shifted out before grouping: the factor of two in the
+    /// key stride, which every key of a strided table shares.
+    stride_shift: u32,
 }
 
-impl<V: Copy + Default> Default for OpenMap<V> {
+impl<V: Copy + Default, const GROUP_BITS: u32> Default for OpenMap<V, GROUP_BITS> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V: Copy + Default> OpenMap<V> {
+impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
     /// Creates an empty map with the minimum capacity.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
     /// Creates an empty map pre-sized so `items` entries fit without
-    /// growing (capacity is the next power of two above `items / (7/8)`).
+    /// growing (capacity is the next power of two above `items / (7/8)`),
+    /// for keys with no common stride.
     pub fn with_capacity(items: usize) -> Self {
+        Self::strided(items, 1)
+    }
+
+    /// [`Self::with_capacity`] for keys that are all congruent modulo
+    /// `stride` (the blocks of one of `stride` engine shards), so runs of
+    /// consecutive such keys share extent groups. Only a grouped map uses
+    /// the stride.
+    fn strided(items: usize, stride: usize) -> Self {
+        assert!(stride > 0, "key stride must be positive");
         let cap = items
             .saturating_mul(8)
             .div_ceil(7)
@@ -98,9 +162,10 @@ impl<V: Copy + Default> OpenMap<V> {
         OpenMap {
             keys: vec![0; cap],
             values: vec![V::default(); cap],
-            used: vec![false; cap],
+            used: vec![0; cap.div_ceil(64)],
             len: 0,
-            shift: 64 - cap.trailing_zeros(),
+            shift: 64 - (cap >> GROUP_BITS).trailing_zeros(),
+            stride_shift: stride.trailing_zeros(),
         }
     }
 
@@ -119,9 +184,33 @@ impl<V: Copy + Default> OpenMap<V> {
         self.keys.len()
     }
 
+    /// The key's home slot: its extent group's first slot plus its offset
+    /// in its run of local addresses.
     #[inline]
     fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(FIB) >> self.shift) as usize
+        if GROUP_BITS == 0 {
+            // A plain map hashes the whole key: only grouping has a use
+            // for the stride.
+            return (key.wrapping_mul(FIB) >> self.shift) as usize;
+        }
+        let local = key >> self.stride_shift;
+        let group = (local >> GROUP_BITS).wrapping_mul(FIB) >> self.shift;
+        ((group << GROUP_BITS) | (local & ((1 << GROUP_BITS) - 1))) as usize
+    }
+
+    #[inline]
+    fn is_used(&self, i: usize) -> bool {
+        self.used[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    #[inline]
+    fn set_used(&mut self, i: usize) {
+        self.used[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn set_unused(&mut self, i: usize) {
+        self.used[i / 64] &= !(1 << (i % 64));
     }
 
     /// The slot holding `key`, if present.
@@ -129,13 +218,24 @@ impl<V: Copy + Default> OpenMap<V> {
     fn find(&self, key: u64) -> Option<usize> {
         let mask = self.keys.len() - 1;
         let mut i = self.home(key);
-        while self.used[i] {
+        while self.is_used(i) {
             if self.keys[i] == key {
                 return Some(i);
             }
             i = (i + 1) & mask;
         }
         None
+    }
+
+    /// Starts loading the lines a lookup of `key` reads first — its home
+    /// slot's occupancy word, key and value — without waiting for them.
+    /// Changes nothing; a no-op off x86_64.
+    #[inline]
+    fn prefetch(&self, key: u64) {
+        let i = self.home(key);
+        prefetch_line(&self.used[i / 64]);
+        prefetch_line(&self.keys[i]);
+        prefetch_line(&self.values[i]);
     }
 
     /// Looks up `key`.
@@ -184,7 +284,7 @@ impl<V: Copy + Default> OpenMap<V> {
         }
         let mask = self.keys.len() - 1;
         let mut i = self.home(key);
-        while self.used[i] {
+        while self.is_used(i) {
             if self.keys[i] == key {
                 return (&mut self.values[i], false);
             }
@@ -192,7 +292,7 @@ impl<V: Copy + Default> OpenMap<V> {
         }
         self.keys[i] = key;
         self.values[i] = make();
-        self.used[i] = true;
+        self.set_used(i);
         self.len += 1;
         (&mut self.values[i], true)
     }
@@ -207,7 +307,7 @@ impl<V: Copy + Default> OpenMap<V> {
         let mut j = i;
         loop {
             j = (j + 1) & mask;
-            if !self.used[j] {
+            if !self.is_used(j) {
                 break;
             }
             // Slot j's entry may backfill the hole at i only if its home
@@ -220,86 +320,97 @@ impl<V: Copy + Default> OpenMap<V> {
                 i = j;
             }
         }
-        self.used[i] = false;
+        self.set_unused(i);
         self.len -= 1;
         Some(removed)
     }
 
     /// Removes every entry, keeping the allocation.
     pub fn clear(&mut self) {
-        self.used.iter_mut().for_each(|u| *u = false);
+        self.used.fill(0);
         self.len = 0;
     }
 
     /// Iterates all `(key, value)` pairs in unspecified (slot) order.
-    pub fn iter(&self) -> OpenMapIter<'_, V> {
-        OpenMapIter { map: self, pos: 0 }
+    pub fn iter(&self) -> OpenMapIter<'_, V, GROUP_BITS> {
+        OpenMapIter {
+            map: self,
+            word: 0,
+            bits: self.used.first().copied().unwrap_or(0),
+        }
     }
 
     fn grow(&mut self) {
         let new_cap = self.keys.len() * 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
         let old_values = std::mem::replace(&mut self.values, vec![V::default(); new_cap]);
-        let old_used = std::mem::replace(&mut self.used, vec![false; new_cap]);
-        self.shift = 64 - new_cap.trailing_zeros();
+        let old_used = std::mem::replace(&mut self.used, vec![0; new_cap.div_ceil(64)]);
+        self.shift -= 1;
         let mask = new_cap - 1;
-        for (slot, was_used) in old_used.into_iter().enumerate() {
-            if !was_used {
+        for slot in 0..old_keys.len() {
+            if old_used[slot / 64] & (1 << (slot % 64)) == 0 {
                 continue;
             }
             let key = old_keys[slot];
             let mut i = self.home(key);
-            while self.used[i] {
+            while self.is_used(i) {
                 i = (i + 1) & mask;
             }
             self.keys[i] = key;
             self.values[i] = old_values[slot];
-            self.used[i] = true;
+            self.set_used(i);
         }
     }
 
     /// Asserts the open-addressing invariant the backward-shift deletion
     /// must preserve: walking from any entry's home slot to the slot it
     /// occupies crosses no empty slot (otherwise a lookup would terminate
-    /// early and miss the entry).
+    /// early and miss the entry). Also checks the occupancy count.
     #[cfg(test)]
     fn assert_probe_invariant(&self) {
         let mask = self.keys.len() - 1;
+        let mut occupied = 0;
         for slot in 0..self.keys.len() {
-            if !self.used[slot] {
+            if !self.is_used(slot) {
                 continue;
             }
+            occupied += 1;
             let mut i = self.home(self.keys[slot]);
             while i != slot {
                 assert!(
-                    self.used[i],
+                    self.is_used(i),
                     "probe chain for key {} crosses empty slot {} before {}",
-                    self.keys[slot], i, slot
+                    self.keys[slot],
+                    i,
+                    slot
                 );
                 i = (i + 1) & mask;
             }
         }
+        assert_eq!(occupied, self.len, "occupancy bits disagree with len");
     }
 }
 
 /// Iterator over an [`OpenMap`]'s `(key, value)` pairs in slot order.
-pub struct OpenMapIter<'a, V> {
-    map: &'a OpenMap<V>,
-    pos: usize,
+pub struct OpenMapIter<'a, V, const GROUP_BITS: u32 = 0> {
+    map: &'a OpenMap<V, GROUP_BITS>,
+    /// Index of the occupancy word being scanned.
+    word: usize,
+    /// Its occupied slots not yet yielded.
+    bits: u64,
 }
 
-impl<'a, V> Iterator for OpenMapIter<'a, V> {
+impl<'a, V, const GROUP_BITS: u32> Iterator for OpenMapIter<'a, V, GROUP_BITS> {
     type Item = (u64, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.pos < self.map.keys.len() {
-            let i = self.pos;
-            self.pos += 1;
-            if self.map.used[i] {
-                return Some((self.map.keys[i], &self.map.values[i]));
-            }
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.map.used.get(self.word)?;
         }
-        None
+        let i = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((self.map.keys[i], &self.map.values[i]))
     }
 }
 
@@ -328,11 +439,11 @@ impl Default for TableSlot {
 }
 
 /// The shard-metadata table `lbn → (CacheEntry, node)` on the flat
-/// [`OpenMap`] engine. Iteration order is unspecified (every engine
-/// consumer sorts or counts).
+/// [`OpenMap`] engine, grouped by the shard's stride. Iteration order is
+/// unspecified (every engine consumer sorts or counts).
 #[derive(Debug, Clone, Default)]
 pub struct BlockTable {
-    map: OpenMap<TableSlot>,
+    map: OpenMap<TableSlot, BLOCK_GROUP_BITS>,
 }
 
 impl BlockTable {
@@ -341,11 +452,21 @@ impl BlockTable {
         Self::default()
     }
 
-    /// Creates an empty table pre-sized for `items` resident blocks.
-    pub fn with_capacity(items: usize) -> Self {
+    /// Creates an empty table pre-sized for `items` resident blocks, all
+    /// congruent modulo `stride` — an engine shard's blocks, with `stride`
+    /// the shard count (1 for an unsharded table).
+    pub fn with_capacity(items: usize, stride: usize) -> Self {
         BlockTable {
-            map: OpenMap::with_capacity(items),
+            map: OpenMap::strided(items, stride),
         }
+    }
+
+    /// Starts loading the table lines a lookup of `lbn` reads first,
+    /// without waiting for them: a walk calls this a few blocks ahead of
+    /// the block it handles. Changes nothing.
+    #[inline]
+    pub fn prefetch(&self, lbn: BlockAddr) {
+        self.map.prefetch(lbn.0);
     }
 
     /// Number of resident blocks.
@@ -425,7 +546,7 @@ mod tests {
 
     #[test]
     fn insert_lookup_remove() {
-        let mut m = BlockTable::with_capacity(8);
+        let mut m = BlockTable::with_capacity(8, 1);
         assert!(m.is_empty());
         m.insert(BlockAddr(5), entry_in(0, 2, false));
         assert!(m.contains(BlockAddr(5)));
@@ -439,7 +560,7 @@ mod tests {
     #[test]
     fn dirty_count_tracks_state() {
         let dirty = |m: &BlockTable| m.iter().filter(|(_, s)| s.entry.is_dirty()).count();
-        let mut m = BlockTable::with_capacity(8);
+        let mut m = BlockTable::with_capacity(8, 1);
         m.insert(BlockAddr(1), entry_in(0, 1, true));
         m.insert(BlockAddr(2), entry_in(1, 1, false));
         m.insert(BlockAddr(3), entry_in(2, 3, true));
@@ -450,7 +571,7 @@ mod tests {
 
     #[test]
     fn insert_replaces_existing_entry() {
-        let mut m = BlockTable::with_capacity(8);
+        let mut m = BlockTable::with_capacity(8, 1);
         m.insert(BlockAddr(9), entry_in(10, 4, false));
         m.insert(BlockAddr(9), entry_in(11, 2, true));
         let e = m.get(BlockAddr(9)).unwrap().entry;
@@ -463,7 +584,7 @@ mod tests {
     #[test]
     fn iter_yields_every_entry_once() {
         // Pre-sized for 4, so the walk also crosses three growths.
-        let mut m = BlockTable::with_capacity(4);
+        let mut m = BlockTable::with_capacity(4, 1);
         for i in 0..50u64 {
             m.insert(BlockAddr(i), entry_in(i, 1, i % 2 == 0));
         }
@@ -520,6 +641,15 @@ mod tests {
             assert_eq!(t.get(BlockAddr(i)).unwrap().entry.pbn, i * 10, "lbn {i}");
         }
         t.map.assert_probe_invariant();
+        // Growth rescales the hash onto the doubled group count: whole
+        // runs of consecutive keys keep their home slots.
+        let displaced = (0..1000u64)
+            .filter(|&i| t.map.find(i) != Some(t.map.home(i)))
+            .count();
+        assert!(
+            displaced < 100,
+            "{displaced} of 1000 keys off their home slot"
+        );
     }
 
     #[test]
@@ -556,7 +686,7 @@ mod tests {
         m.map_invariant_and_all_present(&[1, 2, 4, 5, 6]);
     }
 
-    impl OpenMap<u64> {
+    impl<const G: u32> OpenMap<u64, G> {
         fn map_invariant_and_all_present(&self, keys: &[u64]) {
             self.assert_probe_invariant();
             for &k in keys {
@@ -581,41 +711,145 @@ mod tests {
         assert_eq!(m.get(5), Some(&1));
     }
 
+    /// The key strides the model tests cover: unsharded, two shards, a
+    /// non-power-of-two shard count and eight shards.
+    const STRIDES: [usize; 4] = [1, 2, 3, 8];
+
+    /// A test key of one of four shapes, all reproducible from `small` so
+    /// removals and lookups hit keys inserted earlier: a dense run of
+    /// consecutive addresses, a run of one shard's blocks (stride-aligned,
+    /// residue `base % stride`), scattered addresses, and addresses at the
+    /// top of the `u64` range.
+    fn shaped_key(shape: u8, small: u64, base: u64, stride: usize) -> u64 {
+        let stride = stride as u64;
+        let anchor = base >> 16;
+        match shape % 4 {
+            0 => anchor + small,
+            1 => (anchor + small) * stride + base % stride,
+            2 => (small ^ base).wrapping_mul(0xD6E8_FEB8_6659_FD93),
+            _ => u64::MAX - small * stride,
+        }
+    }
+
+    #[test]
+    fn consecutive_local_addresses_fill_whole_groups() {
+        // 16 consecutive local addresses, starting on a run boundary, of
+        // an unsharded table and of shard 5 of 8: every key lands on its
+        // home slot, and the keys fill 4 extent groups exactly, each with
+        // one aligned run of 4 in offset order.
+        for (stride, residue) in [(1u64, 0u64), (8, 5)] {
+            let mut t = BlockTable::with_capacity(1024, stride as usize);
+            let keys: Vec<u64> = (0..16u64).map(|j| (4_000 + j) * stride + residue).collect();
+            for &k in &keys {
+                t.insert(BlockAddr(k), entry(k));
+            }
+            t.map.assert_probe_invariant();
+            let mut groups: HashMap<usize, Vec<u64>> = HashMap::new();
+            for (j, &k) in (0u64..).zip(&keys) {
+                let slot = t.map.find(k).expect("inserted key is present");
+                assert_eq!(slot, t.map.home(k), "stride {stride}: key {k} displaced");
+                assert_eq!(slot % 4, (j % 4) as usize, "stride {stride}: offset");
+                groups.entry(slot / 4).or_default().push(j / 4);
+            }
+            assert_eq!(groups.len(), 4, "stride {stride}: {groups:?}");
+            for runs in groups.values() {
+                assert_eq!(runs.len(), 4, "stride {stride}: a group is not full");
+                assert!(
+                    runs.iter().all(|&r| r == runs[0]),
+                    "stride {stride}: runs mix"
+                );
+            }
+        }
+    }
+
+    /// Replays `(shape, small, is_remove, value)` operations on `map` and
+    /// on a `HashMap` model. Each operation is preceded by a prefetch of
+    /// its key, as a shard walk issues them; after each, the answers, the
+    /// length and every model entry must agree and the backward-shift
+    /// invariant — no probe chain crosses an empty slot — must hold, across
+    /// growth from the minimum capacity. At the end the iterator must visit
+    /// exactly the model's pairs.
+    fn replay_against_a_model<const G: u32>(
+        mut map: OpenMap<u64, G>,
+        ops: &[(u8, u64, bool, u64)],
+        base: u64,
+        stride: usize,
+    ) {
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        for &(shape, small, is_remove, value) in ops {
+            let key = shaped_key(shape, small, base, stride);
+            map.prefetch(key);
+            if is_remove {
+                assert_eq!(map.remove(key), model.remove(&key));
+            } else {
+                assert_eq!(map.insert(key, value), model.insert(key, value));
+            }
+            map.assert_probe_invariant();
+            assert_eq!(map.len(), model.len());
+            for (&k, v) in &model {
+                assert_eq!(map.get(k), Some(v), "stride {stride}, groups {G}: key {k}");
+            }
+        }
+        let mut seen: Vec<(u64, u64)> = map.iter().map(|(k, v)| (k, *v)).collect();
+        seen.sort_unstable();
+        let mut expect: Vec<(u64, u64)> = model.into_iter().collect();
+        expect.sort_unstable();
+        assert_eq!(seen, expect);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// The open-addressing table agrees with a `HashMap` model on any
-        /// insert/remove/lookup trace, and the backward-shift invariant —
-        /// no probe chain ever crosses an empty slot — holds after every
-        /// operation.
+        /// insert/remove/lookup trace, plain and grouped with every stride,
+        /// for every key shape (see `replay_against_a_model`).
         #[test]
         fn open_map_matches_a_hash_map_model(
             ops in proptest::collection::vec(
-                (0u64..48, proptest::prelude::any::<bool>(), 0u64..1000),
-                1..400,
+                (0u8..4, 0u64..64, proptest::prelude::any::<bool>(), 0u64..1000),
+                1..300,
             ),
+            base in proptest::prelude::any::<u64>(),
+        ) {
+            for stride in STRIDES {
+                let grouped = OpenMap::<u64, BLOCK_GROUP_BITS>::strided(0, stride);
+                replay_against_a_model(grouped, &ops, base, stride);
+                replay_against_a_model(OpenMap::<u64>::new(), &ops, base, stride);
+            }
+        }
+
+        /// Prefetching any block — resident, absent, at either end of the
+        /// address space — leaves a table's contents, length and capacity
+        /// exactly as they were.
+        #[test]
+        fn prefetch_leaves_the_table_unchanged(
+            inserts in proptest::collection::vec((0u8..4, 0u64..64), 1..200),
+            probes in proptest::collection::vec((0u8..4, 0u64..128), 1..64),
+            base in proptest::prelude::any::<u64>(),
         ) {
             use proptest::prelude::prop_assert_eq;
-            let mut map = OpenMap::<u64>::new();
-            let mut model: HashMap<u64, u64> = HashMap::new();
-            for (key, is_remove, value) in ops {
-                if is_remove {
-                    prop_assert_eq!(map.remove(key), model.remove(&key));
-                } else {
-                    prop_assert_eq!(map.insert(key, value), model.insert(key, value));
+            let snapshot = |t: &BlockTable| {
+                let mut pairs: Vec<(u64, u64)> =
+                    t.iter().map(|(lbn, s)| (lbn.0, s.entry.pbn)).collect();
+                pairs.sort_unstable();
+                (pairs, t.len(), t.map.capacity())
+            };
+            for stride in STRIDES {
+                let mut t = BlockTable::with_capacity(0, stride);
+                for &(shape, small) in &inserts {
+                    t.insert(BlockAddr(shaped_key(shape, small, base, stride)), entry(small));
                 }
-                map.assert_probe_invariant();
-                prop_assert_eq!(map.len(), model.len());
-                for (&k, v) in &model {
-                    prop_assert_eq!(map.get(k), Some(v));
+                let before = snapshot(&t);
+                let keys = probes
+                    .iter()
+                    .map(|&(shape, small)| shaped_key(shape, small, base, stride))
+                    .chain([0, 1, u64::MAX, u64::MAX - 1]);
+                for key in keys {
+                    t.prefetch(BlockAddr(key));
                 }
+                t.map.assert_probe_invariant();
+                prop_assert_eq!(snapshot(&t), before);
             }
-            // The iterator visits exactly the model's pairs.
-            let mut seen: Vec<(u64, u64)> = map.iter().map(|(k, v)| (k, *v)).collect();
-            seen.sort_unstable();
-            let mut expect: Vec<(u64, u64)> = model.into_iter().collect();
-            expect.sort_unstable();
-            prop_assert_eq!(seen, expect);
         }
     }
 }

@@ -30,6 +30,7 @@
 //!   per-request latency percentiles,
 //! * [`stats`] — per-query execution statistics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

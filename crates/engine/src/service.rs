@@ -56,6 +56,10 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+/// How long [`run_streams_service`] waits for a completion before it
+/// checks whether a worker has died.
+const WORKER_CHECK_INTERVAL: Duration = Duration::from_millis(50);
+
 /// Tuning knobs of the query service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -366,6 +370,12 @@ impl QueryService {
         self.workers.len()
     }
 
+    /// Whether some worker has exited. Workers only exit once the queue
+    /// is closed, so while the service runs an exited worker panicked.
+    fn worker_exited(&self) -> bool {
+        self.workers.iter().any(|w| w.is_finished())
+    }
+
     /// Closes the queue, lets the workers drain the remaining requests,
     /// joins them, and returns each worker's statistics shard in worker
     /// order. Panics if a worker panicked.
@@ -426,7 +436,9 @@ pub struct ServiceReport {
 /// deterministic: requests are executed in submission order by a single
 /// worker whose executor matches plain [`QueryExecutor::run_query`].
 ///
-/// Results are grouped by stream, in stream order.
+/// Results are grouped by stream, in stream order. A worker that panics
+/// fails the run: the closed loop notices within one 50 ms poll and
+/// panics in turn rather than wait for a reply that cannot come.
 pub fn run_streams_service(
     config: ExecutorConfig,
     service: ServiceConfig,
@@ -460,8 +472,21 @@ pub fn run_streams_service(
         }
     }
     // Closed loop: each completion triggers the stream's next submission.
+    // This loop holds a reply sender itself, so a worker that dies with a
+    // request never disconnects the channel: the wait is bounded, and a
+    // dead worker's panic is re-raised instead of waited on forever.
     while in_flight > 0 {
-        let resp = responses.recv().expect("service workers hung up early");
+        let resp = match responses.recv_timeout(WORKER_CHECK_INTERVAL) {
+            Ok(resp) => resp,
+            Err(mpsc::RecvTimeoutError::Timeout) if svc.worker_exited() => {
+                svc.shutdown();
+                unreachable!("shutdown re-raises the dead worker's panic");
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                unreachable!("this loop holds a reply sender")
+            }
+        };
         in_flight -= 1;
         results[resp.stream].push(resp.stats);
         let next = cursors[resp.stream];
@@ -750,6 +775,44 @@ mod tests {
         assert!(responses.recv().is_err(), "the worker cannot answer");
         let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(svc)));
         assert!(dropped.is_ok(), "drop must not re-raise the worker's panic");
+    }
+
+    #[test]
+    fn closed_loop_run_raises_a_worker_panic_instead_of_hanging() {
+        // A zero scan chunk makes `compile` panic inside the worker, which
+        // dies holding the only request in flight.
+        let (cat, table) = small_catalog();
+        let (done_tx, done) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let broken = ExecutorConfig {
+                seq_blocks_per_request: 0,
+                ..cfg()
+            };
+            let streams = vec![StreamSpec {
+                name: "scan".into(),
+                queries: vec![seq_plan(table)],
+            }];
+            let outcome = std::panic::catch_unwind(|| {
+                run_streams_service(
+                    broken,
+                    ServiceConfig {
+                        workers: 1,
+                        queue_depth: 1,
+                    },
+                    PolicyConfig::paper_default(),
+                    &ConcurrencyRegistry::new(),
+                    &streams,
+                    &cat,
+                    &shared_storage(),
+                )
+            });
+            let _ = done_tx.send(outcome.is_err());
+        });
+        let raised = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("run_streams_service still blocked after 10 s");
+        assert!(raised, "the worker's panic must surface as a panic");
+        helper.join().expect("the helper caught the panic");
     }
 
     #[test]

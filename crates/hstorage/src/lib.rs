@@ -37,6 +37,7 @@
 //! assert!(stats.elapsed.as_secs_f64() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -19,6 +19,7 @@
 //! the SSD, Seagate Cheetah 15K.7 characteristics for the HDD) so the
 //! *relative* behaviour of the four storage configurations is preserved.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

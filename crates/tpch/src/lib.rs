@@ -16,6 +16,7 @@
 //! * the power-test ordering and throughput-test streams of the TPC-H
 //!   specification ([`power`], [`throughput`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
