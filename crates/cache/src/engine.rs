@@ -44,6 +44,17 @@
 //! request order, ascending within a request — what a block-by-block
 //! walk produces — so no decision or counter moves.
 //!
+//! A multi-block walk settles bypassed blocks in **runs**, one QoS
+//! decision per request the way the paper classifies: once a block of a
+//! request is refused by [`CachePolicy::admits`] (a pure query), the
+//! request's following blocks on the shard whose home slot in the block
+//! table is vacant are certainly absent and certainly refused again. Each
+//! costs one occupancy-bit test and no table prefetch; the run is
+//! recorded as one tally of the counters and device traffic that many
+//! single refusals would have recorded. An occupied home slot, another
+//! request's block, or attached migration (which records heat per block)
+//! sends a block down the full placement path.
+//!
 //! On top of that sits an optimistic fast path for the hottest possible
 //! case: a single-block read that repeats the immediately preceding hit
 //! on its shard. When the installed policy declares repeat hits
@@ -89,6 +100,19 @@ struct DeviceBatch {
     ssd_write: u64,
     hdd_read: u64,
     hdd_write: u64,
+}
+
+/// What the caching decision did with one block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Placed {
+    /// Resident: served from the SSD.
+    Hit,
+    /// Absent and refused by `admits`: sent to the second-level device
+    /// without any mutable policy call, so a bypass run may follow.
+    Bypassed,
+    /// Absent and admitted: allocated a slot, or bypassed after all for
+    /// want of a victim — either way the policy was called mutably.
+    Admitted,
 }
 
 /// How far ahead of the block it handles a shard walk prefetches the
@@ -351,13 +375,86 @@ impl Shard {
         req: &PolicyRequest,
         sequential: bool,
         batch: &mut DeviceBatch,
-    ) {
-        let hit = self.place_block(st, lbn, req, sequential, batch);
-        st.stats.record_class(req.class, 1, u64::from(hit));
-        st.stats.record_priority(req.prio.0, 1, u64::from(hit));
+    ) -> Placed {
+        let placed = self.place_block(st, lbn, req, sequential, batch);
+        let hit = u64::from(placed == Placed::Hit);
+        st.stats.record_class(req.class, 1, hit);
+        st.stats.record_priority(req.prio.0, 1, hit);
+        placed
     }
 
-    /// The caching decision for one block; returns `true` on a cache hit.
+    /// Handles one shard visit's blocks of `reqs` — `(request index,
+    /// block)` pairs, `work[i]` holding request `i`'s policy shape and
+    /// device batch — settling bypassed blocks in runs.
+    ///
+    /// Once a block of request `i` is refused by `admits`, each following
+    /// block of `i` whose home slot is vacant is certainly absent (a
+    /// lookup stops at the vacant slot) and certainly refused again
+    /// (`admits` is a pure query, and nothing since the refusal called the
+    /// policy mutably). That run of blocks is tallied — one occupancy-bit
+    /// test each, no table prefetch, since their slots are never read —
+    /// and recorded at once. It ends at another request's block or at an
+    /// occupied home slot, which takes the full placement (and, if
+    /// refused too, starts the next run). Runs stay off while migration
+    /// is attached, which records heat and request shape per block.
+    ///
+    /// Out of line, apart from the code of its callers' other paths.
+    #[inline(never)]
+    fn walk_blocks(
+        &self,
+        st: &mut ShardState,
+        blocks: &mut std::iter::Peekable<impl Iterator<Item = (usize, BlockAddr)>>,
+        ahead: u64,
+        reqs: &[ClassifiedRequest],
+        work: &mut [(PolicyRequest, DeviceBatch)],
+    ) {
+        let runs = st.migration.is_none();
+        while let Some((i, lbn)) = blocks.next() {
+            // Past a request's end the prefetch usually names the next
+            // request's block; where it names none, it is harmless.
+            st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
+            let (preq, batch) = &mut work[i];
+            let placed = self.handle_block(st, lbn, preq, reqs[i].io.sequential, batch);
+            if runs && placed == Placed::Bypassed {
+                let mut run = 0;
+                while blocks
+                    .next_if(|&(j, b)| j == i && st.meta.home_vacant(b))
+                    .is_some()
+                {
+                    run += 1;
+                }
+                Self::settle_bypass_run(st, preq, run, batch);
+            }
+        }
+    }
+
+    /// Records `blocks` tallied blocks of a bypass run of `req` exactly as
+    /// that many refused placements would have: the same action, class
+    /// and priority counters, and the same second-level transfer.
+    fn settle_bypass_run(
+        st: &mut ShardState,
+        req: &PolicyRequest,
+        blocks: u64,
+        batch: &mut DeviceBatch,
+    ) {
+        if blocks > 0 {
+            Self::bypass(st, req, blocks, batch);
+            st.stats.record_class(req.class, blocks, 0);
+            st.stats.record_priority(req.prio.0, blocks, 0);
+        }
+    }
+
+    /// Sends `blocks` absent blocks of `req` straight to the second-level
+    /// device, counting them as bypassed.
+    fn bypass(st: &mut ShardState, req: &PolicyRequest, blocks: u64, batch: &mut DeviceBatch) {
+        st.stats.record_action(CacheAction::Bypassing, blocks);
+        match req.direction {
+            Direction::Read => batch.hdd_read += blocks,
+            Direction::Write => batch.hdd_write += blocks,
+        }
+    }
+
+    /// The caching decision for one block.
     fn place_block(
         &self,
         st: &mut ShardState,
@@ -365,7 +462,7 @@ impl Shard {
         req: &PolicyRequest,
         sequential: bool,
         batch: &mut DeviceBatch,
-    ) -> bool {
+    ) -> Placed {
         if let Some(mig) = st.migration.as_mut() {
             // Every foreground access — hit, miss or bypass — is one unit
             // of heat and refreshes the remembered request shape.
@@ -418,19 +515,15 @@ impl Shard {
                     self.set_hot(st, None);
                 }
             }
-            return true;
+            return Placed::Hit;
         }
 
         // --- Cache miss ---
         if !st.policy.admits(req) {
             // Bypassing: straight to the second-level device. `admits` is
             // a pure query, so the hot descriptor stays valid.
-            st.stats.record_action(CacheAction::Bypassing, 1);
-            match req.direction {
-                Direction::Read => batch.hdd_read += 1,
-                Direction::Write => batch.hdd_write += 1,
-            }
-            return false;
+            Self::bypass(st, req, 1, batch);
+            return Placed::Bypassed;
         }
 
         // The allocation path may perturb policy order even when it ends
@@ -481,14 +574,10 @@ impl Shard {
             }
             None => {
                 // Not cache-worthy relative to current residents: bypass.
-                st.stats.record_action(CacheAction::Bypassing, 1);
-                match req.direction {
-                    Direction::Read => batch.hdd_read += 1,
-                    Direction::Write => batch.hdd_write += 1,
-                }
+                Self::bypass(st, req, 1, batch);
             }
         }
-        false
+        Placed::Admitted
     }
 
     /// Mirrors a policy-initiated group move (already relabelled in the
@@ -1277,6 +1366,7 @@ impl CacheEngine {
     /// `st`'s ledger, under the shard lock the caller already holds;
     /// returns the service time to advance the clock by once it is
     /// released.
+    #[inline(always)]
     fn charge_ssd(
         &self,
         st: &mut ShardState,
@@ -1396,13 +1486,7 @@ impl CacheEngine {
             .collect();
         let ahead = self.prefetch_distance();
         self.visit_shards(reqs.iter().map(|r| r.io.range), |shard, st, blocks| {
-            for (i, lbn) in blocks {
-                // Past a request's end the prefetch usually names the next
-                // request's block; where it names none, it is harmless.
-                st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
-                let (preq, batch) = &mut work[i];
-                shard.handle_block(st, lbn, preq, reqs[i].io.sequential, batch);
-            }
+            shard.walk_blocks(st, blocks, ahead, reqs, &mut work);
         });
 
         // Issue the device traffic as one queue per device, in request
@@ -1490,23 +1574,22 @@ impl CacheEngine {
         if self.try_fast_read_hit(&req, &preq) {
             return;
         }
-        let mut batch = DeviceBatch::default();
-        let mut left = req.blocks();
-        let mut ssd_time = Duration::ZERO;
-        let ahead = self.prefetch_distance();
-        self.visit_shards(std::iter::once(req.io.range), |shard, st, blocks| {
-            for (_, lbn) in blocks {
-                st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
-                shard.handle_block(st, lbn, &preq, req.io.sequential, &mut batch);
-                left -= 1;
-            }
-            // The request's SSD traffic goes on the ledger of the last
-            // shard it visits; the aggregate view sums all ledgers, so
-            // placement is free.
-            if left == 0 {
+        let (ssd_time, batch) = if req.blocks() > 1 {
+            self.walk_request(&req, preq)
+        } else {
+            // A lone block: at most one shard visit, and no run to settle.
+            let mut batch = DeviceBatch::default();
+            let mut ssd_time = Duration::ZERO;
+            let ahead = self.prefetch_distance();
+            self.visit_shards(std::iter::once(req.io.range), |shard, st, blocks| {
+                for (_, lbn) in blocks {
+                    st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
+                    shard.handle_block(st, lbn, &preq, req.io.sequential, &mut batch);
+                }
                 ssd_time = self.charge_ssd(st, &req, &batch);
-            }
-        });
+            });
+            (ssd_time, batch)
+        };
         // One clock add for the whole request: the SSD time priced under
         // the shard lock plus the HDD time — the same integer-nanosecond
         // sum as advancing per device.
@@ -1520,35 +1603,57 @@ impl CacheEngine {
         }
     }
 
-    /// [`StorageSystem::submit_batch`] below the journal wrapper.
-    fn submit_batch_inner(&self, reqs: Vec<ClassifiedRequest>) {
-        if reqs.len() <= 1 {
-            if let Some(req) = reqs.into_iter().next() {
-                self.submit_inner(req);
+    /// The shard visits of a multi-block [`Self::submit_inner`], which
+    /// settle bypassed blocks in runs: returns the SSD time priced and
+    /// the device traffic accumulated. Out of line, so the lone-block
+    /// path keeps the code it had without runs.
+    #[inline(never)]
+    fn walk_request(
+        &self,
+        req: &ClassifiedRequest,
+        preq: PolicyRequest,
+    ) -> (Duration, DeviceBatch) {
+        let mut work = [(preq, DeviceBatch::default())];
+        // One range visits its first `min(len, n)` shards, each with
+        // blocks.
+        let mut visits_left = req.blocks().min(self.shards.len() as u64);
+        let mut ssd_time = Duration::ZERO;
+        let ahead = self.prefetch_distance();
+        self.visit_shards(std::iter::once(req.io.range), |shard, st, blocks| {
+            shard.walk_blocks(st, blocks, ahead, std::slice::from_ref(req), &mut work);
+            visits_left -= 1;
+            // The request's SSD traffic goes on the ledger of the last
+            // shard it visits; the aggregate view sums all ledgers, so
+            // placement is free.
+            if visits_left == 0 {
+                ssd_time = self.charge_ssd(st, req, &work[0].1);
             }
-            return;
-        }
+        });
+        (ssd_time, work[0].1)
+    }
+
+    /// [`StorageSystem::submit_batch`] below the journal wrapper.
+    fn submit_batch_inner(&self, reqs: &[ClassifiedRequest]) {
         // Under a non-buffering policy the buffer can never grow, so the
         // whole batch is served as one run — no fragmentation, full
         // device queue merging.
         if !self.write_buffering {
-            return self.submit_run(&reqs);
+            return self.submit_run(reqs);
         }
         // Write-buffer requests keep the per-request flush semantics of
         // `submit`, so the batch is served as maximal runs of non-buffered
-        // requests with buffered requests submitted individually between
-        // them. On the hot path (scan batches) the whole batch is one run.
-        let mut run: Vec<ClassifiedRequest> = Vec::with_capacity(reqs.len());
-        for req in reqs {
+        // requests, in place, with buffered requests submitted
+        // individually between them. On the hot path (scan batches) the
+        // whole batch is one run.
+        let mut start = 0;
+        for (i, req) in reqs.iter().enumerate() {
             if self.config.resolve(req.policy) == CachePriority(0) {
-                self.submit_run(&run);
-                run.clear();
-                self.submit_inner(req);
-            } else {
-                run.push(req);
+                self.submit_run(&reqs[start..i]);
+                self.submit_inner(*req);
+                start = i + 1;
             }
         }
-        self.submit_run(&run);
+        self.submit_run(&reqs[start..]);
     }
 
     /// Takes each shard's write lock in turn (uncounted: this is a
@@ -1618,14 +1723,14 @@ impl StorageSystem for CacheEngine {
         match &self.journal {
             // The clone of the request vector is paid only with
             // journaling on; disabled, the batch moves straight through.
-            None => self.submit_batch_inner(reqs),
+            None => self.submit_batch_inner(&reqs),
             Some(journal) => {
                 // One record for the whole batch: the batched path merges
                 // adjacent device transfers, so replaying it as
                 // individual submits would diverge from the original
                 // device timing.
                 journal.op_begin(JournalOp::SubmitBatch(reqs.clone()));
-                self.submit_batch_inner(reqs);
+                self.submit_batch_inner(&reqs);
                 journal.op_end();
             }
         }

@@ -229,6 +229,14 @@ pub trait CachePolicy: Send + Sync {
     /// Whether a block missing from the cache may be admitted at all under
     /// this request. Returning `false` bypasses the cache (the transfer
     /// goes straight to the second-level device).
+    ///
+    /// A pure query of `&self` — no interior mutability — whose answer
+    /// may change only through a `&mut self` call. The engine relies on
+    /// it: once `admits` refuses a block of a request, it may settle that
+    /// request's following absent blocks on the shard as refused without
+    /// asking again, until the next `&mut self` call (a hit, an
+    /// insertion). So it asks at most once per run of one request's
+    /// absent blocks.
     fn admits(&self, req: &PolicyRequest) -> bool;
 
     /// Whether a *repeat* hit is a no-op: calling [`CachePolicy::on_hit`]

@@ -213,6 +213,15 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
         self.used[i / 64] &= !(1 << (i % 64));
     }
 
+    /// Whether `key`'s home slot is vacant — the first step of
+    /// [`Self::find`], which then stops at once: the key is certainly
+    /// absent, because backward-shift deletion leaves no gap in a probe
+    /// chain. One occupancy-bit test.
+    #[inline]
+    fn home_vacant(&self, key: u64) -> bool {
+        !self.is_used(self.home(key))
+    }
+
     /// The slot holding `key`, if present.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
@@ -497,6 +506,14 @@ impl BlockTable {
         self.map.contains(lbn.0)
     }
 
+    /// Whether `lbn`'s home slot is vacant, which proves it absent with
+    /// one occupancy-bit test (`false` proves nothing): how a shard walk
+    /// settles a bypass run without a lookup.
+    #[inline]
+    pub fn home_vacant(&self, lbn: BlockAddr) -> bool {
+        self.map.home_vacant(lbn.0)
+    }
+
     /// Inserts (or replaces) a block's slot, returning the previous one if
     /// it existed. The probe only claims the slot; the caller's inlined
     /// copy then writes `slot` into it from registers. Handing `slot` to
@@ -653,6 +670,19 @@ mod tests {
     }
 
     #[test]
+    fn a_home_slot_is_vacant_until_a_key_takes_it() {
+        for stride in STRIDES {
+            let mut t = BlockTable::with_capacity(64, stride);
+            let lbn = BlockAddr(40 * stride as u64 + 1);
+            assert!(t.home_vacant(lbn), "stride {stride}: empty table");
+            t.insert(lbn, entry(1));
+            assert!(!t.home_vacant(lbn), "stride {stride}: resident");
+            t.remove(lbn);
+            assert!(t.home_vacant(lbn), "stride {stride}: removed");
+        }
+    }
+
+    #[test]
     fn extreme_keys_are_legal() {
         // BlockAddr legitimately spans the full u64 range — the table has
         // no sentinel key, only occupancy flags.
@@ -765,10 +795,11 @@ mod tests {
     /// Replays `(shape, small, is_remove, value)` operations on `map` and
     /// on a `HashMap` model. Each operation is preceded by a prefetch of
     /// its key, as a shard walk issues them; after each, the answers, the
-    /// length and every model entry must agree and the backward-shift
+    /// length and every model entry must agree, the backward-shift
     /// invariant — no probe chain crosses an empty slot — must hold, across
-    /// growth from the minimum capacity. At the end the iterator must visit
-    /// exactly the model's pairs.
+    /// growth from the minimum capacity, and no present key may have a
+    /// vacant home slot. At the end the iterator must visit exactly the
+    /// model's pairs.
     fn replay_against_a_model<const G: u32>(
         mut map: OpenMap<u64, G>,
         ops: &[(u8, u64, bool, u64)],
@@ -788,6 +819,16 @@ mod tests {
             assert_eq!(map.len(), model.len());
             for (&k, v) in &model {
                 assert_eq!(map.get(k), Some(v), "stride {stride}, groups {G}: key {k}");
+            }
+            // A vacant home slot proves absence: for every present key,
+            // the op's key and its neighbours on the same shard.
+            let step = stride as u64;
+            let near = [key, key.wrapping_add(step), key.wrapping_sub(step)];
+            for k in model.keys().copied().chain(near) {
+                assert!(
+                    !(map.home_vacant(k) && model.contains_key(&k)),
+                    "stride {stride}, groups {G}: key {k} is present behind a vacant home"
+                );
             }
         }
         let mut seen: Vec<(u64, u64)> = map.iter().map(|(k, v)| (k, *v)).collect();

@@ -57,21 +57,29 @@ impl BufferPool {
     /// Accesses one block through the pool. Returns `true` on a pool hit
     /// (no storage I/O needed). On a miss the block is admitted unless
     /// `cacheable` is false (used for sequential scans).
+    ///
+    /// A cacheable access is one table walk: the insert finds the block
+    /// or places it at the MRU end, and only a pool that went over
+    /// capacity pays a second walk to drop its LRU block — the block a
+    /// pop before the insert would have dropped, since the new one is
+    /// the MRU and capacity is at least 1.
     pub fn access(&mut self, block: BlockAddr, cacheable: bool) -> bool {
         if self.capacity == 0 {
             self.misses += 1;
             return false;
         }
-        if self.lru.touch(&block) {
+        let hit = if cacheable {
+            !self.lru.insert_mru(block)
+        } else {
+            self.lru.touch(&block)
+        };
+        if hit {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if cacheable {
-            if self.lru.len() as u64 >= self.capacity {
-                self.lru.pop_lru();
-            }
-            self.lru.insert_mru(block);
+        if self.lru.len() as u64 > self.capacity {
+            self.lru.pop_lru();
         }
         false
     }
@@ -143,5 +151,65 @@ mod tests {
         p.clear();
         assert_eq!(p.resident(), 0);
         assert_eq!(p.hits(), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The pool agrees with a `VecDeque` LRU model (front = MRU) of
+        /// the same capacity on any trace of cacheable and non-cacheable
+        /// accesses, invalidations and clears: same answers, hit and miss
+        /// counts, and resident blocks in the same recency order after
+        /// every operation.
+        #[test]
+        fn pool_matches_a_vecdeque_lru_model(
+            capacity in 0u64..7,
+            ops in proptest::collection::vec((0u8..8, 0u64..10), 1..200),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            use std::collections::VecDeque;
+            let mut pool = BufferPool::new(capacity);
+            let mut model: VecDeque<u64> = VecDeque::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for (op, key) in ops {
+                let block = BlockAddr(key);
+                let at = model.iter().position(|&k| k == key);
+                match op {
+                    // Accesses, three of them cacheable in four.
+                    0..=5 => {
+                        let cacheable = op % 4 != 3;
+                        if let Some(i) = at {
+                            model.remove(i);
+                            model.push_front(key);
+                            hits += 1;
+                        } else {
+                            misses += 1;
+                            if cacheable && capacity > 0 {
+                                if model.len() as u64 == capacity {
+                                    model.pop_back();
+                                }
+                                model.push_front(key);
+                            }
+                        }
+                        prop_assert_eq!(pool.access(block, cacheable), at.is_some());
+                    }
+                    6 => {
+                        if let Some(i) = at {
+                            model.remove(i);
+                        }
+                        prop_assert_eq!(pool.invalidate(block), at.is_some());
+                    }
+                    _ => {
+                        model.clear();
+                        (hits, misses) = (0, 0);
+                        pool.clear();
+                    }
+                }
+                prop_assert_eq!((pool.hits(), pool.misses()), (hits, misses));
+                let order: Vec<u64> = pool.lru.iter_mru().map(|b| b.0).collect();
+                prop_assert_eq!(order, Vec::from(model.clone()));
+                prop_assert_eq!(pool.resident(), model.len() as u64);
+            }
+        }
     }
 }

@@ -159,6 +159,12 @@ impl std::fmt::Debug for SubmitError {
 
 /// Bounded MPMC queue: `Mutex<VecDeque>` plus two condition variables
 /// (producers wait on `not_full`, workers on `not_empty`).
+///
+/// A notification is a `futex_wake` system call even when nobody waits,
+/// so the queue counts its waiters under the mutex and notifies only
+/// when one is waiting. A waiter registers before it releases the mutex
+/// in `wait` and deregisters after it reacquires it, so a push or pop
+/// that finds the count at zero has no sleeper to miss.
 struct SubmissionQueue {
     state: Mutex<QueueState>,
     not_empty: Condvar,
@@ -169,6 +175,10 @@ struct QueueState {
     items: VecDeque<QueryRequest>,
     capacity: usize,
     closed: bool,
+    /// Workers blocked in `pop` on `not_empty`.
+    waiting_workers: usize,
+    /// Producers blocked in `push` on `not_full`.
+    waiting_producers: usize,
 }
 
 impl SubmissionQueue {
@@ -178,6 +188,8 @@ impl SubmissionQueue {
                 items: VecDeque::with_capacity(capacity),
                 capacity,
                 closed: false,
+                waiting_workers: 0,
+                waiting_producers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -192,11 +204,12 @@ impl SubmissionQueue {
                 return Err(SubmitError::Closed(req));
             }
             if state.items.len() < state.capacity {
-                state.items.push_back(req);
-                self.not_empty.notify_one();
+                self.enqueue(&mut state, req);
                 return Ok(());
             }
+            state.waiting_producers += 1;
             state = self.not_full.wait(state).expect("queue lock poisoned");
+            state.waiting_producers -= 1;
         }
     }
 
@@ -209,9 +222,16 @@ impl SubmissionQueue {
         if state.items.len() >= state.capacity {
             return Err(SubmitError::QueueFull(req));
         }
-        state.items.push_back(req);
-        self.not_empty.notify_one();
+        self.enqueue(&mut state, req);
         Ok(())
+    }
+
+    /// Appends `req` under the held lock, waking one worker if any waits.
+    fn enqueue(&self, state: &mut QueueState, req: QueryRequest) {
+        state.items.push_back(req);
+        if state.waiting_workers > 0 {
+            self.not_empty.notify_one();
+        }
     }
 
     /// Blocking pop: `None` once the queue is closed and drained.
@@ -219,13 +239,17 @@ impl SubmissionQueue {
         let mut state = self.state.lock().expect("queue lock poisoned");
         loop {
             if let Some(req) = state.items.pop_front() {
-                self.not_full.notify_one();
+                if state.waiting_producers > 0 {
+                    self.not_full.notify_one();
+                }
                 return Some(req);
             }
             if state.closed {
                 return None;
             }
+            state.waiting_workers += 1;
             state = self.not_empty.wait(state).expect("queue lock poisoned");
+            state.waiting_workers -= 1;
         }
     }
 
@@ -710,6 +734,53 @@ mod tests {
         assert_eq!(q.pop().expect("drains after close").stream, 1);
         assert_eq!(q.pop().expect("drains after close").stream, 3);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn blocked_producers_and_workers_are_woken() {
+        let (_cat, table) = small_catalog();
+        let (reply, _responses) = mpsc::channel();
+        let mk = |i: usize| QueryRequest {
+            stream: i,
+            plan: seq_plan(table),
+            reply: reply.clone(),
+        };
+        let patience = Duration::from_secs(10);
+        let q = Arc::new(SubmissionQueue::new(1));
+        // Waits until `count` reports one thread blocked in the queue.
+        let blocked = |count: fn(&QueueState) -> usize| {
+            let deadline = std::time::Instant::now() + patience;
+            while count(&q.state.lock().expect("queue lock poisoned")) != 1 {
+                assert!(std::time::Instant::now() < deadline, "nobody blocked");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        // A producer blocked on the full depth-1 queue finishes after a pop.
+        q.try_push(mk(0)).expect("the queue has room");
+        let (pushed_tx, pushed) = mpsc::channel();
+        let producer = {
+            let (q, req) = (Arc::clone(&q), mk(1));
+            std::thread::spawn(move || pushed_tx.send(q.push(req).is_ok()))
+        };
+        blocked(|s| s.waiting_producers);
+        assert_eq!(q.pop().expect("non-empty").stream, 0);
+        let pushed = pushed.recv_timeout(patience);
+        assert_eq!(pushed, Ok(true), "a pop must wake the blocked producer");
+        producer.join().expect("the producer ran").expect("sent");
+        assert_eq!(q.pop().expect("the producer's request").stream, 1);
+
+        // A worker blocked on the empty queue receives a pushed request.
+        let (popped_tx, popped) = mpsc::channel();
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || popped_tx.send(q.pop().map(|r| r.stream)))
+        };
+        blocked(|s| s.waiting_workers);
+        q.push(mk(2)).expect("the queue is open");
+        let popped = popped.recv_timeout(patience);
+        assert_eq!(popped, Ok(Some(2)), "a push must wake the blocked worker");
+        worker.join().expect("the worker ran").expect("sent");
     }
 
     #[test]

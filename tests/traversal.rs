@@ -1,18 +1,25 @@
 //! Exactness suite for the shard-major traversal: a request, a
 //! `submit_batch` run and a TRIM each visit every shard they touch once,
 //! under one lock — and every policy still sees, shard by shard, exactly
-//! the event sequence a block-by-block walk would have shown it.
+//! the event sequence a block-by-block walk would have shown it. That
+//! includes the walk's bypass runs (blocks after a refused one settled by
+//! one occupancy-bit test each), over regions resident at five densities
+//! and under a policy whose admission answer changes on a hit.
 //!
-//! Honours `HSTORAGE_POLICY` / `HSTORAGE_MIGRATION` like the other suites.
+//! Honours `HSTORAGE_POLICY` / `HSTORAGE_MIGRATION` like the other suites
+//! (the bypass-run tests run both migration legs themselves).
 
 use hstorage_cache::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
-use hstorage_cache::{CacheAction, CachePolicyKind, HybridCache, StorageSystem};
+use hstorage_cache::{
+    CacheAction, CachePolicyKind, CacheStats, HybridCache, MigrationConfig, StorageSystem,
+};
 use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy,
     RequestClass, TrimCommand,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 mod common;
 use common::{request, Rng};
@@ -94,14 +101,27 @@ impl CachePolicy for Recording {
 /// policies record into the returned logs.
 fn recording_engine(kind: CachePolicyKind, shards: usize) -> (HybridCache, Logs) {
     let config = PolicyConfig::paper_default();
+    recording_engine_of(shards, 96, common::matrix_migration(), move |capacity| {
+        kind.build(&config, capacity)
+    })
+}
+
+/// An engine of `shards` shards over `slots` slots whose per-shard
+/// policies, built by `inner`, record into the returned logs.
+fn recording_engine_of(
+    shards: usize,
+    slots: u64,
+    migration: MigrationConfig,
+    inner: impl Fn(u64) -> Box<dyn CachePolicy>,
+) -> (HybridCache, Logs) {
     let logs: Logs = Arc::new(Mutex::new(vec![Vec::new(); shards]));
     let next_shard = AtomicUsize::new(0);
     let factory_logs = Arc::clone(&logs);
-    let engine = HybridCache::with_shard_count(config, 96, shards)
-        .with_migration(common::matrix_migration())
+    let engine = HybridCache::with_shard_count(PolicyConfig::paper_default(), slots, shards)
+        .with_migration(migration)
         .with_policy_factory("recording", move |capacity| {
             Box::new(Recording {
-                inner: kind.build(&config, capacity),
+                inner: inner(capacity),
                 // The factory is called once per shard, in shard order.
                 shard: next_shard.fetch_add(1, Ordering::Relaxed),
                 logs: Arc::clone(&factory_logs),
@@ -115,6 +135,21 @@ enum Op {
     Submit(ClassifiedRequest),
     Batch(Vec<ClassifiedRequest>),
     Trim(Vec<BlockRange>),
+    /// A `migrate_idle` pulse (a no-op while migration is off).
+    Pulse,
+}
+
+/// Applies `op` to `engine` as issued: whole requests, whole batches,
+/// whole TRIM commands.
+fn apply(engine: &HybridCache, op: &Op) {
+    match op {
+        Op::Submit(req) => engine.submit(*req),
+        Op::Batch(reqs) => engine.submit_batch(reqs.clone()),
+        Op::Trim(ranges) => engine.trim(&TrimCommand::new(ranges.clone())),
+        Op::Pulse => {
+            engine.migrate_idle();
+        }
+    }
 }
 
 fn trace(seed: u64, ops: usize) -> Vec<Op> {
@@ -150,7 +185,47 @@ fn apply_block_by_block(engine: &HybridCache, op: &Op) {
                 engine.trim(&TrimCommand::single(BlockRange::new(lbn, 1)));
             }
         }
+        Op::Pulse => {
+            engine.migrate_idle();
+        }
     }
+}
+
+/// Replays `ops` on the two engines — `engine` as issued, `reference`
+/// block by block — and asserts that every shard's policy saw the same
+/// event sequence after every op, and that statistics, block-level device
+/// traffic, residency and heat agree at the end. Returns `engine`'s
+/// statistics.
+fn assert_matches_block_by_block(
+    (engine, logs): &(HybridCache, Logs),
+    (reference, expected): &(HybridCache, Logs),
+    ops: &[Op],
+    what: &str,
+) -> CacheStats {
+    for (step, op) in ops.iter().enumerate() {
+        apply(engine, op);
+        apply_block_by_block(reference, op);
+        let (got, want) = (logs.lock().unwrap(), expected.lock().unwrap());
+        for (shard, (got, want)) in got.iter().zip(want.iter()).enumerate() {
+            assert_eq!(
+                got, want,
+                "{what}: shard {shard} diverged at step {step} ({op:?})"
+            );
+        }
+    }
+    let (got, want) = (engine.stats(), reference.stats());
+    assert_eq!(got.per_class, want.per_class, "{what}");
+    assert_eq!(got.per_priority, want.per_priority, "{what}");
+    assert_eq!(got.actions, want.actions, "{what}");
+    // Blocks, not requests: a walk merges a request's transfers, the
+    // block-by-block twin issues one per block.
+    let blocks = |s: &CacheStats| {
+        [&s.ssd, &s.hdd].map(|d| d.as_ref().map(|d| (d.blocks_read, d.blocks_written)))
+    };
+    assert_eq!(blocks(&got), blocks(&want), "{what}: device blocks");
+    assert_eq!(engine.resident_set(), reference.resident_set(), "{what}");
+    assert_eq!(engine.heat_snapshot(), reference.heat_snapshot(), "{what}");
+    got
 }
 
 #[test]
@@ -158,35 +233,218 @@ fn every_shard_sees_the_block_by_block_event_sequence() {
     // Three shards catch a stride bug that powers of two hide.
     for shards in [1, 2, 3, 8] {
         for kind in common::matrix_kinds() {
-            let (engine, logs) = recording_engine(kind, shards);
-            let (reference, expected) = recording_engine(kind, shards);
-            for (step, op) in trace(0x7EA5_E11E + shards as u64, 400).iter().enumerate() {
-                match op {
-                    Op::Submit(req) => engine.submit(*req),
-                    Op::Batch(reqs) => engine.submit_batch(reqs.clone()),
-                    Op::Trim(ranges) => engine.trim(&TrimCommand::new(ranges.clone())),
-                }
-                apply_block_by_block(&reference, op);
-                let (got, want) = (logs.lock().unwrap(), expected.lock().unwrap());
-                for shard in 0..shards {
-                    assert_eq!(
-                        got[shard], want[shard],
-                        "{kind}, {shards} shards: shard {shard} diverged at step {step} ({op:?})"
-                    );
-                }
-            }
-            let (got, want) = (engine.stats(), reference.stats());
-            assert_eq!(got.per_class, want.per_class, "{kind}, {shards} shards");
-            assert_eq!(
-                got.per_priority, want.per_priority,
-                "{kind}, {shards} shards"
-            );
-            assert_eq!(got.actions, want.actions, "{kind}, {shards} shards");
-            assert_eq!(engine.resident_set(), reference.resident_set());
-            assert_eq!(engine.heat_snapshot(), reference.heat_snapshot());
-            let events: usize = logs.lock().unwrap().iter().map(Vec::len).sum();
+            let engine = recording_engine(kind, shards);
+            let ops = trace(0x7EA5_E11E + shards as u64, 400);
+            let what = format!("{kind}, {shards} shards");
+            assert_matches_block_by_block(&engine, &recording_engine(kind, shards), &ops, &what);
+            let events: usize = engine.1.lock().unwrap().iter().map(Vec::len).sum();
             assert!(events > 1_000, "{kind}: the trace must exercise the policy");
         }
+    }
+}
+
+/// Every `step`-th block of a bypass-run region is made resident before
+/// the trace (0: none): densities 0, 1/64, 1/8, 1/3 and 1.
+const DENSITY_STEPS: [u64; 5] = [0, 64, 8, 3, 1];
+/// Blocks per density region; regions start `REGION_GAP` blocks apart, so
+/// a request running off a region's end crosses absent blocks.
+const REGION: u64 = 192;
+const REGION_GAP: u64 = 256;
+/// Slots of the bypass-run engines: the 283 populated blocks fit, and the
+/// admitted traffic of the trace then evicts.
+const BYPASS_SLOTS: u64 = 384;
+
+/// Single-block priority-2 reads that make every `step`-th block of each
+/// density region resident.
+fn populate_density_regions() -> Vec<Op> {
+    DENSITY_STEPS
+        .iter()
+        .zip(0u64..)
+        .filter(|(&step, _)| step > 0)
+        .flat_map(|(&step, region)| {
+            (0..REGION).step_by(step as usize).map(move |j| {
+                Op::Submit(ClassifiedRequest::new(
+                    IoRequest::read(BlockRange::new(region * REGION_GAP + j, 1), false),
+                    RequestClass::Random,
+                    QosPolicy::priority(2),
+                ))
+            })
+        })
+        .collect()
+}
+
+/// One request of the bypass-run trace, 1–64 blocks starting inside a
+/// density region: mostly reads and writes the semantic policy refuses
+/// (sequential scans, non-caching writes, non-caching-eviction reads),
+/// interleaved with admitted reads and writes and single-block buffered
+/// updates.
+fn bypass_mix(rng: &mut Rng) -> ClassifiedRequest {
+    let start = rng.below(DENSITY_STEPS.len() as u64) * REGION_GAP + rng.below(REGION);
+    let range = BlockRange::new(start, 1 + rng.below(64));
+    let (read, write) = (IoRequest::read, IoRequest::write);
+    let (io, class, qos) = match rng.below(8) {
+        0..=2 => (
+            read(range, true),
+            RequestClass::Sequential,
+            QosPolicy::NonCachingNonEviction,
+        ),
+        3 => (
+            write(range, true),
+            RequestClass::Sequential,
+            QosPolicy::NonCachingNonEviction,
+        ),
+        4 => (
+            read(range, false),
+            RequestClass::TemporaryDataTrim,
+            QosPolicy::NonCachingEviction,
+        ),
+        5 => (
+            write(range, false),
+            RequestClass::Update,
+            QosPolicy::priority(3),
+        ),
+        6 => (
+            write(BlockRange::new(start, 1), false),
+            RequestClass::Update,
+            QosPolicy::WriteBuffer,
+        ),
+        _ => (
+            read(range, false),
+            RequestClass::Random,
+            QosPolicy::priority(2 + rng.below(3) as u8),
+        ),
+    };
+    ClassifiedRequest::new(io, class, qos)
+}
+
+/// The density regions populated, then `ops` multi-block submits,
+/// `submit_batch` runs of 2–16 requests drawn by `draw`, and migration
+/// pulses.
+fn density_trace(seed: u64, ops: usize, draw: fn(&mut Rng) -> ClassifiedRequest) -> Vec<Op> {
+    let mut rng = Rng(seed);
+    let mut trace = populate_density_regions();
+    trace.extend((0..ops).map(|_| match rng.below(8) {
+        0..=3 => Op::Batch((0..2 + rng.below(15)).map(|_| draw(&mut rng)).collect()),
+        4 => Op::Pulse,
+        _ => Op::Submit(draw(&mut rng)),
+    }));
+    trace
+}
+
+/// Migration detached, and attached with rounds on every pulse.
+fn migration_legs() -> [MigrationConfig; 2] {
+    [
+        MigrationConfig::off(),
+        MigrationConfig::on().with_idle_threshold(Duration::ZERO),
+    ]
+}
+
+#[test]
+fn bypass_runs_match_the_block_by_block_walk() {
+    for shards in [1, 2, 3, 8] {
+        for migration in migration_legs() {
+            for kind in common::matrix_kinds() {
+                let config = PolicyConfig::paper_default();
+                let build = || {
+                    recording_engine_of(shards, BYPASS_SLOTS, migration, move |capacity| {
+                        kind.build(&config, capacity)
+                    })
+                };
+                let ops = density_trace(0x00B1_FA55 + shards as u64, 300, bypass_mix);
+                let what = format!("{kind}, {shards} shards, {migration:?}");
+                let stats = assert_matches_block_by_block(&build(), &build(), &ops, &what);
+                if kind == CachePolicyKind::SemanticPriority {
+                    let bypassed = stats.action(CacheAction::Bypassing);
+                    assert!(bypassed > 10_000, "{what}: only {bypassed} bypasses");
+                }
+            }
+        }
+    }
+}
+
+/// LRU whose `admits` answer for sequential requests is its own state:
+/// it refuses them until its next hit and admits from then until its next
+/// insertion. Within one request, a hit on a resident block changes the
+/// answer for the absent blocks after it.
+struct AdmitsAfterHit {
+    inner: Box<dyn CachePolicy>,
+    open: bool,
+}
+
+impl CachePolicy for AdmitsAfterHit {
+    fn on_hit(
+        &mut self,
+        lbn: BlockAddr,
+        node: u32,
+        current: CachePriority,
+        req: &PolicyRequest,
+    ) -> HitOutcome {
+        self.open = true;
+        self.inner.on_hit(lbn, node, current, req)
+    }
+
+    fn admits(&self, req: &PolicyRequest) -> bool {
+        (self.open || req.class != RequestClass::Sequential) && self.inner.admits(req)
+    }
+
+    fn pop_victim(&mut self, incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr> {
+        self.inner.pop_victim(incoming, req)
+    }
+
+    fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
+        self.open = false;
+        self.inner.on_insert(lbn, req)
+    }
+
+    fn on_remove(&mut self, lbn: BlockAddr, node: u32, group: CachePriority, reason: RemoveReason) {
+        self.inner.on_remove(lbn, node, group, reason);
+    }
+}
+
+/// A multi-block request of the stateful-admission trace: a sequential
+/// read (refused until a hit) or an admitted random read.
+fn sequential_or_random(rng: &mut Rng) -> ClassifiedRequest {
+    let start = rng.below(DENSITY_STEPS.len() as u64) * REGION_GAP + rng.below(REGION);
+    let range = BlockRange::new(start, 1 + rng.below(64));
+    let (sequential, class) = match rng.below(4) {
+        0 => (false, RequestClass::Random),
+        _ => (true, RequestClass::Sequential),
+    };
+    ClassifiedRequest::new(
+        IoRequest::read(range, sequential),
+        class,
+        QosPolicy::priority(2),
+    )
+}
+
+#[test]
+fn a_hit_ends_a_bypass_run() {
+    for shards in [1, 2, 3, 8] {
+        let config = PolicyConfig::paper_default();
+        let build = || {
+            recording_engine_of(shards, BYPASS_SLOTS, MigrationConfig::off(), |capacity| {
+                Box::new(AdmitsAfterHit {
+                    inner: CachePolicyKind::Lru.build(&config, capacity),
+                    open: false,
+                })
+            })
+        };
+        let ops = density_trace(0x00AD_0175 + shards as u64, 300, sequential_or_random);
+        let what = format!("admits-after-hit, {shards} shards");
+        let (engine, logs) = build();
+        let stats = assert_matches_block_by_block(&(engine, logs.clone()), &build(), &ops, &what);
+        // Both answers occur: sequential blocks refused (the only
+        // bypasses: LRU always finds a victim), and sequential blocks
+        // admitted after a hit.
+        let refused = stats.action(CacheAction::Bypassing);
+        let logs = logs.lock().unwrap();
+        let admitted = logs
+            .iter()
+            .flatten()
+            .filter(|e| matches!(e, Event::Insert(_, RequestClass::Sequential)))
+            .count();
+        assert!(refused > 1_000, "{what}: {refused} refusals");
+        assert!(admitted > 100, "{what}: {admitted} admissions after a hit");
     }
 }
 
