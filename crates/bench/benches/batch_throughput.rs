@@ -20,8 +20,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hstorage_bench::workload::{
-    drive, fresh_cache, random_read, scan_read, QUEUE_DEPTH, TOTAL_SUBMITS,
+    bench_storage, drive, random_read, scan_read, QUEUE_DEPTH, TOTAL_SUBMITS,
 };
+use hstorage_cache::HybridCache;
 use std::hint::black_box;
 
 fn bench_batches(c: &mut Criterion) {
@@ -33,10 +34,22 @@ fn bench_batches(c: &mut Criterion) {
 
     for batch in [1usize, 8, 64, 256] {
         group.bench_with_input(BenchmarkId::new("scan", batch), &batch, |b, &batch| {
-            b.iter(|| black_box(drive(&fresh_cache(QUEUE_DEPTH), batch, scan_read)));
+            b.iter(|| {
+                black_box(drive(
+                    &HybridCache::new(&bench_storage(QUEUE_DEPTH)),
+                    batch,
+                    scan_read,
+                ))
+            });
         });
         group.bench_with_input(BenchmarkId::new("random", batch), &batch, |b, &batch| {
-            b.iter(|| black_box(drive(&fresh_cache(QUEUE_DEPTH), batch, random_read)));
+            b.iter(|| {
+                black_box(drive(
+                    &HybridCache::new(&bench_storage(QUEUE_DEPTH)),
+                    batch,
+                    random_read,
+                ))
+            });
         });
     }
 

@@ -3,9 +3,9 @@
 //! classification-blind LRU baseline, plus TRIM throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hstorage_cache::{HybridCache, LruCache, StorageSystem};
+use hstorage_cache::{HybridCache, LruCache, StorageConfig, StorageConfigKind, StorageSystem};
 use hstorage_storage::{
-    BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass, TrimCommand,
+    BlockRange, ClassifiedRequest, IoRequest, QosPolicy, RequestClass, TrimCommand,
 };
 use std::hint::black_box;
 
@@ -28,7 +28,8 @@ fn bench_cache(c: &mut Criterion) {
 
     group.bench_function("hybrid_random_mixed_priorities", |b| {
         b.iter(|| {
-            let cache = HybridCache::new(PolicyConfig::paper_default(), BLOCKS);
+            let cache =
+                HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, BLOCKS));
             for i in 0..10_000u64 {
                 cache.submit(black_box(random_read(i, 2 + (i % 5) as u8)));
             }
@@ -48,7 +49,8 @@ fn bench_cache(c: &mut Criterion) {
 
     group.bench_function("hybrid_sequential_bypass", |b| {
         b.iter(|| {
-            let cache = HybridCache::new(PolicyConfig::paper_default(), BLOCKS);
+            let cache =
+                HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, BLOCKS));
             for i in 0..100u64 {
                 cache.submit(ClassifiedRequest::new(
                     IoRequest::read(BlockRange::new(i * 100, 100), true),
@@ -62,7 +64,8 @@ fn bench_cache(c: &mut Criterion) {
 
     group.bench_function("hybrid_trim", |b| {
         b.iter(|| {
-            let cache = HybridCache::new(PolicyConfig::paper_default(), BLOCKS);
+            let cache =
+                HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, BLOCKS));
             for i in 0..(BLOCKS / 32) {
                 cache.submit(ClassifiedRequest::new(
                     IoRequest::write(BlockRange::new(i * 32, 32), true),

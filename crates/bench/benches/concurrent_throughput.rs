@@ -15,10 +15,8 @@
 //! threads is the real (wall-clock) cost of cache management.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hstorage_cache::{HybridCache, StorageSystem};
-use hstorage_storage::{
-    BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass,
-};
+use hstorage_cache::{HybridCache, StorageConfig, StorageConfigKind, StorageSystem};
+use hstorage_storage::{BlockRange, ClassifiedRequest, IoRequest, QosPolicy, RequestClass};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -61,7 +59,10 @@ fn bench_concurrent(c: &mut Criterion) {
     // Single-shard, single-thread: the pre-refactor baseline shape.
     group.bench_function("unsharded/1-thread", |b| {
         b.iter(|| {
-            let cache = Arc::new(HybridCache::new(PolicyConfig::paper_default(), BLOCKS));
+            let cache = Arc::new(HybridCache::new(&StorageConfig::new(
+                StorageConfigKind::HStorageDb,
+                BLOCKS,
+            )));
             drive(&cache, 1)
         });
     });
@@ -72,10 +73,8 @@ fn bench_concurrent(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    let cache = Arc::new(HybridCache::with_shard_count(
-                        PolicyConfig::paper_default(),
-                        BLOCKS,
-                        8,
+                    let cache = Arc::new(HybridCache::new(
+                        &StorageConfig::new(StorageConfigKind::HStorageDb, BLOCKS).with_shards(8),
                     ));
                     drive(&cache, threads)
                 });

@@ -15,10 +15,8 @@
 //!   the policy-comparison experiment reports at the query level.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hstorage_bench::workload::{
-    drive, fresh_policy_cache, mixed_request, QUEUE_DEPTH, TOTAL_SUBMITS,
-};
-use hstorage_cache::CachePolicyKind;
+use hstorage_bench::workload::{bench_storage, drive, mixed_request, QUEUE_DEPTH, TOTAL_SUBMITS};
+use hstorage_cache::{CachePolicyKind, HybridCache};
 use std::hint::black_box;
 
 fn bench_policies(c: &mut Criterion) {
@@ -36,7 +34,7 @@ fn bench_policies(c: &mut Criterion) {
                 |b, &batch| {
                     b.iter(|| {
                         black_box(drive(
-                            &fresh_policy_cache(kind, QUEUE_DEPTH),
+                            &HybridCache::new(&bench_storage(QUEUE_DEPTH).with_cache_policy(kind)),
                             batch,
                             mixed_request,
                         ))
@@ -91,7 +89,7 @@ fn bench_policy_knobs(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new(label, 64), |b| {
             b.iter(|| {
                 black_box(drive(
-                    &fresh_policy_cache(kind, QUEUE_DEPTH),
+                    &HybridCache::new(&bench_storage(QUEUE_DEPTH).with_cache_policy(kind)),
                     64,
                     mixed_request,
                 ))

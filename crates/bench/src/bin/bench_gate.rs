@@ -44,10 +44,10 @@
 use hstorage::experiments::{crash_recovery, tier_migration};
 use hstorage::report::{comparisons_from_json, comparisons_to_json, format_table, PaperComparison};
 use hstorage_bench::workload::{
-    contended_hot_reads, drive, fresh_cache, mixed_policy_run, random_read, scan_read,
+    bench_storage, contended_hot_reads, drive, mixed_policy_run, random_read, scan_read,
     service_latency_percentiles, warmed_cache, HOT_READS_PER_THREAD, QUEUE_DEPTH, TOTAL_SUBMITS,
 };
-use hstorage_cache::{CachePolicyKind, StorageSystem};
+use hstorage_cache::{CachePolicyKind, HybridCache, StorageSystem};
 
 /// A metric fails when it drops below this fraction of the baseline.
 const REGRESSION_FLOOR: f64 = 0.75;
@@ -66,7 +66,7 @@ struct Measurement {
 /// deterministic, so it is a bit-stable regression guard for the storage
 /// timing model and the merge pipeline.
 fn sim_scan_seconds(queue_depth: usize) -> f64 {
-    let cache = fresh_cache(queue_depth);
+    let cache = HybridCache::new(&bench_storage(queue_depth));
     drive(&cache, 64, scan_read);
     cache.now().as_secs_f64()
 }
@@ -74,7 +74,7 @@ fn sim_scan_seconds(queue_depth: usize) -> f64 {
 /// Deterministic simulated seconds for the random-shaped workload — guards
 /// the cache-management and random-service paths the scan metric misses.
 fn sim_random_seconds() -> f64 {
-    let cache = fresh_cache(QUEUE_DEPTH);
+    let cache = HybridCache::new(&bench_storage(QUEUE_DEPTH));
     drive(&cache, 64, random_read);
     cache.now().as_secs_f64()
 }

@@ -161,7 +161,7 @@ pub mod workload {
     /// every subsequent [`hot_read`] is a cache hit. Statistics are reset
     /// after warm-up.
     pub fn warmed_cache() -> HybridCache {
-        let cache = fresh_cache(1);
+        let cache = HybridCache::new(&bench_storage(1));
         for _ in 0..2 {
             for b in 0..HOT_SET {
                 cache.submit(hot_read(b * 16));
@@ -188,20 +188,13 @@ pub mod workload {
         cache.resident_blocks()
     }
 
-    /// A fresh sharded hybrid cache at the given device queue depth.
-    pub fn fresh_cache(queue_depth: usize) -> HybridCache {
-        fresh_policy_cache(CachePolicyKind::SemanticPriority, queue_depth)
-    }
-
-    /// A fresh sharded cache engine running the given replacement policy.
-    pub fn fresh_policy_cache(kind: CachePolicyKind, queue_depth: usize) -> HybridCache {
-        HybridCache::with_shard_count_and_queue_depth(
-            PolicyConfig::paper_default(),
-            BLOCKS,
-            SHARDS,
-            queue_depth,
-        )
-        .with_cache_policy(kind)
+    /// The benches' cache engine: [`BLOCKS`] blocks over [`SHARDS`]
+    /// shards at device queue depth `queue_depth`, running the paper's
+    /// policy unless the caller sets another.
+    pub fn bench_storage(queue_depth: usize) -> StorageConfig {
+        StorageConfig::new(StorageConfigKind::HStorageDb, BLOCKS)
+            .with_shards(SHARDS)
+            .with_queue_depth(queue_depth)
     }
 
     /// Drives [`TOTAL_SUBMITS`] requests of the given shape through `cache`
@@ -314,7 +307,7 @@ pub mod workload {
     /// deterministic figures the CI gate tracks per policy: simulated
     /// device seconds and the overall cache hit ratio.
     pub fn mixed_policy_run(kind: CachePolicyKind) -> (f64, f64) {
-        let cache = fresh_policy_cache(kind, QUEUE_DEPTH);
+        let cache = HybridCache::new(&bench_storage(QUEUE_DEPTH).with_cache_policy(kind));
         drive(&cache, 64, mixed_request);
         let totals = cache.stats().totals();
         let hit_ratio = if totals.accessed_blocks == 0 {

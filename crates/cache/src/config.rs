@@ -1,6 +1,12 @@
 //! Construction of the four storage configurations used in the evaluation.
+//!
+//! A [`StorageConfig`] is the one description of a storage system: its
+//! `with_*` methods are plain setters, and nothing is checked until a
+//! system is built from it — by [`StorageConfig::build`] for any kind, or
+//! by [`CacheEngine::new`] for the hStorage-DB engine itself. Both run
+//! [`StorageConfig::validate`] once and panic with its message.
 
-use crate::hybrid::HybridCache;
+use crate::engine::CacheEngine;
 use crate::journal::JournalConfig;
 use crate::lru_cache::LruCache;
 use crate::migration::MigrationConfig;
@@ -60,8 +66,9 @@ impl fmt::Display for StorageConfigKind {
 }
 
 /// A full description of a storage configuration: the kind, the cache size
-/// (for cached kinds), the QoS policy parameters (for hStorage-DB) and the
-/// lock-striping shard count for concurrent access.
+/// (for cached kinds), the QoS policy parameters (for hStorage-DB), the
+/// lock-striping shard count for concurrent access and the cache engine's
+/// replacement-policy, migration and journaling knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StorageConfig {
     /// Which configuration to build.
@@ -116,96 +123,102 @@ impl StorageConfig {
         }
     }
 
-    /// Overrides the policy parameters.
+    /// Sets [`Self::policy`].
     pub fn with_policy(mut self, policy: PolicyConfig) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Overrides the shard count used by the hStorage-DB kind.
+    /// Sets [`Self::shards`].
     pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be positive");
         self.shards = shards;
         self
     }
 
-    /// Overrides the device queue depth used by the batched submission
-    /// path.
+    /// Sets [`Self::queue_depth`].
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        assert!(queue_depth > 0, "queue depth must be positive");
         self.queue_depth = queue_depth;
         self
     }
 
-    /// Overrides the replacement policy of the hStorage-DB cache engine,
-    /// including any knob values the kind carries (CFLRU window, 2Q
-    /// `Kin`/`Kout`, per-stream routing). Panics on out-of-range knobs so
-    /// a misconfiguration fails at description time, not at build time.
+    /// Sets [`Self::cache_policy`], knob values included (CFLRU window,
+    /// 2Q `Kin`/`Kout`, per-stream routing).
     pub fn with_cache_policy(mut self, cache_policy: CachePolicyKind) -> Self {
-        cache_policy
-            .validate()
-            .expect("invalid cache-policy configuration");
         self.cache_policy = cache_policy;
         self
     }
 
-    /// Overrides the tier-migration knobs of the hStorage-DB cache engine.
-    /// Panics on out-of-range knobs so a misconfiguration fails at
-    /// description time, not at build time.
+    /// Sets [`Self::migration`].
     pub fn with_migration(mut self, migration: MigrationConfig) -> Self {
-        migration
-            .validate()
-            .expect("invalid migration configuration");
         self.migration = migration;
         self
     }
 
-    /// Overrides the write-ahead journaling knobs of the hStorage-DB cache
-    /// engine. Panics on out-of-range knobs so a misconfiguration fails at
-    /// description time, not at build time.
+    /// Sets [`Self::journal`].
     pub fn with_journal(mut self, journal: JournalConfig) -> Self {
-        journal.validate().expect("invalid journal configuration");
         self.journal = journal;
         self
     }
 
-    /// Builds the storage system.
-    pub fn build(&self) -> Box<dyn StorageSystem> {
+    /// Checks every field a built system would read: a positive shard
+    /// count and queue depth, and in-range policy, cache-policy, migration
+    /// and journal knobs. The error names the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.shards == 0 {
+            return Err("shard count must be positive".into());
+        }
+        if self.queue_depth == 0 {
+            return Err("queue depth must be positive".into());
+        }
+        let field = |name: &str, check: Result<(), String>| {
+            check.map_err(|e| format!("invalid {name} configuration: {e}"))
+        };
+        field("policy", self.policy.validate())?;
+        field("cache-policy", self.cache_policy.validate())?;
+        field("migration", self.migration.validate())?;
+        field("journal", self.journal.validate())
+    }
+
+    /// A fresh clock and the paper's SSD and HDD models on it, merging up
+    /// to [`Self::queue_depth`] queued requests on the batched path. Every
+    /// storage system is built on these, so this is where a description is
+    /// checked: it panics with [`Self::validate`]'s message first.
+    pub(crate) fn devices(&self) -> (SimClock, SsdDevice, HddDevice) {
+        self.validate().expect("invalid storage configuration");
         let clock = SimClock::new();
-        let ssd = || {
-            SsdDevice::new(
-                SsdParameters::intel_320().with_queue_depth(self.queue_depth),
-                clock.clone(),
-            )
-        };
-        let hdd = || {
-            HddDevice::new(
-                HddParameters::cheetah_15k7().with_queue_depth(self.queue_depth),
-                clock.clone(),
-            )
-        };
+        let ssd = SsdDevice::new(
+            SsdParameters::intel_320().with_queue_depth(self.queue_depth),
+            clock.clone(),
+        );
+        let hdd = HddDevice::new(
+            HddParameters::cheetah_15k7().with_queue_depth(self.queue_depth),
+            clock.clone(),
+        );
+        (clock, ssd, hdd)
+    }
+
+    /// Builds the storage system. Panics if [`Self::validate`] rejects the
+    /// description.
+    pub fn build(&self) -> Box<dyn StorageSystem> {
         match self.kind {
-            StorageConfigKind::HddOnly => Box::new(HddOnly::with_device(hdd(), clock.clone())),
-            StorageConfigKind::SsdOnly => Box::new(SsdOnly::with_device(ssd(), clock.clone())),
-            StorageConfigKind::Lru => Box::new(LruCache::with_devices(
-                self.cache_capacity_blocks,
-                ssd(),
-                hdd(),
-                clock.clone(),
-            )),
-            StorageConfigKind::HStorageDb => Box::new(
-                HybridCache::with_devices_sharded(
-                    self.policy,
+            StorageConfigKind::HStorageDb => Box::new(CacheEngine::new(self)),
+            StorageConfigKind::HddOnly => {
+                let (clock, _, hdd) = self.devices();
+                Box::new(HddOnly::with_device(hdd, clock))
+            }
+            StorageConfigKind::SsdOnly => {
+                let (clock, ssd, _) = self.devices();
+                Box::new(SsdOnly::with_device(ssd, clock))
+            }
+            StorageConfigKind::Lru => {
+                let (clock, ssd, hdd) = self.devices();
+                Box::new(LruCache::with_devices(
                     self.cache_capacity_blocks,
-                    self.shards,
-                    ssd(),
-                    hdd(),
-                    clock.clone(),
-                )
-                .with_cache_policy(self.cache_policy)
-                .with_migration(self.migration)
-                .with_journal(self.journal),
-            ),
+                    ssd,
+                    hdd,
+                    clock,
+                ))
+            }
         }
     }
 
@@ -267,13 +280,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid cache-policy configuration")]
-    fn out_of_range_knobs_are_rejected_at_description_time() {
-        let _ = StorageConfig::new(StorageConfigKind::HStorageDb, 256)
-            .with_cache_policy(CachePolicyKind::Cflru { window_pct: 0 });
-    }
-
-    #[test]
     fn knobbed_policies_build_with_custom_values() {
         let sys = StorageConfig::new(StorageConfigKind::HStorageDb, 256)
             .with_cache_policy(CachePolicyKind::TwoQ {
@@ -288,20 +294,139 @@ mod tests {
         assert_eq!(sys.name(), "hybrid-per-stream");
     }
 
+    /// Describing an out-of-range knob is free; building the description
+    /// rejects it.
+    #[test]
+    #[should_panic(expected = "invalid cache-policy configuration")]
+    fn out_of_range_knobs_are_rejected_at_description_time() {
+        let config = StorageConfig::new(StorageConfigKind::HStorageDb, 256)
+            .with_cache_policy(CachePolicyKind::Cflru { window_pct: 0 });
+        let _ = config.build();
+    }
+
     #[test]
     fn journaling_defaults_off_and_rejects_bad_knobs_at_description_time() {
         let config = StorageConfig::new(StorageConfigKind::HStorageDb, 256);
         assert!(!config.journal.enabled);
         let _ = config.with_journal(JournalConfig::on()).build();
-        let bad = std::panic::catch_unwind(|| {
-            StorageConfig::new(StorageConfigKind::HStorageDb, 256)
-                .with_journal(JournalConfig::on().with_commit_interval(1))
-                .with_journal(JournalConfig {
+        let bad = config.with_journal(JournalConfig {
+            enabled: true,
+            commit_interval: 0,
+        });
+        assert!(
+            panic_of(|| drop(bad.build())).is_some(),
+            "zero commit interval must be rejected"
+        );
+    }
+
+    /// The panic message of `build`, or `None` if it returned.
+    fn panic_of(build: impl FnOnce()) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)).err()?;
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn each_invalid_field_is_rejected_by_build_and_by_the_engine() {
+        let valid = StorageConfig::new(StorageConfigKind::HStorageDb, 256);
+        assert!(!valid.journal.enabled);
+        assert_eq!(valid.validate(), Ok(()));
+        let journaled = valid.with_journal(JournalConfig::on().with_commit_interval(4));
+        assert_eq!(panic_of(|| drop(journaled.build())), None);
+        assert_eq!(panic_of(|| drop(CacheEngine::new(&journaled))), None);
+
+        let cases: [(StorageConfig, &str); 7] = [
+            (valid.with_shards(0), "shard count must be positive"),
+            (valid.with_queue_depth(0), "queue depth must be positive"),
+            (
+                valid.with_policy(PolicyConfig {
+                    write_buffer_fraction: 1.5,
+                    ..PolicyConfig::paper_default()
+                }),
+                "invalid policy configuration",
+            ),
+            (
+                valid.with_cache_policy(CachePolicyKind::Cflru { window_pct: 0 }),
+                "invalid cache-policy configuration",
+            ),
+            (
+                valid.with_cache_policy(CachePolicyKind::TwoQ {
+                    kin_pct: 25,
+                    kout_pct: 201,
+                }),
+                "invalid cache-policy configuration",
+            ),
+            (
+                valid.with_migration(MigrationConfig {
+                    round_budget: 0,
+                    ..MigrationConfig::on()
+                }),
+                "invalid migration configuration",
+            ),
+            (
+                valid.with_journal(JournalConfig {
                     enabled: true,
                     commit_interval: 0,
-                })
-        });
-        assert!(bad.is_err(), "zero commit interval must be rejected");
+                }),
+                "invalid journal configuration",
+            ),
+        ];
+        for (config, expected) in cases {
+            // Describing is free; only building checks.
+            let err = config.validate().expect_err(expected);
+            assert!(err.contains(expected), "{err:?} does not name {expected:?}");
+            for (path, message) in [
+                ("build", panic_of(|| drop(config.build()))),
+                (
+                    "CacheEngine::new",
+                    panic_of(|| drop(CacheEngine::new(&config))),
+                ),
+            ] {
+                let message = message.unwrap_or_else(|| panic!("{path} accepted {expected:?}"));
+                assert!(message.contains(expected), "{path}: {message:?}");
+            }
+        }
+        // The passthrough and standalone-LRU kinds are checked too.
+        for kind in [StorageConfigKind::HddOnly, StorageConfigKind::Lru] {
+            let config = StorageConfig::new(kind, 256).with_queue_depth(0);
+            let message = panic_of(|| drop(config.build())).expect("queue depth 0 accepted");
+            assert!(message.contains("queue depth must be positive"), "{kind}");
+        }
+    }
+
+    #[test]
+    fn engine_config_round_trips() {
+        let config = StorageConfig {
+            kind: StorageConfigKind::HStorageDb,
+            cache_capacity_blocks: 300,
+            policy: PolicyConfig::with_priorities(6, 0.2),
+            shards: 3,
+            queue_depth: 8,
+            cache_policy: CachePolicyKind::two_q(),
+            migration: MigrationConfig::on().with_round_budget(7),
+            journal: JournalConfig::on().with_commit_interval(5),
+        };
+        let default = StorageConfig::new(StorageConfigKind::Lru, 1);
+        assert_ne!(config.kind, default.kind);
+        assert_ne!(config.cache_capacity_blocks, default.cache_capacity_blocks);
+        assert_ne!(config.policy, default.policy);
+        assert_ne!(config.shards, default.shards);
+        assert_ne!(config.queue_depth, default.queue_depth);
+        assert_ne!(config.cache_policy, default.cache_policy);
+        assert_ne!(config.migration, default.migration);
+        assert_ne!(config.journal, default.journal);
+        let engine = CacheEngine::new(&config);
+        assert_eq!(engine.config(), &config);
+        assert_eq!(engine.shard_count(), 3);
+        assert_eq!(engine.name(), "hybrid-2q");
+    }
+
+    #[test]
+    #[should_panic(expected = "builds only the hStorage-DB kind")]
+    fn the_engine_refuses_other_kinds() {
+        let _ = CacheEngine::new(&StorageConfig::new(StorageConfigKind::Lru, 16));
     }
 
     #[test]

@@ -13,6 +13,15 @@
 //! allocation, bypassing, re-allocation, eviction) are all implemented and
 //! counted, as are TRIM-driven invalidations and write-buffer flushes.
 //!
+//! # Construction
+//!
+//! An engine is built in one step from its description:
+//! [`CacheEngine::new`] takes a [`StorageConfig`], validates it, and
+//! builds the devices, the shards, each shard's policy and migration
+//! state, and the journal. Nothing is reconfigured afterwards; the one
+//! post-construction hook, [`CacheEngine::with_policy_factory`], swaps in
+//! a custom policy before any traffic.
+//!
 //! # Concurrency
 //!
 //! The engine is a shared service: [`StorageSystem::submit`] takes `&self`,
@@ -23,7 +32,7 @@
 //! so allocation and eviction are decided shard-locally. With a single
 //! shard (the default, used by the paper-figure experiments) the behaviour
 //! is block-for-block identical to the original exclusive implementation;
-//! [`CacheEngine::with_shard_count`] enables real parallelism for the
+//! a [`StorageConfig`] with more `shards` enables real parallelism for the
 //! threaded drivers and benches.
 //!
 //! Each shard keeps all of its state behind **one** `RwLock`:
@@ -76,16 +85,16 @@
 //! path was taken.
 
 use crate::allocator::SlotAllocator;
-use crate::journal::{Journal, JournalConfig, JournalOp, JournalSnapshot};
-use crate::migration::{MigrationConfig, MigrationCounters, MigrationStats, ShardMigration};
-use crate::policy::{CachePolicy, CachePolicyKind, HitOutcome, PolicyRequest, RemoveReason};
+use crate::config::{StorageConfig, StorageConfigKind};
+use crate::journal::{Journal, JournalOp, JournalSnapshot};
+use crate::migration::{MigrationCounters, MigrationStats, ShardMigration};
+use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
 use crate::stats::{CacheAction, CacheStats, LocalCacheStats};
 use crate::system::StorageSystem;
 use crate::table::{BlockState, BlockTable, CacheEntry, TableSlot};
 use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, DeviceStats, Direction, HddDevice,
-    HddParameters, IoRequest, PolicyConfig, SimClock, SsdDevice, SsdParameters, StorageDevice,
-    TrimCommand,
+    IoRequest, SimClock, SsdDevice, StorageDevice, TrimCommand,
 };
 use parking_lot::{RwLock, RwLockWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -230,32 +239,31 @@ struct Shard {
 }
 
 impl Shard {
-    /// A shard with `capacity` slots, one of `stride` shards (the address
-    /// distance between its consecutive blocks).
-    fn new(
-        config: &PolicyConfig,
-        capacity: u64,
-        stride: usize,
-        policy: Box<dyn CachePolicy>,
-        hit_service_ns: [u64; 2],
-    ) -> Self {
+    /// A shard of the engine `config` describes, with `capacity` slots and
+    /// its own policy and migration state, one of `config.shards` shards
+    /// (the address distance between its consecutive blocks).
+    fn new(config: &StorageConfig, capacity: u64, hit_service_ns: [u64; 2]) -> Self {
+        let migration = config.migration;
         Shard {
             state: RwLock::new(ShardState {
                 // Pre-sized to the shard's slot count: a full shard never
                 // rehashes mid-run. Grouped by the shard stride, so a
                 // scan's blocks on this shard land in adjacent slots.
-                meta: BlockTable::with_capacity(capacity as usize, stride),
+                meta: BlockTable::with_capacity(capacity as usize, config.shards),
                 hot: None,
                 fast_hits: AtomicU64::new(0),
-                policy,
+                policy: config.cache_policy.build(&config.policy, capacity),
                 alloc: SlotAllocator::new(capacity),
-                migration: None,
+                migration: migration
+                    .enabled
+                    .then(|| ShardMigration::new(migration, capacity)),
                 stats: LocalCacheStats::new(),
                 ssd: DeviceStats::new(),
             }),
             hot_lbn: AtomicU64::new(NO_HOT),
             hit_service_ns,
-            write_buffer_limit: (capacity as f64 * config.write_buffer_fraction).floor() as u64,
+            write_buffer_limit: (capacity as f64 * config.policy.write_buffer_fraction).floor()
+                as u64,
             write_buffer_resident: AtomicU64::new(0),
             migration_counters: MigrationCounters::default(),
         }
@@ -887,14 +895,20 @@ impl Shard {
 
 /// The hybrid SSD-over-HDD storage system: a policy-agnostic cache engine
 /// whose admission/eviction/promotion decisions come from a pluggable
-/// [`CachePolicy`]. With the default [`CachePolicyKind::SemanticPriority`]
-/// this **is** the paper's hStorage-DB cache (the [`crate::HybridCache`]
-/// alias); with [`CachePolicyKind::Lru`] / [`CachePolicyKind::Cflru`] /
+/// [`CachePolicy`], built from a [`StorageConfig`] by [`CacheEngine::new`].
+/// With the default [`CachePolicyKind::SemanticPriority`] this **is** the
+/// paper's hStorage-DB cache (the [`crate::HybridCache`] alias); with
+/// [`CachePolicyKind::Lru`] / [`CachePolicyKind::Cflru`] /
 /// [`CachePolicyKind::TwoQ`] the same shards, devices and submission
 /// pipeline serve the classical baselines.
+///
+/// [`CachePolicyKind::SemanticPriority`]: crate::CachePolicyKind::SemanticPriority
+/// [`CachePolicyKind::Lru`]: crate::CachePolicyKind::Lru
+/// [`CachePolicyKind::Cflru`]: crate::CachePolicyKind::Cflru
+/// [`CachePolicyKind::TwoQ`]: crate::CachePolicyKind::TwoQ
 pub struct CacheEngine {
-    config: PolicyConfig,
-    policy_kind: CachePolicyKind,
+    /// The description the engine was built from.
+    config: StorageConfig,
     name: String,
     /// Whether the installed policy maintains a write buffer (group 0).
     /// When it does not, the write-buffer flush checks and the batch
@@ -903,9 +917,6 @@ pub struct CacheEngine {
     /// Whether the installed policy declares repeat hits idempotent —
     /// the precondition for consulting the hot-hit descriptor.
     hit_fast_path: bool,
-    cache_capacity: u64,
-    /// The [`Self::with_migration`] knob set (default: disabled).
-    migration: MigrationConfig,
     /// Engine-level migration round counters (per-shard move counters
     /// live on the shards).
     migration_rounds: AtomicU64,
@@ -916,10 +927,8 @@ pub struct CacheEngine {
     /// compare-exchange on this mark, so concurrent callers never
     /// double-run a round.
     idle_mark: AtomicU64,
-    /// The [`Self::with_journal`] knob set (default: disabled). `None`
-    /// while journaling is off, so the disabled engine carries no
+    /// `None` while journaling is off, so the disabled engine carries no
     /// journal state at all.
-    journal_config: JournalConfig,
     journal: Option<Journal>,
     clock: SimClock,
     ssd: SsdDevice,
@@ -928,111 +937,43 @@ pub struct CacheEngine {
 }
 
 impl CacheEngine {
-    /// Creates a single-shard engine with `cache_capacity_blocks` of SSD
-    /// cache in front of the HDD, using the paper's device models and the
-    /// semantic priority policy. One shard reproduces the paper's global
-    /// selective allocation/eviction exactly; use
-    /// [`Self::with_shard_count`] for concurrent workloads.
-    pub fn new(config: PolicyConfig, cache_capacity_blocks: u64) -> Self {
-        Self::with_shard_count(config, cache_capacity_blocks, 1)
-    }
-
-    /// Creates an engine whose state is striped over `shards` locks (each
-    /// managing an equal slice of the capacity) so concurrent submits to
-    /// different shards do not serialize.
-    pub fn with_shard_count(
-        config: PolicyConfig,
-        cache_capacity_blocks: u64,
-        shards: usize,
-    ) -> Self {
-        Self::with_shard_count_and_queue_depth(config, cache_capacity_blocks, shards, 1)
-    }
-
-    /// Creates a sharded engine whose devices merge up to `queue_depth`
-    /// adjacent queued requests into one physical transfer on the batched
-    /// submission path ([`StorageSystem::submit_batch`]).
-    /// `queue_depth = 1` (the [`Self::with_shard_count`] default) disables
-    /// merging and is timing-identical to per-request submission.
-    pub fn with_shard_count_and_queue_depth(
-        config: PolicyConfig,
-        cache_capacity_blocks: u64,
-        shards: usize,
-        queue_depth: usize,
-    ) -> Self {
-        let clock = SimClock::new();
-        Self::with_devices_sharded(
-            config,
-            cache_capacity_blocks,
-            shards,
-            SsdDevice::new(
-                SsdParameters::intel_320().with_queue_depth(queue_depth),
-                clock.clone(),
-            ),
-            HddDevice::new(
-                HddParameters::cheetah_15k7().with_queue_depth(queue_depth),
-                clock.clone(),
-            ),
-            clock,
-        )
-    }
-
-    /// Creates a single-shard engine over explicitly constructed devices.
-    /// The devices must share `clock`.
-    pub fn with_devices(
-        config: PolicyConfig,
-        cache_capacity_blocks: u64,
-        ssd: SsdDevice,
-        hdd: HddDevice,
-        clock: SimClock,
-    ) -> Self {
-        Self::with_devices_sharded(config, cache_capacity_blocks, 1, ssd, hdd, clock)
-    }
-
-    /// Creates a sharded engine over explicitly constructed devices. The
-    /// devices must share `clock`. Shard `i` manages the blocks with
-    /// `lbn % shards == i` and `capacity / shards` slots (the remainder is
-    /// spread over the first shards).
-    pub fn with_devices_sharded(
-        config: PolicyConfig,
-        cache_capacity_blocks: u64,
-        shards: usize,
-        ssd: SsdDevice,
-        hdd: HddDevice,
-        clock: SimClock,
-    ) -> Self {
-        config.validate().expect("invalid policy configuration");
-        assert!(shards > 0, "shard count must be positive");
-        let kind = CachePolicyKind::default();
+    /// Builds the engine `config` describes — the engine's only
+    /// constructor. Every field but `kind` is read: the paper's device
+    /// models at `queue_depth`, `shards` lock stripes over
+    /// `cache_capacity_blocks` slots (shard `i` manages the blocks with
+    /// `lbn % shards == i` and `capacity / shards` slots, the remainder
+    /// spread over the first shards), each with its own `cache_policy`
+    /// instance and, when enabled, `migration` state, and the `journal`.
+    /// One shard reproduces the paper's global selective
+    /// allocation/eviction exactly.
+    ///
+    /// Panics if `config.kind` is not [`StorageConfigKind::HStorageDb`]
+    /// or [`StorageConfig::validate`] rejects the description.
+    pub fn new(config: &StorageConfig) -> Self {
+        assert_eq!(
+            config.kind,
+            StorageConfigKind::HStorageDb,
+            "CacheEngine builds only the hStorage-DB kind"
+        );
+        let (clock, ssd, hdd) = config.devices();
         let hit_service_ns = [false, true].map(|sequential| {
             let hit = IoRequest::read(BlockRange::new(0u64, 1), sequential);
             ssd.service_time(&hit).as_nanos() as u64
         });
-        let n = shards as u64;
+        let n = config.shards as u64;
+        let total = config.cache_capacity_blocks;
         let shards = (0..n)
-            .map(|i| {
-                let capacity = cache_capacity_blocks / n + u64::from(i < cache_capacity_blocks % n);
-                Shard::new(
-                    &config,
-                    capacity,
-                    shards,
-                    kind.build(&config, capacity),
-                    hit_service_ns,
-                )
-            })
+            .map(|i| Shard::new(config, total / n + u64::from(i < total % n), hit_service_ns))
             .collect();
         let mut engine = CacheEngine {
-            config,
-            policy_kind: kind,
-            name: kind.system_name().to_string(),
+            config: *config,
+            name: config.cache_policy.system_name().to_string(),
             write_buffering: true,
             hit_fast_path: false,
-            cache_capacity: cache_capacity_blocks,
-            migration: MigrationConfig::default(),
             migration_rounds: AtomicU64::new(0),
             migration_skipped: AtomicU64::new(0),
             idle_mark: AtomicU64::new(0),
-            journal_config: JournalConfig::default(),
-            journal: None,
+            journal: config.journal.enabled.then(|| Journal::new(config.journal)),
             clock,
             ssd,
             hdd,
@@ -1053,12 +994,7 @@ impl CacheEngine {
     /// * [`Self::hit_fast_path`] — optimistic repeat hits are consulted
     ///   only when the policy declares them idempotent.
     fn refresh_policy_traits(&mut self) {
-        let Some(shard) = self.shards.first_mut() else {
-            self.write_buffering = false;
-            self.hit_fast_path = false;
-            return;
-        };
-        let policy = &shard.state.get_mut().policy;
+        let policy = &self.shards[0].state.get_mut().policy;
         self.write_buffering = policy.write_buffered(CachePriority(0));
         for group in 1..=u8::MAX {
             assert!(
@@ -1070,30 +1006,11 @@ impl CacheEngine {
         self.hit_fast_path = policy.repeat_hit_idempotent();
     }
 
-    /// Selects which shipped [`CachePolicyKind`] drives the engine's
-    /// decisions, including any knob values the kind carries. Must be
-    /// called before any traffic is submitted (the per-shard policy state
-    /// is rebuilt empty).
-    pub fn with_cache_policy(mut self, kind: CachePolicyKind) -> Self {
-        kind.validate().expect("invalid cache-policy configuration");
-        self.policy_kind = kind;
-        self.name = kind.system_name().to_string();
-        for shard in &mut self.shards {
-            let st = shard.state.get_mut();
-            assert!(
-                st.meta.is_empty(),
-                "cache policy must be selected before submitting traffic"
-            );
-            st.policy = kind.build(&self.config, st.alloc.capacity());
-        }
-        self.refresh_policy_traits();
-        self
-    }
-
     /// Installs a custom [`CachePolicy`] built by `factory` (called once
-    /// per shard with that shard's slot capacity) and names the resulting
-    /// storage system `name`. Must be called before any traffic is
-    /// submitted. See the [`CachePolicy`] docs for a worked example.
+    /// per shard with that shard's slot capacity) in place of the one
+    /// [`Self::new`] built, and names the resulting storage system `name`.
+    /// Must be called before any traffic is submitted. See the
+    /// [`CachePolicy`] docs for a worked example.
     pub fn with_policy_factory(
         mut self,
         name: impl Into<String>,
@@ -1116,59 +1033,6 @@ impl CacheEngine {
     /// policy declares repeat hits idempotent).
     pub fn optimistic_reads_active(&self) -> bool {
         self.hit_fast_path
-    }
-
-    /// Configures online tier migration (see [`MigrationConfig`] and the
-    /// [`crate::migration`] module docs). Must be called before any
-    /// traffic is submitted; the default — and
-    /// [`MigrationConfig::off`] — leaves the engine bit-identical to one
-    /// built without migration. Composes with
-    /// [`Self::with_cache_policy`] / [`Self::with_policy_factory`] in
-    /// either order.
-    pub fn with_migration(mut self, config: MigrationConfig) -> Self {
-        config.validate().expect("invalid migration configuration");
-        self.migration = config;
-        for shard in &mut self.shards {
-            let st = shard.state.get_mut();
-            assert!(
-                st.meta.is_empty(),
-                "migration must be configured before submitting traffic"
-            );
-            st.migration = config
-                .enabled
-                .then(|| ShardMigration::new(config, st.alloc.capacity()));
-        }
-        self
-    }
-
-    /// The tier-migration configuration in force.
-    pub fn migration_config(&self) -> MigrationConfig {
-        self.migration
-    }
-
-    /// Configures the write-ahead journal (see [`JournalConfig`] and the
-    /// [`crate::journal`] module docs). Must be called before any traffic
-    /// is submitted; the default — and [`JournalConfig::off`] — leaves
-    /// the engine bit-identical to one built without a journal. Enabled,
-    /// every [`StorageSystem`] mutation is logged write-ahead with batch
-    /// begin/commit framing, and [`Self::journal_snapshot`] exposes the
-    /// simulated persistent image for [`crate::recovery`].
-    pub fn with_journal(mut self, config: JournalConfig) -> Self {
-        config.validate().expect("invalid journal configuration");
-        for shard in &mut self.shards {
-            assert!(
-                shard.state.get_mut().meta.is_empty(),
-                "journaling must be configured before submitting traffic"
-            );
-        }
-        self.journal_config = config;
-        self.journal = config.enabled.then(|| Journal::new(config));
-        self
-    }
-
-    /// The journal configuration in force.
-    pub fn journal_config(&self) -> JournalConfig {
-        self.journal_config
     }
 
     /// Number of records in the attached journal (0 with journaling
@@ -1238,21 +1102,12 @@ impl CacheEngine {
         out
     }
 
-    /// The `{N, t, b}` policy configuration in force.
-    pub fn policy(&self) -> &PolicyConfig {
+    /// The description the engine was built from. Custom policies
+    /// installed with [`Self::with_policy_factory`] leave its
+    /// `cache_policy` at the kind they replaced; their
+    /// [`StorageSystem::name`] identifies them.
+    pub fn config(&self) -> &StorageConfig {
         &self.config
-    }
-
-    /// Which shipped policy kind the engine was configured with (custom
-    /// factories report the default kind; their [`StorageSystem::name`]
-    /// identifies them).
-    pub fn cache_policy_kind(&self) -> CachePolicyKind {
-        self.policy_kind
-    }
-
-    /// Cache capacity in blocks.
-    pub fn capacity_blocks(&self) -> u64 {
-        self.cache_capacity
     }
 
     /// Number of lock-striped shards.
@@ -1305,7 +1160,7 @@ impl CacheEngine {
             direction: req.io.direction,
             class: req.class,
             qos: req.policy,
-            prio: self.config.resolve(req.policy),
+            prio: self.config.policy.resolve(req.policy),
         }
     }
 
@@ -1647,7 +1502,7 @@ impl CacheEngine {
         // whole batch is one run.
         let mut start = 0;
         for (i, req) in reqs.iter().enumerate() {
-            if self.config.resolve(req.policy) == CachePriority(0) {
+            if self.config.policy.resolve(req.policy) == CachePriority(0) {
                 self.submit_run(&reqs[start..i]);
                 self.submit_inner(*req);
                 start = i + 1;
@@ -1769,7 +1624,7 @@ impl StorageSystem for CacheEngine {
     }
 
     fn migrate_idle(&self) -> MigrationStats {
-        if !self.migration.enabled {
+        if !self.config.migration.enabled {
             // A pulse without a migration engine is a pure no-op on both
             // sides of a crash, so it is not worth a journal record.
             return self.migration_stats();
@@ -1801,7 +1656,7 @@ impl CacheEngine {
         // per-device minimum would stagnate there.
         let ssd_idle = self.clock.now().saturating_sub(self.ssd_busy_time());
         let idle_ns = (ssd_idle + self.hdd.idle_time()).as_nanos() as u64;
-        let threshold_ns = self.migration.idle_threshold.as_nanos() as u64;
+        let threshold_ns = self.config.migration.idle_threshold.as_nanos() as u64;
         let mark = self.idle_mark.load(Ordering::Acquire);
         if idle_ns.saturating_sub(mark) < threshold_ns {
             self.migration_skipped.fetch_add(1, Ordering::Relaxed);
@@ -1860,11 +1715,19 @@ impl CacheEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalConfig;
     use crate::lru_cache::LruCache;
+    use crate::migration::MigrationConfig;
+    use crate::policy::CachePolicyKind;
     use hstorage_storage::{QosPolicy, RequestClass};
 
+    /// A single-shard engine of `capacity` blocks under `kind`.
+    fn config(kind: CachePolicyKind, capacity: u64) -> StorageConfig {
+        StorageConfig::new(StorageConfigKind::HStorageDb, capacity).with_cache_policy(kind)
+    }
+
     fn engine(kind: CachePolicyKind, capacity: u64) -> CacheEngine {
-        CacheEngine::new(PolicyConfig::paper_default(), capacity).with_cache_policy(kind)
+        CacheEngine::new(&config(kind, capacity))
     }
 
     fn read_req(start: u64, len: u64, class: RequestClass, policy: QosPolicy) -> ClassifiedRequest {
@@ -1899,7 +1762,7 @@ mod tests {
         assert_eq!(engine(CachePolicyKind::cflru(), 10).name(), "hybrid-cflru");
         assert_eq!(engine(CachePolicyKind::two_q(), 10).name(), "hybrid-2q");
         assert_eq!(
-            engine(CachePolicyKind::two_q(), 10).cache_policy_kind(),
+            engine(CachePolicyKind::two_q(), 10).config().cache_policy,
             CachePolicyKind::two_q()
         );
     }
@@ -2395,13 +2258,7 @@ mod tests {
         // A batch containing WriteBuffer requests must not fragment under
         // a policy without a write buffer: at queue depth 8 the adjacent
         // scan reads around the update still merge into few transfers.
-        let one_run = CacheEngine::with_shard_count_and_queue_depth(
-            PolicyConfig::paper_default(),
-            1_000,
-            1,
-            8,
-        )
-        .with_cache_policy(CachePolicyKind::Lru);
+        let one_run = CacheEngine::new(&config(CachePolicyKind::Lru, 1_000).with_queue_depth(8));
         let reqs: Vec<ClassifiedRequest> = (0..64u64)
             .map(|i| {
                 if i == 31 {
@@ -2486,7 +2343,7 @@ mod tests {
         // Hold every shard's read lock and drive the read-only probes and a
         // repeat hit: if any of them needed the write lock this test would
         // deadlock. A slow-path submit does need it, and must wait.
-        let c = CacheEngine::with_shard_count(PolicyConfig::paper_default(), 64, 4);
+        let c = CacheEngine::new(&config(CachePolicyKind::SemanticPriority, 64).with_shards(4));
         let hot = read_req(1, 1, RequestClass::Random, QosPolicy::priority(2));
         c.submit(hot); // miss
         c.submit(hot); // hit: arms the descriptor
@@ -2528,7 +2385,7 @@ mod tests {
     #[test]
     fn migration_is_off_by_default_and_idle_pulses_are_free() {
         let c = engine(CachePolicyKind::SemanticPriority, 16);
-        assert!(!c.migration_config().enabled);
+        assert!(!c.config().migration.enabled);
         c.submit(read_req(1, 1, RequestClass::Random, QosPolicy::priority(2)));
         assert_eq!(c.migrate_idle(), MigrationStats::default());
         assert_eq!(c.migration_stats(), MigrationStats::default());
@@ -2536,8 +2393,11 @@ mod tests {
 
     #[test]
     fn idle_gate_spaces_rounds_by_accrued_idle_time() {
-        let c = engine(CachePolicyKind::SemanticPriority, 16)
-            .with_migration(MigrationConfig::on().with_idle_threshold(Duration::from_secs(3600)));
+        let c = CacheEngine::new(
+            &config(CachePolicyKind::SemanticPriority, 16).with_migration(
+                MigrationConfig::on().with_idle_threshold(Duration::from_secs(3600)),
+            ),
+        );
         c.submit(read_req(1, 1, RequestClass::Random, QosPolicy::priority(2)));
         // Far below an hour of accrued idle: the pulse is counted but no
         // round runs.
@@ -2548,7 +2408,9 @@ mod tests {
 
     #[test]
     fn rounds_promote_hot_absent_blocks_over_cold_residents() {
-        let c = engine(CachePolicyKind::SemanticPriority, 4).with_migration(eager_migration(64));
+        let c = CacheEngine::new(
+            &config(CachePolicyKind::SemanticPriority, 4).with_migration(eager_migration(64)),
+        );
         // Four cold residents at priority 2 (accessed once each).
         for lbn in 0..4u64 {
             c.submit(read_req(
@@ -2595,7 +2457,9 @@ mod tests {
 
     #[test]
     fn equal_heat_never_migrates() {
-        let c = engine(CachePolicyKind::SemanticPriority, 1).with_migration(eager_migration(64));
+        let c = CacheEngine::new(
+            &config(CachePolicyKind::SemanticPriority, 1).with_migration(eager_migration(64)),
+        );
         c.submit(read_req(0, 1, RequestClass::Random, QosPolicy::priority(2)));
         c.submit(read_req(
             100,
@@ -2615,7 +2479,9 @@ mod tests {
     fn trim_of_a_queued_candidate_never_resurrects_the_block() {
         // Budget 2 = one demote/promote pair per round, so with two hot
         // absent blocks one is left queued for the lazy window.
-        let c = engine(CachePolicyKind::SemanticPriority, 4).with_migration(eager_migration(2));
+        let c = CacheEngine::new(
+            &config(CachePolicyKind::SemanticPriority, 4).with_migration(eager_migration(2)),
+        );
         for lbn in 0..4u64 {
             c.submit(read_req(
                 lbn,
@@ -2653,7 +2519,9 @@ mod tests {
     fn a_hit_rescues_a_queued_demotion() {
         // Budget 2 and three hot absents: the round demotes one resident
         // and queues the next-coldest for demotion.
-        let c = engine(CachePolicyKind::SemanticPriority, 2).with_migration(eager_migration(2));
+        let c = CacheEngine::new(
+            &config(CachePolicyKind::SemanticPriority, 2).with_migration(eager_migration(2)),
+        );
         for lbn in 0..2u64 {
             c.submit(read_req(
                 lbn,
@@ -2683,7 +2551,7 @@ mod tests {
     #[test]
     fn journaling_is_off_by_default() {
         let c = engine(CachePolicyKind::SemanticPriority, 16);
-        assert!(!c.journal_config().enabled);
+        assert!(!c.config().journal.enabled);
         assert_eq!(c.journal_len(), 0);
         assert!(c.journal_snapshot().is_none());
         c.submit(read_req(1, 1, RequestClass::Random, QosPolicy::priority(2)));
@@ -2692,7 +2560,9 @@ mod tests {
 
     #[test]
     fn the_journal_frames_each_engine_op_in_a_batch() {
-        let c = engine(CachePolicyKind::SemanticPriority, 16).with_journal(JournalConfig::on());
+        let c = CacheEngine::new(
+            &config(CachePolicyKind::SemanticPriority, 16).with_journal(JournalConfig::on()),
+        );
         c.submit(read_req(1, 1, RequestClass::Random, QosPolicy::priority(2)));
         c.trim(&TrimCommand::new(vec![BlockRange::new(1u64, 1)]));
         // Two ops at commit interval 1: two begin/op/commit triples.
@@ -2709,17 +2579,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "journaling must be configured before submitting traffic")]
-    fn the_journal_cannot_be_attached_to_a_warm_engine() {
-        let c = engine(CachePolicyKind::SemanticPriority, 16);
-        c.submit(read_req(1, 1, RequestClass::Random, QosPolicy::priority(2)));
-        let _ = c.with_journal(JournalConfig::on());
-    }
-
-    #[test]
     fn reset_stats_preserves_learned_heat() {
-        let c = engine(CachePolicyKind::SemanticPriority, 16)
-            .with_migration(MigrationConfig::on().with_idle_threshold(Duration::from_secs(3600)));
+        let c = CacheEngine::new(
+            &config(CachePolicyKind::SemanticPriority, 16).with_migration(
+                MigrationConfig::on().with_idle_threshold(Duration::from_secs(3600)),
+            ),
+        );
         // Two slow-path accesses record heat directly; the third rides the
         // hot fast path and is tallied on the descriptor, uncredited.
         for _ in 0..3 {

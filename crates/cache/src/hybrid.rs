@@ -23,21 +23,26 @@ use crate::engine::CacheEngine;
 
 /// The paper's hybrid SSD-over-HDD storage system managed by caching
 /// priorities — the cache engine with the semantic priority policy (its
-/// default). All constructors on [`CacheEngine`] apply.
+/// default), built like any engine by [`CacheEngine::new`].
 pub type HybridCache = CacheEngine;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{StorageConfig, StorageConfigKind};
     use crate::stats::CacheAction;
     use crate::system::StorageSystem;
     use hstorage_storage::{
-        BlockAddr, BlockRange, CachePriority, ClassifiedRequest, IoRequest, PolicyConfig,
-        QosPolicy, RequestClass, TrimCommand,
+        BlockAddr, BlockRange, CachePriority, ClassifiedRequest, IoRequest, QosPolicy,
+        RequestClass, TrimCommand,
     };
 
+    fn config(capacity: u64) -> StorageConfig {
+        StorageConfig::new(StorageConfigKind::HStorageDb, capacity)
+    }
+
     fn cache(capacity: u64) -> HybridCache {
-        HybridCache::new(PolicyConfig::paper_default(), capacity)
+        HybridCache::new(&config(capacity))
     }
 
     fn read_req(start: u64, len: u64, class: RequestClass, policy: QosPolicy) -> ClassifiedRequest {
@@ -407,7 +412,7 @@ mod tests {
 
     #[test]
     fn sharded_cache_respects_per_shard_capacity_split() {
-        let c = HybridCache::with_shard_count(PolicyConfig::paper_default(), 10, 4);
+        let c = HybridCache::new(&config(10).with_shards(4));
         assert_eq!(c.shard_count(), 4);
         // Capacity 10 over 4 shards: 3 + 3 + 2 + 2 slots.
         for i in 0..100u64 {
@@ -422,7 +427,7 @@ mod tests {
         // walk the shards in cyclic order, so holding one shard's lock
         // while acquiring the next deadlocks once every shard has a
         // waiter. Each thread mixes all three kinds of walk.
-        let c = HybridCache::with_shard_count(PolicyConfig::paper_default(), 4_096, 8);
+        let c = HybridCache::new(&config(4_096).with_shards(8));
         let req =
             |t: u64, i: u64| read_req(t + i * 16, 16, RequestClass::Random, QosPolicy::priority(2));
         std::thread::scope(|s| {
@@ -473,12 +478,7 @@ mod tests {
         // 64 adjacent sequential single-block reads bypass the cache
         // (NonCachingNonEviction misses) and reach the HDD. With queue
         // depth 8 the batched path issues 8 merged transfers instead of 64.
-        let merged = HybridCache::with_shard_count_and_queue_depth(
-            PolicyConfig::paper_default(),
-            1_000,
-            1,
-            8,
-        );
+        let merged = HybridCache::new(&config(1_000).with_queue_depth(8));
         let unmerged = cache(1_000);
         let reqs: Vec<ClassifiedRequest> = (0..64u64)
             .map(|i| {
@@ -548,7 +548,7 @@ mod tests {
 
     #[test]
     fn concurrent_submits_from_many_threads_are_fully_accounted() {
-        let c = HybridCache::with_shard_count(PolicyConfig::paper_default(), 4_096, 8);
+        let c = HybridCache::new(&config(4_096).with_shards(8));
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let c = &c;

@@ -326,9 +326,11 @@ mod tests {
 
     #[test]
     fn write_backs_are_charged_as_random_hdd_writes() {
-        use crate::{CacheEngine, CachePolicyKind};
-        let engine = CacheEngine::new(PolicyConfig::paper_default(), 8)
-            .with_cache_policy(CachePolicyKind::Lru);
+        use crate::{CacheEngine, CachePolicyKind, StorageConfig, StorageConfigKind};
+        let engine = CacheEngine::new(
+            &StorageConfig::new(StorageConfigKind::HStorageDb, 8)
+                .with_cache_policy(CachePolicyKind::Lru),
+        );
         let legacy = LruCache::new(8);
         // Fill both caches with dirty blocks, then scan past them twice:
         // each scan request evicts four dirty victims.

@@ -42,17 +42,19 @@
 //! blocks, and the counters record the turnover:
 //!
 //! ```
-//! use hstorage_cache::{CacheEngine, MigrationConfig, StorageSystem};
-//! use hstorage_storage::{
-//!     BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass,
+//! use hstorage_cache::{
+//!     CacheEngine, MigrationConfig, StorageConfig, StorageConfigKind, StorageSystem,
 //! };
+//! use hstorage_storage::{BlockRange, ClassifiedRequest, IoRequest, QosPolicy, RequestClass};
 //! use std::time::Duration;
 //!
-//! let cache = CacheEngine::new(PolicyConfig::paper_default(), 32).with_migration(
-//!     MigrationConfig::on()
-//!         .with_half_life_rounds(4)
-//!         .with_idle_threshold(Duration::from_micros(100))
-//!         .with_round_budget(16),
+//! let cache = CacheEngine::new(
+//!     &StorageConfig::new(StorageConfigKind::HStorageDb, 32).with_migration(
+//!         MigrationConfig::on()
+//!             .with_half_life_rounds(4)
+//!             .with_idle_threshold(Duration::from_micros(100))
+//!             .with_round_budget(16),
+//!     ),
 //! );
 //! let read = |lbn: u64, prio: u8| {
 //!     ClassifiedRequest::new(
@@ -135,8 +137,8 @@ impl MigrationConfig {
         }
     }
 
-    /// Overrides the heat half-life. Panics on 0, like the other
-    /// description-time knob builders.
+    /// Overrides the heat half-life. Panics on 0, like
+    /// [`Self::with_round_budget`].
     pub fn with_half_life_rounds(mut self, rounds: u32) -> Self {
         self.half_life_rounds = rounds;
         self.validate().expect("invalid migration configuration");

@@ -142,10 +142,10 @@ pub enum RemoveReason {
 /// ```
 /// use hstorage_cache::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
 /// use hstorage_cache::table::NO_NODE;
-/// use hstorage_cache::{CacheEngine, StorageSystem};
+/// use hstorage_cache::{CacheEngine, StorageConfig, StorageConfigKind, StorageSystem};
 /// use hstorage_storage::{
-///     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, IoRequest, PolicyConfig,
-///     QosPolicy, RequestClass,
+///     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, IoRequest, QosPolicy,
+///     RequestClass,
 /// };
 /// use std::collections::VecDeque;
 ///
@@ -195,7 +195,7 @@ pub enum RemoveReason {
 ///
 /// // A two-slot FIFO cache: the third insert evicts the *first* block,
 /// // even though it was touched more recently than the second.
-/// let engine = CacheEngine::new(PolicyConfig::paper_default(), 2)
+/// let engine = CacheEngine::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 2))
 ///     .with_policy_factory("fifo", |_shard_capacity| Box::<FifoPolicy>::default());
 /// let read = |lbn: u64| {
 ///     ClassifiedRequest::new(

@@ -282,10 +282,9 @@ pub fn verify_convergence(recovered: &CacheEngine, clean: &CacheEngine) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{StorageConfig, StorageConfigKind};
     use crate::journal::{JournalConfig, JournalRecord};
-    use hstorage_storage::{
-        BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass,
-    };
+    use hstorage_storage::{BlockRange, ClassifiedRequest, IoRequest, QosPolicy, RequestClass};
 
     fn read(lbn: u64) -> ClassifiedRequest {
         ClassifiedRequest::new(
@@ -296,7 +295,10 @@ mod tests {
     }
 
     fn journaled_engine(capacity: u64) -> CacheEngine {
-        CacheEngine::new(PolicyConfig::paper_default(), capacity).with_journal(JournalConfig::on())
+        CacheEngine::new(
+            &StorageConfig::new(StorageConfigKind::HStorageDb, capacity)
+                .with_journal(JournalConfig::on()),
+        )
     }
 
     #[test]

@@ -51,6 +51,20 @@ impl CacheAction {
     pub fn index(self) -> usize {
         self as usize
     }
+
+    /// The action's key in [`CacheStats::actions`]: its variant name.
+    pub fn label(self) -> &'static str {
+        match self {
+            CacheAction::CacheHit => "CacheHit",
+            CacheAction::ReadAllocation => "ReadAllocation",
+            CacheAction::WriteAllocation => "WriteAllocation",
+            CacheAction::Bypassing => "Bypassing",
+            CacheAction::ReAllocation => "ReAllocation",
+            CacheAction::Eviction => "Eviction",
+            CacheAction::Trim => "Trim",
+            CacheAction::WriteBufferFlush => "WriteBufferFlush",
+        }
+    }
 }
 
 /// Blocks accessed vs blocks served from cache, the unit of every
@@ -128,7 +142,8 @@ impl ContentionCounters {
     }
 }
 
-/// Full statistics snapshot of a storage system.
+/// Full statistics snapshot of a storage system, rendered from the
+/// [`LocalCacheStats`] counter blocks that record it.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Accessed blocks / hits per request class.
@@ -172,27 +187,6 @@ impl CacheStats {
         Self::default()
     }
 
-    /// Records `blocks` accessed of class `class`, of which `hits` were
-    /// served from cache.
-    pub fn record_class(&mut self, class: RequestClass, blocks: u64, hits: u64) {
-        let c = self.per_class.entry(class.label().to_string()).or_default();
-        c.accessed_blocks += blocks;
-        c.cache_hits += hits;
-    }
-
-    /// Records `blocks` accessed at priority `prio`, of which `hits` were
-    /// served from cache.
-    pub fn record_priority(&mut self, prio: u8, blocks: u64, hits: u64) {
-        let c = self.per_priority.entry(prio).or_default();
-        c.accessed_blocks += blocks;
-        c.cache_hits += hits;
-    }
-
-    /// Adds `blocks` to the counter of `action`.
-    pub fn record_action(&mut self, action: CacheAction, blocks: u64) {
-        *self.actions.entry(format!("{action:?}")).or_default() += blocks;
-    }
-
     /// Counter for one request class (zero if never seen).
     pub fn class(&self, class: RequestClass) -> ClassCounters {
         self.per_class
@@ -209,7 +203,7 @@ impl CacheStats {
     /// Count of one action (zero if never taken).
     pub fn action(&self, action: CacheAction) -> u64 {
         self.actions
-            .get(&format!("{action:?}"))
+            .get(action.label())
             .copied()
             .unwrap_or_default()
     }
@@ -258,9 +252,9 @@ const ACTION_SLOTS: usize = CacheAction::ALL.len();
 ///
 /// Recording is a bounds-checked array add — no `BTreeMap` walk, no key
 /// allocation — and the map-shaped [`CacheStats`] is rendered only at
-/// [`LocalCacheStats::snapshot`] time. Key-presence semantics match
-/// [`CacheStats`] exactly: a zero-amount record still creates its map
-/// entry in the snapshot (per-slot "seen" bitmasks).
+/// [`LocalCacheStats::snapshot`] time, with every key string built
+/// there. A zero-amount record still creates its map entry in the
+/// snapshot (per-slot "seen" bitmasks).
 #[derive(Debug)]
 pub struct LocalCacheStats {
     class_accessed: [u64; CLASS_SLOTS],
@@ -299,7 +293,7 @@ impl LocalCacheStats {
     }
 
     /// Records `blocks` accessed of class `class`, of which `hits` were
-    /// served from cache. Equivalent to [`CacheStats::record_class`].
+    /// served from cache.
     pub fn record_class(&mut self, class: RequestClass, blocks: u64, hits: u64) {
         let i = class as usize;
         self.class_seen |= 1 << i;
@@ -308,7 +302,7 @@ impl LocalCacheStats {
     }
 
     /// Records `blocks` accessed at priority `prio`, of which `hits` were
-    /// served from cache. Equivalent to [`CacheStats::record_priority`].
+    /// served from cache.
     pub fn record_priority(&mut self, prio: u8, blocks: u64, hits: u64) {
         let i = prio as usize;
         self.prio_seen[i / 64] |= 1 << (i % 64);
@@ -316,8 +310,8 @@ impl LocalCacheStats {
         self.prio_hits[i] += hits;
     }
 
-    /// Adds `blocks` to the counter of `action`. Equivalent to
-    /// [`CacheStats::record_action`] (including the zero-amount case).
+    /// Adds `blocks` to the counter of `action`. A zero amount still
+    /// creates the action's key in the snapshot.
     pub fn record_action(&mut self, action: CacheAction, blocks: u64) {
         let i = action.index();
         self.actions_seen |= 1 << i;
@@ -352,7 +346,8 @@ impl LocalCacheStats {
         }
         for (i, action) in CacheAction::ALL.iter().enumerate() {
             if self.actions_seen & (1 << i) != 0 {
-                out.actions.insert(format!("{action:?}"), self.actions[i]);
+                out.actions
+                    .insert(action.label().to_string(), self.actions[i]);
             }
         }
         out.contention = self.contention;
@@ -461,6 +456,13 @@ impl LatencyHistogram {
 mod tests {
     use super::*;
 
+    /// What `record` leaves in a fresh counter block, rendered.
+    fn recorded(record: impl FnOnce(&mut LocalCacheStats)) -> CacheStats {
+        let mut local = LocalCacheStats::new();
+        record(&mut local);
+        local.snapshot()
+    }
+
     #[test]
     fn hit_ratio_and_misses() {
         let c = ClassCounters {
@@ -474,12 +476,13 @@ mod tests {
 
     #[test]
     fn record_and_query_by_class_and_priority() {
-        let mut s = CacheStats::new();
-        s.record_class(RequestClass::Random, 100, 90);
-        s.record_class(RequestClass::Random, 10, 0);
-        s.record_class(RequestClass::Sequential, 1000, 3);
-        s.record_priority(2, 100, 90);
-        s.record_priority(3, 10, 0);
+        let s = recorded(|s| {
+            s.record_class(RequestClass::Random, 100, 90);
+            s.record_class(RequestClass::Random, 10, 0);
+            s.record_class(RequestClass::Sequential, 1000, 3);
+            s.record_priority(2, 100, 90);
+            s.record_priority(3, 10, 0);
+        });
 
         assert_eq!(s.class(RequestClass::Random).accessed_blocks, 110);
         assert_eq!(s.class(RequestClass::Random).cache_hits, 90);
@@ -491,17 +494,19 @@ mod tests {
 
     #[test]
     fn merge_sums_counters_and_residents() {
-        let mut a = CacheStats::new();
-        a.record_class(RequestClass::Random, 100, 40);
-        a.record_priority(2, 100, 40);
-        a.record_action(CacheAction::Eviction, 3);
+        let mut a = recorded(|a| {
+            a.record_class(RequestClass::Random, 100, 40);
+            a.record_priority(2, 100, 40);
+            a.record_action(CacheAction::Eviction, 3);
+        });
         a.resident_blocks = 10;
 
-        let mut b = CacheStats::new();
-        b.record_class(RequestClass::Random, 50, 10);
-        b.record_class(RequestClass::Sequential, 5, 0);
-        b.record_action(CacheAction::Eviction, 1);
-        b.record_action(CacheAction::Bypassing, 9);
+        let mut b = recorded(|b| {
+            b.record_class(RequestClass::Random, 50, 10);
+            b.record_class(RequestClass::Sequential, 5, 0);
+            b.record_action(CacheAction::Eviction, 1);
+            b.record_action(CacheAction::Bypassing, 9);
+        });
         b.resident_blocks = 7;
 
         a.merge(&b);
@@ -525,10 +530,11 @@ mod tests {
     fn merge_into_empty_copies_cache_level_state() {
         // Aggregating a single shard must reproduce its cache-level
         // counters exactly — the N=1 case of the sharded stats read path.
-        let mut shard = CacheStats::new();
-        shard.record_class(RequestClass::Update, 42, 7);
-        shard.record_priority(0, 42, 7);
-        shard.record_action(CacheAction::WriteBufferFlush, 11);
+        let mut shard = recorded(|shard| {
+            shard.record_class(RequestClass::Update, 42, 7);
+            shard.record_priority(0, 42, 7);
+            shard.record_action(CacheAction::WriteBufferFlush, 11);
+        });
         shard.resident_blocks = 3;
 
         let mut aggregate = CacheStats::new();
@@ -538,9 +544,10 @@ mod tests {
 
     #[test]
     fn merge_with_empty_other_is_identity() {
-        let mut a = CacheStats::new();
-        a.record_class(RequestClass::Random, 10, 4);
-        a.record_action(CacheAction::Eviction, 2);
+        let mut a = recorded(|a| {
+            a.record_class(RequestClass::Random, 10, 4);
+            a.record_action(CacheAction::Eviction, 2);
+        });
         a.resident_blocks = 5;
         let before = a.clone();
         a.merge(&CacheStats::new());
@@ -552,15 +559,16 @@ mod tests {
         // Shards only record what they saw: counters present on one side
         // and absent on the other must survive the merge in both
         // directions.
-        let mut a = CacheStats::new();
-        a.record_class(RequestClass::Random, 100, 40);
-        a.record_priority(2, 100, 40);
-        a.record_action(CacheAction::ReadAllocation, 60);
-
-        let mut b = CacheStats::new();
-        b.record_class(RequestClass::TemporaryData, 30, 30);
-        b.record_priority(1, 30, 30);
-        b.record_action(CacheAction::Trim, 30);
+        let a = recorded(|a| {
+            a.record_class(RequestClass::Random, 100, 40);
+            a.record_priority(2, 100, 40);
+            a.record_action(CacheAction::ReadAllocation, 60);
+        });
+        let b = recorded(|b| {
+            b.record_class(RequestClass::TemporaryData, 30, 30);
+            b.record_priority(1, 30, 30);
+            b.record_action(CacheAction::Trim, 30);
+        });
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -701,8 +709,7 @@ mod tests {
 
     #[test]
     fn contention_is_excluded_from_equality_but_merged() {
-        let mut a = CacheStats::new();
-        a.record_class(RequestClass::Random, 10, 4);
+        let mut a = recorded(|a| a.record_class(RequestClass::Random, 10, 4));
         let mut b = a.clone();
         b.contention.lock_acquisitions = 99;
         b.contention.fast_path_hits = 1;
@@ -718,18 +725,15 @@ mod tests {
     #[test]
     fn local_stats_snapshot_matches_locked_recording() {
         let mut local = LocalCacheStats::new();
-        let mut locked = CacheStats::new();
         for (class, blocks, hits) in [
             (RequestClass::Random, 100, 90),
             (RequestClass::Random, 10, 0),
             (RequestClass::Sequential, 1_000, 3),
         ] {
             local.record_class(class, blocks, hits);
-            locked.record_class(class, blocks, hits);
         }
         for (prio, blocks, hits) in [(2u8, 100, 90), (3, 10, 0), (2, 5, 5)] {
             local.record_priority(prio, blocks, hits);
-            locked.record_priority(prio, blocks, hits);
         }
         for (action, blocks) in [
             (CacheAction::CacheHit, 98),
@@ -737,20 +741,43 @@ mod tests {
             (CacheAction::Trim, 0),
         ] {
             local.record_action(action, blocks);
-            locked.record_action(action, blocks);
         }
         local.record_class(RequestClass::Update, 0, 0);
-        locked.record_class(RequestClass::Update, 0, 0);
         local.record_priority(7, 0, 0);
-        locked.record_priority(7, 0, 0);
         local.contention.lock_acquisitions += 3;
         local.contention.fast_path_hits += 1;
+        let counters = |accessed_blocks, cache_hits| ClassCounters {
+            accessed_blocks,
+            cache_hits,
+        };
         let snap = local.snapshot();
-        assert_eq!(snap, locked);
-        // Zero-amount records still create their keys, as in the map path.
-        assert!(snap.actions.contains_key("Trim"));
-        assert!(snap.per_class.contains_key("update"));
-        assert!(snap.per_priority.contains_key(&7));
+        // Zero-amount records still create their keys.
+        assert_eq!(
+            snap.per_class,
+            BTreeMap::from([
+                ("random".to_string(), counters(110, 90)),
+                ("sequential".to_string(), counters(1_000, 3)),
+                ("update".to_string(), counters(0, 0)),
+            ])
+        );
+        assert_eq!(
+            snap.per_priority,
+            BTreeMap::from([
+                (2, counters(105, 95)),
+                (3, counters(10, 0)),
+                (7, counters(0, 0))
+            ])
+        );
+        assert_eq!(
+            snap.actions,
+            BTreeMap::from([
+                ("CacheHit".to_string(), 98),
+                ("Eviction".to_string(), 4),
+                ("Trim".to_string(), 0),
+            ])
+        );
+        assert_eq!(snap.resident_blocks, 0);
+        assert_eq!((snap.ssd, snap.hdd), (None, None));
         assert_eq!(snap.contention.lock_acquisitions, 3);
         assert_eq!(snap.contention.fast_path_hits, 1);
         local.reset();
@@ -803,10 +830,11 @@ mod tests {
 
     #[test]
     fn actions_accumulate() {
-        let mut s = CacheStats::new();
-        s.record_action(CacheAction::Eviction, 5);
-        s.record_action(CacheAction::Eviction, 7);
-        s.record_action(CacheAction::Bypassing, 3);
+        let s = recorded(|s| {
+            s.record_action(CacheAction::Eviction, 5);
+            s.record_action(CacheAction::Eviction, 7);
+            s.record_action(CacheAction::Bypassing, 3);
+        });
         assert_eq!(s.action(CacheAction::Eviction), 12);
         assert_eq!(s.action(CacheAction::Bypassing), 3);
         assert_eq!(s.action(CacheAction::CacheHit), 0);

@@ -149,9 +149,14 @@ impl<S: StorageSystem> StorageSystem for TraceRecorder<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{StorageConfig, StorageConfigKind};
     use crate::hybrid::HybridCache;
     use crate::lru_cache::LruCache;
-    use hstorage_storage::{BlockRange, IoRequest, PolicyConfig, QosPolicy};
+    use hstorage_storage::{BlockRange, IoRequest, QosPolicy};
+
+    fn hybrid(capacity: u64) -> HybridCache {
+        HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, capacity))
+    }
 
     fn req(start: u64, class: RequestClass, policy: QosPolicy) -> ClassifiedRequest {
         ClassifiedRequest::new(
@@ -163,7 +168,7 @@ mod tests {
 
     #[test]
     fn records_requests_and_trims_in_order() {
-        let rec = TraceRecorder::new(HybridCache::new(PolicyConfig::paper_default(), 64));
+        let rec = TraceRecorder::new(hybrid(64));
         rec.submit(req(1, RequestClass::Random, QosPolicy::priority(2)));
         rec.submit(req(2, RequestClass::TemporaryData, QosPolicy::priority(1)));
         rec.trim(&TrimCommand::single(BlockRange::new(2u64, 1)));
@@ -176,7 +181,7 @@ mod tests {
 
     #[test]
     fn breakdown_by_class_and_policy() {
-        let rec = TraceRecorder::new(HybridCache::new(PolicyConfig::paper_default(), 64));
+        let rec = TraceRecorder::new(hybrid(64));
         for i in 0..5 {
             rec.submit(req(i, RequestClass::Random, QosPolicy::priority(2)));
         }
@@ -194,7 +199,7 @@ mod tests {
 
     #[test]
     fn replay_reproduces_identical_behaviour_on_an_identical_system() {
-        let rec = TraceRecorder::new(HybridCache::new(PolicyConfig::paper_default(), 32));
+        let rec = TraceRecorder::new(hybrid(32));
         for round in 0..3u64 {
             for i in 0..20u64 {
                 rec.submit(req(i, RequestClass::Random, QosPolicy::priority(2)));
@@ -203,7 +208,7 @@ mod tests {
         }
         let (original, trace) = rec.into_parts();
 
-        let replayed = HybridCache::new(PolicyConfig::paper_default(), 32);
+        let replayed = hybrid(32);
         let (stats, elapsed) = trace.replay(&replayed);
         assert_eq!(
             stats.totals(),
@@ -216,7 +221,7 @@ mod tests {
     #[test]
     fn replay_lets_managers_be_compared_on_identical_input() {
         // Record a pollution-heavy stream against hStorage-DB...
-        let rec = TraceRecorder::new(HybridCache::new(PolicyConfig::paper_default(), 64));
+        let rec = TraceRecorder::new(hybrid(64));
         for i in 0..64u64 {
             rec.submit(req(i, RequestClass::Random, QosPolicy::priority(2)));
         }

@@ -720,7 +720,7 @@ mod tests {
             ),
         );
         let mut exec = executor();
-        let hybrid = HybridCache::new(PolicyConfig::paper_default(), 10_000);
+        let hybrid = HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 10_000));
         let stats = exec.run_query(&plan, &mut cat, &hybrid);
         assert_eq!(stats.blocks(RequestClass::TemporaryData), 512); // write + read
         assert_eq!(stats.blocks(RequestClass::TemporaryDataTrim), 256);
@@ -739,7 +739,7 @@ mod tests {
             PlanNode::leaf(OperatorKind::Update, Access::Update { table, blocks: 50 }),
         );
         let mut exec = executor();
-        let hybrid = HybridCache::new(PolicyConfig::paper_default(), 10_000);
+        let hybrid = HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 10_000));
         let stats = exec.run_query(&plan, &mut cat, &hybrid);
         assert_eq!(stats.requests(RequestClass::Update), 50);
         let s = hybrid.stats();
@@ -788,7 +788,7 @@ mod tests {
         let plan = PlanTree::new("two-level", root);
 
         let mut exec = executor();
-        let hybrid = HybridCache::new(PolicyConfig::paper_default(), 10_000);
+        let hybrid = HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 10_000));
         exec.run_query(&plan, &mut cat, &hybrid);
         let s = hybrid.stats();
         assert!(s.priority(2).accessed_blocks > 0, "priority 2 traffic");

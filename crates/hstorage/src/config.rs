@@ -9,7 +9,11 @@ use hstorage_storage::PolicyConfig;
 use hstorage_tpch::TpchScale;
 use serde::{Deserialize, Serialize};
 
-/// Everything needed to build a [`TpchSystem`](crate::TpchSystem).
+/// Everything needed to build a [`TpchSystem`](crate::TpchSystem). Every
+/// field is public: start from [`SystemConfig::single_query`] or
+/// [`SystemConfig::throughput`] and override fields with struct-update
+/// syntax or assignment. Nothing is checked until the storage system is
+/// built (see [`StorageConfig::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// The TPC-H scale.
@@ -18,11 +22,10 @@ pub struct SystemConfig {
     pub storage_kind: StorageConfigKind,
     /// SSD cache capacity in blocks (ignored by the passthrough kinds).
     pub cache_blocks: u64,
-    /// DBMS buffer-pool capacity in blocks.
-    pub buffer_pool_blocks: u64,
     /// QoS policy parameters.
     pub policy: PolicyConfig,
-    /// Executor tuning.
+    /// Executor tuning, the DBMS buffer-pool size
+    /// ([`ExecutorConfig::buffer_pool_blocks`]) included.
     pub executor: ExecutorConfig,
     /// Lock-striping shard count for the hStorage-DB storage kind: 1 keeps
     /// the paper's exact global allocation/eviction; larger values enable
@@ -58,43 +61,42 @@ impl SystemConfig {
     /// buffer pool is kept small (≈2% of the data) so that storage sees the
     /// bulk of the accesses, as it does in the paper's measurements.
     pub fn single_query(scale: TpchScale, storage_kind: StorageConfigKind) -> Self {
-        let cache_blocks = scale.paper_single_query_cache_blocks();
-        let buffer_pool_blocks = (scale.total_blocks() / 50).max(64);
-        let executor = ExecutorConfig {
-            buffer_pool_blocks,
-            ..ExecutorConfig::default()
-        };
-        SystemConfig {
+        Self::sized(
             scale,
             storage_kind,
-            cache_blocks,
-            buffer_pool_blocks,
-            policy: PolicyConfig::paper_default(),
-            executor,
-            storage_shards: 1,
-            storage_queue_depth: 1,
-            cache_policy: CachePolicyKind::default(),
-            migration: MigrationConfig::default(),
-            journal: JournalConfig::default(),
-        }
+            scale.paper_single_query_cache_blocks(),
+            (scale.total_blocks() / 50).max(64),
+        )
     }
 
     /// The throughput-test setup of Section 6.4: 4 GB of cache and 2 GB of
     /// main memory over a 16 GB database, preserved as ratios.
     pub fn throughput(scale: TpchScale, storage_kind: StorageConfigKind) -> Self {
-        let cache_blocks = scale.paper_throughput_cache_blocks();
-        let buffer_pool_blocks = scale.paper_throughput_buffer_pool_blocks().max(64);
-        let executor = ExecutorConfig {
-            buffer_pool_blocks,
-            ..ExecutorConfig::default()
-        };
+        Self::sized(
+            scale,
+            storage_kind,
+            scale.paper_throughput_cache_blocks(),
+            scale.paper_throughput_buffer_pool_blocks().max(64),
+        )
+    }
+
+    /// The paper-default system with the given cache and buffer-pool
+    /// sizes.
+    fn sized(
+        scale: TpchScale,
+        storage_kind: StorageConfigKind,
+        cache_blocks: u64,
+        buffer_pool_blocks: u64,
+    ) -> Self {
         SystemConfig {
             scale,
             storage_kind,
             cache_blocks,
-            buffer_pool_blocks,
             policy: PolicyConfig::paper_default(),
-            executor,
+            executor: ExecutorConfig {
+                buffer_pool_blocks,
+                ..ExecutorConfig::default()
+            },
             storage_shards: 1,
             storage_queue_depth: 1,
             cache_policy: CachePolicyKind::default(),
@@ -103,79 +105,18 @@ impl SystemConfig {
         }
     }
 
-    /// Overrides the cache size (e.g. for ablations).
-    pub fn with_cache_blocks(mut self, blocks: u64) -> Self {
-        self.cache_blocks = blocks;
-        self
-    }
-
-    /// Overrides the policy parameters (e.g. for ablations).
-    pub fn with_policy(mut self, policy: PolicyConfig) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Overrides the storage shard count (e.g. for threaded throughput
-    /// runs).
-    pub fn with_storage_shards(mut self, shards: usize) -> Self {
-        self.storage_shards = shards;
-        self
-    }
-
-    /// Overrides the device queue depth for batched submission.
-    pub fn with_storage_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.storage_queue_depth = queue_depth;
-        self
-    }
-
-    /// Overrides the cache engine's replacement policy, including any
-    /// knob values the kind carries (e.g. for the policy-comparison and
-    /// knob-ablation experiments). Panics on out-of-range knobs, like
-    /// [`StorageConfig::with_cache_policy`].
-    pub fn with_cache_policy(mut self, cache_policy: CachePolicyKind) -> Self {
-        cache_policy
-            .validate()
-            .expect("invalid cache-policy configuration");
-        self.cache_policy = cache_policy;
-        self
-    }
-
-    /// Overrides the executor's scan-batch size (number of sequential
-    /// requests vectored into one `submit_batch` call).
-    pub fn with_io_batch_size(mut self, io_batch_size: usize) -> Self {
-        self.executor.io_batch_size = io_batch_size;
-        self
-    }
-
-    /// Overrides the tier-migration knobs of the hStorage-DB cache
-    /// engine. Panics on out-of-range knobs, like
-    /// [`StorageConfig::with_migration`].
-    pub fn with_migration(mut self, migration: MigrationConfig) -> Self {
-        migration
-            .validate()
-            .expect("invalid migration configuration");
-        self.migration = migration;
-        self
-    }
-
-    /// Overrides the write-ahead journaling knobs of the hStorage-DB cache
-    /// engine. Panics on out-of-range knobs, like
-    /// [`StorageConfig::with_journal`].
-    pub fn with_journal(mut self, journal: JournalConfig) -> Self {
-        journal.validate().expect("invalid journal configuration");
-        self.journal = journal;
-        self
-    }
-
     /// The storage configuration descriptor implied by this system config.
     pub fn storage_config(&self) -> StorageConfig {
-        StorageConfig::new(self.storage_kind, self.cache_blocks)
-            .with_policy(self.policy)
-            .with_shards(self.storage_shards)
-            .with_queue_depth(self.storage_queue_depth)
-            .with_cache_policy(self.cache_policy)
-            .with_migration(self.migration)
-            .with_journal(self.journal)
+        StorageConfig {
+            kind: self.storage_kind,
+            cache_capacity_blocks: self.cache_blocks,
+            policy: self.policy,
+            shards: self.storage_shards,
+            queue_depth: self.storage_queue_depth,
+            cache_policy: self.cache_policy,
+            migration: self.migration,
+            journal: self.journal,
+        }
     }
 }
 
@@ -189,8 +130,11 @@ mod tests {
         let cfg = SystemConfig::single_query(scale, StorageConfigKind::HStorageDb);
         let ratio = cfg.cache_blocks as f64 / scale.total_blocks() as f64;
         assert!((ratio - 32.0 / 46.0).abs() < 0.02);
-        assert!(cfg.buffer_pool_blocks < cfg.cache_blocks);
-        assert_eq!(cfg.executor.buffer_pool_blocks, cfg.buffer_pool_blocks);
+        assert!(cfg.executor.buffer_pool_blocks < cfg.cache_blocks);
+        assert_eq!(
+            cfg.executor.buffer_pool_blocks,
+            (scale.total_blocks() / 50).max(64)
+        );
     }
 
     #[test]
@@ -199,26 +143,35 @@ mod tests {
         let single = SystemConfig::single_query(scale, StorageConfigKind::Lru);
         let through = SystemConfig::throughput(scale, StorageConfigKind::Lru);
         assert!(through.cache_blocks < single.cache_blocks);
-        assert!(through.buffer_pool_blocks > 0);
+        assert!(through.executor.buffer_pool_blocks > 0);
     }
 
     #[test]
     fn builders_override_fields() {
-        let cfg = SystemConfig::single_query(TpchScale::new(0.05), StorageConfigKind::HStorageDb)
-            .with_cache_blocks(123)
-            .with_policy(PolicyConfig::with_priorities(6, 0.2));
-        assert_eq!(cfg.cache_blocks, 123);
-        assert_eq!(cfg.policy.total_priorities, 6);
-        assert_eq!(cfg.storage_config().cache_capacity_blocks, 123);
-        let sharded = cfg.with_storage_shards(8);
-        assert_eq!(sharded.storage_config().shards, 8);
-        let batched = sharded.with_storage_queue_depth(32).with_io_batch_size(64);
-        assert_eq!(batched.storage_config().queue_depth, 32);
-        assert_eq!(batched.executor.io_batch_size, 64);
-        let swapped = batched.with_cache_policy(CachePolicyKind::cflru());
+        let base = SystemConfig::single_query(TpchScale::new(0.05), StorageConfigKind::HStorageDb);
+        let mut cfg = SystemConfig {
+            cache_blocks: 123,
+            policy: PolicyConfig::with_priorities(6, 0.2),
+            storage_shards: 8,
+            storage_queue_depth: 32,
+            cache_policy: CachePolicyKind::cflru(),
+            ..base
+        };
+        cfg.executor.io_batch_size = 64;
+        let storage = cfg.storage_config();
+        assert_eq!(storage.cache_capacity_blocks, 123);
+        assert_eq!(storage.policy.total_priorities, 6);
+        assert_eq!(storage.shards, 8);
+        assert_eq!(storage.queue_depth, 32);
+        assert_eq!(storage.cache_policy, CachePolicyKind::cflru());
+        assert_eq!(cfg.executor.io_batch_size, 64);
+        // Every other field is the base's.
+        assert_eq!(storage.kind, StorageConfigKind::HStorageDb);
+        assert_eq!(storage.migration, base.migration);
+        assert_eq!(storage.journal, base.journal);
         assert_eq!(
-            swapped.storage_config().cache_policy,
-            CachePolicyKind::cflru()
+            cfg.executor.buffer_pool_blocks,
+            base.executor.buffer_pool_blocks
         );
     }
 
@@ -227,7 +180,10 @@ mod tests {
         let cfg = SystemConfig::single_query(TpchScale::new(0.05), StorageConfigKind::HStorageDb);
         assert!(!cfg.journal.enabled);
         assert!(!cfg.storage_config().journal.enabled);
-        let journaled = cfg.with_journal(JournalConfig::on().with_commit_interval(4));
+        let journaled = SystemConfig {
+            journal: JournalConfig::on().with_commit_interval(4),
+            ..cfg
+        };
         assert_eq!(journaled.storage_config().journal.commit_interval, 4);
     }
 

@@ -29,8 +29,10 @@ pub fn write_buffer_sweep(scale: TpchScale, fractions: &[f64]) -> Vec<AblationPo
         .map(|&b| {
             let mut policy = PolicyConfig::paper_default();
             policy.write_buffer_fraction = b;
-            let config = SystemConfig::single_query(scale, StorageConfigKind::HStorageDb)
-                .with_policy(policy);
+            let config = SystemConfig {
+                policy,
+                ..SystemConfig::single_query(scale, StorageConfigKind::HStorageDb)
+            };
             let mut system = TpchSystem::new(config);
             let stats = system.run_sequence(&[QueryId::Rf1, QueryId::Rf2]);
             let seconds = stats.iter().map(|s| s.elapsed.as_secs_f64()).sum();
@@ -49,8 +51,10 @@ pub fn priority_range_sweep(scale: TpchScale, priorities: &[u8]) -> Vec<Ablation
         .iter()
         .map(|&n| {
             let policy = PolicyConfig::with_priorities(n, 0.10);
-            let config = SystemConfig::single_query(scale, StorageConfigKind::HStorageDb)
-                .with_policy(policy);
+            let config = SystemConfig {
+                policy,
+                ..SystemConfig::single_query(scale, StorageConfigKind::HStorageDb)
+            };
             let mut system = TpchSystem::new(config);
             let stats = system.run(QueryId::Q(9));
             AblationPoint {
@@ -79,14 +83,13 @@ pub fn trim_ablation(scale: TpchScale) -> (AblationPoint, AblationPoint) {
     // the space stays occupied.)
     let scale_blocks = scale.total_blocks();
     let stale = scale_blocks / 10;
-    let mut without_trim = TpchSystem::new(
-        SystemConfig::single_query(scale, StorageConfigKind::HStorageDb).with_cache_blocks(
-            scale
-                .paper_single_query_cache_blocks()
-                .saturating_sub(stale)
-                .max(1),
-        ),
-    );
+    let mut without_trim = TpchSystem::new(SystemConfig {
+        cache_blocks: scale
+            .paper_single_query_cache_blocks()
+            .saturating_sub(stale)
+            .max(1),
+        ..SystemConfig::single_query(scale, StorageConfigKind::HStorageDb)
+    });
     let b = without_trim.run_sequence(&[QueryId::Q(18), QueryId::Q(9)]);
     let without_trim_secs: f64 = b.iter().map(|s| s.elapsed.as_secs_f64()).sum();
 

@@ -31,10 +31,10 @@
 use crate::report::format_table;
 use hstorage_cache::{
     apply_op, crash_offset, recover, replay_plan, verify_convergence, CacheEngine, JournalConfig,
-    MigrationConfig, StorageSystem,
+    MigrationConfig, StorageConfig, StorageConfigKind, StorageSystem,
 };
 use hstorage_storage::{
-    BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass, TrimCommand,
+    BlockRange, ClassifiedRequest, IoRequest, QosPolicy, RequestClass, TrimCommand,
 };
 use std::fmt;
 use std::time::Duration;
@@ -150,9 +150,11 @@ pub fn experiment_config() -> MigrationConfig {
 }
 
 fn build_engine(journal: JournalConfig) -> CacheEngine {
-    CacheEngine::new(PolicyConfig::paper_default(), BLOCKS)
-        .with_migration(experiment_config())
-        .with_journal(journal)
+    CacheEngine::new(
+        &StorageConfig::new(StorageConfigKind::HStorageDb, BLOCKS)
+            .with_migration(experiment_config())
+            .with_journal(journal),
+    )
 }
 
 fn read(lbn: u64, prio: u8) -> ClassifiedRequest {

@@ -55,8 +55,10 @@ pub struct PolicyAblationReport {
 }
 
 fn run_mix(scale: TpchScale, kind: CachePolicyKind) -> KnobRow {
-    let config =
-        SystemConfig::single_query(scale, StorageConfigKind::HStorageDb).with_cache_policy(kind);
+    let config = SystemConfig {
+        cache_policy: kind,
+        ..SystemConfig::single_query(scale, StorageConfigKind::HStorageDb)
+    };
     let mut system = TpchSystem::new(config);
     let stats = system.run_sequence(&QUERY_MIX);
     let seconds = stats.iter().map(|s| s.elapsed.as_secs_f64()).sum();

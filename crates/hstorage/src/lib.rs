@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use hstorage::{SystemConfig, TpchSystem};
-//! use hstorage_cache::StorageConfigKind;
+//! use hstorage_cache::{CacheEngine, StorageConfigKind};
 //! use hstorage_tpch::{QueryId, TpchScale};
 //!
 //! // A small database with the paper's cache:data ratio, managed by
@@ -35,6 +35,12 @@
 //! let mut system = TpchSystem::new(config);
 //! let stats = system.run(QueryId::Q(1));
 //! assert!(stats.elapsed.as_secs_f64() > 0.0);
+//!
+//! // Knobs are public fields, checked once when a system is built. The
+//! // storage engine on its own: one description, one constructor.
+//! let sharded = SystemConfig { storage_shards: 4, ..config };
+//! let engine = CacheEngine::new(&sharded.storage_config());
+//! assert_eq!(engine.shard_count(), 4);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -64,9 +64,10 @@ fn main() {
     // deterministic slicer above is the tool for reproducing the paper's
     // numbers; this is the tool for exercising actual parallelism.
     println!("\nThreaded run (hStorage-DB, 8 shards, bounded worker pool):");
-    let mut system = TpchSystem::new(
-        SystemConfig::throughput(scale, StorageConfigKind::HStorageDb).with_storage_shards(8),
-    );
+    let mut system = TpchSystem::new(SystemConfig {
+        storage_shards: 8,
+        ..SystemConfig::throughput(scale, StorageConfigKind::HStorageDb)
+    });
     let mut streams: Vec<(String, Vec<QueryId>)> = (0..PAPER_QUERY_STREAMS)
         .map(|i| (format!("stream-{}", i + 1), query_stream(i)))
         .collect();

@@ -115,9 +115,11 @@ fn folded_statistics_equal_a_locked_twin_after_every_operation() {
     for kind in common::matrix_kinds() {
         for migration in [MigrationConfig::off(), eager] {
             let build = || {
-                HybridCache::with_shard_count(PolicyConfig::paper_default(), 64, 4)
-                    .with_cache_policy(kind)
-                    .with_migration(migration)
+                HybridCache::new(
+                    &common::hstorage(64, 4)
+                        .with_cache_policy(kind)
+                        .with_migration(migration),
+                )
             };
             let (probed, quiet) = (build(), build());
             let config = PolicyConfig::paper_default();
@@ -182,12 +184,10 @@ fn concurrent_submits_conserve_every_counter() {
     const SHARED: u64 = 256;
     const PER_THREAD: u64 = 4_000;
     let threads = common::stress_threads();
-    let engine = HybridCache::with_shard_count(
-        PolicyConfig::paper_default(),
-        2 * (SHARED + threads * PER_THREAD),
-        8,
-    )
-    .with_migration(common::matrix_migration());
+    let engine = HybridCache::new(
+        &common::hstorage(2 * (SHARED + threads * PER_THREAD), 8)
+            .with_migration(common::matrix_migration()),
+    );
     let shared_read = |lbn: u64, len: u64, sequential: bool| {
         ClassifiedRequest::new(
             IoRequest::read(BlockRange::new(lbn, len), sequential),

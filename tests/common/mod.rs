@@ -1,7 +1,7 @@
 //! Helpers shared by the integration suites.
 
 use hstorage_cache::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
-use hstorage_cache::{CachePolicyKind, MigrationConfig};
+use hstorage_cache::{CachePolicyKind, MigrationConfig, StorageConfig, StorageConfigKind};
 use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy,
     RequestClass,
@@ -56,6 +56,14 @@ pub fn matrix_migration() -> MigrationConfig {
         Ok(v) => panic!("{MIGRATION_ENV}={v:?} must be \"on\" or \"off\""),
         Err(_) => MigrationConfig::off(),
     }
+}
+
+/// The hStorage-DB engine of `capacity` blocks over `shards` shards, every
+/// other field at its default: what the suites hand to
+/// `CacheEngine::new` after setting the knobs under test.
+#[allow(dead_code)] // the suites that build engines only through `SystemConfig` skip it
+pub fn hstorage(capacity: u64, shards: usize) -> StorageConfig {
+    StorageConfig::new(StorageConfigKind::HStorageDb, capacity).with_shards(shards)
 }
 
 /// Thread count of the stress tests: `HSTORAGE_STRESS_THREADS` (the CI

@@ -121,8 +121,8 @@ fn replay_on(cache: &HybridCache, events: &[Event]) -> CacheStats {
 #[test]
 fn sharded_and_unsharded_caches_agree_on_a_deterministic_trace() {
     let events = deterministic_trace();
-    let unsharded = HybridCache::new(PolicyConfig::paper_default(), 4_096);
-    let sharded = HybridCache::with_shard_count(PolicyConfig::paper_default(), 4_096, 8);
+    let unsharded = HybridCache::new(&common::hstorage(4_096, 1));
+    let sharded = HybridCache::new(&common::hstorage(4_096, 8));
     assert_eq!(unsharded.shard_count(), 1);
     assert_eq!(sharded.shard_count(), 8);
 
@@ -153,12 +153,16 @@ fn sharded_and_unsharded_engines_agree_under_every_policy() {
     let events = deterministic_trace();
     let migration = common::matrix_migration();
     for kind in common::matrix_kinds() {
-        let unsharded = HybridCache::new(PolicyConfig::paper_default(), 4_096)
-            .with_cache_policy(kind)
-            .with_migration(migration);
-        let sharded = HybridCache::with_shard_count(PolicyConfig::paper_default(), 4_096, 8)
-            .with_cache_policy(kind)
-            .with_migration(migration);
+        let unsharded = HybridCache::new(
+            &common::hstorage(4_096, 1)
+                .with_cache_policy(kind)
+                .with_migration(migration),
+        );
+        let sharded = HybridCache::new(
+            &common::hstorage(4_096, 8)
+                .with_cache_policy(kind)
+                .with_migration(migration),
+        );
         let s1 = replay_on(&unsharded, &events);
         let s8 = replay_on(&sharded, &events);
         assert_eq!(s1, s8, "{kind}");
@@ -176,9 +180,11 @@ fn concurrent_threads_are_fully_accounted_under_every_policy() {
     // Four threads on disjoint address ranges: every policy must account
     // every access exactly once through the lock-striped engine.
     for kind in common::matrix_kinds() {
-        let cache = HybridCache::with_shard_count(PolicyConfig::paper_default(), 8_192, 8)
-            .with_cache_policy(kind)
-            .with_migration(common::matrix_migration());
+        let cache = HybridCache::new(
+            &common::hstorage(8_192, 8)
+                .with_cache_policy(kind)
+                .with_migration(common::matrix_migration()),
+        );
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let cache = &cache;
@@ -243,8 +249,8 @@ proptest! {
         trim_start in 0u64..400,
         do_trim in any::<bool>(),
     ) {
-        let unsharded = HybridCache::new(PolicyConfig::paper_default(), 4_096);
-        let sharded = HybridCache::with_shard_count(PolicyConfig::paper_default(), 4_096, 8);
+        let unsharded = HybridCache::new(&common::hstorage(4_096, 1));
+        let sharded = HybridCache::new(&common::hstorage(4_096, 8));
         for req in &requests {
             unsharded.submit(*req);
             sharded.submit(*req);
@@ -265,12 +271,14 @@ proptest! {
         requests in prop::collection::vec(arb_bounded_request(), 1..100),
     ) {
         for kind in common::matrix_kinds() {
-            let unsharded = HybridCache::new(PolicyConfig::paper_default(), 4_096)
-                .with_cache_policy(kind)
-                .with_migration(common::matrix_migration());
-            let sharded = HybridCache::with_shard_count(PolicyConfig::paper_default(), 4_096, 8)
-                .with_cache_policy(kind)
-                .with_migration(common::matrix_migration());
+            let engine = |shards| {
+                HybridCache::new(
+                    &common::hstorage(4_096, shards)
+                        .with_cache_policy(kind)
+                        .with_migration(common::matrix_migration()),
+                )
+            };
+            let (unsharded, sharded) = (engine(1), engine(8));
             for req in &requests {
                 unsharded.submit(*req);
                 sharded.submit(*req);
@@ -397,7 +405,9 @@ fn threaded_driver_serves_the_same_blocks_as_the_deterministic_slicer() {
     );
 
     // Threaded driver against one shared Arc<HybridCache>.
-    let shared: Arc<dyn StorageSystem> = Arc::new(HybridCache::with_shard_count(policy, 5_000, 8));
+    let shared: Arc<dyn StorageSystem> = Arc::new(HybridCache::new(
+        &common::hstorage(5_000, 8).with_policy(policy),
+    ));
     let registry = ConcurrencyRegistry::new();
     let threaded = run_threaded(no_pool_config(), policy, &registry, &streams, &cat, &shared);
 
@@ -489,7 +499,9 @@ fn concurrent_spilling_streams_use_disjoint_temp_blocks() {
             queries: vec![spill_plan()],
         },
     ];
-    let shared: Arc<dyn StorageSystem> = Arc::new(HybridCache::with_shard_count(policy, 5_000, 8));
+    let shared: Arc<dyn StorageSystem> = Arc::new(HybridCache::new(
+        &common::hstorage(5_000, 8).with_policy(policy),
+    ));
     let registry = ConcurrencyRegistry::new();
     let completed = run_threaded(no_pool_config(), policy, &registry, &streams, &cat, &shared);
     assert_eq!(completed.len(), 2);
@@ -511,11 +523,7 @@ fn concurrent_spilling_streams_use_disjoint_temp_blocks() {
 fn concurrent_threads_never_lose_blocks_on_a_shared_cache() {
     // Raw storage-level stress: four threads hammer one sharded cache with
     // disjoint block ranges; every access must be accounted exactly once.
-    let cache = Arc::new(HybridCache::with_shard_count(
-        PolicyConfig::paper_default(),
-        8_192,
-        8,
-    ));
+    let cache = Arc::new(HybridCache::new(&common::hstorage(8_192, 8)));
     let per_thread = 2_000u64;
     std::thread::scope(|s| {
         for t in 0..4u64 {

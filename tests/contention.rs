@@ -62,9 +62,11 @@ proptest! {
     ) {
         for kind in common::matrix_kinds() {
             let build = || {
-                HybridCache::with_shard_count(PolicyConfig::paper_default(), 256, 8)
-                    .with_cache_policy(kind)
-                    .with_migration(common::matrix_migration())
+                HybridCache::new(
+                    &common::hstorage(256, 8)
+                        .with_cache_policy(kind)
+                        .with_migration(common::matrix_migration()),
+                )
             };
             let optimistic = build();
             let locked = locked_twin(build(), kind);
@@ -154,7 +156,7 @@ fn optimistic_reads_match_the_locked_path_for_every_policy() {
     // simulated time, residency and per-block state all agree with the
     // engine that takes the write lock on every submission.
     for kind in CachePolicyKind::all() {
-        let build = || HybridCache::new(PolicyConfig::paper_default(), 64).with_cache_policy(kind);
+        let build = || HybridCache::new(&common::hstorage(64, 1).with_cache_policy(kind));
         let optimistic = build();
         let locked = locked_twin(build(), kind);
         assert!(optimistic.optimistic_reads_active(), "{kind}");
@@ -209,7 +211,7 @@ fn contended_hot_reads_lose_no_counter() {
             QosPolicy::priority(2),
         )
     };
-    let build = || HybridCache::with_shard_count(PolicyConfig::paper_default(), capacity, 8);
+    let build = || HybridCache::new(&common::hstorage(capacity, 8));
     let concurrent = build();
     let twin = locked_twin(build(), CachePolicyKind::default());
     // Warm every thread's slice into residency on both engines.

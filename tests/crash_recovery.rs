@@ -9,17 +9,19 @@ use hstorage_cache::{
     HybridCache, JournalConfig, JournalRecord, MigrationConfig, StorageSystem,
 };
 use hstorage_storage::{
-    BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass, TrimCommand,
+    BlockRange, ClassifiedRequest, IoRequest, QosPolicy, RequestClass, TrimCommand,
 };
 use proptest::prelude::*;
 
 mod common;
 
 fn build(kind: CachePolicyKind, migration: MigrationConfig, journal: JournalConfig) -> HybridCache {
-    HybridCache::new(PolicyConfig::paper_default(), 128)
-        .with_cache_policy(kind)
-        .with_migration(migration)
-        .with_journal(journal)
+    HybridCache::new(
+        &common::hstorage(128, 1)
+            .with_cache_policy(kind)
+            .with_migration(migration)
+            .with_journal(journal),
+    )
 }
 
 /// An arbitrary classified request over a bounded address space.
@@ -91,8 +93,7 @@ fn wb_write(lbn: u64) -> ClassifiedRequest {
 /// write-buffer accounting, no phantom flush.
 #[test]
 fn a_crash_inside_a_drain_batch_never_tears_the_write_buffer() {
-    let fresh =
-        || HybridCache::new(PolicyConfig::paper_default(), 100).with_journal(JournalConfig::on());
+    let fresh = || HybridCache::new(&common::hstorage(100, 1).with_journal(JournalConfig::on()));
     let original = fresh();
     // Capacity 100 gives a 10-block write-buffer share: ten buffered
     // writes fill it, the eleventh overflows and drains.
@@ -124,8 +125,7 @@ fn a_crash_inside_a_drain_batch_never_tears_the_write_buffer() {
     assert!(outcome.torn_tail);
     assert_eq!(recovered.write_buffer_resident(), 10, "buffer torn");
     assert_eq!(recovered.stats().action(CacheAction::WriteBufferFlush), 0);
-    let clean =
-        HybridCache::new(PolicyConfig::paper_default(), 100).with_journal(JournalConfig::off());
+    let clean = HybridCache::new(&common::hstorage(100, 1).with_journal(JournalConfig::off()));
     for lbn in 0..10u64 {
         clean.submit(wb_write(lbn));
     }

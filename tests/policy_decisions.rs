@@ -16,8 +16,7 @@ use hstorage_cache::{
     CacheAction, CachePolicyKind, CacheStats, HybridCache, MigrationConfig, StorageSystem,
 };
 use hstorage_storage::{
-    BlockRange, ClassifiedRequest, DeviceStats, IoRequest, PolicyConfig, QosPolicy, RequestClass,
-    TrimCommand,
+    BlockRange, ClassifiedRequest, DeviceStats, IoRequest, QosPolicy, RequestClass, TrimCommand,
 };
 use std::time::Duration;
 
@@ -187,9 +186,11 @@ fn fingerprint(kind: CachePolicyKind, shards: usize, migration: bool) -> u64 {
     } else {
         MigrationConfig::off()
     };
-    let c = HybridCache::with_shard_count(PolicyConfig::paper_default(), 96, shards)
-        .with_cache_policy(kind)
-        .with_migration(config);
+    let c = HybridCache::new(
+        &common::hstorage(96, shards)
+            .with_cache_policy(kind)
+            .with_migration(config),
+    );
     let mut hash = Fnv::new();
     for op in trace(0xF1_4E_59_2A + shards as u64) {
         match op {

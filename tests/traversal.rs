@@ -117,8 +117,7 @@ fn recording_engine_of(
     let logs: Logs = Arc::new(Mutex::new(vec![Vec::new(); shards]));
     let next_shard = AtomicUsize::new(0);
     let factory_logs = Arc::clone(&logs);
-    let engine = HybridCache::with_shard_count(PolicyConfig::paper_default(), slots, shards)
-        .with_migration(migration)
+    let engine = HybridCache::new(&common::hstorage(slots, shards).with_migration(migration))
         .with_policy_factory("recording", move |capacity| {
             Box::new(Recording {
                 inner: inner(capacity),
@@ -457,9 +456,11 @@ fn scan(start: u64, len: u64) -> ClassifiedRequest {
 }
 
 fn engine(kind: CachePolicyKind, shards: usize) -> HybridCache {
-    HybridCache::with_shard_count(PolicyConfig::paper_default(), 4_096, shards)
-        .with_cache_policy(kind)
-        .with_migration(common::matrix_migration())
+    HybridCache::new(
+        &common::hstorage(4_096, shards)
+            .with_cache_policy(kind)
+            .with_migration(common::matrix_migration()),
+    )
 }
 
 #[test]
@@ -493,10 +494,11 @@ fn concurrent_walks_conserve_blocks_and_lock_counts() {
     const ROUNDS: u64 = 100;
     let threads = common::stress_threads();
     for kind in common::matrix_kinds() {
-        let c =
-            HybridCache::with_shard_count(PolicyConfig::paper_default(), threads * ROUNDS * 96, 8)
+        let c = HybridCache::new(
+            &common::hstorage(threads * ROUNDS * 96, 8)
                 .with_cache_policy(kind)
-                .with_migration(common::matrix_migration());
+                .with_migration(common::matrix_migration()),
+        );
         std::thread::scope(|s| {
             for t in 0..threads {
                 let c = &c;
