@@ -1,8 +1,7 @@
 //! CI performance-regression gate.
 //!
-//! Runs a quick submit workload (shared with the `batch_throughput` and
-//! `policy_sweep` benches via `hstorage_bench::workload`), writes the
-//! measurements to `BENCH_report.json` as machine-readable
+//! Runs the quick submit workloads of `hstorage_bench::workload`, writes
+//! the measurements to `BENCH_report.json` as machine-readable
 //! `PaperComparison`-style rows, compares them against the committed
 //! `BENCH_baseline.json`, and exits non-zero if any metric regressed by
 //! more than 25%.
@@ -45,7 +44,7 @@ use hstorage::experiments::{crash_recovery, tier_migration};
 use hstorage::report::{comparisons_from_json, comparisons_to_json, format_table, PaperComparison};
 use hstorage_bench::workload::{
     bench_storage, contended_hot_reads, drive, mixed_policy_run, random_read, scan_read,
-    service_latency_percentiles, warmed_cache, HOT_READS_PER_THREAD, QUEUE_DEPTH, TOTAL_SUBMITS,
+    service_latency_percentiles, warmed_cache, HOT_READS, QUEUE_DEPTH, TOTAL_SUBMITS,
 };
 use hstorage_cache::{CachePolicyKind, HybridCache, StorageSystem};
 
@@ -84,7 +83,7 @@ fn sim_random_seconds() -> f64 {
 /// the shared side of the shard lock.
 fn hot_read_fast_path_rate() -> f64 {
     let cache = warmed_cache();
-    contended_hot_reads(&cache, 1, HOT_READS_PER_THREAD);
+    contended_hot_reads(&cache, HOT_READS);
     cache.stats().contention.fast_path_rate()
 }
 

@@ -1,6 +1,5 @@
 //! Regenerates every table and figure of the paper's evaluation and prints
-//! them, together with the paper-vs-measured comparison rows recorded in
-//! EXPERIMENTS.md.
+//! them, together with the paper-vs-measured comparison rows.
 //!
 //! Usage:
 //! `cargo run --release -p hstorage-bench --bin run_experiments \

@@ -1,19 +1,15 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers of the experiment harness.
 //!
-//! Every Criterion bench in `benches/` regenerates one table or figure of
-//! the paper at a reduced TPC-H scale; the `run_experiments` binary runs
-//! them all once and prints the rows, which is what EXPERIMENTS.md records.
+//! The `run_experiments` binary regenerates the paper's tables and figures
+//! at a reduced TPC-H scale and, with `--check`, gates each key ratio on
+//! the paper's direction. The `bench_gate` binary gates the deterministic
+//! simulated-time rows built on [`workload`] against
+//! `BENCH_baseline.json`. Host wall time is `hbench`'s job
+//! (`benchmark/`).
 
 #![forbid(unsafe_code)]
 
 use hstorage_tpch::TpchScale;
-
-/// The scale the Criterion benches run at. Small enough that a single
-/// experiment iteration completes in well under a second, large enough that
-/// the cache/buffer-pool ratios are meaningful.
-pub fn bench_scale() -> TpchScale {
-    TpchScale::new(0.02)
-}
 
 /// The scale the `run_experiments` binary uses for the single-query
 /// experiments (Figures 4–9, Tables 4–7).
@@ -27,12 +23,8 @@ pub fn report_concurrency_scale() -> TpchScale {
     TpchScale::new(0.05)
 }
 
-/// The submit-throughput workload shared by the `batch_throughput` bench
-/// and the `bench_gate` CI binary.
-///
-/// Both must measure the *same* workload — the bench is how a developer
-/// inspects a regression the gate reports — so the request shapes, cache
-/// construction and drive loop live here, once.
+/// The deterministic workloads behind `bench_gate`'s rows: request
+/// shapes, cache construction and drive loops.
 pub mod workload {
     use hstorage_cache::{
         CachePolicyKind, HybridCache, StorageConfig, StorageConfigKind, StorageSystem,
@@ -139,14 +131,14 @@ pub mod workload {
     /// every shard stays permanently armed no matter how threads
     /// interleave — the workload isolates pure lock-path cost.
     pub const HOT_SET: u64 = SHARDS as u64;
-    /// Hot reads each thread issues per contended run.
-    pub const HOT_READS_PER_THREAD: u64 = 2_000;
+    /// Hot reads per contended run.
+    pub const HOT_READS: u64 = 2_000;
 
     /// The `i`-th hot read of the contended workload: a single-block
     /// priority-2 random read that rotates over the [`HOT_SET`] every 16
-    /// requests. All threads share one schedule, so under contention they
-    /// pile onto the same shard — worst case for an exclusive hot path,
-    /// best case for an optimistic shared one.
+    /// requests. Threads sharing this schedule pile onto the same shard —
+    /// worst case for an exclusive hot path, best case for an optimistic
+    /// shared one.
     pub fn hot_read(i: u64) -> ClassifiedRequest {
         ClassifiedRequest::new(
             IoRequest::read(BlockRange::new((i / 16) % HOT_SET, 1), false),
@@ -171,24 +163,15 @@ pub mod workload {
         cache
     }
 
-    /// Drives `per_thread` hot reads through `cache` from each of
-    /// `threads` OS threads, all sharing the [`hot_read`] schedule.
-    /// Returns the resident block count so benches have a value to
-    /// `black_box`.
-    pub fn contended_hot_reads(cache: &HybridCache, threads: usize, per_thread: u64) -> u64 {
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    for i in 0..per_thread {
-                        cache.submit(hot_read(i));
-                    }
-                });
-            }
-        });
-        cache.resident_blocks()
+    /// Drives `reads` hot reads of the [`hot_read`] schedule through
+    /// `cache` on the calling thread.
+    pub fn contended_hot_reads(cache: &HybridCache, reads: u64) {
+        for i in 0..reads {
+            cache.submit(hot_read(i));
+        }
     }
 
-    /// The benches' cache engine: [`BLOCKS`] blocks over [`SHARDS`]
+    /// The workloads' cache engine: [`BLOCKS`] blocks over [`SHARDS`]
     /// shards at device queue depth `queue_depth`, running the paper's
     /// policy unless the caller sets another.
     pub fn bench_storage(queue_depth: usize) -> StorageConfig {
@@ -199,13 +182,8 @@ pub mod workload {
 
     /// Drives [`TOTAL_SUBMITS`] requests of the given shape through `cache`
     /// in `batch`-sized vectored submissions (batch 1 degenerates to the
-    /// per-request `submit` path). Returns the resident block count so
-    /// benches have a value to `black_box`.
-    pub fn drive(
-        cache: &HybridCache,
-        batch: usize,
-        make: impl Fn(u64) -> ClassifiedRequest,
-    ) -> u64 {
+    /// per-request `submit` path).
+    pub fn drive(cache: &HybridCache, batch: usize, make: impl Fn(u64) -> ClassifiedRequest) {
         let mut buf = Vec::with_capacity(batch);
         for i in 0..TOTAL_SUBMITS {
             buf.push(make(i));
@@ -216,7 +194,6 @@ pub mod workload {
         if !buf.is_empty() {
             cache.submit_batch(buf);
         }
-        cache.resident_blocks()
     }
 
     /// Runs a fixed mixed-shape query workload through the query service
@@ -325,7 +302,6 @@ mod tests {
 
     #[test]
     fn scales_are_ordered() {
-        assert!(bench_scale().scale_factor <= report_concurrency_scale().scale_factor);
         assert!(report_concurrency_scale().scale_factor <= report_scale().scale_factor);
     }
 }

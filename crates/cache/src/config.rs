@@ -337,7 +337,7 @@ mod tests {
         assert_eq!(panic_of(|| drop(journaled.build())), None);
         assert_eq!(panic_of(|| drop(CacheEngine::new(&journaled))), None);
 
-        let cases: [(StorageConfig, &str); 7] = [
+        let cases: [(StorageConfig, &str); 8] = [
             (valid.with_shards(0), "shard count must be positive"),
             (valid.with_queue_depth(0), "queue depth must be positive"),
             (
@@ -359,17 +359,15 @@ mod tests {
                 "invalid cache-policy configuration",
             ),
             (
-                valid.with_migration(MigrationConfig {
-                    round_budget: 0,
-                    ..MigrationConfig::on()
-                }),
+                valid.with_migration(MigrationConfig::on().with_half_life_rounds(0)),
                 "invalid migration configuration",
             ),
             (
-                valid.with_journal(JournalConfig {
-                    enabled: true,
-                    commit_interval: 0,
-                }),
+                valid.with_migration(MigrationConfig::on().with_round_budget(0)),
+                "invalid migration configuration",
+            ),
+            (
+                valid.with_journal(JournalConfig::on().with_commit_interval(0)),
                 "invalid journal configuration",
             ),
         ];

@@ -33,7 +33,7 @@
 //! shard (the default, used by the paper-figure experiments) the behaviour
 //! is block-for-block identical to the original exclusive implementation;
 //! a [`StorageConfig`] with more `shards` enables real parallelism for the
-//! threaded drivers and benches.
+//! query service and other multi-threaded callers.
 //!
 //! Each shard keeps all of its state behind **one** `RwLock`:
 //!

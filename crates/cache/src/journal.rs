@@ -96,7 +96,6 @@ impl JournalConfig {
     /// Sets the group-commit width (operations per batch).
     pub fn with_commit_interval(mut self, ops: u32) -> Self {
         self.commit_interval = ops;
-        self.validate().expect("invalid journal configuration");
         self
     }
 

@@ -137,11 +137,9 @@ impl MigrationConfig {
         }
     }
 
-    /// Overrides the heat half-life. Panics on 0, like
-    /// [`Self::with_round_budget`].
+    /// Overrides the heat half-life.
     pub fn with_half_life_rounds(mut self, rounds: u32) -> Self {
         self.half_life_rounds = rounds;
-        self.validate().expect("invalid migration configuration");
         self
     }
 
@@ -151,10 +149,9 @@ impl MigrationConfig {
         self
     }
 
-    /// Overrides the per-round migration budget. Panics on 0.
+    /// Overrides the per-round migration budget.
     pub fn with_round_budget(mut self, budget: usize) -> Self {
         self.round_budget = budget;
-        self.validate().expect("invalid migration configuration");
         self
     }
 
@@ -459,15 +456,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid migration configuration")]
     fn zero_half_life_is_rejected() {
-        let _ = MigrationConfig::on().with_half_life_rounds(0);
+        let config = MigrationConfig::on().with_half_life_rounds(0);
+        assert_eq!(
+            config.validate(),
+            Err("migration half_life_rounds must be at least 1".into())
+        );
     }
 
     #[test]
-    #[should_panic(expected = "invalid migration configuration")]
     fn zero_budget_is_rejected() {
-        let _ = MigrationConfig::on().with_round_budget(0);
+        let config = MigrationConfig::on().with_round_budget(0);
+        assert_eq!(
+            config.validate(),
+            Err("migration round_budget must be at least 1".into())
+        );
     }
 
     #[test]

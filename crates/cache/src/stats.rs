@@ -363,8 +363,8 @@ impl LocalCacheStats {
 /// Exact-sample latency recorder with nearest-rank percentile queries.
 ///
 /// The service layer records one sample per completed request (simulated
-/// time between submission pickup and completion), and the benches report
-/// p50/p99/p999 from the full sample set — no bucketing, no interpolation,
+/// time between submission pickup and completion), and `bench_gate`
+/// reports p50/p99 from the full sample set — no bucketing, no interpolation,
 /// so the percentiles are deterministic for a deterministic workload.
 /// Samples are stored as whole nanoseconds.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -5,8 +5,7 @@
 //! assignment (which priority did a request actually carry?) and to build
 //! Figure-4-style breakdowns for new workloads without instrumenting the
 //! engine. Traces can also be replayed against a different storage
-//! configuration, which is how the cache microbenches compare managers on
-//! identical input.
+//! configuration, to compare managers on identical input.
 //!
 //! The recorder shares the `&self` [`StorageSystem`] interface, so the
 //! trace buffer lives behind a mutex; with concurrent callers the recorded

@@ -10,17 +10,12 @@
 //! its lock only after a query has started or ended somewhere.
 //!
 //! Storage is accessed through `&dyn StorageSystem`: the storage service is
-//! shared, and all its mutation is interior. Two multi-stream drivers are
-//! provided on top of the single-query path:
-//!
-//! * [`run_concurrent`] — the deterministic cooperative slicer used by the
-//!   paper-figure experiments: one executor, one buffer pool, streams
-//!   interleaved a fixed number of operations at a time. Fully
-//!   reproducible, single-threaded.
-//! * [`run_threaded`] — real OS-thread concurrency: each stream runs on its
-//!   own thread with its own executor (and buffer pool) against one shared
-//!   `Arc<dyn StorageSystem>`, with one [`ConcurrencyRegistry`] shared by
-//!   all streams so Rule 5 still governs priority assignment.
+//! shared, and all its mutation is interior. On top of the single-query
+//! path, [`run_concurrent`] is the deterministic cooperative slicer the
+//! paper-figure experiments use: one executor, one buffer pool, streams
+//! interleaved a fixed number of operations at a time. Fully reproducible,
+//! single-threaded. Real OS-thread concurrency is the query service's job
+//! ([`crate::run_streams_service`]).
 //!
 //! Sequential streams (table scans, temporary-data generation and
 //! consumption) are issued in *vectored batches* of up to
@@ -48,7 +43,6 @@ use hstorage_storage::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Executor tuning knobs.
@@ -437,7 +431,7 @@ pub struct CompletedQuery {
 /// This is the *deterministic* driver: a single thread, a fixed
 /// interleaving, bit-identical results run to run — the tool for
 /// reproducing the paper's throughput figures. For real parallelism over OS
-/// threads use [`run_threaded`].
+/// threads use [`crate::run_streams_service`].
 pub fn run_concurrent(
     executor: &mut QueryExecutor,
     streams: &[StreamSpec],
@@ -501,95 +495,6 @@ pub fn run_concurrent(
         }
     }
     completed
-}
-
-/// Runs query streams in parallel OS threads against one shared storage
-/// system, over a **bounded** pool of at most
-/// `min(streams.len(), available_parallelism)` threads.
-///
-/// Every stream gets its own [`QueryExecutor`] (with its own DBMS buffer
-/// pool and a per-stream RNG seed of `config.seed + stream index`) and its
-/// own clone of `catalog` for temporary-file bookkeeping, with the temp
-/// region relocated to a disjoint full-size per-stream copy so concurrent
-/// spills never alias each other's blocks in the shared storage; all
-/// executors share `registry`, so Rule 5 priority assignment sees every
-/// concurrently running query exactly as the cooperative slicer does. The
-/// storage system serializes internally (lock striping in the hybrid
-/// cache), so the total device traffic is the union of all streams'
-/// requests — but the interleaving, and therefore per-query cache hit
-/// counts, are scheduling-dependent. Use [`run_concurrent`] when bit-exact
-/// reproducibility matters and `run_threaded` to exercise or measure real
-/// parallelism.
-///
-/// Pool workers claim whole streams from a shared counter, so a workload of
-/// many streams completes over a fixed number of threads instead of
-/// spawning one thread per stream (the fan-out bug this replaces — 10,000
-/// streams used to mean 10,000 OS threads). A stream's per-stream state
-/// (seed, temp region) depends only on its *index*, not on which worker
-/// runs it. At most `available_parallelism` streams run at once; for
-/// latency percentiles over huge stream counts, or for open-loop request
-/// traffic, use the [`crate::service`] layer instead.
-///
-/// Results are returned grouped by stream, in stream order.
-pub fn run_threaded(
-    config: ExecutorConfig,
-    policy: PolicyConfig,
-    registry: &ConcurrencyRegistry,
-    streams: &[StreamSpec],
-    catalog: &Catalog,
-    storage: &Arc<dyn StorageSystem>,
-) -> Vec<CompletedQuery> {
-    let workers = streams.len().min(crate::service::available_parallelism());
-    let next_stream = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<Mutex<Vec<CompletedQuery>>> =
-        streams.iter().map(|_| Mutex::new(Vec::new())).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let next_stream = &next_stream;
-            let results = &results;
-            let registry = registry.clone();
-            scope.spawn(move || loop {
-                let idx = next_stream.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(stream) = streams.get(idx) else {
-                    break;
-                };
-                let mut catalog = catalog.clone();
-                // Relocate each stream's temp region to a disjoint,
-                // full-size copy of the original (stream 0 keeps the
-                // original placement), so concurrent spills never alias
-                // each other's blocks in the shared storage. The block
-                // address space is simulated, so stacking fresh regions
-                // past the original is free; keeping the original length
-                // preserves each stream's spill/wrap behaviour. A single
-                // stream keeps the whole region and the parent's cursor,
-                // matching plain `run_query`.
-                if streams.len() > 1 {
-                    let region = catalog.temp_region();
-                    let start = region.start.0 + idx as u64 * region.len;
-                    catalog.set_temp_region(BlockRange::new(start, region.len));
-                }
-                let stream_config = ExecutorConfig {
-                    seed: config.seed.wrapping_add(idx as u64),
-                    ..config
-                };
-                let mut executor =
-                    QueryExecutor::with_registry(stream_config, policy, registry.clone());
-                let completed: Vec<CompletedQuery> = stream
-                    .queries
-                    .iter()
-                    .map(|plan| CompletedQuery {
-                        stream: stream.name.clone(),
-                        stats: executor.run_query(plan, &mut catalog, storage.as_ref()),
-                    })
-                    .collect();
-                *results[idx].lock().expect("result slot poisoned") = completed;
-            });
-        }
-    });
-    results
-        .into_iter()
-        .flat_map(|slot| slot.into_inner().expect("result slot poisoned"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -891,105 +796,6 @@ mod tests {
         assert!(contended.elapsed > solo.elapsed);
     }
 
-    #[test]
-    fn threaded_driver_completes_all_queries_on_shared_storage() {
-        let (cat, table, index) = small_catalog();
-        let storage: Arc<dyn StorageSystem> =
-            StorageConfig::new(StorageConfigKind::HStorageDb, 5_000)
-                .with_shards(8)
-                .build_shared();
-        let registry = ConcurrencyRegistry::new();
-        let streams = vec![
-            StreamSpec {
-                name: "s1".into(),
-                queries: vec![random_plan(table, index, 500), seq_plan(table)],
-            },
-            StreamSpec {
-                name: "s2".into(),
-                queries: vec![seq_plan(table)],
-            },
-            StreamSpec {
-                name: "s3".into(),
-                queries: vec![random_plan(table, index, 200)],
-            },
-        ];
-        let cfg = ExecutorConfig {
-            buffer_pool_blocks: 128,
-            ..ExecutorConfig::default()
-        };
-        let done = run_threaded(
-            cfg,
-            PolicyConfig::paper_default(),
-            &registry,
-            &streams,
-            &cat,
-            &storage,
-        );
-        assert_eq!(done.len(), 4);
-        assert_eq!(registry.active_queries(), 0);
-        assert!(done.iter().all(|q| q.stats.elapsed > Duration::ZERO));
-        // Results are grouped by stream, in stream order.
-        let order: Vec<&str> = done.iter().map(|q| q.stream.as_str()).collect();
-        assert_eq!(order, ["s1", "s1", "s2", "s3"]);
-    }
-
-    /// Forwards to an inner storage system while recording every OS
-    /// thread that ever touches it — ground truth for the pool bound.
-    struct ThreadRecordingStorage {
-        inner: Box<dyn StorageSystem>,
-        threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
-    }
-
-    impl ThreadRecordingStorage {
-        fn new(inner: Box<dyn StorageSystem>) -> Self {
-            ThreadRecordingStorage {
-                inner,
-                threads: std::sync::Mutex::new(std::collections::HashSet::new()),
-            }
-        }
-
-        fn record(&self) {
-            self.threads
-                .lock()
-                .unwrap()
-                .insert(std::thread::current().id());
-        }
-
-        fn distinct_threads(&self) -> usize {
-            self.threads.lock().unwrap().len()
-        }
-    }
-
-    impl StorageSystem for ThreadRecordingStorage {
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-        fn submit(&self, req: ClassifiedRequest) {
-            self.record();
-            self.inner.submit(req);
-        }
-        fn submit_batch(&self, reqs: Vec<ClassifiedRequest>) {
-            self.record();
-            self.inner.submit_batch(reqs);
-        }
-        fn trim(&self, cmd: &TrimCommand) {
-            self.record();
-            self.inner.trim(cmd);
-        }
-        fn stats(&self) -> hstorage_cache::CacheStats {
-            self.inner.stats()
-        }
-        fn now(&self) -> Duration {
-            self.inner.now()
-        }
-        fn reset_stats(&self) {
-            self.inner.reset_stats();
-        }
-        fn resident_blocks(&self) -> u64 {
-            self.inner.resident_blocks()
-        }
-    }
-
     /// Keeps the policy of every request submitted, and nothing else.
     #[derive(Default)]
     struct PolicyRecorder {
@@ -1092,97 +898,5 @@ mod tests {
         registry.unregister_query(&plan_b, ticket_b);
         assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(3));
         assert_eq!(next(&mut b, &mut ops_b, bounds_b), QosPolicy::priority(2));
-    }
-
-    #[test]
-    fn threaded_driver_bounds_its_thread_fan_out() {
-        // Regression test for the thread-explosion bug: 10,000 single-query
-        // streams used to spawn 10,000 OS threads. The pooled driver must
-        // complete them all over at most `available_parallelism` workers.
-        let mut cat = Catalog::new();
-        let tiny = cat.register("tiny", ObjectKind::Table, BlockRange::new(0u64, 1));
-        cat.set_temp_region(BlockRange::new(50_000u64, 64));
-        let recorder = Arc::new(ThreadRecordingStorage::new(
-            StorageConfig::new(StorageConfigKind::HStorageDb, 1_000)
-                .with_shards(8)
-                .build(),
-        ));
-        let storage: Arc<dyn StorageSystem> = recorder.clone();
-        let streams: Vec<StreamSpec> = (0..10_000)
-            .map(|i| StreamSpec {
-                name: format!("s{i}"),
-                queries: vec![seq_plan(tiny)],
-            })
-            .collect();
-        let cfg = ExecutorConfig {
-            buffer_pool_blocks: 16,
-            ..ExecutorConfig::default()
-        };
-        let registry = ConcurrencyRegistry::new();
-        let done = run_threaded(
-            cfg,
-            PolicyConfig::paper_default(),
-            &registry,
-            &streams,
-            &cat,
-            &storage,
-        );
-        assert_eq!(done.len(), 10_000);
-        assert_eq!(registry.active_queries(), 0);
-        // Results stay grouped by stream, in stream order.
-        assert_eq!(done[0].stream, "s0");
-        assert_eq!(done[9_999].stream, "s9999");
-        let bound = crate::service::available_parallelism();
-        let threads = recorder.distinct_threads();
-        assert!(
-            threads <= bound,
-            "{threads} distinct submitter threads exceed the pool bound {bound}"
-        );
-        assert!(
-            threads < 10_000,
-            "thread fan-out must not scale with streams"
-        );
-    }
-
-    #[test]
-    fn threaded_driver_with_one_stream_matches_run_query() {
-        let (cat, table, index) = small_catalog();
-        let plans = vec![random_plan(table, index, 400), seq_plan(table)];
-        let cfg = ExecutorConfig {
-            buffer_pool_blocks: 128,
-            ..ExecutorConfig::default()
-        };
-
-        let mut solo_cat = cat.clone();
-        let mut exec = QueryExecutor::new(cfg, PolicyConfig::paper_default());
-        let storage = StorageConfig::new(StorageConfigKind::HStorageDb, 5_000).build();
-        let solo: Vec<QueryStats> = plans
-            .iter()
-            .map(|p| exec.run_query(p, &mut solo_cat, storage.as_ref()))
-            .collect();
-
-        let shared: Arc<dyn StorageSystem> =
-            StorageConfig::new(StorageConfigKind::HStorageDb, 5_000).build_shared();
-        let registry = ConcurrencyRegistry::new();
-        let streams = vec![StreamSpec {
-            name: "only".into(),
-            queries: plans.clone(),
-        }];
-        let threaded = run_threaded(
-            cfg,
-            PolicyConfig::paper_default(),
-            &registry,
-            &streams,
-            &cat,
-            &shared,
-        );
-        assert_eq!(threaded.len(), solo.len());
-        for (t, s) in threaded.iter().zip(&solo) {
-            assert_eq!(t.stats.total_blocks(), s.total_blocks());
-            assert_eq!(t.stats.total_requests(), s.total_requests());
-            for class in RequestClass::all() {
-                assert_eq!(t.stats.blocks(class), s.blocks(class), "{class:?}");
-            }
-        }
     }
 }

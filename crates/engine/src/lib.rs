@@ -50,9 +50,7 @@ pub mod stats;
 pub use buffer_pool::BufferPool;
 pub use catalog::{Catalog, ObjectId, ObjectKind};
 pub use concurrency::ConcurrencyRegistry;
-pub use executor::{
-    run_concurrent, run_threaded, CompletedQuery, ExecutorConfig, QueryExecutor, StreamSpec,
-};
+pub use executor::{run_concurrent, CompletedQuery, ExecutorConfig, QueryExecutor, StreamSpec};
 pub use migration::MigrationDriver;
 pub use plan::{Access, OperatorKind, PlanNode, PlanTree};
 pub use policy_table::PolicyAssignmentTable;

@@ -6,10 +6,10 @@
 //! has accrued. Something on the DBMS side has to supply those calls.
 //! [`QueryExecutor::run_query`](crate::QueryExecutor::run_query) pulses
 //! the storage system at every query boundary — the executor's natural
-//! idle points — which covers the threaded drivers and the query service
-//! for free. [`MigrationDriver`] is the explicit alternative for callers
-//! that drive the storage system directly (experiments, benches, custom
-//! loops) and want to pulse on their own cadence while keeping count.
+//! idle points — which covers the query service for free.
+//! [`MigrationDriver`] is the explicit alternative for callers that drive
+//! the storage system directly (experiments, benchmarks, custom loops) and
+//! want to pulse on their own cadence while keeping count.
 
 use hstorage_cache::{MigrationStats, StorageSystem};
 use std::sync::atomic::{AtomicU64, Ordering};

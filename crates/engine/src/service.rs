@@ -1,12 +1,11 @@
 //! The query-service front end: a bounded worker pool over a bounded
 //! submission queue.
 //!
-//! The library drivers ([`crate::run_concurrent`], [`crate::run_threaded`])
-//! bind concurrency to *streams*: one cooperative slice or one pool slot per
-//! stream. That shape cannot express a server sustaining tens of thousands
-//! of logical query streams, and the obvious extension — a thread per
-//! stream — is exactly the thread-explosion bug this module replaces. The
-//! service decouples the two axes:
+//! The deterministic slicer ([`crate::run_concurrent`]) binds concurrency to
+//! *streams*: one cooperative slice per stream, all on one thread. That
+//! shape cannot express a server sustaining tens of thousands of logical
+//! query streams, and the obvious extension — a thread per stream — is a
+//! thread explosion. The service decouples the two axes:
 //!
 //! * **logical concurrency** — any number of in-flight [`QueryRequest`]s,
 //!   each tagged with the logical stream it belongs to;
@@ -88,16 +87,9 @@ impl ServiceConfig {
         if self.workers > 0 {
             self.workers
         } else {
-            available_parallelism()
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         }
     }
-}
-
-/// The machine's available hardware parallelism (1 if unknown).
-pub(crate) fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// One unit of work for the service: a query plan tagged with the logical
@@ -324,13 +316,14 @@ impl QueryService {
                 let registry = registry.clone();
                 let storage = Arc::clone(storage);
                 let mut catalog = catalog.clone();
-                // Same aliasing rule as `run_threaded`, but per worker
-                // slot instead of per stream: a worker runs one query at a
-                // time, and a spill's lifetime is contained in one query,
-                // so disjoint per-worker temp regions suffice no matter
-                // how many logical streams are in flight. A single worker
-                // keeps the original placement, matching plain
-                // `run_query`.
+                // Relocate each worker's temp region to a disjoint,
+                // full-size copy of the original past it (the block
+                // address space is simulated, so the copies are free). A
+                // worker runs one query at a time, and a spill's lifetime
+                // is contained in one query, so disjoint per-worker temp
+                // regions suffice no matter how many logical streams are
+                // in flight. A single worker keeps the original placement,
+                // matching plain `run_query`.
                 if worker_count > 1 {
                     let region = catalog.temp_region();
                     let start = region.start.0 + idx as u64 * region.len;
@@ -431,8 +424,7 @@ impl Drop for QueryService {
 /// The result of a [`run_streams_service`] run.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
-    /// Completed queries grouped by stream, in stream order (the same
-    /// shape [`crate::run_threaded`] returns).
+    /// Completed queries grouped by stream, in stream order.
     pub completed: Vec<CompletedQuery>,
     /// One simulated-latency sample per completed query: the per-worker
     /// shards merged in worker-index order.
@@ -551,21 +543,47 @@ pub fn run_streams_service(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::ObjectKind;
+    use crate::catalog::{ObjectId, ObjectKind};
     use crate::plan::{Access, OperatorKind, PlanNode};
-    use hstorage_cache::{StorageConfig, StorageConfigKind};
+    use hstorage_cache::{CacheStats, StorageConfig, StorageConfigKind};
+    use hstorage_storage::{ClassifiedRequest, RequestClass, TrimCommand};
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
 
-    fn small_catalog() -> (Catalog, crate::catalog::ObjectId) {
+    fn small_catalog() -> (Catalog, ObjectId) {
         let mut cat = Catalog::new();
         let table = cat.register("orders", ObjectKind::Table, BlockRange::new(0u64, 400));
         cat.set_temp_region(BlockRange::new(50_000u64, 1_000));
         (cat, table)
     }
 
-    fn seq_plan(table: crate::catalog::ObjectId) -> PlanTree {
+    fn seq_plan(table: ObjectId) -> PlanTree {
         PlanTree::new(
             "seq",
             PlanNode::leaf(OperatorKind::SeqScan, Access::SeqScan { table, passes: 1 }),
+        )
+    }
+
+    /// [`small_catalog`] plus an index over its table.
+    fn indexed_catalog() -> (Catalog, ObjectId, ObjectId) {
+        let (mut cat, table) = small_catalog();
+        let index = cat.register("idx_orders", ObjectKind::Index, BlockRange::new(400u64, 40));
+        (cat, table, index)
+    }
+
+    fn random_plan(table: ObjectId, index: ObjectId, lookups: u64) -> PlanTree {
+        PlanTree::new(
+            "rand",
+            PlanNode::leaf(
+                OperatorKind::IndexScan,
+                Access::IndexScan {
+                    index,
+                    table,
+                    lookups,
+                    index_hot_fraction: 0.5,
+                    table_hot_fraction: 0.2,
+                },
+            ),
         )
     }
 
@@ -923,5 +941,186 @@ mod tests {
         assert_eq!(a.per_worker[0].latency, a.latency);
         assert_eq!(a.per_worker, b.per_worker);
         assert_eq!(a.contention, b.contention);
+    }
+
+    #[test]
+    fn threaded_driver_completes_all_queries_on_shared_storage() {
+        let (cat, table, index) = indexed_catalog();
+        let storage: Arc<dyn StorageSystem> =
+            StorageConfig::new(StorageConfigKind::HStorageDb, 5_000)
+                .with_shards(8)
+                .build_shared();
+        let registry = ConcurrencyRegistry::new();
+        let streams = vec![
+            StreamSpec {
+                name: "s1".into(),
+                queries: vec![random_plan(table, index, 500), seq_plan(table)],
+            },
+            StreamSpec {
+                name: "s2".into(),
+                queries: vec![seq_plan(table)],
+            },
+            StreamSpec {
+                name: "s3".into(),
+                queries: vec![random_plan(table, index, 200)],
+            },
+        ];
+        let report = run_streams_service(
+            cfg(),
+            ServiceConfig {
+                workers: 3,
+                queue_depth: 4,
+            },
+            PolicyConfig::paper_default(),
+            &registry,
+            &streams,
+            &cat,
+            &storage,
+        );
+        let done = report.completed;
+        assert_eq!(done.len(), 4);
+        assert_eq!(registry.active_queries(), 0);
+        assert!(done.iter().all(|q| q.stats.elapsed > Duration::ZERO));
+        // Results are grouped by stream, in stream order.
+        let order: Vec<&str> = done.iter().map(|q| q.stream.as_str()).collect();
+        assert_eq!(order, ["s1", "s1", "s2", "s3"]);
+    }
+
+    /// Forwards to an inner storage system while recording every OS
+    /// thread that ever touches it — ground truth for the pool bound.
+    struct ThreadRecordingStorage {
+        inner: Box<dyn StorageSystem>,
+        threads: Mutex<HashSet<ThreadId>>,
+    }
+
+    impl ThreadRecordingStorage {
+        fn record(&self) {
+            let mut threads = self.threads.lock().unwrap();
+            threads.insert(std::thread::current().id());
+        }
+    }
+
+    impl StorageSystem for ThreadRecordingStorage {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn submit(&self, req: ClassifiedRequest) {
+            self.record();
+            self.inner.submit(req);
+        }
+        fn submit_batch(&self, reqs: Vec<ClassifiedRequest>) {
+            self.record();
+            self.inner.submit_batch(reqs);
+        }
+        fn trim(&self, cmd: &TrimCommand) {
+            self.record();
+            self.inner.trim(cmd);
+        }
+        fn stats(&self) -> CacheStats {
+            self.inner.stats()
+        }
+        fn now(&self) -> Duration {
+            self.inner.now()
+        }
+        fn reset_stats(&self) {
+            self.inner.reset_stats();
+        }
+        fn resident_blocks(&self) -> u64 {
+            self.inner.resident_blocks()
+        }
+    }
+
+    #[test]
+    fn threaded_driver_bounds_its_thread_fan_out() {
+        // Regression test for the thread-explosion bug: 10,000 single-query
+        // streams must not mean 10,000 OS threads. The closed loop completes
+        // them all over at most `effective_workers()` workers.
+        let mut cat = Catalog::new();
+        let tiny = cat.register("tiny", ObjectKind::Table, BlockRange::new(0u64, 1));
+        cat.set_temp_region(BlockRange::new(50_000u64, 64));
+        let recorder = Arc::new(ThreadRecordingStorage {
+            inner: StorageConfig::new(StorageConfigKind::HStorageDb, 1_000)
+                .with_shards(8)
+                .build(),
+            threads: Mutex::new(HashSet::new()),
+        });
+        let storage: Arc<dyn StorageSystem> = recorder.clone();
+        let streams: Vec<StreamSpec> = (0..10_000)
+            .map(|i| StreamSpec {
+                name: format!("s{i}"),
+                queries: vec![seq_plan(tiny)],
+            })
+            .collect();
+        let service = ServiceConfig::default();
+        let registry = ConcurrencyRegistry::new();
+        let report = run_streams_service(
+            ExecutorConfig {
+                buffer_pool_blocks: 16,
+                ..ExecutorConfig::default()
+            },
+            service,
+            PolicyConfig::paper_default(),
+            &registry,
+            &streams,
+            &cat,
+            &storage,
+        );
+        let done = report.completed;
+        assert_eq!(done.len(), 10_000);
+        assert_eq!(registry.active_queries(), 0);
+        // Results stay grouped by stream, in stream order.
+        assert_eq!(done[0].stream, "s0");
+        assert_eq!(done[9_999].stream, "s9999");
+        let bound = service.effective_workers();
+        let threads = recorder.threads.lock().unwrap().len();
+        assert!(
+            threads <= bound,
+            "{threads} distinct submitter threads exceed the pool bound {bound}"
+        );
+        assert!(
+            threads < 10_000,
+            "thread fan-out must not scale with streams"
+        );
+    }
+
+    #[test]
+    fn threaded_driver_with_one_stream_matches_run_query() {
+        let (cat, table, index) = indexed_catalog();
+        let plans = vec![random_plan(table, index, 400), seq_plan(table)];
+
+        let mut solo_cat = cat.clone();
+        let mut exec = QueryExecutor::new(cfg(), PolicyConfig::paper_default());
+        let storage = StorageConfig::new(StorageConfigKind::HStorageDb, 5_000).build();
+        let solo: Vec<QueryStats> = plans
+            .iter()
+            .map(|p| exec.run_query(p, &mut solo_cat, storage.as_ref()))
+            .collect();
+
+        let shared: Arc<dyn StorageSystem> =
+            StorageConfig::new(StorageConfigKind::HStorageDb, 5_000).build_shared();
+        let streams = vec![StreamSpec {
+            name: "only".into(),
+            queries: plans,
+        }];
+        let report = run_streams_service(
+            cfg(),
+            ServiceConfig {
+                workers: 1,
+                queue_depth: 1,
+            },
+            PolicyConfig::paper_default(),
+            &ConcurrencyRegistry::new(),
+            &streams,
+            &cat,
+            &shared,
+        );
+        assert_eq!(report.completed.len(), solo.len());
+        for (t, s) in report.completed.iter().zip(&solo) {
+            assert_eq!(t.stats.total_blocks(), s.total_blocks());
+            assert_eq!(t.stats.total_requests(), s.total_requests());
+            for class in RequestClass::all() {
+                assert_eq!(t.stats.blocks(class), s.blocks(class), "{class:?}");
+            }
+        }
     }
 }

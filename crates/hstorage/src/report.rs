@@ -4,8 +4,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// One paper-vs-measured comparison row, used by EXPERIMENTS.md and the
-/// benchmark harness output.
+/// One paper-vs-measured comparison row, as `run_experiments` and
+/// `bench_gate` print and record it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PaperComparison {
     /// What is being compared ("Q9 SSD-only/HDD-only speedup", …).

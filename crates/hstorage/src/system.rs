@@ -4,8 +4,8 @@
 use crate::config::SystemConfig;
 use hstorage_cache::{CacheStats, StorageSystem};
 use hstorage_engine::{
-    run_concurrent, run_streams_service, run_threaded, CompletedQuery, ConcurrencyRegistry,
-    QueryExecutor, QueryStats, ServiceConfig, ServiceReport, StreamSpec,
+    run_concurrent, run_streams_service, CompletedQuery, ConcurrencyRegistry, QueryExecutor,
+    QueryStats, ServiceConfig, ServiceReport, StreamSpec,
 };
 use hstorage_tpch::{build_plan, QueryId, TpchDatabase};
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use std::time::Duration;
 /// A complete system instance: database + storage + executor.
 ///
 /// The storage system is held behind an `Arc` so it can be shared with the
-/// OS threads of [`TpchSystem::run_streams_threaded`]; every storage method
+/// worker threads of [`TpchSystem::run_streams_service`]; every storage method
 /// takes `&self`, so the façade never needs an exclusive borrow of it.
 pub struct TpchSystem {
     config: SystemConfig,
@@ -87,29 +87,8 @@ impl TpchSystem {
         )
     }
 
-    /// Runs several query streams on real OS threads — one thread per
-    /// stream — against the shared storage system. All streams share the
-    /// system's concurrency registry (Rule 5); each gets its own buffer
-    /// pool and catalog snapshot. See
-    /// [`run_threaded`] for the determinism
-    /// trade-off versus [`TpchSystem::run_streams`].
-    pub fn run_streams_threaded(
-        &mut self,
-        streams: &[(String, Vec<QueryId>)],
-    ) -> Vec<CompletedQuery> {
-        let specs = self.stream_specs(streams);
-        run_threaded(
-            self.config.executor,
-            self.config.policy,
-            self.executor.registry(),
-            &specs,
-            &self.db.catalog,
-            &self.storage,
-        )
-    }
-
     /// Runs query streams through the bounded-worker query service (the
-    /// recommended concurrency driver): a fixed pool of
+    /// multi-threaded counterpart of [`TpchSystem::run_streams`]): a fixed pool of
     /// [`ServiceConfig::workers`] OS threads consumes the streams' queries
     /// from a bounded submission queue in a closed loop, no matter how
     /// many logical streams there are. Returns the completed queries
@@ -230,15 +209,22 @@ mod tests {
 
     #[test]
     fn threaded_streams_complete_all_queries() {
+        // The default service: one worker per unit of hardware parallelism.
         let mut sys = tiny(StorageConfigKind::HStorageDb);
-        let completed = sys.run_streams_threaded(&[
-            ("s1".to_string(), vec![QueryId::Q(1), QueryId::Q(6)]),
-            ("s2".to_string(), vec![QueryId::Q(19)]),
-            ("s3".to_string(), vec![QueryId::Q(6)]),
-        ]);
-        assert_eq!(completed.len(), 4);
+        let report = sys.run_streams_service(
+            &[
+                ("s1".to_string(), vec![QueryId::Q(1), QueryId::Q(6)]),
+                ("s2".to_string(), vec![QueryId::Q(19)]),
+                ("s3".to_string(), vec![QueryId::Q(6)]),
+            ],
+            ServiceConfig::default(),
+        );
+        assert_eq!(report.completed.len(), 4);
         assert_eq!(sys.executor.registry().active_queries(), 0);
-        assert!(completed.iter().all(|q| q.stats.elapsed > Duration::ZERO));
+        assert!(report
+            .completed
+            .iter()
+            .all(|q| q.stats.elapsed > Duration::ZERO));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use hstorage::{SystemConfig, TpchSystem};
 use hstorage_cache::StorageConfigKind;
+use hstorage_engine::ServiceConfig;
 use hstorage_tpch::throughput::{
     query_stream, throughput_metric, update_stream, PAPER_QUERY_STREAMS,
 };
@@ -58,12 +59,13 @@ fn main() {
          the interleaved sequential scans of the other streams."
     );
 
-    // The same workload again, but on real OS threads: a bounded worker
-    // pool (at most `available_parallelism` threads) claims the streams
-    // against a single shared, lock-striped storage service. The
-    // deterministic slicer above is the tool for reproducing the paper's
-    // numbers; this is the tool for exercising actual parallelism.
-    println!("\nThreaded run (hStorage-DB, 8 shards, bounded worker pool):");
+    // The same workload again, but on real OS threads: the query service's
+    // bounded worker pool (one thread per unit of available parallelism)
+    // runs the streams in a closed loop against a single shared,
+    // lock-striped storage service. The deterministic slicer above is the
+    // tool for reproducing the paper's numbers; this is the tool for
+    // exercising actual parallelism.
+    println!("\nThreaded run (hStorage-DB, 8 shards, query service):");
     let mut system = TpchSystem::new(SystemConfig {
         storage_shards: 8,
         ..SystemConfig::throughput(scale, StorageConfigKind::HStorageDb)
@@ -72,7 +74,9 @@ fn main() {
         .map(|i| (format!("stream-{}", i + 1), query_stream(i)))
         .collect();
     streams.push(("updates".to_string(), update_stream(PAPER_QUERY_STREAMS)));
-    let completed = system.run_streams_threaded(&streams);
+    let completed = system
+        .run_streams_service(&streams, ServiceConfig::default())
+        .completed;
     let total_blocks: u64 = completed.iter().map(|c| c.stats.total_blocks()).sum();
     println!(
         "  {} queries completed across {} streams, {} blocks served, {:.1} s simulated",

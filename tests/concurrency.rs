@@ -1,11 +1,13 @@
 //! Concurrency tests for the shared storage service: sharded/unsharded
 //! equivalence of the hybrid cache, and agreement between the threaded
-//! driver, the deterministic slicer and plain single-query execution.
+//! query-service driver, the deterministic slicer and plain single-query
+//! execution.
 
 use hstorage_cache::{CacheStats, HybridCache, StorageConfig, StorageConfigKind, StorageSystem};
 use hstorage_engine::{
-    run_concurrent, run_threaded, Access, Catalog, ConcurrencyRegistry, ExecutorConfig, ObjectKind,
-    OperatorKind, PlanNode, PlanTree, QueryExecutor, StreamSpec,
+    run_concurrent, run_streams_service, Access, Catalog, CompletedQuery, ConcurrencyRegistry,
+    ExecutorConfig, ObjectKind, OperatorKind, PlanNode, PlanTree, QueryExecutor, ServiceConfig,
+    StreamSpec,
 };
 use hstorage_storage::{
     BlockAddr, BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass,
@@ -366,6 +368,28 @@ fn no_pool_config() -> ExecutorConfig {
     }
 }
 
+/// Runs `streams` through the query service at `workers` OS threads, in a
+/// closed loop under the paper's policy, against the shared `storage`.
+fn run_on_service(
+    config: ExecutorConfig,
+    workers: usize,
+    streams: &[StreamSpec],
+    catalog: &Catalog,
+    storage: &Arc<dyn StorageSystem>,
+) -> Vec<CompletedQuery> {
+    let registry = ConcurrencyRegistry::new();
+    let service = ServiceConfig {
+        workers,
+        ..ServiceConfig::default()
+    };
+    let policy = PolicyConfig::paper_default();
+    let report = run_streams_service(
+        config, service, policy, &registry, streams, catalog, storage,
+    );
+    assert_eq!(registry.active_queries(), 0);
+    report.completed
+}
+
 fn three_streams(
     table: hstorage_engine::ObjectId,
     index: hstorage_engine::ObjectId,
@@ -404,18 +428,15 @@ fn threaded_driver_serves_the_same_blocks_as_the_deterministic_slicer() {
         16,
     );
 
-    // Threaded driver against one shared Arc<HybridCache>.
+    // Three service workers against one shared Arc<HybridCache>.
     let shared: Arc<dyn StorageSystem> = Arc::new(HybridCache::new(
         &common::hstorage(5_000, 8).with_policy(policy),
     ));
-    let registry = ConcurrencyRegistry::new();
-    let threaded = run_threaded(no_pool_config(), policy, &registry, &streams, &cat, &shared);
+    let threaded = run_on_service(no_pool_config(), 3, &streams, &cat, &shared);
 
     assert_eq!(sliced.len(), 5);
     assert_eq!(threaded.len(), 5);
-    let total = |qs: &[hstorage_engine::CompletedQuery]| -> u64 {
-        qs.iter().map(|q| q.stats.total_blocks()).sum()
-    };
+    let total = |qs: &[CompletedQuery]| -> u64 { qs.iter().map(|q| q.stats.total_blocks()).sum() };
     assert_eq!(total(&threaded), total(&sliced));
     // Per-class totals agree too.
     for class in RequestClass::all() {
@@ -460,12 +481,11 @@ fn threaded_driver_with_one_stream_matches_run_query_exactly() {
 
     let shared: Arc<dyn StorageSystem> =
         StorageConfig::new(StorageConfigKind::HStorageDb, 5_000).build_shared();
-    let registry = ConcurrencyRegistry::new();
     let streams = vec![StreamSpec {
         name: "only".into(),
         queries: plans,
     }];
-    let threaded = run_threaded(config, policy, &registry, &streams, &cat, &shared);
+    let threaded = run_on_service(config, 1, &streams, &cat, &shared);
 
     assert_eq!(threaded.len(), solo.len());
     for (t, s) in threaded.iter().zip(&solo) {
@@ -483,7 +503,7 @@ fn threaded_driver_with_one_stream_matches_run_query_exactly() {
 
 #[test]
 fn concurrent_spilling_streams_use_disjoint_temp_blocks() {
-    // Each threaded stream gets a disjoint slice of the temp region, so two
+    // Each service worker gets a disjoint copy of the temp region, so two
     // streams spilling at the same time never alias each other's temporary
     // blocks: every temp read hits the block its own stream wrote, and every
     // stream's end-of-lifetime TRIM removes exactly its own 128 blocks.
@@ -502,8 +522,7 @@ fn concurrent_spilling_streams_use_disjoint_temp_blocks() {
     let shared: Arc<dyn StorageSystem> = Arc::new(HybridCache::new(
         &common::hstorage(5_000, 8).with_policy(policy),
     ));
-    let registry = ConcurrencyRegistry::new();
-    let completed = run_threaded(no_pool_config(), policy, &registry, &streams, &cat, &shared);
+    let completed = run_on_service(no_pool_config(), 2, &streams, &cat, &shared);
     assert_eq!(completed.len(), 2);
 
     let stats = shared.stats();
