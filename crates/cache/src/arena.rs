@@ -202,11 +202,6 @@ impl ListHandle {
         })
     }
 
-    /// Iterates keys back → front (least → most recently used).
-    pub fn iter_back<'a>(&self, arena: &'a ListArena) -> ListIter<'a> {
-        ListIter(self.nodes_back(arena))
-    }
-
     /// Iterates node indices back → front — for a scan that consults
     /// per-node state ([`NodeFlags`]) on its way from the LRU end.
     pub fn nodes_back<'a>(&self, arena: &'a ListArena) -> NodeIter<'a> {
@@ -355,7 +350,7 @@ mod tests {
         let b = list.push_front(&mut arena, BlockAddr(2));
         let _c = list.push_front(&mut arena, BlockAddr(3));
         list.remove(&mut arena, b);
-        let order: Vec<BlockAddr> = list.iter_back(&arena).copied().collect();
+        let order: Vec<BlockAddr> = list.nodes_back(&arena).map(|n| arena.key(n)).collect();
         assert_eq!(order, vec![BlockAddr(1), BlockAddr(3)]);
         assert_eq!(list.len(), 2);
     }
@@ -480,7 +475,7 @@ mod tests {
                 let front: Vec<u64> = list.iter_front(&arena).map(|b| b.0).collect();
                 let expect: Vec<u64> = model.iter().copied().collect();
                 prop_assert_eq!(front, expect);
-                let mut back: Vec<u64> = list.iter_back(&arena).map(|b| b.0).collect();
+                let mut back: Vec<u64> = list.nodes_back(&arena).map(|n| arena.key(n).0).collect();
                 back.reverse();
                 let expect: Vec<u64> = model.iter().copied().collect();
                 prop_assert_eq!(back, expect);

@@ -1,14 +1,14 @@
-//! An order-preserving LRU list with O(1) touch/insert/remove by address.
+//! An order-preserving LRU list with O(1) insert/remove by address.
 //!
 //! One intrusive list in a private arena ([`crate::arena`]) indexed by an
 //! open-addressing `lbn → node` map ([`crate::table::OpenMap`]) — dense
 //! `u32` links, no per-node heap allocation, no SipHash. It is for lists
 //! whose keys have no other index: the ghost directories, which remember
-//! *absent* addresses, and the DBMS buffer pool. Lists of resident cache
-//! blocks need no index of their own — the engine's block table carries
-//! each block's node handle (see [`crate::priority_group`]).
+//! *absent* addresses. Lists of resident cache blocks need no index of
+//! their own — the engine's block table carries each block's node handle
+//! (see [`crate::priority_group`]).
 
-use crate::arena::{ListArena, ListHandle, ListIter};
+use crate::arena::{ListArena, ListHandle};
 use crate::table::OpenMap;
 use hstorage_storage::BlockAddr;
 
@@ -66,28 +66,11 @@ impl LruList {
         fresh
     }
 
-    /// Marks `key` as most recently used. Returns `false` if the key is not
-    /// present.
-    pub fn touch(&mut self, key: &BlockAddr) -> bool {
-        match self.index.get(key.0) {
-            Some(&slot) => {
-                self.list.move_front(&mut self.arena, slot);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Removes and returns the least recently used key.
     pub fn pop_lru(&mut self) -> Option<BlockAddr> {
         let key = self.list.pop_back(&mut self.arena)?;
         self.index.remove(key.0);
         Some(key)
-    }
-
-    /// Returns (without removing) the least recently used key.
-    pub fn peek_lru(&self) -> Option<&BlockAddr> {
-        self.list.back(&self.arena)
     }
 
     /// Removes a specific key. Returns `true` if it was present.
@@ -100,24 +83,19 @@ impl LruList {
             None => false,
         }
     }
-
-    /// Iterates keys from most to least recently used.
-    pub fn iter_mru(&self) -> ListIter<'_> {
-        self.list.iter_front(&self.arena)
-    }
-
-    /// Iterates keys from least to most recently used (eviction order) —
-    /// what a policy scans when it searches near the LRU end, e.g. CFLRU's
-    /// clean-first window.
-    pub fn iter_lru(&self) -> ListIter<'_> {
-        self.list.iter_back(&self.arena)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::VecDeque;
+
+    /// The keys from least to most recently used, read by draining a clone
+    /// with `pop_lru`.
+    fn lru_order(l: &LruList) -> Vec<u64> {
+        let mut l = l.clone();
+        std::iter::from_fn(|| l.pop_lru()).map(|b| b.0).collect()
+    }
 
     #[test]
     fn insert_and_pop_order() {
@@ -135,11 +113,12 @@ mod tests {
 
     #[test]
     fn touch_moves_to_front() {
+        // Re-inserting is how a key is touched: the LRU key becomes MRU.
         let mut l = LruList::new();
         l.insert_mru(BlockAddr(1));
         l.insert_mru(BlockAddr(2));
         l.insert_mru(BlockAddr(3));
-        assert!(l.touch(&BlockAddr(1)));
+        assert!(!l.insert_mru(BlockAddr(1)));
         assert_eq!(l.pop_lru(), Some(BlockAddr(2)));
         assert_eq!(l.pop_lru(), Some(BlockAddr(3)));
         assert_eq!(l.pop_lru(), Some(BlockAddr(1)));
@@ -148,7 +127,10 @@ mod tests {
     #[test]
     fn touch_missing_returns_false() {
         let mut l = LruList::new();
-        assert!(!l.touch(&BlockAddr(42)));
+        l.insert_mru(BlockAddr(1));
+        assert!(!l.contains(&BlockAddr(42)));
+        assert!(!l.remove(&BlockAddr(42)));
+        assert_eq!(lru_order(&l), vec![1], "a miss leaves the list as it was");
     }
 
     #[test]
@@ -176,10 +158,12 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
+        // Reading the order from a clone leaves the list itself whole.
         let mut l = LruList::new();
         l.insert_mru(BlockAddr(7));
-        assert_eq!(l.peek_lru(), Some(&BlockAddr(7)));
+        assert_eq!(lru_order(&l), vec![7]);
         assert_eq!(l.len(), 1);
+        assert!(l.contains(&BlockAddr(7)));
     }
 
     #[test]
@@ -188,8 +172,9 @@ mod tests {
         for i in 0..5u64 {
             l.insert_mru(BlockAddr(i));
         }
-        l.touch(&BlockAddr(0));
-        let order: Vec<u64> = l.iter_mru().map(|b| b.0).collect();
+        l.insert_mru(BlockAddr(0));
+        let mut order = lru_order(&l);
+        order.reverse();
         assert_eq!(order, vec![0, 4, 3, 2, 1]);
     }
 
@@ -199,13 +184,13 @@ mod tests {
         for i in 0..5u64 {
             l.insert_mru(BlockAddr(i));
         }
-        l.touch(&BlockAddr(2));
-        let mru: Vec<u64> = l.iter_mru().map(|b| b.0).collect();
-        let mut lru: Vec<u64> = l.iter_lru().map(|b| b.0).collect();
-        lru.reverse();
-        assert_eq!(mru, lru);
-        assert_eq!(l.iter_lru().next(), l.peek_lru());
-        assert_eq!(LruList::new().iter_lru().count(), 0);
+        l.insert_mru(BlockAddr(2));
+        let lru = lru_order(&l);
+        assert_eq!(lru, vec![0, 1, 3, 4, 2]);
+        // The clone's drain is the order the list itself evicts in.
+        let evicted: Vec<u64> = std::iter::from_fn(|| l.pop_lru()).map(|b| b.0).collect();
+        assert_eq!(evicted, lru);
+        assert!(lru_order(&LruList::new()).is_empty());
     }
 
     #[test]
@@ -229,8 +214,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// The list agrees with a `VecDeque` model (front = MRU) on any
-        /// operation trace: same answers, same length, same recency order
-        /// in both iteration directions after every operation.
+        /// operation trace: same answers, same length, and the same
+        /// recency order — read by draining a clone — after every
+        /// operation.
         #[test]
         fn lru_list_matches_a_vecdeque_model(
             ops in proptest::collection::vec((0u8..5, 0u64..24), 1..300),
@@ -246,29 +232,19 @@ mod tests {
             for (op, key) in ops {
                 let addr = BlockAddr(key);
                 match op {
-                    0 => {
+                    // Inserts, new keys and touches of present ones alike.
+                    0 | 1 => {
                         let fresh = !take(&mut model, key);
                         model.push_front(key);
                         prop_assert_eq!(list.insert_mru(addr), fresh);
-                    }
-                    1 => {
-                        let present = take(&mut model, key);
-                        if present {
-                            model.push_front(key);
-                        }
-                        prop_assert_eq!(list.touch(&addr), present);
                     }
                     2 => prop_assert_eq!(list.pop_lru().map(|b| b.0), model.pop_back()),
                     3 => prop_assert_eq!(list.remove(&addr), take(&mut model, key)),
                     _ => prop_assert_eq!(list.contains(&addr), model.contains(&key)),
                 }
                 prop_assert_eq!(list.len(), model.len());
-                prop_assert_eq!(list.peek_lru().map(|b| b.0), model.back().copied());
-                let mru: Vec<u64> = list.iter_mru().map(|b| b.0).collect();
-                prop_assert_eq!(&mru, &Vec::from(model.clone()));
-                let mut lru: Vec<u64> = list.iter_lru().map(|b| b.0).collect();
-                lru.reverse();
-                prop_assert_eq!(lru, mru);
+                let expect: Vec<u64> = model.iter().rev().copied().collect();
+                prop_assert_eq!(lru_order(&list), expect);
             }
         }
     }

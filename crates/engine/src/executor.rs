@@ -243,9 +243,7 @@ impl QueryExecutor {
                 // the blocks are invalidated.
                 self.flush_pending(storage);
                 storage.trim(&TrimCommand::single(*range));
-                for block in range.iter() {
-                    self.buffer_pool.invalidate(block);
-                }
+                self.buffer_pool.invalidate_range(*range);
                 catalog.drop_temp(*oid);
             }
             IoOp::UpdateWrite { info, table_range } => {
