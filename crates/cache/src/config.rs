@@ -179,13 +179,12 @@ impl StorageConfig {
         field("journal", self.journal.validate())
     }
 
-    /// A fresh clock and the paper's SSD and HDD models on it, merging up
+    /// The paper's SSD and HDD models on `clock` (a fresh one), merging up
     /// to [`Self::queue_depth`] queued requests on the batched path. Every
     /// storage system is built on these, so this is where a description is
     /// checked: it panics with [`Self::validate`]'s message first.
-    pub(crate) fn devices(&self) -> (SimClock, SsdDevice, HddDevice) {
+    pub(crate) fn devices(&self, clock: &SimClock) -> (SsdDevice, HddDevice) {
         self.validate().expect("invalid storage configuration");
-        let clock = SimClock::new();
         let ssd = SsdDevice::new(
             SsdParameters::intel_320().with_queue_depth(self.queue_depth),
             clock.clone(),
@@ -194,7 +193,7 @@ impl StorageConfig {
             HddParameters::cheetah_15k7().with_queue_depth(self.queue_depth),
             clock.clone(),
         );
-        (clock, ssd, hdd)
+        (ssd, hdd)
     }
 
     /// Builds the storage system. Panics if [`Self::validate`] rejects the
@@ -203,15 +202,18 @@ impl StorageConfig {
         match self.kind {
             StorageConfigKind::HStorageDb => Box::new(CacheEngine::new(self)),
             StorageConfigKind::HddOnly => {
-                let (clock, _, hdd) = self.devices();
+                let clock = SimClock::new();
+                let (_, hdd) = self.devices(&clock);
                 Box::new(HddOnly::with_device(hdd, clock))
             }
             StorageConfigKind::SsdOnly => {
-                let (clock, ssd, _) = self.devices();
+                let clock = SimClock::new();
+                let (ssd, _) = self.devices(&clock);
                 Box::new(SsdOnly::with_device(ssd, clock))
             }
             StorageConfigKind::Lru => {
-                let (clock, ssd, hdd) = self.devices();
+                let clock = SimClock::new();
+                let (ssd, hdd) = self.devices(&clock);
                 Box::new(LruCache::with_devices(
                     self.cache_capacity_blocks,
                     ssd,

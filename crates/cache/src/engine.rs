@@ -93,8 +93,8 @@ use crate::stats::{CacheAction, CacheStats, LocalCacheStats};
 use crate::system::StorageSystem;
 use crate::table::{BlockState, BlockTable, CacheEntry, TableSlot};
 use hstorage_storage::{
-    BlockAddr, BlockRange, CachePriority, ClassifiedRequest, DeviceStats, Direction, HddDevice,
-    IoRequest, SimClock, SsdDevice, StorageDevice, TrimCommand,
+    BlockAddr, BlockRange, CachePriority, ClassifiedRequest, ClockLane, DeviceStats, Direction,
+    HddDevice, IoRequest, SimClock, SsdDevice, StorageDevice, TrimCommand,
 };
 use parking_lot::{RwLock, RwLockWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,6 +210,10 @@ struct ShardState {
     /// mutex-guarded ledger sees only what is served outside one. The
     /// two sum to the device statistics [`StorageSystem::stats`] reports.
     ssd: DeviceStats,
+    /// This shard's lane of the engine clock: the device time of the
+    /// requests whose last visit was to this shard, advanced under the
+    /// write lock with no locked instruction.
+    lane: ClockLane,
 }
 
 /// One lock-striped partition of the cache (see the module docs).
@@ -239,10 +243,16 @@ struct Shard {
 }
 
 impl Shard {
-    /// A shard of the engine `config` describes, with `capacity` slots and
-    /// its own policy and migration state, one of `config.shards` shards
-    /// (the address distance between its consecutive blocks).
-    fn new(config: &StorageConfig, capacity: u64, hit_service_ns: [u64; 2]) -> Self {
+    /// A shard of the engine `config` describes, with `capacity` slots, its
+    /// own policy and migration state and its clock `lane`, one of
+    /// `config.shards` shards (the address distance between its
+    /// consecutive blocks).
+    fn new(
+        config: &StorageConfig,
+        capacity: u64,
+        hit_service_ns: [u64; 2],
+        lane: ClockLane,
+    ) -> Self {
         let migration = config.migration;
         Shard {
             state: RwLock::new(ShardState {
@@ -259,6 +269,7 @@ impl Shard {
                     .then(|| ShardMigration::new(migration, capacity)),
                 stats: LocalCacheStats::new(),
                 ssd: DeviceStats::new(),
+                lane,
             }),
             hot_lbn: AtomicU64::new(NO_HOT),
             hit_service_ns,
@@ -955,7 +966,8 @@ impl CacheEngine {
             StorageConfigKind::HStorageDb,
             "CacheEngine builds only the hStorage-DB kind"
         );
-        let (clock, ssd, hdd) = config.devices();
+        let (clock, lanes) = SimClock::with_lanes(config.shards);
+        let (ssd, hdd) = config.devices(&clock);
         let hit_service_ns = [false, true].map(|sequential| {
             let hit = IoRequest::read(BlockRange::new(0u64, 1), sequential);
             ssd.service_time(&hit).as_nanos() as u64
@@ -963,7 +975,11 @@ impl CacheEngine {
         let n = config.shards as u64;
         let total = config.cache_capacity_blocks;
         let shards = (0..n)
-            .map(|i| Shard::new(config, total / n + u64::from(i < total % n), hit_service_ns))
+            .zip(lanes)
+            .map(|(i, lane)| {
+                let capacity = total / n + u64::from(i < total % n);
+                Shard::new(config, capacity, hit_service_ns, lane)
+            })
             .collect();
         let mut engine = CacheEngine {
             config: *config,
@@ -1217,10 +1233,19 @@ impl CacheEngine {
         true
     }
 
+    /// Prices the device traffic one request accumulated and advances
+    /// `st`'s clock lane by the total, once — the same integer-nanosecond
+    /// sum as advancing per device. Runs under the shard's write lock, on
+    /// the request's last shard visit, so the disk's mutex is taken inside
+    /// the shard lock: the one order in which the two ever nest.
+    #[inline(always)]
+    fn charge(&self, st: &mut ShardState, req: &ClassifiedRequest, batch: &DeviceBatch) {
+        let t = self.charge_ssd(st, req, batch) + self.charge_hdd(req, batch);
+        st.lane.advance(t);
+    }
+
     /// Prices the SSD traffic one request accumulated and records it in
-    /// `st`'s ledger, under the shard lock the caller already holds;
-    /// returns the service time to advance the clock by once it is
-    /// released.
+    /// `st`'s ledger, returning the service time.
     #[inline(always)]
     fn charge_ssd(
         &self,
@@ -1245,8 +1270,7 @@ impl CacheEngine {
     }
 
     /// Prices and records the HDD traffic one request accumulated and
-    /// moves the head, returning the service time for the caller's one
-    /// clock advance.
+    /// moves the head, returning the service time.
     fn charge_hdd(&self, req: &ClassifiedRequest, batch: &DeviceBatch) -> Duration {
         let seq = req.io.sequential;
         let start = req.io.range.start;
@@ -1429,27 +1453,23 @@ impl CacheEngine {
         if self.try_fast_read_hit(&req, &preq) {
             return;
         }
-        let (ssd_time, batch) = if req.blocks() > 1 {
-            self.walk_request(&req, preq)
+        if req.blocks() > 1 {
+            self.walk_request(&req, preq);
         } else {
             // A lone block: at most one shard visit, and no run to settle.
-            let mut batch = DeviceBatch::default();
-            let mut ssd_time = Duration::ZERO;
+            // The visit also prices the request and advances the shard's
+            // clock lane, so the request's only locked instructions are the
+            // shard lock's (and the disk mutex's, if it reaches the disk).
             let ahead = self.prefetch_distance();
             self.visit_shards(std::iter::once(req.io.range), |shard, st, blocks| {
+                let mut batch = DeviceBatch::default();
                 for (_, lbn) in blocks {
                     st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
                     shard.handle_block(st, lbn, &preq, req.io.sequential, &mut batch);
                 }
-                ssd_time = self.charge_ssd(st, &req, &batch);
+                self.charge(st, &req, &batch);
             });
-            (ssd_time, batch)
-        };
-        // One clock add for the whole request: the SSD time priced under
-        // the shard lock plus the HDD time — the same integer-nanosecond
-        // sum as advancing per device.
-        let hdd_time = self.charge_hdd(&req, &batch);
-        self.clock.advance(ssd_time + hdd_time);
+        }
         // Only write-buffer traffic can grow the buffer, so the flush
         // check is needed — and its cost paid — only under a buffering
         // policy and only then.
@@ -1459,32 +1479,27 @@ impl CacheEngine {
     }
 
     /// The shard visits of a multi-block [`Self::submit_inner`], which
-    /// settle bypassed blocks in runs: returns the SSD time priced and
-    /// the device traffic accumulated. Out of line, so the lone-block
-    /// path keeps the code it had without runs.
+    /// settle bypassed blocks in runs; the last visit prices the request
+    /// and advances its shard's clock lane. Out of line, so the
+    /// lone-block path keeps the code it had without runs.
     #[inline(never)]
-    fn walk_request(
-        &self,
-        req: &ClassifiedRequest,
-        preq: PolicyRequest,
-    ) -> (Duration, DeviceBatch) {
+    fn walk_request(&self, req: &ClassifiedRequest, preq: PolicyRequest) {
         let mut work = [(preq, DeviceBatch::default())];
         // One range visits its first `min(len, n)` shards, each with
         // blocks.
         let mut visits_left = req.blocks().min(self.shards.len() as u64);
-        let mut ssd_time = Duration::ZERO;
         let ahead = self.prefetch_distance();
         self.visit_shards(std::iter::once(req.io.range), |shard, st, blocks| {
             shard.walk_blocks(st, blocks, ahead, std::slice::from_ref(req), &mut work);
             visits_left -= 1;
-            // The request's SSD traffic goes on the ledger of the last
-            // shard it visits; the aggregate view sums all ledgers, so
-            // placement is free.
+            // Once the request's traffic is complete, its SSD traffic goes
+            // on the ledger, and its device time on the clock lane, of the
+            // last shard it visits; the aggregate view sums all ledgers and
+            // `now()` all lanes, so placement is free.
             if visits_left == 0 {
-                ssd_time = self.charge_ssd(st, req, &work[0].1);
+                self.charge(st, req, &work[0].1);
             }
         });
-        (ssd_time, work[0].1)
     }
 
     /// [`StorageSystem::submit_batch`] below the journal wrapper.

@@ -7,9 +7,10 @@
 //! every shard, so the table is flat, and a shard walk reads it in
 //! address order and ahead of use:
 //!
-//! * three parallel arrays — `keys`, `values` and an occupancy bitset (one
-//!   bit per slot, so a shard's whole occupancy map stays in L1/L2) — over
-//!   a power-of-two slot count;
+//! * two arrays over a power-of-two slot count: the slots, each a key
+//!   beside its value, so a probe reads one slot line rather than a key
+//!   line and a value line; and an occupancy bitset (one bit per slot, so
+//!   a shard's whole occupancy map stays in L1/L2);
 //! * Fibonacci hashing (one multiply and shift) and, in a [`BlockTable`],
 //!   **extent groups**: a block's aligned run of 4 consecutive *local*
 //!   addresses hashes to a group of 4 adjacent slots, and its offset in
@@ -115,8 +116,8 @@ fn prefetch_line<T>(_: &T) {}
 /// random, grouping only lengthens probe chains.
 #[derive(Debug, Clone)]
 pub struct OpenMap<V, const GROUP_BITS: u32 = 0> {
-    keys: Vec<u64>,
-    values: Vec<V>,
+    /// `(key, value)` per slot; meaningful only where `used` is set.
+    slots: Vec<(u64, V)>,
     /// Occupancy, one bit per slot (slot `i` is bit `i % 64` of word
     /// `i / 64`).
     used: Vec<u64>,
@@ -160,8 +161,7 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
             .max(MIN_CAPACITY)
             .next_power_of_two();
         OpenMap {
-            keys: vec![0; cap],
-            values: vec![V::default(); cap],
+            slots: vec![(0, V::default()); cap],
             used: vec![0; cap.div_ceil(64)],
             len: 0,
             shift: 64 - (cap >> GROUP_BITS).trailing_zeros(),
@@ -181,7 +181,7 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
 
     /// Current slot capacity (power of two).
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.slots.len()
     }
 
     /// The key's home slot: its extent group's first slot plus its offset
@@ -225,10 +225,10 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
     /// The slot holding `key`, if present.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = self.home(key);
         while self.is_used(i) {
-            if self.keys[i] == key {
+            if self.slots[i].0 == key {
                 return Some(i);
             }
             i = (i + 1) & mask;
@@ -237,26 +237,25 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
     }
 
     /// Starts loading the lines a lookup of `key` reads first — its home
-    /// slot's occupancy word, key and value — without waiting for them.
-    /// Changes nothing; a no-op off x86_64.
+    /// slot's occupancy word and the slot itself — without waiting for
+    /// them. Changes nothing; a no-op off x86_64.
     #[inline]
     fn prefetch(&self, key: u64) {
         let i = self.home(key);
         prefetch_line(&self.used[i / 64]);
-        prefetch_line(&self.keys[i]);
-        prefetch_line(&self.values[i]);
+        prefetch_line(&self.slots[i]);
     }
 
     /// Looks up `key`.
     #[inline]
     pub fn get(&self, key: u64) -> Option<&V> {
-        self.find(key).map(|i| &self.values[i])
+        self.find(key).map(|i| &self.slots[i].1)
     }
 
     /// Mutable lookup.
     #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        self.find(key).map(|i| &mut self.values[i])
+        self.find(key).map(|i| &mut self.slots[i].1)
     }
 
     /// Whether `key` is present.
@@ -281,29 +280,28 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
         key: u64,
         make: impl FnOnce() -> V,
     ) -> (&mut V, bool) {
-        if (self.len + 1) * 8 > self.keys.len() * 7 {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
             // At the load bound only a *new* key grows the table, so the
             // key is looked up first — and the growth happens before
             // placing, so the chain is walked against the final capacity.
             // Below the bound (the common case) the one walk serves both.
             if let Some(i) = self.find(key) {
-                return (&mut self.values[i], false);
+                return (&mut self.slots[i].1, false);
             }
             self.grow();
         }
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = self.home(key);
         while self.is_used(i) {
-            if self.keys[i] == key {
-                return (&mut self.values[i], false);
+            if self.slots[i].0 == key {
+                return (&mut self.slots[i].1, false);
             }
             i = (i + 1) & mask;
         }
-        self.keys[i] = key;
-        self.values[i] = make();
+        self.slots[i] = (key, make());
         self.set_used(i);
         self.len += 1;
-        (&mut self.values[i], true)
+        (&mut self.slots[i].1, true)
     }
 
     /// Removes `key`, returning its value if it was present. The probe
@@ -311,8 +309,8 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
     /// is left behind.
     pub fn remove(&mut self, key: u64) -> Option<V> {
         let mut i = self.find(key)?;
-        let removed = self.values[i];
-        let mask = self.keys.len() - 1;
+        let removed = self.slots[i].1;
+        let mask = self.slots.len() - 1;
         let mut j = i;
         loop {
             j = (j + 1) & mask;
@@ -322,10 +320,9 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
             // Slot j's entry may backfill the hole at i only if its home
             // slot does not lie in the circular range (i, j] — i.e. the
             // entry's displacement from home spans the hole.
-            let home = self.home(self.keys[j]);
+            let home = self.home(self.slots[j].0);
             if (j.wrapping_sub(home)) & mask >= (j.wrapping_sub(i)) & mask {
-                self.keys[i] = self.keys[j];
-                self.values[i] = self.values[j];
+                self.slots[i] = self.slots[j];
                 i = j;
             }
         }
@@ -350,23 +347,20 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
     }
 
     fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
-        let old_values = std::mem::replace(&mut self.values, vec![V::default(); new_cap]);
+        let new_cap = self.slots.len() * 2;
+        let old_slots = std::mem::replace(&mut self.slots, vec![(0, V::default()); new_cap]);
         let old_used = std::mem::replace(&mut self.used, vec![0; new_cap.div_ceil(64)]);
         self.shift -= 1;
         let mask = new_cap - 1;
-        for slot in 0..old_keys.len() {
+        for (slot, &(key, value)) in old_slots.iter().enumerate() {
             if old_used[slot / 64] & (1 << (slot % 64)) == 0 {
                 continue;
             }
-            let key = old_keys[slot];
             let mut i = self.home(key);
             while self.is_used(i) {
                 i = (i + 1) & mask;
             }
-            self.keys[i] = key;
-            self.values[i] = old_values[slot];
+            self.slots[i] = (key, value);
             self.set_used(i);
         }
     }
@@ -377,19 +371,19 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
     /// early and miss the entry). Also checks the occupancy count.
     #[cfg(test)]
     fn assert_probe_invariant(&self) {
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut occupied = 0;
-        for slot in 0..self.keys.len() {
+        for (slot, &(key, _)) in self.slots.iter().enumerate() {
             if !self.is_used(slot) {
                 continue;
             }
             occupied += 1;
-            let mut i = self.home(self.keys[slot]);
+            let mut i = self.home(key);
             while i != slot {
                 assert!(
                     self.is_used(i),
                     "probe chain for key {} crosses empty slot {} before {}",
-                    self.keys[slot],
+                    key,
                     i,
                     slot
                 );
@@ -419,7 +413,8 @@ impl<'a, V, const GROUP_BITS: u32> Iterator for OpenMapIter<'a, V, GROUP_BITS> {
         }
         let i = self.word * 64 + self.bits.trailing_zeros() as usize;
         self.bits &= self.bits - 1;
-        Some((self.map.keys[i], &self.map.values[i]))
+        let (key, value) = &self.map.slots[i];
+        Some((*key, value))
     }
 }
 
@@ -572,6 +567,14 @@ mod tests {
         let removed = m.remove(BlockAddr(5)).unwrap();
         assert_eq!(removed.entry.priority, CachePriority(2));
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn a_key_and_its_table_slot_fill_32_bytes() {
+        // The value stays 24 B, so a slot with its key is 32: two slots a
+        // line, and the same memory the separate key and value arrays took.
+        assert_eq!(std::mem::size_of::<TableSlot>(), 24);
+        assert_eq!(std::mem::size_of::<(u64, TableSlot)>(), 32);
     }
 
     #[test]

@@ -97,6 +97,10 @@ impl HddState {
 pub struct HddDevice {
     params: HddParameters,
     clock: SimClock,
+    /// [`Self::model_transfer`] of one block. Nearly every request the
+    /// cache sends the disk moves one block, so the f64 model is evaluated
+    /// for it once, here, and never per request.
+    single_block_transfer: Duration,
     state: Mutex<HddState>,
 }
 
@@ -106,6 +110,7 @@ impl HddDevice {
         HddDevice {
             params,
             clock,
+            single_block_transfer: Self::model_transfer(&params, BLOCK_SIZE as u64),
             state: Mutex::new(HddState::default()),
         }
     }
@@ -120,8 +125,18 @@ impl HddDevice {
         &self.params
     }
 
-    fn transfer_time(&self, bytes: u64) -> Duration {
-        Duration::from_secs_f64(bytes as f64 / self.params.sequential_bandwidth)
+    /// Media transfer of `bytes` at the sequential bandwidth: the model
+    /// itself.
+    fn model_transfer(params: &HddParameters, bytes: u64) -> Duration {
+        Duration::from_secs_f64(bytes as f64 / params.sequential_bandwidth)
+    }
+
+    fn transfer_time(&self, req: &IoRequest) -> Duration {
+        if req.blocks() == 1 {
+            self.single_block_transfer
+        } else {
+            Self::model_transfer(&self.params, req.bytes())
+        }
     }
 
     fn positioning_time(&self) -> Duration {
@@ -141,7 +156,7 @@ impl HddDevice {
     fn service_time_at(&self, next_contiguous: Option<BlockAddr>, req: &IoRequest) -> Duration {
         let contiguous = next_contiguous == Some(req.range.start);
         let positioned = req.sequential && contiguous;
-        let mut t = self.params.command_overhead + self.transfer_time(req.bytes());
+        let mut t = self.params.command_overhead + self.transfer_time(req);
         if !positioned {
             t += self.positioning_time();
         }

@@ -35,7 +35,7 @@ pub mod stats;
 pub mod trim;
 
 pub use block::{BlockAddr, BlockRange, BLOCK_SIZE};
-pub use clock::SimClock;
+pub use clock::{ClockLane, SimClock};
 pub use device::{DeviceKind, StorageDevice};
 pub use dss::ClassifiedRequest;
 pub use hdd::{HddDevice, HddParameters};

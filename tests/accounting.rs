@@ -8,10 +8,11 @@
 //! The stress test reads `HSTORAGE_STRESS_THREADS` (default 8) so the CI
 //! contention job can re-run it at 16 and 32 threads.
 
-use hstorage_cache::{CacheAction, HybridCache, MigrationConfig, StorageSystem};
+use hstorage_cache::{CacheAction, CacheStats, HybridCache, MigrationConfig, StorageSystem};
 use hstorage_storage::{
-    BlockRange, ClassifiedRequest, DeviceStats, Direction, IoRequest, PolicyConfig, QosPolicy,
-    RequestClass, SimClock, SsdDevice, SsdParameters, StorageDevice, TrimCommand,
+    BlockRange, ClassifiedRequest, DeviceStats, Direction, HddDevice, HddParameters, IoRequest,
+    PolicyConfig, QosPolicy, RequestClass, SimClock, SsdDevice, SsdParameters, StorageDevice,
+    TrimCommand,
 };
 use std::time::Duration;
 
@@ -107,6 +108,11 @@ fn trace(seed: u64) -> Vec<Op> {
 /// descriptor. All three must agree — statistics (device ledgers
 /// included), clock and migration state — for every policy, with migration
 /// off and with rounds actually running.
+///
+/// And the clock is the ledgers' sum: after every operation, the time since
+/// the last statistics reset equals the SSD's plus the HDD's busy time. It
+/// is checked on `probed` and `twin` directly; `quiet` must stay unread, so
+/// its clock is checked against `twin`'s ledgers, and its own at the end.
 #[test]
 fn folded_statistics_equal_a_locked_twin_after_every_operation() {
     let eager = MigrationConfig::on()
@@ -126,9 +132,14 @@ fn folded_statistics_equal_a_locked_twin_after_every_operation() {
             let twin =
                 build().with_policy_factory(kind.system_name(), common::locked(kind, &config));
             let mut fast_path_hits = 0;
+            // The clock at the last reset (all three clocks agree).
+            let mut reset_at = Duration::ZERO;
             for (i, op) in trace(0x5EED_0013).iter().enumerate() {
                 for engine in [&probed, &quiet, &twin] {
                     op.apply(engine);
+                }
+                if matches!(op, Op::Reset) {
+                    reset_at = twin.now();
                 }
                 let context = format!("{kind}, migration {}, op {i} {op:?}", migration.enabled);
                 let (folded, locked) = (probed.stats(), twin.stats());
@@ -143,6 +154,8 @@ fn folded_statistics_equal_a_locked_twin_after_every_operation() {
                 fast_path_hits += folded.contention.fast_path_hits;
                 assert_eq!(probed.now(), twin.now(), "{context}");
                 assert_eq!(quiet.now(), twin.now(), "{context}");
+                assert_eq!(probed.now() - reset_at, busy(&folded), "{context}");
+                assert_eq!(twin.now() - reset_at, busy(&locked), "{context}");
                 assert_eq!(
                     probed.migration_stats(),
                     twin.migration_stats(),
@@ -154,6 +167,7 @@ fn folded_statistics_equal_a_locked_twin_after_every_operation() {
                 "{kind}: the trace must use the fast path"
             );
             assert_eq!(quiet.stats(), twin.stats(), "{kind}");
+            assert_eq!(quiet.now() - reset_at, busy(&quiet.stats()), "{kind}");
             assert_eq!(quiet.migration_stats(), twin.migration_stats(), "{kind}");
             for optimistic in [&probed, &quiet] {
                 assert_eq!(optimistic.resident_set(), twin.resident_set(), "{kind}");
@@ -161,6 +175,13 @@ fn folded_statistics_equal_a_locked_twin_after_every_operation() {
             }
         }
     }
+}
+
+/// Busy time of both devices in `stats`.
+fn busy(stats: &CacheStats) -> Duration {
+    let device =
+        |d: &Option<DeviceStats>| d.as_ref().expect("the engine has both devices").busy_time;
+    device(&stats.ssd) + device(&stats.hdd)
 }
 
 /// What one thread of the conservation test knows it caused.
@@ -345,6 +366,55 @@ fn memoised_service_times_equal_the_model() {
                     let before = ssd.stats().busy_time;
                     assert_eq!(ssd.serve(&io), model);
                     assert_eq!(ssd.stats().busy_time - before, model);
+                }
+            }
+        }
+    }
+}
+
+/// The HDD twin of `memoised_service_times_equal_the_model`: the memoised
+/// one-block transfer is the f64 model's, to the nanosecond, for
+/// parameters other than the defaults too; longer requests still evaluate
+/// it. Requests start at the head and away from it, so both the positioned
+/// and the repositioning branch are priced, and `serve` charges exactly
+/// the model's time.
+#[test]
+fn memoised_hdd_service_times_equal_the_model() {
+    let odd = HddParameters {
+        sequential_bandwidth: 123.4e6,
+        avg_seek: Duration::from_nanos(3_210_987),
+        avg_rotational_latency: Duration::from_nanos(1_999_999),
+        command_overhead: Duration::from_nanos(12_345),
+        ..HddParameters::cheetah_15k7()
+    };
+    for params in [HddParameters::cheetah_15k7(), odd] {
+        let hdd = HddDevice::new(params, SimClock::new());
+        // The block after the last one served; the head starts nowhere.
+        let mut head: Option<u64> = None;
+        for blocks in [1u64, 2, 64] {
+            for direction in [Direction::Read, Direction::Write] {
+                for sequential in [false, true] {
+                    for at_head in [true, false] {
+                        let start = match head {
+                            Some(next) if at_head => next,
+                            _ => head.unwrap_or(0) + 10_000,
+                        };
+                        let io = IoRequest {
+                            range: BlockRange::new(start, blocks),
+                            direction,
+                            sequential,
+                        };
+                        let transfer = io.bytes() as f64 / params.sequential_bandwidth;
+                        let mut model = Duration::from_secs_f64(transfer) + params.command_overhead;
+                        if !(sequential && head == Some(start)) {
+                            model += params.avg_seek + params.avg_rotational_latency;
+                        }
+                        assert_eq!(hdd.service_time(&io), model, "{io:?}");
+                        let before = hdd.stats().busy_time;
+                        assert_eq!(hdd.serve(&io), model, "{io:?}");
+                        assert_eq!(hdd.stats().busy_time - before, model, "{io:?}");
+                        head = Some(start + blocks);
+                    }
                 }
             }
         }
