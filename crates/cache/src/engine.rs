@@ -1,7 +1,7 @@
 //! The policy-agnostic cache engine (mechanism half of the hybrid cache).
 //!
 //! An SSD works as a cache for an HDD. The engine owns everything that is
-//! *mechanism*: lock-striped shards, the physical slot allocator, block
+//! *mechanism*: lock-striped shards and their slot capacity, block
 //! metadata and clean/dirty state, write-buffer occupancy accounting,
 //! statistics, and the per-request / vectored device submission paths.
 //! Every *decision* — admission, victim selection, promotion on hit — is
@@ -26,7 +26,7 @@
 //!
 //! The engine is a shared service: [`StorageSystem::submit`] takes `&self`,
 //! so one instance can serve many threads. Internally the block metadata,
-//! per-shard policy state, slot allocator, write buffer and statistics are
+//! per-shard policy state, write buffer and statistics are
 //! partitioned into `N` *shards* keyed by logical block address
 //! (`lbn % N`). Each shard manages an equal slice of the cache capacity,
 //! so allocation and eviction are decided shard-locally. With a single
@@ -84,7 +84,6 @@
 //! submission, and [`crate::ContentionCounters`] reports how often each
 //! path was taken.
 
-use crate::allocator::SlotAllocator;
 use crate::config::{StorageConfig, StorageConfigKind};
 use crate::journal::{Journal, JournalOp, JournalSnapshot};
 use crate::migration::{MigrationCounters, MigrationStats, ShardMigration};
@@ -198,7 +197,6 @@ struct ShardState {
     /// reads the exact count, with no add in flight.
     fast_hits: AtomicU64,
     policy: Box<dyn CachePolicy>,
-    alloc: SlotAllocator,
     /// Tier-migration state ([`crate::MigrationConfig`]): heat tracker,
     /// request shapes and the pending promote/demote queues. `None` while
     /// migration is disabled — the foreground hooks then cost one branch.
@@ -231,6 +229,9 @@ struct Shard {
     /// issues — a single-block read — indexed by its sequential flag.
     /// Immutable after construction.
     hit_service_ns: [u64; 2],
+    /// Blocks this shard's slice of the cache holds: it has a free slot
+    /// exactly while its table holds fewer. Immutable after construction.
+    capacity: usize,
     /// Maximum blocks this shard's slice of the write buffer may hold.
     /// Immutable after construction.
     write_buffer_limit: u64,
@@ -263,7 +264,6 @@ impl Shard {
                 hot: None,
                 fast_hits: AtomicU64::new(0),
                 policy: config.cache_policy.build(&config.policy, capacity),
-                alloc: SlotAllocator::new(capacity),
                 migration: migration
                     .enabled
                     .then(|| ShardMigration::new(migration, capacity)),
@@ -273,6 +273,7 @@ impl Shard {
             }),
             hot_lbn: AtomicU64::new(NO_HOT),
             hit_service_ns,
+            capacity: capacity as usize,
             write_buffer_limit: (capacity as f64 * config.policy.write_buffer_fraction).floor()
                 as u64,
             write_buffer_resident: AtomicU64::new(0),
@@ -346,7 +347,6 @@ impl Shard {
         if st.policy.write_buffered(entry.priority) {
             self.debit_write_buffer(1);
         }
-        st.alloc.release(entry.pbn);
         st.stats.record_action(CacheAction::Eviction, 1);
     }
 
@@ -366,23 +366,24 @@ impl Shard {
             .store(resident.saturating_sub(n), Ordering::Relaxed);
     }
 
-    /// Tries to obtain a free cache slot for `incoming` (the missing
-    /// block of `req`), asking the policy to displace a resident if the
-    /// shard is full. Returns the physical slot or `None` if the block
-    /// must bypass the cache.
+    /// Tries to free a cache slot for `incoming` (the missing block of
+    /// `req`), asking the policy to displace a resident if the shard is
+    /// full. Returns `false` if the block must bypass the cache.
     fn try_allocate(
         &self,
         st: &mut ShardState,
         incoming: BlockAddr,
         req: &PolicyRequest,
         batch: &mut DeviceBatch,
-    ) -> Option<u64> {
-        if let Some(pbn) = st.alloc.allocate() {
-            return Some(pbn);
+    ) -> bool {
+        if st.meta.len() < self.capacity {
+            return true;
         }
-        let victim = st.policy.pop_victim(incoming, req)?;
+        let Some(victim) = st.policy.pop_victim(incoming, req) else {
+            return false;
+        };
         self.evict(st, victim, batch);
-        st.alloc.allocate()
+        true
     }
 
     /// Handles one block of a request (`sequential` is the request's I/O
@@ -549,52 +550,48 @@ impl Shard {
         // in a bypass (ARC adapts its target on ghost hits inside
         // `pop_victim`), so the descriptor is cleared up front.
         self.set_hot(st, None);
-        match self.try_allocate(st, lbn, req, batch) {
-            Some(pbn) => {
-                let state = match req.direction {
-                    Direction::Read => {
-                        // Read allocation: fetch from HDD, place in SSD.
-                        st.stats.record_action(CacheAction::ReadAllocation, 1);
-                        batch.hdd_read += 1;
-                        batch.ssd_write += 1;
-                        BlockState::Clean
-                    }
-                    Direction::Write => {
-                        // Write allocation: place in SSD, mark dirty.
-                        st.stats.record_action(CacheAction::WriteAllocation, 1);
-                        batch.ssd_write += 1;
-                        BlockState::Dirty
-                    }
-                };
-                let (group, node) = st.policy.on_insert(lbn, req);
-                st.meta.insert(
-                    lbn,
-                    TableSlot {
-                        entry: CacheEntry {
-                            pbn,
-                            priority: group,
-                            state,
-                        },
-                        node,
+        if self.try_allocate(st, lbn, req, batch) {
+            let state = match req.direction {
+                Direction::Read => {
+                    // Read allocation: fetch from HDD, place in SSD.
+                    st.stats.record_action(CacheAction::ReadAllocation, 1);
+                    batch.hdd_read += 1;
+                    batch.ssd_write += 1;
+                    BlockState::Clean
+                }
+                Direction::Write => {
+                    // Write allocation: place in SSD, mark dirty.
+                    st.stats.record_action(CacheAction::WriteAllocation, 1);
+                    batch.ssd_write += 1;
+                    BlockState::Dirty
+                }
+            };
+            let (group, node) = st.policy.on_insert(lbn, req);
+            st.meta.insert(
+                lbn,
+                TableSlot {
+                    entry: CacheEntry {
+                        priority: group,
+                        state,
                     },
-                );
-                if st.policy.write_buffered(group) {
-                    self.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some(mig) = st.migration.as_mut() {
-                    // Lazy promotion: the foreground admission just
-                    // performed the migration a round had queued.
-                    if mig.note_insert(lbn) {
-                        self.migration_counters
-                            .lazy_promotions
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
+                    node,
+                },
+            );
+            if st.policy.write_buffered(group) {
+                self.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
+            }
+            if let Some(mig) = st.migration.as_mut() {
+                // Lazy promotion: the foreground admission just
+                // performed the migration a round had queued.
+                if mig.note_insert(lbn) {
+                    self.migration_counters
+                        .lazy_promotions
+                        .fetch_add(1, Ordering::Relaxed);
                 }
             }
-            None => {
-                // Not cache-worthy relative to current residents: bypass.
-                Self::bypass(st, req, 1, batch);
-            }
+        } else {
+            // Not cache-worthy relative to current residents: bypass.
+            Self::bypass(st, req, 1, batch);
         }
         Placed::Admitted
     }
@@ -636,7 +633,6 @@ impl Shard {
                 if entry.is_dirty() {
                     dirty_blocks += 1;
                 }
-                st.alloc.release(entry.pbn);
                 removed += 1;
             }
         }
@@ -678,7 +674,6 @@ impl Shard {
         if st.policy.write_buffered(entry.priority) {
             self.debit_write_buffer(1);
         }
-        st.alloc.release(entry.pbn);
         1
     }
 
@@ -716,7 +711,6 @@ impl Shard {
         let ShardState {
             meta,
             policy,
-            alloc,
             migration,
             ..
         } = st;
@@ -785,7 +779,6 @@ impl Shard {
         // the policy's normal insertion path. A nested fn (not a closure)
         // so the demote code between calls can also borrow the policy and
         // the batch.
-        #[allow(clippy::too_many_arguments)]
         fn promote(
             shard: &Shard,
             policy: &mut Box<dyn CachePolicy>,
@@ -794,14 +787,12 @@ impl Shard {
             batch: &mut DeviceBatch,
             lbn: BlockAddr,
             preq: &PolicyRequest,
-            pbn: u64,
         ) {
             let (group, node) = policy.on_insert(lbn, preq);
             meta.insert(
                 lbn,
                 TableSlot {
                     entry: CacheEntry {
-                        pbn,
                         priority: group,
                         state: BlockState::Clean,
                     },
@@ -825,19 +816,9 @@ impl Shard {
         let mut next_resident = 0usize;
 
         // Free slots first: promotion without displacement.
-        while budget >= 1 && next_absent < absents.len() {
-            let Some(pbn) = alloc.allocate() else { break };
+        while budget >= 1 && next_absent < absents.len() && meta.len() < self.capacity {
             let (_, lbn, preq) = absents[next_absent];
-            promote(
-                self,
-                policy,
-                meta,
-                pending_promote,
-                &mut batch,
-                lbn,
-                &preq,
-                pbn,
-            );
+            promote(self, policy, meta, pending_promote, &mut batch, lbn, &preq);
             next_absent += 1;
             budget -= 1;
         }
@@ -860,12 +841,10 @@ impl Shard {
             if policy.write_buffered(entry.priority) {
                 self.debit_write_buffer(1);
             }
-            alloc.release(entry.pbn);
             pending_demote.remove(&resident_lbn);
             self.migration_counters
                 .demoted
                 .fetch_add(1, Ordering::Relaxed);
-            let pbn = alloc.allocate().expect("slot just freed by demotion");
             promote(
                 self,
                 policy,
@@ -874,7 +853,6 @@ impl Shard {
                 &mut batch,
                 absent_lbn,
                 &preq,
-                pbn,
             );
             next_absent += 1;
             next_resident += 1;
@@ -1039,7 +1017,7 @@ impl CacheEngine {
                 st.meta.is_empty(),
                 "cache policy must be installed before submitting traffic"
             );
-            st.policy = factory(st.alloc.capacity());
+            st.policy = factory(shard.capacity as u64);
         }
         self.refresh_policy_traits();
         self
@@ -2034,6 +2012,48 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_is_full_exactly_when_its_table_holds_its_capacity() {
+        let random = |lbn| read_req(lbn, 1, RequestClass::Random, QosPolicy::priority(2));
+        for kind in CachePolicyKind::all() {
+            // Two shards of 3 slots: the even blocks live on shard 0.
+            let c = CacheEngine::new(&config(kind, 6).with_shards(2));
+            let evictions = || c.stats().action(CacheAction::Eviction);
+            for lbn in [0u64, 2, 4] {
+                c.submit(random(lbn));
+            }
+            assert_eq!(evictions(), 0, "{kind}: a free slot needs no victim");
+            // Full: every admitted miss now displaces one resident.
+            c.submit(random(6));
+            assert_eq!((evictions(), c.resident_blocks()), (1, 3), "{kind}");
+            // A TRIM frees a slot, which the next miss takes without a victim.
+            c.trim(&TrimCommand::single(BlockRange::new(6u64, 1)));
+            c.submit(random(8));
+            assert_eq!((evictions(), c.resident_blocks()), (1, 3), "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_zero_capacity_shard_bypasses_every_block() {
+        for kind in CachePolicyKind::all() {
+            // Three slots over four shards: shard 3 has none.
+            let c = CacheEngine::new(&config(kind, 3).with_shards(4));
+            for _ in 0..2 {
+                c.submit(read_req(3, 1, RequestClass::Random, QosPolicy::priority(2)));
+                c.submit(write_req(
+                    7,
+                    1,
+                    RequestClass::Random,
+                    QosPolicy::priority(2),
+                ));
+            }
+            assert_eq!(c.resident_blocks(), 0, "{kind}");
+            let s = c.stats();
+            assert_eq!(s.action(CacheAction::Bypassing), 4, "{kind}");
+            assert_eq!(s.action(CacheAction::Eviction), 0, "{kind}");
+        }
+    }
+
+    #[test]
     fn trim_invalidates_under_every_policy() {
         for kind in CachePolicyKind::all() {
             let c = engine(kind, 100);
@@ -2404,6 +2424,11 @@ mod tests {
         c.submit(read_req(1, 1, RequestClass::Random, QosPolicy::priority(2)));
         assert_eq!(c.migrate_idle(), MigrationStats::default());
         assert_eq!(c.migration_stats(), MigrationStats::default());
+        // A storage system with no cache engine answers pulses the same.
+        let hdd = StorageConfig::new(StorageConfigKind::HddOnly, 0).build_shared();
+        assert_eq!(hdd.migrate_idle(), MigrationStats::default());
+        assert_eq!(hdd.migrate_idle(), MigrationStats::default());
+        assert_eq!(hdd.migration_stats(), MigrationStats::default());
     }
 
     #[test]
@@ -2468,6 +2493,41 @@ mod tests {
         // Migration is background work: the foreground action counters
         // must not have recorded its moves as evictions.
         assert_eq!(c.stats().action(CacheAction::Eviction), 0);
+    }
+
+    #[test]
+    fn a_round_fills_the_free_slots_before_any_demotion() {
+        // Budget 3: the two free slots take the two hottest absents, and
+        // the budget left is too small for a demote/promote pair.
+        let c = CacheEngine::new(
+            &config(CachePolicyKind::SemanticPriority, 4).with_migration(eager_migration(3)),
+        );
+        for lbn in 0..4u64 {
+            c.submit(read_req(
+                lbn,
+                1,
+                RequestClass::Random,
+                QosPolicy::priority(2),
+            ));
+        }
+        // Hot priority-3 absents, refused while the cache is full.
+        for _ in 0..3 {
+            for lbn in 100..104u64 {
+                c.submit(read_req(
+                    lbn,
+                    1,
+                    RequestClass::Random,
+                    QosPolicy::priority(3),
+                ));
+            }
+        }
+        // Two of the four slots free up.
+        c.trim(&TrimCommand::single(BlockRange::new(0u64, 2)));
+        let stats = c.migrate_idle();
+        assert_eq!((stats.promoted, stats.demoted), (2, 0));
+        assert_eq!(c.resident_blocks(), 4);
+        assert!(c.contains_block(BlockAddr(100)) && c.contains_block(BlockAddr(101)));
+        assert!(c.contains_block(BlockAddr(2)) && c.contains_block(BlockAddr(3)));
     }
 
     #[test]

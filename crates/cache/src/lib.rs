@@ -17,7 +17,7 @@
 //! drive them interchangeably.
 //!
 //! The hybrid cache itself is split into a policy-agnostic [`engine`]
-//! (shards, allocator, write buffer, batched device submission) and a
+//! (shards, block table, write buffer, batched device submission) and a
 //! pluggable [`policy`] framework: the paper's semantic priority policy is
 //! one [`CachePolicy`] among several ([`policy::LruPolicy`],
 //! [`policy::CflruPolicy`], [`policy::TwoQPolicy`], the adaptive
@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod allocator;
 pub mod arena;
 pub mod config;
 pub mod engine;
@@ -48,7 +47,6 @@ pub mod recovery;
 pub mod stats;
 pub mod system;
 pub mod table;
-pub mod trace;
 
 pub use arena::{ListArena, ListHandle};
 pub use config::{StorageConfig, StorageConfigKind};
@@ -71,4 +69,3 @@ pub use stats::{
 };
 pub use system::StorageSystem;
 pub use table::{BlockTable, OpenMap};
-pub use trace::{Trace, TraceEvent, TraceRecorder};

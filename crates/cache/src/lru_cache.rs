@@ -30,7 +30,6 @@
 //! behind one mutex rather than lock-striping (it is a comparison point,
 //! not a scale target).
 
-use crate::allocator::SlotAllocator;
 use crate::arena::{ListArena, ListHandle};
 use crate::stats::{CacheAction, CacheStats, LocalCacheStats};
 use crate::system::StorageSystem;
@@ -50,7 +49,6 @@ struct LruInner {
     table: BlockTable,
     arena: ListArena,
     lru: ListHandle,
-    alloc: SlotAllocator,
     stats: LocalCacheStats,
 }
 
@@ -66,7 +64,6 @@ impl LruInner {
             .expect("LRU/metadata mismatch")
             .entry;
         self.stats.record_action(CacheAction::Eviction, 1);
-        self.alloc.release(entry.pbn);
         if entry.is_dirty() {
             1
         } else {
@@ -74,14 +71,14 @@ impl LruInner {
         }
     }
 
-    fn allocate_slot(&mut self) -> (u64, u64) {
+    /// Evicts until the table holds fewer than `capacity` blocks, and
+    /// returns how many of the evicted blocks were dirty.
+    fn allocate_slot(&mut self, capacity: u64) -> u64 {
         let mut dirty_writebacks = 0;
-        loop {
-            if let Some(pbn) = self.alloc.allocate() {
-                return (pbn, dirty_writebacks);
-            }
+        while self.table.len() as u64 >= capacity {
             dirty_writebacks += self.evict_one();
         }
+        dirty_writebacks
     }
 }
 
@@ -125,7 +122,6 @@ impl LruCache {
                 table: BlockTable::with_capacity(cache_capacity_blocks as usize, 1),
                 arena: ListArena::new(),
                 lru: ListHandle::new(),
-                alloc: SlotAllocator::new(cache_capacity_blocks),
                 stats: LocalCacheStats::new(),
             }),
         }
@@ -171,8 +167,7 @@ impl StorageSystem for LruCache {
                 }
             } else {
                 // LRU admits everything.
-                let (pbn, writebacks) = inner.allocate_slot();
-                hdd_write += writebacks;
+                hdd_write += inner.allocate_slot(self.cache_capacity);
                 let state = match req.io.direction {
                     Direction::Read => {
                         inner.stats.record_action(CacheAction::ReadAllocation, 1);
@@ -191,7 +186,6 @@ impl StorageSystem for LruCache {
                     lbn,
                     TableSlot {
                         entry: CacheEntry {
-                            pbn,
                             // The LRU cache has a single stack; the
                             // recorded priority is informational only.
                             priority: CachePriority(prio.0),

@@ -363,7 +363,7 @@ impl MigrationCounters {
 }
 
 /// Per-shard migration state, owned by the shard's lock alongside
-/// the policy and the allocator (it is decision state: every mutation
+/// the policy and the block table (it is decision state: every mutation
 /// happens under the same lock as the policy calls it feeds).
 pub(crate) struct ShardMigration {
     pub(crate) config: MigrationConfig,

@@ -122,7 +122,7 @@ pub enum RemoveReason {
 /// # Node handles
 ///
 /// The engine's block table is the only address index of resident blocks
-/// (the paper's one hash table `<lbn, (pbn, prio)>`, Section 5.2): the
+/// (the paper's one hash table of cached blocks, Section 5.2): the
 /// `u32` that [`CachePolicy::on_insert`] returns beside the group label is
 /// stored in the block's table slot and handed back, unchanged, to every
 /// later [`CachePolicy::on_hit`] and to the [`CachePolicy::on_remove`]

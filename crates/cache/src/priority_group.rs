@@ -12,8 +12,8 @@
 //! All groups are lists over one [`ListArena`], and the structure keeps no
 //! address index: a block is reached through the node handle
 //! [`PriorityGroups::insert`] returned, which the engine stores in the
-//! block's table slot — the paper's one hash table `<lbn, (pbn, prio)>`
-//! over the groups. Re-allocation moves the node between groups, so the
+//! block's table slot — the paper's one hash table of cached blocks
+//! (Section 5.2) over the groups. Re-allocation moves the node between groups, so the
 //! handle stays valid for as long as the block is resident.
 
 use crate::arena::{ListArena, ListHandle};

@@ -1,11 +1,13 @@
 //! Cache metadata (Section 5.2) on open-addressing hash tables.
 //!
 //! The storage system tracks cached blocks with a hash table keyed by the
-//! logical block number. Each entry is `< lbn, (pbn, prio) >` in the paper;
-//! [`CacheEntry`] additionally records the clean/dirty state that Section
-//! 5.1 describes for valid blocks. The lookup sits on the submit path of
-//! every shard, so the table is flat, and a shard walk reads it in
-//! address order and ahead of use:
+//! logical block number. The paper's entry is `< lbn, (pbn, prio) >`; the
+//! physical block number is not modelled, because no simulated cost
+//! depends on where a block sits on the SSD, and a shard is full exactly
+//! when its table holds its capacity. [`CacheEntry`] keeps the priority and
+//! the clean/dirty state that Section 5.1 describes for valid blocks. The
+//! lookup sits on the submit path of every shard, so the table is flat,
+//! and a shard walk reads it in address order and ahead of use:
 //!
 //! * two arrays over a power-of-two slot count: the slots, each a key
 //!   beside its value, so a probe reads one slot line rather than a key
@@ -49,8 +51,6 @@ pub enum BlockState {
 /// Metadata for one cached block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheEntry {
-    /// Physical block number inside the SSD cache.
-    pub pbn: u64,
     /// Current caching priority (which priority group the block lives in).
     pub priority: CachePriority,
     /// Clean or dirty.
@@ -433,7 +433,6 @@ impl Default for TableSlot {
     fn default() -> Self {
         TableSlot {
             entry: CacheEntry {
-                pbn: 0,
                 priority: CachePriority(0),
                 state: BlockState::Clean,
             },
@@ -537,14 +536,13 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
-    fn entry(pbn: u64) -> TableSlot {
-        entry_in(pbn, 2, false)
+    fn entry(node: u32) -> TableSlot {
+        entry_in(node, 2, false)
     }
 
-    fn entry_in(pbn: u64, prio: u8, dirty: bool) -> TableSlot {
+    fn entry_in(node: u32, prio: u8, dirty: bool) -> TableSlot {
         TableSlot {
             entry: CacheEntry {
-                pbn,
                 priority: CachePriority(prio),
                 state: if dirty {
                     BlockState::Dirty
@@ -552,7 +550,7 @@ mod tests {
                     BlockState::Clean
                 },
             },
-            node: NO_NODE,
+            node,
         }
     }
 
@@ -562,7 +560,7 @@ mod tests {
         assert!(m.is_empty());
         m.insert(BlockAddr(5), entry_in(0, 2, false));
         assert!(m.contains(BlockAddr(5)));
-        assert_eq!(m.get(BlockAddr(5)).unwrap().entry.pbn, 0);
+        assert_eq!(m.get(BlockAddr(5)).unwrap().node, 0);
         assert_eq!(m.len(), 1);
         let removed = m.remove(BlockAddr(5)).unwrap();
         assert_eq!(removed.entry.priority, CachePriority(2));
@@ -570,11 +568,11 @@ mod tests {
     }
 
     #[test]
-    fn a_key_and_its_table_slot_fill_32_bytes() {
-        // The value stays 24 B, so a slot with its key is 32: two slots a
-        // line, and the same memory the separate key and value arrays took.
-        assert_eq!(std::mem::size_of::<TableSlot>(), 24);
-        assert_eq!(std::mem::size_of::<(u64, TableSlot)>(), 32);
+    fn a_key_and_its_table_slot_fill_16_bytes() {
+        // Priority, state and node fill 8 B, so a slot with its key is 16:
+        // four slots a line.
+        assert_eq!(std::mem::size_of::<TableSlot>(), 8);
+        assert_eq!(std::mem::size_of::<(u64, TableSlot)>(), 16);
     }
 
     #[test]
@@ -594,8 +592,9 @@ mod tests {
         let mut m = BlockTable::with_capacity(8, 1);
         m.insert(BlockAddr(9), entry_in(10, 4, false));
         m.insert(BlockAddr(9), entry_in(11, 2, true));
-        let e = m.get(BlockAddr(9)).unwrap().entry;
-        assert_eq!(e.pbn, 11);
+        let slot = m.get(BlockAddr(9)).unwrap();
+        assert_eq!(slot.node, 11);
+        let e = slot.entry;
         assert_eq!(e.priority, CachePriority(2));
         assert!(e.is_dirty());
         assert_eq!(m.len(), 1);
@@ -606,11 +605,11 @@ mod tests {
         // Pre-sized for 4, so the walk also crosses three growths.
         let mut m = BlockTable::with_capacity(4, 1);
         for i in 0..50u64 {
-            m.insert(BlockAddr(i), entry_in(i, 1, i % 2 == 0));
+            m.insert(BlockAddr(i), entry_in(i as u32, 1, i % 2 == 0));
         }
-        let mut pairs: Vec<(u64, u64)> = m.iter().map(|(lbn, s)| (lbn.0, s.entry.pbn)).collect();
+        let mut pairs: Vec<(u64, u32)> = m.iter().map(|(lbn, s)| (lbn.0, s.node)).collect();
         pairs.sort_unstable();
-        let model: Vec<(u64, u64)> = (0..50u64).map(|i| (i, i)).collect();
+        let model: Vec<(u64, u32)> = (0..50u32).map(|i| (u64::from(i), i)).collect();
         assert_eq!(pairs, model);
     }
 
@@ -620,9 +619,9 @@ mod tests {
         assert!(t.is_empty());
         assert!(t.insert(BlockAddr(5), entry(50)).is_none());
         assert!(t.contains(BlockAddr(5)));
-        assert_eq!(t.get(BlockAddr(5)).unwrap().entry.pbn, 50);
+        assert_eq!(t.get(BlockAddr(5)).unwrap().node, 50);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.remove(BlockAddr(5)).unwrap().entry.pbn, 50);
+        assert_eq!(t.remove(BlockAddr(5)).unwrap().node, 50);
         assert!(t.is_empty());
         assert!(t.remove(BlockAddr(5)).is_none());
     }
@@ -630,21 +629,21 @@ mod tests {
     #[test]
     fn replace_keeps_the_node_hint() {
         let mut t = BlockTable::new();
-        t.insert(BlockAddr(9), entry(1));
+        t.insert(BlockAddr(9), entry_in(NO_NODE, 1, false));
         assert_eq!(t.get(BlockAddr(9)).unwrap().node, NO_NODE);
         t.get_mut(BlockAddr(9)).unwrap().node = 7;
         let old = t.insert(
             BlockAddr(9),
             TableSlot {
                 node: 7,
-                ..entry(2)
+                ..entry_in(NO_NODE, 2, false)
             },
         );
-        assert_eq!(old.unwrap().entry.pbn, 1);
+        assert_eq!(old.unwrap().entry.priority, CachePriority(1));
         let slot = t.get(BlockAddr(9)).unwrap();
         assert_eq!(
-            (slot.entry.pbn, slot.node),
-            (2, 7),
+            (slot.entry.priority, slot.node),
+            (CachePriority(2), 7),
             "the slot is replaced whole"
         );
         assert!(t.get(BlockAddr(42)).is_none(), "absent block has no slot");
@@ -653,12 +652,13 @@ mod tests {
     #[test]
     fn grows_past_the_load_factor_and_keeps_every_entry() {
         let mut t = BlockTable::new();
-        for i in 0..1000u64 {
-            t.insert(BlockAddr(i), entry(i * 10));
+        for i in 0..1000u32 {
+            t.insert(BlockAddr(u64::from(i)), entry(i * 10));
         }
         assert_eq!(t.len(), 1000);
-        for i in 0..1000u64 {
-            assert_eq!(t.get(BlockAddr(i)).unwrap().entry.pbn, i * 10, "lbn {i}");
+        for i in 0..1000u32 {
+            let slot = t.get(BlockAddr(u64::from(i))).unwrap();
+            assert_eq!(slot.node, i * 10, "lbn {i}");
         }
         t.map.assert_probe_invariant();
         // Growth rescales the hash onto the doubled group count: whole
@@ -692,8 +692,8 @@ mod tests {
         let mut t = BlockTable::new();
         t.insert(BlockAddr(0), entry(1));
         t.insert(BlockAddr(u64::MAX), entry(2));
-        assert_eq!(t.get(BlockAddr(0)).unwrap().entry.pbn, 1);
-        assert_eq!(t.get(BlockAddr(u64::MAX)).unwrap().entry.pbn, 2);
+        assert_eq!(t.get(BlockAddr(0)).unwrap().node, 1);
+        assert_eq!(t.get(BlockAddr(u64::MAX)).unwrap().node, 2);
     }
 
     #[test]
@@ -773,8 +773,8 @@ mod tests {
         for (stride, residue) in [(1u64, 0u64), (8, 5)] {
             let mut t = BlockTable::with_capacity(1024, stride as usize);
             let keys: Vec<u64> = (0..16u64).map(|j| (4_000 + j) * stride + residue).collect();
-            for &k in &keys {
-                t.insert(BlockAddr(k), entry(k));
+            for (node, &k) in (0u32..).zip(&keys) {
+                t.insert(BlockAddr(k), entry(node));
             }
             t.map.assert_probe_invariant();
             let mut groups: HashMap<usize, Vec<u64>> = HashMap::new();
@@ -873,15 +873,15 @@ mod tests {
         ) {
             use proptest::prelude::prop_assert_eq;
             let snapshot = |t: &BlockTable| {
-                let mut pairs: Vec<(u64, u64)> =
-                    t.iter().map(|(lbn, s)| (lbn.0, s.entry.pbn)).collect();
+                let mut pairs: Vec<(u64, u32)> =
+                    t.iter().map(|(lbn, s)| (lbn.0, s.node)).collect();
                 pairs.sort_unstable();
                 (pairs, t.len(), t.map.capacity())
             };
             for stride in STRIDES {
                 let mut t = BlockTable::with_capacity(0, stride);
                 for &(shape, small) in &inserts {
-                    t.insert(BlockAddr(shaped_key(shape, small, base, stride)), entry(small));
+                    t.insert(BlockAddr(shaped_key(shape, small, base, stride)), entry(small as u32));
                 }
                 let before = snapshot(&t);
                 let keys = probes

@@ -22,8 +22,6 @@
 //!   they become storage I/O,
 //! * [`executor`] — turns a plan tree into a classified block-level request
 //!   stream against a [`hstorage_cache::StorageSystem`],
-//! * [`migration`] — the driver that offers the storage system background
-//!   tier-migration windows at query boundaries (and on demand),
 //! * [`service`] — the request/response query service: a bounded worker
 //!   pool that sustains tens of thousands of logical query streams over a
 //!   fixed number of OS threads, with backpressure, admission control and
@@ -38,7 +36,6 @@ pub mod buffer_pool;
 pub mod catalog;
 pub mod concurrency;
 pub mod executor;
-pub mod migration;
 pub mod plan;
 pub mod policy_table;
 pub mod priority;
@@ -51,7 +48,6 @@ pub use buffer_pool::BufferPool;
 pub use catalog::{Catalog, ObjectId, ObjectKind};
 pub use concurrency::ConcurrencyRegistry;
 pub use executor::{run_concurrent, CompletedQuery, ExecutorConfig, QueryExecutor, StreamSpec};
-pub use migration::MigrationDriver;
 pub use plan::{Access, OperatorKind, PlanNode, PlanTree};
 pub use policy_table::PolicyAssignmentTable;
 pub use priority::random_request_priority;

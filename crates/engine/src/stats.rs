@@ -2,7 +2,6 @@
 
 use hstorage_storage::RequestClass;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Number of request classes (the length of [`RequestClass::all`]).
@@ -20,10 +19,10 @@ pub struct QueryStats {
     /// Simulated CPU time.
     pub cpu_time: Duration,
     /// Storage I/O requests issued, indexed by `RequestClass as usize`;
-    /// [`Self::requests_by_class`] is the external form.
+    /// [`Self::requests`] is the external form.
     requests: [u64; CLASSES],
     /// Blocks requested from storage, indexed like `requests`;
-    /// [`Self::blocks_by_class`] is the external form.
+    /// [`Self::blocks`] is the external form.
     blocks: [u64; CLASSES],
     /// Buffer-pool hits during the query.
     pub buffer_pool_hits: u64,
@@ -44,26 +43,6 @@ impl QueryStats {
     pub fn record_request(&mut self, class: RequestClass, blocks: u64) {
         self.requests[class as usize] += 1;
         self.blocks[class as usize] += blocks;
-    }
-
-    /// Number of storage I/O requests issued, per request-class label. A
-    /// class the query never issued has no entry.
-    pub fn requests_by_class(&self) -> BTreeMap<String, u64> {
-        self.by_class(&self.requests)
-    }
-
-    /// Number of blocks requested from storage, per request-class label. A
-    /// class the query never issued has no entry.
-    pub fn blocks_by_class(&self) -> BTreeMap<String, u64> {
-        self.by_class(&self.blocks)
-    }
-
-    fn by_class(&self, counters: &[u64; CLASSES]) -> BTreeMap<String, u64> {
-        RequestClass::all()
-            .into_iter()
-            .filter(|&class| self.requests[class as usize] > 0)
-            .map(|class| (class.label().to_string(), counters[class as usize]))
-            .collect()
     }
 
     /// Total storage requests.
@@ -131,12 +110,20 @@ mod tests {
         let mut s = QueryStats::new("spill");
         s.record_request(RequestClass::TemporaryData, 32);
         s.record_request(RequestClass::TemporaryData, 8);
+        // A zero-block request counts as a request of its class, not a block.
         s.record_request(RequestClass::Update, 0);
-        let requests = BTreeMap::from([("temporary".to_string(), 2), ("update".to_string(), 1)]);
-        let blocks = BTreeMap::from([("temporary".to_string(), 40), ("update".to_string(), 0)]);
-        assert_eq!(s.requests_by_class(), requests);
-        assert_eq!(s.blocks_by_class(), blocks);
-        assert!(QueryStats::new("empty").requests_by_class().is_empty());
+        for class in RequestClass::all() {
+            let seen = match class {
+                RequestClass::TemporaryData => (2, 40),
+                RequestClass::Update => (1, 0),
+                _ => (0, 0),
+            };
+            assert_eq!((s.requests(class), s.blocks(class)), seen, "{class:?}");
+        }
+        let empty = QueryStats::new("empty");
+        assert!(RequestClass::all()
+            .into_iter()
+            .all(|c| empty.requests(c) == 0));
     }
 
     #[test]

@@ -25,11 +25,9 @@
 //! bit-identical to an engine built without a migration engine at all.
 
 use crate::report::format_table;
-use hstorage_cache::{MigrationConfig, StorageConfig, StorageConfigKind, StorageSystem};
-use hstorage_engine::MigrationDriver;
+use hstorage_cache::{MigrationConfig, StorageConfig, StorageConfigKind};
 use hstorage_storage::{BlockRange, ClassifiedRequest, IoRequest, QosPolicy, RequestClass};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Cache capacity and per-phase working-set size, in blocks.
@@ -103,17 +101,16 @@ fn read(lbn: u64, prio: u8) -> ClassifiedRequest {
 }
 
 fn run_side(migration: MigrationConfig, label: &str) -> MigrationRow {
-    let storage: Arc<dyn StorageSystem> = StorageConfig::new(StorageConfigKind::HStorageDb, BLOCKS)
+    let storage = StorageConfig::new(StorageConfigKind::HStorageDb, BLOCKS)
         .with_migration(migration)
         .build_shared();
-    let driver = MigrationDriver::new(Arc::clone(&storage));
     let mut since_pulse = 0usize;
     let mut submit = |req: ClassifiedRequest| {
         storage.submit(req);
         since_pulse += 1;
         if since_pulse == PULSE_EVERY {
             since_pulse = 0;
-            driver.pulse();
+            storage.migrate_idle();
         }
     };
     // Phase A: a priority-2 set fills and warms the cache.
