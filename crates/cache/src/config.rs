@@ -10,7 +10,7 @@ use crate::engine::CacheEngine;
 use crate::journal::JournalConfig;
 use crate::lru_cache::LruCache;
 use crate::migration::MigrationConfig;
-use crate::passthrough::{HddOnly, SsdOnly};
+use crate::passthrough::Passthrough;
 use crate::policy::CachePolicyKind;
 use crate::system::StorageSystem;
 use hstorage_storage::{
@@ -204,12 +204,12 @@ impl StorageConfig {
             StorageConfigKind::HddOnly => {
                 let clock = SimClock::new();
                 let (_, hdd) = self.devices(&clock);
-                Box::new(HddOnly::with_device(hdd, clock))
+                Box::new(Passthrough::new(hdd, clock))
             }
             StorageConfigKind::SsdOnly => {
                 let clock = SimClock::new();
                 let (ssd, _) = self.devices(&clock);
-                Box::new(SsdOnly::with_device(ssd, clock))
+                Box::new(Passthrough::new(ssd, clock))
             }
             StorageConfigKind::Lru => {
                 let clock = SimClock::new();

@@ -86,9 +86,9 @@
 
 use crate::config::{StorageConfig, StorageConfigKind};
 use crate::journal::{Journal, JournalOp, JournalSnapshot};
-use crate::migration::{MigrationCounters, MigrationStats, ShardMigration};
+use crate::migration::{MigrationStats, ShardMigration};
 use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
-use crate::stats::{CacheAction, CacheStats, LocalCacheStats};
+use crate::stats::{CacheAction, CacheStats};
 use crate::system::StorageSystem;
 use crate::table::{BlockState, BlockTable, CacheEntry, TableSlot};
 use hstorage_storage::{
@@ -203,7 +203,7 @@ struct ShardState {
     migration: Option<ShardMigration>,
     /// Class, priority, action and contention counters of the blocks this
     /// shard handled.
-    stats: LocalCacheStats,
+    stats: CacheStats,
     /// SSD traffic priced under this shard's lock: the device's own
     /// mutex-guarded ledger sees only what is served outside one. The
     /// two sum to the device statistics [`StorageSystem::stats`] reports.
@@ -239,8 +239,6 @@ struct Shard {
     /// under the write lock; atomic so the occupancy getters and the
     /// flush pre-check can read it lock-free.
     write_buffer_resident: AtomicU64,
-    /// Lock-free migration counters (see [`MigrationCounters`]).
-    migration_counters: MigrationCounters,
 }
 
 impl Shard {
@@ -267,7 +265,7 @@ impl Shard {
                 migration: migration
                     .enabled
                     .then(|| ShardMigration::new(migration, capacity)),
-                stats: LocalCacheStats::new(),
+                stats: CacheStats::new(),
                 ssd: DeviceStats::new(),
                 lane,
             }),
@@ -277,7 +275,6 @@ impl Shard {
             write_buffer_limit: (capacity as f64 * config.policy.write_buffer_fraction).floor()
                 as u64,
             write_buffer_resident: AtomicU64::new(0),
-            migration_counters: MigrationCounters::default(),
         }
     }
 
@@ -507,11 +504,7 @@ impl Shard {
                 // Lazy cancellation: a hit on a queued demotion candidate
                 // proves the block is still hot, so the demotion is
                 // dropped instead of executed at the next round.
-                if mig.note_hit(lbn) {
-                    self.migration_counters
-                        .cancelled_demotions
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+                mig.note_hit(lbn);
             }
             st.stats.record_action(CacheAction::CacheHit, 1);
             match req.direction {
@@ -583,11 +576,7 @@ impl Shard {
             if let Some(mig) = st.migration.as_mut() {
                 // Lazy promotion: the foreground admission just
                 // performed the migration a round had queued.
-                if mig.note_insert(lbn) {
-                    self.migration_counters
-                        .lazy_promotions
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+                mig.note_insert(lbn);
             }
         } else {
             // Not cache-worthy relative to current residents: bypass.
@@ -655,12 +644,7 @@ impl Shard {
             // The block's lifetime ended: discard its heat, shape and any
             // queued migration so an in-flight candidate cannot resurrect
             // dead data at the next round.
-            let cancelled = mig.note_trim(lbn);
-            if cancelled > 0 {
-                self.migration_counters
-                    .trim_cancellations
-                    .fetch_add(cancelled, Ordering::Relaxed);
-            }
+            mig.note_trim(lbn);
         }
         let Some(TableSlot { entry, node }) = st.meta.remove(lbn) else {
             // The block's lifetime ended while not resident: policies
@@ -726,6 +710,7 @@ impl Shard {
             rounds,
             track_cap,
             resident_scratch,
+            moves,
         } = mig;
 
         *rounds += 1;
@@ -805,10 +790,6 @@ impl Shard {
             batch.hdd_read += 1;
             batch.ssd_write += 1;
             pending_promote.remove(&lbn);
-            shard
-                .migration_counters
-                .promoted
-                .fetch_add(1, Ordering::Relaxed);
         }
 
         let mut budget = config.round_budget;
@@ -819,6 +800,7 @@ impl Shard {
         while budget >= 1 && next_absent < absents.len() && meta.len() < self.capacity {
             let (_, lbn, preq) = absents[next_absent];
             promote(self, policy, meta, pending_promote, &mut batch, lbn, &preq);
+            moves.promoted += 1;
             next_absent += 1;
             budget -= 1;
         }
@@ -842,9 +824,7 @@ impl Shard {
                 self.debit_write_buffer(1);
             }
             pending_demote.remove(&resident_lbn);
-            self.migration_counters
-                .demoted
-                .fetch_add(1, Ordering::Relaxed);
+            moves.demoted += 1;
             promote(
                 self,
                 policy,
@@ -854,6 +834,7 @@ impl Shard {
                 absent_lbn,
                 &preq,
             );
+            moves.promoted += 1;
             next_absent += 1;
             next_resident += 1;
             budget -= 2;
@@ -1534,7 +1515,7 @@ impl CacheEngine {
     /// tracker before the counters clear: learned heat survives a reset.
     fn reset_stats_inner(&self) {
         self.for_each_settled(|st| {
-            st.stats.reset();
+            st.stats = CacheStats::new();
             st.ssd = DeviceStats::new();
         });
         self.ssd.reset_stats();
@@ -1592,7 +1573,7 @@ impl StorageSystem for CacheEngine {
         let mut aggregate = CacheStats::new();
         let mut ssd = self.ssd.stats();
         self.for_each_settled(|st| {
-            aggregate.merge(&st.stats.snapshot());
+            aggregate.merge(&st.stats);
             aggregate.resident_blocks += st.meta.len() as u64;
             ssd.merge(&st.ssd);
         });
@@ -1631,8 +1612,14 @@ impl StorageSystem for CacheEngine {
             skipped_rounds: self.migration_skipped.load(Ordering::Relaxed),
             ..MigrationStats::default()
         };
-        for shard in &self.shards {
-            shard.migration_counters.add_into(&mut stats);
+        // Only migration-on shards count moves: with migration off this
+        // read, which every query's pulse ends in, takes no lock.
+        if self.config.migration.enabled {
+            for shard in &self.shards {
+                if let Some(mig) = &shard.state.read().migration {
+                    stats.merge(&mig.moves);
+                }
+            }
         }
         stats
     }
@@ -1797,7 +1784,9 @@ mod tests {
             base.submit(mk(i));
         }
         let (es, bs) = (eng.stats(), base.stats());
-        assert_eq!(es.per_class, bs.per_class);
+        for class in RequestClass::all() {
+            assert_eq!(es.class(class), bs.class(class), "{class}");
+        }
         assert_eq!(
             es.action(CacheAction::Eviction),
             bs.action(CacheAction::Eviction)

@@ -37,7 +37,6 @@ pub mod config;
 pub mod engine;
 pub mod hybrid;
 pub mod journal;
-pub mod lru;
 pub mod lru_cache;
 pub mod migration;
 pub mod passthrough;
@@ -55,7 +54,7 @@ pub use hybrid::HybridCache;
 pub use journal::{Journal, JournalConfig, JournalOp, JournalRecord, JournalSnapshot};
 pub use lru_cache::LruCache;
 pub use migration::{HeatTracker, MigrationConfig, MigrationStats};
-pub use passthrough::{HddOnly, SsdOnly};
+pub use passthrough::Passthrough;
 pub use policy::{
     CachePolicy, CachePolicyKind, HitOutcome, PolicyRequest, RemoveReason, StreamPolicyKind,
     StreamRouting,
@@ -64,8 +63,6 @@ pub use recovery::{
     apply_op, crash_offset, recover, replay_plan, verify_convergence, RecoveryError,
     RecoveryOutcome, ReplayPlan,
 };
-pub use stats::{
-    CacheAction, CacheStats, ClassCounters, ContentionCounters, LatencyHistogram, LocalCacheStats,
-};
+pub use stats::{CacheAction, CacheStats, ClassCounters, ContentionCounters, LatencyHistogram};
 pub use system::StorageSystem;
 pub use table::{BlockTable, OpenMap};

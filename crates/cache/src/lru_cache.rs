@@ -31,7 +31,7 @@
 //! not a scale target).
 
 use crate::arena::{ListArena, ListHandle};
-use crate::stats::{CacheAction, CacheStats, LocalCacheStats};
+use crate::stats::{CacheAction, CacheStats};
 use crate::system::StorageSystem;
 use crate::table::{BlockState, BlockTable, CacheEntry, TableSlot};
 use hstorage_storage::{
@@ -49,7 +49,7 @@ struct LruInner {
     table: BlockTable,
     arena: ListArena,
     lru: ListHandle,
-    stats: LocalCacheStats,
+    stats: CacheStats,
 }
 
 impl LruInner {
@@ -122,7 +122,7 @@ impl LruCache {
                 table: BlockTable::with_capacity(cache_capacity_blocks as usize, 1),
                 arena: ListArena::new(),
                 lru: ListHandle::new(),
-                stats: LocalCacheStats::new(),
+                stats: CacheStats::new(),
             }),
         }
     }
@@ -230,7 +230,7 @@ impl StorageSystem for LruCache {
 
     fn stats(&self) -> CacheStats {
         let inner = self.inner.lock();
-        let mut s = inner.stats.snapshot();
+        let mut s = inner.stats.clone();
         s.resident_blocks = inner.table.len() as u64;
         drop(inner);
         s.ssd = Some(self.ssd.stats());
@@ -243,7 +243,7 @@ impl StorageSystem for LruCache {
     }
 
     fn reset_stats(&self) {
-        self.inner.lock().stats.reset();
+        self.inner.lock().stats = CacheStats::new();
         self.ssd.reset_stats();
         self.hdd.reset_stats();
     }

@@ -90,7 +90,6 @@ use crate::policy::PolicyRequest;
 use hstorage_storage::BlockAddr;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Knob set of the online tier-migration engine. The default is **off**:
@@ -212,6 +211,17 @@ impl MigrationStats {
     /// Total blocks moved by background rounds (promotions + demotions).
     pub fn migrated(&self) -> u64 {
         self.promoted + self.demoted
+    }
+
+    /// Sums another counter set into this one.
+    pub(crate) fn merge(&mut self, other: &MigrationStats) {
+        self.rounds += other.rounds;
+        self.skipped_rounds += other.skipped_rounds;
+        self.promoted += other.promoted;
+        self.demoted += other.demoted;
+        self.lazy_promotions += other.lazy_promotions;
+        self.cancelled_demotions += other.cancelled_demotions;
+        self.trim_cancellations += other.trim_cancellations;
     }
 }
 
@@ -337,31 +347,6 @@ impl HeatTracker {
     }
 }
 
-/// Lock-free per-shard migration counters: foreground hooks and
-/// background rounds bump them under the shard's write lock (or not —
-/// the fold is a plain atomic add),
-/// while [`migration_stats`](crate::StorageSystem::migration_stats)
-/// aggregates without taking any shard lock.
-#[derive(Debug, Default)]
-pub(crate) struct MigrationCounters {
-    pub(crate) promoted: AtomicU64,
-    pub(crate) demoted: AtomicU64,
-    pub(crate) lazy_promotions: AtomicU64,
-    pub(crate) cancelled_demotions: AtomicU64,
-    pub(crate) trim_cancellations: AtomicU64,
-}
-
-impl MigrationCounters {
-    /// Adds this shard's counters into an aggregate snapshot.
-    pub(crate) fn add_into(&self, stats: &mut MigrationStats) {
-        stats.promoted += self.promoted.load(Ordering::Relaxed);
-        stats.demoted += self.demoted.load(Ordering::Relaxed);
-        stats.lazy_promotions += self.lazy_promotions.load(Ordering::Relaxed);
-        stats.cancelled_demotions += self.cancelled_demotions.load(Ordering::Relaxed);
-        stats.trim_cancellations += self.trim_cancellations.load(Ordering::Relaxed);
-    }
-}
-
 /// Per-shard migration state, owned by the shard's lock alongside
 /// the policy and the block table (it is decision state: every mutation
 /// happens under the same lock as the policy calls it feeds).
@@ -392,6 +377,10 @@ pub(crate) struct ShardMigration {
     /// `Vec` is not reallocated every migration round. Cleared before
     /// each use; contents between rounds are meaningless.
     pub(crate) resident_scratch: Vec<(u64, BlockAddr)>,
+    /// Blocks this shard's rounds and foreground hooks moved or
+    /// un-queued; `rounds` and `skipped_rounds` stay zero (the engine
+    /// counts rounds once, not per shard).
+    pub(crate) moves: MigrationStats,
 }
 
 impl ShardMigration {
@@ -406,6 +395,7 @@ impl ShardMigration {
             rounds: 0,
             track_cap: capacity.saturating_mul(4).clamp(64, 1 << 20) as usize,
             resident_scratch: Vec::new(),
+            moves: MigrationStats::default(),
         }
     }
 
@@ -417,27 +407,28 @@ impl ShardMigration {
     }
 
     /// A hit on `lbn`: if the block was queued for demotion, the queue
-    /// entry is dropped — the hit just proved the block is still hot.
-    /// Returns whether a demotion was cancelled.
-    pub(crate) fn note_hit(&mut self, lbn: BlockAddr) -> bool {
-        self.pending_demote.remove(&lbn)
+    /// entry is dropped — the hit just proved the block is still hot —
+    /// and counted as a cancelled demotion.
+    pub(crate) fn note_hit(&mut self, lbn: BlockAddr) {
+        self.moves.cancelled_demotions += u64::from(self.pending_demote.remove(&lbn));
     }
 
     /// `lbn` was admitted and inserted by the foreground path: if it was
     /// queued for promotion, the normal allocation already performed the
-    /// migration. Returns whether a queued promotion resolved lazily.
-    pub(crate) fn note_insert(&mut self, lbn: BlockAddr) -> bool {
-        self.pending_promote.remove(&lbn)
+    /// migration, counted as a lazy promotion.
+    pub(crate) fn note_insert(&mut self, lbn: BlockAddr) {
+        self.moves.lazy_promotions += u64::from(self.pending_promote.remove(&lbn));
     }
 
     /// A TRIM invalidated `lbn`: its lifetime ended, so heat, shape and
     /// any queued migration are discarded — an in-flight candidate must
-    /// never resurrect dead data. Returns how many queue entries were
-    /// cancelled (0, 1 or 2).
-    pub(crate) fn note_trim(&mut self, lbn: BlockAddr) -> u64 {
+    /// never resurrect dead data. Each cancelled queue entry (0, 1 or 2)
+    /// is counted.
+    pub(crate) fn note_trim(&mut self, lbn: BlockAddr) {
         self.heat.forget(lbn);
         self.shapes.remove(&lbn);
-        u64::from(self.pending_promote.remove(&lbn)) + u64::from(self.pending_demote.remove(&lbn))
+        self.moves.trim_cancellations += u64::from(self.pending_promote.remove(&lbn))
+            + u64::from(self.pending_demote.remove(&lbn));
     }
 }
 
@@ -518,11 +509,13 @@ mod tests {
         };
         m.note_access(BlockAddr(9), &req);
         m.pending_promote.insert(BlockAddr(9));
-        assert_eq!(m.note_trim(BlockAddr(9)), 1);
+        m.note_trim(BlockAddr(9));
+        assert_eq!(m.moves.trim_cancellations, 1);
         assert_eq!(m.heat.heat(BlockAddr(9)), 0);
         assert!(!m.pending_promote.contains(&BlockAddr(9)));
         // A second trim of the same address cancels nothing further.
-        assert_eq!(m.note_trim(BlockAddr(9)), 0);
+        m.note_trim(BlockAddr(9));
+        assert_eq!(m.moves.trim_cancellations, 1);
     }
 
     proptest! {

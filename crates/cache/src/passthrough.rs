@@ -2,66 +2,58 @@
 //! SSD-only (the paper's ideal case).
 //!
 //! Both ignore the DSS classification entirely — they are legacy block
-//! devices. Their statistics are enum-indexed counter arrays
-//! ([`LocalCacheStats`]) behind a mutex so the `&self` [`StorageSystem`]
-//! interface can be served to concurrent callers without the hot path
-//! walking a `BTreeMap`; the devices themselves are already
-//! interior-mutable.
+//! devices, and one [`Passthrough`] over either device model serves them.
+//! Their statistics are a [`CacheStats`] counter block behind a mutex so
+//! the `&self` [`StorageSystem`] interface can be served to concurrent
+//! callers; the devices themselves are already interior-mutable.
 
-use crate::stats::{CacheStats, LocalCacheStats};
+use crate::stats::CacheStats;
 use crate::system::StorageSystem;
-use hstorage_storage::{
-    ClassifiedRequest, HddDevice, SimClock, SsdDevice, StorageDevice, TrimCommand,
-};
+use hstorage_storage::{ClassifiedRequest, DeviceKind, SimClock, StorageDevice, TrimCommand};
 use parking_lot::Mutex;
 use std::time::Duration;
 
-/// Every request is served by the hard disk.
-pub struct HddOnly {
+/// Every request is served by one device: "HDD-only" over a disk,
+/// "SSD-only" over an SSD.
+pub struct Passthrough<D> {
     clock: SimClock,
-    hdd: HddDevice,
-    stats: Mutex<LocalCacheStats>,
+    device: D,
+    stats: Mutex<CacheStats>,
 }
 
-impl HddOnly {
-    /// Creates an HDD-only configuration with the paper's disk model.
-    pub fn new() -> Self {
-        let clock = SimClock::new();
-        Self::with_device(HddDevice::cheetah(clock.clone()), clock)
-    }
-
-    /// Creates an HDD-only configuration over an explicitly constructed
-    /// disk. The device must share `clock`.
-    pub fn with_device(hdd: HddDevice, clock: SimClock) -> Self {
-        HddOnly {
-            hdd,
+impl<D: StorageDevice> Passthrough<D> {
+    /// Serves every request from `device`, which must share `clock`.
+    pub fn new(device: D, clock: SimClock) -> Self {
+        Passthrough {
             clock,
-            stats: Mutex::new(LocalCacheStats::new()),
+            device,
+            stats: Mutex::new(CacheStats::new()),
         }
     }
 }
 
-impl Default for HddOnly {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StorageSystem for HddOnly {
+impl<D: StorageDevice> StorageSystem for Passthrough<D> {
     fn name(&self) -> &str {
-        "HDD-only"
+        match self.device.kind() {
+            DeviceKind::Hdd => "HDD-only",
+            DeviceKind::Ssd => "SSD-only",
+        }
     }
 
     fn submit(&self, req: ClassifiedRequest) {
         self.stats.lock().record_class(req.class, req.blocks(), 0);
-        self.hdd.serve(&req.io);
+        self.device.serve(&req.io);
     }
 
     fn trim(&self, _cmd: &TrimCommand) {}
 
     fn stats(&self) -> CacheStats {
-        let mut s = self.stats.lock().snapshot();
-        s.hdd = Some(self.hdd.stats());
+        let mut s = self.stats.lock().clone();
+        let ledger = Some(self.device.stats());
+        match self.device.kind() {
+            DeviceKind::Hdd => s.hdd = ledger,
+            DeviceKind::Ssd => s.ssd = ledger,
+        }
         s
     }
 
@@ -70,74 +62,20 @@ impl StorageSystem for HddOnly {
     }
 
     fn reset_stats(&self) {
-        self.stats.lock().reset();
-        self.hdd.reset_stats();
-    }
-}
-
-/// Every request is served by the SSD — the ideal case of the evaluation.
-pub struct SsdOnly {
-    clock: SimClock,
-    ssd: SsdDevice,
-    stats: Mutex<LocalCacheStats>,
-}
-
-impl SsdOnly {
-    /// Creates an SSD-only configuration with the Intel 320 model.
-    pub fn new() -> Self {
-        let clock = SimClock::new();
-        Self::with_device(SsdDevice::intel_320(clock.clone()), clock)
-    }
-
-    /// Creates an SSD-only configuration over an explicitly constructed
-    /// SSD. The device must share `clock`.
-    pub fn with_device(ssd: SsdDevice, clock: SimClock) -> Self {
-        SsdOnly {
-            ssd,
-            clock,
-            stats: Mutex::new(LocalCacheStats::new()),
-        }
-    }
-}
-
-impl Default for SsdOnly {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StorageSystem for SsdOnly {
-    fn name(&self) -> &str {
-        "SSD-only"
-    }
-
-    fn submit(&self, req: ClassifiedRequest) {
-        self.stats.lock().record_class(req.class, req.blocks(), 0);
-        self.ssd.serve(&req.io);
-    }
-
-    fn trim(&self, _cmd: &TrimCommand) {}
-
-    fn stats(&self) -> CacheStats {
-        let mut s = self.stats.lock().snapshot();
-        s.ssd = Some(self.ssd.stats());
-        s
-    }
-
-    fn now(&self) -> Duration {
-        self.clock.now()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.lock().reset();
-        self.ssd.reset_stats();
+        *self.stats.lock() = CacheStats::new();
+        self.device.reset_stats();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use hstorage_storage::{BlockRange, IoRequest, QosPolicy, RequestClass};
+    use crate::config::{StorageConfig, StorageConfigKind};
+    use crate::system::StorageSystem;
+    use hstorage_storage::{BlockRange, ClassifiedRequest, IoRequest, QosPolicy, RequestClass};
+
+    fn build(kind: StorageConfigKind) -> Box<dyn StorageSystem> {
+        StorageConfig::new(kind, 0).build()
+    }
 
     fn rand_read(start: u64) -> ClassifiedRequest {
         ClassifiedRequest::new(
@@ -157,8 +95,8 @@ mod tests {
 
     #[test]
     fn ssd_only_much_faster_for_random() {
-        let hdd = HddOnly::new();
-        let ssd = SsdOnly::new();
+        let hdd = build(StorageConfigKind::HddOnly);
+        let ssd = build(StorageConfigKind::SsdOnly);
         for i in 0..200u64 {
             hdd.submit(rand_read(i * 10_000));
             ssd.submit(rand_read(i * 10_000));
@@ -168,8 +106,8 @@ mod tests {
 
     #[test]
     fn comparable_for_sequential() {
-        let hdd = HddOnly::new();
-        let ssd = SsdOnly::new();
+        let hdd = build(StorageConfigKind::HddOnly);
+        let ssd = build(StorageConfigKind::SsdOnly);
         for i in 0..100u64 {
             hdd.submit(seq_read(i * 128, 128));
             ssd.submit(seq_read(i * 128, 128));
@@ -180,13 +118,22 @@ mod tests {
 
     #[test]
     fn stats_record_classes_without_hits() {
-        let hdd = HddOnly::new();
-        hdd.submit(seq_read(0, 64));
-        hdd.submit(rand_read(1_000));
-        let s = hdd.stats();
-        assert_eq!(s.class(RequestClass::Sequential).accessed_blocks, 64);
-        assert_eq!(s.class(RequestClass::Random).accessed_blocks, 1);
-        assert_eq!(s.totals().cache_hits, 0);
-        assert_eq!(hdd.resident_blocks(), 0);
+        for kind in [StorageConfigKind::HddOnly, StorageConfigKind::SsdOnly] {
+            let sys = build(kind);
+            sys.submit(seq_read(0, 64));
+            sys.submit(rand_read(1_000));
+            let s = sys.stats();
+            assert_eq!(s.class(RequestClass::Sequential).accessed_blocks, 64);
+            assert_eq!(s.class(RequestClass::Random).accessed_blocks, 1);
+            assert_eq!(s.totals().cache_hits, 0);
+            assert_eq!(sys.resident_blocks(), 0);
+            // The one device's ledger is filed under its own tier.
+            let (served, absent) = match kind {
+                StorageConfigKind::HddOnly => (s.hdd, s.ssd),
+                _ => (s.ssd, s.hdd),
+            };
+            assert_eq!(served.map(|d| d.blocks_read), Some(65), "{kind}");
+            assert_eq!(absent, None, "{kind}");
+        }
     }
 }

@@ -8,7 +8,6 @@
 
 use hstorage_storage::{DeviceStats, RequestClass};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// The six actions a cache may take for a request (Section 5.1), plus the
@@ -35,7 +34,7 @@ pub enum CacheAction {
 
 impl CacheAction {
     /// Every action, in declaration order. The order is the array layout of
-    /// [`LocalCacheStats`]: `ALL[a.index()] == a`.
+    /// [`CacheStats`]: `ALL[a.index()] == a`.
     pub const ALL: [CacheAction; 8] = [
         CacheAction::CacheHit,
         CacheAction::ReadAllocation,
@@ -50,20 +49,6 @@ impl CacheAction {
     /// The action's position in [`CacheAction::ALL`].
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// The action's key in [`CacheStats::actions`]: its variant name.
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheAction::CacheHit => "CacheHit",
-            CacheAction::ReadAllocation => "ReadAllocation",
-            CacheAction::WriteAllocation => "WriteAllocation",
-            CacheAction::Bypassing => "Bypassing",
-            CacheAction::ReAllocation => "ReAllocation",
-            CacheAction::Eviction => "Eviction",
-            CacheAction::Trim => "Trim",
-            CacheAction::WriteBufferFlush => "WriteBufferFlush",
-        }
     }
 }
 
@@ -142,18 +127,29 @@ impl ContentionCounters {
     }
 }
 
-/// Full statistics snapshot of a storage system, rendered from the
-/// [`LocalCacheStats`] counter blocks that record it.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+const CLASS_SLOTS: usize = 5;
+const PRIO_SLOTS: usize = 256;
+const ACTION_SLOTS: usize = CacheAction::ALL.len();
+
+/// Statistics of a storage system: fixed enum-indexed counter arrays on
+/// plain `u64`s, recorded through `&mut self` by state that is already
+/// written under a lock. Each [`crate::CacheEngine`] shard keeps one
+/// beside its policy under the shard lock, the LRU baseline cache and the
+/// passthrough configurations one under their only mutex, and
+/// [`crate::StorageSystem::stats`] returns a copy or the sum of the shards'.
+/// Recording is a bounds-checked array add.
+#[derive(Debug, Clone)]
 pub struct CacheStats {
-    /// Accessed blocks / hits per request class.
-    pub per_class: BTreeMap<String, ClassCounters>,
+    /// Accessed blocks / hits per request class, indexed by discriminant.
+    classes: [ClassCounters; CLASS_SLOTS],
     /// Accessed blocks / hits per assigned caching priority (hStorage-DB
     /// configurations only; the LRU baseline records the priority the
-    /// request *would* have had, to reproduce Table 6).
-    pub per_priority: BTreeMap<u8, ClassCounters>,
-    /// Counts of each cache action, in blocks.
-    pub actions: BTreeMap<String, u64>,
+    /// request *would* have had, to reproduce Table 6). Boxed: the 4 KiB
+    /// array would otherwise travel inline with every copy.
+    priorities: Box<[ClassCounters; PRIO_SLOTS]>,
+    /// Counts of each cache action, in blocks, indexed by
+    /// [`CacheAction::index`].
+    actions: [u64; ACTION_SLOTS],
     /// Blocks currently resident in the cache.
     pub resident_blocks: u64,
     /// Statistics of the first-level (SSD) device, if present.
@@ -161,8 +157,22 @@ pub struct CacheStats {
     /// Statistics of the second-level (HDD) device, if present.
     pub hdd: Option<DeviceStats>,
     /// Lock-vs-fast-path diagnostics. Excluded from `PartialEq` (see
-    /// [`ContentionCounters`]).
+    /// [`ContentionCounters`]); the owner bumps the fields directly.
     pub contention: ContentionCounters,
+}
+
+impl Default for CacheStats {
+    fn default() -> Self {
+        CacheStats {
+            classes: [ClassCounters::default(); CLASS_SLOTS],
+            priorities: Box::new([ClassCounters::default(); PRIO_SLOTS]),
+            actions: [0; ACTION_SLOTS],
+            resident_blocks: 0,
+            ssd: None,
+            hdd: None,
+            contention: ContentionCounters::default(),
+        }
+    }
 }
 
 /// Equality compares the cache's *logical* state — class/priority/action
@@ -172,8 +182,8 @@ pub struct CacheStats {
 /// any differently.
 impl PartialEq for CacheStats {
     fn eq(&self, other: &Self) -> bool {
-        self.per_class == other.per_class
-            && self.per_priority == other.per_priority
+        self.classes == other.classes
+            && self.priorities == other.priorities
             && self.actions == other.actions
             && self.resident_blocks == other.resident_blocks
             && self.ssd == other.ssd
@@ -182,112 +192,7 @@ impl PartialEq for CacheStats {
 }
 
 impl CacheStats {
-    /// Creates an empty statistics snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counter for one request class (zero if never seen).
-    pub fn class(&self, class: RequestClass) -> ClassCounters {
-        self.per_class
-            .get(class.label())
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Counter for one priority (zero if never seen).
-    pub fn priority(&self, prio: u8) -> ClassCounters {
-        self.per_priority.get(&prio).copied().unwrap_or_default()
-    }
-
-    /// Count of one action (zero if never taken).
-    pub fn action(&self, action: CacheAction) -> u64 {
-        self.actions
-            .get(action.label())
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Totals across all request classes.
-    pub fn totals(&self) -> ClassCounters {
-        let mut t = ClassCounters::default();
-        for c in self.per_class.values() {
-            t.merge(c);
-        }
-        t
-    }
-
-    /// Folds another snapshot into this one: class, priority and action
-    /// counters are summed, and `resident_blocks` accumulates. Device
-    /// statistics are *not* merged (shards share one device pair); the
-    /// caller attaches them once on the aggregate. This is how the sharded
-    /// cache's striped statistics are combined on read.
-    pub fn merge(&mut self, other: &CacheStats) {
-        for (class, counters) in &other.per_class {
-            self.per_class
-                .entry(class.clone())
-                .or_default()
-                .merge(counters);
-        }
-        for (prio, counters) in &other.per_priority {
-            self.per_priority.entry(*prio).or_default().merge(counters);
-        }
-        for (action, count) in &other.actions {
-            *self.actions.entry(action.clone()).or_default() += count;
-        }
-        self.resident_blocks += other.resident_blocks;
-        self.contention.merge(&other.contention);
-    }
-}
-
-const CLASS_SLOTS: usize = 5;
-const PRIO_SLOTS: usize = 256;
-const ACTION_SLOTS: usize = CacheAction::ALL.len();
-
-/// The recording side of [`CacheStats`]: fixed enum-indexed counter
-/// arrays on plain `u64`s behind `&mut self`, for state that is already
-/// written under a lock — each [`crate::CacheEngine`] shard keeps one
-/// beside its policy under the shard lock, the LRU baseline cache and
-/// the passthrough configurations one under their only mutex.
-///
-/// Recording is a bounds-checked array add — no `BTreeMap` walk, no key
-/// allocation — and the map-shaped [`CacheStats`] is rendered only at
-/// [`LocalCacheStats::snapshot`] time, with every key string built
-/// there. A zero-amount record still creates its map entry in the
-/// snapshot (per-slot "seen" bitmasks).
-#[derive(Debug)]
-pub struct LocalCacheStats {
-    class_accessed: [u64; CLASS_SLOTS],
-    class_hits: [u64; CLASS_SLOTS],
-    class_seen: u64,
-    prio_accessed: [u64; PRIO_SLOTS],
-    prio_hits: [u64; PRIO_SLOTS],
-    prio_seen: [u64; PRIO_SLOTS / 64],
-    actions: [u64; ACTION_SLOTS],
-    actions_seen: u64,
-    /// Which path served the requests (see [`ContentionCounters`]); the
-    /// owner bumps the fields directly.
-    pub contention: ContentionCounters,
-}
-
-impl Default for LocalCacheStats {
-    fn default() -> Self {
-        LocalCacheStats {
-            class_accessed: [0; CLASS_SLOTS],
-            class_hits: [0; CLASS_SLOTS],
-            class_seen: 0,
-            prio_accessed: [0; PRIO_SLOTS],
-            prio_hits: [0; PRIO_SLOTS],
-            prio_seen: [0; PRIO_SLOTS / 64],
-            actions: [0; ACTION_SLOTS],
-            actions_seen: 0,
-            contention: ContentionCounters::default(),
-        }
-    }
-}
-
-impl LocalCacheStats {
-    /// Creates a zeroed counter set.
+    /// Creates a zeroed counter block.
     pub fn new() -> Self {
         Self::default()
     }
@@ -295,68 +200,65 @@ impl LocalCacheStats {
     /// Records `blocks` accessed of class `class`, of which `hits` were
     /// served from cache.
     pub fn record_class(&mut self, class: RequestClass, blocks: u64, hits: u64) {
-        let i = class as usize;
-        self.class_seen |= 1 << i;
-        self.class_accessed[i] += blocks;
-        self.class_hits[i] += hits;
+        let c = &mut self.classes[class as usize];
+        c.accessed_blocks += blocks;
+        c.cache_hits += hits;
     }
 
     /// Records `blocks` accessed at priority `prio`, of which `hits` were
     /// served from cache.
     pub fn record_priority(&mut self, prio: u8, blocks: u64, hits: u64) {
-        let i = prio as usize;
-        self.prio_seen[i / 64] |= 1 << (i % 64);
-        self.prio_accessed[i] += blocks;
-        self.prio_hits[i] += hits;
+        let c = &mut self.priorities[usize::from(prio)];
+        c.accessed_blocks += blocks;
+        c.cache_hits += hits;
     }
 
-    /// Adds `blocks` to the counter of `action`. A zero amount still
-    /// creates the action's key in the snapshot.
+    /// Adds `blocks` to the counter of `action`.
     pub fn record_action(&mut self, action: CacheAction, blocks: u64) {
-        let i = action.index();
-        self.actions_seen |= 1 << i;
-        self.actions[i] += blocks;
+        self.actions[action.index()] += blocks;
     }
 
-    /// Materializes the counters as a [`CacheStats`] (no device statistics
-    /// and no residency — the owning system attaches both).
-    pub fn snapshot(&self) -> CacheStats {
-        let mut out = CacheStats::new();
-        for (i, class) in RequestClass::all().iter().enumerate() {
-            if self.class_seen & (1 << i) != 0 {
-                out.per_class.insert(
-                    class.label().to_string(),
-                    ClassCounters {
-                        accessed_blocks: self.class_accessed[i],
-                        cache_hits: self.class_hits[i],
-                    },
-                );
-            }
-        }
-        for i in 0..PRIO_SLOTS {
-            if self.prio_seen[i / 64] & (1 << (i % 64)) != 0 {
-                out.per_priority.insert(
-                    i as u8,
-                    ClassCounters {
-                        accessed_blocks: self.prio_accessed[i],
-                        cache_hits: self.prio_hits[i],
-                    },
-                );
-            }
-        }
-        for (i, action) in CacheAction::ALL.iter().enumerate() {
-            if self.actions_seen & (1 << i) != 0 {
-                out.actions
-                    .insert(action.label().to_string(), self.actions[i]);
-            }
-        }
-        out.contention = self.contention;
-        out
+    /// Counter for one request class.
+    pub fn class(&self, class: RequestClass) -> ClassCounters {
+        self.classes[class as usize]
     }
 
-    /// Zeroes every counter and every "seen" mask.
-    pub fn reset(&mut self) {
-        *self = Self::default();
+    /// Counter for one priority.
+    pub fn priority(&self, prio: u8) -> ClassCounters {
+        self.priorities[usize::from(prio)]
+    }
+
+    /// Count of one action.
+    pub fn action(&self, action: CacheAction) -> u64 {
+        self.actions[action.index()]
+    }
+
+    /// Totals across all request classes.
+    pub fn totals(&self) -> ClassCounters {
+        let mut t = ClassCounters::default();
+        for c in &self.classes {
+            t.merge(c);
+        }
+        t
+    }
+
+    /// Folds another counter block into this one: class, priority, action
+    /// and contention counters are summed, and `resident_blocks`
+    /// accumulates. Device statistics are *not* merged (shards share one
+    /// device pair); the caller attaches them once on the aggregate. This
+    /// is how the sharded cache's per-shard blocks are combined on read.
+    pub fn merge(&mut self, other: &CacheStats) {
+        for (mine, theirs) in self.classes.iter_mut().zip(&other.classes) {
+            mine.merge(theirs);
+        }
+        for (mine, theirs) in self.priorities.iter_mut().zip(other.priorities.iter()) {
+            mine.merge(theirs);
+        }
+        for (mine, theirs) in self.actions.iter_mut().zip(&other.actions) {
+            *mine += theirs;
+        }
+        self.resident_blocks += other.resident_blocks;
+        self.contention.merge(&other.contention);
     }
 }
 
@@ -456,11 +358,11 @@ impl LatencyHistogram {
 mod tests {
     use super::*;
 
-    /// What `record` leaves in a fresh counter block, rendered.
-    fn recorded(record: impl FnOnce(&mut LocalCacheStats)) -> CacheStats {
-        let mut local = LocalCacheStats::new();
-        record(&mut local);
-        local.snapshot()
+    /// What `record` leaves in a fresh counter block.
+    fn recorded(record: impl FnOnce(&mut CacheStats)) -> CacheStats {
+        let mut stats = CacheStats::new();
+        record(&mut stats);
+        stats
     }
 
     #[test]
@@ -482,14 +384,35 @@ mod tests {
             s.record_class(RequestClass::Sequential, 1000, 3);
             s.record_priority(2, 100, 90);
             s.record_priority(3, 10, 0);
+            s.record_priority(2, 5, 5);
+            s.record_class(RequestClass::Update, 0, 0);
+            s.record_priority(7, 0, 0);
+            s.contention.lock_acquisitions += 3;
+            s.contention.fast_path_hits += 1;
         });
 
         assert_eq!(s.class(RequestClass::Random).accessed_blocks, 110);
         assert_eq!(s.class(RequestClass::Random).cache_hits, 90);
         assert_eq!(s.class(RequestClass::Sequential).cache_hits, 3);
         assert_eq!(s.class(RequestClass::Update), ClassCounters::default());
-        assert_eq!(s.priority(2).cache_hits, 90);
+        assert_eq!(s.priority(2).accessed_blocks, 105);
+        assert_eq!(s.priority(2).cache_hits, 95);
+        assert_eq!(s.priority(3).misses(), 10);
+        assert_eq!(s.priority(7), ClassCounters::default());
         assert_eq!(s.totals().accessed_blocks, 1110);
+        assert_eq!(s.totals().cache_hits, 93);
+        assert_eq!(s.resident_blocks, 0);
+        assert_eq!((s.ssd, s.hdd), (None, None));
+        assert_eq!(s.contention.lock_acquisitions, 3);
+        assert_eq!(s.contention.fast_path_hits, 1);
+        // Zero-amount records leave a fresh block equal to `new()`.
+        let zeros = recorded(|s| {
+            s.record_class(RequestClass::Update, 0, 0);
+            s.record_priority(7, 0, 0);
+            s.record_action(CacheAction::Trim, 0);
+        });
+        assert_eq!(zeros, CacheStats::new());
+        assert_eq!(zeros.contention, ContentionCounters::default());
     }
 
     #[test]
@@ -720,112 +643,6 @@ mod tests {
         assert_eq!(a.contention.fast_path_hits, 1);
         assert!((b.contention.fast_path_rate() - 0.01).abs() < 1e-9);
         assert_eq!(ContentionCounters::default().fast_path_rate(), 0.0);
-    }
-
-    #[test]
-    fn local_stats_snapshot_matches_locked_recording() {
-        let mut local = LocalCacheStats::new();
-        for (class, blocks, hits) in [
-            (RequestClass::Random, 100, 90),
-            (RequestClass::Random, 10, 0),
-            (RequestClass::Sequential, 1_000, 3),
-        ] {
-            local.record_class(class, blocks, hits);
-        }
-        for (prio, blocks, hits) in [(2u8, 100, 90), (3, 10, 0), (2, 5, 5)] {
-            local.record_priority(prio, blocks, hits);
-        }
-        for (action, blocks) in [
-            (CacheAction::CacheHit, 98),
-            (CacheAction::Eviction, 4),
-            (CacheAction::Trim, 0),
-        ] {
-            local.record_action(action, blocks);
-        }
-        local.record_class(RequestClass::Update, 0, 0);
-        local.record_priority(7, 0, 0);
-        local.contention.lock_acquisitions += 3;
-        local.contention.fast_path_hits += 1;
-        let counters = |accessed_blocks, cache_hits| ClassCounters {
-            accessed_blocks,
-            cache_hits,
-        };
-        let snap = local.snapshot();
-        // Zero-amount records still create their keys.
-        assert_eq!(
-            snap.per_class,
-            BTreeMap::from([
-                ("random".to_string(), counters(110, 90)),
-                ("sequential".to_string(), counters(1_000, 3)),
-                ("update".to_string(), counters(0, 0)),
-            ])
-        );
-        assert_eq!(
-            snap.per_priority,
-            BTreeMap::from([
-                (2, counters(105, 95)),
-                (3, counters(10, 0)),
-                (7, counters(0, 0))
-            ])
-        );
-        assert_eq!(
-            snap.actions,
-            BTreeMap::from([
-                ("CacheHit".to_string(), 98),
-                ("Eviction".to_string(), 4),
-                ("Trim".to_string(), 0),
-            ])
-        );
-        assert_eq!(snap.resident_blocks, 0);
-        assert_eq!((snap.ssd, snap.hdd), (None, None));
-        assert_eq!(snap.contention.lock_acquisitions, 3);
-        assert_eq!(snap.contention.fast_path_hits, 1);
-        local.reset();
-        assert_eq!(local.snapshot(), CacheStats::new());
-        assert_eq!(local.snapshot().contention, ContentionCounters::default());
-    }
-
-    #[test]
-    fn enum_indexed_counters_render_the_exact_legacy_key_strings() {
-        // The enum-indexed hot-path counters are an internal layout
-        // change: the rendered snapshot is the wire format (serialized in
-        // bench reports and compared across versions), so the BTreeMap
-        // keys must stay byte-identical to the strings the old map-based
-        // recording produced.
-        let mut local = LocalCacheStats::new();
-        for class in RequestClass::all() {
-            local.record_class(class, 1, 1);
-        }
-        for action in CacheAction::ALL {
-            local.record_action(action, 1);
-        }
-        for prio in [0u8, 1, 2, 7, 255] {
-            local.record_priority(prio, 1, 0);
-        }
-        let snap = local.snapshot();
-        let classes: Vec<&str> = snap.per_class.keys().map(String::as_str).collect();
-        assert_eq!(
-            classes,
-            ["random", "sequential", "temp-trim", "temporary", "update"],
-            "per_class keys must keep the legacy label strings"
-        );
-        let actions: Vec<&str> = snap.actions.keys().map(String::as_str).collect();
-        assert_eq!(
-            actions,
-            [
-                "Bypassing",
-                "CacheHit",
-                "Eviction",
-                "ReAllocation",
-                "ReadAllocation",
-                "Trim",
-                "WriteAllocation",
-                "WriteBufferFlush",
-            ],
-            "actions keys must keep the legacy Debug-format strings"
-        );
-        let prios: Vec<u8> = snap.per_priority.keys().copied().collect();
-        assert_eq!(prios, [0, 1, 2, 7, 255]);
     }
 
     #[test]

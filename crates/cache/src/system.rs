@@ -18,7 +18,7 @@ use std::time::Duration;
 /// Implementations:
 /// * [`crate::hybrid::HybridCache`] — the hStorage-DB priority cache,
 /// * [`crate::lru_cache::LruCache`] — classification-blind LRU cache,
-/// * [`crate::passthrough::HddOnly`] / [`crate::passthrough::SsdOnly`] —
+/// * [`crate::passthrough::Passthrough`] — the HDD-only and SSD-only
 ///   single-device baselines.
 pub trait StorageSystem: Send + Sync {
     /// Human-readable configuration name ("HDD-only", "LRU", …).

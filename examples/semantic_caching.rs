@@ -36,7 +36,11 @@ fn main() {
     }
 
     println!("\nCache statistics per assigned priority (Rule 2 at work):");
-    for (prio, counters) in &storage.per_priority {
+    for prio in 0..=u8::MAX {
+        let counters = storage.priority(prio);
+        if counters.accessed_blocks == 0 {
+            continue;
+        }
         println!(
             "  priority {:<2} accessed {:>9}  hits {:>9}  hit ratio {:>5.1}%",
             prio,

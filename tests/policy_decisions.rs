@@ -92,20 +92,36 @@ impl Fnv {
         self.duration(d.busy_time);
     }
 
+    /// Folds the counters in the order the recorded hashes expect:
+    /// classes by label, priorities ascending, actions by variant name,
+    /// each skipped while zero.
     fn stats(&mut self, s: &CacheStats) {
-        for (class, c) in &s.per_class {
-            self.bytes(class.as_bytes());
-            self.word(c.accessed_blocks);
-            self.word(c.cache_hits);
+        let mut classes = RequestClass::all();
+        classes.sort_by_key(|class| class.label());
+        for class in classes {
+            let c = s.class(class);
+            if c.accessed_blocks > 0 {
+                self.bytes(class.label().as_bytes());
+                self.word(c.accessed_blocks);
+                self.word(c.cache_hits);
+            }
         }
-        for (prio, c) in &s.per_priority {
-            self.word(u64::from(*prio));
-            self.word(c.accessed_blocks);
-            self.word(c.cache_hits);
+        for prio in 0..=u8::MAX {
+            let c = s.priority(prio);
+            if c.accessed_blocks > 0 {
+                self.word(u64::from(prio));
+                self.word(c.accessed_blocks);
+                self.word(c.cache_hits);
+            }
         }
-        for (action, n) in &s.actions {
-            self.bytes(action.as_bytes());
-            self.word(*n);
+        let mut actions = CacheAction::ALL;
+        actions.sort_by_key(|action| format!("{action:?}"));
+        for action in actions {
+            let n = s.action(action);
+            if n > 0 {
+                self.bytes(format!("{action:?}").as_bytes());
+                self.word(n);
+            }
         }
         self.word(s.resident_blocks);
         self.word(s.contention.lock_acquisitions);
