@@ -37,21 +37,21 @@
 //!
 //! Each shard keeps all of its state behind **one** `RwLock`:
 //!
-//! * mutating paths (a submission's slow path, a TRIM, a write-buffer
-//!   drain, a migration round, a statistics fold) hold the write lock
-//!   for their whole visit, so counters are plain `u64`s written where
-//!   the lock is already held and [`StorageSystem::stats`] takes each
-//!   shard briefly and sums them;
+//! * every submission, TRIM, write-buffer drain, migration round and
+//!   statistics fold holds the write lock for its whole visit, so
+//!   counters are plain `u64`s written where the lock is already held
+//!   and [`StorageSystem::stats`] takes each shard briefly and sums them;
 //! * read-only probes ([`CacheEngine::contains_block`],
 //!   [`CacheEngine::cached_priority`], residency counts, learned heat)
 //!   take the read lock and never serialize with each other.
 //!
-//! A request, a [`StorageSystem::submit_batch`] run and a TRIM walk their
-//! blocks **shard-major** (`CacheEngine::visit_shards`): each shard they
-//! touch is locked once and its blocks (`first, first + N, …`) handled
-//! under that acquisition, one shard at a time. Per-shard order stays
-//! request order, ascending within a request — what a block-by-block
-//! walk produces — so no decision or counter moves.
+//! A multi-block request, a [`StorageSystem::submit_batch`] run and a TRIM
+//! walk their blocks **shard-major** (`CacheEngine::visit_shards`): each
+//! shard they touch is locked once and its blocks (`first, first + N, …`)
+//! handled under that acquisition, one shard at a time. Per-shard order
+//! stays request order, ascending within a request — what a
+//! block-by-block walk produces — so no decision or counter moves. A
+//! lone-block request touches one shard and locks it directly.
 //!
 //! A multi-block walk settles bypassed blocks in **runs**, one QoS
 //! decision per request the way the paper classifies: once a block of a
@@ -64,25 +64,25 @@
 //! request's block, or attached migration (which records heat per block)
 //! sends a block down the full placement path.
 //!
-//! On top of that sits an optimistic fast path for the hottest possible
-//! case: a single-block read that repeats the immediately preceding hit
-//! on its shard. When the installed policy declares repeat hits
-//! idempotent ([`CachePolicy::repeat_hit_idempotent`]) the repeat is
-//! served under the *read* lock, because the skipped `on_hit` call is
-//! provably a no-op: it bumps the descriptor's tally and advances the
-//! clock, nothing else. The descriptor's block address is mirrored in an
-//! atomic outside the lock, so a read of any other block is turned away
-//! without taking the read lock. Whoever next replaces the descriptor —
-//! or reads the statistics — holds the write lock, sees the exact tally and
-//! credits it (hit, class and priority counters, SSD ledger, migration
-//! heat) to the descriptor it was counted against. Anything that could
-//! perturb policy order (a different block's hit, a write, an
-//! allocation, an eviction, a trim, a drain) takes the write lock and
-//! invalidates the descriptor. The fast path alters no simulated timing,
-//! no hit ratio and no policy decision; it only lets repeat hits share
-//! the lock. A policy that answers `false` takes the write lock on every
-//! submission, and [`crate::ContentionCounters`] reports how often each
-//! path was taken.
+//! The hottest possible case has a shortcut: a single-block read that
+//! repeats the immediately preceding hit on its shard. When the installed
+//! policy declares repeat hits idempotent
+//! ([`CachePolicy::repeat_hit_idempotent`]) the repeat skips the table
+//! probe, the policy call and the device pricing, because the skipped
+//! `on_hit` call is provably a no-op: under the write lock the lone-block
+//! path already holds, it bumps the hot descriptor's tally and advances
+//! the shard's clock lane by the precomputed SSD read time, nothing else.
+//! Whoever next replaces the descriptor — or reads the statistics —
+//! credits the tally (hit, class and priority counters, SSD ledger,
+//! migration heat) to the descriptor it was counted against. Anything
+//! that could perturb policy order (a different block's hit, a write, an
+//! allocation, an eviction, a trim, a drain) invalidates the descriptor.
+//! The shortcut alters no simulated timing, no hit ratio and no policy
+//! decision. Repeats of one block from several threads serialize on its
+//! shard's lock for the shortcut's few instructions; in exchange none of
+//! them writes the clock's shared base. A policy that answers
+//! `false` sends every submission down the full path, and
+//! [`crate::ContentionCounters`] reports how often each path was taken.
 
 use crate::config::{StorageConfig, StorageConfigKind};
 use crate::journal::{Journal, JournalOp, JournalSnapshot};
@@ -129,9 +129,6 @@ enum Placed {
 /// request.
 const PREFETCH_STRIDES: u64 = 8;
 
-/// `Shard::hot_lbn` of a shard whose hot descriptor is `None`.
-const NO_HOT: u64 = u64::MAX;
-
 /// `x % n` for an `x` below `2 * n`, without the division.
 fn wrap(x: u64, n: u64) -> u64 {
     x - if x >= n { n } else { 0 }
@@ -171,10 +168,10 @@ impl<I: Iterator<Item = BlockRange>> Iterator for ShardBlocks<I> {
     }
 }
 
-/// The block whose repeat read hit the optimistic path may serve under the
-/// read lock: the last read hit on the shard, with everything that hit was
-/// made of, so only a *bit-identical* repeat matches — the same arguments
-/// `on_hit` would receive, and the same SSD transfer.
+/// The block whose repeat read hit the lone-block path may serve from the
+/// descriptor alone: the last read hit on the shard, with everything that
+/// hit was made of, so only a *bit-identical* repeat matches — the same
+/// arguments `on_hit` would receive, and the same SSD transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HotHit {
     lbn: BlockAddr,
@@ -182,20 +179,18 @@ struct HotHit {
     sequential: bool,
 }
 
-/// Everything one shard owns, behind its one lock: mutating visits hold
-/// the write lock, read-only probes and optimistic repeat hits the read
-/// lock, so either sees a consistent metadata + hot-descriptor pair
-/// without any versioning.
+/// Everything one shard owns, behind its one lock: submissions and every
+/// other mutating visit hold the write lock, read-only probes the read
+/// lock.
 struct ShardState {
     meta: BlockTable,
     /// `Some` exactly while the last completed shard visit was a read hit
     /// and nothing has perturbed policy order since; any such block is
     /// guaranteed resident. Replaced only through [`Shard::set_hot`].
     hot: Option<HotHit>,
-    /// Repeat hits served against `hot` and not yet accounted for. Readers
-    /// add to it inside the read guard, so a holder of the write lock
-    /// reads the exact count, with no add in flight.
-    fast_hits: AtomicU64,
+    /// Repeat hits served against `hot` and not yet accounted for; zero
+    /// while `hot` is `None`.
+    fast_hits: u64,
     policy: Box<dyn CachePolicy>,
     /// Tier-migration state ([`crate::MigrationConfig`]): heat tracker,
     /// request shapes and the pending promote/demote queues. `None` while
@@ -217,18 +212,10 @@ struct ShardState {
 /// One lock-striped partition of the cache (see the module docs).
 struct Shard {
     state: RwLock<ShardState>,
-    /// The block address of `ShardState::hot`, or [`NO_HOT`], readable
-    /// without the lock: the fast path compares it first, so a request
-    /// that cannot match takes no read lock. Written only by
-    /// [`Shard::set_hot`], under the write lock. It is a screen, never a
-    /// verdict: a stale value sends a request to the slow path, and a hit
-    /// is admitted only by the full comparison under the read lock — so it
-    /// publishes nothing, and `Relaxed` accesses suffice.
-    hot_lbn: AtomicU64,
-    /// Nanoseconds the SSD takes for the one transfer the fast path ever
-    /// issues — a single-block read — indexed by its sequential flag.
-    /// Immutable after construction.
-    hit_service_ns: [u64; 2],
+    /// Time the SSD takes for the one transfer a repeat hit ever issues —
+    /// a single-block read — indexed by its sequential flag. Immutable
+    /// after construction.
+    hit_service: [Duration; 2],
     /// Blocks this shard's slice of the cache holds: it has a free slot
     /// exactly while its table holds fewer. Immutable after construction.
     capacity: usize,
@@ -249,7 +236,7 @@ impl Shard {
     fn new(
         config: &StorageConfig,
         capacity: u64,
-        hit_service_ns: [u64; 2],
+        hit_service: [Duration; 2],
         lane: ClockLane,
     ) -> Self {
         let migration = config.migration;
@@ -260,7 +247,7 @@ impl Shard {
                 // scan's blocks on this shard land in adjacent slots.
                 meta: BlockTable::with_capacity(capacity as usize, config.shards),
                 hot: None,
-                fast_hits: AtomicU64::new(0),
+                fast_hits: 0,
                 policy: config.cache_policy.build(&config.policy, capacity),
                 migration: migration
                     .enabled
@@ -269,8 +256,7 @@ impl Shard {
                 ssd: DeviceStats::new(),
                 lane,
             }),
-            hot_lbn: AtomicU64::new(NO_HOT),
-            hit_service_ns,
+            hit_service,
             capacity: capacity as usize,
             write_buffer_limit: (capacity as f64 * config.policy.write_buffer_fraction).floor()
                 as u64,
@@ -286,19 +272,12 @@ impl Shard {
     }
 
     /// Replaces the hot descriptor, first crediting the repeat hits tallied
-    /// against the old one, and keeps `hot_lbn` in step (stored only when
-    /// it changes, so repeated replacements on one block leave its cache
-    /// line clean). Inline, so the caller's descriptor is
-    /// stored straight into the shard state rather than passed through
-    /// memory.
+    /// against the old one. Inline, so the caller's descriptor is stored
+    /// straight into the shard state rather than passed through memory.
     #[inline]
     fn set_hot(&self, st: &mut ShardState, hot: Option<HotHit>) {
-        if *st.fast_hits.get_mut() > 0 {
+        if st.fast_hits > 0 {
             self.credit_fast_hits(st);
-        }
-        let hint = hot.map_or(NO_HOT, |h| h.lbn.0);
-        if self.hot_lbn.load(Ordering::Relaxed) != hint {
-            self.hot_lbn.store(hint, Ordering::Relaxed);
         }
         st.hot = hot;
     }
@@ -310,7 +289,7 @@ impl Shard {
     #[cold]
     #[inline(never)]
     fn credit_fast_hits(&self, st: &mut ShardState) {
-        let hits = std::mem::take(st.fast_hits.get_mut());
+        let hits = std::mem::take(&mut st.fast_hits);
         let old = st.hot.expect("repeat hits tallied against no descriptor");
         st.stats.record_action(CacheAction::CacheHit, hits);
         st.stats.record_class(old.shape.class, hits, hits);
@@ -318,7 +297,7 @@ impl Shard {
         st.stats.contention.fast_path_hits += hits;
         st.ssd.record(
             &IoRequest::read(BlockRange::new(old.lbn, 1), old.sequential),
-            Duration::from_nanos(self.hit_service_ns[usize::from(old.sequential)]),
+            self.hit_service[usize::from(old.sequential)],
             hits,
         );
         if let Some(mig) = st.migration.as_mut() {
@@ -927,9 +906,8 @@ impl CacheEngine {
         );
         let (clock, lanes) = SimClock::with_lanes(config.shards);
         let (ssd, hdd) = config.devices(&clock);
-        let hit_service_ns = [false, true].map(|sequential| {
-            let hit = IoRequest::read(BlockRange::new(0u64, 1), sequential);
-            ssd.service_time(&hit).as_nanos() as u64
+        let hit_service = [false, true].map(|sequential| {
+            ssd.service_time(&IoRequest::read(BlockRange::new(0u64, 1), sequential))
         });
         let n = config.shards as u64;
         let total = config.cache_capacity_blocks;
@@ -937,7 +915,7 @@ impl CacheEngine {
             .zip(lanes)
             .map(|(i, lane)| {
                 let capacity = total / n + u64::from(i < total % n);
-                Shard::new(config, capacity, hit_service_ns, lane)
+                Shard::new(config, capacity, hit_service, lane)
             })
             .collect();
         let mut engine = CacheEngine {
@@ -966,8 +944,8 @@ impl CacheEngine {
     ///   batch run-splitting) is keyed to group 0, so a policy declaring
     ///   any other group buffered would accumulate occupancy the engine
     ///   never flushes;
-    /// * [`Self::hit_fast_path`] — optimistic repeat hits are consulted
-    ///   only when the policy declares them idempotent.
+    /// * [`Self::hit_fast_path`] — repeat hits take the descriptor
+    ///   shortcut only when the policy declares them idempotent.
     fn refresh_policy_traits(&mut self) {
         let policy = &self.shards[0].state.get_mut().policy;
         self.write_buffering = policy.write_buffered(CachePriority(0));
@@ -1004,8 +982,8 @@ impl CacheEngine {
         self
     }
 
-    /// Whether the optimistic repeat-hit path is in force (the installed
-    /// policy declares repeat hits idempotent).
+    /// Whether repeat hits take the descriptor shortcut (the installed
+    /// policy declares them idempotent).
     pub fn optimistic_reads_active(&self) -> bool {
         self.hit_fast_path
     }
@@ -1139,59 +1117,6 @@ impl CacheEngine {
         }
     }
 
-    /// The optimistic fast path: serves `req` entirely under the shard's
-    /// read lock iff it is a single-block read repeating the immediately
-    /// preceding hit on its shard (same block, same request shape). The
-    /// skipped `on_hit` is a no-op by the
-    /// [`CachePolicy::repeat_hit_idempotent`] contract, and the hit is
-    /// tallied on the descriptor for [`Shard::set_hot`] to account, so
-    /// metadata, policy state, statistics totals and the SSD transfer
-    /// (timing included) come out identical to the slow path. Returns
-    /// `false` when the request must take the slow path.
-    fn try_fast_read_hit(&self, req: &ClassifiedRequest, preq: &PolicyRequest) -> bool {
-        if !self.hit_fast_path
-            || req.blocks() != 1
-            || req.io.direction != Direction::Read
-            // Buffered-priority requests keep the per-request flush check
-            // of the slow path (a pure hit cannot grow the buffer, but the
-            // conservative skip keeps the two paths trivially equivalent).
-            || (self.write_buffering && preq.prio == CachePriority(0))
-        {
-            return false;
-        }
-        let lbn = req.io.range.start;
-        let sequential = req.io.sequential;
-        let shard = self.shard(lbn);
-        // Lock-free screen: a request for any other block cannot match,
-        // so it goes to the slow path without touching the read lock.
-        if shard.hot_lbn.load(Ordering::Relaxed) != lbn.0 {
-            return false;
-        }
-        {
-            let st = shard.state.read();
-            let expected = HotHit {
-                lbn,
-                shape: *preq,
-                sequential,
-            };
-            if st.hot != Some(expected) {
-                return false;
-            }
-            debug_assert!(
-                st.meta.contains(lbn),
-                "hot-hit descriptor names a non-resident block"
-            );
-            // Inside the guard: a writer replacing the descriptor must
-            // find every hit that matched it already counted.
-            st.fast_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        // The clock is the one thing a repeat hit moves right away —
-        // `now()` stays exact with no fold.
-        self.clock
-            .advance_nanos(shard.hit_service_ns[usize::from(sequential)]);
-        true
-    }
-
     /// Prices the device traffic one request accumulated and advances
     /// `st`'s clock lane by the total, once — the same integer-nanosecond
     /// sum as advancing per device. Runs under the shard's write lock, on
@@ -1255,8 +1180,8 @@ impl CacheEngine {
         PREFETCH_STRIDES * self.shards.len() as u64
     }
 
-    /// The shard-major traversal every mutating block walk goes through —
-    /// one request, a run of requests, a TRIM's ranges. Each shard the
+    /// The shard-major traversal of a multi-block walk — one request, a
+    /// run of requests, a TRIM's ranges. Each shard the
     /// `ranges` touch is visited exactly once: its write lock is taken
     /// (and counted), `visit` is handed the shard's blocks as
     /// `(range index, block)` pairs and must consume them, and the lock is
@@ -1409,32 +1334,55 @@ impl CacheEngine {
     /// [`StorageSystem::submit`] below the journal wrapper.
     fn submit_inner(&self, req: ClassifiedRequest) {
         let preq = self.policy_request(&req);
-        if self.try_fast_read_hit(&req, &preq) {
-            return;
-        }
-        if req.blocks() > 1 {
-            self.walk_request(&req, preq);
-        } else {
-            // A lone block: at most one shard visit, and no run to settle.
-            // The visit also prices the request and advances the shard's
-            // clock lane, so the request's only locked instructions are the
-            // shard lock's (and the disk mutex's, if it reaches the disk).
-            let ahead = self.prefetch_distance();
-            self.visit_shards(std::iter::once(req.io.range), |shard, st, blocks| {
-                let mut batch = DeviceBatch::default();
-                for (_, lbn) in blocks {
-                    st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
-                    shard.handle_block(st, lbn, &preq, req.io.sequential, &mut batch);
-                }
-                self.charge(st, &req, &batch);
-            });
-        }
         // Only write-buffer traffic can grow the buffer, so the flush
         // check is needed — and its cost paid — only under a buffering
         // policy and only then.
-        if self.write_buffering && preq.prio == CachePriority(0) {
+        let buffered = self.write_buffering && preq.prio == CachePriority(0);
+        match req.blocks() {
+            0 => return,
+            1 => self.submit_block(&req, &preq, buffered),
+            _ => self.walk_request(&req, preq),
+        }
+        if buffered {
             self.maybe_flush_write_buffers();
         }
+    }
+
+    /// A lone-block [`Self::submit_inner`]: one shard visit under its
+    /// write lock, which also prices the request and advances the shard's
+    /// clock lane, so the request's only locked instructions are the
+    /// shard lock's (and the disk mutex's, if it reaches the disk).
+    ///
+    /// A read repeating the shard's hot hit exactly takes the shortcut:
+    /// the skipped `on_hit` is a no-op by the
+    /// [`CachePolicy::repeat_hit_idempotent`] contract, so the hit is only
+    /// tallied on the descriptor, for [`Shard::set_hot`] to account, and
+    /// the lane advanced by the SSD transfer it would have been priced at.
+    /// Write-buffer reads always take the full path, which keeps the two
+    /// paths trivially equivalent ahead of the flush check that follows.
+    #[inline(always)]
+    fn submit_block(&self, req: &ClassifiedRequest, preq: &PolicyRequest, buffered: bool) {
+        let lbn = req.io.range.start;
+        let sequential = req.io.sequential;
+        let shard = self.shard(lbn);
+        let mut st = shard.state.write();
+        // The descriptor only ever holds a read's shape, so matching it
+        // also proves this request a read.
+        let repeat = HotHit {
+            lbn,
+            shape: *preq,
+            sequential,
+        };
+        if self.hit_fast_path && !buffered && st.hot == Some(repeat) {
+            debug_assert!(st.meta.contains(lbn), "repeat hit on a non-resident block");
+            st.fast_hits += 1;
+            st.lane.advance(shard.hit_service[usize::from(sequential)]);
+            return;
+        }
+        st.stats.contention.lock_acquisitions += 1;
+        let mut batch = DeviceBatch::default();
+        shard.handle_block(&mut st, lbn, preq, sequential, &mut batch);
+        self.charge(&mut st, req, &batch);
     }
 
     /// The shard visits of a multi-block [`Self::submit_inner`], which
@@ -1488,15 +1436,21 @@ impl CacheEngine {
     /// Takes each shard's write lock in turn (uncounted: this is a
     /// statistics read, not a submission), credits the repeat hits still
     /// tallied on its hot descriptor and hands the settled state to `f`.
+    /// Debug builds first check the descriptor: a `Some` names a resident
+    /// block, and a `None` has no tally.
     fn for_each_settled(&self, mut f: impl FnMut(&mut ShardState)) {
         for shard in &self.shards {
             let mut st = shard.state.write();
             let hot = st.hot;
-            debug_assert_eq!(
-                shard.hot_lbn.load(Ordering::Relaxed),
-                hot.map_or(NO_HOT, |h| h.lbn.0),
-                "hot_lbn disagrees with the hot descriptor"
-            );
+            match hot {
+                Some(h) => debug_assert!(
+                    st.meta.contains(h.lbn),
+                    "hot-hit descriptor names a non-resident block"
+                ),
+                None => {
+                    debug_assert_eq!(st.fast_hits, 0, "repeat hits tallied against no descriptor")
+                }
+            }
             shard.set_hot(&mut st, hot);
             f(&mut st);
         }
@@ -2363,10 +2317,52 @@ mod tests {
     }
 
     #[test]
-    fn probes_and_repeat_hits_share_the_read_lock() {
-        // Hold every shard's read lock and drive the read-only probes and a
-        // repeat hit: if any of them needed the write lock this test would
-        // deadlock. A slow-path submit does need it, and must wait.
+    fn a_repeat_hit_is_tallied_and_advances_the_clock_by_one_ssd_read() {
+        const N: u32 = 5;
+        let mut reads = Vec::new();
+        for class in [RequestClass::Random, RequestClass::Sequential] {
+            let c = engine(CachePolicyKind::Lru, 64);
+            let r = read_req(5, 1, class, QosPolicy::priority(2));
+            c.submit(r); // miss
+            c.submit(r); // hit: arms the descriptor
+            let before = c.stats().contention;
+            let t0 = c.now();
+            for _ in 0..N {
+                c.submit(r);
+            }
+            let read = c.ssd.service_time(&r.io);
+            assert_eq!(c.now() - t0, read * N, "{class:?}: one SSD read each");
+            let after = c.stats().contention;
+            assert_eq!(
+                after.lock_acquisitions, before.lock_acquisitions,
+                "{class:?}"
+            );
+            assert_eq!(
+                after.fast_path_hits,
+                before.fast_path_hits + u64::from(N),
+                "{class:?}"
+            );
+            reads.push(read);
+        }
+        assert_ne!(reads[0], reads[1], "the two shapes must be told apart");
+        // A write-buffer read keeps the full path and its flush check,
+        // repeat or not.
+        let c = engine(CachePolicyKind::SemanticPriority, 64);
+        let buffered = read_req(5, 1, RequestClass::Random, QosPolicy::WriteBuffer);
+        for _ in 0..3 {
+            c.submit(buffered);
+        }
+        let contention = c.stats().contention;
+        assert_eq!(contention.lock_acquisitions, 3);
+        assert_eq!(contention.fast_path_hits, 0);
+    }
+
+    #[test]
+    fn probes_share_the_read_lock_and_a_repeat_hit_waits_for_it() {
+        // Hold every shard's read lock and drive the read-only probes: if
+        // any of them needed the write lock this test would deadlock. A
+        // repeat hit takes the write lock like every submission, so it
+        // must wait for the readers, and still counts as a fast-path hit.
         let c = CacheEngine::new(&config(CachePolicyKind::SemanticPriority, 64).with_shards(4));
         let hot = read_req(1, 1, RequestClass::Random, QosPolicy::priority(2));
         c.submit(hot); // miss
@@ -2379,24 +2375,25 @@ mod tests {
         assert_eq!(c.learned_heat(BlockAddr(1)), 0);
         assert_eq!(c.write_buffer_resident(), 0);
         assert_eq!(c.write_buffer_limit(), 4);
-        c.submit(hot); // repeat hit: read lock only
         std::thread::scope(|s| {
-            let (done, slow) = std::sync::mpsc::channel();
+            let (done, repeat) = std::sync::mpsc::channel();
             let c = &c;
             s.spawn(move || {
-                c.submit(read_req(2, 1, RequestClass::Random, QosPolicy::priority(2)));
+                c.submit(hot);
                 done.send(()).expect("receiver outlives the scope");
             });
             assert!(
-                slow.recv_timeout(Duration::from_millis(100)).is_err(),
-                "a slow-path submit must wait for the readers"
+                repeat.recv_timeout(Duration::from_millis(100)).is_err(),
+                "a repeat hit must wait for the readers"
             );
             drop(guards);
-            slow.recv()
-                .expect("the submit completes once the readers leave");
+            repeat
+                .recv()
+                .expect("the repeat completes once the readers leave");
         });
-        assert_eq!(c.stats().contention.fast_path_hits, 1);
-        assert!(c.contains_block(BlockAddr(2)));
+        let contention = c.stats().contention;
+        assert_eq!(contention.fast_path_hits, 1);
+        assert_eq!(contention.lock_acquisitions, 2);
     }
 
     /// An eager migration config: every `migrate_idle` call runs a round.

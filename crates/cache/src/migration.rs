@@ -7,9 +7,9 @@
 //! This module adds the missing feedback loop:
 //!
 //! * a per-shard [`HeatTracker`] — decayed access counters fed from the
-//!   engine's existing hit/miss events (hits served by the lock-light
-//!   optimistic read path are tallied on its descriptor and credited in
-//!   bulk), cheap enough to ride the hot path;
+//!   engine's existing hit/miss events (repeat hits served by the
+//!   shard's hot descriptor are tallied on it and credited in bulk),
+//!   cheap enough to ride the hot path;
 //! * a background **migration round**, run by
 //!   [`StorageSystem::migrate_idle`](crate::StorageSystem::migrate_idle)
 //!   when enough *idle* simulated device time has accrued since the last
@@ -271,9 +271,8 @@ impl HeatTracker {
         self.record_n(lbn, 1);
     }
 
-    /// Records `n` accesses to `lbn` at once (how the optimistic fast
-    /// path's tallied hits are credited when their descriptor is
-    /// replaced).
+    /// Records `n` accesses to `lbn` at once (how the repeat hits tallied
+    /// on a hot descriptor are credited when it is replaced).
     pub fn record_n(&mut self, lbn: BlockAddr, n: u64) {
         if n == 0 {
             return;

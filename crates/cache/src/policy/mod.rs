@@ -246,12 +246,11 @@ pub trait CachePolicy: Send + Sync {
     /// [`HitOutcome::Unchanged`] the second time.
     ///
     /// Policies declaring `true` opt their blocks into the engine's
-    /// optimistic read path: a single-block read that repeats the
-    /// immediately preceding hit on its shard is served under the shard's
-    /// *read* lock — statistics and device timing recorded, policy
-    /// untouched — sharing it with other readers. That is only sound
-    /// when the skipped `on_hit` is provably a no-op, which is exactly
-    /// this contract. Every shipped policy satisfies it (an LRU touch of
+    /// repeat-hit shortcut: a single-block read that repeats the
+    /// immediately preceding hit on its shard is served from the shard's
+    /// hot descriptor — statistics and device timing recorded, policy
+    /// untouched, no table probe. That is only sound when the skipped
+    /// `on_hit` is provably a no-op, which is exactly this contract. Every shipped policy satisfies it (an LRU touch of
     /// the block that is already most-recent does not reorder anything);
     /// the conservative default is `false`, so custom policies keep the
     /// always-locked behaviour unless they opt in.

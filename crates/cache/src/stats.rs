@@ -84,27 +84,27 @@ impl ClassCounters {
     }
 }
 
-/// Hot-path contention diagnostics: how often the cache took a shard's
-/// lock exclusively versus serving a request on the optimistic,
-/// shared-lock path.
+/// Hot-path diagnostics: how often a shard visit took the full submission
+/// path versus the repeat-hit shortcut.
 ///
 /// These counters describe the *execution path*, not the cache's logical
 /// behaviour: two runs that make identical caching decisions can take
 /// different counts depending on thread interleaving and whether the
-/// policy opts into the optimistic read path. They are therefore excluded from
+/// policy opts into the repeat-hit shortcut. They are therefore excluded from
 /// [`CacheStats`]'s `PartialEq` — the equivalence suites (sharded ≡
 /// unsharded, batched ≡ sequential, optimistic ≡ locked) compare logical
 /// state only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ContentionCounters {
-    /// Exclusive shard-lock acquisitions on the submission paths: one per
-    /// shard a request, batch run or TRIM touches, plus write-buffer
-    /// drains and migration rounds. Read-only probes take the lock
-    /// shared, and the statistics reads that take it exclusively are not
-    /// counted.
+    /// Slow-path shard visits: one per shard a request, batch run or
+    /// TRIM touches, plus write-buffer drains and migration rounds — every
+    /// exclusive acquisition of a shard's lock on those paths except a
+    /// repeat hit's. Read-only probes take the lock shared, and the
+    /// statistics reads that take it exclusively are not counted.
     pub lock_acquisitions: u64,
-    /// Single-block repeat read hits served entirely under the shared
-    /// (read) side of the shard lock.
+    /// Single-block repeat read hits served from the shard's hot
+    /// descriptor, under its write lock, without the table probe, the
+    /// policy call or device pricing.
     pub fast_path_hits: u64,
 }
 
@@ -178,7 +178,7 @@ impl Default for CacheStats {
 /// Equality compares the cache's *logical* state — class/priority/action
 /// counters, residency and device statistics — and deliberately ignores
 /// [`CacheStats::contention`], which varies with thread interleaving and
-/// the policy's use of the optimistic read path without the cache behaving
+/// the policy's use of the repeat-hit shortcut without the cache behaving
 /// any differently.
 impl PartialEq for CacheStats {
     fn eq(&self, other: &Self) -> bool {

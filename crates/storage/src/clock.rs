@@ -11,14 +11,15 @@
 //! cache line of its own:
 //!
 //! * the **base**, an `AtomicU64` any holder of the clock advances with
-//!   `fetch_add` (devices serving outside a cache shard, repeat hits under
-//!   a read lock);
+//!   `fetch_add`: the devices advance it for the transfers they serve
+//!   outside a cache shard;
 //! * a fixed set of **lanes**, created with the clock
 //!   ([`SimClock::with_lanes`]). A [`ClockLane`] has exactly one owner —
 //!   it is not `Clone`, and advancing it takes `&mut self` — so the owner
 //!   advances it with a plain load and store, no locked read-modify-write,
 //!   and no other writer ever pulls its line away. A cache engine gives
-//!   each shard one lane, written under that shard's write lock.
+//!   each shard one lane, written under that shard's write lock: every
+//!   request priced under the lock, repeat hits included, advances it.
 //!
 //! [`SimClock::now`] is the base plus every lane. Each counter only grows,
 //! so successive readings by one thread never go backwards.
@@ -91,23 +92,17 @@ impl SimClock {
         Duration::from_nanos(sum)
     }
 
-    /// Advances the clock's base by `d` and returns the base's new reading
-    /// (see [`Self::advance_nanos`]).
-    pub fn advance(&self, d: Duration) -> Duration {
-        self.advance_nanos(nanos(d))
-    }
-
-    /// Advances the clock's base by a number of nanoseconds and returns the
-    /// base's new reading: the clock's time if it has no lanes. It leaves
-    /// the lanes unread, because repeat hits and device transfers advance
-    /// the base on their hot paths and none of them reads the result;
-    /// [`Self::now`] adds the lanes.
+    /// Advances the clock's base by `d` and returns the base's new reading:
+    /// the clock's time if it has no lanes. It leaves the lanes unread,
+    /// because device transfers advance the base on their hot paths and
+    /// none of them reads the result; [`Self::now`] adds the lanes.
     ///
     /// Saturates at `u64::MAX` nanoseconds (~584 years of virtual time)
     /// instead of wrapping, preserving the semantics of the earlier
     /// `u128`-based implementation.
     #[inline]
-    pub fn advance_nanos(&self, delta: u64) -> Duration {
+    pub fn advance(&self, d: Duration) -> Duration {
+        let delta = nanos(d);
         let base = &self.shared.base.0;
         let prev = base.fetch_add(delta, Ordering::Relaxed);
         match prev.checked_add(delta) {
@@ -201,7 +196,7 @@ mod tests {
                 let c = c.clone();
                 s.spawn(move || {
                     for _ in 0..10_000 {
-                        c.advance_nanos(3);
+                        c.advance(Duration::from_nanos(3));
                     }
                 });
             }
@@ -219,7 +214,10 @@ mod tests {
         lanes[2].advance(Duration::from_nanos(4));
         assert_eq!(reader.now(), Duration::from_nanos(127));
         // A base advance reports the base alone.
-        assert_eq!(c.advance_nanos(1000), Duration::from_nanos(1100));
+        assert_eq!(
+            c.advance(Duration::from_nanos(1000)),
+            Duration::from_nanos(1100)
+        );
         assert_eq!(reader.now(), Duration::from_nanos(1127));
         assert_eq!(SimClock::with_lanes(0).1.len(), 0);
     }
@@ -236,7 +234,7 @@ mod tests {
         // One lane alone saturates too, and stays pinned.
         lanes[1].advance(Duration::MAX);
         lanes[1].advance(Duration::from_secs(1));
-        c.advance_nanos(1);
+        c.advance(Duration::from_nanos(1));
         assert_eq!(c.now(), Duration::from_nanos(u64::MAX));
     }
 
@@ -255,7 +253,7 @@ mod tests {
                 let c = c.clone();
                 s.spawn(move || {
                     for _ in 0..10_000 {
-                        c.advance_nanos(3);
+                        c.advance(Duration::from_nanos(3));
                     }
                 });
             }

@@ -144,7 +144,7 @@ fn folded_statistics_equal_a_locked_twin_after_every_operation() {
                 let context = format!("{kind}, migration {}, op {i} {op:?}", migration.enabled);
                 let (folded, locked) = (probed.stats(), twin.stats());
                 assert_eq!(folded, locked, "{context}");
-                // A fast-path hit replaces exactly one lock acquisition.
+                // A fast-path hit replaces exactly one slow-path visit.
                 assert_eq!(locked.contention.fast_path_hits, 0, "{context}");
                 assert_eq!(
                     folded.contention.lock_acquisitions + folded.contention.fast_path_hits,

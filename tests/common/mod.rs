@@ -136,8 +136,8 @@ pub fn request(rng: &mut Rng) -> ClassifiedRequest {
 }
 
 /// A shipped policy that declares repeat hits *not* idempotent and
-/// forwards everything else, so the engine takes the write lock on every
-/// submission: the fully locked twin the optimistic fast path is held to.
+/// forwards everything else, so every submission takes the engine's full
+/// path: the twin the repeat-hit fast path is held to.
 #[allow(dead_code)] // only the contention and accounting suites build twins
 struct Locked(Box<dyn CachePolicy>);
 

@@ -1,6 +1,7 @@
-//! Contention suite for the lock-light cache hot path: the optimistic
-//! repeat-hit engine must be observably identical to the fully locked
-//! one. (`tests/accounting.rs` checks the accounting behind it.)
+//! Contention suite for the cache hot path: the engine whose repeat hits
+//! take the hot-descriptor shortcut must be observably identical to the
+//! one that sends every submission down the full path.
+//! (`tests/accounting.rs` checks the accounting behind it.)
 //!
 //! The stress test reads `HSTORAGE_STRESS_THREADS` (default 8) so the CI
 //! contention job can re-run it at 16 and 32 threads.
@@ -19,7 +20,7 @@ mod common;
 // ---------------------------------------------------------------------------
 
 /// `optimistic` with `kind`'s policies behind [`common::locked`], so every
-/// submission takes the write lock.
+/// submission takes the full path.
 fn locked_twin(optimistic: HybridCache, kind: CachePolicyKind) -> HybridCache {
     let config = PolicyConfig::paper_default();
     optimistic.with_policy_factory(kind.system_name(), common::locked(kind, &config))
@@ -84,9 +85,9 @@ proptest! {
                 "{}",
                 kind
             );
-            // The twin really is the locked path: it never served a repeat
-            // lock-free, and each one the optimistic engine did replaces
-            // exactly one of the twin's lock acquisitions.
+            // The twin really is the full path: it never served a repeat
+            // from the hot descriptor, and each one the optimistic engine
+            // did replaces exactly one of the twin's slow-path visits.
             let (fast, slow) = (optimistic.stats().contention, locked.stats().contention);
             prop_assert_eq!(slow.fast_path_hits, 0, "{}", kind);
             prop_assert_eq!(
@@ -154,7 +155,7 @@ fn repeat_heavy_trace() -> Vec<ClassifiedRequest> {
 fn optimistic_reads_match_the_locked_path_for_every_policy() {
     // The fast path must change nothing observable: logical statistics,
     // simulated time, residency and per-block state all agree with the
-    // engine that takes the write lock on every submission.
+    // engine that sends every submission down the full path.
     for kind in CachePolicyKind::all() {
         let build = || HybridCache::new(&common::hstorage(64, 1).with_cache_policy(kind));
         let optimistic = build();
@@ -178,8 +179,8 @@ fn optimistic_reads_match_the_locked_path_for_every_policy() {
             );
         }
         // And the diagnostic counters prove the paths diverged where
-        // they should: repeats were served lock-free on one engine and
-        // under the write lock on the other.
+        // they should: repeats were served from the hot descriptor on one
+        // engine and through the full path on the other.
         assert!(
             optimistic.stats().contention.fast_path_hits > 0,
             "{kind}: the repeat-heavy trace must exercise the fast path"
@@ -188,7 +189,7 @@ fn optimistic_reads_match_the_locked_path_for_every_policy() {
         assert!(
             optimistic.stats().contention.lock_acquisitions
                 < locked.stats().contention.lock_acquisitions,
-            "{kind}: the fast path must shed lock acquisitions"
+            "{kind}: the fast path must replace slow-path visits"
         );
     }
 }
@@ -197,7 +198,7 @@ fn optimistic_reads_match_the_locked_path_for_every_policy() {
 /// engine. Every access is a cache hit, so the logical statistics and the
 /// simulated clock are interleaving-independent — they must equal a
 /// single-threaded replay on a [`common::locked`] twin, proving the
-/// concurrent lock-free accounting against the fully locked ground truth.
+/// concurrent tallied accounting against the full-path ground truth.
 #[test]
 fn contended_hot_reads_lose_no_counter() {
     const BLOCKS_PER_THREAD: u64 = 16;
@@ -244,7 +245,7 @@ fn contended_hot_reads_lose_no_counter() {
     assert_eq!(concurrent.now(), twin.now());
     assert_eq!(concurrent.resident_blocks(), twin.resident_blocks());
     // The diagnostic counters prove which path ran: the concurrent engine
-    // served repeats lock-free, the locked twin never did.
+    // served repeats from the hot descriptor, the locked twin never did.
     assert!(concurrent.stats().contention.fast_path_hits > 0);
     assert_eq!(twin.stats().contention.fast_path_hits, 0);
     assert!(twin.stats().contention.lock_acquisitions > 0);
