@@ -35,7 +35,9 @@
 //! a [`StorageConfig`] with more `shards` enables real parallelism for the
 //! query service and other multi-threaded callers.
 //!
-//! Each shard keeps all of its state behind **one** `RwLock`:
+//! Each shard keeps all of its state behind **one** reader-writer
+//! `ShardLock` (`crate::shard_lock`), whose waiters spin and yield rather
+//! than park, so a writer releases it with a plain store:
 //!
 //! * every submission, TRIM, write-buffer drain, migration round and
 //!   statistics fold holds the write lock for its whole visit, so
@@ -88,6 +90,7 @@ use crate::config::{StorageConfig, StorageConfigKind};
 use crate::journal::{Journal, JournalOp, JournalSnapshot};
 use crate::migration::{MigrationStats, ShardMigration};
 use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
+use crate::shard_lock::{ShardLock, ShardWriteGuard};
 use crate::stats::{CacheAction, CacheStats};
 use crate::system::StorageSystem;
 use crate::table::{BlockState, BlockTable, CacheEntry, TableSlot};
@@ -95,7 +98,6 @@ use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, ClockLane, DeviceStats, Direction,
     HddDevice, IoRequest, SimClock, SsdDevice, StorageDevice, TrimCommand,
 };
-use parking_lot::{RwLock, RwLockWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -211,7 +213,7 @@ struct ShardState {
 
 /// One lock-striped partition of the cache (see the module docs).
 struct Shard {
-    state: RwLock<ShardState>,
+    state: ShardLock<ShardState>,
     /// Time the SSD takes for the one transfer a repeat hit ever issues —
     /// a single-block read — indexed by its sequential flag. Immutable
     /// after construction.
@@ -241,7 +243,7 @@ impl Shard {
     ) -> Self {
         let migration = config.migration;
         Shard {
-            state: RwLock::new(ShardState {
+            state: ShardLock::new(ShardState {
                 // Pre-sized to the shard's slot count: a full shard never
                 // rehashes mid-run. Grouped by the shard stride, so a
                 // scan's blocks on this shard land in adjacent slots.
@@ -265,7 +267,7 @@ impl Shard {
     }
 
     /// Takes the write lock for a submission-path visit, counting it.
-    fn lock_for_write(&self) -> RwLockWriteGuard<'_, ShardState> {
+    fn lock_for_write(&self) -> ShardWriteGuard<'_, ShardState> {
         let mut st = self.state.write();
         st.stats.contention.lock_acquisitions += 1;
         st

@@ -26,8 +26,9 @@
 //! [`StorageConfig`] so the same engine can compare replacement
 //! algorithms under identical mechanism.
 
-// The one `unsafe` block of the workspace is the block table's prefetch
-// hint (`table::prefetch_line`); everything else stays safe code.
+// Unsafe code lives in two places: the block table's prefetch hint
+// (`table::prefetch_line`) and the shard lock's guards and `Sync` impl
+// (`shard_lock`, which opts in module-wide); everything else stays safe.
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -43,6 +44,7 @@ pub mod passthrough;
 pub mod policy;
 pub mod priority_group;
 pub mod recovery;
+mod shard_lock;
 pub mod stats;
 pub mod system;
 pub mod table;
