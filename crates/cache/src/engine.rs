@@ -55,16 +55,24 @@
 //! block-by-block walk produces — so no decision or counter moves. A
 //! lone-block request touches one shard and locks it directly.
 //!
-//! A multi-block walk settles bypassed blocks in **runs**, one QoS
-//! decision per request the way the paper classifies: once a block of a
-//! request is refused by [`CachePolicy::admits`] (a pure query), the
-//! request's following blocks on the shard whose home slot in the block
-//! table is vacant are certainly absent and certainly refused again. Each
-//! costs one occupancy-bit test and no table prefetch; the run is
-//! recorded as one tally of the counters and device traffic that many
-//! single refusals would have recorded. An occupied home slot, another
-//! request's block, or attached migration (which records heat per block)
-//! sends a block down the full placement path.
+//! A multi-block walk settles blocks in **runs** that make no policy
+//! call. A bypass run follows one QoS decision per request, the way the
+//! paper classifies: once a block of a request is refused by
+//! [`CachePolicy::admits`] (a pure query), the request's following blocks
+//! on the shard whose home slot in the block table is vacant are
+//! certainly absent and certainly refused again; each costs one
+//! occupancy-bit test and no table prefetch. An **inert** read — a shape
+//! for which [`CachePolicy::is_inert`] promises refusal and a hit that
+//! changes nothing, such as the paper's "non-caching and non-eviction"
+//! scans — is a run from its first block on the shard to its last: a
+//! vacant home slot is a bypass by that same bit test, an occupied one
+//! costs one table probe, resident a hit and absent a bypass, and the
+//! policy is asked only whether the request is inert. A run is recorded
+//! as one tally of the counters, device traffic and hot descriptor that
+//! many single placements would have recorded. Another request's block,
+//! an occupied home slot inside a bypass run, a write, or attached
+//! migration (which records heat per block) sends a block down the full
+//! placement path.
 //!
 //! The hottest possible case has a shortcut: a single-block read that
 //! repeats the immediately preceding hit on its shard. When the installed
@@ -123,6 +131,16 @@ enum Placed {
     /// Absent and admitted: allocated a slot, or bypassed after all for
     /// want of a victim — either way the policy was called mutably.
     Admitted,
+}
+
+/// The blocks of one run a shard walk settles without a policy call
+/// (see `Shard::walk_blocks`): hits (inert reads only) and bypasses.
+#[derive(Debug, Default)]
+struct Run {
+    hits: u64,
+    bypassed: u64,
+    /// The run's last hit, which the hot descriptor ends on.
+    last_hit: Option<BlockAddr>,
 }
 
 /// How far ahead of the block it handles a shard walk prefetches the
@@ -383,18 +401,27 @@ impl Shard {
 
     /// Handles one shard visit's blocks of `reqs` — `(request index,
     /// block)` pairs, `work[i]` holding request `i`'s policy shape and
-    /// device batch — settling bypassed blocks in runs.
+    /// device batch — settling runs of blocks without a policy call.
     ///
-    /// Once a block of request `i` is refused by `admits`, each following
-    /// block of `i` whose home slot is vacant is certainly absent (a
-    /// lookup stops at the vacant slot) and certainly refused again
-    /// (`admits` is a pure query, and nothing since the refusal called the
-    /// policy mutably). That run of blocks is tallied — one occupancy-bit
-    /// test each, no table prefetch, since their slots are never read —
-    /// and recorded at once. It ends at another request's block or at an
-    /// occupied home slot, which takes the full placement (and, if
-    /// refused too, starts the next run). Runs stay off while migration
-    /// is attached, which records heat and request shape per block.
+    /// Two kinds of run share one tally loop:
+    ///
+    /// * **bypass runs** — once a block of request `i` is refused by
+    ///   `admits`, each following block of `i` whose home slot is vacant
+    ///   is certainly absent (a lookup stops at the vacant slot) and
+    ///   certainly refused again (`admits` is a pure query, and nothing
+    ///   since the refusal called the policy mutably). The run ends at
+    ///   another request's block or at an occupied home slot, which takes
+    ///   the full placement (and, if refused too, starts the next run);
+    /// * **inert runs** — a read whose shape the policy declares inert
+    ///   ([`CachePolicy::is_inert`]) is refused wherever absent and leaves
+    ///   the policy untouched wherever resident, so all of its blocks on
+    ///   the shard are tallied from the block table alone: a vacant home
+    ///   slot is a bypass by one occupancy-bit test, an occupied one costs
+    ///   one probe, resident a hit and absent a bypass.
+    ///
+    /// A run is recorded at once, as the per-block walk would have
+    /// recorded its blocks. Runs stay off while migration is attached,
+    /// which records heat and request shape per block.
     ///
     /// Out of line, apart from the code of its callers' other paths.
     #[inline(never)]
@@ -407,39 +434,84 @@ impl Shard {
         work: &mut [(PolicyRequest, DeviceBatch)],
     ) {
         let runs = st.migration.is_none();
-        while let Some((i, lbn)) = blocks.next() {
-            // Past a request's end the prefetch usually names the next
-            // request's block; where it names none, it is harmless.
-            st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
+        // The request last asked about and whether it is inert: a
+        // request's blocks on the shard arrive together, so it is asked
+        // once per visit.
+        let mut asked: Option<(usize, bool)> = None;
+        while let Some(&(i, lbn)) = blocks.peek() {
             let (preq, batch) = &mut work[i];
-            let placed = self.handle_block(st, lbn, preq, reqs[i].io.sequential, batch);
-            if runs && placed == Placed::Bypassed {
-                let mut run = 0;
-                while blocks
-                    .next_if(|&(j, b)| j == i && st.meta.home_vacant(b))
-                    .is_some()
-                {
-                    run += 1;
+            let inert = match asked {
+                Some((j, inert)) if j == i => inert,
+                _ => {
+                    let inert =
+                        runs && preq.direction == Direction::Read && st.policy.is_inert(preq);
+                    asked = Some((i, inert));
+                    inert
                 }
-                Self::settle_bypass_run(st, preq, run, batch);
+            };
+            let sequential = reqs[i].io.sequential;
+            if !inert {
+                blocks.next();
+                // Past a request's end the prefetch usually names the next
+                // request's block; where it names none, it is harmless.
+                st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
+                let placed = self.handle_block(st, lbn, preq, sequential, batch);
+                if !(runs && placed == Placed::Bypassed) {
+                    continue;
+                }
             }
+            let mut run = Run::default();
+            while let Some(&(j, b)) = blocks.peek() {
+                if j != i {
+                    break;
+                }
+                if st.meta.home_vacant(b) {
+                    run.bypassed += 1;
+                } else if !inert {
+                    break;
+                } else if st.meta.contains(b) {
+                    run.hits += 1;
+                    run.last_hit = Some(b);
+                } else {
+                    run.bypassed += 1;
+                }
+                blocks.next();
+            }
+            self.settle_run(st, preq, sequential, &run, batch);
         }
     }
 
-    /// Records `blocks` tallied blocks of a bypass run of `req` exactly as
-    /// that many refused placements would have: the same action, class
-    /// and priority counters, and the same second-level transfer.
-    fn settle_bypass_run(
+    /// Records the tallied blocks of a run of `req` exactly as that many
+    /// placements would have: the same action, class and priority
+    /// counters, the same device transfers, and the hot descriptor on the
+    /// last hit (a bypass leaves the descriptor as it is).
+    fn settle_run(
+        &self,
         st: &mut ShardState,
         req: &PolicyRequest,
-        blocks: u64,
+        sequential: bool,
+        run: &Run,
         batch: &mut DeviceBatch,
     ) {
-        if blocks > 0 {
-            Self::bypass(st, req, blocks, batch);
-            st.stats.record_class(req.class, blocks, 0);
-            st.stats.record_priority(req.prio.0, blocks, 0);
+        let blocks = run.hits + run.bypassed;
+        if blocks == 0 {
+            return;
         }
+        if run.bypassed > 0 {
+            Self::bypass(st, req, run.bypassed, batch);
+        }
+        if let Some(lbn) = run.last_hit {
+            st.stats.record_action(CacheAction::CacheHit, run.hits);
+            batch.ssd_read += run.hits;
+            let hot = HotHit {
+                lbn,
+                shape: *req,
+                sequential,
+            };
+            self.set_hot(st, Some(hot));
+        }
+        st.stats.record_class(req.class, blocks, run.hits);
+        st.stats.record_priority(req.prio.0, blocks, run.hits);
     }
 
     /// Sends `blocks` absent blocks of `req` straight to the second-level

@@ -258,6 +258,26 @@ pub trait CachePolicy: Send + Sync {
         false
     }
 
+    /// Whether requests of `req`'s shape are *inert*: the policy promises
+    /// that for them
+    ///
+    /// * [`CachePolicy::admits`] answers `false`, and
+    /// * [`CachePolicy::on_hit`] returns [`HitOutcome::Unchanged`] and
+    ///   mutates nothing, for any resident block.
+    ///
+    /// A pure query of the request shape alone: the answer may not depend
+    /// on the policy's state, so the engine asks once per request and
+    /// shard visit. A multi-block read of an inert shape then makes no
+    /// policy call for its blocks at all — each is served from the block
+    /// table alone, a resident block as a hit and an absent one as a
+    /// bypass (the paper's "non-caching and non-eviction" scans, Table 1).
+    /// The conservative default is `false`, which keeps every block on the
+    /// full placement path.
+    fn is_inert(&self, req: &PolicyRequest) -> bool {
+        let _ = req;
+        false
+    }
+
     /// The shard is full and `incoming` (the missing block of `req`) was
     /// admitted: name the tracked block to displace, or `None` if the
     /// incoming block is not worth a resident one (the request then

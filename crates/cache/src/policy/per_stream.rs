@@ -360,6 +360,13 @@ impl CachePolicy for PerStreamPolicy {
         self.inners[self.route_for(req)].admits(req)
     }
 
+    // Admission routes by the request's stream, but a hit goes to the
+    // block's owner, which may be any inner: a shape is inert only when
+    // every inner says so.
+    fn is_inert(&self, req: &PolicyRequest) -> bool {
+        self.inners.iter().all(|inner| inner.is_inert(req))
+    }
+
     // A hit only routes to the block's owning inner; the compositor keeps
     // no hit-order state of its own, so the repeat is idempotent exactly
     // when every inner's is.
@@ -494,6 +501,27 @@ mod tests {
             QosPolicy::NonCachingNonEviction,
             Direction::Read
         )));
+    }
+
+    #[test]
+    fn a_shape_is_inert_only_when_every_inner_says_so() {
+        let scan = preq(
+            RequestClass::Sequential,
+            QosPolicy::NonCachingNonEviction,
+            Direction::Read,
+        );
+        // The scan's own inner is semantic, but a scan hit on a block the
+        // ARC inner owns goes to ARC, which reorders it.
+        assert!(!policy().is_inert(&scan));
+        let semantic = StreamPolicyKind::SemanticPriority;
+        let all_semantic = StreamRouting {
+            sequential: semantic,
+            random: semantic,
+            temporary: semantic,
+            update: semantic,
+        };
+        let p = PerStreamPolicy::new(PolicyConfig::paper_default(), 64, all_semantic);
+        assert!(p.is_inert(&scan));
     }
 
     #[test]

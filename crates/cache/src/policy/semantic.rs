@@ -77,6 +77,12 @@ impl CachePolicy for SemanticPriorityPolicy {
         req.qos.admits() && self.config.admissible(req.prio)
     }
 
+    // "Non-caching and non-eviction" is refused by `admits` and takes the
+    // `on_hit` branch that touches nothing.
+    fn is_inert(&self, req: &PolicyRequest) -> bool {
+        req.qos == QosPolicy::NonCachingNonEviction
+    }
+
     // Every repeat outcome is a no-op: the non-caching QoS branches do
     // nothing at all, and the priority branches either re-allocate to the
     // group the first hit already moved the block into (so `current ==
@@ -151,6 +157,22 @@ mod tests {
         assert!(!p.admits(&req(QosPolicy::priority(7), &config)));
         assert!(!p.admits(&req(QosPolicy::NonCachingNonEviction, &config)));
         assert!(!p.admits(&req(QosPolicy::NonCachingEviction, &config)));
+    }
+
+    #[test]
+    fn only_non_caching_non_eviction_is_inert() {
+        let config = PolicyConfig::paper_default();
+        let p = SemanticPriorityPolicy::new(config);
+        for qos in [
+            QosPolicy::priority(2),
+            QosPolicy::priority(7),
+            QosPolicy::WriteBuffer,
+            QosPolicy::NonCachingEviction,
+        ] {
+            assert!(!p.is_inert(&req(qos, &config)), "{qos}");
+        }
+        let scan = req(QosPolicy::NonCachingNonEviction, &config);
+        assert!(p.is_inert(&scan) && !p.admits(&scan));
     }
 
     #[test]

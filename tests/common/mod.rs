@@ -10,6 +10,7 @@ use hstorage_storage::{
 /// Env var the CI policy matrix sets to focus the equivalence suites on a
 /// single replacement policy (one of [`CachePolicyKind::label`]'s values:
 /// `semantic-priority`, `lru`, `cflru`, `2q`, `arc`, `per-stream`).
+#[allow(dead_code)] // the inert-scan suite runs one fixed configuration
 pub const POLICY_ENV: &str = "HSTORAGE_POLICY";
 
 /// The cache policies the equivalence suites run against: the single kind
@@ -17,6 +18,7 @@ pub const POLICY_ENV: &str = "HSTORAGE_POLICY";
 /// every selectable kind otherwise (local `cargo test`). An unknown label
 /// panics so a matrix typo fails the job instead of silently testing the
 /// default.
+#[allow(dead_code)]
 pub fn matrix_kinds() -> Vec<CachePolicyKind> {
     match std::env::var(POLICY_ENV) {
         Ok(label) => {
@@ -42,6 +44,7 @@ pub fn matrix_kinds() -> Vec<CachePolicyKind> {
 /// tracking rides every submit yet must not perturb a single cache
 /// decision — so the suites' equivalence assertions double as the proof
 /// that the tracker is observationally free.
+#[allow(dead_code)]
 pub const MIGRATION_ENV: &str = "HSTORAGE_MIGRATION";
 
 /// The migration configuration the equivalence suites attach to every
@@ -49,6 +52,7 @@ pub const MIGRATION_ENV: &str = "HSTORAGE_MIGRATION";
 /// is `on` (the CI migration leg), disabled otherwise. Any other value
 /// panics so a matrix typo fails the job instead of silently testing the
 /// default.
+#[allow(dead_code)]
 pub fn matrix_migration() -> MigrationConfig {
     match std::env::var(MIGRATION_ENV) {
         Ok(v) if v == "on" => MigrationConfig::on(),
@@ -135,13 +139,19 @@ pub fn request(rng: &mut Rng) -> ClassifiedRequest {
     }
 }
 
-/// A shipped policy that declares repeat hits *not* idempotent and
-/// forwards everything else, so every submission takes the engine's full
-/// path: the twin the repeat-hit fast path is held to.
-#[allow(dead_code)] // only the contention and accounting suites build twins
-struct Locked(Box<dyn CachePolicy>);
+/// A shipped policy with one of the engine's shortcuts declined and
+/// everything else forwarded, so the engine takes its full path where the
+/// shortcut would have applied: the twin that shortcut is held to.
+#[allow(dead_code)] // only the suites that build twins construct it
+struct Twin {
+    policy: Box<dyn CachePolicy>,
+    /// Whether repeat hits may be declared idempotent.
+    repeat_hits: bool,
+    /// Whether request shapes may be declared inert.
+    inert: bool,
+}
 
-impl CachePolicy for Locked {
+impl CachePolicy for Twin {
     fn on_hit(
         &mut self,
         lbn: BlockAddr,
@@ -149,53 +159,87 @@ impl CachePolicy for Locked {
         current: CachePriority,
         req: &PolicyRequest,
     ) -> HitOutcome {
-        self.0.on_hit(lbn, node, current, req)
+        self.policy.on_hit(lbn, node, current, req)
     }
 
     fn admits(&self, req: &PolicyRequest) -> bool {
-        self.0.admits(req)
+        self.policy.admits(req)
+    }
+
+    fn is_inert(&self, req: &PolicyRequest) -> bool {
+        self.inert && self.policy.is_inert(req)
     }
 
     fn repeat_hit_idempotent(&self) -> bool {
-        false
+        self.repeat_hits && self.policy.repeat_hit_idempotent()
     }
 
     fn pop_victim(&mut self, incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr> {
-        self.0.pop_victim(incoming, req)
+        self.policy.pop_victim(incoming, req)
     }
 
     fn steal_victim(&mut self, req: &PolicyRequest) -> Option<BlockAddr> {
-        self.0.steal_victim(req)
+        self.policy.steal_victim(req)
     }
 
     fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
-        self.0.on_insert(lbn, req)
+        self.policy.on_insert(lbn, req)
     }
 
     fn on_remove(&mut self, lbn: BlockAddr, node: u32, group: CachePriority, reason: RemoveReason) {
-        self.0.on_remove(lbn, node, group, reason);
+        self.policy.on_remove(lbn, node, group, reason);
     }
 
     fn on_trim_absent(&mut self, lbn: BlockAddr) {
-        self.0.on_trim_absent(lbn);
+        self.policy.on_trim_absent(lbn);
     }
 
     fn write_buffered(&self, group: CachePriority) -> bool {
-        self.0.write_buffered(group)
+        self.policy.write_buffered(group)
     }
 
     fn drain_write_buffer(&mut self) -> Vec<BlockAddr> {
-        self.0.drain_write_buffer()
+        self.policy.drain_write_buffer()
     }
 }
 
-/// The per-shard factory of `kind`'s [`Locked`] twin, for
-/// `CacheEngine::with_policy_factory`.
+/// The per-shard factory of `kind`'s [`Twin`], for
+/// `CacheEngine::with_policy_factory`: `false` declines a shortcut.
+#[allow(dead_code)]
+fn twin(
+    kind: CachePolicyKind,
+    config: &PolicyConfig,
+    repeat_hits: bool,
+    inert: bool,
+) -> impl Fn(u64) -> Box<dyn CachePolicy> {
+    let config = *config;
+    move |capacity| {
+        Box::new(Twin {
+            policy: kind.build(&config, capacity),
+            repeat_hits,
+            inert,
+        })
+    }
+}
+
+/// `kind`'s twin whose repeat hits are not idempotent, so every
+/// submission takes the full path: the twin the repeat-hit fast path is
+/// held to (contention and accounting suites).
 #[allow(dead_code)]
 pub fn locked(
     kind: CachePolicyKind,
     config: &PolicyConfig,
 ) -> impl Fn(u64) -> Box<dyn CachePolicy> {
-    let config = *config;
-    move |capacity| Box::new(Locked(kind.build(&config, capacity)))
+    twin(kind, config, false, true)
+}
+
+/// `kind`'s twin that declares no request inert, so every block of an
+/// inert read takes the full placement path: the twin the inert path is
+/// held to (traversal and inert-scan suites).
+#[allow(dead_code)]
+pub fn per_block(
+    kind: CachePolicyKind,
+    config: &PolicyConfig,
+) -> impl Fn(u64) -> Box<dyn CachePolicy> {
+    twin(kind, config, true, false)
 }

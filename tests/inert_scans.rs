@@ -1,0 +1,52 @@
+//! Differential test of the inert-scan path at the scale of a TPC-H power
+//! run: the power-test sequence runs on two engines over two copies of the
+//! SF-`HSTORAGE_PROGRAM_SF` database (default 0.05; CI's release step runs
+//! 1.0) — the paper's semantic policy, whose "non-caching and
+//! non-eviction" scans are served from the block table alone, and the same
+//! policy declaring nothing inert, so every scanned block takes the full
+//! placement path. Statistics and simulated time must agree after every
+//! query.
+
+use hstorage::SystemConfig;
+use hstorage_cache::{CacheEngine, CachePolicyKind, StorageConfigKind, StorageSystem};
+use hstorage_engine::QueryExecutor;
+use hstorage_storage::RequestClass;
+use hstorage_tpch::power::power_test_sequence;
+use hstorage_tpch::{build_plan, TpchDatabase, TpchScale};
+
+mod common;
+
+#[test]
+fn power_sequence_matches_with_the_inert_path_forced_off() {
+    let scale = std::env::var("HSTORAGE_PROGRAM_SF")
+        .map(|v| v.parse().expect("HSTORAGE_PROGRAM_SF is a scale factor"))
+        .unwrap_or(0.05);
+    let config = SystemConfig::single_query(TpchScale::new(scale), StorageConfigKind::HStorageDb);
+    let storage = config.storage_config();
+    assert_eq!(storage.cache_policy, CachePolicyKind::SemanticPriority);
+    let engine = CacheEngine::new(&storage);
+    let reference = CacheEngine::new(&storage).with_policy_factory(
+        "per-block",
+        common::per_block(storage.cache_policy, &config.policy),
+    );
+    let mut sides = [&engine, &reference].map(|storage| {
+        (
+            storage,
+            TpchDatabase::build(config.scale),
+            QueryExecutor::new(config.executor, config.policy),
+        )
+    });
+    for query in power_test_sequence() {
+        for (storage, db, executor) in &mut sides {
+            let plan = build_plan(query, db);
+            executor.run_query(&plan, &mut db.catalog, *storage);
+        }
+        assert_eq!(engine.stats(), reference.stats(), "after {query:?}");
+        assert_eq!(engine.now(), reference.now(), "after {query:?}");
+    }
+    let scanned = engine.stats().class(RequestClass::Sequential);
+    assert!(
+        scanned.cache_hits > 0 && scanned.misses() > 0,
+        "the scans must find resident and absent blocks ({scanned:?})"
+    );
+}

@@ -4,7 +4,9 @@
 //! the event sequence a block-by-block walk would have shown it. That
 //! includes the walk's bypass runs (blocks after a refused one settled by
 //! one occupancy-bit test each), over regions resident at five densities
-//! and under a policy whose admission answer changes on a hit.
+//! and under a policy whose admission answer changes on a hit. Inert
+//! reads, served from the block table with no policy call, are held to
+//! the same policy behind a twin that declares nothing inert.
 //!
 //! Honours `HSTORAGE_POLICY` / `HSTORAGE_MIGRATION` like the other suites
 //! (the bypass-run tests run both migration legs themselves).
@@ -40,6 +42,9 @@ type Logs = Arc<Mutex<Vec<Vec<Event>>>>;
 /// A shipped policy with every decision call recorded on its shard's log.
 /// It leaves `repeat_hit_idempotent` at the default `false`: the recorder
 /// has to observe every hit, so it does not opt into the optimistic path.
+/// It forwards `is_inert`, so walks reach the inert path; an inert hit is
+/// no policy event by that contract (a walk makes no call for it), so it
+/// is checked to be `Unchanged` and not logged on either side.
 struct Recording {
     inner: Box<dyn CachePolicy>,
     shard: usize,
@@ -60,12 +65,24 @@ impl CachePolicy for Recording {
         current: CachePriority,
         req: &PolicyRequest,
     ) -> HitOutcome {
-        self.log(Event::Hit(lbn, current, req.class));
-        self.inner.on_hit(lbn, node, current, req)
+        let inert = self.inner.is_inert(req);
+        if !inert {
+            self.log(Event::Hit(lbn, current, req.class));
+        }
+        let outcome = self.inner.on_hit(lbn, node, current, req);
+        assert!(
+            !inert || outcome == HitOutcome::Unchanged,
+            "an inert hit moved {lbn:?}"
+        );
+        outcome
     }
 
     fn admits(&self, req: &PolicyRequest) -> bool {
         self.inner.admits(req)
+    }
+
+    fn is_inert(&self, req: &PolicyRequest) -> bool {
+        self.inner.is_inert(req)
     }
 
     fn pop_victim(&mut self, incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr> {
@@ -365,6 +382,79 @@ fn bypass_runs_match_the_block_by_block_walk() {
     }
 }
 
+/// A sequential "non-caching and non-eviction" read: the shape the
+/// semantic policy declares inert.
+fn inert_read(range: BlockRange) -> ClassifiedRequest {
+    ClassifiedRequest::new(
+        IoRequest::read(range, true),
+        RequestClass::Sequential,
+        QosPolicy::NonCachingNonEviction,
+    )
+}
+
+#[test]
+fn inert_requests_match_the_block_by_block_walk() {
+    let config = PolicyConfig::paper_default();
+    let kind = CachePolicyKind::SemanticPriority;
+    for shards in [1, 3, 8] {
+        for migration in migration_legs() {
+            let storage = common::hstorage(BYPASS_SLOTS, shards)
+                .with_cache_policy(kind)
+                .with_migration(migration);
+            let engine = HybridCache::new(&storage);
+            let reference = HybridCache::new(&storage)
+                .with_policy_factory("per-block", common::per_block(kind, &config));
+            let what = format!("{shards} shards, {migration:?}");
+            let check = |step: &dyn std::fmt::Debug| {
+                assert_eq!(engine.stats(), reference.stats(), "{what}: {step:?}");
+                assert_eq!(engine.now(), reference.now(), "{what}: {step:?}");
+                assert_eq!(
+                    engine.resident_set(),
+                    reference.resident_set(),
+                    "{what}: {step:?}"
+                );
+                assert_eq!(
+                    engine.write_buffer_resident(),
+                    reference.write_buffer_resident(),
+                    "{what}: {step:?}"
+                );
+            };
+            for op in density_trace(0x1AE7_5CA0 + shards as u64, 300, bypass_mix) {
+                apply(&engine, &op);
+                apply(&reference, &op);
+                check(&op);
+            }
+            let scanned = engine.stats().class(RequestClass::Sequential);
+            assert!(
+                scanned.cache_hits > 1_000 && scanned.misses() > 10_000,
+                "{what}: the trace must scan resident and absent blocks ({scanned:?})"
+            );
+
+            // A scan over the densest region leaves each shard's hot
+            // descriptor on its last hit, so a repeat of the last one
+            // takes the repeat-hit shortcut on both engines.
+            let region = BlockRange::new((DENSITY_STEPS.len() as u64 - 1) * REGION_GAP, REGION);
+            let scan = inert_read(region);
+            let last_hit = region
+                .iter()
+                .filter(|&lbn| engine.contains_block(lbn))
+                .last()
+                .expect("the densest region keeps a resident block");
+            let fast = || engine.stats().contention.fast_path_hits;
+            let before = fast();
+            for op in [
+                Op::Submit(scan),
+                Op::Submit(inert_read(BlockRange::new(last_hit, 1))),
+            ] {
+                apply(&engine, &op);
+                apply(&reference, &op);
+                check(&op);
+            }
+            assert_eq!(fast(), before + 1, "{what}: the repeat of {last_hit:?}");
+        }
+    }
+}
+
 /// LRU whose `admits` answer for sequential requests is its own state:
 /// it refuses them until its next hit and admits from then until its next
 /// insertion. Within one request, a hit on a resident block changes the
@@ -388,6 +478,11 @@ impl CachePolicy for AdmitsAfterHit {
 
     fn admits(&self, req: &PolicyRequest) -> bool {
         (self.open || req.class != RequestClass::Sequential) && self.inner.admits(req)
+    }
+
+    // A hit changes the admission answer, so no shape is inert.
+    fn is_inert(&self, _req: &PolicyRequest) -> bool {
+        false
     }
 
     fn pop_victim(&mut self, incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr> {
