@@ -56,23 +56,24 @@
 //! lone-block request touches one shard and locks it directly.
 //!
 //! A multi-block walk settles blocks in **runs** that make no policy
-//! call. A bypass run follows one QoS decision per request, the way the
-//! paper classifies: once a block of a request is refused by
-//! [`CachePolicy::admits`] (a pure query), the request's following blocks
-//! on the shard whose home slot in the block table is vacant are
-//! certainly absent and certainly refused again; each costs one
-//! occupancy-bit test and no table prefetch. An **inert** read — a shape
-//! for which [`CachePolicy::is_inert`] promises refusal and a hit that
-//! changes nothing, such as the paper's "non-caching and non-eviction"
-//! scans — is a run from its first block on the shard to its last: a
-//! vacant home slot is a bypass by that same bit test, an occupied one
-//! costs one table probe, resident a hit and absent a bypass, and the
-//! policy is asked only whether the request is inert. A run is recorded
-//! as one tally of the counters, device traffic and hot descriptor that
-//! many single placements would have recorded. Another request's block,
-//! an occupied home slot inside a bypass run, a write, or attached
-//! migration (which records heat per block) sends a block down the full
-//! placement path.
+//! call, each answered by one query of the shard table's residency
+//! bitmap, one word per 64 of the shard's blocks. A bypass run follows
+//! one QoS decision per request, the way the paper classifies: once a
+//! block of a request is refused by [`CachePolicy::admits`] (a pure
+//! query), the request's following blocks on the shard up to its next
+//! resident one are certainly absent and certainly refused again. An
+//! **inert** read — a shape for which [`CachePolicy::is_inert`] promises
+//! refusal and a hit that changes nothing, such as the paper's
+//! "non-caching and non-eviction" scans — is a run from its first block
+//! on the shard to its last: the bitmap counts its resident blocks (hits)
+//! and names the last of them, the rest are bypasses, and the policy is
+//! asked only whether the request is inert. A run is recorded as one
+//! tally of the counters, device traffic and hot descriptor that many
+//! single placements would have recorded. Another request's block, a
+//! resident block inside a bypass run, a write, or attached migration
+//! (which records heat per block) sends a block down the full placement
+//! path. The price of the bitmap is paid off the scan path: every
+//! allocation, eviction and TRIM removal also updates one residency word.
 //!
 //! The hottest possible case has a shortcut: a single-block read that
 //! repeats the immediately preceding hit on its shard. When the installed
@@ -157,7 +158,9 @@ fn wrap(x: u64, n: u64) -> u64 {
 /// The blocks of `ranges` that live on shard `shard` of `n`, as
 /// `(range index, block)` pairs: ranges in order, and within a range
 /// ascending with stride `n` — the order a block-by-block walk of the
-/// ranges would reach this shard in.
+/// ranges would reach this shard in. Beyond iteration it peeks, reports
+/// the rest of the current range ([`Self::rest`]) and skips blocks of it
+/// in O(1), so a walk can settle a run of blocks at once.
 struct ShardBlocks<I> {
     ranges: std::iter::Enumerate<I>,
     n: u64,
@@ -169,10 +172,9 @@ struct ShardBlocks<I> {
     end: u64,
 }
 
-impl<I: Iterator<Item = BlockRange>> Iterator for ShardBlocks<I> {
-    type Item = (usize, BlockAddr);
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl<I: Iterator<Item = BlockRange>> ShardBlocks<I> {
+    /// The next pair, without consuming it.
+    fn peek(&mut self) -> Option<(usize, BlockAddr)> {
         while self.next >= self.end {
             let (index, range) = self.ranges.next()?;
             // Distance from the range's first block to its first block on
@@ -182,9 +184,36 @@ impl<I: Iterator<Item = BlockRange>> Iterator for ShardBlocks<I> {
             self.next = range.start.0.saturating_add(skip);
             self.end = range.end().0;
         }
-        let lbn = self.next;
-        self.next = lbn.saturating_add(self.n);
-        Some((self.index, BlockAddr(lbn)))
+        Some((self.index, BlockAddr(self.next)))
+    }
+
+    /// The current range's next block on this shard and how many of its
+    /// blocks on this shard are left, that one included (0 once the range
+    /// is done; the next [`Self::peek`] moves on to the next range).
+    fn rest(&self) -> (BlockAddr, u64) {
+        let left = if self.next < self.end {
+            (self.end - self.next).div_ceil(self.n)
+        } else {
+            0
+        };
+        (BlockAddr(self.next), left)
+    }
+
+    /// Consumes the next `k` blocks of the current range, at most
+    /// [`Self::rest`]'s count.
+    fn skip(&mut self, k: u64) {
+        debug_assert!(k <= self.rest().1, "skipped past the range");
+        self.next = self.next.saturating_add(k.saturating_mul(self.n));
+    }
+}
+
+impl<I: Iterator<Item = BlockRange>> Iterator for ShardBlocks<I> {
+    type Item = (usize, BlockAddr);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let item = self.peek()?;
+        self.skip(1);
+        Some(item)
     }
 }
 
@@ -403,21 +432,22 @@ impl Shard {
     /// block)` pairs, `work[i]` holding request `i`'s policy shape and
     /// device batch — settling runs of blocks without a policy call.
     ///
-    /// Two kinds of run share one tally loop:
+    /// Two kinds of run share one loop, each settled by one query of the
+    /// block table's residency bitmap over the rest of the request's
+    /// blocks on the shard, one word per 64 blocks:
     ///
     /// * **bypass runs** — once a block of request `i` is refused by
-    ///   `admits`, each following block of `i` whose home slot is vacant
-    ///   is certainly absent (a lookup stops at the vacant slot) and
-    ///   certainly refused again (`admits` is a pure query, and nothing
-    ///   since the refusal called the policy mutably). The run ends at
-    ///   another request's block or at an occupied home slot, which takes
-    ///   the full placement (and, if refused too, starts the next run);
+    ///   `admits`, each following absent block of `i` is certainly refused
+    ///   again (`admits` is a pure query, and nothing since the refusal
+    ///   called the policy mutably). The run is the absent prefix of the
+    ///   request's remaining blocks; it ends at the first resident one,
+    ///   which takes the full placement (a hit) and is followed by the
+    ///   next full placement;
     /// * **inert runs** — a read whose shape the policy declares inert
     ///   ([`CachePolicy::is_inert`]) is refused wherever absent and leaves
     ///   the policy untouched wherever resident, so all of its blocks on
-    ///   the shard are tallied from the block table alone: a vacant home
-    ///   slot is a bypass by one occupancy-bit test, an occupied one costs
-    ///   one probe, resident a hit and absent a bypass.
+    ///   the shard are one run: the resident ones are hits, the hot
+    ///   descriptor ends on the last of them, and the rest are bypasses.
     ///
     /// A run is recorded at once, as the per-block walk would have
     /// recorded its blocks. Runs stay off while migration is attached,
@@ -428,7 +458,7 @@ impl Shard {
     fn walk_blocks(
         &self,
         st: &mut ShardState,
-        blocks: &mut std::iter::Peekable<impl Iterator<Item = (usize, BlockAddr)>>,
+        blocks: &mut ShardBlocks<impl Iterator<Item = BlockRange>>,
         ahead: u64,
         reqs: &[ClassifiedRequest],
         work: &mut [(PolicyRequest, DeviceBatch)],
@@ -438,7 +468,7 @@ impl Shard {
         // request's blocks on the shard arrive together, so it is asked
         // once per visit.
         let mut asked: Option<(usize, bool)> = None;
-        while let Some(&(i, lbn)) = blocks.peek() {
+        while let Some((i, lbn)) = blocks.peek() {
             let (preq, batch) = &mut work[i];
             let inert = match asked {
                 Some((j, inert)) if j == i => inert,
@@ -450,8 +480,16 @@ impl Shard {
                 }
             };
             let sequential = reqs[i].io.sequential;
-            if !inert {
-                blocks.next();
+            let run = if inert {
+                let (_, left) = blocks.rest();
+                let (hits, last_hit) = st.meta.resident_in(lbn, left);
+                Run {
+                    hits,
+                    bypassed: left - hits,
+                    last_hit,
+                }
+            } else {
+                blocks.skip(1);
                 // Past a request's end the prefetch usually names the next
                 // request's block; where it names none, it is harmless.
                 st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
@@ -459,24 +497,13 @@ impl Shard {
                 if !(runs && placed == Placed::Bypassed) {
                     continue;
                 }
-            }
-            let mut run = Run::default();
-            while let Some(&(j, b)) = blocks.peek() {
-                if j != i {
-                    break;
+                let (next, left) = blocks.rest();
+                Run {
+                    bypassed: st.meta.absent_prefix(next, left),
+                    ..Run::default()
                 }
-                if st.meta.home_vacant(b) {
-                    run.bypassed += 1;
-                } else if !inert {
-                    break;
-                } else if st.meta.contains(b) {
-                    run.hits += 1;
-                    run.last_hit = Some(b);
-                } else {
-                    run.bypassed += 1;
-                }
-                blocks.next();
-            }
+            };
+            blocks.skip(run.hits + run.bypassed);
             self.settle_run(st, preq, sequential, &run, batch);
         }
     }
@@ -1056,12 +1083,6 @@ impl CacheEngine {
         self
     }
 
-    /// Whether repeat hits take the descriptor shortcut (the installed
-    /// policy declares them idempotent).
-    pub fn optimistic_reads_active(&self) -> bool {
-        self.hit_fast_path
-    }
-
     /// Number of records in the attached journal (0 with journaling
     /// disabled).
     pub fn journal_len(&self) -> usize {
@@ -1265,7 +1286,7 @@ impl CacheEngine {
     fn visit_shards<I>(
         &self,
         ranges: I,
-        mut visit: impl FnMut(&Shard, &mut ShardState, &mut std::iter::Peekable<ShardBlocks<I>>),
+        mut visit: impl FnMut(&Shard, &mut ShardState, &mut ShardBlocks<I>),
     ) where
         I: ExactSizeIterator<Item = BlockRange> + Clone,
     {
@@ -1286,8 +1307,7 @@ impl CacheEngine {
                 index: 0,
                 next: 0,
                 end: 0,
-            }
-            .peekable();
+            };
             if blocks.peek().is_none() {
                 continue;
             }

@@ -29,7 +29,16 @@
 //!   grow from churn and the table needs no rehash-on-delete heuristics;
 //! * [`BlockTable::prefetch`], which starts loading a key's home slot, so a
 //!   shard walk can ask for the table lines it will need a few blocks
-//!   from now (the engine prefetches 8 strides ahead).
+//!   from now (the engine prefetches 8 strides ahead);
+//! * a **residency bitmap** in a [`BlockTable`]: one `u64` word per
+//!   64-address extent of local addresses that holds a resident block,
+//!   kept in a plain [`OpenMap`] and dropped when it reaches zero, so its
+//!   memory is bounded by the resident set. It answers a run of a
+//!   shard's blocks a word at a time — how many are resident and which is
+//!   last ([`BlockTable::resident_in`]), how many absent ones lead
+//!   ([`BlockTable::absent_prefix`]) — with no probe of the slots. The
+//!   price is one word update on every insertion of a fresh block and
+//!   every removal.
 //!
 //! [`OpenMap`] is the generic engine (`u64` keys, `Copy` values), and
 //! [`BlockTable`] the shard-metadata wrapper whose slot value pairs the
@@ -72,6 +81,9 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// lengthen the probe chains of clustered keys faster than they add
 /// locality.
 const BLOCK_GROUP_BITS: u32 = 2;
+
+/// `log2` of the local addresses one [`BlockTable`] residency word covers.
+const EXTENT_BITS: u32 = 6;
 
 /// Smallest table capacity ever allocated (slots, power of two; at least
 /// two of a [`BlockTable`]'s extent groups).
@@ -213,15 +225,6 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
         self.used[i / 64] &= !(1 << (i % 64));
     }
 
-    /// Whether `key`'s home slot is vacant — the first step of
-    /// [`Self::find`], which then stops at once: the key is certainly
-    /// absent, because backward-shift deletion leaves no gap in a probe
-    /// chain. One occupancy-bit test.
-    #[inline]
-    fn home_vacant(&self, key: u64) -> bool {
-        !self.is_used(self.home(key))
-    }
-
     /// The slot holding `key`, if present.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
@@ -308,8 +311,15 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
     /// chain behind the vacated slot is backward-shifted, so no tombstone
     /// is left behind.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        let mut i = self.find(key)?;
+        let i = self.find(key)?;
         let removed = self.slots[i].1;
+        self.remove_at(i);
+        Some(removed)
+    }
+
+    /// Empties occupied slot `i`, backward-shifting the probe chain
+    /// behind it.
+    fn remove_at(&mut self, mut i: usize) {
         let mask = self.slots.len() - 1;
         let mut j = i;
         loop {
@@ -328,7 +338,6 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
         }
         self.set_unused(i);
         self.len -= 1;
-        Some(removed)
     }
 
     /// Removes every entry, keeping the allocation.
@@ -442,11 +451,28 @@ impl Default for TableSlot {
 }
 
 /// The shard-metadata table `lbn → (CacheEntry, node)` on the flat
-/// [`OpenMap`] engine, grouped by the shard's stride. Iteration order is
-/// unspecified (every engine consumer sorts or counts).
-#[derive(Debug, Clone, Default)]
+/// [`OpenMap`] engine, grouped by the shard's stride, with a residency
+/// bitmap over the shard's local addresses (`lbn / stride`) that answers
+/// range queries 64 blocks a word. Every key of one table must be
+/// congruent modulo the stride, as one engine shard's blocks are.
+/// Iteration order is unspecified (every engine consumer sorts or counts).
+#[derive(Debug, Clone)]
 pub struct BlockTable {
     map: OpenMap<TableSlot, BLOCK_GROUP_BITS>,
+    /// Bit `l % 64` of the word keyed `l / 64` is set exactly while the
+    /// block at local address `l` is resident. Only extents with a
+    /// resident block hold a word, so the bitmap is bounded by the
+    /// resident set. Updated by [`Self::insert`] of a fresh key and
+    /// [`Self::remove`] of a present one, and by nothing else.
+    resident: OpenMap<u64>,
+    /// The key stride: a block's local address is `lbn / stride`.
+    stride: u64,
+}
+
+impl Default for BlockTable {
+    fn default() -> Self {
+        Self::with_capacity(0, 1)
+    }
 }
 
 impl BlockTable {
@@ -461,7 +487,67 @@ impl BlockTable {
     pub fn with_capacity(items: usize, stride: usize) -> Self {
         BlockTable {
             map: OpenMap::strided(items, stride),
+            resident: OpenMap::new(),
+            stride: stride as u64,
         }
+    }
+
+    /// `lbn`'s local address: a shift when the stride is a power of two.
+    #[inline]
+    fn local(&self, lbn: u64) -> u64 {
+        if self.stride.is_power_of_two() {
+            lbn >> self.stride.trailing_zeros()
+        } else {
+            lbn / self.stride
+        }
+    }
+
+    /// The residency words over local addresses `lo..=hi`, in ascending
+    /// order, each masked to the range and paired with the local address
+    /// of its bit 0. An extent with no resident block reads as zero.
+    #[inline]
+    fn words(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (lo >> EXTENT_BITS..=hi >> EXTENT_BITS).map(move |extent| {
+            let base = extent << EXTENT_BITS;
+            let word = self.resident.get(extent).copied().unwrap_or(0);
+            let below = u64::MAX << (lo.max(base) - base);
+            let above = u64::MAX >> (base + 63 - hi.min(base + 63));
+            (base, word & below & above)
+        })
+    }
+
+    /// Of the `k` blocks `first, first + stride, …` — a run of the
+    /// table's keys, all addressable — how many are resident, and the
+    /// last resident one. One residency word per 64-address extent.
+    pub fn resident_in(&self, first: BlockAddr, k: u64) -> (u64, Option<BlockAddr>) {
+        if k == 0 {
+            return (0, None);
+        }
+        let lo = self.local(first.0);
+        let (mut count, mut last) = (0, None);
+        for (base, word) in self.words(lo, lo + (k - 1)) {
+            if word != 0 {
+                count += u64::from(word.count_ones());
+                last = Some(base + 63 - u64::from(word.leading_zeros()));
+            }
+        }
+        let last = last.map(|l| BlockAddr(first.0 + (l - lo) * self.stride));
+        (count, last)
+    }
+
+    /// Of the `k` blocks `first, first + stride, …` (as in
+    /// [`Self::resident_in`]), how many absent ones precede the first
+    /// resident one: `k` if none is resident.
+    pub fn absent_prefix(&self, first: BlockAddr, k: u64) -> u64 {
+        if k == 0 {
+            return 0;
+        }
+        let lo = self.local(first.0);
+        self.words(lo, lo + (k - 1))
+            .find(|&(_, word)| word != 0)
+            .map_or(k, |(base, word)| {
+                base + u64::from(word.trailing_zeros()) - lo
+            })
     }
 
     /// Starts loading the table lines a lookup of `lbn` reads first,
@@ -500,41 +586,68 @@ impl BlockTable {
         self.map.contains(lbn.0)
     }
 
-    /// Whether `lbn`'s home slot is vacant, which proves it absent with
-    /// one occupancy-bit test (`false` proves nothing): how a shard walk
-    /// settles a bypass run without a lookup.
-    #[inline]
-    pub fn home_vacant(&self, lbn: BlockAddr) -> bool {
-        self.map.home_vacant(lbn.0)
-    }
-
     /// Inserts (or replaces) a block's slot, returning the previous one if
-    /// it existed. The probe only claims the slot; the caller's inlined
-    /// copy then writes `slot` into it from registers. Handing `slot` to
-    /// the out-of-line probe instead would spill it to the stack and
-    /// reload it with one wide load the narrower stores cannot forward to.
+    /// it existed; a fresh block also sets its residency bit. The probe
+    /// only claims the slot; the caller's inlined copy then writes `slot`
+    /// into it from registers. Handing `slot` to the out-of-line probe
+    /// instead would spill it to the stack and reload it with one wide
+    /// load the narrower stores cannot forward to.
     #[inline]
     pub fn insert(&mut self, lbn: BlockAddr, slot: TableSlot) -> Option<TableSlot> {
         let (at, fresh) = self.map.get_or_insert_with(lbn.0, TableSlot::default);
         let old = std::mem::replace(at, slot);
-        (!fresh).then_some(old)
+        if !fresh {
+            return Some(old);
+        }
+        let local = self.local(lbn.0);
+        let (word, _) = self.resident.get_or_insert_with(local >> EXTENT_BITS, || 0);
+        *word |= 1 << (local % 64);
+        None
     }
 
-    /// Removes a block, returning its slot.
+    /// Removes a block, returning its slot, and clears its residency bit;
+    /// a word left zero is dropped, all in one probe of the bitmap.
     pub fn remove(&mut self, lbn: BlockAddr) -> Option<TableSlot> {
-        self.map.remove(lbn.0)
+        let slot = self.map.remove(lbn.0)?;
+        let local = self.local(lbn.0);
+        let i = self
+            .resident
+            .find(local >> EXTENT_BITS)
+            .expect("a resident block has a residency word");
+        let word = &mut self.resident.slots[i].1;
+        *word &= !(1 << (local % 64));
+        if *word == 0 {
+            self.resident.remove_at(i);
+        }
+        Some(slot)
     }
 
     /// Iterates all `(lbn, slot)` pairs in unspecified (slot) order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &TableSlot)> {
         self.map.iter().map(|(key, slot)| (BlockAddr(key), slot))
     }
+
+    /// Asserts that the residency bitmap agrees with the table: no stored
+    /// word is zero, the words' popcount is `len()`, and every resident
+    /// block's bit is set.
+    #[cfg(test)]
+    fn assert_residency_invariant(&self) {
+        let mut bits = 0;
+        for (extent, &word) in self.resident.iter() {
+            assert_ne!(word, 0, "extent {extent} keeps a zero residency word");
+            bits += word.count_ones() as usize;
+        }
+        assert_eq!(bits, self.len(), "residency popcount disagrees with len");
+        for (lbn, _) in self.iter() {
+            assert_eq!(self.resident_in(lbn, 1), (1, Some(lbn)), "{lbn:?}");
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     fn entry(node: u32) -> TableSlot {
         entry_in(node, 2, false)
@@ -673,15 +786,64 @@ mod tests {
     }
 
     #[test]
-    fn a_home_slot_is_vacant_until_a_key_takes_it() {
+    fn a_block_is_resident_from_insert_to_remove() {
         for stride in STRIDES {
             let mut t = BlockTable::with_capacity(64, stride);
             let lbn = BlockAddr(40 * stride as u64 + 1);
-            assert!(t.home_vacant(lbn), "stride {stride}: empty table");
+            assert_eq!(t.resident_in(lbn, 1), (0, None), "stride {stride}: empty");
+            assert_eq!(t.absent_prefix(lbn, 1), 1, "stride {stride}: empty");
             t.insert(lbn, entry(1));
-            assert!(!t.home_vacant(lbn), "stride {stride}: resident");
+            assert_eq!(t.resident_in(lbn, 1), (1, Some(lbn)), "stride {stride}");
+            assert_eq!(t.absent_prefix(lbn, 1), 0, "stride {stride}: resident");
+            t.insert(lbn, entry(2));
+            assert_eq!(t.resident_in(lbn, 1).0, 1, "stride {stride}: replaced");
             t.remove(lbn);
-            assert!(t.home_vacant(lbn), "stride {stride}: removed");
+            assert_eq!(t.resident_in(lbn, 1), (0, None), "stride {stride}");
+            assert_eq!(t.absent_prefix(lbn, 1), 1, "stride {stride}: removed");
+            t.assert_residency_invariant();
+            assert!(t.resident.is_empty(), "stride {stride}: a zero word stays");
+        }
+    }
+
+    #[test]
+    fn residency_queries_skip_an_extent_with_no_resident_block() {
+        // Residents in extents 0 and 2 of shard 1 of 3, none in extent 1:
+        // a run across all three counts both sides and ends on the last.
+        let stride = 3u64;
+        let lbn = |local: u64| BlockAddr(local * stride + 1);
+        let mut t = BlockTable::with_capacity(0, stride as usize);
+        for local in [5, 63, 130, 191] {
+            t.insert(lbn(local), entry(0));
+        }
+        t.assert_residency_invariant();
+        assert_eq!(t.resident_in(lbn(0), 192), (4, Some(lbn(191))));
+        assert_eq!(t.resident_in(lbn(64), 66), (0, None), "extent 1 only");
+        assert_eq!(t.resident_in(lbn(64), 67), (1, Some(lbn(130))));
+        assert_eq!(t.resident_in(lbn(6), 57), (0, None), "bit 63 excluded");
+        assert_eq!(t.resident_in(lbn(6), 58), (1, Some(lbn(63))), "bit 63");
+        assert_eq!(t.absent_prefix(lbn(64), 128), 66);
+        assert_eq!(t.absent_prefix(lbn(64), 66), 66);
+        assert_eq!(t.absent_prefix(lbn(6), 100), 57);
+        assert_eq!(t.absent_prefix(lbn(192), 0), 0);
+        assert_eq!(t.resident_in(lbn(5), 0), (0, None));
+    }
+
+    #[test]
+    fn residency_queries_reach_the_top_of_the_address_space() {
+        for stride in STRIDES {
+            let stride = stride as u64;
+            let top = u64::MAX / stride;
+            let lbn = |local: u64| BlockAddr(local * stride);
+            let mut t = BlockTable::with_capacity(0, stride as usize);
+            t.insert(lbn(top), entry(0));
+            t.insert(lbn(top - 64), entry(1));
+            t.assert_residency_invariant();
+            assert_eq!(t.resident_in(lbn(top - 100), 101), (2, Some(lbn(top))));
+            assert_eq!(t.resident_in(lbn(top), 1), (1, Some(lbn(top))));
+            assert_eq!(t.absent_prefix(lbn(top - 63), 64), 63);
+            t.remove(lbn(top));
+            assert_eq!(t.resident_in(lbn(top - 63), 64), (0, None));
+            t.assert_residency_invariant();
         }
     }
 
@@ -798,11 +960,11 @@ mod tests {
     /// Replays `(shape, small, is_remove, value)` operations on `map` and
     /// on a `HashMap` model. Each operation is preceded by a prefetch of
     /// its key, as a shard walk issues them; after each, the answers, the
-    /// length and every model entry must agree, the backward-shift
-    /// invariant — no probe chain crosses an empty slot — must hold, across
-    /// growth from the minimum capacity, and no present key may have a
-    /// vacant home slot. At the end the iterator must visit exactly the
-    /// model's pairs.
+    /// length, every model entry and the absence of the key's neighbours
+    /// must agree, and the backward-shift invariant — no probe chain
+    /// crosses an empty slot — must hold, across growth from the minimum
+    /// capacity. At the end the iterator must visit exactly the model's
+    /// pairs.
     fn replay_against_a_model<const G: u32>(
         mut map: OpenMap<u64, G>,
         ops: &[(u8, u64, bool, u64)],
@@ -823,14 +985,14 @@ mod tests {
             for (&k, v) in &model {
                 assert_eq!(map.get(k), Some(v), "stride {stride}, groups {G}: key {k}");
             }
-            // A vacant home slot proves absence: for every present key,
-            // the op's key and its neighbours on the same shard.
+            // Absence is exact too: the op's key and its neighbours on
+            // the same shard.
             let step = stride as u64;
-            let near = [key, key.wrapping_add(step), key.wrapping_sub(step)];
-            for k in model.keys().copied().chain(near) {
-                assert!(
-                    !(map.home_vacant(k) && model.contains_key(&k)),
-                    "stride {stride}, groups {G}: key {k} is present behind a vacant home"
+            for k in [key, key.wrapping_add(step), key.wrapping_sub(step)] {
+                assert_eq!(
+                    map.contains(k),
+                    model.contains_key(&k),
+                    "stride {stride}, groups {G}: key {k}"
                 );
             }
         }
@@ -859,6 +1021,64 @@ mod tests {
                 let grouped = OpenMap::<u64, BLOCK_GROUP_BITS>::strided(0, stride);
                 replay_against_a_model(grouped, &ops, base, stride);
                 replay_against_a_model(OpenMap::<u64>::new(), &ops, base, stride);
+            }
+        }
+
+        /// The residency queries agree with a `HashSet` model of one
+        /// shard's blocks (residue `residue % stride`) on every step of a
+        /// random insert/remove trace, at strides 1, 3 and 8. Keys sit at
+        /// local addresses `anchor + small` — five extents, some of them
+        /// empty — or at the top of the address space. After each step
+        /// the bitmap holds no zero word and its popcount is `len()`, and
+        /// each query range (`k` from 0, crossing extents) is answered as
+        /// a block-by-block count would answer it.
+        #[test]
+        fn residency_queries_match_a_set_model(
+            ops in proptest::collection::vec(
+                (0u8..2, 0u64..288, proptest::prelude::any::<bool>()),
+                1..120,
+            ),
+            queries in proptest::collection::vec((0u8..2, 0u64..288, 0u64..160), 4..5),
+            residue in proptest::prelude::any::<u64>(),
+            anchor in proptest::prelude::any::<u64>(),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            for stride in [1u64, 3, 8] {
+                let residue = residue % stride;
+                // The largest local address of the shard's blocks.
+                let top = (u64::MAX - residue) / stride;
+                let local = |shape: u8, small: u64| match shape {
+                    0 => anchor % (top - 1024) + small,
+                    _ => top - small,
+                };
+                let lbn = |local: u64| BlockAddr(local * stride + residue);
+                let mut t = BlockTable::with_capacity(0, stride as usize);
+                let mut model = HashSet::new();
+                for &(shape, small, is_remove) in &ops {
+                    let key = lbn(local(shape, small));
+                    if is_remove {
+                        prop_assert_eq!(t.remove(key).is_some(), model.remove(&key));
+                    } else {
+                        prop_assert_eq!(t.insert(key, entry(0)).is_none(), model.insert(key));
+                    }
+                    t.assert_residency_invariant();
+                    for &(shape, small, k) in &queries {
+                        let start = local(shape, small);
+                        let k = k.min(top - start + 1);
+                        let resident: Vec<BlockAddr> = (0..k)
+                            .map(|j| lbn(start + j))
+                            .filter(|b| model.contains(b))
+                            .collect();
+                        let absent = (0..k).take_while(|&j| !model.contains(&lbn(start + j))).count();
+                        let what = format!("stride {stride}: {k} from local {start}");
+                        prop_assert_eq!(
+                            t.resident_in(lbn(start), k),
+                            (resident.len() as u64, resident.last().copied()),
+                            "{}", what
+                        );
+                        prop_assert_eq!(t.absent_prefix(lbn(start), k), absent as u64, "{}", what);
+                    }
+                }
             }
         }
 

@@ -1,18 +1,24 @@
-//! Differential test of the inert-scan path at the scale of a TPC-H power
-//! run: the power-test sequence runs on two engines over two copies of the
+//! Differential test of the run paths at the scale of a TPC-H power run:
+//! the power-test sequence runs on three engines over three copies of the
 //! SF-`HSTORAGE_PROGRAM_SF` database (default 0.05; CI's release step runs
 //! 1.0) — the paper's semantic policy, whose "non-caching and
-//! non-eviction" scans are served from the block table alone, and the same
-//! policy declaring nothing inert, so every scanned block takes the full
-//! placement path. Statistics and simulated time must agree after every
+//! non-eviction" scans are served from the block table's residency bitmap
+//! and whose refused blocks settle in bypass runs; the same policy
+//! declaring nothing inert, so every scanned block takes the full
+//! placement path; and the same storage with migration attached but idle
+//! forever, so its shards take no runs of either kind and no migration
+//! round fires. Statistics and simulated time must agree after every
 //! query.
 
 use hstorage::SystemConfig;
-use hstorage_cache::{CacheEngine, CachePolicyKind, StorageConfigKind, StorageSystem};
+use hstorage_cache::{
+    CacheEngine, CachePolicyKind, MigrationConfig, StorageConfigKind, StorageSystem,
+};
 use hstorage_engine::QueryExecutor;
 use hstorage_storage::RequestClass;
 use hstorage_tpch::power::power_test_sequence;
 use hstorage_tpch::{build_plan, TpchDatabase, TpchScale};
+use std::time::Duration;
 
 mod common;
 
@@ -29,7 +35,13 @@ fn power_sequence_matches_with_the_inert_path_forced_off() {
         "per-block",
         common::per_block(storage.cache_policy, &config.policy),
     );
-    let mut sides = [&engine, &reference].map(|storage| {
+    // Attached migration turns both run kinds off; a threshold no run
+    // reaches keeps every round from firing.
+    let run_free =
+        CacheEngine::new(&storage.with_migration(
+            MigrationConfig::on().with_idle_threshold(Duration::from_secs(1 << 30)),
+        ));
+    let mut sides = [&engine, &reference, &run_free].map(|storage| {
         (
             storage,
             TpchDatabase::build(config.scale),
@@ -41,8 +53,10 @@ fn power_sequence_matches_with_the_inert_path_forced_off() {
             let plan = build_plan(query, db);
             executor.run_query(&plan, &mut db.catalog, *storage);
         }
-        assert_eq!(engine.stats(), reference.stats(), "after {query:?}");
-        assert_eq!(engine.now(), reference.now(), "after {query:?}");
+        for (twin, name) in [(&reference, "per-block"), (&run_free, "run-free")] {
+            assert_eq!(engine.stats(), twin.stats(), "{name}, after {query:?}");
+            assert_eq!(engine.now(), twin.now(), "{name}, after {query:?}");
+        }
     }
     let scanned = engine.stats().class(RequestClass::Sequential);
     assert!(

@@ -2,11 +2,13 @@
 //! `submit_batch` run and a TRIM each visit every shard they touch once,
 //! under one lock — and every policy still sees, shard by shard, exactly
 //! the event sequence a block-by-block walk would have shown it. That
-//! includes the walk's bypass runs (blocks after a refused one settled by
-//! one occupancy-bit test each), over regions resident at five densities
-//! and under a policy whose admission answer changes on a hit. Inert
-//! reads, served from the block table with no policy call, are held to
-//! the same policy behind a twin that declares nothing inert.
+//! includes the walk's bypass runs (the absent blocks after a refused one,
+//! settled by one query of the table's residency bitmap), over regions
+//! resident at five densities, across extents of 64 local addresses with
+//! no resident block, and under a policy whose admission answer changes
+//! on a hit. Inert reads, served from the block table with no policy
+//! call, are held to the same policy behind a twin that declares nothing
+//! inert.
 //!
 //! Honours `HSTORAGE_POLICY` / `HSTORAGE_MIGRATION` like the other suites
 //! (the bypass-run tests run both migration legs themselves).
@@ -451,6 +453,109 @@ fn inert_requests_match_the_block_by_block_walk() {
                 check(&op);
             }
             assert_eq!(fast(), before + 1, "{what}: the repeat of {last_hit:?}");
+        }
+    }
+}
+
+/// Start of a region beyond the density regions, every `FAR_STEP`-th
+/// block of its `REGION` blocks made resident before the trace. The
+/// addresses between the last density region and it are never made
+/// resident, and they hold a whole extent of 64 local addresses of every
+/// shard at up to 8 shards (512 addresses there), so a long request into
+/// it crosses an extent with no resident block between two that have
+/// some.
+const FAR_START: u64 = 2_048;
+const FAR_STEP: u64 = 5;
+/// No request of the long-request trace makes a block resident in
+/// `GAP_START..FAR_START`: the density trace's requests end below it.
+const GAP_START: u64 = 1_280;
+
+/// Single-block priority-1 reads that make every `FAR_STEP`-th block of
+/// the far region resident: above the priorities of the trace's admitted
+/// traffic, so they are never its victims.
+fn populate_far_region() -> Vec<Op> {
+    (FAR_START..FAR_START + REGION)
+        .step_by(FAR_STEP as usize)
+        .map(|lbn| {
+            Op::Submit(ClassifiedRequest::new(
+                IoRequest::read(BlockRange::new(lbn, 1), false),
+                RequestClass::Random,
+                QosPolicy::priority(1),
+            ))
+        })
+        .collect()
+}
+
+/// A request of the long-request trace: one in three is 1,025–2,324
+/// blocks from inside a density region, often on into the far region —
+/// an inert scan or a sequential non-caching write (a bypass run after
+/// each hit), shapes the semantic policy refuses and evicts nothing for,
+/// so the gap stays empty and the far region resident. The rest are
+/// [`bypass_mix`] requests.
+fn long_or_short(rng: &mut Rng) -> ClassifiedRequest {
+    if rng.below(3) > 0 {
+        return bypass_mix(rng);
+    }
+    let start = rng.below(DENSITY_STEPS.len() as u64) * REGION_GAP + rng.below(REGION);
+    let range = BlockRange::new(start, 1_025 + rng.below(1_300));
+    match rng.below(2) {
+        0 => inert_read(range),
+        _ => ClassifiedRequest::new(
+            IoRequest::write(range, true),
+            RequestClass::Sequential,
+            QosPolicy::NonCachingNonEviction,
+        ),
+    }
+}
+
+#[test]
+fn long_requests_across_empty_extents_match_the_block_by_block_walk() {
+    let config = PolicyConfig::paper_default();
+    let kind = CachePolicyKind::SemanticPriority;
+    // Three shards take the division path to local addresses.
+    for shards in [1, 3, 8] {
+        for migration in migration_legs() {
+            let what = format!("{shards} shards, {migration:?}");
+            let mut ops = populate_far_region();
+            ops.extend(density_trace(
+                0x10F6_E97E + shards as u64,
+                120,
+                long_or_short,
+            ));
+            let build = || {
+                recording_engine_of(shards, BYPASS_SLOTS, migration, move |capacity| {
+                    kind.build(&config, capacity)
+                })
+            };
+            let stats = assert_matches_block_by_block(&build(), &build(), &ops, &what);
+            let scanned = stats.class(RequestClass::Sequential);
+            assert!(
+                scanned.cache_hits > 1_000 && stats.action(CacheAction::Bypassing) > 50_000,
+                "{what}: the trace must scan resident and absent blocks ({scanned:?})"
+            );
+
+            // The same requests whole on a twin whose shapes are never
+            // inert: statistics and simulated time agree after every op.
+            let storage = common::hstorage(BYPASS_SLOTS, shards)
+                .with_cache_policy(kind)
+                .with_migration(migration);
+            let engine = HybridCache::new(&storage);
+            let reference = HybridCache::new(&storage)
+                .with_policy_factory("per-block", common::per_block(kind, &config));
+            for op in &ops {
+                apply(&engine, op);
+                apply(&reference, op);
+                assert_eq!(engine.stats(), reference.stats(), "{what}: {op:?}");
+                assert_eq!(engine.now(), reference.now(), "{what}: {op:?}");
+            }
+            assert!(
+                (GAP_START..FAR_START).all(|lbn| !engine.contains_block(BlockAddr(lbn))),
+                "{what}: a block of the gap is resident"
+            );
+            assert!(
+                (FAR_START..FAR_START + REGION).any(|lbn| engine.contains_block(BlockAddr(lbn))),
+                "{what}: the far region lost its residents"
+            );
         }
     }
 }
