@@ -55,6 +55,14 @@
 //! block-by-block walk produces — so no decision or counter moves. A
 //! lone-block request touches one shard and locks it directly.
 //!
+//! A slice of independent requests sent through
+//! [`StorageSystem::submit_each`] (the executor's index probes) is served
+//! request by request on `submit`'s path, one lock visit each. The slice
+//! only lets the engine look ahead: under a lone-block request's shard
+//! lock it starts loading the table slot, list node and list neighbours
+//! that requests further on the same shard will wait on, so those loads
+//! overlap the work in between instead of following one another.
+//!
 //! A multi-block walk settles blocks in **runs** that make no policy
 //! call, each answered by one query of the shard table's residency
 //! bitmap, one word per 64 of the shard's blocks. A bypass run follows
@@ -149,6 +157,24 @@ struct Run {
 /// groups' lines to arrive, near enough to stay inside a scan's next
 /// request.
 const PREFETCH_STRIDES: u64 = 8;
+
+/// How many requests ahead on the shard it holds
+/// [`StorageSystem::submit_each`] starts loading each stage of a
+/// lone-block request's visit, which waits on one load after another: the
+/// block table's home slot, then the policy's list node the slot names
+/// (the slot was loaded eight requests before), then the node's list
+/// neighbours (the node was loaded six before). A stage's loads are in
+/// flight while the requests in between are served.
+const SLOT_AHEAD: usize = 16;
+/// See [`SLOT_AHEAD`].
+const NODE_AHEAD: usize = 8;
+/// See [`SLOT_AHEAD`].
+const NEIGHBOURS_AHEAD: usize = 2;
+
+/// Requests whose shard indices [`StorageSystem::submit_each`] computes at
+/// once: at least the two requests of each of the executor's 64 probes of
+/// a group, so a group's lookahead never stops short.
+const EACH_CHUNK: usize = 128;
 
 /// `x % n` for an `x` below `2 * n`, without the division.
 fn wrap(x: u64, n: u64) -> u64 {
@@ -1200,7 +1226,12 @@ impl CacheEngine {
     }
 
     fn shard(&self, lbn: BlockAddr) -> &Shard {
-        &self.shards[(lbn.0 % self.shards.len() as u64) as usize]
+        &self.shards[self.shard_index(lbn)]
+    }
+
+    /// The index of `lbn`'s shard.
+    fn shard_index(&self, lbn: BlockAddr) -> usize {
+        (lbn.0 % self.shards.len() as u64) as usize
     }
 
     fn policy_request(&self, req: &ClassifiedRequest) -> PolicyRequest {
@@ -1427,18 +1458,66 @@ impl CacheEngine {
 
     /// [`StorageSystem::submit`] below the journal wrapper.
     fn submit_inner(&self, req: ClassifiedRequest) {
-        let preq = self.policy_request(&req);
+        self.submit_one(&req, self.shard_index(req.io.range.start), |_| {});
+    }
+
+    /// [`Self::submit_inner`] of `req`, whose first block lives on shard
+    /// `shard`. A lone-block request runs `ahead` under that shard's lock
+    /// before it handles the block (see [`Self::submit_each_inner`]).
+    #[inline(always)]
+    fn submit_one(&self, req: &ClassifiedRequest, shard: usize, ahead: impl FnOnce(&ShardState)) {
+        let preq = self.policy_request(req);
         // Only write-buffer traffic can grow the buffer, so the flush
         // check is needed — and its cost paid — only under a buffering
         // policy and only then.
         let buffered = self.write_buffering && preq.prio == CachePriority(0);
         match req.blocks() {
             0 => return,
-            1 => self.submit_block(&req, &preq, buffered),
-            _ => self.walk_request(&req, preq),
+            1 => self.submit_block(req, &preq, buffered, &self.shards[shard], ahead),
+            _ => self.walk_request(req, preq),
         }
         if buffered {
             self.maybe_flush_write_buffers();
+        }
+    }
+
+    /// [`StorageSystem::submit_each`] with journaling off: each request
+    /// takes [`Self::submit_inner`]'s path, in order, so nothing it
+    /// decides, counts or prices can differ. The slice serves only to look
+    /// ahead. While it holds a lone-block request's shard lock, the engine
+    /// starts loading what the visits of requests further on **that
+    /// shard** will wait on: the table home slot of the request
+    /// [`SLOT_AHEAD`] places on, the list node of the one [`NODE_AHEAD`]
+    /// on, and that node's neighbours for the one [`NEIGHBOURS_AHEAD`] on.
+    /// It reads only the held shard's table and policy, through pure
+    /// hints ([`BlockTable::prefetch`], [`CachePolicy::prefetch_hit`]), and
+    /// a request on another shard is simply not looked ahead for. Shard
+    /// indices are computed once per request.
+    fn submit_each_inner(&self, reqs: &[ClassifiedRequest]) {
+        let mut shard_of = [0usize; EACH_CHUNK];
+        for chunk in reqs.chunks(EACH_CHUNK) {
+            for (shard, req) in shard_of.iter_mut().zip(chunk) {
+                *shard = self.shard_index(req.io.range.start);
+            }
+            for (j, req) in chunk.iter().enumerate() {
+                let shard = shard_of[j];
+                // The first block of the request `d` places ahead, if it
+                // lives on this shard.
+                let ahead = |d: usize| {
+                    let lbn = chunk.get(j + d)?.io.range.start;
+                    (shard_of[j + d] == shard).then_some(lbn)
+                };
+                self.submit_one(req, shard, |st| {
+                    if let Some(lbn) = ahead(SLOT_AHEAD) {
+                        st.meta.prefetch(lbn);
+                    }
+                    for (d, neighbours) in [(NODE_AHEAD, false), (NEIGHBOURS_AHEAD, true)] {
+                        if let Some(slot) = ahead(d).and_then(|lbn| st.meta.get(lbn)) {
+                            st.policy.prefetch_hit(slot.node, neighbours);
+                        }
+                    }
+                });
+            }
         }
     }
 
@@ -1454,12 +1533,22 @@ impl CacheEngine {
     /// the lane advanced by the SSD transfer it would have been priced at.
     /// Write-buffer reads always take the full path, which keeps the two
     /// paths trivially equivalent ahead of the flush check that follows.
+    ///
+    /// `shard` is the block's shard, and `ahead` runs first under its
+    /// lock.
     #[inline(always)]
-    fn submit_block(&self, req: &ClassifiedRequest, preq: &PolicyRequest, buffered: bool) {
+    fn submit_block(
+        &self,
+        req: &ClassifiedRequest,
+        preq: &PolicyRequest,
+        buffered: bool,
+        shard: &Shard,
+        ahead: impl FnOnce(&ShardState),
+    ) {
         let lbn = req.io.range.start;
         let sequential = req.io.sequential;
-        let shard = self.shard(lbn);
         let mut st = shard.state.write();
+        ahead(&st);
         // The descriptor only ever holds a read's shape, so matching it
         // also proves this request a read.
         let repeat = HotHit {
@@ -1594,6 +1683,15 @@ impl StorageSystem for CacheEngine {
 
     fn submit(&self, req: ClassifiedRequest) {
         self.journaled(|| JournalOp::Submit(req), || self.submit_inner(req));
+    }
+
+    fn submit_each(&self, reqs: &[ClassifiedRequest]) {
+        match &self.journal {
+            None => self.submit_each_inner(reqs),
+            // One `Submit` record per request, exactly as `submit` writes
+            // them: the lookahead is not worth a record format of its own.
+            Some(_) => reqs.iter().for_each(|req| self.submit(*req)),
+        }
     }
 
     fn submit_batch(&self, reqs: Vec<ClassifiedRequest>) {

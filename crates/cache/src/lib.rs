@@ -26,8 +26,8 @@
 //! [`StorageConfig`] so the same engine can compare replacement
 //! algorithms under identical mechanism.
 
-// Unsafe code lives in two places: the block table's prefetch hint
-// (`table::prefetch_line`) and the shard lock's guards and `Sync` impl
+// Unsafe code lives in two places: the crate's one prefetch hint
+// (`table::prefetch_line`, public for the safe crates above) and the shard lock's guards and `Sync` impl
 // (`shard_lock`, which opts in module-wide); everything else stays safe.
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
@@ -67,4 +67,4 @@ pub use recovery::{
 };
 pub use stats::{CacheAction, CacheStats, ClassCounters, ContentionCounters, LatencyHistogram};
 pub use system::StorageSystem;
-pub use table::{BlockTable, OpenMap};
+pub use table::{prefetch_line, BlockTable, OpenMap};

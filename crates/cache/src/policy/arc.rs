@@ -177,6 +177,10 @@ impl CachePolicy for ArcPolicy {
         true
     }
 
+    fn prefetch_hit(&self, node: u32, neighbours: bool) {
+        self.arena.prefetch(node, neighbours);
+    }
+
     fn pop_victim(&mut self, incoming: BlockAddr, _req: &PolicyRequest) -> Option<BlockAddr> {
         // Adapt p on a ghost hit *before* REPLACE, as in the paper, and
         // apply the paper's tie-break toward T1 when the miss is a B2

@@ -86,6 +86,10 @@ impl CachePolicy for CflruPolicy {
         true
     }
 
+    fn prefetch_hit(&self, node: u32, neighbours: bool) {
+        self.arena.prefetch(node, neighbours);
+    }
+
     fn pop_victim(&mut self, _incoming: BlockAddr, _req: &PolicyRequest) -> Option<BlockAddr> {
         // Selection only (the engine's Evict notification untracks the
         // block via `on_remove`): prefer the oldest clean block inside the

@@ -45,6 +45,10 @@ impl CachePolicy for LruPolicy {
         true
     }
 
+    fn prefetch_hit(&self, node: u32, neighbours: bool) {
+        self.arena.prefetch(node, neighbours);
+    }
+
     fn pop_victim(&mut self, _incoming: BlockAddr, _req: &PolicyRequest) -> Option<BlockAddr> {
         // Selection only: the block leaves the stack when the engine's
         // Evict notification reaches `on_remove`.

@@ -107,6 +107,10 @@ impl CachePolicy for TwoQPolicy {
         true
     }
 
+    fn prefetch_hit(&self, node: u32, neighbours: bool) {
+        self.arena.prefetch(node, neighbours);
+    }
+
     fn pop_victim(&mut self, _incoming: BlockAddr, _req: &PolicyRequest) -> Option<BlockAddr> {
         // Selection only: reclaim from the probationary queue while it is
         // over target, otherwise from the LRU end of Am. Ghosting happens

@@ -6,6 +6,14 @@
 //! concurrently executing query streams. Implementations serialize
 //! internally (lock striping in the hybrid cache, a single mutex in the
 //! baselines); callers never need an exclusive borrow.
+//!
+//! Requests arrive one at a time ([`StorageSystem::submit`]) or as a
+//! slice, by one of two calls that promise different things:
+//! [`StorageSystem::submit_batch`] serves a semantic batch and may merge
+//! adjacent device transfers, while [`StorageSystem::submit_each`] is
+//! exactly `submit` of each request in order — no merging, and one
+//! journal record per request — and lets an implementation overlap the
+//! memory loads of independent requests.
 
 use crate::migration::MigrationStats;
 use crate::stats::CacheStats;
@@ -40,6 +48,20 @@ pub trait StorageSystem: Send + Sync {
     fn submit_batch(&self, reqs: Vec<ClassifiedRequest>) {
         for req in reqs {
             self.submit(req);
+        }
+    }
+
+    /// Serves `reqs` as exactly [`StorageSystem::submit`] of each request,
+    /// in order: the same cache state, statistics, device transfers and
+    /// simulated time, and with journaling on the same records. Unlike
+    /// [`StorageSystem::submit_batch`] it never merges device transfers.
+    /// The executor sends a group of index probes' storage requests this
+    /// way. An implementation may use the slice only to look ahead — the
+    /// hybrid cache starts loading the metadata of requests a few places
+    /// ahead while it serves one. The default simply loops.
+    fn submit_each(&self, reqs: &[ClassifiedRequest]) {
+        for req in reqs {
+            self.submit(*req);
         }
     }
 

@@ -94,11 +94,13 @@ const MIN_CAPACITY: usize = 8;
 pub const NO_NODE: u32 = u32::MAX;
 
 /// Hints the CPU to start loading the cache line holding `*p` into L1
-/// without waiting for it.
+/// without waiting for it. A pure hint: it changes nothing the program can
+/// observe. The cache crate's one prefetch, public so that crates which
+/// forbid `unsafe` code (the query engine's buffer pool) can use it too.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 #[inline(always)]
-fn prefetch_line<T>(p: &T) {
+pub fn prefetch_line<T>(p: &T) {
     use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
     // SAFETY: a prefetch is a hint with no architectural effect — it never
     // faults and changes no memory the program can observe — and the
@@ -110,7 +112,7 @@ fn prefetch_line<T>(p: &T) {
 /// Off x86_64 a prefetch is a no-op.
 #[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
-fn prefetch_line<T>(_: &T) {}
+pub fn prefetch_line<T>(_: &T) {}
 
 /// A flat open-addressing hash map from `u64` keys to `Copy` values.
 ///

@@ -31,7 +31,7 @@
 //! `u64` address space the page lies.
 
 use hstorage_cache::arena::{ListArena, ListHandle, NIL};
-use hstorage_cache::OpenMap;
+use hstorage_cache::{prefetch_line, OpenMap};
 use hstorage_storage::{BlockAddr, BlockRange};
 
 /// `log2` of the number of addresses one index page covers.
@@ -156,6 +156,17 @@ impl BufferPool {
             self.pages[page][at] = self.list.push_front(&mut self.arena, block);
         }
         false
+    }
+
+    /// Starts loading `block`'s index entry, if its page exists, without
+    /// waiting for it: the executor calls this for a group of probes
+    /// before it accesses any of them. A pure hint — no hit, miss, page
+    /// or recency changes.
+    #[inline]
+    pub fn prefetch(&self, block: BlockAddr) {
+        if let Some((page, at)) = self.entry(block) {
+            prefetch_line(&self.pages[page][at]);
+        }
     }
 
     /// Drops the least recently used block and clears its index entry.
@@ -384,18 +395,21 @@ mod tests {
         /// over addresses around page boundaries and at the ends of the
         /// address space: same answers, hit and miss counts, and resident
         /// blocks in the same recency order after every operation, and
-        /// the index passes its audit.
+        /// the index passes its audit. Prefetches, of touched pages and
+        /// of pages never touched, change none of it and allocate no page.
         #[test]
         fn pool_matches_a_vecdeque_lru_model(
             capacity in 0u64..7,
             ops in proptest::collection::vec(
-                (0u8..9, 0usize..KEYS.len(), 0usize..KEYS.len()),
+                (0u8..10, 0usize..KEYS.len(), 0usize..KEYS.len()),
                 1..200,
             ),
         ) {
             use proptest::prelude::prop_assert_eq;
             use std::collections::VecDeque;
             let mut pool = BufferPool::new(capacity);
+            pool.prefetch(BlockAddr(KEYS[0]));
+            prop_assert_eq!(pool.pages.len(), 0);
             let mut model: VecDeque<u64> = VecDeque::new();
             let (mut hits, mut misses) = (0u64, 0u64);
             for (op, a, b) in ops {
@@ -437,10 +451,15 @@ mod tests {
                         let dropped = (before - model.len()) as u64;
                         prop_assert_eq!(pool.invalidate_range(BlockRange::new(key, len)), dropped);
                     }
-                    _ => {
+                    8 => {
                         model.clear();
                         (hits, misses) = (0, 0);
                         pool.clear();
+                    }
+                    _ => {
+                        let pages = pool.pages.len();
+                        pool.prefetch(block);
+                        prop_assert_eq!(pool.pages.len(), pages);
                     }
                 }
                 prop_assert_eq!((pool.hits(), pool.misses()), (hits, misses));

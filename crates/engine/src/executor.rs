@@ -26,6 +26,22 @@
 //! submits. Batches are flushed before any random submit, TRIM or query
 //! completion, so the request order reaching storage is identical to
 //! unbatched execution.
+//!
+//! Index probes are served in *probe groups*. A probe's cost is memory
+//! latency — its buffer-pool entry, then the cache's table slot, list
+//! node and neighbours, each load waiting on the one before — so one op
+//! loop, shared by [`QueryExecutor::run_query`] and [`run_concurrent`]'s
+//! slices, draws a run of up to [`PROBE_GROUP`] consecutive probes from
+//! the cursor (holding the op that ends the run, to execute next) and
+//! serves them in two passes. The first draws each probe's picks, index
+//! block then table block, and starts loading both pool entries; the
+//! second accesses the pool in the same order and collects the misses.
+//! They reach storage, after any pending scan batch, through one
+//! [`StorageSystem::submit_each`], which serves them exactly as
+//! per-request submits while it loads the cache's metadata of the
+//! requests ahead. The pool never reads storage and storage never reads
+//! the pool, so each sees exactly the sequence that executing the probes
+//! one at a time ([`QueryExecutor::execute_op`]) produces.
 
 use crate::buffer_pool::BufferPool;
 use crate::catalog::Catalog;
@@ -61,10 +77,12 @@ pub struct ExecutorConfig {
     /// Maximum number of sequential-stream requests the executor collects
     /// into one vectored [`StorageSystem::submit_batch`] call. Sequential
     /// scans and temporary-data streams vector their run of requests up to
-    /// this size; index/random paths always submit per request. `1`
-    /// disables batching. Because a batch is flushed before any
-    /// non-batchable request (and before TRIM), the request order seen by
-    /// storage is identical to unbatched execution.
+    /// this size; index probes reach storage through
+    /// [`StorageSystem::submit_each`] and updates through per-request
+    /// submits, neither of which merges transfers. `1` disables batching.
+    /// Because a batch is flushed before any non-batchable request (and
+    /// before TRIM), the request order seen by storage is identical to
+    /// unbatched execution.
     pub io_batch_size: usize,
 }
 
@@ -91,6 +109,10 @@ impl ExecutorConfig {
     }
 }
 
+/// The most consecutive index probes the executor serves as one group
+/// (see the module docs).
+pub const PROBE_GROUP: usize = 64;
+
 /// How many resolved priorities an executor keeps before it starts over: a
 /// probe alternates between two objects and a pipelined plan between a few
 /// probes (four objects in the widest TPC-H plan).
@@ -115,6 +137,12 @@ pub struct QueryExecutor {
     rng: SmallRng,
     /// Sequential-stream requests collected for the next vectored submit.
     pending: Vec<ClassifiedRequest>,
+    /// The buffer-pool accesses of the probe group being served, as
+    /// `(info, block)` in issue order. Empty between groups.
+    probes: Vec<(SemanticInfo, BlockAddr)>,
+    /// The probe group's pool misses, for one
+    /// [`StorageSystem::submit_each`]. Empty between groups.
+    misses: Vec<ClassifiedRequest>,
 }
 
 impl QueryExecutor {
@@ -137,6 +165,8 @@ impl QueryExecutor {
             buffer_pool: BufferPool::new(config.buffer_pool_blocks),
             rng: SmallRng::seed_from_u64(config.seed),
             pending: Vec::with_capacity(config.io_batch_size),
+            probes: Vec::with_capacity(2 * PROBE_GROUP),
+            misses: Vec::with_capacity(2 * PROBE_GROUP),
             config,
         }
     }
@@ -183,9 +213,13 @@ impl QueryExecutor {
         let ticket = self.registry.register_query(plan);
         let mut stats = QueryStats::new(&program.name);
         let io_start = storage.now();
-        for op in program.cursor() {
-            self.execute_op(&op, program.level_bounds, catalog, storage, &mut stats);
-        }
+        self.run_ops(
+            program.cursor(),
+            program.level_bounds,
+            catalog,
+            storage,
+            &mut stats,
+        );
         self.flush_pending(storage);
         self.registry.unregister_query(plan, ticket);
         finalize(&mut stats, io_start, storage);
@@ -198,8 +232,96 @@ impl QueryExecutor {
         stats
     }
 
-    /// Executes one operation of a compiled program. Used directly by the
-    /// concurrent-workload driver; most callers want [`Self::run_query`].
+    /// Executes `ops` in order: the one op loop of [`Self::run_query`] and
+    /// of [`run_concurrent`]'s slices. A run of consecutive index probes
+    /// is served as groups of up to [`PROBE_GROUP`]; every other op goes
+    /// to [`Self::execute_op`].
+    fn run_ops(
+        &mut self,
+        mut ops: impl Iterator<Item = IoOp>,
+        level_bounds: (u32, u32),
+        catalog: &mut Catalog,
+        storage: &dyn StorageSystem,
+        stats: &mut QueryStats,
+    ) {
+        let mut next = ops.next();
+        while let Some(op) = next {
+            next = if matches!(op, IoOp::IndexProbe { .. }) {
+                self.serve_probes(op, &mut ops, level_bounds, storage, stats)
+            } else {
+                self.execute_op(&op, level_bounds, catalog, storage, stats);
+                ops.next()
+            };
+        }
+    }
+
+    /// Serves the probe `first` and the probes that follow it in `ops`, up
+    /// to [`PROBE_GROUP`] in all, as one group (see the module docs), and
+    /// returns the op that ended the run.
+    fn serve_probes(
+        &mut self,
+        first: IoOp,
+        ops: &mut impl Iterator<Item = IoOp>,
+        level_bounds: (u32, u32),
+        storage: &dyn StorageSystem,
+        stats: &mut QueryStats,
+    ) -> Option<IoOp> {
+        let mut probes = std::mem::take(&mut self.probes);
+        let mut misses = std::mem::take(&mut self.misses);
+        // Pass 1: the picks, index then table as `execute_op` draws them,
+        // and the loads of both pool entries.
+        let mut group = 0;
+        let mut op = Some(first);
+        let next = loop {
+            match op {
+                Some(IoOp::IndexProbe {
+                    index_info,
+                    index_hot,
+                    table_info,
+                    table_hot,
+                }) if group < PROBE_GROUP => {
+                    let index_block = self.pick(&index_hot);
+                    let table_block = self.pick(&table_hot);
+                    self.buffer_pool.prefetch(index_block);
+                    self.buffer_pool.prefetch(table_block);
+                    probes.push((index_info, index_block));
+                    probes.push((table_info, table_block));
+                    group += 1;
+                    op = ops.next();
+                }
+                other => break other,
+            }
+        };
+        // Pass 2: the pool accesses in the same order; each miss is
+        // classified and counted as `random_block_access` would.
+        for (info, block) in probes.drain(..) {
+            if self.buffer_pool.access(block, true) {
+                stats.buffer_pool_hits += 1;
+                continue;
+            }
+            stats.buffer_pool_misses += 1;
+            let policy = self.assign(&info, level_bounds);
+            let class = info.request_class();
+            stats.record_request(class, 1);
+            let io = IoRequest::read(BlockRange::new(block, 1), false);
+            misses.push(ClassifiedRequest::new(io, class, policy));
+        }
+        self.charge_cpu(stats, 2 * group as u64);
+        if !misses.is_empty() {
+            self.flush_pending(storage);
+            storage.submit_each(&misses);
+            misses.clear();
+        }
+        self.probes = probes;
+        self.misses = misses;
+        next
+    }
+
+    /// Executes one operation of a compiled program, an index probe alone.
+    /// [`Self::run_query`] serves runs of probes in groups instead, which
+    /// reach the buffer pool and storage in the same order; this is the
+    /// op-at-a-time form for callers that drive a cursor themselves, who
+    /// must [`Self::flush_pending`] before reading storage state or time.
     pub fn execute_op(
         &mut self,
         op: &IoOp,
@@ -469,9 +591,13 @@ pub fn run_concurrent(
             };
             any_work = true;
 
-            for op in query.cursor.by_ref().take(ops_per_slice) {
-                executor.execute_op(&op, query.level_bounds, catalog, storage, &mut query.stats);
-            }
+            executor.run_ops(
+                query.cursor.by_ref().take(ops_per_slice),
+                query.level_bounds,
+                catalog,
+                storage,
+                &mut query.stats,
+            );
             // The slice boundary is also the batch boundary: flushing here
             // keeps the interleaving deterministic (a stream's batched scan
             // I/O never drifts into another stream's slice) and lets the

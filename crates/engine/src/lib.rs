@@ -47,7 +47,9 @@ pub mod stats;
 pub use buffer_pool::BufferPool;
 pub use catalog::{Catalog, ObjectId, ObjectKind};
 pub use concurrency::ConcurrencyRegistry;
-pub use executor::{run_concurrent, CompletedQuery, ExecutorConfig, QueryExecutor, StreamSpec};
+pub use executor::{
+    run_concurrent, CompletedQuery, ExecutorConfig, QueryExecutor, StreamSpec, PROBE_GROUP,
+};
 pub use plan::{Access, OperatorKind, PlanNode, PlanTree};
 pub use policy_table::PolicyAssignmentTable;
 pub use priority::random_request_priority;

@@ -8,8 +8,15 @@
 //! queue depth > 1 adjacent transfers merge, so only the per-device block
 //! totals (the logical traffic) are preserved while request counts shrink
 //! and service time drops.
+//!
+//! `StorageSystem::submit_each` promises more: it is exactly `submit` of
+//! each request in order, so on the cache engine under every policy the
+//! full statistics, the simulated time, the resident set and — with
+//! journaling on — the journal records equal per-request submission's.
 
-use hstorage_cache::{CacheStats, StorageConfig, StorageConfigKind, StorageSystem};
+use hstorage_cache::{
+    CacheEngine, CacheStats, JournalConfig, StorageConfig, StorageConfigKind, StorageSystem,
+};
 use hstorage_storage::{BlockRange, ClassifiedRequest, IoRequest, QosPolicy, RequestClass};
 use proptest::prelude::*;
 
@@ -334,5 +341,141 @@ proptest! {
         let s = sequential.stats().hdd.expect("hybrid has an HDD");
         prop_assert_eq!(b.blocks_read, s.blocks_read);
         prop_assert_eq!(b.blocks_written, s.blocks_written);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// submit_each ≡ submit
+// ---------------------------------------------------------------------------
+
+/// The cache engine under every matrix policy on 1, 3 and 8 shards, small
+/// enough for the traces below to evict and to overflow the write buffer.
+fn each_configurations() -> Vec<(String, StorageConfig)> {
+    let mut configs = Vec::new();
+    for kind in common::matrix_kinds() {
+        for shards in [1, 3, 8] {
+            let config = StorageConfig::new(StorageConfigKind::HStorageDb, 192)
+                .with_cache_policy(kind)
+                .with_shards(shards)
+                .with_migration(common::matrix_migration());
+            configs.push((format!("{kind}, {shards} shards"), config));
+        }
+    }
+    configs
+}
+
+/// The deterministic trace, then lone reads and writes over more
+/// addresses than the cache holds, each read hit repeated exactly (the
+/// repeat-hit fast path), write-buffer writes (the flush check) and
+/// multi-block reads.
+fn each_trace() -> Vec<ClassifiedRequest> {
+    let mut reqs = deterministic_trace();
+    for i in 0..900u64 {
+        let lbn = (i * 7_919) % 400;
+        let prio = QosPolicy::priority(2 + (i % 4) as u8);
+        match i % 6 {
+            0 | 1 => {
+                // A read, a hit on it, and an exact repeat of the hit.
+                let req = read(lbn, 1, RequestClass::Random, prio);
+                reqs.extend([req; 3]);
+            }
+            2 => reqs.push(write(lbn, 1, RequestClass::Random, prio)),
+            3 => reqs.push(write(
+                9_000 + i % 60,
+                1,
+                RequestClass::Update,
+                QosPolicy::WriteBuffer,
+            )),
+            4 => reqs.push(read(lbn, 5, RequestClass::Random, prio)),
+            _ => reqs.push(read(lbn, 1, RequestClass::Random, prio)),
+        }
+    }
+    reqs
+}
+
+/// Whether `submit_each` of `reqs` in slices of `slice` requests leaves an
+/// engine built from `config` exactly as per-request `submit` does: the
+/// full statistics, the simulated time, the resident set and, if the
+/// engine journals, the journal.
+fn check_each(
+    config: &StorageConfig,
+    reqs: &[ClassifiedRequest],
+    slice: usize,
+) -> Result<(), String> {
+    let (each, one) = (CacheEngine::new(config), CacheEngine::new(config));
+    for chunk in reqs.chunks(slice) {
+        each.submit_each(chunk);
+    }
+    for req in reqs {
+        one.submit(*req);
+    }
+    let differs = |what: &str| Err(format!("{what} differ(s) at slice {slice}"));
+    if each.stats() != one.stats() {
+        return differs("statistics");
+    }
+    if each.now() != one.now() {
+        return differs("simulated time");
+    }
+    if each.resident_set() != one.resident_set() {
+        return differs("resident set");
+    }
+    if each.journal_snapshot() != one.journal_snapshot() {
+        return differs("journal records");
+    }
+    Ok(())
+}
+
+#[test]
+fn submit_each_equals_per_request_submit() {
+    let trace = each_trace();
+    for (name, config) in each_configurations() {
+        // Beyond 128 requests the engine's lookahead restarts; a slice of
+        // the whole trace crosses that boundary many times.
+        for slice in [1, 2, 17, 64, 128, 200, trace.len()] {
+            check_each(&config, &trace, slice).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        let journaled = config.with_journal(JournalConfig::on().with_commit_interval(3));
+        for slice in [5, trace.len()] {
+            check_each(&journaled, &trace, slice)
+                .unwrap_or_else(|e| panic!("{name}, journaled: {e}"));
+        }
+    }
+}
+
+/// An arbitrary request, lone in two cases of three, each repeated one to
+/// three times in a row so that read hits repeat exactly.
+fn arb_each_requests() -> impl Strategy<Value = Vec<ClassifiedRequest>> {
+    (arb_request(), 0u8..3, 1usize..4).prop_map(|(req, lone, repeats)| {
+        let range = BlockRange::new(
+            req.io.range.start,
+            if lone > 0 { 1 } else { req.io.range.len },
+        );
+        let io = IoRequest { range, ..req.io };
+        vec![ClassifiedRequest::new(io, req.class, req.policy); repeats]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On any trace and any slicing, `submit_each` equals per-request
+    /// `submit` on every policy and shard count, with journaling off and
+    /// on.
+    #[test]
+    fn submit_each_equals_submit_for_arbitrary_traces(
+        runs in prop::collection::vec(arb_each_requests(), 1..150),
+        slice in 1usize..160,
+        journal in any::<bool>(),
+    ) {
+        let reqs: Vec<ClassifiedRequest> = runs.concat();
+        for (name, config) in each_configurations() {
+            let config = if journal {
+                config.with_journal(JournalConfig::on())
+            } else {
+                config
+            };
+            let checked = check_each(&config, &reqs, slice);
+            prop_assert!(checked.is_ok(), "{}: {:?}", name, checked);
+        }
     }
 }
