@@ -81,7 +81,9 @@
 //! resident block inside a bypass run, a write, or attached migration
 //! (which records heat per block) sends a block down the full placement
 //! path. The price of the bitmap is paid off the scan path: every
-//! allocation, eviction and TRIM removal also updates one residency word.
+//! allocation, eviction and TRIM removal also updates one residency word,
+//! found through a page directory of a few entries a shard, and a TRIM
+//! of an absent block reads that word instead of probing the table.
 //!
 //! The hottest possible case has a shortcut: a single-block read that
 //! repeats the immediately preceding hit on its shard. When the installed
@@ -649,6 +651,7 @@ impl Shard {
         // in a bypass (ARC adapts its target on ghost hits inside
         // `pop_victim`), so the descriptor is cleared up front.
         self.set_hot(st, None);
+        st.meta.prefetch_bit(lbn);
         if self.try_allocate(st, lbn, req, batch) {
             let state = match req.direction {
                 Direction::Read => {
@@ -1182,6 +1185,26 @@ impl CacheEngine {
     /// [`StorageSystem::name`] identifies them.
     pub fn config(&self) -> &StorageConfig {
         &self.config
+    }
+
+    /// Checks every shard's block table against its invariants
+    /// ([`BlockTable::audit`]) and against the shard's capacity, taking
+    /// each shard's read lock in turn, and returns the first broken one.
+    /// Reads every slot and residency page: for tests, not for a hot
+    /// path.
+    pub fn audit(&self) -> Result<(), String> {
+        for (i, shard) in self.shards.iter().enumerate() {
+            let st = shard.state.read();
+            st.meta.audit().map_err(|e| format!("shard {i}: {e}"))?;
+            if st.meta.len() > shard.capacity {
+                return Err(format!(
+                    "shard {i}: {} blocks resident in {} slots",
+                    st.meta.len(),
+                    shard.capacity
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Number of lock-striped shards.
@@ -2258,6 +2281,106 @@ mod tests {
             twin.contains_block(BlockAddr(3)),
             "stale ghost must not change the re-used address's fate"
         );
+    }
+
+    #[test]
+    fn a_range_trim_forgets_every_ghost_with_or_without_a_residency_page() {
+        // Per shard, in local addresses (`lbn = local · n + shard`): a
+        // hot set twice read (it keeps ARC's ghost directory open), ghosts
+        // G evicted by churn, then residents R. The TRIM ranges cover G,
+        // R and never-seen blocks N in page 0, whose page R keeps, and G
+        // and N in page 5, which has no page once its G are evicted.
+        const PAGE: u64 = 1 << 15; // local addresses per residency page
+        let (hot, churn, fresh) = (3 * PAGE, 2 * PAGE, 7 * PAGE);
+        let ghosts = [0, 1, 5 * PAGE, 5 * PAGE + 1];
+        let residents = [2, 3, 4];
+        for kind in [CachePolicyKind::two_q(), CachePolicyKind::Arc] {
+            for n in [3u64, 8] {
+                let cell = format!("{kind}, {n} shards");
+                let lbn = |local: u64, shard: u64| local * n + shard;
+                let read = |c: &CacheEngine, local: u64, shard: u64| {
+                    c.submit(read_req(
+                        lbn(local, shard),
+                        1,
+                        RequestClass::Random,
+                        QosPolicy::priority(2),
+                    ));
+                };
+                let each_shard = |c: &CacheEngine, locals: &[u64]| {
+                    for &l in locals {
+                        (0..n).for_each(|s| read(c, l, s));
+                    }
+                };
+                let new = || CacheEngine::new(&config(kind, 32 * n).with_shards(n as usize));
+                // `saw` sees G before the range TRIM; `control` sees G but
+                // TRIMs only the rest; `twin` never sees G.
+                let (saw, control, twin) = (new(), new(), new());
+                let hot_set: Vec<u64> = (0..12).map(|j| hot + j).collect();
+                for c in [&saw, &control, &twin] {
+                    each_shard(c, &hot_set);
+                    each_shard(c, &hot_set);
+                }
+                each_shard(&saw, &ghosts);
+                each_shard(&control, &ghosts);
+                for s in 0..n {
+                    // Churn the shard until its G are evicted, and the
+                    // same number of blocks through the other two.
+                    let mut j = 0;
+                    while ghosts
+                        .iter()
+                        .any(|&g| saw.contains_block(BlockAddr(lbn(g, s))))
+                    {
+                        for c in [&saw, &control, &twin] {
+                            read(c, churn + j, s);
+                        }
+                        j += 1;
+                    }
+                }
+                for c in [&saw, &control, &twin] {
+                    each_shard(c, &residents);
+                }
+                let whole = vec![
+                    BlockRange::new(0u64, 8 * n),
+                    BlockRange::new(5 * PAGE * n, 4 * n),
+                ];
+                let but_ghosts = vec![
+                    BlockRange::new(2 * n, 6 * n),
+                    BlockRange::new((5 * PAGE + 2) * n, 2 * n),
+                ];
+                for (c, ranges) in [(&saw, &whole), (&control, &but_ghosts), (&twin, &whole)] {
+                    c.trim(&TrimCommand::new(ranges.clone()));
+                    let trimmed = c.stats().action(CacheAction::Trim);
+                    assert_eq!(trimmed, 3 * n, "{cell}: the residents are trimmed");
+                    for s in 0..n {
+                        assert!(residents
+                            .iter()
+                            .all(|&r| !c.contains_block(BlockAddr(lbn(r, s)))));
+                    }
+                    assert_eq!(c.audit(), Ok(()), "{cell}");
+                }
+                // The ghosts' addresses are reused: read once, then a
+                // churn that flushes blocks seen once.
+                for c in [&saw, &control, &twin] {
+                    each_shard(c, &ghosts);
+                    let flush: Vec<u64> = (0..32).map(|j| fresh + j).collect();
+                    each_shard(c, &flush);
+                }
+                for s in 0..n {
+                    for g in ghosts.map(|g| BlockAddr(lbn(g, s))) {
+                        assert_eq!(
+                            saw.contains_block(g),
+                            twin.contains_block(g),
+                            "{cell}: a TRIMmed ghost changes {g:?}'s fate"
+                        );
+                        assert_ne!(
+                            control.contains_block(g),
+                            twin.contains_block(g),
+                            "{cell}: {g:?} was no ghost at the TRIM"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

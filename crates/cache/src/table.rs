@@ -29,16 +29,27 @@
 //!   grow from churn and the table needs no rehash-on-delete heuristics;
 //! * [`BlockTable::prefetch`], which starts loading a key's home slot, so a
 //!   shard walk can ask for the table lines it will need a few blocks
-//!   from now (the engine prefetches 8 strides ahead);
-//! * a **residency bitmap** in a [`BlockTable`]: one `u64` word per
-//!   64-address extent of local addresses that holds a resident block,
-//!   kept in a plain [`OpenMap`] and dropped when it reaches zero, so its
-//!   memory is bounded by the resident set. It answers a run of a
-//!   shard's blocks a word at a time — how many are resident and which is
-//!   last ([`BlockTable::resident_in`]), how many absent ones lead
-//!   ([`BlockTable::absent_prefix`]) — with no probe of the slots. The
-//!   price is one word update on every insertion of a fresh block and
-//!   every removal.
+//!   from now (the engine prefetches 8 strides ahead), and
+//!   [`BlockTable::prefetch_bit`], which starts loading a block's
+//!   residency word, so a miss that will allocate overlaps that load
+//!   with its victim's eviction;
+//! * a **residency bitmap** in a [`BlockTable`]: one bit per local
+//!   address, in direct-indexed **pages** of 512 `u64` words (4 KiB, so
+//!   32,768 local addresses a page) found through a small page directory
+//!   (a plain [`OpenMap`] keyed `local >> 15`). A page exists while its
+//!   range holds a resident block: it keeps a count of its set bits, and
+//!   the removal that zeroes the count moves it from the directory to a
+//!   free list the next new page is taken from, so the steady state
+//!   neither allocates nor frees. The bitmap thus takes at most one 4 KiB
+//!   page per block resident at the high-water mark — that bound is
+//!   reached only by blocks scattered 32,768 local addresses apart — and
+//!   a few pages a shard on a workload whose blocks cluster. It answers a
+//!   run of a shard's blocks a word at a time, one directory lookup per
+//!   page the run crosses — how many are resident and which is last
+//!   ([`BlockTable::resident_in`]), how many absent ones lead
+//!   ([`BlockTable::absent_prefix`]) — with no probe of the slots. An
+//!   insertion of a fresh block and a removal update one word; a removal
+//!   reads the word first, so removing an absent block probes no slot.
 //!
 //! [`OpenMap`] is the generic engine (`u64` keys, `Copy` values), and
 //! [`BlockTable`] the shard-metadata wrapper whose slot value pairs the
@@ -84,6 +95,16 @@ const BLOCK_GROUP_BITS: u32 = 2;
 
 /// `log2` of the local addresses one [`BlockTable`] residency word covers.
 const EXTENT_BITS: u32 = 6;
+
+/// `log2` of the local addresses one residency page covers.
+const PAGE_BITS: u32 = 15;
+
+/// Residency words per page: 512, so a page is 4 KiB.
+const PAGE_WORDS: usize = 1 << (PAGE_BITS - EXTENT_BITS);
+
+/// One residency page: bit `l % 64` of word `(l >> 6) % 512` stands for
+/// local address `l` of the page's range.
+type ResidencyPage = [u64; PAGE_WORDS];
 
 /// Smallest table capacity ever allocated (slots, power of two; at least
 /// two of a [`BlockTable`]'s extent groups).
@@ -313,15 +334,8 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
     /// chain behind the vacated slot is backward-shifted, so no tombstone
     /// is left behind.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        let i = self.find(key)?;
+        let mut i = self.find(key)?;
         let removed = self.slots[i].1;
-        self.remove_at(i);
-        Some(removed)
-    }
-
-    /// Empties occupied slot `i`, backward-shifting the probe chain
-    /// behind it.
-    fn remove_at(&mut self, mut i: usize) {
         let mask = self.slots.len() - 1;
         let mut j = i;
         loop {
@@ -340,6 +354,7 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
         }
         self.set_unused(i);
         self.len -= 1;
+        Some(removed)
     }
 
     /// Removes every entry, keeping the allocation.
@@ -376,12 +391,12 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
         }
     }
 
-    /// Asserts the open-addressing invariant the backward-shift deletion
+    /// Checks the open-addressing invariant the backward-shift deletion
     /// must preserve: walking from any entry's home slot to the slot it
     /// occupies crosses no empty slot (otherwise a lookup would terminate
-    /// early and miss the entry). Also checks the occupancy count.
-    #[cfg(test)]
-    fn assert_probe_invariant(&self) {
+    /// early and miss the entry). Also checks that the occupancy popcount
+    /// is `len`.
+    pub(crate) fn audit(&self) -> Result<(), String> {
         let mask = self.slots.len() - 1;
         let mut occupied = 0;
         for (slot, &(key, _)) in self.slots.iter().enumerate() {
@@ -391,17 +406,21 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
             occupied += 1;
             let mut i = self.home(key);
             while i != slot {
-                assert!(
-                    self.is_used(i),
-                    "probe chain for key {} crosses empty slot {} before {}",
-                    key,
-                    i,
-                    slot
-                );
+                if !self.is_used(i) {
+                    return Err(format!(
+                        "probe chain for key {key} crosses empty slot {i} before {slot}"
+                    ));
+                }
                 i = (i + 1) & mask;
             }
         }
-        assert_eq!(occupied, self.len, "occupancy bits disagree with len");
+        if occupied != self.len {
+            return Err(format!(
+                "{occupied} occupancy bits set, but len is {}",
+                self.len
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -454,21 +473,47 @@ impl Default for TableSlot {
 
 /// The shard-metadata table `lbn → (CacheEntry, node)` on the flat
 /// [`OpenMap`] engine, grouped by the shard's stride, with a residency
-/// bitmap over the shard's local addresses (`lbn / stride`) that answers
-/// range queries 64 blocks a word. Every key of one table must be
-/// congruent modulo the stride, as one engine shard's blocks are.
-/// Iteration order is unspecified (every engine consumer sorts or counts).
+/// bitmap over the shard's local addresses (`lbn / stride`) in
+/// direct-indexed pages, which answers range queries 64 blocks a word.
+/// Every key of one table must be congruent modulo the stride, as one
+/// engine shard's blocks are. Iteration order is unspecified (every
+/// engine consumer sorts or counts).
 #[derive(Debug, Clone)]
 pub struct BlockTable {
     map: OpenMap<TableSlot, BLOCK_GROUP_BITS>,
-    /// Bit `l % 64` of the word keyed `l / 64` is set exactly while the
-    /// block at local address `l` is resident. Only extents with a
-    /// resident block hold a word, so the bitmap is bounded by the
-    /// resident set. Updated by [`Self::insert`] of a fresh key and
+    /// `local >> PAGE_BITS` → the number of that range's page in `pages`,
+    /// for exactly the ranges that hold a resident block.
+    directory: OpenMap<u32>,
+    /// Every residency page ever allocated, in use or free. The bit of
+    /// local address `l` is set exactly while the block at `l` is
+    /// resident. Updated by [`Self::insert`] of a fresh key and
     /// [`Self::remove`] of a present one, and by nothing else.
-    resident: OpenMap<u64>,
+    pages: Vec<Page>,
+    /// The pages out of the directory, all zero, handed out again before
+    /// a new one is allocated.
+    free: Vec<u32>,
     /// The key stride: a block's local address is `lbn / stride`.
     stride: u64,
+}
+
+/// A residency page and the number of bits set in it.
+#[derive(Debug, Clone)]
+struct Page {
+    /// Each its own 4 KiB allocation, so adding a page never copies the
+    /// others.
+    words: Box<ResidencyPage>,
+    /// Set bits in `words`: zero exactly while the page is free.
+    count: u32,
+}
+
+/// Where local address `l`'s residency bit lies in its page: the word's
+/// index and the bit's mask.
+#[inline]
+fn bit_of(local: u64) -> (usize, u64) {
+    (
+        (local >> EXTENT_BITS) as usize % PAGE_WORDS,
+        1 << (local % 64),
+    )
 }
 
 impl Default for BlockTable {
@@ -489,7 +534,9 @@ impl BlockTable {
     pub fn with_capacity(items: usize, stride: usize) -> Self {
         BlockTable {
             map: OpenMap::strided(items, stride),
-            resident: OpenMap::new(),
+            directory: OpenMap::new(),
+            pages: Vec::new(),
+            free: Vec::new(),
             stride: stride as u64,
         }
     }
@@ -504,18 +551,57 @@ impl BlockTable {
         }
     }
 
+    /// The page of the range `local` lies in, set up if the range has
+    /// none.
+    #[inline]
+    fn page_or_alloc(&mut self, local: u64) -> &mut Page {
+        let range = local >> PAGE_BITS;
+        let at = match self.directory.get(range) {
+            Some(&at) => at,
+            None => self.new_page(range),
+        };
+        &mut self.pages[at as usize]
+    }
+
+    /// Enters a zero page for `range` into the directory — one from the
+    /// free list, or a new allocation if the list is empty — and returns
+    /// its number.
+    #[cold]
+    fn new_page(&mut self, range: u64) -> u32 {
+        let at = self.free.pop().unwrap_or_else(|| {
+            self.pages.push(Page {
+                words: Box::new([0; PAGE_WORDS]),
+                count: 0,
+            });
+            u32::try_from(self.pages.len() - 1).expect("fewer than 2^32 residency pages")
+        });
+        self.directory.insert(range, at);
+        at
+    }
+
     /// The residency words over local addresses `lo..=hi`, in ascending
     /// order, each masked to the range and paired with the local address
-    /// of its bit 0. An extent with no resident block reads as zero.
+    /// of its bit 0: one directory lookup per page the range crosses. A
+    /// range with no page yields no words, so callers see only the words
+    /// that can hold a resident block.
     #[inline]
     fn words(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
-        (lo >> EXTENT_BITS..=hi >> EXTENT_BITS).map(move |extent| {
-            let base = extent << EXTENT_BITS;
-            let word = self.resident.get(extent).copied().unwrap_or(0);
-            let below = u64::MAX << (lo.max(base) - base);
-            let above = u64::MAX >> (base + 63 - hi.min(base + 63));
-            (base, word & below & above)
-        })
+        const SPAN: u64 = (1 << PAGE_BITS) - 1;
+        (lo >> PAGE_BITS..=hi >> PAGE_BITS)
+            .filter_map(move |range| {
+                let at = *self.directory.get(range)?;
+                Some((range << PAGE_BITS, &self.pages[at as usize].words))
+            })
+            .flat_map(move |(start, words)| {
+                let first = lo.max(start) - start;
+                let last = hi.min(start + SPAN) - start;
+                (first >> EXTENT_BITS..=last >> EXTENT_BITS).map(move |i| {
+                    let base = start + (i << EXTENT_BITS);
+                    let below = u64::MAX << (lo.max(base) - base);
+                    let above = u64::MAX >> (base + 63 - hi.min(base + 63));
+                    (base, words[i as usize] & below & above)
+                })
+            })
     }
 
     /// Of the `k` blocks `first, first + stride, …` — a run of the
@@ -560,6 +646,18 @@ impl BlockTable {
         self.map.prefetch(lbn.0);
     }
 
+    /// Starts loading the residency word of `lbn`, if its page exists,
+    /// without waiting for it: a miss calls this once it knows it will
+    /// allocate, so the word's load overlaps the victim's eviction.
+    /// Changes nothing.
+    #[inline]
+    pub fn prefetch_bit(&self, lbn: BlockAddr) {
+        let local = self.local(lbn.0);
+        if let Some(&at) = self.directory.get(local >> PAGE_BITS) {
+            prefetch_line(&self.pages[at as usize].words[bit_of(local).0]);
+        }
+    }
+
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -602,26 +700,33 @@ impl BlockTable {
             return Some(old);
         }
         let local = self.local(lbn.0);
-        let (word, _) = self.resident.get_or_insert_with(local >> EXTENT_BITS, || 0);
-        *word |= 1 << (local % 64);
+        let (word, bit) = bit_of(local);
+        let page = self.page_or_alloc(local);
+        page.words[word] |= bit;
+        page.count += 1;
         None
     }
 
-    /// Removes a block, returning its slot, and clears its residency bit;
-    /// a word left zero is dropped, all in one probe of the bitmap.
+    /// Removes a block, returning its slot. The block's residency bit is
+    /// read first: a clear bit, or no page at all, answers `None` without
+    /// probing the slots. A page whose last bit this clears goes back on
+    /// the free list.
     pub fn remove(&mut self, lbn: BlockAddr) -> Option<TableSlot> {
-        let slot = self.map.remove(lbn.0)?;
         let local = self.local(lbn.0);
-        let i = self
-            .resident
-            .find(local >> EXTENT_BITS)
-            .expect("a resident block has a residency word");
-        let word = &mut self.resident.slots[i].1;
-        *word &= !(1 << (local % 64));
-        if *word == 0 {
-            self.resident.remove_at(i);
+        let at = *self.directory.get(local >> PAGE_BITS)?;
+        let page = &mut self.pages[at as usize];
+        let (word, bit) = bit_of(local);
+        if page.words[word] & bit == 0 {
+            return None;
         }
-        Some(slot)
+        page.words[word] &= !bit;
+        page.count -= 1;
+        if page.count == 0 {
+            self.directory.remove(local >> PAGE_BITS);
+            self.free.push(at);
+        }
+        let slot = self.map.remove(lbn.0);
+        Some(slot.expect("a block whose residency bit is set has a slot"))
     }
 
     /// Iterates all `(lbn, slot)` pairs in unspecified (slot) order.
@@ -629,19 +734,70 @@ impl BlockTable {
         self.map.iter().map(|(key, slot)| (BlockAddr(key), slot))
     }
 
-    /// Asserts that the residency bitmap agrees with the table: no stored
-    /// word is zero, the words' popcount is `len()`, and every resident
-    /// block's bit is set.
+    /// Number of residency pages in the directory.
     #[cfg(test)]
-    fn assert_residency_invariant(&self) {
+    fn pages_in_use(&self) -> usize {
+        self.directory.len()
+    }
+
+    /// Checks the table against its own invariants and returns the first
+    /// broken one:
+    ///
+    /// * no probe chain of the slots or of the page directory crosses an
+    ///   empty slot, and each occupancy popcount equals its length;
+    /// * every page is either in the directory once or on the free list
+    ///   once; an in-use page's count equals its popcount and is not
+    ///   zero, and a free page is all zero;
+    /// * the residency popcount equals `len()`, and every resident
+    ///   block's bit is set.
+    ///
+    /// Reads every slot and every page: for tests and audits, not for a
+    /// hot path.
+    pub fn audit(&self) -> Result<(), String> {
+        self.map.audit()?;
+        self.directory.audit()?;
+        let mut seen = vec![false; self.pages.len()];
+        let mut claim = |at: u32, what: &str| match seen.get_mut(at as usize) {
+            None => Err(format!("{what} names page {at} of {}", self.pages.len())),
+            Some(true) => Err(format!("page {at} is listed twice (last as {what})")),
+            Some(unseen) => {
+                *unseen = true;
+                Ok(&self.pages[at as usize])
+            }
+        };
         let mut bits = 0;
-        for (extent, &word) in self.resident.iter() {
-            assert_ne!(word, 0, "extent {extent} keeps a zero residency word");
-            bits += word.count_ones() as usize;
+        for (range, &at) in self.directory.iter() {
+            let page = claim(at, "in use")?;
+            let set: u32 = page.words.iter().map(|w| w.count_ones()).sum();
+            if page.count != set || set == 0 {
+                return Err(format!(
+                    "page {at} (range {range}) counts {} set bits and holds {set}",
+                    page.count
+                ));
+            }
+            bits += set as usize;
         }
-        assert_eq!(bits, self.len(), "residency popcount disagrees with len");
-        for (lbn, _) in self.iter() {
-            assert_eq!(self.resident_in(lbn, 1), (1, Some(lbn)), "{lbn:?}");
+        for &at in &self.free {
+            let page = claim(at, "free")?;
+            if page.count != 0 || page.words.iter().any(|&w| w != 0) {
+                return Err(format!("free page {at} has bits set"));
+            }
+        }
+        if let Some(at) = seen.iter().position(|&s| !s) {
+            return Err(format!("page {at} is neither in use nor free"));
+        }
+        if bits != self.len() {
+            return Err(format!(
+                "residency popcount {bits} disagrees with len {}",
+                self.len()
+            ));
+        }
+        match self
+            .iter()
+            .find(|&(lbn, _)| self.resident_in(lbn, 1).0 != 1)
+        {
+            Some((lbn, _)) => Err(format!("resident block {} has no residency bit", lbn.0)),
+            None => Ok(()),
         }
     }
 }
@@ -649,7 +805,7 @@ impl BlockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeSet, HashMap};
 
     fn entry(node: u32) -> TableSlot {
         entry_in(node, 2, false)
@@ -775,7 +931,7 @@ mod tests {
             let slot = t.get(BlockAddr(u64::from(i))).unwrap();
             assert_eq!(slot.node, i * 10, "lbn {i}");
         }
-        t.map.assert_probe_invariant();
+        t.map.audit().unwrap();
         // Growth rescales the hash onto the doubled group count: whole
         // runs of consecutive keys keep their home slots.
         let displaced = (0..1000u64)
@@ -802,8 +958,8 @@ mod tests {
             t.remove(lbn);
             assert_eq!(t.resident_in(lbn, 1), (0, None), "stride {stride}");
             assert_eq!(t.absent_prefix(lbn, 1), 1, "stride {stride}: removed");
-            t.assert_residency_invariant();
-            assert!(t.resident.is_empty(), "stride {stride}: a zero word stays");
+            t.audit().unwrap();
+            assert_eq!(t.pages_in_use(), 0, "stride {stride}: an empty page stays");
         }
     }
 
@@ -817,7 +973,7 @@ mod tests {
         for local in [5, 63, 130, 191] {
             t.insert(lbn(local), entry(0));
         }
-        t.assert_residency_invariant();
+        t.audit().unwrap();
         assert_eq!(t.resident_in(lbn(0), 192), (4, Some(lbn(191))));
         assert_eq!(t.resident_in(lbn(64), 66), (0, None), "extent 1 only");
         assert_eq!(t.resident_in(lbn(64), 67), (1, Some(lbn(130))));
@@ -839,13 +995,13 @@ mod tests {
             let mut t = BlockTable::with_capacity(0, stride as usize);
             t.insert(lbn(top), entry(0));
             t.insert(lbn(top - 64), entry(1));
-            t.assert_residency_invariant();
+            t.audit().unwrap();
             assert_eq!(t.resident_in(lbn(top - 100), 101), (2, Some(lbn(top))));
             assert_eq!(t.resident_in(lbn(top), 1), (1, Some(lbn(top))));
             assert_eq!(t.absent_prefix(lbn(top - 63), 64), 63);
             t.remove(lbn(top));
             assert_eq!(t.resident_in(lbn(top - 63), 64), (0, None));
-            t.assert_residency_invariant();
+            t.audit().unwrap();
         }
     }
 
@@ -885,7 +1041,7 @@ mod tests {
 
     impl<const G: u32> OpenMap<u64, G> {
         fn map_invariant_and_all_present(&self, keys: &[u64]) {
-            self.assert_probe_invariant();
+            self.audit().unwrap();
             for &k in keys {
                 assert_eq!(self.get(k), Some(&k), "key {k} lost");
             }
@@ -940,7 +1096,7 @@ mod tests {
             for (node, &k) in (0u32..).zip(&keys) {
                 t.insert(BlockAddr(k), entry(node));
             }
-            t.map.assert_probe_invariant();
+            t.map.audit().unwrap();
             let mut groups: HashMap<usize, Vec<u64>> = HashMap::new();
             for (j, &k) in (0u64..).zip(&keys) {
                 let slot = t.map.find(k).expect("inserted key is present");
@@ -982,7 +1138,7 @@ mod tests {
             } else {
                 assert_eq!(map.insert(key, value), model.insert(key, value));
             }
-            map.assert_probe_invariant();
+            map.audit().unwrap();
             assert_eq!(map.len(), model.len());
             for (&k, v) in &model {
                 assert_eq!(map.get(k), Some(v), "stride {stride}, groups {G}: key {k}");
@@ -1026,61 +1182,102 @@ mod tests {
             }
         }
 
-        /// The residency queries agree with a `HashSet` model of one
-        /// shard's blocks (residue `residue % stride`) on every step of a
-        /// random insert/remove trace, at strides 1, 3 and 8. Keys sit at
-        /// local addresses `anchor + small` — five extents, some of them
-        /// empty — or at the top of the address space. After each step
-        /// the bitmap holds no zero word and its popcount is `len()`, and
-        /// each query range (`k` from 0, crossing extents) is answered as
-        /// a block-by-block count would answer it.
+        /// The table agrees with a `BTreeSet` model of one shard's blocks
+        /// (residue `residue % stride`) on every step of a random trace of
+        /// inserts, replacements, removals and removals of absent blocks,
+        /// at strides 1, 3 and 8. Keys sit on both sides of an extent
+        /// boundary, of two page boundaries and of both ends of the
+        /// shard's local addresses. After each step:
+        ///
+        /// * `audit()` passes;
+        /// * a removal of an absent block answered `None` and changed
+        ///   neither the contents nor the pages in use;
+        /// * the pages in use are exactly the distinct 32,768-address
+        ///   ranges that hold a resident block — never more, and none
+        ///   once the table is empty;
+        /// * `resident_in` and `absent_prefix` over random windows (`k`
+        ///   from 0, crossing extents) and over one window across three
+        ///   pages answer as a block-by-block count would.
         #[test]
         fn residency_queries_match_a_set_model(
             ops in proptest::collection::vec(
-                (0u8..2, 0u64..288, proptest::prelude::any::<bool>()),
-                1..120,
+                (0u8..4, 0u8..5, 0u64..80, proptest::prelude::any::<u64>()),
+                1..150,
             ),
-            queries in proptest::collection::vec((0u8..2, 0u64..288, 0u64..160), 4..5),
+            queries in proptest::collection::vec((0u8..5, 0u64..80, 0u64..300), 4..5),
             residue in proptest::prelude::any::<u64>(),
             anchor in proptest::prelude::any::<u64>(),
         ) {
-            use proptest::prelude::prop_assert_eq;
+            use proptest::prelude::{prop_assert, prop_assert_eq};
+            const PAGE: u64 = 1 << PAGE_BITS;
             for stride in [1u64, 3, 8] {
                 let residue = residue % stride;
                 // The largest local address of the shard's blocks.
                 let top = (u64::MAX - residue) / stride;
+                // A page boundary in the lower half of the shard's range.
+                let page = (anchor % (top / 2)) / PAGE * PAGE + PAGE;
                 let local = |shape: u8, small: u64| match shape {
-                    0 => anchor % (top - 1024) + small,
+                    0 => small,
+                    1 => page + 7 * 64 - 40 + small,
+                    2 => page - 40 + small,
+                    3 => page + PAGE - 40 + small,
                     _ => top - small,
                 };
                 let lbn = |local: u64| BlockAddr(local * stride + residue);
                 let mut t = BlockTable::with_capacity(0, stride as usize);
-                let mut model = HashSet::new();
-                for &(shape, small, is_remove) in &ops {
-                    let key = lbn(local(shape, small));
-                    if is_remove {
-                        prop_assert_eq!(t.remove(key).is_some(), model.remove(&key));
-                    } else {
-                        prop_assert_eq!(t.insert(key, entry(0)).is_none(), model.insert(key));
+                let mut model = BTreeSet::new();
+                let contents = |t: &BlockTable| {
+                    let mut keys: Vec<u64> = t.iter().map(|(b, _)| b.0).collect();
+                    keys.sort_unstable();
+                    (keys, t.pages_in_use())
+                };
+                for &(kind, shape, small, pick) in &ops {
+                    // Replacements and plain removals take a resident
+                    // block when there is one.
+                    let resident = (!model.is_empty() && matches!(kind, 1 | 2))
+                        .then(|| *model.iter().nth(pick as usize % model.len()).unwrap());
+                    let l = resident.unwrap_or_else(|| local(shape, small));
+                    match kind {
+                        0 | 1 => prop_assert_eq!(
+                            t.insert(lbn(l), entry(small as u32)).is_none(),
+                            model.insert(l)
+                        ),
+                        _ if model.contains(&l) => {
+                            prop_assert!(t.remove(lbn(l)).is_some());
+                            model.remove(&l);
+                        }
+                        _ => {
+                            let before = contents(&t);
+                            prop_assert!(t.remove(lbn(l)).is_none(), "absent local {}", l);
+                            prop_assert_eq!(contents(&t), before, "absent local {}", l);
+                        }
                     }
-                    t.assert_residency_invariant();
-                    for &(shape, small, k) in &queries {
-                        let start = local(shape, small);
-                        let k = k.min(top - start + 1);
-                        let resident: Vec<BlockAddr> = (0..k)
-                            .map(|j| lbn(start + j))
-                            .filter(|b| model.contains(b))
-                            .collect();
-                        let absent = (0..k).take_while(|&j| !model.contains(&lbn(start + j))).count();
+                    prop_assert_eq!(t.audit(), Ok(()));
+                    let ranges: BTreeSet<u64> = model.iter().map(|l| l >> PAGE_BITS).collect();
+                    prop_assert_eq!(t.pages_in_use(), ranges.len(), "stride {}", stride);
+                    let windows = queries
+                        .iter()
+                        .map(|&(shape, small, k)| (local(shape, small), k))
+                        .chain([(page - 100, 2 * PAGE + 200)]);
+                    for (start, k) in windows {
+                        let k = k.min((top - start).saturating_add(1));
+                        let window: Vec<u64> = match k {
+                            0 => Vec::new(),
+                            _ => model.range(start..=start + (k - 1)).copied().collect(),
+                        };
+                        let resident = (window.len() as u64, window.last().map(|&l| lbn(l)));
+                        let absent = window.first().map_or(k, |&l| l - start);
                         let what = format!("stride {stride}: {k} from local {start}");
-                        prop_assert_eq!(
-                            t.resident_in(lbn(start), k),
-                            (resident.len() as u64, resident.last().copied()),
-                            "{}", what
-                        );
-                        prop_assert_eq!(t.absent_prefix(lbn(start), k), absent as u64, "{}", what);
+                        prop_assert_eq!(t.resident_in(lbn(start), k), resident, "{}", what);
+                        prop_assert_eq!(t.absent_prefix(lbn(start), k), absent, "{}", what);
                     }
                 }
+                for l in std::mem::take(&mut model) {
+                    prop_assert!(t.remove(lbn(l)).is_some());
+                }
+                prop_assert!(t.is_empty());
+                prop_assert_eq!(t.pages_in_use(), 0, "stride {}: pages of an empty table", stride);
+                prop_assert_eq!(t.audit(), Ok(()));
             }
         }
 
@@ -1113,7 +1310,7 @@ mod tests {
                 for key in keys {
                     t.prefetch(BlockAddr(key));
                 }
-                t.map.assert_probe_invariant();
+                t.map.audit().unwrap();
                 prop_assert_eq!(snapshot(&t), before);
             }
         }

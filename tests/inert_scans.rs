@@ -8,7 +8,7 @@
 //! placement path; and the same storage with migration attached but idle
 //! forever, so its shards take no runs of either kind and no migration
 //! round fires. Statistics and simulated time must agree after every
-//! query.
+//! query, and every engine's block tables must pass their audit.
 
 use hstorage::SystemConfig;
 use hstorage_cache::{
@@ -56,6 +56,13 @@ fn power_sequence_matches_with_the_inert_path_forced_off() {
         for (twin, name) in [(&reference, "per-block"), (&run_free, "run-free")] {
             assert_eq!(engine.stats(), twin.stats(), "{name}, after {query:?}");
             assert_eq!(engine.now(), twin.now(), "{name}, after {query:?}");
+        }
+        for (side, name) in [
+            (&engine, "inert"),
+            (&reference, "per-block"),
+            (&run_free, "run-free"),
+        ] {
+            assert_eq!(side.audit(), Ok(()), "{name}, after {query:?}");
         }
     }
     let scanned = engine.stats().class(RequestClass::Sequential);

@@ -5,7 +5,8 @@
 //! into an FNV-64 hash after every operation. The hash must equal the
 //! constant recorded for the cell, so any refactor of the policies' or
 //! the engine's data structures that moves a single decision, counter or
-//! simulated nanosecond fails here, naming the cell.
+//! simulated nanosecond fails here, naming the cell. After every
+//! operation the engine's `audit()` must also pass.
 //!
 //! Cells: every `CachePolicyKind` × {1, 8} shards × migration {off,
 //! eager on}. `HSTORAGE_POLICY` narrows the policies and
@@ -207,8 +208,9 @@ fn fingerprint(kind: CachePolicyKind, shards: usize, migration: bool) -> u64 {
             .with_cache_policy(kind)
             .with_migration(config),
     );
+    let cell = format!("{kind}, {shards} shards, migration {migration}");
     let mut hash = Fnv::new();
-    for op in trace(0xF1_4E_59_2A + shards as u64) {
+    for (i, op) in trace(0xF1_4E_59_2A + shards as u64).into_iter().enumerate() {
         match op {
             Op::Submit(req) => c.submit(req),
             Op::Batch(reqs) => c.submit_batch(reqs),
@@ -219,9 +221,9 @@ fn fingerprint(kind: CachePolicyKind, shards: usize, migration: bool) -> u64 {
             }
         }
         hash.engine(&c);
+        assert_eq!(c.audit(), Ok(()), "{cell}: after op {i}");
     }
     let (stats, moves) = (c.stats(), c.migration_stats());
-    let cell = format!("{kind}, {shards} shards, migration {migration}");
     assert!(
         stats.action(CacheAction::Eviction) > 0,
         "{cell}: no eviction"
