@@ -60,6 +60,7 @@ impl ListArena {
     }
 
     /// Allocates a node for `key`, recycling a freed slot if one exists.
+    #[inline]
     fn alloc(&mut self, key: BlockAddr) -> u32 {
         let node = Node {
             key,
@@ -80,6 +81,7 @@ impl ListArena {
     }
 
     /// Returns a node's slot to the free list.
+    #[inline]
     fn release(&mut self, slot: u32) {
         self.free.push(slot);
     }
@@ -156,6 +158,7 @@ impl ListHandle {
 
     /// Allocates a node for `key` and links it at the front. Returns the
     /// node index, which stays the node's address until it is freed.
+    #[inline]
     pub fn push_front(&mut self, arena: &mut ListArena, key: BlockAddr) -> u32 {
         let slot = arena.alloc(key);
         self.attach_front(arena, slot);
@@ -163,6 +166,7 @@ impl ListHandle {
     }
 
     /// Unlinks and frees the back node, returning its key.
+    #[inline]
     pub fn pop_back(&mut self, arena: &mut ListArena) -> Option<BlockAddr> {
         let slot = self.tail;
         if slot == NIL {
@@ -186,6 +190,7 @@ impl ListHandle {
     }
 
     /// Unlinks and frees a specific node (which must belong to this list).
+    #[inline]
     pub fn remove(&mut self, arena: &mut ListArena, slot: u32) {
         self.detach(arena, slot);
         arena.release(slot);
@@ -194,24 +199,60 @@ impl ListHandle {
     /// Unlinks a node (which must belong to this list) *without* freeing
     /// it, so it can be re-linked into another list over the same arena
     /// under the same index.
+    #[inline]
     pub fn detach(&mut self, arena: &mut ListArena, slot: u32) {
         self.unlink(arena, slot);
         self.len -= 1;
     }
 
     /// Links a detached node at the front of this list.
+    #[inline]
     pub fn attach_front(&mut self, arena: &mut ListArena, slot: u32) {
         self.link_front(arena, slot);
         self.len += 1;
     }
 
     /// Moves a node (which must belong to this list) to the front.
+    #[inline]
     pub fn move_front(&mut self, arena: &mut ListArena, slot: u32) {
         if self.head == slot {
             return;
         }
         self.unlink(arena, slot);
         self.link_front(arena, slot);
+    }
+
+    /// Checks this list's links: the walk from the head visits exactly
+    /// `len` nodes, each naming the one before it as `prev` (the head
+    /// [`NIL`]), and ends at the tail. Returns what is broken first.
+    pub(crate) fn check(&self, arena: &ListArena) -> Result<(), String> {
+        let (mut prev, mut cur, mut seen) = (NIL, self.head, 0usize);
+        while cur != NIL {
+            let Some(node) = arena.nodes.get(cur as usize) else {
+                return Err(format!("node {cur} after {seen} nodes is past the slab"));
+            };
+            if node.prev != prev {
+                return Err(format!(
+                    "node {cur} links back to {} instead of {prev}",
+                    node.prev
+                ));
+            }
+            seen += 1;
+            if seen > self.len {
+                return Err(format!("the walk passes len {}", self.len));
+            }
+            (prev, cur) = (cur, node.next);
+        }
+        if seen != self.len {
+            return Err(format!("the walk visits {seen} nodes, len is {}", self.len));
+        }
+        if prev != self.tail {
+            return Err(format!(
+                "the walk ends at {prev}, the tail is {}",
+                self.tail
+            ));
+        }
+        Ok(())
     }
 
     /// Iterates keys front → back (most → least recently used).
@@ -233,6 +274,7 @@ impl ListHandle {
         }
     }
 
+    #[inline]
     fn link_front(&mut self, arena: &mut ListArena, slot: u32) {
         let head = self.head;
         {
@@ -249,6 +291,7 @@ impl ListHandle {
         }
     }
 
+    #[inline]
     fn unlink(&mut self, arena: &mut ListArena, slot: u32) {
         let (prev, next) = {
             let node = &arena.nodes[slot as usize];
@@ -408,6 +451,27 @@ mod tests {
     }
 
     #[test]
+    fn check_finds_stale_links_and_a_wrong_length() {
+        let mut arena = ListArena::new();
+        let mut list = ListHandle::new();
+        let nodes: Vec<u32> = (1..=3u64)
+            .map(|i| list.push_front(&mut arena, BlockAddr(i)))
+            .collect();
+        assert_eq!(list.check(&arena), Ok(()));
+        // The tail loses the link back to the node before it.
+        let broken = arena.nodes[nodes[0] as usize].prev;
+        arena.nodes[nodes[0] as usize].prev = NIL;
+        assert!(list.check(&arena).is_err());
+        arena.nodes[nodes[0] as usize].prev = broken;
+        // A length the walk does not reach, and a tail it does not end at.
+        list.len += 1;
+        assert!(list.check(&arena).is_err());
+        list.len -= 1;
+        list.tail = nodes[1];
+        assert!(list.check(&arena).is_err());
+    }
+
+    #[test]
     fn node_flags_grow_with_the_slab() {
         let mut flags = NodeFlags::default();
         flags.set(5, true);
@@ -493,6 +557,7 @@ mod tests {
                 }
                 prop_assert_eq!(list.len(), model.len());
                 prop_assert_eq!(arena.live(), model.len());
+                prop_assert_eq!(list.check(&arena), Ok(()));
                 let front: Vec<u64> = list.iter_front(&arena).map(|b| b.0).collect();
                 let expect: Vec<u64> = model.iter().copied().collect();
                 prop_assert_eq!(front, expect);

@@ -108,7 +108,7 @@
 use crate::config::{StorageConfig, StorageConfigKind};
 use crate::journal::{Journal, JournalOp, JournalSnapshot};
 use crate::migration::{MigrationStats, ShardMigration};
-use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
+use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason, ShardPolicy};
 use crate::shard_lock::{ShardLock, ShardWriteGuard};
 use crate::stats::{CacheAction, CacheStats};
 use crate::system::StorageSystem;
@@ -268,7 +268,9 @@ struct ShardState {
     /// Repeat hits served against `hot` and not yet accounted for; zero
     /// while `hot` is `None`.
     fast_hits: u64,
-    policy: Box<dyn CachePolicy>,
+    /// The shard's policy: a shipped kind dispatched statically, or a
+    /// custom one in [`ShardPolicy::Custom`].
+    policy: ShardPolicy,
     /// Tier-migration state ([`crate::MigrationConfig`]): heat tracker,
     /// request shapes and the pending promote/demote queues. `None` while
     /// migration is disabled — the foreground hooks then cost one branch.
@@ -875,7 +877,7 @@ impl Shard {
         // the batch.
         fn promote(
             shard: &Shard,
-            policy: &mut Box<dyn CachePolicy>,
+            policy: &mut ShardPolicy,
             meta: &mut BlockTable,
             pending_promote: &mut std::collections::HashSet<BlockAddr>,
             batch: &mut DeviceBatch,
@@ -1093,7 +1095,9 @@ impl CacheEngine {
     /// per shard with that shard's slot capacity) in place of the one
     /// [`Self::new`] built, and names the resulting storage system `name`.
     /// Must be called before any traffic is submitted. See the
-    /// [`CachePolicy`] docs for a worked example.
+    /// [`CachePolicy`] docs for a worked example. The engine holds the
+    /// policy as [`ShardPolicy::Custom`], so each of its calls is one
+    /// indirect call.
     pub fn with_policy_factory(
         mut self,
         name: impl Into<String>,
@@ -1106,7 +1110,7 @@ impl CacheEngine {
                 st.meta.is_empty(),
                 "cache policy must be installed before submitting traffic"
             );
-            st.policy = factory(shard.capacity as u64);
+            st.policy = ShardPolicy::Custom(factory(shard.capacity as u64));
         }
         self.refresh_policy_traits();
         self
@@ -1188,14 +1192,18 @@ impl CacheEngine {
     }
 
     /// Checks every shard's block table against its invariants
-    /// ([`BlockTable::audit`]) and against the shard's capacity, taking
-    /// each shard's read lock in turn, and returns the first broken one.
-    /// Reads every slot and residency page: for tests, not for a hot
-    /// path.
+    /// ([`BlockTable::audit`]), its policy against its own
+    /// ([`CachePolicy::check`]) and the table against the shard's
+    /// capacity, taking each shard's read lock in turn, and returns the
+    /// first broken one. Reads every slot, residency page and policy
+    /// node: for tests, not for a hot path.
     pub fn audit(&self) -> Result<(), String> {
         for (i, shard) in self.shards.iter().enumerate() {
             let st = shard.state.read();
             st.meta.audit().map_err(|e| format!("shard {i}: {e}"))?;
+            st.policy
+                .check()
+                .map_err(|e| format!("shard {i} policy: {e}"))?;
             if st.meta.len() > shard.capacity {
                 return Err(format!(
                     "shard {i}: {} blocks resident in {} slots",

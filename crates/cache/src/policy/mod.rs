@@ -28,7 +28,10 @@
 //! [`CachePolicyKind::build`] (or a custom factory) for each of its
 //! shards and keeps it behind that shard's lock, so implementations need
 //! no internal synchronisation — only to be `Send + Sync`, which plain
-//! data is.
+//! data is. It holds the instance as a [`ShardPolicy`]: the shipped
+//! policies are variants of that enum and dispatch statically, and a
+//! custom policy rides in [`ShardPolicy::Custom`] behind one indirect
+//! call per method.
 
 mod arc;
 mod cflru;
@@ -36,6 +39,7 @@ mod ghost;
 mod lru;
 mod per_stream;
 mod semantic;
+mod shard_policy;
 mod two_q;
 
 pub use arc::ArcPolicy;
@@ -44,6 +48,7 @@ pub use ghost::GhostList;
 pub use lru::LruPolicy;
 pub use per_stream::{PerStreamPolicy, StreamPolicyKind, StreamRouting};
 pub use semantic::SemanticPriorityPolicy;
+pub use shard_policy::ShardPolicy;
 pub use two_q::TwoQPolicy;
 
 use hstorage_storage::{
@@ -137,6 +142,15 @@ pub enum RemoveReason {
 /// request a few places ahead will pass to `on_hit`. It is a pure hint,
 /// and the handle may be stale by the time it arrives. The list-based
 /// policies answer it with [`ListArena::prefetch`](crate::arena::ListArena::prefetch).
+///
+/// # Dispatch
+///
+/// The engine holds each shard's policy as a [`ShardPolicy`]. The shipped
+/// kinds are its variants, so their calls are a `match` and a direct call
+/// the compiler may inline; a custom policy is boxed in
+/// [`ShardPolicy::Custom`] and pays one indirect call per method. The
+/// enum forwards every method, the defaulted ones too, so a policy's
+/// overrides hold however it is dispatched.
 ///
 /// # Worked example: a custom FIFO policy
 ///
@@ -369,6 +383,14 @@ pub trait CachePolicy: Send + Sync {
     fn drain_write_buffer(&mut self) -> Vec<BlockAddr> {
         Vec::new()
     }
+
+    /// Checks the policy's own structures against their invariants and
+    /// returns the first one broken — for tests, not for a hot path (it
+    /// may read every node). [`CacheEngine::audit`](crate::engine::CacheEngine::audit)
+    /// calls it for every shard. The default checks nothing.
+    fn check(&self) -> Result<(), String> {
+        Ok(())
+    }
 }
 
 /// Which [`CachePolicy`] the cache engine runs — the configuration-level
@@ -537,12 +559,13 @@ impl CachePolicyKind {
     }
 
     /// Builds one per-shard policy instance for a shard managing
-    /// `shard_capacity` cache slots. Leaf construction is shared with the
-    /// compositor via [`StreamPolicyKind::build`].
-    pub fn build(&self, config: &PolicyConfig, shard_capacity: u64) -> Box<dyn CachePolicy> {
+    /// `shard_capacity` cache slots, as the [`ShardPolicy`] variant of
+    /// its kind (never [`ShardPolicy::Custom`]). Leaf construction is
+    /// shared with the compositor via [`StreamPolicyKind::build`].
+    pub fn build(&self, config: &PolicyConfig, shard_capacity: u64) -> ShardPolicy {
         match (self, self.stream_kind()) {
             (CachePolicyKind::PerStream(routing), _) => {
-                Box::new(PerStreamPolicy::new(*config, shard_capacity, *routing))
+                ShardPolicy::PerStream(PerStreamPolicy::new(*config, shard_capacity, *routing))
             }
             (_, Some(leaf)) => leaf.build(config, shard_capacity),
             (_, None) => unreachable!("every non-compositor kind has a stream leaf"),
@@ -729,7 +752,7 @@ mod tests {
     /// One side of the purity check below: a policy and the engine's view
     /// of it, each resident block's node handle and label.
     struct Side {
-        policy: Box<dyn CachePolicy>,
+        policy: ShardPolicy,
         slots: std::collections::HashMap<BlockAddr, (u32, CachePriority)>,
     }
 

@@ -28,7 +28,7 @@
 
 use crate::policy::{
     ArcPolicy, CachePolicy, CflruPolicy, HitOutcome, LruPolicy, PolicyRequest, RemoveReason,
-    SemanticPriorityPolicy, TwoQPolicy,
+    SemanticPriorityPolicy, ShardPolicy, TwoQPolicy,
 };
 use hstorage_storage::{BlockAddr, CachePriority, PolicyConfig, RequestClass};
 use serde::{Deserialize, Serialize};
@@ -120,26 +120,29 @@ impl StreamPolicyKind {
         }
     }
 
-    /// Builds the policy instance for a shard of `shard_capacity` slots —
-    /// the single leaf-construction dispatch, also used by
-    /// [`CachePolicyKind::build`] for its non-compositor variants.
+    /// Builds the policy instance for a shard of `shard_capacity` slots, as
+    /// its leaf [`ShardPolicy`] variant — the single leaf-construction
+    /// dispatch, also used by [`CachePolicyKind::build`] for its
+    /// non-compositor variants.
     /// Windows and ghost capacities are sized against the full shard
     /// capacity — the compositor's streams share the shard's slots, so
     /// each inner is given the shard-level sizing it would have
     /// standalone.
     ///
     /// [`CachePolicyKind::build`]: crate::policy::CachePolicyKind::build
-    pub fn build(&self, config: &PolicyConfig, shard_capacity: u64) -> Box<dyn CachePolicy> {
+    pub fn build(&self, config: &PolicyConfig, shard_capacity: u64) -> ShardPolicy {
         match self {
-            StreamPolicyKind::SemanticPriority => Box::new(SemanticPriorityPolicy::new(*config)),
-            StreamPolicyKind::Lru => Box::new(LruPolicy::new()),
+            StreamPolicyKind::SemanticPriority => {
+                ShardPolicy::Semantic(SemanticPriorityPolicy::new(*config))
+            }
+            StreamPolicyKind::Lru => ShardPolicy::Lru(LruPolicy::new()),
             StreamPolicyKind::Cflru { window_pct } => {
-                Box::new(CflruPolicy::with_window(shard_capacity, *window_pct))
+                ShardPolicy::Cflru(CflruPolicy::with_window(shard_capacity, *window_pct))
             }
             StreamPolicyKind::TwoQ { kin_pct, kout_pct } => {
-                Box::new(TwoQPolicy::with_knobs(shard_capacity, *kin_pct, *kout_pct))
+                ShardPolicy::TwoQ(TwoQPolicy::with_knobs(shard_capacity, *kin_pct, *kout_pct))
             }
-            StreamPolicyKind::Arc => Box::new(ArcPolicy::new(shard_capacity)),
+            StreamPolicyKind::Arc => ShardPolicy::Arc(ArcPolicy::new(shard_capacity)),
         }
     }
 }
@@ -245,8 +248,9 @@ const INNER_BITS: u32 = 29;
 /// priority-group structure exactly as they would under the plain
 /// semantic policy.
 pub struct PerStreamPolicy {
-    /// Distinct inner policies, in first-use order of the routing.
-    inners: Vec<Box<dyn CachePolicy>>,
+    /// Distinct inner policies, in first-use order of the routing: leaf
+    /// variants of [`ShardPolicy`], dispatched statically.
+    inners: Vec<ShardPolicy>,
     /// Routing table: `RequestClass` slot → index into `inners`.
     route: [usize; 5],
     /// Index of the write-buffering inner, if the routing has one: every
@@ -283,7 +287,7 @@ impl PerStreamPolicy {
             };
             route[slot] = idx;
         }
-        let inners: Vec<Box<dyn CachePolicy>> = kinds
+        let inners: Vec<ShardPolicy> = kinds
             .iter()
             .map(|k| k.build(&config, shard_capacity))
             .collect();
@@ -459,6 +463,14 @@ impl CachePolicy for PerStreamPolicy {
         }
         drained
     }
+
+    fn check(&self) -> Result<(), String> {
+        self.inners.iter().enumerate().try_for_each(|(i, inner)| {
+            inner
+                .check()
+                .map_err(|e| format!("per-stream inner {i}: {e}"))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -492,6 +504,36 @@ mod tests {
         assert_eq!(p.route_of(RequestClass::TemporaryDataTrim), 0);
         assert_eq!(p.route_of(RequestClass::Update), 0);
         assert_eq!(p.route_of(RequestClass::Random), 1);
+    }
+
+    /// Whatever the routing, the inners are the leaf variants of their
+    /// kinds: none is boxed, none is a compositor.
+    #[test]
+    fn inners_are_leaf_variants() {
+        let leaves = [
+            StreamPolicyKind::SemanticPriority,
+            StreamPolicyKind::Lru,
+            StreamPolicyKind::cflru(),
+            StreamPolicyKind::two_q(),
+            StreamPolicyKind::Arc,
+        ];
+        for random in leaves {
+            for temporary in leaves {
+                let routing = StreamRouting {
+                    random,
+                    temporary,
+                    ..StreamRouting::default()
+                };
+                let p = PerStreamPolicy::new(PolicyConfig::paper_default(), 64, routing);
+                for inner in &p.inners {
+                    assert!(
+                        !matches!(inner, ShardPolicy::Custom(_) | ShardPolicy::PerStream(_)),
+                        "{routing}"
+                    );
+                }
+                assert!(p.check().is_ok(), "{routing}");
+            }
+        }
     }
 
     #[test]

@@ -131,6 +131,10 @@ impl CachePolicy for SemanticPriorityPolicy {
         // notification as it releases the slots.
         self.groups.iter_group(CachePriority(0)).copied().collect()
     }
+
+    fn check(&self) -> Result<(), String> {
+        self.groups.check()
+    }
 }
 
 #[cfg(test)]

@@ -63,12 +63,14 @@ impl PriorityGroups {
 
     /// Inserts `lbn` into the group for `prio` at the MRU position and
     /// returns its node handle.
+    #[inline]
     pub fn insert(&mut self, lbn: BlockAddr, prio: CachePriority) -> u32 {
         self.groups[prio.0 as usize].push_front(&mut self.arena, lbn)
     }
 
     /// Marks the block at `node` (which lives in group `prio`) as most
     /// recently used.
+    #[inline]
     pub fn touch(&mut self, node: u32, prio: CachePriority) {
         self.groups[prio.0 as usize].move_front(&mut self.arena, node);
     }
@@ -81,6 +83,7 @@ impl PriorityGroups {
     }
 
     /// Removes the block at `node` from the group for `prio`.
+    #[inline]
     pub fn remove(&mut self, node: u32, prio: CachePriority) {
         self.groups[prio.0 as usize].remove(&mut self.arena, node);
     }
@@ -88,6 +91,7 @@ impl PriorityGroups {
     /// Re-allocation (action 5 of Section 5.1): moves the block at `node`
     /// from its old group to the MRU position of a new one, keeping its
     /// node handle.
+    #[inline]
     pub fn reallocate(&mut self, node: u32, old: CachePriority, new: CachePriority) {
         self.groups[old.0 as usize].detach(&mut self.arena, node);
         self.groups[new.0 as usize].attach_front(&mut self.arena, node);
@@ -98,6 +102,7 @@ impl PriorityGroups {
     ///
     /// Returns the block and the priority of the group it came from, without
     /// removing it.
+    #[inline]
     pub fn peek_victim(&self) -> Option<(BlockAddr, CachePriority)> {
         for (k, group) in self.groups.iter().enumerate().rev() {
             if let Some(&lbn) = group.back(&self.arena) {
@@ -121,6 +126,25 @@ impl PriorityGroups {
     /// priority the next victim would come from.
     pub fn lowest_occupied_priority(&self) -> Option<CachePriority> {
         self.peek_victim().map(|(_, p)| p)
+    }
+
+    /// Checks every group's links ([`ListHandle::check`]) and that the
+    /// group lengths sum to the arena's live nodes, so no node is lost or
+    /// shared between groups. Returns what is broken first.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        for (k, group) in self.groups.iter().enumerate() {
+            group
+                .check(&self.arena)
+                .map_err(|e| format!("priority group {k}: {e}"))?;
+        }
+        let linked: usize = self.groups.iter().map(ListHandle::len).sum();
+        if linked != self.arena.live() {
+            return Err(format!(
+                "the groups hold {linked} nodes, the arena {} live ones",
+                self.arena.live()
+            ));
+        }
+        Ok(())
     }
 
     /// Iterates all blocks in the group for `prio`, MRU first.
@@ -264,6 +288,7 @@ mod tests {
                 }
                 let total: usize = model.iter().map(VecDeque::len).sum();
                 prop_assert_eq!(groups.len(), total);
+                prop_assert_eq!(groups.check(), Ok(()));
                 let victim = model
                     .iter()
                     .enumerate()

@@ -333,6 +333,7 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
     /// Removes `key`, returning its value if it was present. The probe
     /// chain behind the vacated slot is backward-shifted, so no tombstone
     /// is left behind.
+    #[inline]
     pub fn remove(&mut self, key: u64) -> Option<V> {
         let mut i = self.find(key)?;
         let removed = self.slots[i].1;
@@ -607,6 +608,7 @@ impl BlockTable {
     /// Of the `k` blocks `first, first + stride, …` — a run of the
     /// table's keys, all addressable — how many are resident, and the
     /// last resident one. One residency word per 64-address extent.
+    #[inline]
     pub fn resident_in(&self, first: BlockAddr, k: u64) -> (u64, Option<BlockAddr>) {
         if k == 0 {
             return (0, None);
@@ -626,6 +628,7 @@ impl BlockTable {
     /// Of the `k` blocks `first, first + stride, …` (as in
     /// [`Self::resident_in`]), how many absent ones precede the first
     /// resident one: `k` if none is resident.
+    #[inline]
     pub fn absent_prefix(&self, first: BlockAddr, k: u64) -> u64 {
         if k == 0 {
             return 0;
@@ -711,6 +714,7 @@ impl BlockTable {
     /// read first: a clear bit, or no page at all, answers `None` without
     /// probing the slots. A page whose last bit this clears goes back on
     /// the free list.
+    #[inline]
     pub fn remove(&mut self, lbn: BlockAddr) -> Option<TableSlot> {
         let local = self.local(lbn.0);
         let at = *self.directory.get(local >> PAGE_BITS)?;

@@ -14,12 +14,15 @@
 //! and reads); an inner node runs its children back to back (blocking
 //! operators) or merges them proportionally (pipelined joins, a spill's
 //! generation phase). A [`ProgramCursor`] walks the tree and yields the
-//! operations by value in the order an iterator-model executor with
-//! blocking operators would issue them. Every node knows its length when
-//! it is built, so the proportional merge can be decided one operation at
-//! a time — least `yielded / length` first, the earlier child on a tie —
-//! exactly as it would be over materialised sequences; the differential
-//! test `tests/program_stream.rs` holds the cursor to that.
+//! operations in the order an iterator-model executor with blocking
+//! operators would issue them. Each step descends to one leaf, which
+//! hands its operation up by reference — a chunked leaf keeps the request
+//! it cut last in the node — and the cursor copies it once. Every node
+//! knows its length when it is built, so the proportional merge can be
+//! decided one operation at a time — least `yielded / length` first,
+//! compared exactly in integers, the earlier child on a tie — exactly as
+//! it would be over materialised sequences; the differential test
+//! `tests/program_stream.rs` holds the cursor to that.
 
 use crate::catalog::{Catalog, ObjectId};
 use crate::plan::{Access, PlanNode, PlanTree};
@@ -83,14 +86,6 @@ pub enum IoOp {
     },
 }
 
-/// Which operation a chunked stream cuts its range into.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-enum ChunkKind {
-    SequentialRead,
-    TempWrite,
-    TempRead,
-}
-
 /// A node of the stream tree together with its read position: a program
 /// holds the tree at position zero, a cursor advances its own copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,8 +104,9 @@ enum Shape {
     /// Whole passes over `range`, `chunk` blocks a request (the last
     /// request of a pass takes what is left).
     Chunked {
-        kind: ChunkKind,
-        info: SemanticInfo,
+        /// The operation last handed out: a sequential read, temp write
+        /// or temp read whose range each request replaces by its piece.
+        op: IoOp,
         range: BlockRange,
         chunk: u64,
         /// What the current pass has not handed out yet.
@@ -125,10 +121,27 @@ enum Shape {
     /// The children merged proportionally, order kept within each. This
     /// models pipelined execution: the inputs of a non-blocking join
     /// produce and consume rows concurrently, so their I/O interleaves
-    /// rather than running back to back. Each child carries its progress,
-    /// `taken / len` (infinite once exhausted), recomputed only when it
-    /// advances.
-    Interleave(Vec<(f64, Stream)>),
+    /// rather than running back to back.
+    ///
+    /// The next operation comes from the unexhausted child with the least
+    /// progress `taken / len`, the earliest child on a tie. Progress is
+    /// compared exactly, `a.taken * b.len` against `b.taken * a.len` in
+    /// `u128`. For children shorter than 2^26 operations this is also the
+    /// order of comparing the two quotients as `f64`: distinct ratios of
+    /// such lengths differ by more than the rounding of both divisions,
+    /// and equal ratios round alike.
+    Interleave(Vec<Stream>),
+}
+
+/// The range of an operation a chunked stream cuts: the whole range it
+/// is built with, then the piece each request reads or writes.
+fn piece(op: &mut IoOp) -> &mut BlockRange {
+    match op {
+        IoOp::SequentialRead { range, .. }
+        | IoOp::TempWrite { range, .. }
+        | IoOp::TempRead { range, .. } => range,
+        other => unreachable!("{other:?} is not cut into requests"),
+    }
 }
 
 impl Stream {
@@ -140,19 +153,15 @@ impl Stream {
         }
     }
 
-    fn chunked(
-        kind: ChunkKind,
-        info: SemanticInfo,
-        range: BlockRange,
-        chunk: u64,
-        passes: u32,
-    ) -> Self {
+    /// `passes` passes over the range of `op` — a sequential read, temp
+    /// write or temp read — one request per `chunk` blocks.
+    fn chunked(mut op: IoOp, chunk: u64, passes: u32) -> Self {
+        let range = *piece(&mut op);
         Stream {
             len: range.len.div_ceil(chunk) * u64::from(passes),
             taken: 0,
             shape: Shape::Chunked {
-                kind,
-                info,
+                op,
                 range,
                 chunk,
                 rest: range,
@@ -168,9 +177,7 @@ impl Stream {
     }
 
     fn interleave(parts: Vec<Stream>) -> Self {
-        Self::combine(parts, |children| {
-            Shape::Interleave(children.into_iter().map(|c| (0.0, c)).collect())
-        })
+        Self::combine(parts, Shape::Interleave)
     }
 
     /// An inner node over the non-empty `parts`. An empty part yields
@@ -192,55 +199,55 @@ impl Stream {
         self.taken == self.len
     }
 
-    fn next(&mut self) -> Option<IoOp> {
+    fn next(&mut self) -> Option<&IoOp> {
         if self.is_exhausted() {
-            return None;
+            None
+        } else {
+            Some(self.advance())
         }
+    }
+
+    /// Hands out the next operation, by reference into the leaf that
+    /// holds it. The stream must not be exhausted.
+    fn advance(&mut self) -> &IoOp {
         self.taken += 1;
-        Some(match &mut self.shape {
-            Shape::Repeat(op) => *op,
+        match &mut self.shape {
+            Shape::Repeat(op) => op,
             Shape::Chunked {
-                kind,
-                info,
+                op,
                 range,
                 chunk,
                 rest,
             } => {
-                let (piece, left) = rest.split_at(*chunk);
+                let (next, left) = rest.split_at(*chunk);
                 *rest = if left.is_empty() { *range } else { left };
-                let info = *info;
-                match kind {
-                    ChunkKind::SequentialRead => IoOp::SequentialRead { info, range: piece },
-                    ChunkKind::TempWrite => IoOp::TempWrite { info, range: piece },
-                    ChunkKind::TempRead => IoOp::TempRead { info, range: piece },
-                }
-            }
-            Shape::Concat { children, current } => loop {
-                match children[*current].next() {
-                    Some(op) => break op,
-                    None => *current += 1,
-                }
-            },
-            Shape::Interleave(children) => {
-                // The child that is the least far through, the first of
-                // them on a tie. `taken < len` here, so some child has
-                // finite progress.
-                let mut least = 0;
-                for (i, (progress, _)) in children.iter().enumerate() {
-                    if *progress < children[least].0 {
-                        least = i;
-                    }
-                }
-                let (progress, child) = &mut children[least];
-                let op = child.next().expect("a child with finite progress");
-                *progress = if child.is_exhausted() {
-                    f64::INFINITY
-                } else {
-                    child.taken as f64 / child.len as f64
-                };
+                *piece(op) = next;
                 op
             }
-        })
+            Shape::Concat { children, current } => {
+                // `taken < len` here, so a child from `current` on still
+                // has operations.
+                while children[*current].is_exhausted() {
+                    *current += 1;
+                }
+                children[*current].advance()
+            }
+            Shape::Interleave(children) => {
+                // The least far through, the first of them on a tie. The
+                // search starts from progress 1, which only an exhausted
+                // child reaches; `taken < len` here, so some child is
+                // below it.
+                let (mut at, mut taken, mut len) = (0, 1u64, 1u64);
+                for (i, child) in children.iter().enumerate() {
+                    if u128::from(child.taken) * u128::from(len)
+                        < u128::from(taken) * u128::from(child.len)
+                    {
+                        (at, taken, len) = (i, child.taken, child.len);
+                    }
+                }
+                children[at].advance()
+            }
+        }
     }
 }
 
@@ -285,8 +292,10 @@ pub struct ProgramCursor {
 impl Iterator for ProgramCursor {
     type Item = IoOp;
 
+    /// The one copy of the operation: the tree hands it up by reference.
+    #[inline]
     fn next(&mut self) -> Option<IoOp> {
-        self.ops.next()
+        self.ops.next().copied()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -412,26 +421,23 @@ impl Compiler<'_> {
                 // at the end of the file's lifetime wait for the end of
                 // the query; generation (one write stream) interleaves
                 // with the input.
-                self.deferred.push(Stream::chunked(
-                    ChunkKind::TempRead,
-                    SemanticInfo::temporary(oid, false),
+                let read = IoOp::TempRead {
+                    info: SemanticInfo::temporary(oid, false),
                     range,
-                    chunk,
-                    read_passes,
-                ));
+                };
+                self.deferred
+                    .push(Stream::chunked(read, chunk, read_passes));
                 let delete = IoOp::TempDelete {
                     info: SemanticInfo::temporary_delete(oid),
                     range,
                     oid,
                 };
                 self.deferred.push(Stream::repeat(delete, 1));
-                let writes = Stream::chunked(
-                    ChunkKind::TempWrite,
-                    SemanticInfo::temporary(oid, true),
+                let write = IoOp::TempWrite {
+                    info: SemanticInfo::temporary(oid, true),
                     range,
-                    chunk,
-                    1,
-                );
+                };
+                let writes = Stream::chunked(write, chunk, 1);
                 Stream::interleave(vec![input, writes])
             }
             access => Stream::concat(vec![input, self.own_io(access, level)]),
@@ -447,13 +453,13 @@ impl Compiler<'_> {
         match access {
             Access::None | Access::TempSpill { .. } => nothing,
             Access::SeqScan { table, passes } => match self.catalog.get(table) {
-                Some(table_obj) => Stream::chunked(
-                    ChunkKind::SequentialRead,
-                    SemanticInfo::sequential_scan(table, level),
-                    table_obj.range,
-                    self.options.seq_blocks_per_request,
-                    passes,
-                ),
+                Some(table_obj) => {
+                    let scan = IoOp::SequentialRead {
+                        info: SemanticInfo::sequential_scan(table, level),
+                        range: table_obj.range,
+                    };
+                    Stream::chunked(scan, self.options.seq_blocks_per_request, passes)
+                }
                 None => nothing,
             },
             Access::IndexScan {
@@ -640,6 +646,65 @@ mod tests {
         );
         let prog = compile(&plan, &mut cat, CompileOptions::default());
         assert_eq!(prog.level_bounds, (0, 0));
+    }
+
+    /// A leaf of `len` update writes to object `id`, so the order of a
+    /// merge reads off the ids.
+    fn leaf(id: u32, len: u64) -> Stream {
+        let op = IoOp::UpdateWrite {
+            info: SemanticInfo::update(ObjectId(id)),
+            table_range: BlockRange::new(0u64, 1),
+        };
+        Stream::repeat(op, len)
+    }
+
+    /// The object ids of everything `stream` yields, in order.
+    fn ids(mut stream: Stream) -> Vec<u32> {
+        let mut out = Vec::new();
+        while let Some(op) = stream.next() {
+            match op {
+                IoOp::UpdateWrite { info, .. } => out.push(info.oid.0),
+                other => panic!("unexpected op {other:?}"),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn interleave_ties_go_to_the_earlier_child() {
+        let merge = |a: u64, b: u64| ids(Stream::interleave(vec![leaf(0, a), leaf(1, b)]));
+        assert_eq!(merge(1, 1), [0, 1]);
+        // 1/2 and 2/4 tie, and so do 2/6 and 1/3: each tie starts a
+        // round with child 0.
+        assert_eq!(merge(2, 4), [0, 1, 1, 0, 1, 1]);
+        assert_eq!(merge(3, 6), [0, 1, 1, 0, 1, 1, 0, 1, 1]);
+        assert_eq!(merge(4, 2), [0, 1, 0, 0, 1, 0]);
+    }
+
+    #[test]
+    fn interleave_merges_three_children_by_least_progress() {
+        let merged = ids(Stream::interleave(vec![leaf(0, 2), leaf(1, 3), leaf(2, 6)]));
+        // Progress before each pick (child 0, 1, 2): 0 0 0 → 0; ½ 0 0 →
+        // 1; ½ ⅓ 0 → 2; ½ ⅓ ⅙ → 2; ½ ⅓ ⅓ → 1 (tie with 2, earlier);
+        // ½ ⅔ ⅓ → 2; ½ ⅔ ½ → 0 (tie with 2, earlier); 1 ⅔ ½ → 2;
+        // 1 ⅔ ⅔ → 1; 1 1 ⅔ → 2, 2.
+        assert_eq!(merged, [0, 1, 2, 2, 1, 2, 0, 2, 1, 2, 2]);
+    }
+
+    #[test]
+    fn interleave_skips_an_exhausted_child() {
+        // After its one op, child 0 is done at progress 1, which is more
+        // than anything the others reach before their last op: it is
+        // never picked again, and the rest merge as if it were absent.
+        let merged = ids(Stream::interleave(vec![leaf(0, 1), leaf(1, 2), leaf(2, 4)]));
+        assert_eq!(merged, [0, 1, 2, 2, 1, 2, 2]);
+        assert_eq!(
+            ids(Stream::interleave(vec![leaf(0, 1), leaf(1, 3)])),
+            [0, 1, 1, 1]
+        );
+        // An empty part is dropped when the node is built.
+        let merged = Stream::interleave(vec![leaf(0, 0), leaf(1, 2), leaf(2, 2)]);
+        assert_eq!(ids(merged), [1, 2, 1, 2]);
     }
 
     fn scan_with(options: CompileOptions) {

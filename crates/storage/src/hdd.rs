@@ -83,6 +83,7 @@ struct HddState {
 impl HddState {
     /// Prices `req` at the current head position, records it and moves
     /// the head past it.
+    #[inline]
     fn charge(&mut self, device: &HddDevice, req: &IoRequest) -> Duration {
         let t = device.service_time_at(self.next_contiguous, req);
         self.next_contiguous = Some(req.range.end());
@@ -131,6 +132,7 @@ impl HddDevice {
         Duration::from_secs_f64(bytes as f64 / params.sequential_bandwidth)
     }
 
+    #[inline]
     fn transfer_time(&self, req: &IoRequest) -> Duration {
         if req.blocks() == 1 {
             self.single_block_transfer
@@ -139,6 +141,7 @@ impl HddDevice {
         }
     }
 
+    #[inline]
     fn positioning_time(&self) -> Duration {
         self.params.avg_seek + self.params.avg_rotational_latency
     }
@@ -148,11 +151,13 @@ impl HddDevice {
     /// advancing the clock, which the caller does once for all the device
     /// time a request spent (`serve` is this plus that add, so there is
     /// one pricing path).
+    #[inline]
     pub fn charge(&self, req: &IoRequest) -> Duration {
         self.state.lock().charge(self, req)
     }
 
     /// Service time given the current head position.
+    #[inline]
     fn service_time_at(&self, next_contiguous: Option<BlockAddr>, req: &IoRequest) -> Duration {
         let contiguous = next_contiguous == Some(req.range.start);
         let positioned = req.sequential && contiguous;

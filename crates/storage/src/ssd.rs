@@ -149,6 +149,7 @@ impl StorageDevice for SsdDevice {
         self.params.capacity_blocks
     }
 
+    #[inline]
     fn service_time(&self, req: &IoRequest) -> Duration {
         if req.blocks() == 1 {
             self.single_block[memo_index(req.direction, req.sequential)]

@@ -43,6 +43,7 @@ impl DeviceStats {
     /// Records `times` served copies of `req`, each taking `service`. A
     /// ledger that is not the device's own (the cache engine keeps one per
     /// shard, written under the shard lock) is charged through here.
+    #[inline]
     pub fn record(&mut self, req: &IoRequest, service: Duration, times: u64) {
         match req.direction {
             Direction::Read => {

@@ -215,7 +215,7 @@ fn twin(
     let config = *config;
     move |capacity| {
         Box::new(Twin {
-            policy: kind.build(&config, capacity),
+            policy: Box::new(kind.build(&config, capacity)),
             repeat_hits,
             inert,
         })

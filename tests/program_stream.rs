@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 /// Merges materialised streams proportionally: always the stream that is
 /// the least far through, the first of them on a tie.
-fn interleave(streams: Vec<Vec<IoOp>>) -> Vec<IoOp> {
+fn interleave<T: Copy>(streams: Vec<Vec<T>>) -> Vec<T> {
     let total: usize = streams.iter().map(|s| s.len()).sum();
     let mut cursors = vec![0usize; streams.len()];
     let mut out = Vec::with_capacity(total);
@@ -364,6 +364,63 @@ proptest! {
         for name in ["first", "second"] {
             let plan = PlanTree::new(name, arbitrary_node(&mut dice, 1));
             assert_same_program(&plan, &mut streamed, &mut expanded, options);
+        }
+    }
+}
+
+/// An index probe's index object: which leaf of a merge it came from.
+fn probed_index(op: IoOp) -> u32 {
+    match op {
+        IoOp::IndexProbe { index_info, .. } => index_info.oid.0,
+        other => panic!("unexpected op {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Pipelined joins over index scans of up to 2^20 probes each, the
+    /// first input itself a join of two scans when `nested`: the cursor
+    /// merges in exactly the order of the `f64` model, whose progress
+    /// quotients round. Leaves are told apart by their index, and the
+    /// model merges the leaf ids rather than the operations.
+    #[test]
+    fn long_merges_follow_the_f64_model(
+        lookups in prop::collection::vec(1u64..=1 << 20, 4..5),
+        fanout in 2usize..4,
+        nested in any::<bool>(),
+    ) {
+        let mut catalog = Catalog::new();
+        let table = catalog.register("t", ObjectKind::Table, BlockRange::new(0u64, 10));
+        let indexes: Vec<ObjectId> = (0..lookups.len())
+            .map(|i| catalog.register(&format!("i{i}"), ObjectKind::Index, BlockRange::new(10 + i as u64, 1)))
+            .collect();
+        let scan = |i: usize| {
+            let access = Access::IndexScan {
+                index: indexes[i],
+                table,
+                lookups: lookups[i],
+                index_hot_fraction: 1.0,
+                table_hot_fraction: 1.0,
+            };
+            (
+                PlanNode::leaf(OperatorKind::IndexScan, access),
+                vec![indexes[i].0; lookups[i] as usize],
+            )
+        };
+        let join = |inputs: Vec<(PlanNode, Vec<u32>)>| {
+            let (nodes, ids): (Vec<PlanNode>, Vec<Vec<u32>>) = inputs.into_iter().unzip();
+            (PlanNode::node(OperatorKind::HashJoin, Access::None, nodes), interleave(ids))
+        };
+        let mut inputs: Vec<_> = (0..fanout).map(scan).collect();
+        if nested {
+            inputs[0] = join(vec![scan(fanout), scan(0)]);
+        }
+        let (root, expected) = join(inputs);
+        let program = compile(&PlanTree::new("merge", root), &mut catalog, CompileOptions::default());
+        prop_assert_eq!(program.len(), expected.len());
+        for (i, (got, want)) in program.cursor().map(probed_index).zip(&expected).enumerate() {
+            prop_assert_eq!(got, *want, "operation {}", i);
         }
     }
 }

@@ -121,7 +121,7 @@ impl CachePolicy for Recording {
 fn recording_engine(kind: CachePolicyKind, shards: usize) -> (HybridCache, Logs) {
     let config = PolicyConfig::paper_default();
     recording_engine_of(shards, 96, common::matrix_migration(), move |capacity| {
-        kind.build(&config, capacity)
+        Box::new(kind.build(&config, capacity))
     })
 }
 
@@ -369,7 +369,7 @@ fn bypass_runs_match_the_block_by_block_walk() {
                 let config = PolicyConfig::paper_default();
                 let build = || {
                     recording_engine_of(shards, BYPASS_SLOTS, migration, move |capacity| {
-                        kind.build(&config, capacity)
+                        Box::new(kind.build(&config, capacity))
                     })
                 };
                 let ops = density_trace(0x00B1_FA55 + shards as u64, 300, bypass_mix);
@@ -524,7 +524,7 @@ fn long_requests_across_empty_extents_match_the_block_by_block_walk() {
             ));
             let build = || {
                 recording_engine_of(shards, BYPASS_SLOTS, migration, move |capacity| {
-                    kind.build(&config, capacity)
+                    Box::new(kind.build(&config, capacity))
                 })
             };
             let stats = assert_matches_block_by_block(&build(), &build(), &ops, &what);
@@ -627,7 +627,7 @@ fn a_hit_ends_a_bypass_run() {
         let build = || {
             recording_engine_of(shards, BYPASS_SLOTS, MigrationConfig::off(), |capacity| {
                 Box::new(AdmitsAfterHit {
-                    inner: CachePolicyKind::Lru.build(&config, capacity),
+                    inner: Box::new(CachePolicyKind::Lru.build(&config, capacity)),
                     open: false,
                 })
             })
