@@ -313,6 +313,32 @@ impl ListHandle {
     }
 }
 
+/// Checks the lists of one policy that share `arena`: each list's links
+/// ([`ListHandle::check`]), `node_ok(list, node)` for every node of each,
+/// by the list's position in `lists`, and that together they hold every
+/// live node of the arena, so none is lost. Errors name the list.
+pub(crate) fn check_lists(
+    arena: &ListArena,
+    lists: &[(&str, &ListHandle)],
+    mut node_ok: impl FnMut(usize, u32) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut linked = 0;
+    for (i, &(name, list)) in lists.iter().enumerate() {
+        list.check(arena).map_err(|e| format!("{name}: {e}"))?;
+        for node in list.nodes_back(arena) {
+            node_ok(i, node).map_err(|e| format!("{name}: node {node}: {e}"))?;
+        }
+        linked += list.len();
+    }
+    if linked != arena.live() {
+        return Err(format!(
+            "the lists hold {linked} nodes, the arena {} live ones",
+            arena.live()
+        ));
+    }
+    Ok(())
+}
+
 /// Iterator over the node indices of one [`ListHandle`]'s list.
 pub struct NodeIter<'a> {
     arena: &'a ListArena,

@@ -27,13 +27,14 @@
 //! * the directory bound (`|T1| + |B1| ≤ c`, total ≤ `2c`) is enforced at
 //!   insertion of a complete miss, as in the paper's case IV.
 
-use crate::arena::{ListArena, ListHandle, NodeFlags};
+use crate::arena::{check_lists, ListArena, ListHandle, NodeFlags};
 use crate::policy::{CachePolicy, GhostList, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_storage::{BlockAddr, CachePriority};
 
-/// The self-tuning recency/frequency policy. Invariants (asserted by the
-/// property tests): `|T1| + |T2| ≤ c`, `p ∈ [0, c]`, `|B1| ≤ c`,
-/// `|B2| ≤ c`.
+/// The self-tuning recency/frequency policy. Invariants (checked by
+/// [`CachePolicy::check`]): `|T1| + |T2| ≤ c`, `p ∈ [0, c]`,
+/// `|T1| + |B1| ≤ c`, `|B1| ≤ c`, `|B2| ≤ c`, and no resident block is a
+/// ghost.
 pub struct ArcPolicy {
     /// The nodes of both resident lists.
     arena: ListArena,
@@ -263,6 +264,40 @@ impl CachePolicy for ArcPolicy {
         self.b1.forget(lbn);
         self.b2.forget(lbn);
     }
+
+    /// Both resident lists' links hold and together they hold every live
+    /// node, each node's flag names its list, no resident block is a
+    /// ghost, both ghost lists pass their own check, and the paper's
+    /// bounds hold: `|T1| + |T2| ≤ c`, `p ≤ c`, `|T1| + |B1| ≤ c` and
+    /// each ghost list `≤ c`.
+    fn check(&self) -> Result<(), String> {
+        let lists = [("T1", &self.t1), ("T2", &self.t2)];
+        check_lists(&self.arena, &lists, |list, node| {
+            if self.in_t2.get(node) != (list == 1) {
+                return Err("flagged for the other list".into());
+            }
+            let lbn = self.arena.key(node);
+            if self.b1.contains(lbn) || self.b2.contains(lbn) {
+                return Err(format!("resident block {} is a ghost", lbn.0));
+            }
+            Ok(())
+        })?;
+        self.b1.check().map_err(|e| format!("B1: {e}"))?;
+        self.b2.check().map_err(|e| format!("B2: {e}"))?;
+        let c = self.capacity;
+        let (t1, t2, b1, b2) = (self.t1.len(), self.t2.len(), self.b1.len(), self.b2.len());
+        let bounds = [
+            ("|T1| + |T2|", t1 + t2),
+            ("p", self.p),
+            ("|T1| + |B1|", t1 + b1),
+            ("|B1|", b1),
+            ("|B2|", b2),
+        ];
+        match bounds.into_iter().find(|&(_, value)| value > c) {
+            Some((name, value)) => Err(format!("{name} = {value} passes c = {c}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -394,11 +429,7 @@ mod tests {
             // one-shot traffic.
             let addr = if i % 4 < 2 { i % 8 } else { 1_000 + i };
             h.access(BlockAddr(addr));
-            assert!(h.policy.t1_len() + h.policy.t2_len() <= h.policy.capacity());
-            assert!(h.policy.p() <= h.policy.capacity());
-            assert!(h.policy.b1_len() <= h.policy.capacity());
-            assert!(h.policy.b2_len() <= h.policy.capacity());
-            assert!(h.policy.t1_len() + h.policy.b1_len() <= h.policy.capacity());
+            h.policy.check().unwrap();
         }
         // The reused set must have been promoted at some point.
         assert!(h.policy.t2_len() > 0);
@@ -427,11 +458,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The ARC structural invariants hold on any access/TRIM trace
-        /// replayed under the engine contract: residency never exceeds
-        /// the capacity (`|T1| + |T2| ≤ c` and matches the model's
-        /// resident set), the self-tuning target stays in `[0, c]`, and
-        /// every directory stays bounded.
+        /// The ARC structural invariants ([`ArcPolicy::check`]) hold on
+        /// any access/TRIM trace replayed under the engine contract —
+        /// residency never exceeds the capacity, the self-tuning target
+        /// stays in `[0, c]`, every directory stays bounded — and the
+        /// resident lists hold exactly the model's resident set.
         #[test]
         fn arc_invariants_hold_on_arbitrary_traces(
             capacity in 1u64..32,
@@ -453,13 +484,9 @@ mod tests {
                 } else {
                     h.access(lbn);
                 }
-                let c = h.policy.capacity();
-                prop_assert!(h.policy.t1_len() + h.policy.t2_len() <= c);
                 prop_assert!(h.policy.t1_len() + h.policy.t2_len() == h.len());
-                prop_assert!(h.policy.p() <= c);
-                prop_assert!(h.policy.b1_len() <= c);
-                prop_assert!(h.policy.b2_len() <= c);
-                prop_assert!(h.policy.t1_len() + h.policy.b1_len() <= c);
+                let checked = h.policy.check();
+                prop_assert!(checked.is_ok(), "{checked:?}");
             }
         }
     }

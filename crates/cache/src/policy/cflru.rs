@@ -7,7 +7,7 @@
 //! plain LRU block (dirty or not) when the whole window is dirty. Recency
 //! handling is otherwise identical to LRU.
 
-use crate::arena::{ListArena, ListHandle, NodeFlags};
+use crate::arena::{check_lists, ListArena, ListHandle, NodeFlags};
 use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_storage::{BlockAddr, CachePriority, Direction};
 
@@ -119,6 +119,11 @@ impl CachePolicy for CflruPolicy {
         _reason: RemoveReason,
     ) {
         self.stack.remove(&mut self.arena, node);
+    }
+
+    /// The stack's links hold, and it holds every live node.
+    fn check(&self) -> Result<(), String> {
+        check_lists(&self.arena, &[("stack", &self.stack)], |_, _| Ok(()))
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! A ghost entry holds **no cache space**; only the address is remembered.
 
-use crate::arena::{ListArena, ListHandle};
+use crate::arena::{check_lists, ListArena, ListHandle};
 use crate::table::OpenMap;
 use hstorage_storage::BlockAddr;
 
@@ -97,6 +97,38 @@ impl GhostList {
         self.index.remove(lbn.0);
         Some(lbn)
     }
+
+    /// Checks the list against its invariants and returns the first one
+    /// broken, for a policy's [`CachePolicy::check`]: the list's links
+    /// hold and it holds every live node, it remembers at most
+    /// [`Self::capacity`] addresses, and the index maps exactly its
+    /// addresses to their nodes.
+    ///
+    /// [`CachePolicy::check`]: crate::policy::CachePolicy::check
+    pub fn check(&self) -> Result<(), String> {
+        check_lists(&self.arena, &[("ghost list", &self.list)], |_, node| {
+            let lbn = self.arena.key(node);
+            match self.index.get(lbn.0) {
+                Some(&indexed) if indexed == node => Ok(()),
+                other => Err(format!("the index maps {} to {other:?}", lbn.0)),
+            }
+        })?;
+        if self.len() > self.capacity {
+            return Err(format!(
+                "{} addresses remembered, capacity {}",
+                self.len(),
+                self.capacity
+            ));
+        }
+        if self.index.len() != self.len() {
+            return Err(format!(
+                "the index holds {} addresses, the list {}",
+                self.index.len(),
+                self.len()
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -125,6 +157,7 @@ mod tests {
         }
         assert_eq!(g.len(), 3);
         assert_eq!(g.capacity(), 3);
+        assert_eq!(g.check(), Ok(()));
         // The two oldest were aged out.
         assert!(!g.contains(BlockAddr(0)));
         assert!(!g.contains(BlockAddr(1)));
@@ -321,6 +354,7 @@ mod tests {
                     _ => prop_assert_eq!(list.contains(addr), model.contains(&key)),
                 }
                 prop_assert_eq!(list.len(), model.len());
+                prop_assert_eq!(list.check(), Ok(()));
                 let expect: Vec<u64> = model.iter().rev().copied().collect();
                 prop_assert_eq!(lru_order(&list), expect);
             }

@@ -1,6 +1,6 @@
 //! Plain least-recently-used replacement behind the [`CachePolicy`] trait.
 
-use crate::arena::{ListArena, ListHandle};
+use crate::arena::{check_lists, ListArena, ListHandle};
 use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_storage::{BlockAddr, CachePriority};
 
@@ -69,6 +69,11 @@ impl CachePolicy for LruPolicy {
         _reason: RemoveReason,
     ) {
         self.stack.remove(&mut self.arena, node);
+    }
+
+    /// The stack's links hold, and it holds every live node.
+    fn check(&self) -> Result<(), String> {
+        check_lists(&self.arena, &[("stack", &self.stack)], |_, _| Ok(()))
     }
 }
 

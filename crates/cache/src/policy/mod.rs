@@ -779,7 +779,8 @@ mod tests {
     /// retired ones whose nodes were recycled since, and `NO_NODE` — at
     /// both stages after every event, and the twins still name the same
     /// victim after every event and evict in the same order at the end,
-    /// which runs through every list from its LRU end to its MRU end.
+    /// which runs through every list from its LRU end to its MRU end. The
+    /// hinted twin passes its own `check()` after every event.
     #[test]
     fn prefetch_hit_changes_no_victim_and_no_list_order() {
         let config = PolicyConfig::paper_default();
@@ -865,6 +866,7 @@ mod tests {
                     victim(&mut plain),
                     "{kind}, step {step}"
                 );
+                assert_eq!(hinted.policy.check(), Ok(()), "{kind}, step {step}");
             }
             let drain = |side: &mut Side| std::iter::from_fn(|| side.evict()).collect::<Vec<_>>();
             let order = drain(&mut plain);

@@ -8,7 +8,7 @@
 //! traffic therefore churns through the small probationary queue without
 //! ever displacing the hot working set in `Am`.
 
-use crate::arena::{ListArena, ListHandle, NodeFlags};
+use crate::arena::{check_lists, ListArena, ListHandle, NodeFlags};
 use crate::policy::{CachePolicy, GhostList, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_storage::{BlockAddr, CachePriority};
 
@@ -29,6 +29,8 @@ pub struct TwoQPolicy {
     a1out: GhostList,
     /// Target size of `A1in` in blocks.
     kin: usize,
+    /// The shard's capacity in blocks, which bounds `|A1in| + |Am|`.
+    capacity: usize,
 }
 
 impl TwoQPolicy {
@@ -61,6 +63,7 @@ impl TwoQPolicy {
             in_am: NodeFlags::default(),
             a1out: GhostList::new(sized(kout_pct)),
             kin: sized(kin_pct),
+            capacity: shard_capacity as usize,
         }
     }
 
@@ -170,6 +173,35 @@ impl CachePolicy for TwoQPolicy {
         // a later re-use of the address would find the stale ghost and be
         // falsely promoted to Am on first touch.
         self.a1out.forget(lbn);
+    }
+
+    /// Both queues' links hold and together they hold every live node,
+    /// each node's flag names its queue, and no resident block is also a
+    /// ghost. `A1out` holds at most `Kout` addresses. `A1in` has no bound
+    /// of its own below the shard's capacity — it passes `Kin` while the
+    /// shard fills, as nothing is evicted then — so the two queues
+    /// together are held to the capacity.
+    fn check(&self) -> Result<(), String> {
+        let lists = [("A1in", &self.a1in), ("Am", &self.am)];
+        check_lists(&self.arena, &lists, |list, node| {
+            if self.in_am.get(node) != (list == 1) {
+                return Err("flagged for the other queue".into());
+            }
+            let lbn = self.arena.key(node);
+            if self.a1out.contains(lbn) {
+                return Err(format!("resident block {} is a ghost on A1out", lbn.0));
+            }
+            Ok(())
+        })?;
+        self.a1out.check().map_err(|e| format!("A1out: {e}"))?;
+        let resident = self.a1in.len() + self.am.len();
+        if resident > self.capacity {
+            return Err(format!(
+                "|A1in| + |Am| = {resident} passes the capacity {}",
+                self.capacity
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -16,7 +16,7 @@
 //! (Section 5.2) over the groups. Re-allocation moves the node between groups, so the
 //! handle stays valid for as long as the block is resident.
 
-use crate::arena::{ListArena, ListHandle};
+use crate::arena::{check_lists, ListArena, ListHandle};
 use hstorage_storage::{BlockAddr, CachePriority};
 
 /// The set of per-priority LRU groups.
@@ -132,19 +132,12 @@ impl PriorityGroups {
     /// group lengths sum to the arena's live nodes, so no node is lost or
     /// shared between groups. Returns what is broken first.
     pub(crate) fn check(&self) -> Result<(), String> {
-        for (k, group) in self.groups.iter().enumerate() {
-            group
-                .check(&self.arena)
-                .map_err(|e| format!("priority group {k}: {e}"))?;
-        }
-        let linked: usize = self.groups.iter().map(ListHandle::len).sum();
-        if linked != self.arena.live() {
-            return Err(format!(
-                "the groups hold {linked} nodes, the arena {} live ones",
-                self.arena.live()
-            ));
-        }
-        Ok(())
+        let names: Vec<String> = (0..self.groups.len())
+            .map(|k| format!("priority group {k}"))
+            .collect();
+        let lists: Vec<(&str, &ListHandle)> =
+            names.iter().map(String::as_str).zip(&self.groups).collect();
+        check_lists(&self.arena, &lists, |_, _| Ok(()))
     }
 
     /// Iterates all blocks in the group for `prio`, MRU first.

@@ -11,35 +11,43 @@
 //! * `gl_low` / `gl_high`, the global minimum and maximum of the per-query
 //!   `llow` / `lhigh` values.
 //!
-//! The structures are updated at query start and end; the priority of a
-//! random request to `oid` is computed by Function (1) using the *lowest*
-//! registered level for `oid` and the global bounds. Every update moves
-//! the registry's *generation*, so an answer stays valid for as long as
-//! [`ConcurrencyRegistry::generation`] returns the value it was read at.
+//! The structures are updated at query start and end, from the query's
+//! [`PlanProfile`]; the priority of a random request to `oid` is computed
+//! by Function (1) using the *lowest* registered level for `oid` and the
+//! global bounds. Every update moves the registry's *generation*, so an
+//! answer stays valid for as long as [`ConcurrencyRegistry::generation`]
+//! returns the value it was read at.
+//!
+//! `H<oid, list>` is held flat, as one `(oid, level, count)` entry per
+//! distinct pair, and the per-query bounds as one `(ticket, llow, lhigh)`
+//! entry per query: a handful of entries, the running queries times their
+//! random objects, searched linearly. Rule 5's answers are a minimum and
+//! bounds over those entries, so their order does not matter, and a
+//! registration in the steady state allocates nothing.
 
 use crate::catalog::ObjectId;
-use crate::plan::PlanTree;
+use crate::plan::{PlanProfile, PlanTree};
 use crate::priority::random_request_priority;
 use hstorage_storage::{CachePriority, PolicyConfig};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[derive(Debug, Default)]
 struct RegistryInner {
-    /// `oid → [(level, count)]`.
-    objects: HashMap<ObjectId, Vec<(u32, u32)>>,
-    /// Per-query `(llow, lhigh)` of the currently registered queries, keyed
-    /// by registration ticket.
-    query_bounds: HashMap<u64, (u32, u32)>,
+    /// `H<oid, list>`: `(oid, level, count)`, one entry per distinct
+    /// `(oid, level)`, `count > 0`.
+    objects: Vec<(ObjectId, u32, u32)>,
+    /// `(ticket, (llow, lhigh))` of every registered query with random
+    /// operators.
+    query_bounds: Vec<(u64, (u32, u32))>,
     next_ticket: u64,
 }
 
 impl RegistryInner {
     fn global_bounds(&self) -> Option<(u32, u32)> {
         let mut bounds: Option<(u32, u32)> = None;
-        for &(lo, hi) in self.query_bounds.values() {
+        for &(_, (lo, hi)) in &self.query_bounds {
             bounds = Some(match bounds {
                 None => (lo, hi),
                 Some((glo, ghi)) => (glo.min(lo), ghi.max(hi)),
@@ -50,13 +58,15 @@ impl RegistryInner {
 
     fn lowest_level_for(&self, oid: ObjectId) -> Option<u32> {
         self.objects
-            .get(&oid)
-            .and_then(|list| list.iter().map(|&(lvl, _)| lvl).min())
+            .iter()
+            .filter(|&&(o, _, _)| o == oid)
+            .map(|&(_, level, _)| level)
+            .min()
     }
 }
 
-/// Handle returned by [`ConcurrencyRegistry::register_query`]; pass it back
-/// to [`ConcurrencyRegistry::unregister_query`] when the query finishes.
+/// Handle returned by [`ConcurrencyRegistry::register`]; pass it back to
+/// [`ConcurrencyRegistry::unregister`] when the query finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryTicket {
     ticket: u64,
@@ -85,45 +95,61 @@ impl ConcurrencyRegistry {
         Self::default()
     }
 
-    /// Registers a query: records, for every object its plan accesses
-    /// randomly, the level of the accessing operator, and folds the query's
-    /// `llow`/`lhigh` into the global bounds.
-    pub fn register_query(&self, plan: &PlanTree) -> QueryTicket {
+    /// Registers a query by its plan's profile: records, for every object
+    /// the plan accesses randomly, the level of the accessing operator,
+    /// and folds the query's `llow`/`lhigh` into the global bounds.
+    pub fn register(&self, profile: &PlanProfile) -> QueryTicket {
         let mut inner = self.shared.inner.lock();
         self.shared.generation.fetch_add(1, Ordering::Release);
         let ticket = inner.next_ticket;
         inner.next_ticket += 1;
 
-        if let Some(bounds) = plan.random_level_bounds() {
-            inner.query_bounds.insert(ticket, bounds);
+        if let Some(bounds) = profile.level_bounds() {
+            inner.query_bounds.push((ticket, bounds));
         }
-        for (oid, level) in plan.random_object_levels() {
-            let list = inner.objects.entry(oid).or_default();
-            match list.iter_mut().find(|(lvl, _)| *lvl == level) {
-                Some((_, count)) => *count += 1,
-                None => list.push((level, 1)),
+        for &(oid, level) in profile.object_levels() {
+            match inner
+                .objects
+                .iter_mut()
+                .find(|&&mut (o, l, _)| o == oid && l == level)
+            {
+                Some((_, _, count)) => *count += 1,
+                None => inner.objects.push((oid, level, 1)),
             }
         }
         QueryTicket { ticket }
     }
 
-    /// Unregisters a finished query, removing its contribution.
-    pub fn unregister_query(&self, plan: &PlanTree, ticket: QueryTicket) {
+    /// [`Self::register`] for a caller that holds only the plan. Its
+    /// ticket is returned with `unregister(&plan.profile(), ticket)`.
+    pub fn register_query(&self, plan: &PlanTree) -> QueryTicket {
+        self.register(&plan.profile())
+    }
+
+    /// Unregisters a finished query, removing its contribution. `profile`
+    /// is the one it was registered with.
+    pub fn unregister(&self, profile: &PlanProfile, ticket: QueryTicket) {
         let mut inner = self.shared.inner.lock();
         self.shared.generation.fetch_add(1, Ordering::Release);
-        inner.query_bounds.remove(&ticket.ticket);
-        for (oid, level) in plan.random_object_levels() {
-            if let Some(list) = inner.objects.get_mut(&oid) {
-                if let Some(pos) = list.iter().position(|(lvl, _)| *lvl == level) {
-                    if list[pos].1 <= 1 {
-                        list.remove(pos);
-                    } else {
-                        list[pos].1 -= 1;
-                    }
-                }
-                if list.is_empty() {
-                    inner.objects.remove(&oid);
-                }
+        if let Some(at) = inner
+            .query_bounds
+            .iter()
+            .position(|&(t, _)| t == ticket.ticket)
+        {
+            inner.query_bounds.swap_remove(at);
+        }
+        for &(oid, level) in profile.object_levels() {
+            let Some(at) = inner
+                .objects
+                .iter()
+                .position(|&(o, l, _)| o == oid && l == level)
+            else {
+                continue;
+            };
+            if inner.objects[at].2 <= 1 {
+                inner.objects.swap_remove(at);
+            } else {
+                inner.objects[at].2 -= 1;
             }
         }
     }
@@ -139,7 +165,7 @@ impl ConcurrencyRegistry {
     }
 
     /// The registry's generation: it changes with every
-    /// [`Self::register_query`] and [`Self::unregister_query`], and with
+    /// [`Self::register`] and [`Self::unregister`], and with
     /// nothing else. One atomic load, no lock.
     pub fn generation(&self) -> u64 {
         self.shared.generation.load(Ordering::Acquire)
@@ -245,10 +271,10 @@ mod tests {
     #[test]
     fn register_and_unregister_are_symmetric() {
         let reg = ConcurrencyRegistry::new();
-        let a = plan_a();
-        let t = reg.register_query(&a);
+        let a = plan_a().profile();
+        let t = reg.register(&a);
         assert_eq!(reg.active_queries(), 1);
-        reg.unregister_query(&a, t);
+        reg.unregister(&a, t);
         assert_eq!(reg.active_queries(), 0);
         assert!(reg.global_bounds().is_none());
     }
@@ -259,8 +285,8 @@ mod tests {
         let reg = ConcurrencyRegistry::new();
         let shared = reg.clone();
         let start = reg.generation();
-        let a = plan_a();
-        let t = reg.register_query(&a);
+        let a = plan_a().profile();
+        let t = reg.register(&a);
         assert_eq!(shared.generation(), start + 1);
         // Reading prices nothing and moves nothing, and reports the
         // generation it read at.
@@ -268,7 +294,7 @@ mod tests {
         assert_eq!((at, prio), (start + 1, CachePriority(2)));
         assert_eq!(reg.active_queries(), 1);
         assert_eq!(reg.generation(), start + 1);
-        reg.unregister_query(&a, t);
+        reg.unregister(&a, t);
         assert_eq!(shared.generation(), start + 2);
         let (at, prio) = reg.random_priority_versioned(&cfg, oid(1), 5, (0, 5));
         assert_eq!((at, prio), (start + 2, CachePriority(6)));
@@ -278,10 +304,10 @@ mod tests {
     fn same_object_gets_same_priority_across_queries() {
         let cfg = PolicyConfig::paper_default();
         let reg = ConcurrencyRegistry::new();
-        let a = plan_a();
-        let b = plan_b();
-        let _ta = reg.register_query(&a);
-        let _tb = reg.register_query(&b);
+        let a = plan_a().profile();
+        let b = plan_b().profile();
+        let _ta = reg.register(&a);
+        let _tb = reg.register(&b);
 
         // In plan A, table 1 is accessed at level 0; in plan B at level 1.
         // Rule 5 assigns the highest priority (from the lowest level) to
@@ -295,11 +321,11 @@ mod tests {
     #[test]
     fn global_bounds_cover_all_registered_queries() {
         let reg = ConcurrencyRegistry::new();
-        let a = plan_a();
-        let b = plan_b();
-        let _ta = reg.register_query(&a);
+        let a = plan_a().profile();
+        let b = plan_b().profile();
+        let _ta = reg.register(&a);
         assert_eq!(reg.global_bounds(), Some((0, 0)));
-        let _tb = reg.register_query(&b);
+        let _tb = reg.register(&b);
         let (lo, hi) = reg.global_bounds().unwrap();
         assert_eq!(lo, 0);
         assert!(hi >= 1);
@@ -316,11 +342,11 @@ mod tests {
     #[test]
     fn counts_prevent_premature_removal() {
         let reg = ConcurrencyRegistry::new();
-        let a1 = plan_a();
-        let a2 = plan_a();
-        let t1 = reg.register_query(&a1);
-        let _t2 = reg.register_query(&a2);
-        reg.unregister_query(&a1, t1);
+        let a1 = plan_a().profile();
+        let a2 = plan_a().profile();
+        let t1 = reg.register(&a1);
+        let _t2 = reg.register(&a2);
+        reg.unregister(&a1, t1);
         // The second registration still pins table 1 at level 0.
         let cfg = PolicyConfig::paper_default();
         let p = reg.random_priority(&cfg, oid(1), 5, (0, 5));

@@ -3,7 +3,15 @@
 //! The executor reads a compiled [`RequestProgram`] through its cursor and
 //! turns each operation into classified I/O against a [`StorageSystem`],
 //! going through the DBMS buffer pool first and assigning a QoS policy to
-//! every request at issue time. Only a random request's policy depends on
+//! every request at issue time.
+//!
+//! A query's setup walks its plan once: [`PlanTree::profile`] yields the
+//! [`PlanProfile`] — every operator's effective level, each random
+//! object's Rule 2 level and the plan's `(llow, lhigh)` — and compilation,
+//! the Rule 5 registration and the unregistration at the end all read that
+//! one profile ([`run_concurrent`] keeps it with the running query). A
+//! short request so pays for its I/O, not for re-deriving its plan's
+//! levels. Only a random request's policy depends on
 //! what else is running (Rule 5), and only through registrations: the
 //! executor keeps the priorities it has resolved until the registry's
 //! generation moves, so a request costs the registry one atomic load, and
@@ -45,10 +53,10 @@
 
 use crate::buffer_pool::BufferPool;
 use crate::catalog::Catalog;
-use crate::concurrency::ConcurrencyRegistry;
-use crate::plan::PlanTree;
+use crate::concurrency::{ConcurrencyRegistry, QueryTicket};
+use crate::plan::{PlanProfile, PlanTree};
 use crate::policy_table::PolicyAssignmentTable;
-use crate::program::{compile, CompileOptions, IoOp, ProgramCursor, RequestProgram};
+use crate::program::{compile_with_profile, CompileOptions, IoOp, ProgramCursor, RequestProgram};
 use crate::semantic::SemanticInfo;
 use crate::stats::QueryStats;
 use hstorage_cache::StorageSystem;
@@ -196,32 +204,36 @@ impl QueryExecutor {
         self.buffer_pool.clear();
     }
 
-    /// Compiles a plan against the catalog.
-    pub fn compile(&self, plan: &PlanTree, catalog: &mut Catalog) -> RequestProgram {
-        compile(plan, catalog, self.config.compile_options())
+    /// Compiles a plan, whose [`PlanTree::profile`] is `profile`, against
+    /// the catalog.
+    pub fn compile(
+        &self,
+        plan: &PlanTree,
+        profile: &PlanProfile,
+        catalog: &mut Catalog,
+    ) -> RequestProgram {
+        compile_with_profile(plan, profile, catalog, self.config.compile_options())
     }
 
     /// Compiles and runs one query to completion, registering it with the
-    /// concurrency registry for its duration.
+    /// concurrency registry for its duration. The plan is walked once, for
+    /// its [`PlanProfile`], which compilation and both registry updates
+    /// read.
     pub fn run_query(
         &mut self,
         plan: &PlanTree,
         catalog: &mut Catalog,
         storage: &dyn StorageSystem,
     ) -> QueryStats {
-        let program = self.compile(plan, catalog);
-        let ticket = self.registry.register_query(plan);
-        let mut stats = QueryStats::new(&program.name);
+        let profile = plan.profile();
+        let program = self.compile(plan, &profile, catalog);
+        let ticket = self.registry.register(&profile);
+        let cursor = program.cursor();
+        let mut stats = QueryStats::new(program.name);
         let io_start = storage.now();
-        self.run_ops(
-            program.cursor(),
-            program.level_bounds,
-            catalog,
-            storage,
-            &mut stats,
-        );
+        self.run_ops(cursor, program.level_bounds, catalog, storage, &mut stats);
         self.flush_pending(storage);
-        self.registry.unregister_query(plan, ticket);
+        self.registry.unregister(&profile, ticket);
         finalize(&mut stats, io_start, storage);
         // Query boundaries are the executor's natural idle points: offer
         // the storage system a tier-migration window (a no-op unless a
@@ -512,8 +524,9 @@ fn finalize(stats: &mut QueryStats, io_start: Duration, storage: &dyn StorageSys
 
 /// Internal state of one query inside the concurrent driver.
 struct ActiveQuery {
-    plan: PlanTree,
-    ticket: crate::concurrency::QueryTicket,
+    /// What the registration recorded, for the unregistration.
+    profile: PlanProfile,
+    ticket: QueryTicket,
     level_bounds: (u32, u32),
     cursor: ProgramCursor,
     stats: QueryStats,
@@ -560,10 +573,8 @@ pub fn run_concurrent(
     ops_per_slice: usize,
 ) -> Vec<CompletedQuery> {
     assert!(ops_per_slice > 0, "ops_per_slice must be positive");
-    let mut pending: Vec<std::collections::VecDeque<PlanTree>> = streams
-        .iter()
-        .map(|s| s.queries.iter().cloned().collect())
-        .collect();
+    let mut pending: Vec<std::slice::Iter<'_, PlanTree>> =
+        streams.iter().map(|s| s.queries.iter()).collect();
     let mut active: Vec<Option<ActiveQuery>> = streams.iter().map(|_| None).collect();
     let mut completed = Vec::new();
 
@@ -572,16 +583,16 @@ pub fn run_concurrent(
         for (idx, stream) in streams.iter().enumerate() {
             // Start the next query of this stream if none is active.
             if active[idx].is_none() {
-                if let Some(plan) = pending[idx].pop_front() {
-                    let program = executor.compile(&plan, catalog);
-                    let ticket = executor.registry.register_query(&plan);
-                    let stats = QueryStats::new(&program.name);
+                if let Some(plan) = pending[idx].next() {
+                    let profile = plan.profile();
+                    let program = executor.compile(plan, &profile, catalog);
+                    let ticket = executor.registry.register(&profile);
                     active[idx] = Some(ActiveQuery {
-                        plan,
+                        profile,
                         ticket,
                         level_bounds: program.level_bounds,
                         cursor: program.cursor(),
-                        stats,
+                        stats: QueryStats::new(program.name),
                         io_start: storage.now(),
                     });
                 }
@@ -606,7 +617,7 @@ pub fn run_concurrent(
 
             if query.cursor.len() == 0 {
                 let mut done = active[idx].take().expect("query was active");
-                executor.registry.unregister_query(&done.plan, done.ticket);
+                executor.registry.unregister(&done.profile, done.ticket);
                 finalize(&mut done.stats, done.io_start, storage);
                 completed.push(CompletedQuery {
                     stream: stream.name.clone(),
@@ -990,8 +1001,9 @@ mod tests {
         let storage = PolicyRecorder::default();
         let mut stats = QueryStats::new("unused");
         let probes_orders = |op: &IoOp| matches!(op, IoOp::IndexProbe { table_info, .. } if table_info.oid == orders);
-        let program_a = a.compile(&plan_a, &mut cat);
-        let program_b = b.compile(&plan_b, &mut cat);
+        let (profile_a, profile_b) = (plan_a.profile(), plan_b.profile());
+        let program_a = a.compile(&plan_a, &profile_a, &mut cat);
+        let program_b = b.compile(&plan_b, &profile_b, &mut cat);
         let mut ops_a = program_a.cursor().filter(probes_orders);
         let mut ops_b = program_b.cursor();
         // The policy of the table request of the executor's next probe of
@@ -1005,21 +1017,21 @@ mod tests {
         let (bounds_a, bounds_b) = (program_a.level_bounds, program_b.level_bounds);
         assert_eq!((bounds_a, bounds_b), ((0, 1), (0, 0)));
 
-        let ticket_a = registry.register_query(&plan_a);
+        let ticket_a = registry.register(&profile_a);
         assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(3));
         assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(3));
         // B starts between two of A's probes: Rule 5 prices `orders` by
         // B's lower level from A's very next request on, and for both.
-        let ticket_b = registry.register_query(&plan_b);
+        let ticket_b = registry.register(&profile_b);
         assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(2));
         assert_eq!(next(&mut b, &mut ops_b, bounds_b), QosPolicy::priority(2));
         // A's registration ends but it keeps issuing, as an executor whose
         // registration was skipped would: B's entry still prices `orders`.
-        registry.unregister_query(&plan_a, ticket_a);
+        registry.unregister(&profile_a, ticket_a);
         assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(2));
         // With B gone too the registry knows nothing, and A falls back to
         // its own level and bounds instead of a remembered answer.
-        registry.unregister_query(&plan_b, ticket_b);
+        registry.unregister(&profile_b, ticket_b);
         assert_eq!(next(&mut a, &mut ops_a, bounds_a), QosPolicy::priority(3));
         assert_eq!(next(&mut b, &mut ops_b, bounds_b), QosPolicy::priority(2));
     }

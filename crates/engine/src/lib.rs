@@ -50,10 +50,12 @@ pub use concurrency::ConcurrencyRegistry;
 pub use executor::{
     run_concurrent, CompletedQuery, ExecutorConfig, QueryExecutor, StreamSpec, PROBE_GROUP,
 };
-pub use plan::{Access, OperatorKind, PlanNode, PlanTree};
+pub use plan::{Access, OperatorKind, PlanNode, PlanProfile, PlanTree};
 pub use policy_table::PolicyAssignmentTable;
 pub use priority::random_request_priority;
-pub use program::{compile, CompileOptions, IoOp, ProgramCursor, RequestProgram};
+pub use program::{
+    compile, compile_with_profile, CompileOptions, IoOp, ProgramCursor, RequestProgram,
+};
 pub use semantic::{AccessPattern, ContentType, SemanticInfo};
 pub use service::{
     run_streams_service, QueryRequest, QueryResponse, QueryService, ServiceConfig, ServiceReport,

@@ -12,10 +12,16 @@
 //! * a blocking operator at level `L` causes every operator that has to
 //!   wait for it (its ancestors and their other subtrees at level `>= L`)
 //!   to be renumbered as if the blocking operator were at Level 0.
+//!
+//! [`PlanTree::operator_levels`] states these rules operator by operator.
+//! A query reads them through its [`PlanProfile`], which
+//! [`PlanTree::profile`] builds in one walk of the tree: the effective
+//! levels, each random object's Rule 2 level and the `(llow, lhigh)` of
+//! Function (1), computed once per query and shared by compilation, the
+//! Rule 5 registry and the executor.
 
 use crate::catalog::ObjectId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Operator kinds found in the TPC-H plans of the paper (Figures 2, 7, 8, 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -117,11 +123,12 @@ pub enum Access {
 }
 
 impl Access {
-    /// Object ids this access touches *randomly* (relevant for Rule 2).
-    pub fn random_objects(&self) -> Vec<ObjectId> {
+    /// The objects this access touches *randomly* (relevant for Rule 2):
+    /// an index scan's index and table, and nothing for any other access.
+    pub fn random_objects(&self) -> Option<[ObjectId; 2]> {
         match self {
-            Access::IndexScan { index, table, .. } => vec![*index, *table],
-            _ => Vec::new(),
+            Access::IndexScan { index, table, .. } => Some([*index, *table]),
+            _ => None,
         }
     }
 }
@@ -186,6 +193,56 @@ pub struct ExecStep {
     pub access: Access,
     /// The operator's effective level (after blocking recalculation).
     pub level: u32,
+}
+
+/// What a query's execution reads of its plan's shape, from one walk of the
+/// tree ([`PlanTree::profile`]): the effective level of every operator, the
+/// level of every randomly accessed object (Rule 2), and the plan's
+/// `(llow, lhigh)` (Function (1)). [`compile_with_profile`], the Rule 5
+/// registry and the executors read these and nothing else of the plan's
+/// levels; [`PlanTree::operator_levels`] is the definition they agree with.
+///
+/// [`compile_with_profile`]: crate::program::compile_with_profile
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanProfile {
+    /// Effective level of every operator, by pre-order index.
+    levels: Vec<u32>,
+    /// Every randomly accessed object once, at the lowest effective level
+    /// of the operators accessing it, in order of first access.
+    objects: Vec<(ObjectId, u32)>,
+    /// `(llow, lhigh)` over the random operators.
+    bounds: Option<(u32, u32)>,
+}
+
+impl PlanProfile {
+    /// The effective level of every operator, by pre-order index.
+    pub fn levels(&self) -> &[u32] {
+        &self.levels
+    }
+
+    /// Every object the plan accesses randomly, once, with the lowest
+    /// effective level of the operators accessing it — Rule 2's "the
+    /// priorities of all random requests to this table are determined by
+    /// the operator at the lowest level of the query plan tree". In order
+    /// of first access, pre-order.
+    pub fn object_levels(&self) -> &[(ObjectId, u32)] {
+        &self.objects
+    }
+
+    /// The Rule 2 level of `oid`, if the plan accesses it randomly.
+    pub fn object_level(&self, oid: ObjectId) -> Option<u32> {
+        self.objects
+            .iter()
+            .find(|&&(o, _)| o == oid)
+            .map(|&(_, level)| level)
+    }
+
+    /// The lowest and highest effective levels over all operators that
+    /// issue random requests (`llow`, `lhigh` in Function (1)). `None` if
+    /// the plan has no random operators.
+    pub fn level_bounds(&self) -> Option<(u32, u32)> {
+        self.bounds
+    }
 }
 
 /// A full query plan tree.
@@ -318,38 +375,86 @@ impl PlanTree {
             .collect()
     }
 
-    /// The lowest and highest *effective* levels over all operators that
-    /// issue random requests (`llow`, `lhigh` in Function (1)). `None` if
-    /// the plan has no random operators.
-    pub fn random_level_bounds(&self) -> Option<(u32, u32)> {
-        let levels = self.operator_levels();
-        let mut bounds: Option<(u32, u32)> = None;
-        for op in &levels {
-            if op.access.random_objects().is_empty() {
-                continue;
-            }
-            bounds = Some(match bounds {
-                None => (op.effective_level, op.effective_level),
-                Some((lo, hi)) => (lo.min(op.effective_level), hi.max(op.effective_level)),
-            });
+    /// The plan's [`PlanProfile`], from one pre-order walk of the tree.
+    ///
+    /// With `d` an operator's depth and `h` the tree's height, its
+    /// original level is `h - d`. A blocking operator `b` at depth `d_b`
+    /// lowers an operator outside its subtree with `d <= d_b` (original
+    /// level at least `b`'s) by `b`'s original level `h - d_b`, and the
+    /// largest reduction applies — so the effective level is
+    /// `min d_b - d` over those blocking operators, and `h - d` when there
+    /// are none. That is [`Self::operator_levels`]' rule, without its
+    /// ancestor walks.
+    pub fn profile(&self) -> PlanProfile {
+        #[derive(Default)]
+        struct Walk {
+            /// Each operator's depth, replaced by its effective level below.
+            levels: Vec<u32>,
+            /// `(pre-order index, end of its subtree, depth)` of each
+            /// blocking operator.
+            blocking: Vec<(usize, usize, u32)>,
+            /// Each random access's objects, with the accessing operator's
+            /// pre-order index until the levels are known.
+            objects: Vec<(ObjectId, u32)>,
+            height: u32,
         }
-        bounds
-    }
+        fn walk(node: &PlanNode, depth: u32, w: &mut Walk) {
+            let at = w.levels.len();
+            w.levels.push(depth);
+            w.height = w.height.max(depth);
+            for oid in node.access.random_objects().into_iter().flatten() {
+                w.objects.push((oid, at as u32));
+            }
+            for child in &node.children {
+                walk(child, depth + 1, w);
+            }
+            if node.kind.is_blocking() {
+                w.blocking.push((at, w.levels.len(), depth));
+            }
+        }
+        let mut w = Walk::default();
+        walk(&self.root, 0, &mut w);
+        let Walk {
+            mut levels,
+            blocking,
+            mut objects,
+            height,
+        } = w;
 
-    /// For every object accessed randomly, the minimum effective level of
-    /// the operators accessing it — Rule 2's "the priorities of all random
-    /// requests to this table are determined by the operator at the lowest
-    /// level of the query plan tree".
-    pub fn random_object_levels(&self) -> HashMap<ObjectId, u32> {
-        let mut map: HashMap<ObjectId, u32> = HashMap::new();
-        for op in self.operator_levels() {
-            for oid in op.access.random_objects() {
-                map.entry(oid)
-                    .and_modify(|l| *l = (*l).min(op.effective_level))
-                    .or_insert(op.effective_level);
+        for (i, level) in levels.iter_mut().enumerate() {
+            let depth = *level;
+            let waits_for = blocking
+                .iter()
+                .filter(|&&(b, end, b_depth)| !(b..end).contains(&i) && b_depth >= depth)
+                .map(|&(_, _, b_depth)| b_depth)
+                .min();
+            *level = waits_for.unwrap_or(height) - depth;
+        }
+
+        // Each object once, at its lowest level, in place.
+        let mut bounds: Option<(u32, u32)> = None;
+        let mut kept = 0;
+        for i in 0..objects.len() {
+            let (oid, at) = objects[i];
+            let level = levels[at as usize];
+            bounds = Some(match bounds {
+                None => (level, level),
+                Some((lo, hi)) => (lo.min(level), hi.max(level)),
+            });
+            match objects[..kept].iter_mut().find(|(o, _)| *o == oid) {
+                Some(seen) => seen.1 = seen.1.min(level),
+                None => {
+                    objects[kept] = (oid, level);
+                    kept += 1;
+                }
             }
         }
-        map
+        objects.truncate(kept);
+        PlanProfile {
+            levels,
+            objects,
+            bounds,
+        }
     }
 
     /// The execution order: a post-order walk (children before parents), as
@@ -494,28 +599,36 @@ mod tests {
             .unwrap();
         assert_eq!(idx_c.original_level, 4);
         assert_eq!(idx_c.effective_level, 0);
+
+        // The one-walk profile agrees with the definition.
+        let effective: Vec<u32> = levels.iter().map(|l| l.effective_level).collect();
+        assert_eq!(t.profile().levels(), effective);
     }
 
     #[test]
     fn figure2_random_object_levels_follow_rule_2() {
-        let t = figure2_tree();
-        let map = t.random_object_levels();
+        let profile = figure2_tree().profile();
+        let level = |n| profile.object_level(oid(n)).expect("accessed randomly");
         // t.a (oid 1) is accessed by index scans on levels 0 and 3; the
         // lowest level (0) wins.
-        assert_eq!(map[&oid(1)], 0);
-        assert_eq!(map[&oid(2)], 0);
+        assert_eq!(level(1), 0);
+        assert_eq!(level(2), 0);
         // t.b (oid 3) is randomly accessed by the index scan one level above
         // the deepest leaves.
-        assert_eq!(map[&oid(3)], 1);
+        assert_eq!(level(3), 1);
         // t.c (oid 5) is randomly accessed by the renumbered index scan at
         // level 0.
-        assert_eq!(map[&oid(5)], 0);
+        assert_eq!(level(5), 0);
+        // Each object once, in order of first access (pre-order).
+        let objects: Vec<u32> = profile.object_levels().iter().map(|(o, _)| o.0).collect();
+        assert_eq!(objects, [2, 1, 4, 3, 6, 5]);
+        assert_eq!(profile.object_level(oid(7)), None);
     }
 
     #[test]
     fn figure2_random_level_bounds() {
         let t = figure2_tree();
-        let (lo, hi) = t.random_level_bounds().unwrap();
+        let (lo, hi) = t.profile().level_bounds().unwrap();
         assert_eq!(lo, 0);
         // Highest effective level of a random operator: the upper index
         // scan on t.a lives inside the hash's subtree, so its level (2) is
@@ -546,8 +659,10 @@ mod tests {
         );
         let root = PlanNode::node(OperatorKind::Aggregate, Access::None, vec![scan]);
         let t = PlanTree::new("seq-only", root);
-        assert!(t.random_level_bounds().is_none());
-        assert!(t.random_object_levels().is_empty());
+        let profile = t.profile();
+        assert!(profile.level_bounds().is_none());
+        assert!(profile.object_levels().is_empty());
+        assert_eq!(profile.levels(), [1, 0]);
     }
 
     #[test]
@@ -567,5 +682,6 @@ mod tests {
         assert_eq!(levels[0].original_level, 0);
         assert_eq!(levels[0].effective_level, 0);
         assert_eq!(t.level_count(), 1);
+        assert_eq!(t.profile().levels(), [0]);
     }
 }

@@ -180,8 +180,8 @@ mod tests {
 
         let t = table();
         let registry = reg();
-        let _ta = registry.register_query(&plan_a);
-        let _tb = registry.register_query(&plan_b);
+        let _ta = registry.register(&plan_a.profile());
+        let _tb = registry.register(&plan_b.profile());
 
         // Rule 5: both queries' requests to table 1 carry the priority of
         // the *lowest* registered level (0), not each query's own level.

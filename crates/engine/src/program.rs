@@ -25,11 +25,10 @@
 //! `tests/program_stream.rs` holds the cursor to that.
 
 use crate::catalog::{Catalog, ObjectId};
-use crate::plan::{Access, PlanNode, PlanTree};
+use crate::plan::{Access, PlanNode, PlanProfile, PlanTree};
 use crate::semantic::{ContentType, SemanticInfo};
 use hstorage_storage::BlockRange;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One unit of work of a compiled query.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -166,6 +165,18 @@ impl Stream {
                 chunk,
                 rest: range,
             },
+        }
+    }
+
+    /// `self`, then `next`: a concatenation, without a node or a `Vec`
+    /// when either is empty.
+    fn then(self, next: Stream) -> Self {
+        if self.len == 0 {
+            next
+        } else if next.len == 0 {
+            self
+        } else {
+            Self::concat(vec![self, next])
         }
     }
 
@@ -338,19 +349,30 @@ fn hot_subset(range: BlockRange, fraction: f64) -> BlockRange {
 struct Compiler<'a> {
     catalog: &'a mut Catalog,
     options: CompileOptions,
-    /// Effective level of every operator, by pre-order index.
-    levels: Vec<u32>,
-    /// Rule 2: the level that determines the priority of requests to an
-    /// object is the lowest level of any operator that accesses it
-    /// randomly — not necessarily the accessing operator's own level.
-    object_levels: HashMap<ObjectId, u32>,
+    /// The operators' effective levels, by pre-order index, and Rule 2:
+    /// the level that determines the priority of requests to an object is
+    /// the lowest level of any operator that accesses it randomly — not
+    /// necessarily the accessing operator's own level.
+    profile: &'a PlanProfile,
     /// Pre-order index of the next operator visited.
     next_index: usize,
     /// Consumption phases and deletions of the spills met so far.
     deferred: Vec<Stream>,
 }
 
-/// Compiles a plan tree into a request program.
+/// Compiles a plan tree into a request program: [`compile_with_profile`]
+/// with the plan's [`PlanTree::profile`], for a caller that has no use for
+/// the profile otherwise.
+///
+/// # Panics
+///
+/// If either request size in `options` is zero.
+pub fn compile(plan: &PlanTree, catalog: &mut Catalog, options: CompileOptions) -> RequestProgram {
+    compile_with_profile(plan, &plan.profile(), catalog, options)
+}
+
+/// Compiles a plan tree, whose [`PlanTree::profile`] is `profile`, into a
+/// request program.
 ///
 /// Children of blocking operators (hash, sort, materialize) complete before
 /// anything above them runs; children of pipelined operators (joins) have
@@ -366,8 +388,14 @@ struct Compiler<'a> {
 ///
 /// # Panics
 ///
-/// If either request size in `options` is zero.
-pub fn compile(plan: &PlanTree, catalog: &mut Catalog, options: CompileOptions) -> RequestProgram {
+/// If either request size in `options` is zero, or if `profile` has fewer
+/// levels than `plan` has operators.
+pub fn compile_with_profile(
+    plan: &PlanTree,
+    profile: &PlanProfile,
+    catalog: &mut Catalog,
+    options: CompileOptions,
+) -> RequestProgram {
     assert!(
         options.seq_blocks_per_request > 0,
         "seq_blocks_per_request must be positive"
@@ -379,27 +407,26 @@ pub fn compile(plan: &PlanTree, catalog: &mut Catalog, options: CompileOptions) 
     let mut compiler = Compiler {
         catalog,
         options,
-        levels: plan
-            .operator_levels()
-            .iter()
-            .map(|l| l.effective_level)
-            .collect(),
-        object_levels: plan.random_object_levels(),
+        profile,
         next_index: 0,
         deferred: Vec::new(),
     };
-    let mut parts = vec![compiler.walk(&plan.root)];
-    parts.append(&mut compiler.deferred);
+    let root = compiler.walk(&plan.root);
+    let ops = if compiler.deferred.is_empty() {
+        root
+    } else {
+        Stream::concat(std::iter::once(root).chain(compiler.deferred).collect())
+    };
     RequestProgram {
         name: plan.name.clone(),
-        level_bounds: plan.random_level_bounds().unwrap_or((0, 0)),
-        ops: Stream::concat(parts),
+        level_bounds: profile.level_bounds().unwrap_or((0, 0)),
+        ops,
     }
 }
 
 impl Compiler<'_> {
     fn walk(&mut self, node: &PlanNode) -> Stream {
-        let level = self.levels[self.next_index];
+        let level = self.profile.levels()[self.next_index];
         self.next_index += 1;
         let children: Vec<Stream> = node.children.iter().map(|c| self.walk(c)).collect();
         // Blocking children finish before their siblings start; pipelined
@@ -440,7 +467,7 @@ impl Compiler<'_> {
                 let writes = Stream::chunked(write, chunk, 1);
                 Stream::interleave(vec![input, writes])
             }
-            access => Stream::concat(vec![input, self.own_io(access, level)]),
+            access => input.then(self.own_io(access, level)),
         }
     }
 
@@ -474,7 +501,7 @@ impl Compiler<'_> {
                 else {
                     return nothing;
                 };
-                let level_of = |oid| *self.object_levels.get(&oid).unwrap_or(&level);
+                let level_of = |oid| self.profile.object_level(oid).unwrap_or(level);
                 let probe = IoOp::IndexProbe {
                     index_info: SemanticInfo::random_access(
                         index,

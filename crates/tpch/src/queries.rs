@@ -20,7 +20,7 @@
 
 use crate::database::TpchDatabase;
 use crate::schema::{TpchIndex, TpchTable};
-use hstorage_engine::{Access, ObjectId, OperatorKind, PlanNode, PlanTree};
+use hstorage_engine::{Access, OperatorKind, PlanNode, PlanTree};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -424,11 +424,6 @@ pub fn all_query_plans(db: &TpchDatabase) -> Vec<PlanTree> {
         .collect()
 }
 
-/// Returns the object ids a query accesses randomly (used by tests).
-pub fn random_objects(plan: &PlanTree) -> Vec<ObjectId> {
-    plan.random_object_levels().keys().copied().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,31 +449,31 @@ mod tests {
     fn q1_is_sequential_only() {
         let db = db();
         let plan = build_plan(QueryId::Q(1), &db);
-        assert!(plan.random_object_levels().is_empty());
+        assert!(plan.profile().object_levels().is_empty());
     }
 
     #[test]
     fn q9_deep_probe_sits_below_the_orders_probe() {
         let db = db();
-        let plan = build_plan(QueryId::Q(9), &db);
-        let levels = plan.random_object_levels();
+        let profile = build_plan(QueryId::Q(9), &db).profile();
+        let level = |oid| profile.object_level(oid).expect("probed");
         let deep = db.table(TpchTable::Partsupp);
         let orders = db.table(TpchTable::Orders);
-        assert!(levels[&deep] < levels[&orders]);
+        assert!(level(deep) < level(orders));
         // Their indexes follow the same ordering.
         let d_idx = db.index(TpchIndex::PartsuppPartkey);
         let o_idx = db.index(TpchIndex::OrdersOrderkey);
-        assert!(levels[&d_idx] < levels[&o_idx]);
+        assert!(level(d_idx) < level(o_idx));
     }
 
     #[test]
     fn q21_probes_orders_below_lineitem() {
         let db = db();
-        let plan = build_plan(QueryId::Q(21), &db);
-        let levels = plan.random_object_levels();
+        let profile = build_plan(QueryId::Q(21), &db).profile();
+        let level = |oid| profile.object_level(oid).expect("probed");
         let orders = db.table(TpchTable::Orders);
         let lineitem = db.table(TpchTable::Lineitem);
-        assert!(levels[&orders] < levels[&lineitem]);
+        assert!(level(orders) < level(lineitem));
     }
 
     #[test]
@@ -506,7 +501,7 @@ mod tests {
                 own && node.children.iter().all(all_updates)
             }
             assert!(all_updates(&plan.root), "{q} must only contain updates");
-            assert!(plan.random_object_levels().is_empty());
+            assert!(plan.profile().object_levels().is_empty());
         }
     }
 

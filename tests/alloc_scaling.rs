@@ -1,7 +1,9 @@
 //! A query's allocation is O(plan nodes), not O(requests): `run_query` of
 //! one index-scan plan allocates the same number of bytes for a thousand
-//! probes as for a hundred thousand. A test binary of its own, because the
-//! counting allocator is the whole process's.
+//! probes as for a hundred thousand, and a short lookup's setup — its plan
+//! profile, program and registration — makes a handful of allocations. A
+//! test binary of its own, because the counting allocator is the whole
+//! process's.
 
 use hstorage_cache::{CacheStats, StorageSystem};
 use hstorage_engine::{
@@ -13,16 +15,28 @@ use std::cell::Cell;
 use std::time::Duration;
 
 thread_local! {
-    /// Bytes this thread has asked the allocator for. Per thread, so the
+    /// `(calls, bytes)` this thread has asked the allocator for: every
+    /// `alloc`, `alloc_zeroed` and `realloc` is a call. Per thread, so the
     /// test harness's own threads do not count.
-    static BYTES: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 struct Counting;
 
 fn count(bytes: usize) {
     // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
+    let _ = ALLOCATED.try_with(|a| {
+        let (calls, total) = a.get();
+        a.set((calls + 1, total + bytes as u64));
+    });
+}
+
+/// `(calls, bytes)` allocated by this thread while `f` runs, and its result.
+fn allocated<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
+    let (calls, bytes) = ALLOCATED.with(Cell::get);
+    let out = f();
+    let (calls_after, bytes_after) = ALLOCATED.with(Cell::get);
+    ((calls_after - calls, bytes_after - bytes), out)
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -78,11 +92,13 @@ impl StorageSystem for NullStorage {
     }
 }
 
-/// Bytes allocated by one `run_query` of an index scan of `lookups` probes.
-fn bytes_for(lookups: u64) -> u64 {
+/// A catalog with one table and its index, and an index-scan plan of
+/// `lookups` probes over them.
+fn lookup(lookups: u64) -> (Catalog, PlanTree) {
+    // Both objects inside the buffer pool's first page of 1,024 blocks.
     let mut catalog = Catalog::new();
-    let table = catalog.register("orders", ObjectKind::Table, BlockRange::new(0u64, 2_000));
-    let index = catalog.register("idx", ObjectKind::Index, BlockRange::new(2_000u64, 200));
+    let table = catalog.register("orders", ObjectKind::Table, BlockRange::new(0u64, 800));
+    let index = catalog.register("idx", ObjectKind::Index, BlockRange::new(800u64, 100));
     let plan = PlanTree::new(
         "probe",
         PlanNode::leaf(
@@ -96,6 +112,12 @@ fn bytes_for(lookups: u64) -> u64 {
             },
         ),
     );
+    (catalog, plan)
+}
+
+/// Bytes allocated by one `run_query` of an index scan of `lookups` probes.
+fn bytes_for(lookups: u64) -> u64 {
+    let (mut catalog, plan) = lookup(lookups);
     // No buffer pool: its residency map grows with the blocks touched,
     // which is the working set's size and not the plan's.
     let config = ExecutorConfig {
@@ -103,9 +125,7 @@ fn bytes_for(lookups: u64) -> u64 {
         ..ExecutorConfig::default()
     };
     let mut executor = QueryExecutor::new(config, PolicyConfig::paper_default());
-    let before = BYTES.with(Cell::get);
-    let stats = executor.run_query(&plan, &mut catalog, &NullStorage);
-    let bytes = BYTES.with(Cell::get) - before;
+    let ((_, bytes), stats) = allocated(|| executor.run_query(&plan, &mut catalog, &NullStorage));
     assert_eq!(stats.requests(RequestClass::Random), 2 * lookups);
     bytes
 }
@@ -115,4 +135,36 @@ fn run_query_allocates_by_plan_size_not_by_request_count() {
     let (small, large) = (bytes_for(1_000), bytes_for(100_000));
     assert!(small > 0, "the allocator counts");
     assert_eq!(small, large, "bytes for 1,000 and for 100,000 probes");
+}
+
+/// The allocations a lookup's `run_query` makes once its executor is
+/// warm: the plan profile's levels and objects, and the program's name,
+/// which the query's statistics take over. The registry, the policy memo,
+/// the probe group's buffers and the buffer pool reuse what the first
+/// query left them.
+const LOOKUP_ALLOCATIONS: u64 = 3;
+
+#[test]
+fn a_warm_lookup_makes_a_handful_of_allocations() {
+    let (mut catalog, plan) = lookup(16);
+    // A pool smaller than the first query's 32 accesses, so that query
+    // fills it and every later one evicts, misses and reaches storage
+    // through the policy memo, all without growing anything.
+    let config = ExecutorConfig {
+        buffer_pool_blocks: 16,
+        ..ExecutorConfig::default()
+    };
+    let mut executor = QueryExecutor::new(config, PolicyConfig::paper_default());
+    let mut run = || allocated(|| executor.run_query(&plan, &mut catalog, &NullStorage));
+    let ((first, _), _) = run();
+    let ((calls, bytes), stats) = run();
+    assert!(
+        stats.requests(RequestClass::Random) > 0,
+        "the lookup misses"
+    );
+    assert!(first > calls, "the first query warms: {first} then {calls}");
+    assert!(
+        calls <= LOOKUP_ALLOCATIONS,
+        "a warm lookup made {calls} allocations ({bytes} bytes), at most {LOOKUP_ALLOCATIONS} expected"
+    );
 }

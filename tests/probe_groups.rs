@@ -104,15 +104,16 @@ fn run_op_by_op(
     catalog: &mut hstorage_engine::Catalog,
     storage: &dyn StorageSystem,
 ) -> QueryStats {
-    let program = executor.compile(plan, catalog);
-    let ticket = executor.registry().register_query(plan);
+    let profile = plan.profile();
+    let program = executor.compile(plan, &profile, catalog);
+    let ticket = executor.registry().register(&profile);
     let mut stats = QueryStats::new(&program.name);
     let io_start = storage.now();
     for op in program.cursor() {
         executor.execute_op(&op, program.level_bounds, catalog, storage, &mut stats);
     }
     executor.flush_pending(storage);
-    executor.registry().unregister_query(plan, ticket);
+    executor.registry().unregister(&profile, ticket);
     stats.io_time = storage.now().saturating_sub(io_start);
     stats.elapsed = stats.io_time + stats.cpu_time;
     storage.migrate_idle();

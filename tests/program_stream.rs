@@ -173,6 +173,22 @@ fn hot_subset(range: BlockRange, fraction: f64) -> BlockRange {
     BlockRange::new(range.start, len)
 }
 
+/// Rule 2's level of each randomly accessed object and the plan's
+/// `(llow, lhigh)`, read off `operator_levels`.
+fn random_levels(plan: &PlanTree) -> (HashMap<ObjectId, u32>, Option<(u32, u32)>) {
+    let mut objects = HashMap::new();
+    let mut bounds: Option<(u32, u32)> = None;
+    for op in plan.operator_levels() {
+        let level = op.effective_level;
+        for oid in op.access.random_objects().into_iter().flatten() {
+            let lowest = objects.entry(oid).or_insert(level);
+            *lowest = level.min(*lowest);
+            bounds = Some(bounds.map_or((level, level), |(lo, hi)| (lo.min(level), hi.max(level))));
+        }
+    }
+    (objects, bounds)
+}
+
 /// The reference model: every operation of `plan`, materialised.
 fn expand(plan: &PlanTree, catalog: &mut Catalog, options: CompileOptions) -> Vec<IoOp> {
     let mut expander = Expander {
@@ -183,7 +199,7 @@ fn expand(plan: &PlanTree, catalog: &mut Catalog, options: CompileOptions) -> Ve
             .iter()
             .map(|l| l.effective_level)
             .collect(),
-        object_levels: plan.random_object_levels(),
+        object_levels: random_levels(plan).0,
         next_index: 0,
         deferred: Vec::new(),
     };
@@ -221,7 +237,7 @@ fn assert_same_program(
     assert_eq!(program.is_empty(), expected.is_empty());
     assert_eq!(
         program.level_bounds,
-        plan.random_level_bounds().unwrap_or((0, 0)),
+        random_levels(plan).1.unwrap_or((0, 0)),
         "{name}: level bounds"
     );
 
