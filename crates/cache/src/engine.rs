@@ -59,9 +59,9 @@
 //! [`StorageSystem::submit_each`] (the executor's index probes) is served
 //! request by request on `submit`'s path, one lock visit each. The slice
 //! only lets the engine look ahead: under a lone-block request's shard
-//! lock it starts loading the table slot, list node and list neighbours
-//! that requests further on the same shard will wait on, so those loads
-//! overlap the work in between instead of following one another.
+//! lock it starts loading the block-table control group and home slot
+//! of the request 16 places on, if that request lives on the same
+//! shard, so those loads overlap the work in between.
 //!
 //! A multi-block walk settles blocks in **runs** that make no policy
 //! call, each answered by one query of the shard table's residency
@@ -160,18 +160,13 @@ struct Run {
 /// request.
 const PREFETCH_STRIDES: u64 = 8;
 
-/// How many requests ahead on the shard it holds
-/// [`StorageSystem::submit_each`] starts loading each stage of a
-/// lone-block request's visit, which waits on one load after another: the
-/// block table's home slot, then the policy's list node the slot names
-/// (the slot was loaded eight requests before), then the node's list
-/// neighbours (the node was loaded six before). A stage's loads are in
-/// flight while the requests in between are served.
+/// How many requests ahead [`StorageSystem::submit_each`] starts loading
+/// the block table lines of a lone-block request on the shard it holds:
+/// the home control group and the home slot. The loads are in flight
+/// while the requests in between are served. Later stages — the policy
+/// node the slot names, its list neighbours — would each cost a table
+/// probe of their own, which is more than their loads save.
 const SLOT_AHEAD: usize = 16;
-/// See [`SLOT_AHEAD`].
-const NODE_AHEAD: usize = 8;
-/// See [`SLOT_AHEAD`].
-const NEIGHBOURS_AHEAD: usize = 2;
 
 /// Requests whose shard indices [`StorageSystem::submit_each`] computes at
 /// once: at least the two requests of each of the executor's 64 probes of
@@ -1191,12 +1186,19 @@ impl CacheEngine {
         &self.config
     }
 
-    /// Checks every shard's block table against its invariants
-    /// ([`BlockTable::audit`]), its policy against its own
-    /// ([`CachePolicy::check`]) and the table against the shard's
-    /// capacity, taking each shard's read lock in turn, and returns the
-    /// first broken one. Reads every slot, residency page and policy
-    /// node: for tests, not for a hot path.
+    /// Checks each shard against its invariants, taking its read lock in
+    /// turn, and returns the first broken one:
+    ///
+    /// * the block table passes [`BlockTable::audit`], and the policy
+    ///   [`CachePolicy::check`];
+    /// * the table holds no more blocks than the shard has slots;
+    /// * a `Some` hot-hit descriptor names a resident block, and a `None`
+    ///   has no repeat hits tallied against it;
+    /// * the write-buffer occupancy equals the number of resident blocks
+    ///   whose priority the policy write-buffers.
+    ///
+    /// Reads every slot, residency page and policy node: for tests, not
+    /// for a hot path.
     pub fn audit(&self) -> Result<(), String> {
         for (i, shard) in self.shards.iter().enumerate() {
             let st = shard.state.read();
@@ -1209,6 +1211,32 @@ impl CacheEngine {
                     "shard {i}: {} blocks resident in {} slots",
                     st.meta.len(),
                     shard.capacity
+                ));
+            }
+            match st.hot {
+                Some(hot) if !st.meta.contains(hot.lbn) => {
+                    return Err(format!(
+                        "shard {i}: the hot-hit descriptor names block {}, which is not resident",
+                        hot.lbn.0
+                    ))
+                }
+                None if st.fast_hits != 0 => {
+                    return Err(format!(
+                        "shard {i}: {} repeat hits tallied against no descriptor",
+                        st.fast_hits
+                    ))
+                }
+                _ => {}
+            }
+            let buffered = st
+                .meta
+                .iter()
+                .filter(|(_, slot)| st.policy.write_buffered(slot.entry.priority))
+                .count() as u64;
+            let occupancy = shard.write_buffer_resident.load(Ordering::Relaxed);
+            if occupancy != buffered {
+                return Err(format!(
+                    "shard {i}: write-buffer occupancy {occupancy}, but {buffered} resident blocks are write-buffered"
                 ));
             }
         }
@@ -1516,14 +1544,10 @@ impl CacheEngine {
     /// takes [`Self::submit_inner`]'s path, in order, so nothing it
     /// decides, counts or prices can differ. The slice serves only to look
     /// ahead. While it holds a lone-block request's shard lock, the engine
-    /// starts loading what the visits of requests further on **that
-    /// shard** will wait on: the table home slot of the request
-    /// [`SLOT_AHEAD`] places on, the list node of the one [`NODE_AHEAD`]
-    /// on, and that node's neighbours for the one [`NEIGHBOURS_AHEAD`] on.
-    /// It reads only the held shard's table and policy, through pure
-    /// hints ([`BlockTable::prefetch`], [`CachePolicy::prefetch_hit`]), and
-    /// a request on another shard is simply not looked ahead for. Shard
-    /// indices are computed once per request.
+    /// starts loading the table lines of the request [`SLOT_AHEAD`] places
+    /// on, if that request lives on **that shard**, through the pure hint
+    /// [`BlockTable::prefetch`]; a request on another shard is simply not
+    /// looked ahead for. Shard indices are computed once per request.
     fn submit_each_inner(&self, reqs: &[ClassifiedRequest]) {
         let mut shard_of = [0usize; EACH_CHUNK];
         for chunk in reqs.chunks(EACH_CHUNK) {
@@ -1532,20 +1556,15 @@ impl CacheEngine {
             }
             for (j, req) in chunk.iter().enumerate() {
                 let shard = shard_of[j];
-                // The first block of the request `d` places ahead, if it
-                // lives on this shard.
-                let ahead = |d: usize| {
-                    let lbn = chunk.get(j + d)?.io.range.start;
-                    (shard_of[j + d] == shard).then_some(lbn)
-                };
+                // The first block of the request SLOT_AHEAD places on, if
+                // it lives on this shard.
+                let ahead = chunk
+                    .get(j + SLOT_AHEAD)
+                    .filter(|_| shard_of[j + SLOT_AHEAD] == shard)
+                    .map(|next| next.io.range.start);
                 self.submit_one(req, shard, |st| {
-                    if let Some(lbn) = ahead(SLOT_AHEAD) {
+                    if let Some(lbn) = ahead {
                         st.meta.prefetch(lbn);
-                    }
-                    for (d, neighbours) in [(NODE_AHEAD, false), (NEIGHBOURS_AHEAD, true)] {
-                        if let Some(slot) = ahead(d).and_then(|lbn| st.meta.get(lbn)) {
-                            st.policy.prefetch_hit(slot.node, neighbours);
-                        }
                     }
                 });
             }
@@ -1650,21 +1669,11 @@ impl CacheEngine {
     /// Takes each shard's write lock in turn (uncounted: this is a
     /// statistics read, not a submission), credits the repeat hits still
     /// tallied on its hot descriptor and hands the settled state to `f`.
-    /// Debug builds first check the descriptor: a `Some` names a resident
-    /// block, and a `None` has no tally.
+    /// [`Self::audit`] checks the descriptor.
     fn for_each_settled(&self, mut f: impl FnMut(&mut ShardState)) {
         for shard in &self.shards {
             let mut st = shard.state.write();
             let hot = st.hot;
-            match hot {
-                Some(h) => debug_assert!(
-                    st.meta.contains(h.lbn),
-                    "hot-hit descriptor names a non-resident block"
-                ),
-                None => {
-                    debug_assert_eq!(st.fast_hits, 0, "repeat hits tallied against no descriptor")
-                }
-            }
             shard.set_hot(&mut st, hot);
             f(&mut st);
         }
@@ -1907,6 +1916,46 @@ mod tests {
             class,
             policy,
         )
+    }
+
+    /// `audit()` names a hot descriptor on a block that is not resident, a
+    /// repeat-hit tally with no descriptor, and a write-buffer occupancy
+    /// that disagrees with the resident blocks. No sequence of public
+    /// calls reaches these states, so each is set up under the shard lock.
+    #[test]
+    fn audit_names_a_stale_hot_descriptor_and_a_drifted_write_buffer() {
+        for clause in [
+            "not resident",
+            "tallied against no descriptor",
+            "write-buffer occupancy",
+        ] {
+            let c = engine(CachePolicyKind::SemanticPriority, 16);
+            let hit = read_req(3, 1, RequestClass::Random, QosPolicy::priority(2));
+            c.submit(hit);
+            c.submit(hit);
+            assert_eq!(c.audit(), Ok(()));
+            let shard = &c.shards[0];
+            let mut st = shard.state.write();
+            match clause {
+                "not resident" => {
+                    let hot = st.hot.expect("the second read hit is hot");
+                    st.hot = Some(HotHit {
+                        lbn: BlockAddr(99),
+                        ..hot
+                    });
+                }
+                "tallied against no descriptor" => {
+                    st.hot = None;
+                    st.fast_hits = 2;
+                }
+                _ => {
+                    shard.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            drop(st);
+            let err = c.audit().expect_err(clause);
+            assert!(err.contains(clause), "{clause}: {err}");
+        }
     }
 
     #[test]

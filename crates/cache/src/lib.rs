@@ -26,9 +26,11 @@
 //! [`StorageConfig`] so the same engine can compare replacement
 //! algorithms under identical mechanism.
 
-// Unsafe code lives in two places: the crate's one prefetch hint
-// (`table::prefetch_line`, public for the safe crates above) and the shard lock's guards and `Sync` impl
-// (`shard_lock`, which opts in module-wide); everything else stays safe.
+// Unsafe code lives in three places: the crate's one prefetch hint
+// (`table::prefetch_line`, public for the safe crates above), the block
+// table's SSE2 control-group matcher (`table::sse2`), and the shard lock's
+// guards and `Sync` impl (`shard_lock`, which opts in module-wide);
+// everything else stays safe.
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -11,8 +11,10 @@
 //!
 //! * two arrays over a power-of-two slot count: the slots, each a key
 //!   beside its value, so a probe reads one slot line rather than a key
-//!   line and a value line; and an occupancy bitset (one bit per slot, so
-//!   a shard's whole occupancy map stays in L1/L2);
+//!   line and a value line; and one **control byte** per slot — `EMPTY`,
+//!   `DELETED`, or a 7-bit tag from a second hash of the key — with the
+//!   first 16 mirrored after the last, so 16 bytes read at any slot stay
+//!   in bounds;
 //! * Fibonacci hashing (one multiply and shift) and, in a [`BlockTable`],
 //!   **extent groups**: a block's aligned run of 4 consecutive *local*
 //!   addresses hashes to a group of 4 adjacent slots, and its offset in
@@ -23,13 +25,24 @@
 //!   non-power-of-two `N` shifts out only its factor of two and gets
 //!   partial locality). A plain [`OpenMap`], probed at random, hashes each
 //!   key alone;
-//! * linear probing, so a probe touches consecutive slots of one dense
-//!   array instead of chasing bucket pointers;
-//! * backward-shift deletion instead of tombstones, so probe chains never
-//!   grow from churn and the table needs no rehash-on-delete heuristics;
-//! * [`BlockTable::prefetch`], which starts loading a key's home slot, so a
-//!   shard walk can ask for the table lines it will need a few blocks
-//!   from now (the engine prefetches 8 strides ahead), and
+//! * **a key compare at home, then group probing**: a free slot holds a
+//!   key whose home is elsewhere, so a key at its home slot — most hits —
+//!   is found by one key compare, with no control byte read and no wait
+//!   on one. Any other lookup matches the 16 control bytes from the home
+//!   slot against the key's tag at once (one SSE2 compare on x86_64, a
+//!   byte loop elsewhere), compares keys only where a tag matches, and
+//!   stops at the first group holding an `EMPTY` byte, so an absent key
+//!   costs one group. Further groups follow at triangular steps;
+//! * removal without shifting: a slot becomes `EMPTY` if every 16-slot
+//!   window over it already holds an `EMPTY`, and a `DELETED` tombstone
+//!   otherwise. Once the growth budget runs out, or tombstones fill 1/16
+//!   of the slots, the table rehashes in place, clearing the tombstones,
+//!   and doubles only if its live entries would pass 7/8 of the slots —
+//!   so a table pre-sized for its entries never reallocates;
+//! * [`BlockTable::prefetch`], which starts loading a key's home control
+//!   group and home slot, so a shard walk can ask for the table lines it
+//!   will need a few blocks from now (the engine prefetches 8 strides
+//!   ahead), and
 //!   [`BlockTable::prefetch_bit`], which starts loading a block's
 //!   residency word, so a miss that will allocate overlaps that load
 //!   with its victim's eviction;
@@ -87,6 +100,11 @@ impl CacheEntry {
 /// Fibonacci-hashing multiplier: `2^64 / φ`, the canonical odd constant.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Multiplier of the second hash, whose top 7 bits are a key's control
+/// tag. It is unrelated to [`FIB`], so the keys of one extent group, which
+/// share a home group, still get independent tags.
+const TAG_MUL: u64 = 0xFF51_AFD7_ED55_8CCD;
+
 /// `log2` of a [`BlockTable`]'s extent-group size: runs of 4 consecutive
 /// local addresses share one hash and 4 adjacent slots. Larger groups
 /// lengthen the probe chains of clustered keys faster than they add
@@ -106,13 +124,211 @@ const PAGE_WORDS: usize = 1 << (PAGE_BITS - EXTENT_BITS);
 /// local address `l` of the page's range.
 type ResidencyPage = [u64; PAGE_WORDS];
 
-/// Smallest table capacity ever allocated (slots, power of two; at least
-/// two of a [`BlockTable`]'s extent groups).
-const MIN_CAPACITY: usize = 8;
+/// Control bytes one probe step matches at once. The first this many
+/// control bytes are mirrored after the last slot's, so a group read at
+/// any slot stays in bounds and wraps around the table.
+const GROUP_WIDTH: usize = 16;
+
+/// Smallest table capacity ever allocated (slots, power of two): one
+/// control group, so a group never covers a slot twice.
+const MIN_CAPACITY: usize = GROUP_WIDTH;
 
 /// The node handle of a block whose policy keeps its own index (see the
 /// [`CachePolicy`](crate::policy::CachePolicy#node-handles) docs).
 pub const NO_NODE: u32 = u32::MAX;
+
+/// Control byte of a slot that held no entry since the table was last
+/// rebuilt. A probe stops at the first group holding one.
+const EMPTY: u8 = 0x80;
+
+/// Control byte of a slot whose entry was removed while a full group
+/// spanned it: free for an insertion, but a probe walks past it. A full
+/// slot's control byte is its key's 7-bit tag, so the top bit tells free
+/// from full.
+const DELETED: u8 = 0xFE;
+
+/// The share of its slots — one in this many — a table lets `DELETED`
+/// tombstones take before it rehashes in place. Tombstones block the
+/// `EMPTY` a probe stops at, and each makes the next removal near it more
+/// likely to leave one too; letting them grow to the whole 7/8 budget
+/// made `cache_mixed`'s half-full shard tables leave a tombstone on 43 %
+/// of removals and send 1 in 11 lookups past their home group.
+const TOMBSTONE_SHARE: usize = 16;
+
+/// Whether a control byte marks a full slot (a tag, not [`EMPTY`] or
+/// [`DELETED`]).
+#[inline]
+fn is_full(ctrl: u8) -> bool {
+    ctrl & 0x80 == 0
+}
+
+/// The bytes of one control group that answer a question: bit `i` for
+/// byte `i`. Iterates the matching offsets in ascending order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BitMask(u16);
+
+impl BitMask {
+    #[inline]
+    fn any(self) -> bool {
+        self.0 != 0
+    }
+
+    #[inline]
+    fn lowest(self) -> Option<usize> {
+        self.any().then(|| self.0.trailing_zeros() as usize)
+    }
+
+    /// The complement: the bytes that do not match.
+    #[inline]
+    fn invert(self) -> Self {
+        BitMask(!self.0)
+    }
+}
+
+impl Iterator for BitMask {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let bit = self.lowest()?;
+        self.0 &= self.0 - 1;
+        Some(bit)
+    }
+}
+
+/// The SSE2 group matcher: each question is one byte compare and one
+/// move-mask over all 16 control bytes. SSE2 is in every x86_64 target's
+/// baseline, so no runtime check guards it.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code, unused_unsafe)]
+mod sse2 {
+    use super::{BitMask, EMPTY, GROUP_WIDTH};
+    use std::arch::x86_64::{
+        __m128i, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_set1_epi8,
+    };
+
+    /// 16 control bytes in one SSE register.
+    #[derive(Clone, Copy)]
+    pub(super) struct Group(__m128i);
+
+    impl Group {
+        #[inline(always)]
+        pub(super) fn load(bytes: &[u8; GROUP_WIDTH]) -> Self {
+            // SAFETY: `bytes` is a live reference to 16 readable bytes, and
+            // `_mm_loadu_si128` has no alignment requirement. SSE2 is in
+            // every x86_64 target's baseline.
+            Group(unsafe { _mm_loadu_si128(bytes.as_ptr().cast::<__m128i>()) })
+        }
+
+        /// The bytes equal to `byte`.
+        #[inline(always)]
+        pub(super) fn match_byte(self, byte: u8) -> BitMask {
+            // SAFETY: register arithmetic with no memory access, on SSE2,
+            // which every x86_64 target has. The move-mask sets only the
+            // low 16 bits, so the cast keeps every one.
+            let bits =
+                unsafe { _mm_movemask_epi8(_mm_cmpeq_epi8(self.0, _mm_set1_epi8(byte as i8))) };
+            BitMask(bits as u16)
+        }
+
+        /// The [`EMPTY`] bytes.
+        #[inline(always)]
+        pub(super) fn match_empty(self) -> BitMask {
+            self.match_byte(EMPTY)
+        }
+
+        /// The free bytes, [`EMPTY`] or [`super::DELETED`]: those with the
+        /// top bit set, which is what the move-mask collects.
+        #[inline(always)]
+        pub(super) fn match_free(self) -> BitMask {
+            // SAFETY: as in `match_byte`.
+            let bits = unsafe { _mm_movemask_epi8(self.0) };
+            BitMask(bits as u16)
+        }
+    }
+}
+
+/// The portable group matcher: a loop over the 16 bytes. Targets without
+/// SSE2 use it, and x86_64 compiles it for the test that holds the two
+/// matchers equal.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+mod bytes {
+    use super::{BitMask, EMPTY, GROUP_WIDTH};
+
+    /// 16 control bytes, copied.
+    #[derive(Clone, Copy)]
+    pub(super) struct Group([u8; GROUP_WIDTH]);
+
+    impl Group {
+        #[inline]
+        pub(super) fn load(bytes: &[u8; GROUP_WIDTH]) -> Self {
+            Group(*bytes)
+        }
+
+        /// The bytes equal to `byte`.
+        #[inline]
+        pub(super) fn match_byte(self, byte: u8) -> BitMask {
+            self.matching(|c| c == byte)
+        }
+
+        /// The [`EMPTY`] bytes.
+        #[inline]
+        pub(super) fn match_empty(self) -> BitMask {
+            self.match_byte(EMPTY)
+        }
+
+        /// The free bytes, [`EMPTY`] or [`super::DELETED`].
+        #[inline]
+        pub(super) fn match_free(self) -> BitMask {
+            self.matching(|c| !super::is_full(c))
+        }
+
+        #[inline]
+        fn matching(self, pred: impl Fn(u8) -> bool) -> BitMask {
+            let mut bits = 0;
+            for (i, &c) in self.0.iter().enumerate() {
+                bits |= u16::from(pred(c)) << i;
+            }
+            BitMask(bits)
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+use bytes::Group;
+#[cfg(target_arch = "x86_64")]
+use sse2::Group;
+
+/// Entries a table of `cap` slots may hold: 7/8 of its slots.
+#[inline]
+fn max_load(cap: usize) -> usize {
+    cap - cap / 8
+}
+
+/// A probe sequence: the group at a key's home slot, then the groups 16,
+/// 48, 96, … slots on. The triangular steps reach every group of a
+/// power-of-two table before they repeat one.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    /// First slot of the group to read next.
+    pos: usize,
+    step: usize,
+    mask: usize,
+}
+
+impl Probe {
+    #[inline]
+    fn advance(&mut self) {
+        self.step += GROUP_WIDTH;
+        self.pos = (self.pos + self.step) & self.mask;
+    }
+
+    /// The slot `bit` places into the current group.
+    #[inline]
+    fn slot(&self, bit: usize) -> usize {
+        (self.pos + bit) & self.mask
+    }
+}
 
 /// Hints the CPU to start loading the cache line holding `*p` into L1
 /// without waiting for it. A pure hint: it changes nothing the program can
@@ -137,11 +353,20 @@ pub fn prefetch_line<T>(_: &T) {}
 
 /// A flat open-addressing hash map from `u64` keys to `Copy` values.
 ///
-/// Linear probing over a power-of-two slot array, grown at 7/8 load;
-/// deletions backward-shift the following probe chain, so the table never
-/// holds tombstones and every lookup terminates at the first empty slot.
-/// Iteration order is unspecified (slot order) — callers that need a
-/// deterministic order must sort, exactly as with `std::HashMap`.
+/// A power-of-two slot array with one control byte per slot: `EMPTY`,
+/// `DELETED`, or the 7-bit tag of the key it holds. A free slot holds a
+/// key whose home is another slot, so a key at its home slot is found by
+/// one key compare. Any other lookup reads the 16 control bytes from the
+/// key's home slot at once, compares the key only where the tag matches,
+/// and stops at the first group holding an `EMPTY`. A removal shifts
+/// nothing: it writes `EMPTY` if no full group of 16 spans the slot, and
+/// `DELETED` otherwise. Once the growth budget (7/8 of the slots, less
+/// the full and `DELETED` ones) runs out, or the `DELETED` slots pass
+/// 1/16 of the slots, the map doubles only if its live entries would pass
+/// 7/8 of the slots, and otherwise rehashes in place, which clears every
+/// `DELETED` slot without allocating. Iteration order is unspecified
+/// (slot order) — callers that need a deterministic order must sort,
+/// exactly as with `std::HashMap`.
 ///
 /// With the default `GROUP_BITS = 0` each key is Fibonacci-hashed alone.
 /// A positive `GROUP_BITS` hashes runs of `2^GROUP_BITS` consecutive local
@@ -151,12 +376,15 @@ pub fn prefetch_line<T>(_: &T) {}
 /// random, grouping only lengthens probe chains.
 #[derive(Debug, Clone)]
 pub struct OpenMap<V, const GROUP_BITS: u32 = 0> {
-    /// `(key, value)` per slot; meaningful only where `used` is set.
+    /// `(key, value)` per slot. A full slot's pair is an entry; a free
+    /// slot's key is [`Self::foreign`] to it, and its value is stale.
     slots: Vec<(u64, V)>,
-    /// Occupancy, one bit per slot (slot `i` is bit `i % 64` of word
-    /// `i / 64`).
-    used: Vec<u64>,
+    /// One control byte per slot, then the first [`GROUP_WIDTH`] again.
+    ctrl: Vec<u8>,
     len: usize,
+    /// Insertions into an `EMPTY` slot left before the table must be
+    /// rebuilt: 7/8 of the slots, less the full and `DELETED` ones.
+    growth_left: usize,
     /// `64 - log2(capacity >> GROUP_BITS)`: maps the 64-bit hash onto an
     /// extent-group index (a slot index in a plain map).
     shift: u32,
@@ -195,13 +423,25 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
             .div_ceil(7)
             .max(MIN_CAPACITY)
             .next_power_of_two();
-        OpenMap {
+        let mut map = OpenMap {
             slots: vec![(0, V::default()); cap],
-            used: vec![0; cap.div_ceil(64)],
+            ctrl: vec![EMPTY; cap + GROUP_WIDTH],
             len: 0,
+            growth_left: max_load(cap),
             shift: 64 - (cap >> GROUP_BITS).trailing_zeros(),
             stride_shift: stride.trailing_zeros(),
-        }
+        };
+        map.slots[0].0 = map.foreign(0);
+        map
+    }
+
+    /// A key whose home is not slot `i`, which a free slot `i` holds so
+    /// that [`Self::find`] can trust a key compare at the home slot alone:
+    /// key 0's home is slot 0, and local address 1's home is slot 1 of a
+    /// grouped map and slot `FIB >> shift ≥ 1` of a plain one.
+    #[inline]
+    fn foreign(&self, i: usize) -> u64 {
+        u64::from(i == 0) << self.stride_shift
     }
 
     /// Number of entries.
@@ -233,42 +473,132 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
         ((group << GROUP_BITS) | (local & ((1 << GROUP_BITS) - 1))) as usize
     }
 
+    /// The key's control tag: the top 7 bits of a second hash of its
+    /// local address.
     #[inline]
-    fn is_used(&self, i: usize) -> bool {
-        self.used[i / 64] & (1 << (i % 64)) != 0
+    fn tag(&self, key: u64) -> u8 {
+        ((key >> self.stride_shift).wrapping_mul(TAG_MUL) >> 57) as u8
     }
 
+    /// The probe sequence of `key`, at its home slot.
     #[inline]
-    fn set_used(&mut self, i: usize) {
-        self.used[i / 64] |= 1 << (i % 64);
+    fn probe(&self, key: u64) -> Probe {
+        Probe {
+            pos: self.home(key),
+            step: 0,
+            mask: self.slots.len() - 1,
+        }
     }
 
+    /// The 16 control bytes from slot `pos` on, wrapping through the
+    /// mirror.
     #[inline]
-    fn set_unused(&mut self, i: usize) {
-        self.used[i / 64] &= !(1 << (i % 64));
+    fn group(&self, pos: usize) -> Group {
+        let bytes = &self.ctrl[pos..pos + GROUP_WIDTH];
+        Group::load(bytes.try_into().expect("a group is 16 control bytes"))
     }
 
-    /// The slot holding `key`, if present.
+    /// Sets slot `i`'s control byte and, for one of the first 16 slots,
+    /// its mirror. Any other slot's "mirror" index is the slot itself, so
+    /// the second store needs no branch.
     #[inline]
-    fn find(&self, key: u64) -> Option<usize> {
+    fn set_ctrl(&mut self, i: usize, byte: u8) {
         let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        while self.is_used(i) {
+        self.ctrl[i] = byte;
+        self.ctrl[(i.wrapping_sub(GROUP_WIDTH) & mask) + GROUP_WIDTH] = byte;
+    }
+
+    /// The slot holding `key`, if present. A key at its home slot costs
+    /// one key compare and no control byte: a free slot holds a key whose
+    /// home is elsewhere ([`Self::foreign`]), so a match at the home slot
+    /// is the key's entry. Otherwise the home group is matched against
+    /// the key's tag, which settles every key in that group and every
+    /// absent key whose home group holds an `EMPTY` slot; only the rest
+    /// take [`Self::find_in_groups`].
+    #[inline(always)]
+    fn find(&self, key: u64) -> Option<usize> {
+        let probe = self.probe(key);
+        if self.slots[probe.pos].0 == key {
+            return Some(probe.pos);
+        }
+        let tag = self.tag(key);
+        let group = self.group(probe.pos);
+        for bit in group.match_byte(tag) {
+            let i = probe.slot(bit);
             if self.slots[i].0 == key {
                 return Some(i);
             }
-            i = (i + 1) & mask;
         }
-        None
+        if group.match_empty().any() {
+            return None;
+        }
+        self.find_in_groups(key, tag)
+    }
+
+    /// [`Self::find`] past the home group: each later group's slots whose
+    /// control byte is `tag` are compared with `key`, up to the first
+    /// group holding an `EMPTY` slot.
+    #[inline(never)]
+    fn find_in_groups(&self, key: u64, tag: u8) -> Option<usize> {
+        let mut probe = self.probe(key);
+        loop {
+            probe.advance();
+            let group = self.group(probe.pos);
+            for bit in group.match_byte(tag) {
+                let i = probe.slot(bit);
+                if self.slots[i].0 == key {
+                    return Some(i);
+                }
+            }
+            if group.match_empty().any() {
+                return None;
+            }
+        }
+    }
+
+    /// One walk of `key`'s probe sequence: `Ok` with the key's slot if it
+    /// is present, else `Err` with the first free slot on the way, where an
+    /// insertion places it.
+    #[inline]
+    fn find_or_free(&self, key: u64, tag: u8) -> Result<usize, usize> {
+        let mut probe = self.probe(key);
+        let mut free = None;
+        loop {
+            let group = self.group(probe.pos);
+            for bit in group.match_byte(tag) {
+                let i = probe.slot(bit);
+                if self.slots[i].0 == key {
+                    return Ok(i);
+                }
+            }
+            free = free.or_else(|| group.match_free().lowest().map(|bit| probe.slot(bit)));
+            if group.match_empty().any() {
+                return Err(free.expect("a group holding an EMPTY slot has a free slot"));
+            }
+            probe.advance();
+        }
+    }
+
+    /// The first free slot of `key`'s probe sequence, for a key known to
+    /// be absent.
+    #[inline]
+    fn find_free(&self, key: u64) -> usize {
+        let mut probe = self.probe(key);
+        loop {
+            if let Some(bit) = self.group(probe.pos).match_free().lowest() {
+                return probe.slot(bit);
+            }
+            probe.advance();
+        }
     }
 
     /// Starts loading the lines a lookup of `key` reads first — its home
-    /// slot's occupancy word and the slot itself — without waiting for
-    /// them. Changes nothing; a no-op off x86_64.
+    /// control group and its home slot — without waiting for them. Changes
+    /// nothing; a no-op off x86_64.
     #[inline]
     fn prefetch(&self, key: u64) {
         let i = self.home(key);
-        prefetch_line(&self.used[i / 64]);
+        prefetch_line(&self.ctrl[i]);
         prefetch_line(&self.slots[i]);
     }
 
@@ -297,128 +627,212 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
         (!fresh).then(|| std::mem::replace(slot, value))
     }
 
-    /// The one probe behind every insertion: walks `key`'s chain once,
-    /// stopping at the key or at the first vacant slot, where `make()`'s
-    /// value is placed. Returns the key's value and whether it was just
-    /// inserted.
+    /// The one probe behind every insertion: walks `key`'s probe sequence
+    /// once, stopping at the key or at the first group holding an `EMPTY`
+    /// slot, and places `make()`'s value in the first free slot it passed.
+    /// Only a placement into an `EMPTY` slot with the growth budget used up
+    /// or too many tombstones about rebuilds the table first. Returns the
+    /// key's value and whether it was just inserted.
     pub(crate) fn get_or_insert_with(
         &mut self,
         key: u64,
         make: impl FnOnce() -> V,
     ) -> (&mut V, bool) {
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
-            // At the load bound only a *new* key grows the table, so the
-            // key is looked up first — and the growth happens before
-            // placing, so the chain is walked against the final capacity.
-            // Below the bound (the common case) the one walk serves both.
-            if let Some(i) = self.find(key) {
-                return (&mut self.slots[i].1, false);
+        let tag = self.tag(key);
+        let i = match self.find_or_free(key, tag) {
+            Ok(i) => return (&mut self.slots[i].1, false),
+            Err(i) if self.ctrl[i] == EMPTY && self.must_rebuild() => {
+                self.rebuild();
+                self.find_free(key)
             }
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        while self.is_used(i) {
-            if self.slots[i].0 == key {
-                return (&mut self.slots[i].1, false);
-            }
-            i = (i + 1) & mask;
-        }
+            Err(i) => i,
+        };
+        self.growth_left -= usize::from(self.ctrl[i] == EMPTY);
+        self.set_ctrl(i, tag);
         self.slots[i] = (key, make());
-        self.set_used(i);
         self.len += 1;
         (&mut self.slots[i].1, true)
     }
 
-    /// Removes `key`, returning its value if it was present. The probe
-    /// chain behind the vacated slot is backward-shifted, so no tombstone
-    /// is left behind.
+    /// Removes `key`, returning its value if it was present. Nothing is
+    /// shifted: the slot becomes `EMPTY` if every 16-slot window that
+    /// contains it also holds an `EMPTY` slot — then no probe ever walked
+    /// past it — and `DELETED` otherwise.
     #[inline]
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        let mut i = self.find(key)?;
-        let removed = self.slots[i].1;
+        let i = self.find(key)?;
         let mask = self.slots.len() - 1;
-        let mut j = i;
-        loop {
-            j = (j + 1) & mask;
-            if !self.is_used(j) {
-                break;
-            }
-            // Slot j's entry may backfill the hole at i only if its home
-            // slot does not lie in the circular range (i, j] — i.e. the
-            // entry's displacement from home spans the hole.
-            let home = self.home(self.slots[j].0);
-            if (j.wrapping_sub(home)) & mask >= (j.wrapping_sub(i)) & mask {
-                self.slots[i] = self.slots[j];
-                i = j;
-            }
+        // The nearest EMPTY slots before and after `i`, as distances; a
+        // mask with none counts 16.
+        let before = self.group(i.wrapping_sub(GROUP_WIDTH) & mask).match_empty();
+        let after = self.group(i).match_empty();
+        let gap = before.0.leading_zeros() + after.0.trailing_zeros();
+        if gap < GROUP_WIDTH as u32 {
+            self.set_ctrl(i, EMPTY);
+            self.growth_left += 1;
+        } else {
+            self.set_ctrl(i, DELETED);
         }
-        self.set_unused(i);
         self.len -= 1;
-        Some(removed)
+        let value = self.slots[i].1;
+        self.slots[i].0 = self.foreign(i);
+        Some(value)
+    }
+
+    /// Whether the next placement into an `EMPTY` slot must rebuild the
+    /// table first: the growth budget is used up, or the `DELETED` slots
+    /// pass one in [`TOMBSTONE_SHARE`].
+    #[inline]
+    fn must_rebuild(&self) -> bool {
+        let deleted = max_load(self.slots.len()) - self.len - self.growth_left;
+        self.growth_left == 0 || deleted > self.slots.len() / TOMBSTONE_SHARE
     }
 
     /// Removes every entry, keeping the allocation.
     pub fn clear(&mut self) {
-        self.used.fill(0);
+        self.ctrl.fill(EMPTY);
+        for i in 0..self.slots.len() {
+            self.slots[i].0 = self.foreign(i);
+        }
         self.len = 0;
+        self.growth_left = max_load(self.slots.len());
     }
 
     /// Iterates all `(key, value)` pairs in unspecified (slot) order.
     pub fn iter(&self) -> OpenMapIter<'_, V, GROUP_BITS> {
         OpenMapIter {
             map: self,
-            word: 0,
-            bits: self.used.first().copied().unwrap_or(0),
+            base: 0,
+            full: self.group(0).match_free().invert(),
+        }
+    }
+
+    /// Makes room once [`Self::must_rebuild`]: doubles the table if one
+    /// more entry would pass 7/8 of its slots, and otherwise rehashes it in
+    /// place, which turns every `DELETED` slot back into `EMPTY`.
+    #[cold]
+    #[inline(never)]
+    fn rebuild(&mut self) {
+        if self.len + 1 > max_load(self.slots.len()) {
+            self.grow();
+        } else {
+            self.rehash_in_place();
         }
     }
 
     fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
-        let old_slots = std::mem::replace(&mut self.slots, vec![(0, V::default()); new_cap]);
-        let old_used = std::mem::replace(&mut self.used, vec![0; new_cap.div_ceil(64)]);
+        let cap = self.slots.len() * 2;
+        let old_slots = std::mem::replace(&mut self.slots, vec![(0, V::default()); cap]);
+        let old_ctrl = std::mem::replace(&mut self.ctrl, vec![EMPTY; cap + GROUP_WIDTH]);
         self.shift -= 1;
-        let mask = new_cap - 1;
-        for (slot, &(key, value)) in old_slots.iter().enumerate() {
-            if old_used[slot / 64] & (1 << (slot % 64)) == 0 {
-                continue;
+        self.slots[0].0 = self.foreign(0);
+        for (&(key, value), &c) in old_slots.iter().zip(&old_ctrl) {
+            if is_full(c) {
+                let i = self.find_free(key);
+                // A tag does not depend on the capacity.
+                self.set_ctrl(i, c);
+                self.slots[i] = (key, value);
             }
-            let mut i = self.home(key);
-            while self.is_used(i) {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = (key, value);
-            self.set_used(i);
         }
+        self.growth_left = max_load(cap) - self.len;
     }
 
-    /// Checks the open-addressing invariant the backward-shift deletion
-    /// must preserve: walking from any entry's home slot to the slot it
-    /// occupies crosses no empty slot (otherwise a lookup would terminate
-    /// early and miss the entry). Also checks that the occupancy popcount
-    /// is `len`.
-    pub(crate) fn audit(&self) -> Result<(), String> {
-        let mask = self.slots.len() - 1;
-        let mut occupied = 0;
-        for (slot, &(key, _)) in self.slots.iter().enumerate() {
-            if !self.is_used(slot) {
+    /// Rebuilds the table in its own allocation. Every full slot is first
+    /// marked `DELETED` (an entry still to place) and every free one
+    /// `EMPTY`; then each marked entry goes to the first free slot of its
+    /// probe sequence. It stays put if that slot lies in the same probe
+    /// group as its own; it moves if that slot is `EMPTY`; and it swaps
+    /// with the marked entry there otherwise, which is placed next.
+    fn rehash_in_place(&mut self) {
+        let cap = self.slots.len();
+        let mask = cap - 1;
+        for c in &mut self.ctrl[..cap] {
+            *c = if is_full(*c) { DELETED } else { EMPTY };
+        }
+        self.ctrl.copy_within(..GROUP_WIDTH, cap);
+        let mut i = 0;
+        while i < cap {
+            if self.ctrl[i] != DELETED {
+                i += 1;
                 continue;
             }
-            occupied += 1;
-            let mut i = self.home(key);
-            while i != slot {
-                if !self.is_used(i) {
-                    return Err(format!(
-                        "probe chain for key {key} crosses empty slot {i} before {slot}"
-                    ));
-                }
-                i = (i + 1) & mask;
+            let key = self.slots[i].0;
+            let home = self.home(key);
+            let target = self.find_free(key);
+            let group_of = |slot: usize| (slot.wrapping_sub(home) & mask) / GROUP_WIDTH;
+            if group_of(i) == group_of(target) {
+                self.set_ctrl(i, self.tag(key));
+                i += 1;
+            } else if self.ctrl[target] == EMPTY {
+                self.slots[target] = self.slots[i];
+                self.slots[i].0 = self.foreign(i);
+                self.set_ctrl(target, self.tag(key));
+                self.set_ctrl(i, EMPTY);
+                i += 1;
+            } else {
+                self.slots.swap(i, target);
+                self.set_ctrl(target, self.tag(key));
             }
         }
-        if occupied != self.len {
+        self.growth_left = max_load(cap) - self.len;
+    }
+
+    /// Checks the control bytes against the slots and returns the first
+    /// broken invariant:
+    ///
+    /// * the mirror equals the first 16 control bytes;
+    /// * every control byte is `EMPTY`, `DELETED` or a tag, and a full
+    ///   slot's tag is its key's;
+    /// * a free slot holds a key whose home is another slot;
+    /// * every key is reached from its home slot before a group holding an
+    ///   `EMPTY` (otherwise a lookup would stop early and miss it);
+    /// * the full slots number `len`, and the growth budget is 7/8 of the
+    ///   slots less the full and `DELETED` ones.
+    pub(crate) fn audit(&self) -> Result<(), String> {
+        let cap = self.slots.len();
+        if self.ctrl[cap..] != self.ctrl[..GROUP_WIDTH] {
+            return Err("the control mirror differs from the first 16 control bytes".into());
+        }
+        let (mut full, mut deleted) = (0, 0);
+        for (slot, (&(key, _), &c)) in self.slots.iter().zip(&self.ctrl).enumerate() {
+            if !is_full(c) && self.home(key) == slot {
+                return Err(format!(
+                    "free slot {slot} holds key {key}, whose home it is"
+                ));
+            }
+            match c {
+                EMPTY => continue,
+                DELETED => {
+                    deleted += 1;
+                    continue;
+                }
+                c if !is_full(c) => return Err(format!("slot {slot} has control byte {c:#x}")),
+                c if c != self.tag(key) => {
+                    return Err(format!(
+                        "slot {slot} holds key {key} under tag {c:#x}, not {:#x}",
+                        self.tag(key)
+                    ))
+                }
+                _ => full += 1,
+            }
+            let mut probe = self.probe(key);
+            while slot.wrapping_sub(probe.pos) & probe.mask >= GROUP_WIDTH {
+                if self.group(probe.pos).match_empty().any() {
+                    return Err(format!(
+                        "key {key} in slot {slot} lies past the group at {}, which holds an EMPTY slot",
+                        probe.pos
+                    ));
+                }
+                probe.advance();
+            }
+        }
+        if full != self.len {
+            return Err(format!("{full} full slots, but len is {}", self.len));
+        }
+        if full + deleted + self.growth_left != max_load(cap) {
             return Err(format!(
-                "{occupied} occupancy bits set, but len is {}",
-                self.len
+                "{full} full and {deleted} deleted slots with a growth budget of {} in {cap} slots",
+                self.growth_left
             ));
         }
         Ok(())
@@ -428,24 +842,27 @@ impl<V: Copy + Default, const GROUP_BITS: u32> OpenMap<V, GROUP_BITS> {
 /// Iterator over an [`OpenMap`]'s `(key, value)` pairs in slot order.
 pub struct OpenMapIter<'a, V, const GROUP_BITS: u32 = 0> {
     map: &'a OpenMap<V, GROUP_BITS>,
-    /// Index of the occupancy word being scanned.
-    word: usize,
-    /// Its occupied slots not yet yielded.
-    bits: u64,
+    /// First slot of the control group being scanned.
+    base: usize,
+    /// Its full slots not yet yielded.
+    full: BitMask,
 }
 
-impl<'a, V, const GROUP_BITS: u32> Iterator for OpenMapIter<'a, V, GROUP_BITS> {
+impl<'a, V: Copy + Default, const GROUP_BITS: u32> Iterator for OpenMapIter<'a, V, GROUP_BITS> {
     type Item = (u64, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.bits == 0 {
-            self.word += 1;
-            self.bits = *self.map.used.get(self.word)?;
+        loop {
+            if let Some(bit) = self.full.next() {
+                let (key, value) = &self.map.slots[self.base + bit];
+                return Some((*key, value));
+            }
+            if self.base + GROUP_WIDTH >= self.map.slots.len() {
+                return None;
+            }
+            self.base += GROUP_WIDTH;
+            self.full = self.map.group(self.base).match_free().invert();
         }
-        let i = self.word * 64 + self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        let (key, value) = &self.map.slots[i];
-        Some((*key, value))
     }
 }
 
@@ -877,7 +1294,7 @@ mod tests {
 
     #[test]
     fn iter_yields_every_entry_once() {
-        // Pre-sized for 4, so the walk also crosses three growths.
+        // Pre-sized for 4, so the walk also crosses two growths.
         let mut m = BlockTable::with_capacity(4, 1);
         for i in 0..50u64 {
             m.insert(BlockAddr(i), entry_in(i as u32, 1, i % 2 == 0));
@@ -1030,17 +1447,159 @@ mod tests {
     }
 
     #[test]
-    fn backward_shift_closes_probe_chains() {
-        // Force a dense cluster, then delete from its middle: lookups for
-        // every survivor must still succeed and the invariant must hold.
-        let mut m = OpenMap::<u64>::new();
-        for i in 0..7u64 {
-            m.insert(i, i);
+    fn a_removal_in_a_full_window_leaves_a_tombstone() {
+        // 20 keys share home slot 0 of a 64-slot map: 16 fill the first
+        // probe group, 4 spill into the second. Removing one from the
+        // full first group must leave DELETED, or a lookup of a spilled
+        // key would stop at the EMPTY. A lone key's removal, with EMPTY
+        // slots on both sides, leaves EMPTY.
+        let mut m = OpenMap::<u64>::with_capacity(56);
+        assert_eq!(m.capacity(), 64);
+        let homed =
+            |at: usize| (0..).filter(move |&k| OpenMap::<u64>::with_capacity(56).home(k) == at);
+        let keys: Vec<u64> = homed(0).take(21).collect();
+        let lone = homed(40).next().unwrap();
+        for &k in keys[..20].iter().chain([&lone]) {
+            m.insert(k, k);
         }
-        m.remove(3);
-        m.map_invariant_and_all_present(&[0, 1, 2, 4, 5, 6]);
-        m.remove(0);
-        m.map_invariant_and_all_present(&[1, 2, 4, 5, 6]);
+        let at = |m: &OpenMap<u64>, k| m.find(k).expect("inserted key is present");
+        assert!(keys[..16].iter().all(|&k| at(&m, k) < 16));
+        assert!(keys[16..20].iter().all(|&k| (16..20).contains(&at(&m, k))));
+        let inner = at(&m, keys[5]);
+        m.remove(keys[5]);
+        assert_eq!(m.ctrl[inner], DELETED);
+        let mut rest: Vec<u64> = keys[..20]
+            .iter()
+            .copied()
+            .filter(|&k| k != keys[5])
+            .collect();
+        m.map_invariant_and_all_present(&[&rest[..], &[lone]].concat());
+        m.remove(lone);
+        assert_eq!(m.ctrl[40], EMPTY);
+        m.map_invariant_and_all_present(&rest);
+        // The next key on the same probe reuses the tombstone.
+        m.insert(keys[20], keys[20]);
+        assert_eq!(at(&m, keys[20]), inner);
+        rest.push(keys[20]);
+        m.map_invariant_and_all_present(&rest);
+    }
+
+    #[test]
+    fn the_sse2_and_byte_loop_matchers_agree() {
+        // Every question on every tag, EMPTY and DELETED, against edge
+        // groups (uniform, alternating, one odd byte at each end) and
+        // random ones drawn mostly from bytes the table writes.
+        let mut groups: Vec<[u8; GROUP_WIDTH]> = Vec::new();
+        for b in [0, 1, 0x3F, 0x7F, EMPTY, DELETED, 0xFF] {
+            groups.push([b; GROUP_WIDTH]);
+            let mut alternating = [b; GROUP_WIDTH];
+            let mut first = [b; GROUP_WIDTH];
+            let mut last = [b; GROUP_WIDTH];
+            for i in (0..GROUP_WIDTH).step_by(2) {
+                alternating[i] = EMPTY;
+            }
+            first[0] = DELETED;
+            last[GROUP_WIDTH - 1] = 0;
+            groups.extend([alternating, first, last]);
+        }
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..2_000 {
+            let mut g = [0u8; GROUP_WIDTH];
+            for b in &mut g {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                *b = match rng % 8 {
+                    0 => EMPTY,
+                    1 => DELETED,
+                    2 => (rng >> 8) as u8,
+                    _ => (rng >> 8) as u8 & 0x7F,
+                };
+            }
+            groups.push(g);
+        }
+        #[cfg(target_arch = "x86_64")]
+        for g in &groups {
+            let (fast, slow) = (sse2::Group::load(g), bytes::Group::load(g));
+            for tag in (0..=0x7F).chain([EMPTY, DELETED]) {
+                assert_eq!(
+                    fast.match_byte(tag),
+                    slow.match_byte(tag),
+                    "{g:x?}, {tag:#x}"
+                );
+            }
+            assert_eq!(fast.match_empty(), slow.match_empty(), "{g:x?}");
+            assert_eq!(fast.match_free(), slow.match_free(), "{g:x?}");
+        }
+        // The byte loop against the definition, on every target.
+        for g in &groups {
+            let slow = bytes::Group::load(g);
+            let expect = |p: &dyn Fn(u8) -> bool| {
+                BitMask((0..GROUP_WIDTH).fold(0, |m, i| m | u16::from(p(g[i])) << i))
+            };
+            for tag in 0..=0x7F {
+                assert_eq!(slow.match_byte(tag), expect(&|c| c == tag));
+            }
+            assert_eq!(slow.match_empty(), expect(&|c| c == EMPTY));
+            assert_eq!(
+                slow.match_free(),
+                expect(&|c| c == EMPTY || c == DELETED || c > 0x7F)
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "1M remove/insert pairs: run in release"]
+    fn a_full_block_table_keeps_its_slots_over_a_million_pairs() {
+        // Shard 3 of 8, filled to 3,500 blocks (0.85 of 4,096 slots), then
+        // churned as an LRU cache would: the oldest block leaves, a new
+        // one — half from a dense scan, half scattered — arrives. Removals
+        // leave tombstones, so the table must rebuild over and over;
+        // every rebuild must be in place.
+        const ITEMS: usize = 3_500;
+        let mut t = BlockTable::with_capacity(ITEMS, 8);
+        let (cap, slots) = (t.map.capacity(), t.map.slots.as_ptr());
+        assert_eq!(cap, 4_096);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut scan = 0u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let local = if rng & 1 == 0 {
+                scan += 1;
+                scan
+            } else {
+                (1 << 40) + (rng >> 24)
+            };
+            BlockAddr(local * 8 + 3)
+        };
+        let mut resident = std::collections::VecDeque::with_capacity(ITEMS);
+        while resident.len() < ITEMS {
+            let lbn = next();
+            if t.insert(lbn, entry(0)).is_none() {
+                resident.push_back(lbn);
+            }
+        }
+        let mut pairs = 0;
+        while pairs < 1_000_000 {
+            let lbn = next();
+            if t.contains(lbn) {
+                continue;
+            }
+            let old = resident.pop_front().unwrap();
+            assert!(t.remove(old).is_some());
+            t.insert(lbn, entry(0));
+            resident.push_back(lbn);
+            pairs += 1;
+            if pairs % 250_000 == 0 {
+                t.audit().unwrap();
+            }
+        }
+        assert_eq!(t.len(), ITEMS);
+        assert_eq!(t.map.capacity(), cap, "a full table doubled");
+        assert_eq!(t.map.slots.as_ptr(), slots, "a full table reallocated");
+        assert!(resident.iter().all(|&lbn| t.contains(lbn)));
     }
 
     impl<const G: u32> OpenMap<u64, G> {
@@ -1119,14 +1678,36 @@ mod tests {
         }
     }
 
+    /// Checks `map` against `model` after an operation on `key`:
+    /// `audit()` passes, and the length, every model entry and the
+    /// absence of the key's neighbours on the same shard agree.
+    fn assert_agrees<const G: u32>(
+        map: &OpenMap<u64, G>,
+        model: &HashMap<u64, u64>,
+        key: u64,
+        stride: usize,
+    ) {
+        map.audit().unwrap();
+        assert_eq!(map.len(), model.len());
+        for (&k, v) in model {
+            assert_eq!(map.get(k), Some(v), "stride {stride}, groups {G}: key {k}");
+        }
+        let step = stride as u64;
+        for k in [key, key.wrapping_add(step), key.wrapping_sub(step)] {
+            assert_eq!(
+                map.contains(k),
+                model.contains_key(&k),
+                "stride {stride}, groups {G}: key {k}"
+            );
+        }
+    }
+
     /// Replays `(shape, small, is_remove, value)` operations on `map` and
     /// on a `HashMap` model. Each operation is preceded by a prefetch of
-    /// its key, as a shard walk issues them; after each, the answers, the
-    /// length, every model entry and the absence of the key's neighbours
-    /// must agree, and the backward-shift invariant — no probe chain
-    /// crosses an empty slot — must hold, across growth from the minimum
-    /// capacity. At the end the iterator must visit exactly the model's
-    /// pairs.
+    /// its key, as a shard walk issues them; after each, the map must
+    /// agree with the model ([`assert_agrees`]), across growth from the
+    /// minimum capacity. At the end the iterator must visit exactly the
+    /// model's pairs.
     fn replay_against_a_model<const G: u32>(
         mut map: OpenMap<u64, G>,
         ops: &[(u8, u64, bool, u64)],
@@ -1142,27 +1723,91 @@ mod tests {
             } else {
                 assert_eq!(map.insert(key, value), model.insert(key, value));
             }
-            map.audit().unwrap();
-            assert_eq!(map.len(), model.len());
-            for (&k, v) in &model {
-                assert_eq!(map.get(k), Some(v), "stride {stride}, groups {G}: key {k}");
-            }
-            // Absence is exact too: the op's key and its neighbours on
-            // the same shard.
-            let step = stride as u64;
-            for k in [key, key.wrapping_add(step), key.wrapping_sub(step)] {
-                assert_eq!(
-                    map.contains(k),
-                    model.contains_key(&k),
-                    "stride {stride}, groups {G}: key {k}"
-                );
-            }
+            assert_agrees(&map, &model, key, stride);
         }
         let mut seen: Vec<(u64, u64)> = map.iter().map(|(k, v)| (k, *v)).collect();
         seen.sort_unstable();
         let mut expect: Vec<(u64, u64)> = model.into_iter().collect();
         expect.sort_unstable();
         assert_eq!(seen, expect);
+    }
+
+    /// Fills `map` to 7/8 of its slots with keys of every shape, then
+    /// churns it with `(kind, shape, pick)` operations that keep it
+    /// there: a removal of a present key followed by an insertion of a
+    /// new one, a replacement, a removal of an absent key, or a step
+    /// between 7/8 and one entry less. After each map operation it must
+    /// agree with a `HashMap` model ([`assert_agrees`]). The capacity may
+    /// never change. Returns how many insertions rehashed in place.
+    fn churn_against_a_model<const G: u32>(
+        mut map: OpenMap<u64, G>,
+        ops: &[(u8, u8, u64)],
+        base: u64,
+        stride: usize,
+    ) -> usize {
+        let cap = map.capacity();
+        let full = max_load(cap);
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut counter = 0u64;
+        let mut rehashes = 0;
+        let mut fresh = |shape: u8, model: &HashMap<u64, u64>| loop {
+            counter += 1;
+            let key = shaped_key(shape, counter, base, stride);
+            if !model.contains_key(&key) {
+                return key;
+            }
+        };
+        let mut insert_fresh =
+            |map: &mut OpenMap<u64, G>, model: &mut HashMap<u64, u64>, keys: &mut Vec<u64>, key| {
+                let budget = map.growth_left;
+                assert_eq!(map.insert(key, key), model.insert(key, key));
+                rehashes += usize::from(map.growth_left > budget);
+                keys.push(key);
+                assert_agrees(map, model, key, stride);
+            };
+        let remove_at = |map: &mut OpenMap<u64, G>,
+                         model: &mut HashMap<u64, u64>,
+                         keys: &mut Vec<u64>,
+                         pick: u64| {
+            let key = keys.swap_remove(pick as usize % keys.len());
+            assert_eq!(map.remove(key), model.remove(&key));
+            assert_agrees(map, model, key, stride);
+        };
+        for shape in (0..4).cycle().take(full) {
+            let key = fresh(shape, &model);
+            insert_fresh(&mut map, &mut model, &mut keys, key);
+        }
+        for &(kind, shape, pick) in ops {
+            match kind % 4 {
+                0 => {
+                    remove_at(&mut map, &mut model, &mut keys, pick);
+                    let key = fresh(shape, &model);
+                    insert_fresh(&mut map, &mut model, &mut keys, key);
+                }
+                1 => {
+                    let key = keys[pick as usize % keys.len()];
+                    assert_eq!(map.insert(key, pick), model.insert(key, pick));
+                    assert_agrees(&map, &model, key, stride);
+                }
+                2 => {
+                    let key = fresh(shape, &model);
+                    assert_eq!(map.remove(key), None);
+                    assert_agrees(&map, &model, key, stride);
+                }
+                _ if keys.len() == full => remove_at(&mut map, &mut model, &mut keys, pick),
+                _ => {
+                    let key = fresh(shape, &model);
+                    insert_fresh(&mut map, &mut model, &mut keys, key);
+                }
+            }
+            assert_eq!(
+                map.capacity(),
+                cap,
+                "stride {stride}, groups {G}: the map grew"
+            );
+        }
+        rehashes
     }
 
     proptest::proptest! {
@@ -1183,6 +1828,25 @@ mod tests {
                 let grouped = OpenMap::<u64, BLOCK_GROUP_BITS>::strided(0, stride);
                 replay_against_a_model(grouped, &ops, base, stride);
                 replay_against_a_model(OpenMap::<u64>::new(), &ops, base, stride);
+            }
+        }
+
+        /// At 7/8 load, removals leave tombstones and insertions use up the
+        /// growth budget, so the map rehashes in place again and again; it
+        /// agrees with a `HashMap` model after every operation and never
+        /// grows, plain and grouped with every stride (see
+        /// `churn_against_a_model`).
+        #[test]
+        fn open_map_at_full_load_churns_in_place(
+            ops in proptest::collection::vec((0u8..4, 0u8..4, 0u64..1 << 20), 200..400),
+            base in proptest::prelude::any::<u64>(),
+        ) {
+            for stride in STRIDES {
+                let grouped = OpenMap::<u64, BLOCK_GROUP_BITS>::strided(56, stride);
+                let plain = OpenMap::<u64>::with_capacity(56);
+                let rehashes = churn_against_a_model(grouped, &ops, base, stride)
+                    + churn_against_a_model(plain, &ops, base, stride);
+                proptest::prelude::prop_assert!(rehashes > 0, "stride {}: no rehash", stride);
             }
         }
 
