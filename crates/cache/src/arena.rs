@@ -19,6 +19,7 @@
 //! the engine's block table stores for it. [`NodeFlags`] is the one bit
 //! of per-node state such a policy needs beside the links.
 
+use crate::table::prefetch_line;
 use hstorage_storage::BlockAddr;
 
 /// Null link: no node.
@@ -96,6 +97,26 @@ impl ListArena {
     #[inline]
     pub fn key_ref(&self, slot: u32) -> &BlockAddr {
         &self.nodes[slot as usize].key
+    }
+
+    /// Starts loading the line of node `slot` — or, with `neighbours`,
+    /// the lines of the nodes linked before and after it, which a move to
+    /// the front writes — without waiting for them. A pure hint that
+    /// changes nothing: a slot past the slab, [`NIL`] included, is
+    /// ignored, and a freed slot's stale links name nodes of the slab.
+    #[inline]
+    pub fn prefetch(&self, slot: u32, neighbours: bool) {
+        let Some(node) = self.nodes.get(slot as usize) else {
+            return;
+        };
+        if !neighbours {
+            return prefetch_line(node);
+        }
+        for link in [node.prev, node.next] {
+            if let Some(near) = self.nodes.get(link as usize) {
+                prefetch_line(near);
+            }
+        }
     }
 }
 

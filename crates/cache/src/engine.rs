@@ -59,9 +59,10 @@
 //! [`StorageSystem::submit_each`] (the executor's index probes) is served
 //! request by request on `submit`'s path, one lock visit each. The slice
 //! only lets the engine look ahead: under a lone-block request's shard
-//! lock it starts loading the block-table control group and home slot
-//! of the request 16 places on, if that request lives on the same
-//! shard, so those loads overlap the work in between.
+//! lock it starts loading, for requests further on the same shard, the
+//! block-table control group and home slot, the list node the home slot
+//! names and that node's neighbours, so those loads overlap the work in
+//! between instead of following one another.
 //!
 //! A multi-block walk settles blocks in **runs** that make no policy
 //! call, each answered by one query of the shard table's residency
@@ -160,13 +161,21 @@ struct Run {
 /// request.
 const PREFETCH_STRIDES: u64 = 8;
 
-/// How many requests ahead [`StorageSystem::submit_each`] starts loading
-/// the block table lines of a lone-block request on the shard it holds:
-/// the home control group and the home slot. The loads are in flight
-/// while the requests in between are served. Later stages — the policy
-/// node the slot names, its list neighbours — would each cost a table
-/// probe of their own, which is more than their loads save.
+/// How many requests ahead on the shard it holds
+/// [`StorageSystem::submit_each`] starts loading each stage of a
+/// lone-block request's visit, which waits on one load after another: the
+/// block table's home control group and home slot, then the policy's list
+/// node the slot names (the slot was loaded eight requests before), then
+/// the node's list neighbours (the node was loaded six before). A stage's
+/// loads are in flight while the requests in between are served. The node
+/// and neighbour stages read only the home slot
+/// ([`BlockTable::peek_home`]): a full probe for the few blocks away from
+/// home, or absent, would cost more than the loads it hides.
 const SLOT_AHEAD: usize = 16;
+/// See [`SLOT_AHEAD`].
+const NODE_AHEAD: usize = 8;
+/// See [`SLOT_AHEAD`].
+const NEIGHBOURS_AHEAD: usize = 2;
 
 /// Requests whose shard indices [`StorageSystem::submit_each`] computes at
 /// once: at least the two requests of each of the executor's 64 probes of
@@ -1544,10 +1553,14 @@ impl CacheEngine {
     /// takes [`Self::submit_inner`]'s path, in order, so nothing it
     /// decides, counts or prices can differ. The slice serves only to look
     /// ahead. While it holds a lone-block request's shard lock, the engine
-    /// starts loading the table lines of the request [`SLOT_AHEAD`] places
-    /// on, if that request lives on **that shard**, through the pure hint
-    /// [`BlockTable::prefetch`]; a request on another shard is simply not
-    /// looked ahead for. Shard indices are computed once per request.
+    /// starts loading what the visits of requests further on **that
+    /// shard** will wait on: the table lines of the request [`SLOT_AHEAD`]
+    /// places on, the list node of the one [`NODE_AHEAD`] on, and that
+    /// node's neighbours for the one [`NEIGHBOURS_AHEAD`] on. It reads
+    /// only the held shard's table and policy, through pure hints
+    /// ([`BlockTable::prefetch`], [`CachePolicy::prefetch_hit`]), and a
+    /// request on another shard is simply not looked ahead for. Shard
+    /// indices are computed once per request.
     fn submit_each_inner(&self, reqs: &[ClassifiedRequest]) {
         let mut shard_of = [0usize; EACH_CHUNK];
         for chunk in reqs.chunks(EACH_CHUNK) {
@@ -1556,15 +1569,20 @@ impl CacheEngine {
             }
             for (j, req) in chunk.iter().enumerate() {
                 let shard = shard_of[j];
-                // The first block of the request SLOT_AHEAD places on, if
-                // it lives on this shard.
-                let ahead = chunk
-                    .get(j + SLOT_AHEAD)
-                    .filter(|_| shard_of[j + SLOT_AHEAD] == shard)
-                    .map(|next| next.io.range.start);
+                // The first block of the request `d` places ahead, if it
+                // lives on this shard.
+                let ahead = |d: usize| {
+                    let lbn = chunk.get(j + d)?.io.range.start;
+                    (shard_of[j + d] == shard).then_some(lbn)
+                };
                 self.submit_one(req, shard, |st| {
-                    if let Some(lbn) = ahead {
+                    if let Some(lbn) = ahead(SLOT_AHEAD) {
                         st.meta.prefetch(lbn);
+                    }
+                    for (d, neighbours) in [(NODE_AHEAD, false), (NEIGHBOURS_AHEAD, true)] {
+                        if let Some(slot) = ahead(d).and_then(|lbn| st.meta.peek_home(lbn)) {
+                            st.policy.prefetch_hit(slot.node, neighbours);
+                        }
                     }
                 });
             }

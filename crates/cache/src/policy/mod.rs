@@ -137,6 +137,12 @@ pub enum RemoveReason {
 /// that would rather keep its own index returns
 /// [`NO_NODE`](crate::table::NO_NODE) and ignores the argument.
 ///
+/// The handle also lets the engine start loading a block's node before
+/// the hit that needs it: [`CachePolicy::prefetch_hit`] takes the handle a
+/// request a few places ahead will pass to `on_hit`. It is a pure hint,
+/// and the handle may be stale by the time it arrives. The list-based
+/// policies answer it with [`ListArena::prefetch`](crate::arena::ListArena::prefetch).
+///
 /// # Dispatch
 ///
 /// The engine holds each shard's policy as a [`ShardPolicy`]. The shipped
@@ -290,6 +296,22 @@ pub trait CachePolicy: Send + Sync {
     fn is_inert(&self, req: &PolicyRequest) -> bool {
         let _ = req;
         false
+    }
+
+    /// Starts loading what an [`CachePolicy::on_hit`] of the block at
+    /// `node` reads first: the node itself, or with `neighbours` the
+    /// nodes linked beside it, which a move within its list writes. The
+    /// engine calls it for requests a few places ahead of the one it
+    /// serves, so the loads overlap that request's work.
+    ///
+    /// A pure hint of `&self`: it changes nothing the policy or the engine
+    /// can observe — no order, no victim, no counter — and it must accept
+    /// any handle, including one whose block has since left and whose
+    /// node was recycled, and [`NO_NODE`](crate::table::NO_NODE). The
+    /// default does nothing.
+    #[inline]
+    fn prefetch_hit(&self, node: u32, neighbours: bool) {
+        let _ = (node, neighbours);
     }
 
     /// The shard is full and `incoming` (the missing block of `req`) was
@@ -725,6 +747,137 @@ mod tests {
             "2q(kin=10%,kout=80%)"
         );
         assert_eq!(CachePolicyKind::Arc.describe(), "arc");
+    }
+
+    /// One side of the purity check below: a policy and the engine's view
+    /// of it, each resident block's node handle and label.
+    struct Side {
+        policy: ShardPolicy,
+        slots: std::collections::HashMap<BlockAddr, (u32, CachePriority)>,
+    }
+
+    impl Side {
+        /// The victim for a write-buffer insert, which every policy may
+        /// displace anything for, retired as the engine would.
+        fn evict(&mut self) -> Option<BlockAddr> {
+            let req = PolicyRequest {
+                direction: Direction::Write,
+                class: RequestClass::Update,
+                qos: QosPolicy::WriteBuffer,
+                prio: CachePriority(0),
+            };
+            let victim = self.policy.pop_victim(BlockAddr(u64::MAX), &req)?;
+            let (node, group) = self.slots.remove(&victim).expect("victim is resident");
+            self.policy
+                .on_remove(victim, node, group, RemoveReason::Evict);
+            Some(victim)
+        }
+    }
+
+    /// `prefetch_hit` is a pure hint for every kind: one of two twins is
+    /// handed every node handle either has ever issued — live ones,
+    /// retired ones whose nodes were recycled since, and `NO_NODE` — at
+    /// both stages after every event, and the twins still name the same
+    /// victim after every event and evict in the same order at the end,
+    /// which runs through every list from its LRU end to its MRU end. The
+    /// hinted twin passes its own `check()` after every event.
+    #[test]
+    fn prefetch_hit_changes_no_victim_and_no_list_order() {
+        let config = PolicyConfig::paper_default();
+        let shapes = [
+            (
+                Direction::Read,
+                RequestClass::Random,
+                QosPolicy::priority(2),
+            ),
+            (
+                Direction::Read,
+                RequestClass::Random,
+                QosPolicy::priority(4),
+            ),
+            (
+                Direction::Write,
+                RequestClass::Random,
+                QosPolicy::priority(3),
+            ),
+            (
+                Direction::Read,
+                RequestClass::TemporaryData,
+                QosPolicy::priority(1),
+            ),
+            (
+                Direction::Write,
+                RequestClass::Update,
+                QosPolicy::WriteBuffer,
+            ),
+        ]
+        .map(|(direction, class, qos)| PolicyRequest {
+            direction,
+            class,
+            qos,
+            prio: config.resolve(qos),
+        });
+        for kind in CachePolicyKind::all() {
+            let side = || Side {
+                policy: kind.build(&config, 16),
+                slots: Default::default(),
+            };
+            let (mut hinted, mut plain) = (side(), side());
+            let mut handles = std::collections::BTreeSet::from([crate::table::NO_NODE]);
+            let mut rng = 0x2545_F491_4F6C_DD1Du64;
+            for step in 0..3_000 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let lbn = BlockAddr(rng % 40);
+                let req = &shapes[(rng >> 8) as usize % shapes.len()];
+                for side in [&mut hinted, &mut plain] {
+                    match side.slots.get(&lbn).copied() {
+                        Some((node, group)) if (rng >> 16) % 6 == 0 => {
+                            side.slots.remove(&lbn);
+                            side.policy.on_remove(lbn, node, group, RemoveReason::Trim);
+                        }
+                        Some((node, group)) => {
+                            if let HitOutcome::Moved(new) =
+                                side.policy.on_hit(lbn, node, group, req)
+                            {
+                                side.slots.insert(lbn, (node, new));
+                            }
+                        }
+                        None => {
+                            if !side.policy.admits(req)
+                                || side.slots.len() == 16 && side.evict().is_none()
+                            {
+                                continue;
+                            }
+                            let (group, node) = side.policy.on_insert(lbn, req);
+                            side.slots.insert(lbn, (node, group));
+                        }
+                    }
+                }
+                handles.extend(hinted.slots.values().map(|&(node, _)| node));
+                for &node in &handles {
+                    hinted.policy.prefetch_hit(node, false);
+                    hinted.policy.prefetch_hit(node, true);
+                }
+                let victim = |side: &mut Side| side.policy.pop_victim(BlockAddr(u64::MAX), req);
+                assert_eq!(
+                    victim(&mut hinted),
+                    victim(&mut plain),
+                    "{kind}, step {step}"
+                );
+                assert_eq!(hinted.policy.check(), Ok(()), "{kind}, step {step}");
+            }
+            let drain = |side: &mut Side| std::iter::from_fn(|| side.evict()).collect::<Vec<_>>();
+            let order = drain(&mut plain);
+            assert!(
+                order.len() > 8,
+                "{kind}: only {} blocks resident",
+                order.len()
+            );
+            assert_eq!(drain(&mut hinted), order, "{kind}");
+            assert!(hinted.slots.is_empty() && plain.slots.is_empty(), "{kind}");
+        }
     }
 
     #[test]

@@ -380,6 +380,15 @@ impl CachePolicy for PerStreamPolicy {
             .all(|inner| inner.repeat_hit_idempotent())
     }
 
+    // The owner bits name the inner whose node it is; a handle whose bits
+    // name no inner (a stale one, or `NO_NODE`) is ignored.
+    fn prefetch_hit(&self, node: u32, neighbours: bool) {
+        let (idx, inner) = Self::unpack(node);
+        if let Some(owner) = self.inners.get(idx) {
+            owner.prefetch_hit(inner, neighbours);
+        }
+    }
+
     fn pop_victim(&mut self, incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr> {
         // The stream's own inner chooses first. If it *has* residents and
         // still declines (the semantic policy refusing to displace

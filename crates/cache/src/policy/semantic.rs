@@ -92,6 +92,10 @@ impl CachePolicy for SemanticPriorityPolicy {
         true
     }
 
+    fn prefetch_hit(&self, node: u32, neighbours: bool) {
+        self.groups.prefetch(node, neighbours);
+    }
+
     fn pop_victim(&mut self, _incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr> {
         // Selective allocation: admit only if some resident block has an
         // equal or lower priority (a numerically >= priority value). The

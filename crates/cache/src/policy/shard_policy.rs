@@ -85,6 +85,11 @@ impl CachePolicy for ShardPolicy {
     }
 
     #[inline]
+    fn prefetch_hit(&self, node: u32, neighbours: bool) {
+        dispatch!(self, p => p.prefetch_hit(node, neighbours))
+    }
+
+    #[inline]
     fn pop_victim(&mut self, incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr> {
         dispatch!(self, p => p.pop_victim(incoming, req))
     }
@@ -167,6 +172,9 @@ mod tests {
             self.log("is_inert");
             true
         }
+        fn prefetch_hit(&self, _: u32, _: bool) {
+            self.log("prefetch_hit");
+        }
         fn pop_victim(&mut self, _: BlockAddr, _: &PolicyRequest) -> Option<BlockAddr> {
             self.log("pop_victim");
             Some(BlockAddr(1))
@@ -242,6 +250,8 @@ mod tests {
         called("repeat_hit_idempotent");
         assert!(shard.is_inert(&req));
         called("is_inert");
+        shard.prefetch_hit(0, true);
+        called("prefetch_hit");
         assert_eq!(shard.pop_victim(lbn, &req), Some(BlockAddr(1)));
         called("pop_victim");
         assert_eq!(shard.steal_victim(&req), Some(BlockAddr(2)));
@@ -315,6 +325,9 @@ mod tests {
                 policy.repeat_hit_idempotent(),
                 policy.check(),
             ));
+            if let Some(&(node, _)) = slots.get(&lbn) {
+                policy.prefetch_hit(node, rng & 1 == 0);
+            }
             match ((rng >> 16) % 16, slots.get(&lbn).copied()) {
                 (0, Some((node, group))) => {
                     slots.remove(&lbn);

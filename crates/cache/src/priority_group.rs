@@ -75,6 +75,13 @@ impl PriorityGroups {
         self.groups[prio.0 as usize].move_front(&mut self.arena, node);
     }
 
+    /// Starts loading the node at `node`, or its list neighbours (see
+    /// [`ListArena::prefetch`]). Changes nothing.
+    #[inline]
+    pub fn prefetch(&self, node: u32, neighbours: bool) {
+        self.arena.prefetch(node, neighbours);
+    }
+
     /// Removes the block at `node` from the group for `prio`.
     #[inline]
     pub fn remove(&mut self, node: u32, prio: CachePriority) {
