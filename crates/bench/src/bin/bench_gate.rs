@@ -46,7 +46,7 @@ use hstorage_bench::workload::{
     bench_storage, contended_hot_reads, drive, mixed_policy_run, random_read, scan_read,
     service_latency_percentiles, warmed_cache, HOT_READS, QUEUE_DEPTH, TOTAL_SUBMITS,
 };
-use hstorage_cache::{CachePolicyKind, HybridCache, StorageSystem};
+use hstorage_cache::{CacheEngine, CachePolicyKind, StorageSystem};
 
 /// A metric fails when it drops below this fraction of the baseline.
 const REGRESSION_FLOOR: f64 = 0.75;
@@ -65,7 +65,7 @@ struct Measurement {
 /// deterministic, so it is a bit-stable regression guard for the storage
 /// timing model and the merge pipeline.
 fn sim_scan_seconds(queue_depth: usize) -> f64 {
-    let cache = HybridCache::new(&bench_storage(queue_depth));
+    let cache = CacheEngine::new(&bench_storage(queue_depth));
     drive(&cache, 64, scan_read);
     cache.now().as_secs_f64()
 }
@@ -73,7 +73,7 @@ fn sim_scan_seconds(queue_depth: usize) -> f64 {
 /// Deterministic simulated seconds for the random-shaped workload — guards
 /// the cache-management and random-service paths the scan metric misses.
 fn sim_random_seconds() -> f64 {
-    let cache = HybridCache::new(&bench_storage(QUEUE_DEPTH));
+    let cache = CacheEngine::new(&bench_storage(QUEUE_DEPTH));
     drive(&cache, 64, random_read);
     cache.now().as_secs_f64()
 }

@@ -27,7 +27,7 @@ pub fn report_concurrency_scale() -> TpchScale {
 /// shapes, cache construction and drive loops.
 pub mod workload {
     use hstorage_cache::{
-        CachePolicyKind, HybridCache, StorageConfig, StorageConfigKind, StorageSystem,
+        CacheEngine, CachePolicyKind, StorageConfig, StorageConfigKind, StorageSystem,
     };
     use hstorage_engine::{
         run_streams_service, Access, Catalog, ConcurrencyRegistry, ExecutorConfig, ObjectKind,
@@ -152,8 +152,8 @@ pub mod workload {
     /// shard's optimistic hit descriptor is armed (second pass hits), so
     /// every subsequent [`hot_read`] is a cache hit. Statistics are reset
     /// after warm-up.
-    pub fn warmed_cache() -> HybridCache {
-        let cache = HybridCache::new(&bench_storage(1));
+    pub fn warmed_cache() -> CacheEngine {
+        let cache = CacheEngine::new(&bench_storage(1));
         for _ in 0..2 {
             for b in 0..HOT_SET {
                 cache.submit(hot_read(b * 16));
@@ -165,7 +165,7 @@ pub mod workload {
 
     /// Drives `reads` hot reads of the [`hot_read`] schedule through
     /// `cache` on the calling thread.
-    pub fn contended_hot_reads(cache: &HybridCache, reads: u64) {
+    pub fn contended_hot_reads(cache: &CacheEngine, reads: u64) {
         for i in 0..reads {
             cache.submit(hot_read(i));
         }
@@ -183,7 +183,7 @@ pub mod workload {
     /// Drives [`TOTAL_SUBMITS`] requests of the given shape through `cache`
     /// in `batch`-sized vectored submissions (batch 1 degenerates to the
     /// per-request `submit` path).
-    pub fn drive(cache: &HybridCache, batch: usize, make: impl Fn(u64) -> ClassifiedRequest) {
+    pub fn drive(cache: &CacheEngine, batch: usize, make: impl Fn(u64) -> ClassifiedRequest) {
         let mut buf = Vec::with_capacity(batch);
         for i in 0..TOTAL_SUBMITS {
             buf.push(make(i));
@@ -284,7 +284,7 @@ pub mod workload {
     /// deterministic figures the CI gate tracks per policy: simulated
     /// device seconds and the overall cache hit ratio.
     pub fn mixed_policy_run(kind: CachePolicyKind) -> (f64, f64) {
-        let cache = HybridCache::new(&bench_storage(QUEUE_DEPTH).with_cache_policy(kind));
+        let cache = CacheEngine::new(&bench_storage(QUEUE_DEPTH).with_cache_policy(kind));
         drive(&cache, 64, mixed_request);
         let totals = cache.stats().totals();
         let hit_ratio = if totals.accessed_blocks == 0 {

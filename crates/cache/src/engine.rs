@@ -982,7 +982,7 @@ impl Shard {
 /// whose admission/eviction/promotion decisions come from a pluggable
 /// [`CachePolicy`], built from a [`StorageConfig`] by [`CacheEngine::new`].
 /// With the default [`CachePolicyKind::SemanticPriority`] this **is** the
-/// paper's hStorage-DB cache (the [`crate::HybridCache`] alias); with
+/// paper's hStorage-DB cache; with
 /// [`CachePolicyKind::Lru`] / [`CachePolicyKind::Cflru`] /
 /// [`CachePolicyKind::TwoQ`] the same shards, devices and submission
 /// pipeline serve the classical baselines.
@@ -1204,7 +1204,9 @@ impl CacheEngine {
     /// * a `Some` hot-hit descriptor names a resident block, and a `None`
     ///   has no repeat hits tallied against it;
     /// * the write-buffer occupancy equals the number of resident blocks
-    ///   whose priority the policy write-buffers.
+    ///   whose priority the policy write-buffers;
+    /// * no block queued for promotion is resident (the `pending_promote`
+    ///   clause written down in [`crate::migration`]).
     ///
     /// Reads every slot, residency page and policy node: for tests, not
     /// for a hot path.
@@ -1246,6 +1248,17 @@ impl CacheEngine {
             if occupancy != buffered {
                 return Err(format!(
                     "shard {i}: write-buffer occupancy {occupancy}, but {buffered} resident blocks are write-buffered"
+                ));
+            }
+            let queued = st.migration.as_ref().and_then(|mig| {
+                mig.pending_promote
+                    .iter()
+                    .find(|&&lbn| st.meta.contains(lbn))
+            });
+            if let Some(lbn) = queued {
+                return Err(format!(
+                    "shard {i}: block {} is queued for promotion but resident",
+                    lbn.0
                 ));
             }
         }
@@ -1937,17 +1950,21 @@ mod tests {
     }
 
     /// `audit()` names a hot descriptor on a block that is not resident, a
-    /// repeat-hit tally with no descriptor, and a write-buffer occupancy
-    /// that disagrees with the resident blocks. No sequence of public
-    /// calls reaches these states, so each is set up under the shard lock.
+    /// repeat-hit tally with no descriptor, a write-buffer occupancy that
+    /// disagrees with the resident blocks, and a resident block queued for
+    /// promotion. No sequence of public calls reaches these states, so
+    /// each is set up under the shard lock.
     #[test]
     fn audit_names_a_stale_hot_descriptor_and_a_drifted_write_buffer() {
         for clause in [
             "not resident",
             "tallied against no descriptor",
             "write-buffer occupancy",
+            "queued for promotion",
         ] {
-            let c = engine(CachePolicyKind::SemanticPriority, 16);
+            let c = CacheEngine::new(
+                &config(CachePolicyKind::SemanticPriority, 16).with_migration(eager_migration(4)),
+            );
             let hit = read_req(3, 1, RequestClass::Random, QosPolicy::priority(2));
             c.submit(hit);
             c.submit(hit);
@@ -1965,6 +1982,10 @@ mod tests {
                 "tallied against no descriptor" => {
                     st.hot = None;
                     st.fast_hits = 2;
+                }
+                "queued for promotion" => {
+                    let mig = st.migration.as_mut().expect("migration is on");
+                    mig.pending_promote.insert(BlockAddr(3));
                 }
                 _ => {
                     shard.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
@@ -2853,6 +2874,7 @@ mod tests {
         assert_eq!(c.resident_blocks(), 4);
         assert!(!c.contains_block(BlockAddr(100)));
         let stats = c.migrate_idle();
+        c.audit().unwrap();
         // One round: all four heat-3 absents displace all four heat-1
         // residents.
         assert_eq!(stats.rounds, 1);
@@ -2900,6 +2922,7 @@ mod tests {
         // Two of the four slots free up.
         c.trim(&TrimCommand::single(BlockRange::new(0u64, 2)));
         let stats = c.migrate_idle();
+        c.audit().unwrap();
         assert_eq!((stats.promoted, stats.demoted), (2, 0));
         assert_eq!(c.resident_blocks(), 4);
         assert!(c.contains_block(BlockAddr(100)) && c.contains_block(BlockAddr(101)));
@@ -2919,6 +2942,7 @@ mod tests {
             QosPolicy::priority(3),
         ));
         let stats = c.migrate_idle();
+        c.audit().unwrap();
         // Equal heat (1 vs 1) is churn without gain: nothing moves.
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.migrated(), 0);
@@ -2952,12 +2976,14 @@ mod tests {
             }
         }
         let stats = c.migrate_idle();
+        c.audit().unwrap();
         assert_eq!(stats.promoted, 1);
         assert!(c.contains_block(BlockAddr(100)), "hotter tiebreak first");
         assert!(!c.contains_block(BlockAddr(101)), "queued, not promoted");
         // The queued candidate's lifetime ends before the next round.
         c.trim(&TrimCommand::new(vec![BlockRange::new(101u64, 1)]));
         let stats = c.migrate_idle();
+        c.audit().unwrap();
         assert!(stats.trim_cancellations >= 1, "queue entry cancelled");
         assert!(
             !c.contains_block(BlockAddr(101)),
@@ -2992,6 +3018,7 @@ mod tests {
             }
         }
         let stats = c.migrate_idle();
+        c.audit().unwrap();
         assert_eq!(stats.demoted, 1);
         // Block 1 is now queued for demotion; a foreground hit proves it
         // hot again and cancels the queue entry.

@@ -1,10 +1,7 @@
-//! The hStorage-DB hybrid cache (Section 5): the paper's configuration of
-//! the pluggable cache engine.
-//!
-//! Since the mechanism/policy split, [`HybridCache`] is the
-//! [`CacheEngine`] running its default
-//! [`SemanticPriorityPolicy`](crate::policy::SemanticPriorityPolicy):
-//! an SSD works as a cache for an HDD, and admission and eviction are
+//! The behavioural specification of the hStorage-DB hybrid cache
+//! (Section 5): the [`CacheEngine`](crate::CacheEngine) running its
+//! default [`SemanticPriorityPolicy`](crate::policy::SemanticPriorityPolicy),
+//! an SSD working as a cache for an HDD, with admission and eviction
 //! driven by the caching priority each request carries:
 //!
 //! * **Selective allocation** — only blocks whose priority is below the
@@ -14,22 +11,13 @@
 //! * **Selective eviction** — the victim is the least-recently-used block of
 //!   the lowest-priority non-empty group.
 //!
-//! The unit tests in this module are the behavioural specification the
-//! refactor was carried out against: they encode the exact statistics and
-//! device traffic of the pre-framework implementation and must keep
-//! passing unchanged for any change to the engine or the semantic policy.
+//! The tests encode the exact statistics and device traffic of the
+//! pre-framework implementation and must keep passing unchanged for any
+//! change to the engine or the semantic policy.
 
-use crate::engine::CacheEngine;
-
-/// The paper's hybrid SSD-over-HDD storage system managed by caching
-/// priorities — the cache engine with the semantic priority policy (its
-/// default), built like any engine by [`CacheEngine::new`].
-pub type HybridCache = CacheEngine;
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::{StorageConfig, StorageConfigKind};
+    use crate::engine::CacheEngine;
     use crate::stats::CacheAction;
     use crate::system::StorageSystem;
     use hstorage_storage::{
@@ -41,8 +29,8 @@ mod tests {
         StorageConfig::new(StorageConfigKind::HStorageDb, capacity)
     }
 
-    fn cache(capacity: u64) -> HybridCache {
-        HybridCache::new(&config(capacity))
+    fn cache(capacity: u64) -> CacheEngine {
+        CacheEngine::new(&config(capacity))
     }
 
     fn read_req(start: u64, len: u64, class: RequestClass, policy: QosPolicy) -> ClassifiedRequest {
@@ -412,7 +400,7 @@ mod tests {
 
     #[test]
     fn sharded_cache_respects_per_shard_capacity_split() {
-        let c = HybridCache::new(&config(10).with_shards(4));
+        let c = CacheEngine::new(&config(10).with_shards(4));
         assert_eq!(c.shard_count(), 4);
         // Capacity 10 over 4 shards: 3 + 3 + 2 + 2 slots.
         for i in 0..100u64 {
@@ -427,7 +415,7 @@ mod tests {
         // walk the shards in cyclic order, so holding one shard's lock
         // while acquiring the next deadlocks once every shard has a
         // waiter. Each thread mixes all three kinds of walk.
-        let c = HybridCache::new(&config(4_096).with_shards(8));
+        let c = CacheEngine::new(&config(4_096).with_shards(8));
         let req =
             |t: u64, i: u64| read_req(t + i * 16, 16, RequestClass::Random, QosPolicy::priority(2));
         std::thread::scope(|s| {
@@ -478,7 +466,7 @@ mod tests {
         // 64 adjacent sequential single-block reads bypass the cache
         // (NonCachingNonEviction misses) and reach the HDD. With queue
         // depth 8 the batched path issues 8 merged transfers instead of 64.
-        let merged = HybridCache::new(&config(1_000).with_queue_depth(8));
+        let merged = CacheEngine::new(&config(1_000).with_queue_depth(8));
         let unmerged = cache(1_000);
         let reqs: Vec<ClassifiedRequest> = (0..64u64)
             .map(|i| {
@@ -548,7 +536,7 @@ mod tests {
 
     #[test]
     fn concurrent_submits_from_many_threads_are_fully_accounted() {
-        let c = HybridCache::new(&config(4_096).with_shards(8));
+        let c = CacheEngine::new(&config(4_096).with_shards(8));
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let c = &c;

@@ -10,8 +10,8 @@
 //! * **SSD-only** — the ideal case, everything served by the SSD ([`passthrough`]),
 //! * **LRU** — the SSD cache managed by a classification-blind LRU
 //!   ([`lru_cache`]),
-//! * **hStorage-DB** — the SSD cache managed by the priority mechanism
-//!   ([`hybrid`]).
+//! * **hStorage-DB** — the SSD cache managed by the priority mechanism: the
+//!   [`engine`] with its default [`policy::SemanticPriorityPolicy`].
 //!
 //! All four implement the [`StorageSystem`] trait so the query engine can
 //! drive them interchangeably.
@@ -38,10 +38,12 @@
 pub mod arena;
 pub mod config;
 pub mod engine;
-pub mod hybrid;
+#[cfg(test)]
+mod hybrid;
 pub mod journal;
 pub mod lru_cache;
 pub mod migration;
+pub mod paged;
 pub mod passthrough;
 pub mod policy;
 pub mod priority_group;
@@ -54,10 +56,10 @@ pub mod table;
 pub use arena::{ListArena, ListHandle};
 pub use config::{StorageConfig, StorageConfigKind};
 pub use engine::CacheEngine;
-pub use hybrid::HybridCache;
 pub use journal::{Journal, JournalConfig, JournalOp, JournalRecord, JournalSnapshot};
 pub use lru_cache::LruCache;
 pub use migration::{HeatTracker, MigrationConfig, MigrationStats};
+pub use paged::PagedArray;
 pub use passthrough::Passthrough;
 pub use policy::{
     CachePolicy, CachePolicyKind, HitOutcome, PolicyRequest, RemoveReason, StreamPolicyKind,

@@ -361,10 +361,19 @@ pub(crate) struct ShardMigration {
     /// Absent blocks queued for promotion by the last round (candidates
     /// beyond the round budget). A foreground admitted miss resolves one
     /// lazily; a TRIM cancels it.
+    ///
+    /// Never names a resident block: a block enters only while absent,
+    /// and both paths that make a block resident take it out first —
+    /// `place_block`'s [`Self::note_insert`] and the round's `promote`.
+    /// `CacheEngine::audit` checks this.
     pub(crate) pending_promote: HashSet<BlockAddr>,
     /// Resident blocks queued for demotion by the last round. A
     /// foreground hit cancels one (the block is still hot); a TRIM
     /// removes it together with the block.
+    ///
+    /// May name a block evicted since the last round — an eviction does
+    /// not consult the queue — until the next round's `retain` prunes
+    /// the blocks that are no longer resident.
     pub(crate) pending_demote: HashSet<BlockAddr>,
     /// Rounds run on this shard (drives the decay cadence).
     pub(crate) rounds: u64,

@@ -20,7 +20,7 @@ use hstorage_storage::{BlockAddr, CachePriority, PolicyConfig, QosPolicy};
 ///   to the evict-first group; "non-caching and non-eviction" leaves the
 ///   layout untouched.
 ///
-/// This is the exact decision logic the pre-framework `HybridCache`
+/// This is the exact decision logic the pre-framework hybrid cache
 /// hard-coded; the equivalence suites assert bit-identical statistics and
 /// simulated device timing.
 pub struct SemanticPriorityPolicy {

@@ -24,7 +24,8 @@ use std::time::Duration;
 /// serve classified requests from concurrent callers.
 ///
 /// Implementations:
-/// * [`crate::hybrid::HybridCache`] — the hStorage-DB priority cache,
+/// * [`crate::CacheEngine`] — the hStorage-DB priority cache (its default
+///   policy) and the same engine under the classical policies,
 /// * [`crate::lru_cache::LruCache`] — classification-blind LRU cache,
 /// * [`crate::passthrough::Passthrough`] — the HDD-only and SSD-only
 ///   single-device baselines.

@@ -49,18 +49,11 @@
 //!   residency word, so a miss that will allocate overlaps that load
 //!   with its victim's eviction;
 //! * a **residency bitmap** in a [`BlockTable`]: one bit per local
-//!   address, in direct-indexed **pages** of 512 `u64` words (4 KiB, so
-//!   32,768 local addresses a page) found through a small page directory
-//!   (a plain [`OpenMap`] keyed `local >> 15`). A page exists while its
-//!   range holds a resident block: it keeps a count of its set bits, and
-//!   the removal that zeroes the count moves it from the directory to a
-//!   free list the next new page is taken from, so the steady state
-//!   neither allocates nor frees. The bitmap thus takes at most one 4 KiB
-//!   page per block resident at the high-water mark — that bound is
-//!   reached only by blocks scattered 32,768 local addresses apart — and
-//!   a few pages a shard on a workload whose blocks cluster. It answers a
-//!   run of a shard's blocks a word at a time, one directory lookup per
-//!   page the run crosses — how many are resident and which is last
+//!   address, one `u64` word per 64, kept in a [`PagedArray`] — 4 KiB
+//!   pages of 512 words (32,768 local addresses), each existing while its
+//!   range holds a resident block, behind a small page directory. It
+//!   answers a run of a shard's blocks a word at a time, by the array's
+//!   range walk — how many are resident and which is last
 //!   ([`BlockTable::resident_in`]), how many absent ones lead
 //!   ([`BlockTable::absent_prefix`]) — with no probe of the slots. An
 //!   insertion of a fresh block and a removal update one word; a removal
@@ -72,6 +65,7 @@
 //! reaches both the metadata and the block's place in its policy's lists
 //! — the table is the only address index of resident blocks.
 
+use crate::paged::PagedArray;
 use hstorage_storage::{BlockAddr, CachePriority};
 
 /// State of a valid cached block.
@@ -115,16 +109,6 @@ const BLOCK_GROUP_BITS: u32 = 2;
 
 /// `log2` of the local addresses one [`BlockTable`] residency word covers.
 const EXTENT_BITS: u32 = 6;
-
-/// `log2` of the local addresses one residency page covers.
-const PAGE_BITS: u32 = 15;
-
-/// Residency words per page: 512, so a page is 4 KiB.
-const PAGE_WORDS: usize = 1 << (PAGE_BITS - EXTENT_BITS);
-
-/// One residency page: bit `l % 64` of word `(l >> 6) % 512` stands for
-/// local address `l` of the page's range.
-type ResidencyPage = [u64; PAGE_WORDS];
 
 /// Control bytes one probe step matches at once. The first this many
 /// control bytes are mirrored after the last slot's, so a group read at
@@ -915,46 +899,27 @@ impl Default for TableSlot {
 /// The shard-metadata table `lbn → (CacheEntry, node)` on the flat
 /// [`OpenMap`] engine, grouped by the shard's stride, with a residency
 /// bitmap over the shard's local addresses (`lbn / stride`) in
-/// direct-indexed pages, which answers range queries 64 blocks a word.
+/// a [`PagedArray`], which answers range queries 64 blocks a word.
 /// Every key of one table must be congruent modulo the stride, as one
 /// engine shard's blocks are. Iteration order is unspecified (every
 /// engine consumer sorts or counts).
 #[derive(Debug, Clone)]
 pub struct BlockTable {
     map: OpenMap<TableSlot, BLOCK_GROUP_BITS>,
-    /// `local >> PAGE_BITS` → the number of that range's page in `pages`,
-    /// for exactly the ranges that hold a resident block.
-    directory: OpenMap<u32>,
-    /// Every residency page ever allocated, in use or free. The bit of
-    /// local address `l` is set exactly while the block at `l` is
-    /// resident. Updated by [`Self::insert`] of a fresh key and
-    /// [`Self::remove`] of a present one, and by nothing else.
-    pages: Vec<Page>,
-    /// The pages out of the directory, all zero, handed out again before
-    /// a new one is allocated.
-    free: Vec<u32>,
+    /// Bit `l % 64` of word `l >> 6` is set exactly while the block at
+    /// local address `l` is resident. Updated by [`Self::insert`] of a
+    /// fresh key and [`Self::remove`] of a present one, and by nothing
+    /// else.
+    residency: PagedArray<u64>,
     /// The key stride: a block's local address is `lbn / stride`.
     stride: u64,
 }
 
-/// A residency page and the number of bits set in it.
-#[derive(Debug, Clone)]
-struct Page {
-    /// Each its own 4 KiB allocation, so adding a page never copies the
-    /// others.
-    words: Box<ResidencyPage>,
-    /// Set bits in `words`: zero exactly while the page is free.
-    count: u32,
-}
-
-/// Where local address `l`'s residency bit lies in its page: the word's
-/// index and the bit's mask.
+/// Where local address `l`'s residency bit lies: the word's index and
+/// the bit's mask.
 #[inline]
-fn bit_of(local: u64) -> (usize, u64) {
-    (
-        (local >> EXTENT_BITS) as usize % PAGE_WORDS,
-        1 << (local % 64),
-    )
+fn bit_of(local: u64) -> (u64, u64) {
+    (local >> EXTENT_BITS, 1 << (local % 64))
 }
 
 impl Default for BlockTable {
@@ -975,9 +940,7 @@ impl BlockTable {
     pub fn with_capacity(items: usize, stride: usize) -> Self {
         BlockTable {
             map: OpenMap::strided(items, stride),
-            directory: OpenMap::new(),
-            pages: Vec::new(),
-            free: Vec::new(),
+            residency: PagedArray::new(),
             stride: stride as u64,
         }
     }
@@ -992,56 +955,20 @@ impl BlockTable {
         }
     }
 
-    /// The page of the range `local` lies in, set up if the range has
-    /// none.
-    #[inline]
-    fn page_or_alloc(&mut self, local: u64) -> &mut Page {
-        let range = local >> PAGE_BITS;
-        let at = match self.directory.get(range) {
-            Some(&at) => at,
-            None => self.new_page(range),
-        };
-        &mut self.pages[at as usize]
-    }
-
-    /// Enters a zero page for `range` into the directory — one from the
-    /// free list, or a new allocation if the list is empty — and returns
-    /// its number.
-    #[cold]
-    fn new_page(&mut self, range: u64) -> u32 {
-        let at = self.free.pop().unwrap_or_else(|| {
-            self.pages.push(Page {
-                words: Box::new([0; PAGE_WORDS]),
-                count: 0,
-            });
-            u32::try_from(self.pages.len() - 1).expect("fewer than 2^32 residency pages")
-        });
-        self.directory.insert(range, at);
-        at
-    }
-
     /// The residency words over local addresses `lo..=hi`, in ascending
     /// order, each masked to the range and paired with the local address
-    /// of its bit 0: one directory lookup per page the range crosses. A
-    /// range with no page yields no words, so callers see only the words
-    /// that can hold a resident block.
+    /// of its bit 0, by [`PagedArray::range`]: a range with no page yields
+    /// no words, so callers see only the words that can hold a resident
+    /// block.
     #[inline]
     fn words(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
-        const SPAN: u64 = (1 << PAGE_BITS) - 1;
-        (lo >> PAGE_BITS..=hi >> PAGE_BITS)
-            .filter_map(move |range| {
-                let at = *self.directory.get(range)?;
-                Some((range << PAGE_BITS, &self.pages[at as usize].words))
-            })
-            .flat_map(move |(start, words)| {
-                let first = lo.max(start) - start;
-                let last = hi.min(start + SPAN) - start;
-                (first >> EXTENT_BITS..=last >> EXTENT_BITS).map(move |i| {
-                    let base = start + (i << EXTENT_BITS);
-                    let below = u64::MAX << (lo.max(base) - base);
-                    let above = u64::MAX >> (base + 63 - hi.min(base + 63));
-                    (base, words[i as usize] & below & above)
-                })
+        self.residency
+            .range(lo >> EXTENT_BITS, hi >> EXTENT_BITS)
+            .map(move |(i, word)| {
+                let base = i << EXTENT_BITS;
+                let below = u64::MAX << (lo.max(base) - base);
+                let above = u64::MAX >> (base + 63 - hi.min(base + 63));
+                (base, word & below & above)
             })
     }
 
@@ -1095,10 +1022,7 @@ impl BlockTable {
     /// Changes nothing.
     #[inline]
     pub fn prefetch_bit(&self, lbn: BlockAddr) {
-        let local = self.local(lbn.0);
-        if let Some(&at) = self.directory.get(local >> PAGE_BITS) {
-            prefetch_line(&self.pages[at as usize].words[bit_of(local).0]);
-        }
+        self.residency.prefetch(bit_of(self.local(lbn.0)).0);
     }
 
     /// Number of resident blocks.
@@ -1151,32 +1075,24 @@ impl BlockTable {
         if !fresh {
             return Some(old);
         }
-        let local = self.local(lbn.0);
-        let (word, bit) = bit_of(local);
-        let page = self.page_or_alloc(local);
-        page.words[word] |= bit;
-        page.count += 1;
+        let (word, bit) = bit_of(self.local(lbn.0));
+        self.residency.update(word, |w| *w |= bit);
         None
     }
 
     /// Removes a block, returning its slot. The block's residency bit is
     /// read first: a clear bit, or no page at all, answers `None` without
-    /// probing the slots. A page whose last bit this clears goes back on
-    /// the free list.
+    /// probing the slots.
     #[inline]
     pub fn remove(&mut self, lbn: BlockAddr) -> Option<TableSlot> {
-        let local = self.local(lbn.0);
-        let at = *self.directory.get(local >> PAGE_BITS)?;
-        let page = &mut self.pages[at as usize];
-        let (word, bit) = bit_of(local);
-        if page.words[word] & bit == 0 {
+        let (word, bit) = bit_of(self.local(lbn.0));
+        let resident = self.residency.update(word, |w| {
+            let set = *w & bit != 0;
+            *w &= !bit;
+            set
+        });
+        if !resident {
             return None;
-        }
-        page.words[word] &= !bit;
-        page.count -= 1;
-        if page.count == 0 {
-            self.directory.remove(local >> PAGE_BITS);
-            self.free.push(at);
         }
         let slot = self.map.remove(lbn.0);
         Some(slot.expect("a block whose residency bit is set has a slot"))
@@ -1187,24 +1103,15 @@ impl BlockTable {
         self.map.iter().map(|(key, slot)| (BlockAddr(key), slot))
     }
 
-    /// Number of residency pages in the directory.
-    #[cfg(test)]
-    fn pages_in_use(&self) -> usize {
-        self.directory.len()
-    }
-
     /// Checks the table against its own invariants and returns the first
     /// broken one:
     ///
-    /// * the slots and the page directory each pass [`OpenMap`]'s audit:
-    ///   every control byte is `EMPTY`, `DELETED` or its key's tag, the
-    ///   mirror equals the first 16 bytes, a free slot holds a key whose
-    ///   home is elsewhere, every key is reached from its home before a
-    ///   group holding an `EMPTY`, and `len` and the growth budget match
-    ///   the control bytes;
-    /// * every page is either in the directory once or on the free list
-    ///   once; an in-use page's count equals its popcount and is not
-    ///   zero, and a free page is all zero;
+    /// * the slots pass [`OpenMap`]'s audit: every control byte is
+    ///   `EMPTY`, `DELETED` or its key's tag, the mirror equals the first
+    ///   16 bytes, a free slot holds a key whose home is elsewhere, every
+    ///   key is reached from its home before a group holding an `EMPTY`,
+    ///   and `len` and the growth budget match the control bytes;
+    /// * the residency pages pass [`PagedArray`]'s audit;
     /// * the residency popcount equals `len()`, and every resident
     ///   block's bit is set.
     ///
@@ -1212,37 +1119,12 @@ impl BlockTable {
     /// hot path.
     pub fn audit(&self) -> Result<(), String> {
         self.map.audit()?;
-        self.directory.audit()?;
-        let mut seen = vec![false; self.pages.len()];
-        let mut claim = |at: u32, what: &str| match seen.get_mut(at as usize) {
-            None => Err(format!("{what} names page {at} of {}", self.pages.len())),
-            Some(true) => Err(format!("page {at} is listed twice (last as {what})")),
-            Some(unseen) => {
-                *unseen = true;
-                Ok(&self.pages[at as usize])
-            }
-        };
-        let mut bits = 0;
-        for (range, &at) in self.directory.iter() {
-            let page = claim(at, "in use")?;
-            let set: u32 = page.words.iter().map(|w| w.count_ones()).sum();
-            if page.count != set || set == 0 {
-                return Err(format!(
-                    "page {at} (range {range}) counts {} set bits and holds {set}",
-                    page.count
-                ));
-            }
-            bits += set as usize;
-        }
-        for &at in &self.free {
-            let page = claim(at, "free")?;
-            if page.count != 0 || page.words.iter().any(|&w| w != 0) {
-                return Err(format!("free page {at} has bits set"));
-            }
-        }
-        if let Some(at) = seen.iter().position(|&s| !s) {
-            return Err(format!("page {at} is neither in use nor free"));
-        }
+        self.residency.audit()?;
+        let bits: usize = self
+            .residency
+            .range(0, u64::MAX)
+            .map(|(_, word)| word.count_ones() as usize)
+            .sum();
         if bits != self.len() {
             return Err(format!(
                 "residency popcount {bits} disagrees with len {}",
@@ -1416,7 +1298,11 @@ mod tests {
             assert_eq!(t.resident_in(lbn, 1), (0, None), "stride {stride}");
             assert_eq!(t.absent_prefix(lbn, 1), 1, "stride {stride}: removed");
             t.audit().unwrap();
-            assert_eq!(t.pages_in_use(), 0, "stride {stride}: an empty page stays");
+            assert_eq!(
+                t.residency.pages_in_use(),
+                0,
+                "stride {stride}: an empty page stays"
+            );
         }
     }
 
@@ -2025,7 +1911,7 @@ mod tests {
             anchor in proptest::prelude::any::<u64>(),
         ) {
             use proptest::prelude::{prop_assert, prop_assert_eq};
-            const PAGE: u64 = 1 << PAGE_BITS;
+            const PAGE: u64 = 64 * PagedArray::<u64>::PAGE_LEN as u64;
             for stride in [1u64, 3, 8] {
                 let residue = residue % stride;
                 // The largest local address of the shard's blocks.
@@ -2045,7 +1931,7 @@ mod tests {
                 let contents = |t: &BlockTable| {
                     let mut keys: Vec<u64> = t.iter().map(|(b, _)| b.0).collect();
                     keys.sort_unstable();
-                    (keys, t.pages_in_use())
+                    (keys, t.residency.pages_in_use())
                 };
                 for &(kind, shape, small, pick) in &ops {
                     // Replacements and plain removals take a resident
@@ -2069,8 +1955,8 @@ mod tests {
                         }
                     }
                     prop_assert_eq!(t.audit(), Ok(()));
-                    let ranges: BTreeSet<u64> = model.iter().map(|l| l >> PAGE_BITS).collect();
-                    prop_assert_eq!(t.pages_in_use(), ranges.len(), "stride {}", stride);
+                    let ranges: BTreeSet<u64> = model.iter().map(|l| l / PAGE).collect();
+                    prop_assert_eq!(t.residency.pages_in_use(), ranges.len(), "stride {}", stride);
                     let windows = queries
                         .iter()
                         .map(|&(shape, small, k)| (local(shape, small), k))
@@ -2092,7 +1978,7 @@ mod tests {
                     prop_assert!(t.remove(lbn(l)).is_some());
                 }
                 prop_assert!(t.is_empty());
-                prop_assert_eq!(t.pages_in_use(), 0, "stride {}: pages of an empty table", stride);
+                prop_assert_eq!(t.residency.pages_in_use(), 0, "stride {}: pages of an empty table", stride);
                 prop_assert_eq!(t.audit(), Ok(()));
             }
         }

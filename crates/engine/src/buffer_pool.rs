@@ -13,37 +13,31 @@
 //! The pool is small next to the data (the paper's is ≈ 2 %), so nearly
 //! every random probe misses and pays for finding the block, admitting it
 //! and evicting the LRU block. The recency order is one intrusive list in
-//! a [`ListArena`]; the address index over it is a two-level radix index,
-//! not a hash table:
-//!
-//! * a **page directory** — an [`OpenMap`] from `block >> 10` to a page
-//!   number. It holds one entry per page ever touched, a few hundred on a
-//!   TPC-H run, so its probe stays in L1;
-//! * **pages** of 1,024 `u32` node indices, one per address of the page
-//!   ([`NIL`] = not resident), each its own 4 KiB allocation, so adding a
-//!   page never copies the others.
+//! a [`ListArena`]; the address index over it is a [`PagedArray`] of the
+//! blocks' list nodes, not a hash table: 4 KiB pages of 1,024 nodes
+//! behind a page directory that holds a few dozen pages on a TPC-H run,
+//! so its probe stays in L1.
 //!
 //! A miss costs two directory probes — the accessed block's page and the
-//! evicted block's page — plus plain array reads. A page is allocated the
-//! first time a cacheable access touches it and kept until
-//! [`BufferPool::clear`], so the index takes 4 B for every address of every
-//! page a cacheable access has touched (4 KiB a page), wherever in the
-//! `u64` address space the page lies.
+//! evicted block's page — plus plain array reads. A page exists while it
+//! holds a buffered block: the eviction or invalidation that empties it
+//! puts it on the array's free list, and the next new page is taken from
+//! there. So the index takes 4 KiB for each 1,024-address page holding a
+//! buffered block, wherever in the `u64` address space the page lies.
 
 use hstorage_cache::arena::{ListArena, ListHandle, NIL};
-use hstorage_cache::{prefetch_line, OpenMap};
+use hstorage_cache::PagedArray;
 use hstorage_storage::{BlockAddr, BlockRange};
 
-/// `log2` of the number of addresses one index page covers.
-const PAGE_BITS: u32 = 10;
+/// A block's list node in the index, or [`NIL`] (the default, so an empty
+/// entry) for a block that is not buffered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Node(u32);
 
-/// Node indices per index page.
-const PAGE_SLOTS: usize = 1 << PAGE_BITS;
-
-/// A block's offset within its page.
-#[inline]
-fn offset(block: u64) -> usize {
-    block as usize & (PAGE_SLOTS - 1)
+impl Default for Node {
+    fn default() -> Self {
+        Node(NIL)
+    }
 }
 
 /// A fixed-capacity LRU buffer pool.
@@ -53,11 +47,8 @@ pub struct BufferPool {
     arena: ListArena,
     /// Resident blocks, most recently used at the front.
     list: ListHandle,
-    /// `block >> PAGE_BITS` → the number of the block's page in `pages`.
-    directory: OpenMap<u32>,
-    /// The index pages: each entry is the list node of the block at that
-    /// page offset, or `NIL`.
-    pages: Vec<Box<[u32; PAGE_SLOTS]>>,
+    /// Each resident block's list node, indexed by its address.
+    index: PagedArray<Node>,
     hits: u64,
     misses: u64,
 }
@@ -70,8 +61,7 @@ impl BufferPool {
             capacity,
             arena: ListArena::new(),
             list: ListHandle::new(),
-            directory: OpenMap::new(),
-            pages: Vec::new(),
+            index: PagedArray::new(),
             hits: 0,
             misses: 0,
         }
@@ -97,63 +87,40 @@ impl BufferPool {
         self.misses
     }
 
-    /// Where `block`'s entry lies — its page's number in `pages` and its
-    /// offset there — if its page exists.
-    #[inline]
-    fn entry(&self, block: BlockAddr) -> Option<(usize, usize)> {
-        let page = *self.directory.get(block.0 >> PAGE_BITS)?;
-        Some((page as usize, offset(block.0)))
-    }
-
-    /// Where `block`'s entry lies, allocating its page (all `NIL`) on
-    /// first touch.
-    #[inline]
-    fn entry_or_alloc(&mut self, block: BlockAddr) -> (usize, usize) {
-        if let Some(at) = self.entry(block) {
-            return at;
-        }
-        let page = u32::try_from(self.pages.len()).expect("fewer than 2^32 index pages");
-        self.pages.push(Box::new([NIL; PAGE_SLOTS]));
-        self.directory.insert(block.0 >> PAGE_BITS, page);
-        (page as usize, offset(block.0))
-    }
-
     /// Accesses one block through the pool. Returns `true` on a pool hit
     /// (no storage I/O needed). On a miss the block is admitted unless
     /// `cacheable` is false (used for sequential scans).
     ///
-    /// A full pool drops its LRU block before admitting the new one — the
-    /// block an admission past capacity would drop, since the new block is
-    /// the MRU and capacity is at least 1 — so the freed list node is the
-    /// one the new block takes.
+    /// A miss that overfills the pool admits the block first and then
+    /// drops the LRU block — the block an admission past capacity drops,
+    /// since the new block is the MRU and capacity is at least 1. In that
+    /// order the eviction can never empty, and so free, the index page
+    /// the admitted block's entry lies on.
     pub fn access(&mut self, block: BlockAddr, cacheable: bool) -> bool {
         if self.capacity == 0 {
             self.misses += 1;
             return false;
         }
-        let (page, at) = if cacheable {
-            self.entry_or_alloc(block)
-        } else {
-            match self.entry(block) {
-                Some(at) => at,
-                None => {
-                    self.misses += 1;
-                    return false;
+        let node = if cacheable {
+            let (list, arena) = (&mut self.list, &mut self.arena);
+            self.index.update(block.0, |node| {
+                let found = *node;
+                if found == Node(NIL) {
+                    *node = Node(list.push_front(arena, block));
                 }
-            }
+                found
+            })
+        } else {
+            self.index.get(block.0)
         };
-        let node = self.pages[page][at];
-        if node != NIL {
-            self.list.move_front(&mut self.arena, node);
+        if node != Node(NIL) {
+            self.list.move_front(&mut self.arena, node.0);
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if cacheable {
-            if self.list.len() as u64 == self.capacity {
-                self.evict_lru();
-            }
-            self.pages[page][at] = self.list.push_front(&mut self.arena, block);
+        if self.list.len() as u64 > self.capacity {
+            self.evict_lru();
         }
         false
     }
@@ -164,9 +131,7 @@ impl BufferPool {
     /// or recency changes.
     #[inline]
     pub fn prefetch(&self, block: BlockAddr) {
-        if let Some((page, at)) = self.entry(block) {
-            prefetch_line(&self.pages[page][at]);
-        }
+        self.index.prefetch(block.0);
     }
 
     /// Drops the least recently used block and clears its index entry.
@@ -174,33 +139,28 @@ impl BufferPool {
         let victim = self
             .list
             .pop_back(&mut self.arena)
-            .expect("a full pool of capacity ≥ 1 has an LRU block");
-        let (page, at) = self
-            .entry(victim)
-            .expect("a resident block's page is in the directory");
-        self.pages[page][at] = NIL;
+            .expect("an overfull pool has an LRU block");
+        let node = self.index.update(victim.0, std::mem::take);
+        debug_assert_ne!(node, Node(NIL), "a resident block is indexed");
     }
 
     /// Drops a block from the pool (e.g. when an update overwrites it).
     /// Returns whether it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> bool {
-        let Some((page, at)) = self.entry(block) else {
-            return false;
-        };
-        let node = std::mem::replace(&mut self.pages[page][at], NIL);
-        if node == NIL {
+        let node = self.index.update(block.0, std::mem::take);
+        if node == Node(NIL) {
             return false;
         }
-        self.list.remove(&mut self.arena, node);
+        self.list.remove(&mut self.arena, node.0);
         true
     }
 
     /// Drops every resident block of `range` (e.g. a temporary file's,
-    /// when the file is deleted) and returns how many there were. Only the
-    /// pages the range overlaps are visited — and never more pages than
-    /// the directory holds, however long the range — so a range with no
-    /// touched page costs one directory probe per page, not one per block.
-    /// A range running past the top of the address space stops at
+    /// when the file is deleted) and returns how many there were, by the
+    /// index's range walk ([`PagedArray::update_range`]): only the pages
+    /// holding a buffered block of the range are visited, with never more
+    /// directory probes than pages in use, however long the range. A
+    /// range running past the top of the address space stops at
     /// `u64::MAX`.
     pub fn invalidate_range(&mut self, range: BlockRange) -> u64 {
         if range.is_empty() {
@@ -208,39 +168,14 @@ impl BufferPool {
         }
         let first = range.start.0;
         let last = first.saturating_add(range.len - 1);
-        let (first_page, last_page) = (first >> PAGE_BITS, last >> PAGE_BITS);
-        let BufferPool {
-            arena,
-            list,
-            directory,
-            pages,
-            ..
-        } = self;
+        let (list, arena) = (&mut self.list, &mut self.arena);
         let mut dropped = 0;
-        let mut drop_page = |page_no: u64, page: u32| {
-            let lo = if page_no == first_page { first } else { 0 };
-            let hi = if page_no == last_page { last } else { u64::MAX };
-            for entry in &mut pages[page as usize][offset(lo)..=offset(hi)] {
-                if *entry != NIL {
-                    list.remove(arena, *entry);
-                    *entry = NIL;
-                    dropped += 1;
-                }
+        self.index.update_range(first, last, |node| {
+            if *node != Node(NIL) {
+                list.remove(arena, std::mem::take(node).0);
+                dropped += 1;
             }
-        };
-        if last_page - first_page < directory.len() as u64 {
-            for page_no in first_page..=last_page {
-                if let Some(&page) = directory.get(page_no) {
-                    drop_page(page_no, page);
-                }
-            }
-        } else {
-            for (page_no, &page) in directory.iter() {
-                if (first_page..=last_page).contains(&page_no) {
-                    drop_page(page_no, page);
-                }
-            }
-        }
+        });
         dropped
     }
 
@@ -249,10 +184,10 @@ impl BufferPool {
         *self = BufferPool::new(self.capacity);
     }
 
-    /// Checks that the index and the list agree: every resident block's
-    /// entry names its node, every non-`NIL` entry names a resident node
-    /// holding that entry's address, each directory page is one allocated
-    /// page, and the pool is within capacity.
+    /// Checks that the index and the list agree: the index passes
+    /// [`PagedArray::audit`], every resident block's entry names its node,
+    /// every non-empty entry names a resident node holding that entry's
+    /// address, and the pool is within capacity.
     #[cfg(test)]
     fn audit(&self) -> Result<(), String> {
         if self.resident() > self.capacity {
@@ -262,17 +197,11 @@ impl BufferPool {
                 self.capacity
             ));
         }
-        if self.pages.len() != self.directory.len() {
-            return Err(format!(
-                "{} directory entries for {} allocated pages",
-                self.directory.len(),
-                self.pages.len()
-            ));
-        }
+        self.index.audit()?;
         for node in self.list.nodes_back(&self.arena) {
             let block = self.arena.key(node);
-            let indexed = self.entry(block).map(|(page, at)| self.pages[page][at]);
-            if indexed != Some(node) {
+            let indexed = self.index.get(block.0);
+            if indexed != Node(node) {
                 return Err(format!(
                     "resident block {} (node {node}) is indexed as {indexed:?}",
                     block.0
@@ -280,23 +209,21 @@ impl BufferPool {
             }
         }
         // With every resident node indexed at its own address, as many
-        // non-`NIL` entries as resident blocks leaves none for a dead node.
-        // Entries are read by position, not through `offset`, so a wrong
-        // offset there shows as an entry holding another address's node.
+        // non-empty entries as resident blocks leaves none for a dead node.
+        // The walk reads entries by position, not through `get`, so a
+        // wrong offset there shows as an entry holding another address's
+        // node.
         let mut entries = 0;
-        for (page_no, &page) in self.directory.iter() {
-            for (slot, &node) in (0u64..).zip(self.pages[page as usize].iter()) {
-                if node == NIL {
-                    continue;
-                }
-                entries += 1;
-                let block = page_no << PAGE_BITS | slot;
-                if self.arena.key(node).0 != block {
-                    return Err(format!(
-                        "entry of block {block} names node {node}, which holds block {}",
-                        self.arena.key(node).0
-                    ));
-                }
+        for (block, Node(node)) in self.index.range(0, u64::MAX) {
+            if node == NIL {
+                continue;
+            }
+            entries += 1;
+            if self.arena.key(node).0 != block {
+                return Err(format!(
+                    "entry of block {block} names node {node}, which holds block {}",
+                    self.arena.key(node).0
+                ));
             }
         }
         if entries != self.list.len() {
@@ -364,6 +291,30 @@ mod tests {
         assert_eq!(p.hits(), 0);
     }
 
+    /// An eviction that empties the page the admitted block's entry lies
+    /// on: the admission comes first, so the page stays in use; a page
+    /// the eviction does empty is freed, and its range comes back on the
+    /// next admission there.
+    #[test]
+    fn an_eviction_that_empties_the_admitted_blocks_page_keeps_it() {
+        let mut p = BufferPool::new(1);
+        p.access(BlockAddr(0), true);
+        assert!(!p.access(BlockAddr(1), true), "evicts 0 from the same page");
+        assert_eq!(p.audit(), Ok(()));
+        assert_eq!(p.index.pages_in_use(), 1);
+        assert!(p.access(BlockAddr(1), true));
+        assert!(!p.access(BlockAddr(1 << 20), true), "empties page 0");
+        assert_eq!(p.index.pages_in_use(), 1);
+        assert!(!p.access(BlockAddr(0), true), "page 0 again");
+        assert_eq!(p.audit(), Ok(()));
+        assert_eq!(p.index.pages_in_use(), 1);
+        assert_eq!(mru_order(&p), [0]);
+        assert_eq!((p.hits(), p.misses()), (1, 4));
+        assert!(p.invalidate(BlockAddr(0)));
+        assert_eq!(p.index.pages_in_use(), 0);
+        assert_eq!(p.audit(), Ok(()));
+    }
+
     /// The resident blocks, most recently used first.
     fn mru_order(pool: &BufferPool) -> Vec<u64> {
         pool.list.iter_front(&pool.arena).map(|b| b.0).collect()
@@ -409,7 +360,7 @@ mod tests {
             use std::collections::VecDeque;
             let mut pool = BufferPool::new(capacity);
             pool.prefetch(BlockAddr(KEYS[0]));
-            prop_assert_eq!(pool.pages.len(), 0);
+            prop_assert_eq!(pool.index.pages_in_use(), 0);
             let mut model: VecDeque<u64> = VecDeque::new();
             let (mut hits, mut misses) = (0u64, 0u64);
             for (op, a, b) in ops {
@@ -457,9 +408,9 @@ mod tests {
                         pool.clear();
                     }
                     _ => {
-                        let pages = pool.pages.len();
+                        let pages = pool.index.pages_in_use();
                         pool.prefetch(block);
-                        prop_assert_eq!(pool.pages.len(), pages);
+                        prop_assert_eq!(pool.index.pages_in_use(), pages);
                     }
                 }
                 prop_assert_eq!((pool.hits(), pool.misses()), (hits, misses));

@@ -637,7 +637,7 @@ mod tests {
     use super::*;
     use crate::catalog::ObjectKind;
     use crate::plan::{Access, OperatorKind, PlanNode};
-    use hstorage_cache::{HybridCache, StorageConfig, StorageConfigKind};
+    use hstorage_cache::{CacheEngine, StorageConfig, StorageConfigKind};
 
     fn small_catalog() -> (Catalog, crate::catalog::ObjectId, crate::catalog::ObjectId) {
         let mut cat = Catalog::new();
@@ -760,7 +760,7 @@ mod tests {
             ),
         );
         let mut exec = executor();
-        let hybrid = HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 10_000));
+        let hybrid = CacheEngine::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 10_000));
         let stats = exec.run_query(&plan, &mut cat, &hybrid);
         assert_eq!(stats.blocks(RequestClass::TemporaryData), 512); // write + read
         assert_eq!(stats.blocks(RequestClass::TemporaryDataTrim), 256);
@@ -779,7 +779,7 @@ mod tests {
             PlanNode::leaf(OperatorKind::Update, Access::Update { table, blocks: 50 }),
         );
         let mut exec = executor();
-        let hybrid = HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 10_000));
+        let hybrid = CacheEngine::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 10_000));
         let stats = exec.run_query(&plan, &mut cat, &hybrid);
         assert_eq!(stats.requests(RequestClass::Update), 50);
         let s = hybrid.stats();
@@ -828,7 +828,7 @@ mod tests {
         let plan = PlanTree::new("two-level", root);
 
         let mut exec = executor();
-        let hybrid = HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 10_000));
+        let hybrid = CacheEngine::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 10_000));
         exec.run_query(&plan, &mut cat, &hybrid);
         let s = hybrid.stats();
         assert!(s.priority(2).accessed_blocks > 0, "priority 2 traffic");

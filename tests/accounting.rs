@@ -8,7 +8,7 @@
 //! The stress test reads `HSTORAGE_STRESS_THREADS` (default 8) so the CI
 //! contention job can re-run it at 16 and 32 threads.
 
-use hstorage_cache::{CacheAction, CacheStats, HybridCache, MigrationConfig, StorageSystem};
+use hstorage_cache::{CacheAction, CacheEngine, CacheStats, MigrationConfig, StorageSystem};
 use hstorage_storage::{
     BlockRange, ClassifiedRequest, DeviceStats, Direction, HddDevice, HddParameters, IoRequest,
     PolicyConfig, QosPolicy, RequestClass, SimClock, SsdDevice, SsdParameters, StorageDevice,
@@ -29,7 +29,7 @@ enum Op {
 }
 
 impl Op {
-    fn apply(&self, engine: &HybridCache) {
+    fn apply(&self, engine: &CacheEngine) {
         match self {
             Op::Submit(req) => engine.submit(*req),
             Op::Batch(reqs) => engine.submit_batch(reqs.clone()),
@@ -121,7 +121,7 @@ fn folded_statistics_equal_a_locked_twin_after_every_operation() {
     for kind in common::matrix_kinds() {
         for migration in [MigrationConfig::off(), eager] {
             let build = || {
-                HybridCache::new(
+                CacheEngine::new(
                     &common::hstorage(64, 4)
                         .with_cache_policy(kind)
                         .with_migration(migration),
@@ -205,7 +205,7 @@ fn concurrent_submits_conserve_every_counter() {
     const SHARED: u64 = 256;
     const PER_THREAD: u64 = 4_000;
     let threads = common::stress_threads();
-    let engine = HybridCache::new(
+    let engine = CacheEngine::new(
         &common::hstorage(2 * (SHARED + threads * PER_THREAD), 8)
             .with_migration(common::matrix_migration()),
     );

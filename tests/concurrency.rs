@@ -3,7 +3,7 @@
 //! query-service driver, the deterministic slicer and plain single-query
 //! execution.
 
-use hstorage_cache::{CacheStats, HybridCache, StorageConfig, StorageConfigKind, StorageSystem};
+use hstorage_cache::{CacheEngine, CacheStats, StorageConfig, StorageConfigKind, StorageSystem};
 use hstorage_engine::{
     run_concurrent, run_streams_service, Access, Catalog, CompletedQuery, ConcurrencyRegistry,
     ExecutorConfig, ObjectKind, OperatorKind, PlanNode, PlanTree, QueryExecutor, ServiceConfig,
@@ -110,7 +110,7 @@ fn deterministic_trace() -> Vec<Event> {
     events
 }
 
-fn replay_on(cache: &HybridCache, events: &[Event]) -> CacheStats {
+fn replay_on(cache: &CacheEngine, events: &[Event]) -> CacheStats {
     for event in events {
         match event {
             Event::Req(req) => cache.submit(*req),
@@ -123,8 +123,8 @@ fn replay_on(cache: &HybridCache, events: &[Event]) -> CacheStats {
 #[test]
 fn sharded_and_unsharded_caches_agree_on_a_deterministic_trace() {
     let events = deterministic_trace();
-    let unsharded = HybridCache::new(&common::hstorage(4_096, 1));
-    let sharded = HybridCache::new(&common::hstorage(4_096, 8));
+    let unsharded = CacheEngine::new(&common::hstorage(4_096, 1));
+    let sharded = CacheEngine::new(&common::hstorage(4_096, 8));
     assert_eq!(unsharded.shard_count(), 1);
     assert_eq!(sharded.shard_count(), 8);
 
@@ -155,12 +155,12 @@ fn sharded_and_unsharded_engines_agree_under_every_policy() {
     let events = deterministic_trace();
     let migration = common::matrix_migration();
     for kind in common::matrix_kinds() {
-        let unsharded = HybridCache::new(
+        let unsharded = CacheEngine::new(
             &common::hstorage(4_096, 1)
                 .with_cache_policy(kind)
                 .with_migration(migration),
         );
-        let sharded = HybridCache::new(
+        let sharded = CacheEngine::new(
             &common::hstorage(4_096, 8)
                 .with_cache_policy(kind)
                 .with_migration(migration),
@@ -182,7 +182,7 @@ fn concurrent_threads_are_fully_accounted_under_every_policy() {
     // Four threads on disjoint address ranges: every policy must account
     // every access exactly once through the lock-striped engine.
     for kind in common::matrix_kinds() {
-        let cache = HybridCache::new(
+        let cache = CacheEngine::new(
             &common::hstorage(8_192, 8)
                 .with_cache_policy(kind)
                 .with_migration(common::matrix_migration()),
@@ -251,8 +251,8 @@ proptest! {
         trim_start in 0u64..400,
         do_trim in any::<bool>(),
     ) {
-        let unsharded = HybridCache::new(&common::hstorage(4_096, 1));
-        let sharded = HybridCache::new(&common::hstorage(4_096, 8));
+        let unsharded = CacheEngine::new(&common::hstorage(4_096, 1));
+        let sharded = CacheEngine::new(&common::hstorage(4_096, 8));
         for req in &requests {
             unsharded.submit(*req);
             sharded.submit(*req);
@@ -274,7 +274,7 @@ proptest! {
     ) {
         for kind in common::matrix_kinds() {
             let engine = |shards| {
-                HybridCache::new(
+                CacheEngine::new(
                     &common::hstorage(4_096, shards)
                         .with_cache_policy(kind)
                         .with_migration(common::matrix_migration()),
@@ -428,8 +428,8 @@ fn threaded_driver_serves_the_same_blocks_as_the_deterministic_slicer() {
         16,
     );
 
-    // Three service workers against one shared Arc<HybridCache>.
-    let shared: Arc<dyn StorageSystem> = Arc::new(HybridCache::new(
+    // Three service workers against one shared Arc<CacheEngine>.
+    let shared: Arc<dyn StorageSystem> = Arc::new(CacheEngine::new(
         &common::hstorage(5_000, 8).with_policy(policy),
     ));
     let threaded = run_on_service(no_pool_config(), 3, &streams, &cat, &shared);
@@ -519,7 +519,7 @@ fn concurrent_spilling_streams_use_disjoint_temp_blocks() {
             queries: vec![spill_plan()],
         },
     ];
-    let shared: Arc<dyn StorageSystem> = Arc::new(HybridCache::new(
+    let shared: Arc<dyn StorageSystem> = Arc::new(CacheEngine::new(
         &common::hstorage(5_000, 8).with_policy(policy),
     ));
     let completed = run_on_service(no_pool_config(), 2, &streams, &cat, &shared);
@@ -542,7 +542,7 @@ fn concurrent_spilling_streams_use_disjoint_temp_blocks() {
 fn concurrent_threads_never_lose_blocks_on_a_shared_cache() {
     // Raw storage-level stress: four threads hammer one sharded cache with
     // disjoint block ranges; every access must be accounted exactly once.
-    let cache = Arc::new(HybridCache::new(&common::hstorage(8_192, 8)));
+    let cache = Arc::new(CacheEngine::new(&common::hstorage(8_192, 8)));
     let per_thread = 2_000u64;
     std::thread::scope(|s| {
         for t in 0..4u64 {

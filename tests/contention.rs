@@ -6,7 +6,7 @@
 //! The stress test reads `HSTORAGE_STRESS_THREADS` (default 8) so the CI
 //! contention job can re-run it at 16 and 32 threads.
 
-use hstorage_cache::{CachePolicyKind, HybridCache, StorageSystem};
+use hstorage_cache::{CacheEngine, CachePolicyKind, StorageSystem};
 use hstorage_storage::{
     BlockAddr, BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass,
     TrimCommand,
@@ -21,7 +21,7 @@ mod common;
 
 /// `optimistic` with `kind`'s policies behind [`common::locked`], so every
 /// submission takes the full path.
-fn locked_twin(optimistic: HybridCache, kind: CachePolicyKind) -> HybridCache {
+fn locked_twin(optimistic: CacheEngine, kind: CachePolicyKind) -> CacheEngine {
     let config = PolicyConfig::paper_default();
     optimistic.with_policy_factory(kind.system_name(), common::locked(kind, &config))
 }
@@ -63,7 +63,7 @@ proptest! {
     ) {
         for kind in common::matrix_kinds() {
             let build = || {
-                HybridCache::new(
+                CacheEngine::new(
                     &common::hstorage(256, 8)
                         .with_cache_policy(kind)
                         .with_migration(common::matrix_migration()),
@@ -157,7 +157,7 @@ fn optimistic_reads_match_the_locked_path_for_every_policy() {
     // simulated time, residency and per-block state all agree with the
     // engine that sends every submission down the full path.
     for kind in CachePolicyKind::all() {
-        let build = || HybridCache::new(&common::hstorage(64, 1).with_cache_policy(kind));
+        let build = || CacheEngine::new(&common::hstorage(64, 1).with_cache_policy(kind));
         let optimistic = build();
         let locked = locked_twin(build(), kind);
         for req in repeat_heavy_trace() {
@@ -210,7 +210,7 @@ fn contended_hot_reads_lose_no_counter() {
             QosPolicy::priority(2),
         )
     };
-    let build = || HybridCache::new(&common::hstorage(capacity, 8));
+    let build = || CacheEngine::new(&common::hstorage(capacity, 8));
     let concurrent = build();
     let twin = locked_twin(build(), CachePolicyKind::default());
     // Warm every thread's slice into residency on both engines.

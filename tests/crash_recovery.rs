@@ -5,8 +5,8 @@
 //! migration legs (`HSTORAGE_MIGRATION`).
 
 use hstorage_cache::{
-    apply_op, crash_offset, recover, replay_plan, verify_convergence, CacheAction, CachePolicyKind,
-    HybridCache, JournalConfig, JournalRecord, MigrationConfig, StorageSystem,
+    apply_op, crash_offset, recover, replay_plan, verify_convergence, CacheAction, CacheEngine,
+    CachePolicyKind, JournalConfig, JournalRecord, MigrationConfig, StorageSystem,
 };
 use hstorage_storage::{
     BlockRange, ClassifiedRequest, IoRequest, QosPolicy, RequestClass, TrimCommand,
@@ -15,8 +15,8 @@ use proptest::prelude::*;
 
 mod common;
 
-fn build(kind: CachePolicyKind, migration: MigrationConfig, journal: JournalConfig) -> HybridCache {
-    HybridCache::new(
+fn build(kind: CachePolicyKind, migration: MigrationConfig, journal: JournalConfig) -> CacheEngine {
+    CacheEngine::new(
         &common::hstorage(128, 1)
             .with_cache_policy(kind)
             .with_migration(migration)
@@ -51,7 +51,7 @@ fn arb_request() -> impl Strategy<Value = ClassifiedRequest> {
 /// deterministic mix: some requests go through `submit_batch`, TRIMs and
 /// migration pulses are interleaved, and the counters reset once
 /// mid-stream.
-fn drive(sys: &HybridCache, requests: &[ClassifiedRequest]) {
+fn drive(sys: &CacheEngine, requests: &[ClassifiedRequest]) {
     let mut i = 0;
     let mut step = 0u64;
     while i < requests.len() {
@@ -93,7 +93,7 @@ fn wb_write(lbn: u64) -> ClassifiedRequest {
 /// write-buffer accounting, no phantom flush.
 #[test]
 fn a_crash_inside_a_drain_batch_never_tears_the_write_buffer() {
-    let fresh = || HybridCache::new(&common::hstorage(100, 1).with_journal(JournalConfig::on()));
+    let fresh = || CacheEngine::new(&common::hstorage(100, 1).with_journal(JournalConfig::on()));
     let original = fresh();
     // Capacity 100 gives a 10-block write-buffer share: ten buffered
     // writes fill it, the eleventh overflows and drains.
@@ -125,7 +125,7 @@ fn a_crash_inside_a_drain_batch_never_tears_the_write_buffer() {
     assert!(outcome.torn_tail);
     assert_eq!(recovered.write_buffer_resident(), 10, "buffer torn");
     assert_eq!(recovered.stats().action(CacheAction::WriteBufferFlush), 0);
-    let clean = HybridCache::new(&common::hstorage(100, 1).with_journal(JournalConfig::off()));
+    let clean = CacheEngine::new(&common::hstorage(100, 1).with_journal(JournalConfig::off()));
     for lbn in 0..10u64 {
         clean.submit(wb_write(lbn));
     }

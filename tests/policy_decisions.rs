@@ -14,7 +14,7 @@
 //! suites; unset, every cell runs.
 
 use hstorage_cache::{
-    CacheAction, CachePolicyKind, CacheStats, HybridCache, MigrationConfig, StorageSystem,
+    CacheAction, CacheEngine, CachePolicyKind, CacheStats, MigrationConfig, StorageSystem,
 };
 use hstorage_storage::{
     BlockRange, ClassifiedRequest, DeviceStats, IoRequest, QosPolicy, RequestClass, TrimCommand,
@@ -131,7 +131,7 @@ impl Fnv {
         self.device(&s.hdd);
     }
 
-    fn engine(&mut self, c: &HybridCache) {
+    fn engine(&mut self, c: &CacheEngine) {
         self.stats(&c.stats());
         self.duration(c.now());
         for (lbn, prio, dirty) in c.resident_set() {
@@ -203,7 +203,7 @@ fn fingerprint(kind: CachePolicyKind, shards: usize, migration: bool) -> u64 {
     } else {
         MigrationConfig::off()
     };
-    let c = HybridCache::new(
+    let c = CacheEngine::new(
         &common::hstorage(96, shards)
             .with_cache_policy(kind)
             .with_migration(config),

@@ -2,7 +2,7 @@
 //! reproduction: the priority-mapping function, the hybrid cache's
 //! selective allocation/eviction, and the LRU baseline.
 
-use hstorage_cache::{HybridCache, LruCache, StorageConfig, StorageConfigKind, StorageSystem};
+use hstorage_cache::{CacheEngine, LruCache, StorageConfig, StorageConfigKind, StorageSystem};
 use hstorage_engine::random_request_priority;
 use hstorage_storage::{
     BlockRange, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy, RequestClass, TrimCommand,
@@ -61,7 +61,7 @@ proptest! {
     /// counts never exceed the access counts.
     #[test]
     fn hybrid_cache_invariants(requests in prop::collection::vec(arb_request(), 1..200), capacity in 16u64..256) {
-        let cache = HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, capacity));
+        let cache = CacheEngine::new(&StorageConfig::new(StorageConfigKind::HStorageDb, capacity));
         for req in &requests {
             cache.submit(*req);
             prop_assert!(cache.resident_blocks() <= capacity);
@@ -82,7 +82,7 @@ proptest! {
     /// no matter what preceded it.
     #[test]
     fn trim_everything_empties_the_cache(requests in prop::collection::vec(arb_request(), 1..100)) {
-        let cache = HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 128));
+        let cache = CacheEngine::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 128));
         for req in &requests {
             cache.submit(*req);
         }
@@ -112,7 +112,7 @@ proptest! {
         working_set in 1u64..64,
         repeats in 2u32..6,
     ) {
-        let cache = HybridCache::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 256));
+        let cache = CacheEngine::new(&StorageConfig::new(StorageConfigKind::HStorageDb, 256));
         for _ in 0..repeats {
             for i in 0..working_set {
                 cache.submit(ClassifiedRequest::new(

@@ -15,7 +15,7 @@
 
 use hstorage_cache::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
 use hstorage_cache::{
-    CacheAction, CachePolicyKind, CacheStats, HybridCache, MigrationConfig, StorageSystem,
+    CacheAction, CacheEngine, CachePolicyKind, CacheStats, MigrationConfig, StorageSystem,
 };
 use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, IoRequest, PolicyConfig, QosPolicy,
@@ -118,7 +118,7 @@ impl CachePolicy for Recording {
 
 /// An engine of `shards` shards over 96 slots whose per-shard `kind`
 /// policies record into the returned logs.
-fn recording_engine(kind: CachePolicyKind, shards: usize) -> (HybridCache, Logs) {
+fn recording_engine(kind: CachePolicyKind, shards: usize) -> (CacheEngine, Logs) {
     let config = PolicyConfig::paper_default();
     recording_engine_of(shards, 96, common::matrix_migration(), move |capacity| {
         Box::new(kind.build(&config, capacity))
@@ -132,11 +132,11 @@ fn recording_engine_of(
     slots: u64,
     migration: MigrationConfig,
     inner: impl Fn(u64) -> Box<dyn CachePolicy>,
-) -> (HybridCache, Logs) {
+) -> (CacheEngine, Logs) {
     let logs: Logs = Arc::new(Mutex::new(vec![Vec::new(); shards]));
     let next_shard = AtomicUsize::new(0);
     let factory_logs = Arc::clone(&logs);
-    let engine = HybridCache::new(&common::hstorage(slots, shards).with_migration(migration))
+    let engine = CacheEngine::new(&common::hstorage(slots, shards).with_migration(migration))
         .with_policy_factory("recording", move |capacity| {
             Box::new(Recording {
                 inner: inner(capacity),
@@ -159,7 +159,7 @@ enum Op {
 
 /// Applies `op` to `engine` as issued: whole requests, whole batches,
 /// whole TRIM commands.
-fn apply(engine: &HybridCache, op: &Op) {
+fn apply(engine: &CacheEngine, op: &Op) {
     match op {
         Op::Submit(req) => engine.submit(*req),
         Op::Batch(reqs) => engine.submit_batch(reqs.clone()),
@@ -187,7 +187,7 @@ fn trace(seed: u64, ops: usize) -> Vec<Op> {
 
 /// The naive reference: every request and every TRIM range taken apart
 /// into single-block operations, submitted one by one in address order.
-fn apply_block_by_block(engine: &HybridCache, op: &Op) {
+fn apply_block_by_block(engine: &CacheEngine, op: &Op) {
     let submit_blocks = |req: &ClassifiedRequest| {
         for lbn in req.io.range.iter() {
             let mut one = *req;
@@ -215,8 +215,8 @@ fn apply_block_by_block(engine: &HybridCache, op: &Op) {
 /// traffic, residency and heat agree at the end. Returns `engine`'s
 /// statistics.
 fn assert_matches_block_by_block(
-    (engine, logs): &(HybridCache, Logs),
-    (reference, expected): &(HybridCache, Logs),
+    (engine, logs): &(CacheEngine, Logs),
+    (reference, expected): &(CacheEngine, Logs),
     ops: &[Op],
     what: &str,
 ) -> CacheStats {
@@ -403,8 +403,8 @@ fn inert_requests_match_the_block_by_block_walk() {
             let storage = common::hstorage(BYPASS_SLOTS, shards)
                 .with_cache_policy(kind)
                 .with_migration(migration);
-            let engine = HybridCache::new(&storage);
-            let reference = HybridCache::new(&storage)
+            let engine = CacheEngine::new(&storage);
+            let reference = CacheEngine::new(&storage)
                 .with_policy_factory("per-block", common::per_block(kind, &config));
             let what = format!("{shards} shards, {migration:?}");
             let check = |step: &dyn std::fmt::Debug| {
@@ -539,8 +539,8 @@ fn long_requests_across_empty_extents_match_the_block_by_block_walk() {
             let storage = common::hstorage(BYPASS_SLOTS, shards)
                 .with_cache_policy(kind)
                 .with_migration(migration);
-            let engine = HybridCache::new(&storage);
-            let reference = HybridCache::new(&storage)
+            let engine = CacheEngine::new(&storage);
+            let reference = CacheEngine::new(&storage)
                 .with_policy_factory("per-block", common::per_block(kind, &config));
             for op in &ops {
                 apply(&engine, op);
@@ -659,8 +659,8 @@ fn scan(start: u64, len: u64) -> ClassifiedRequest {
     )
 }
 
-fn engine(kind: CachePolicyKind, shards: usize) -> HybridCache {
-    HybridCache::new(
+fn engine(kind: CachePolicyKind, shards: usize) -> CacheEngine {
+    CacheEngine::new(
         &common::hstorage(4_096, shards)
             .with_cache_policy(kind)
             .with_migration(common::matrix_migration()),
@@ -698,7 +698,7 @@ fn concurrent_walks_conserve_blocks_and_lock_counts() {
     const ROUNDS: u64 = 100;
     let threads = common::stress_threads();
     for kind in common::matrix_kinds() {
-        let c = HybridCache::new(
+        let c = CacheEngine::new(
             &common::hstorage(threads * ROUNDS * 96, 8)
                 .with_cache_policy(kind)
                 .with_migration(common::matrix_migration()),
