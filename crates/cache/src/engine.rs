@@ -6,8 +6,13 @@
 //! statistics, and the per-request / vectored device submission paths.
 //! Every *decision* — admission, victim selection, promotion on hit — is
 //! delegated to a per-shard [`CachePolicy`] instance, so one engine serves
-//! the paper's semantic priority policy and any classical baseline (LRU,
-//! CFLRU, 2Q, or a custom policy) interchangeably.
+//! the paper's semantic priority policy, the classical baselines (LRU,
+//! CFLRU, 2Q, ARC), the per-stream compositor and any custom policy
+//! interchangeably.
+//!
+//! [`CacheEngine`] builds the shards, routes requests to them and prices
+//! what they report. What runs under one shard's lock is `crate::shard`,
+//! and a migration round `crate::migration`.
 //!
 //! The six actions of Section 5.1 (cache hit, read allocation, write
 //! allocation, bypassing, re-allocation, eviction) are all implemented and
@@ -108,52 +113,17 @@
 
 use crate::config::{StorageConfig, StorageConfigKind};
 use crate::journal::{Journal, JournalOp, JournalSnapshot};
-use crate::migration::{MigrationStats, ShardMigration};
-use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason, ShardPolicy};
-use crate::shard_lock::{ShardLock, ShardWriteGuard};
+use crate::migration::{migration_round, MigrationStats};
+use crate::policy::{CachePolicy, PolicyRequest, ShardPolicy};
+use crate::shard::{wrap, DeviceBatch, HotHit, Shard, ShardBlocks, ShardState};
 use crate::stats::{CacheAction, CacheStats};
 use crate::system::StorageSystem;
-use crate::table::{BlockState, BlockTable, CacheEntry, TableSlot};
 use hstorage_storage::{
-    BlockAddr, BlockRange, CachePriority, ClassifiedRequest, ClockLane, DeviceStats, Direction,
-    HddDevice, IoRequest, SimClock, SsdDevice, StorageDevice, TrimCommand,
+    BlockAddr, BlockRange, CachePriority, ClassifiedRequest, DeviceKind, DeviceStats, HddDevice,
+    IoRequest, SimClock, SsdDevice, StorageDevice, TrimCommand,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Per-request batch of device traffic, flushed as one I/O per device and
-/// direction so multi-block requests pay one command overhead, like the real
-/// system.
-#[derive(Debug, Default, Clone, Copy)]
-struct DeviceBatch {
-    ssd_read: u64,
-    ssd_write: u64,
-    hdd_read: u64,
-    hdd_write: u64,
-}
-
-/// What the caching decision did with one block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Placed {
-    /// Resident: served from the SSD.
-    Hit,
-    /// Absent and refused by `admits`: sent to the second-level device
-    /// without any mutable policy call, so a bypass run may follow.
-    Bypassed,
-    /// Absent and admitted: allocated a slot, or bypassed after all for
-    /// want of a victim — either way the policy was called mutably.
-    Admitted,
-}
-
-/// The blocks of one run a shard walk settles without a policy call
-/// (see `Shard::walk_blocks`): hits (inert reads only) and bypasses.
-#[derive(Debug, Default)]
-struct Run {
-    hits: u64,
-    bypassed: u64,
-    /// The run's last hit, which the hot descriptor ends on.
-    last_hit: Option<BlockAddr>,
-}
 
 /// How far ahead of the block it handles a shard walk prefetches the
 /// block table, in strides of the shard count: far enough for two extent
@@ -169,8 +139,9 @@ const PREFETCH_STRIDES: u64 = 8;
 /// the node's list neighbours (the node was loaded six before). A stage's
 /// loads are in flight while the requests in between are served. The node
 /// and neighbour stages read only the home slot
-/// ([`BlockTable::peek_home`]): a full probe for the few blocks away from
-/// home, or absent, would cost more than the loads it hides.
+/// ([`BlockTable::peek_home`](crate::BlockTable::peek_home)): a full
+/// probe for the few blocks away from home, or absent, would cost more
+/// than the loads it hides.
 const SLOT_AHEAD: usize = 16;
 /// See [`SLOT_AHEAD`].
 const NODE_AHEAD: usize = 8;
@@ -182,815 +153,23 @@ const NEIGHBOURS_AHEAD: usize = 2;
 /// a group, so a group's lookahead never stops short.
 const EACH_CHUNK: usize = 128;
 
-/// `x % n` for an `x` below `2 * n`, without the division.
-fn wrap(x: u64, n: u64) -> u64 {
-    x - if x >= n { n } else { 0 }
-}
-
-/// The blocks of `ranges` that live on shard `shard` of `n`, as
-/// `(range index, block)` pairs: ranges in order, and within a range
-/// ascending with stride `n` — the order a block-by-block walk of the
-/// ranges would reach this shard in. Beyond iteration it peeks, reports
-/// the rest of the current range ([`Self::rest`]) and skips blocks of it
-/// in O(1), so a walk can settle a run of blocks at once.
-struct ShardBlocks<I> {
-    ranges: std::iter::Enumerate<I>,
-    n: u64,
-    shard: u64,
-    /// The range being strided through: its index, the next block of it
-    /// on this shard, and its one-past-the-end address.
-    index: usize,
-    next: u64,
-    end: u64,
-}
-
-impl<I: Iterator<Item = BlockRange>> ShardBlocks<I> {
-    /// The next pair, without consuming it.
-    fn peek(&mut self) -> Option<(usize, BlockAddr)> {
-        while self.next >= self.end {
-            let (index, range) = self.ranges.next()?;
-            // Distance from the range's first block to its first block on
-            // this shard.
-            let skip = wrap(self.shard + self.n - range.start.0 % self.n, self.n);
-            self.index = index;
-            self.next = range.start.0.saturating_add(skip);
-            self.end = range.end().0;
-        }
-        Some((self.index, BlockAddr(self.next)))
-    }
-
-    /// The current range's next block on this shard and how many of its
-    /// blocks on this shard are left, that one included (0 once the range
-    /// is done; the next [`Self::peek`] moves on to the next range).
-    fn rest(&self) -> (BlockAddr, u64) {
-        let left = if self.next < self.end {
-            (self.end - self.next).div_ceil(self.n)
-        } else {
-            0
-        };
-        (BlockAddr(self.next), left)
-    }
-
-    /// Consumes the next `k` blocks of the current range, at most
-    /// [`Self::rest`]'s count.
-    fn skip(&mut self, k: u64) {
-        debug_assert!(k <= self.rest().1, "skipped past the range");
-        self.next = self.next.saturating_add(k.saturating_mul(self.n));
-    }
-}
-
-impl<I: Iterator<Item = BlockRange>> Iterator for ShardBlocks<I> {
-    type Item = (usize, BlockAddr);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.peek()?;
-        self.skip(1);
-        Some(item)
-    }
-}
-
-/// The block whose repeat read hit the lone-block path may serve from the
-/// descriptor alone: the last read hit on the shard, with everything that
-/// hit was made of, so only a *bit-identical* repeat matches — the same
-/// arguments `on_hit` would receive, and the same SSD transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HotHit {
-    lbn: BlockAddr,
-    shape: PolicyRequest,
-    sequential: bool,
-}
-
-/// Everything one shard owns, behind its one lock: submissions and every
-/// other mutating visit hold the write lock, read-only probes the read
-/// lock.
-struct ShardState {
-    meta: BlockTable,
-    /// `Some` exactly while the last completed shard visit was a read hit
-    /// and nothing has perturbed policy order since; any such block is
-    /// guaranteed resident. Replaced only through [`Shard::set_hot`].
-    hot: Option<HotHit>,
-    /// Repeat hits served against `hot` and not yet accounted for; zero
-    /// while `hot` is `None`.
-    fast_hits: u64,
-    /// The shard's policy: a shipped kind dispatched statically, or a
-    /// custom one in [`ShardPolicy::Custom`].
-    policy: ShardPolicy,
-    /// Tier-migration state ([`crate::MigrationConfig`]): heat tracker,
-    /// request shapes and the pending promote/demote queues. `None` while
-    /// migration is disabled — the foreground hooks then cost one branch.
-    migration: Option<ShardMigration>,
-    /// Class, priority, action and contention counters of the blocks this
-    /// shard handled.
-    stats: CacheStats,
-    /// SSD traffic priced under this shard's lock: the device's own
-    /// mutex-guarded ledger sees only what is served outside one. The
-    /// two sum to the device statistics [`StorageSystem::stats`] reports.
-    ssd: DeviceStats,
-    /// This shard's lane of the engine clock: the device time of the
-    /// requests whose last visit was to this shard, advanced under the
-    /// write lock with no locked instruction.
-    lane: ClockLane,
-}
-
-/// One lock-striped partition of the cache (see the module docs).
-struct Shard {
-    state: ShardLock<ShardState>,
-    /// Time the SSD takes for the one transfer a repeat hit ever issues —
-    /// a single-block read — indexed by its sequential flag. Immutable
-    /// after construction.
-    hit_service: [Duration; 2],
-    /// Blocks this shard's slice of the cache holds: it has a free slot
-    /// exactly while its table holds fewer. Immutable after construction.
-    capacity: usize,
-    /// Maximum blocks this shard's slice of the write buffer may hold.
-    /// Immutable after construction.
-    write_buffer_limit: u64,
-    /// Blocks currently resident in the write-buffer group. Only mutated
-    /// under the write lock; atomic so the occupancy getters and the
-    /// flush pre-check can read it lock-free.
-    write_buffer_resident: AtomicU64,
-}
-
-impl Shard {
-    /// A shard of the engine `config` describes, with `capacity` slots, its
-    /// own policy and migration state and its clock `lane`, one of
-    /// `config.shards` shards (the address distance between its
-    /// consecutive blocks).
-    fn new(
-        config: &StorageConfig,
-        capacity: u64,
-        hit_service: [Duration; 2],
-        lane: ClockLane,
-    ) -> Self {
-        let migration = config.migration;
-        Shard {
-            state: ShardLock::new(ShardState {
-                // Pre-sized to the shard's slot count: a full shard never
-                // rehashes mid-run. Grouped by the shard stride, so a
-                // scan's blocks on this shard land in adjacent slots.
-                meta: BlockTable::with_capacity(capacity as usize, config.shards),
-                hot: None,
-                fast_hits: 0,
-                policy: config.cache_policy.build(&config.policy, capacity),
-                migration: migration
-                    .enabled
-                    .then(|| ShardMigration::new(migration, capacity)),
-                stats: CacheStats::new(),
-                ssd: DeviceStats::new(),
-                lane,
-            }),
-            hit_service,
-            capacity: capacity as usize,
-            write_buffer_limit: (capacity as f64 * config.policy.write_buffer_fraction).floor()
-                as u64,
-            write_buffer_resident: AtomicU64::new(0),
-        }
-    }
-
-    /// Takes the write lock for a submission-path visit, counting it.
-    fn lock_for_write(&self) -> ShardWriteGuard<'_, ShardState> {
-        let mut st = self.state.write();
-        st.stats.contention.lock_acquisitions += 1;
-        st
-    }
-
-    /// Replaces the hot descriptor, first crediting the repeat hits tallied
-    /// against the old one. Inline, so the caller's descriptor is stored
-    /// straight into the shard state rather than passed through memory.
-    #[inline]
-    fn set_hot(&self, st: &mut ShardState, hot: Option<HotHit>) {
-        if st.fast_hits > 0 {
-            self.credit_fast_hits(st);
-        }
-        st.hot = hot;
-    }
-
-    /// Credits the repeat hits tallied against the hot descriptor exactly
-    /// as the slow path would have recorded each of them: a cache hit of
-    /// its class and priority, a single-block SSD read, and one unit of
-    /// heat.
-    #[cold]
-    #[inline(never)]
-    fn credit_fast_hits(&self, st: &mut ShardState) {
-        let hits = std::mem::take(&mut st.fast_hits);
-        let old = st.hot.expect("repeat hits tallied against no descriptor");
-        st.stats.record_action(CacheAction::CacheHit, hits);
-        st.stats.record_class(old.shape.class, hits, hits);
-        st.stats.record_priority(old.shape.prio.0, hits, hits);
-        st.stats.contention.fast_path_hits += hits;
-        st.ssd.record(
-            &IoRequest::read(BlockRange::new(old.lbn, 1), old.sequential),
-            self.hit_service[usize::from(old.sequential)],
-            hits,
-        );
-        if let Some(mig) = st.migration.as_mut() {
-            mig.heat.record_n(old.lbn, hits);
-        }
-    }
-
-    /// Evicts `victim` (a block the policy *selected* via
-    /// `pop_victim`/`steal_victim` but still tracks), writing it back if
-    /// dirty. The engine completes the removal by announcing it to the
-    /// policy with [`RemoveReason::Evict`], so ghost-keeping policies
-    /// observe their own evictions.
-    fn evict(&self, st: &mut ShardState, victim: BlockAddr, batch: &mut DeviceBatch) {
-        let TableSlot { entry, node } = st
-            .meta
-            .remove(victim)
-            .expect("victim tracked by policy but not in metadata");
-        st.policy
-            .on_remove(victim, node, entry.priority, RemoveReason::Evict);
-        if entry.is_dirty() {
-            batch.hdd_write += 1;
-        }
-        if st.policy.write_buffered(entry.priority) {
-            self.debit_write_buffer(1);
-        }
-        st.stats.record_action(CacheAction::Eviction, 1);
-    }
-
-    /// Deducts `n` blocks from the write-buffer occupancy. An underflow
-    /// would mean the insert/move/remove accounting diverged from the
-    /// policy's group labelling — a bug worth failing loudly on, not one
-    /// to paper over with silent saturation. Callers hold the shard's
-    /// write lock (occupancy has exactly one mutator at a time), so the
-    /// load/store pair cannot lose an update.
-    fn debit_write_buffer(&self, n: u64) {
-        let resident = self.write_buffer_resident.load(Ordering::Relaxed);
-        debug_assert!(
-            resident >= n,
-            "write-buffer occupancy underflow: resident {resident} < debit {n}"
-        );
-        self.write_buffer_resident
-            .store(resident.saturating_sub(n), Ordering::Relaxed);
-    }
-
-    /// Tries to free a cache slot for `incoming` (the missing block of
-    /// `req`), asking the policy to displace a resident if the shard is
-    /// full. Returns `false` if the block must bypass the cache.
-    fn try_allocate(
-        &self,
-        st: &mut ShardState,
-        incoming: BlockAddr,
-        req: &PolicyRequest,
-        batch: &mut DeviceBatch,
-    ) -> bool {
-        if st.meta.len() < self.capacity {
-            return true;
-        }
-        let Some(victim) = st.policy.pop_victim(incoming, req) else {
-            return false;
-        };
-        self.evict(st, victim, batch);
-        true
-    }
-
-    /// Handles one block of a request (`sequential` is the request's I/O
-    /// flag), recording it against the request's class and priority.
-    fn handle_block(
-        &self,
-        st: &mut ShardState,
-        lbn: BlockAddr,
-        req: &PolicyRequest,
-        sequential: bool,
-        batch: &mut DeviceBatch,
-    ) -> Placed {
-        let placed = self.place_block(st, lbn, req, sequential, batch);
-        let hit = u64::from(placed == Placed::Hit);
-        st.stats.record_class(req.class, 1, hit);
-        st.stats.record_priority(req.prio.0, 1, hit);
-        placed
-    }
-
-    /// Handles one shard visit's blocks of `reqs` — `(request index,
-    /// block)` pairs, `work[i]` holding request `i`'s policy shape and
-    /// device batch — settling runs of blocks without a policy call.
-    ///
-    /// Two kinds of run share one loop, each settled by one query of the
-    /// block table's residency bitmap over the rest of the request's
-    /// blocks on the shard, one word per 64 blocks:
-    ///
-    /// * **bypass runs** — once a block of request `i` is refused by
-    ///   `admits`, each following absent block of `i` is certainly refused
-    ///   again (`admits` is a pure query, and nothing since the refusal
-    ///   called the policy mutably). The run is the absent prefix of the
-    ///   request's remaining blocks; it ends at the first resident one,
-    ///   which takes the full placement (a hit) and is followed by the
-    ///   next full placement;
-    /// * **inert runs** — a read whose shape the policy declares inert
-    ///   ([`CachePolicy::is_inert`]) is refused wherever absent and leaves
-    ///   the policy untouched wherever resident, so all of its blocks on
-    ///   the shard are one run: the resident ones are hits, the hot
-    ///   descriptor ends on the last of them, and the rest are bypasses.
-    ///
-    /// A run is recorded at once, as the per-block walk would have
-    /// recorded its blocks. Runs stay off while migration is attached,
-    /// which records heat and request shape per block.
-    ///
-    /// Out of line, apart from the code of its callers' other paths.
-    #[inline(never)]
-    fn walk_blocks(
-        &self,
-        st: &mut ShardState,
-        blocks: &mut ShardBlocks<impl Iterator<Item = BlockRange>>,
-        ahead: u64,
-        reqs: &[ClassifiedRequest],
-        work: &mut [(PolicyRequest, DeviceBatch)],
-    ) {
-        let runs = st.migration.is_none();
-        // The request last asked about and whether it is inert: a
-        // request's blocks on the shard arrive together, so it is asked
-        // once per visit.
-        let mut asked: Option<(usize, bool)> = None;
-        while let Some((i, lbn)) = blocks.peek() {
-            let (preq, batch) = &mut work[i];
-            let inert = match asked {
-                Some((j, inert)) if j == i => inert,
-                _ => {
-                    let inert =
-                        runs && preq.direction == Direction::Read && st.policy.is_inert(preq);
-                    asked = Some((i, inert));
-                    inert
-                }
-            };
-            let sequential = reqs[i].io.sequential;
-            let run = if inert {
-                let (_, left) = blocks.rest();
-                let (hits, last_hit) = st.meta.resident_in(lbn, left);
-                Run {
-                    hits,
-                    bypassed: left - hits,
-                    last_hit,
-                }
-            } else {
-                blocks.skip(1);
-                // Past a request's end the prefetch usually names the next
-                // request's block; where it names none, it is harmless.
-                st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
-                let placed = self.handle_block(st, lbn, preq, sequential, batch);
-                if !(runs && placed == Placed::Bypassed) {
-                    continue;
-                }
-                let (next, left) = blocks.rest();
-                Run {
-                    bypassed: st.meta.absent_prefix(next, left),
-                    ..Run::default()
-                }
-            };
-            blocks.skip(run.hits + run.bypassed);
-            self.settle_run(st, preq, sequential, &run, batch);
-        }
-    }
-
-    /// Records the tallied blocks of a run of `req` exactly as that many
-    /// placements would have: the same action, class and priority
-    /// counters, the same device transfers, and the hot descriptor on the
-    /// last hit (a bypass leaves the descriptor as it is).
-    fn settle_run(
-        &self,
-        st: &mut ShardState,
-        req: &PolicyRequest,
-        sequential: bool,
-        run: &Run,
-        batch: &mut DeviceBatch,
-    ) {
-        let blocks = run.hits + run.bypassed;
-        if blocks == 0 {
-            return;
-        }
-        if run.bypassed > 0 {
-            Self::bypass(st, req, run.bypassed, batch);
-        }
-        if let Some(lbn) = run.last_hit {
-            st.stats.record_action(CacheAction::CacheHit, run.hits);
-            batch.ssd_read += run.hits;
-            let hot = HotHit {
-                lbn,
-                shape: *req,
-                sequential,
-            };
-            self.set_hot(st, Some(hot));
-        }
-        st.stats.record_class(req.class, blocks, run.hits);
-        st.stats.record_priority(req.prio.0, blocks, run.hits);
-    }
-
-    /// Sends `blocks` absent blocks of `req` straight to the second-level
-    /// device, counting them as bypassed.
-    fn bypass(st: &mut ShardState, req: &PolicyRequest, blocks: u64, batch: &mut DeviceBatch) {
-        st.stats.record_action(CacheAction::Bypassing, blocks);
-        match req.direction {
-            Direction::Read => batch.hdd_read += blocks,
-            Direction::Write => batch.hdd_write += blocks,
-        }
-    }
-
-    /// The caching decision for one block.
-    fn place_block(
-        &self,
-        st: &mut ShardState,
-        lbn: BlockAddr,
-        req: &PolicyRequest,
-        sequential: bool,
-        batch: &mut DeviceBatch,
-    ) -> Placed {
-        if let Some(mig) = st.migration.as_mut() {
-            // Every foreground access — hit, miss or bypass — is one unit
-            // of heat and refreshes the remembered request shape.
-            mig.note_access(lbn, req);
-        }
-        if let Some(slot) = st.meta.get_mut(lbn) {
-            // --- Cache hit ---
-            // The slot carries the block's node handle, so the policy
-            // reaches its list node without a lookup of its own; the
-            // handle stays valid through a move, so nothing is written
-            // back but the label.
-            let current = slot.entry.priority;
-            if req.direction == Direction::Write {
-                slot.entry.state = BlockState::Dirty;
-            }
-            let outcome = st.policy.on_hit(lbn, slot.node, current, req);
-            if let HitOutcome::Moved(new) = outcome {
-                slot.entry.priority = new;
-                self.apply_move(st, current, new);
-            }
-            if let Some(mig) = st.migration.as_mut() {
-                // Lazy cancellation: a hit on a queued demotion candidate
-                // proves the block is still hot, so the demotion is
-                // dropped instead of executed at the next round.
-                mig.note_hit(lbn);
-            }
-            st.stats.record_action(CacheAction::CacheHit, 1);
-            match req.direction {
-                Direction::Read => {
-                    batch.ssd_read += 1;
-                    // Publish the hot-hit descriptor: an immediate
-                    // bit-identical repeat of this read may share the lock
-                    // (consulted only when the policy declares repeats
-                    // idempotent).
-                    let hot = HotHit {
-                        lbn,
-                        shape: *req,
-                        sequential,
-                    };
-                    self.set_hot(st, Some(hot));
-                }
-                Direction::Write => {
-                    batch.ssd_write += 1;
-                    // A write hit dirties state a repeat read would not
-                    // reproduce; drop the descriptor.
-                    self.set_hot(st, None);
-                }
-            }
-            return Placed::Hit;
-        }
-
-        // --- Cache miss ---
-        if !st.policy.admits(req) {
-            // Bypassing: straight to the second-level device. `admits` is
-            // a pure query, so the hot descriptor stays valid.
-            Self::bypass(st, req, 1, batch);
-            return Placed::Bypassed;
-        }
-
-        // The allocation path may perturb policy order even when it ends
-        // in a bypass (ARC adapts its target on ghost hits inside
-        // `pop_victim`), so the descriptor is cleared up front.
-        self.set_hot(st, None);
-        st.meta.prefetch_bit(lbn);
-        if self.try_allocate(st, lbn, req, batch) {
-            let state = match req.direction {
-                Direction::Read => {
-                    // Read allocation: fetch from HDD, place in SSD.
-                    st.stats.record_action(CacheAction::ReadAllocation, 1);
-                    batch.hdd_read += 1;
-                    batch.ssd_write += 1;
-                    BlockState::Clean
-                }
-                Direction::Write => {
-                    // Write allocation: place in SSD, mark dirty.
-                    st.stats.record_action(CacheAction::WriteAllocation, 1);
-                    batch.ssd_write += 1;
-                    BlockState::Dirty
-                }
-            };
-            let (group, node) = st.policy.on_insert(lbn, req);
-            st.meta.insert(
-                lbn,
-                TableSlot {
-                    entry: CacheEntry {
-                        priority: group,
-                        state,
-                    },
-                    node,
-                },
-            );
-            if st.policy.write_buffered(group) {
-                self.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(mig) = st.migration.as_mut() {
-                // Lazy promotion: the foreground admission just
-                // performed the migration a round had queued.
-                mig.note_insert(lbn);
-            }
-        } else {
-            // Not cache-worthy relative to current residents: bypass.
-            Self::bypass(st, req, 1, batch);
-        }
-        Placed::Admitted
-    }
-
-    /// Mirrors a policy-initiated group move (already relabelled in the
-    /// block's slot) in the write-buffer accounting and statistics.
-    fn apply_move(&self, st: &mut ShardState, old: CachePriority, new: CachePriority) {
-        let was_buffered = st.policy.write_buffered(old);
-        let is_buffered = st.policy.write_buffered(new);
-        if was_buffered && !is_buffered {
-            self.debit_write_buffer(1);
-        } else if is_buffered && !was_buffered {
-            self.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
-        }
-        st.stats.record_action(CacheAction::ReAllocation, 1);
-    }
-
-    /// Drains the shard's write buffer if its occupancy exceeds the limit:
-    /// buffered blocks are dropped from the cache and the number of *dirty*
-    /// blocks (which must be written to the HDD by the caller, outside the
-    /// shard lock) is returned.
-    fn drain_write_buffer_if_full(&self, st: &mut ShardState) -> Option<u64> {
-        if self.write_buffer_limit == 0
-            || self.write_buffer_resident.load(Ordering::Relaxed) <= self.write_buffer_limit
-        {
-            return None;
-        }
-        let buffered = st.policy.drain_write_buffer();
-        let mut dirty_blocks = 0u64;
-        let mut removed = 0u64;
-        for lbn in buffered {
-            if let Some(TableSlot { entry, node }) = st.meta.remove(lbn) {
-                // The drain names buffered blocks without untracking them;
-                // the engine completes each removal. A drain is an engine
-                // displacement, so ghost-keeping policies see `Evict`, not
-                // `Trim` (the block's data is still live on the HDD).
-                st.policy
-                    .on_remove(lbn, node, entry.priority, RemoveReason::Evict);
-                if entry.is_dirty() {
-                    dirty_blocks += 1;
-                }
-                removed += 1;
-            }
-        }
-        // Deduct what was actually drained (for a complete drain — every
-        // shipped policy — this zeroes the counter) so a policy whose
-        // drain is partial cannot desynchronize the occupancy accounting.
-        self.debit_write_buffer(removed);
-        self.set_hot(st, None);
-        st.stats
-            .record_action(CacheAction::WriteBufferFlush, dirty_blocks);
-        Some(dirty_blocks)
-    }
-
-    /// Invalidates one block if resident; returns 1 if it was trimmed.
-    /// Conservatively drops the hot descriptor either way (an absent trim
-    /// may still touch ghost history).
-    fn trim_block(&self, st: &mut ShardState, lbn: BlockAddr) -> u64 {
-        self.set_hot(st, None);
-        if let Some(mig) = st.migration.as_mut() {
-            // The block's lifetime ended: discard its heat, shape and any
-            // queued migration so an in-flight candidate cannot resurrect
-            // dead data at the next round.
-            mig.note_trim(lbn);
-        }
-        let Some(TableSlot { entry, node }) = st.meta.remove(lbn) else {
-            // The block's lifetime ended while not resident: policies
-            // keeping history about absent addresses (ghost lists)
-            // must still forget it.
-            st.policy.on_trim_absent(lbn);
-            return 0;
-        };
-        st.policy
-            .on_remove(lbn, node, entry.priority, RemoveReason::Trim);
-        if st.policy.write_buffered(entry.priority) {
-            self.debit_write_buffer(1);
-        }
-        1
-    }
-
-    /// Runs one tier-migration round on this shard (no-op when migration
-    /// is disabled). Under the caller's write lock the round:
-    ///
-    /// 1. drops the hot descriptor — crediting the heat of the repeat hits
-    ///    tallied against it, and sending the next hit through the queues
-    ///    this round rebuilds — then advances the round counter, applies
-    ///    decay on the half-life cadence and prunes the tracker;
-    /// 2. re-validates the pending promote/demote queues against current
-    ///    residency;
-    /// 3. ranks residents coldest-first (write-buffered blocks excluded:
-    ///    the buffer has its own drain lifecycle) and admissible absent
-    ///    blocks hottest-first — both orders fully deterministic (heat,
-    ///    then address), so the metadata map's iteration order never
-    ///    reaches an observable decision;
-    /// 4. within the per-round budget, first promotes the hottest absents
-    ///    into free slots, then demote/promote pairs — a cold resident
-    ///    makes room for a strictly hotter absent block. Demotions flow
-    ///    through [`RemoveReason::Evict`] (ghost directories learn);
-    ///    promotions re-enter via `admits` → `on_insert` with the
-    ///    request shape last observed for the block;
-    /// 5. queues the unconsumed candidates for the lazy window until the
-    ///    next round.
-    ///
-    /// Returns the device traffic the round generated; the engine issues
-    /// it after the shard lock is released. The round deliberately
-    /// records no [`CacheAction`]: migration is background work, and the
-    /// per-action statistics stay bit-comparable between migration-on and
-    /// migration-off runs of identical foreground traffic.
-    fn migration_round(&self, st: &mut ShardState) -> DeviceBatch {
-        let mut batch = DeviceBatch::default();
-        self.set_hot(st, None);
-        let ShardState {
-            meta,
-            policy,
-            migration,
-            ..
-        } = st;
-        let Some(mig) = migration.as_mut() else {
-            return batch;
-        };
-        let ShardMigration {
-            config,
-            heat,
-            shapes,
-            pending_promote,
-            pending_demote,
-            rounds,
-            track_cap,
-            resident_scratch,
-            moves,
-        } = mig;
-
-        *rounds += 1;
-        if *rounds % u64::from(config.half_life_rounds) == 0 {
-            heat.decay();
-        }
-        heat.retain_hottest(*track_cap);
-        shapes.retain(|lbn, _| heat.heat(*lbn) > 0);
-        pending_demote.retain(|lbn| meta.contains(*lbn));
-        pending_promote.retain(|lbn| !meta.contains(*lbn) && heat.heat(*lbn) > 0);
-
-        let mut absents: Vec<(u64, BlockAddr, PolicyRequest)> = heat
-            .iter()
-            .filter(|(lbn, heat)| **heat > 0 && !meta.contains(**lbn))
-            .filter_map(|(lbn, h)| {
-                let shape = shapes.get(lbn)?;
-                // A promotion is a background fetch, whatever direction
-                // the remembered foreground access had.
-                let preq = PolicyRequest {
-                    direction: Direction::Read,
-                    ..*shape
-                };
-                // Write-buffer shapes are excluded: promoting into the
-                // buffer would grow occupancy outside the per-request
-                // flush check. Everything else must pass normal admission.
-                if preq.prio == CachePriority(0) || !policy.admits(&preq) {
-                    return None;
-                }
-                Some((*h, *lbn, preq))
-            })
-            .collect();
-        absents.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        // Residents are only consumed by the absents-gated pairing loops
-        // below, so a round with no promotion candidate (the steady state
-        // of a stable working set) skips the full metadata sweep and sort.
-        // The sweep reuses the shard's scratch buffer instead of
-        // reallocating a shard-sized Vec every round.
-        let residents = resident_scratch;
-        residents.clear();
-        if !absents.is_empty() {
-            residents.extend(
-                meta.iter()
-                    .filter(|(_, slot)| !policy.write_buffered(slot.entry.priority))
-                    .map(|(lbn, _)| (heat.heat(lbn), lbn)),
-            );
-            residents.sort_unstable();
-        }
-
-        // Performs one promotion: fetch from HDD, place in SSD, clean, via
-        // the policy's normal insertion path. A nested fn (not a closure)
-        // so the demote code between calls can also borrow the policy and
-        // the batch.
-        fn promote(
-            shard: &Shard,
-            policy: &mut ShardPolicy,
-            meta: &mut BlockTable,
-            pending_promote: &mut std::collections::HashSet<BlockAddr>,
-            batch: &mut DeviceBatch,
-            lbn: BlockAddr,
-            preq: &PolicyRequest,
-        ) {
-            let (group, node) = policy.on_insert(lbn, preq);
-            meta.insert(
-                lbn,
-                TableSlot {
-                    entry: CacheEntry {
-                        priority: group,
-                        state: BlockState::Clean,
-                    },
-                    node,
-                },
-            );
-            if policy.write_buffered(group) {
-                shard.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
-            }
-            batch.hdd_read += 1;
-            batch.ssd_write += 1;
-            pending_promote.remove(&lbn);
-        }
-
-        let mut budget = config.round_budget;
-        let mut next_absent = 0usize;
-        let mut next_resident = 0usize;
-
-        // Free slots first: promotion without displacement.
-        while budget >= 1 && next_absent < absents.len() && meta.len() < self.capacity {
-            let (_, lbn, preq) = absents[next_absent];
-            promote(self, policy, meta, pending_promote, &mut batch, lbn, &preq);
-            moves.promoted += 1;
-            next_absent += 1;
-            budget -= 1;
-        }
-
-        // Demote/promote pairs: a cold resident makes room for a strictly
-        // hotter absent block (ties never migrate — churn without gain).
-        while budget >= 2 && next_absent < absents.len() && next_resident < residents.len() {
-            let (absent_heat, absent_lbn, preq) = absents[next_absent];
-            let (resident_heat, resident_lbn) = residents[next_resident];
-            if absent_heat <= resident_heat {
-                break;
-            }
-            let TableSlot { entry, node } = meta
-                .remove(resident_lbn)
-                .expect("demotion candidate was checked resident");
-            policy.on_remove(resident_lbn, node, entry.priority, RemoveReason::Evict);
-            if entry.is_dirty() {
-                batch.hdd_write += 1;
-            }
-            if policy.write_buffered(entry.priority) {
-                self.debit_write_buffer(1);
-            }
-            pending_demote.remove(&resident_lbn);
-            moves.demoted += 1;
-            promote(
-                self,
-                policy,
-                meta,
-                pending_promote,
-                &mut batch,
-                absent_lbn,
-                &preq,
-            );
-            moves.promoted += 1;
-            next_absent += 1;
-            next_resident += 1;
-            budget -= 2;
-        }
-
-        // Queue what the budget did not cover for the lazy window: an
-        // admitted miss resolves a queued promotion, a hit rescues a
-        // queued demotion, a TRIM cancels either.
-        for (_, lbn, _) in absents.iter().skip(next_absent).take(config.round_budget) {
-            pending_promote.insert(*lbn);
-        }
-        let mut queued = 0usize;
-        while queued < config.round_budget
-            && next_absent < absents.len()
-            && next_resident < residents.len()
-        {
-            if absents[next_absent].0 <= residents[next_resident].0 {
-                break;
-            }
-            pending_demote.insert(residents[next_resident].1);
-            queued += 1;
-            next_absent += 1;
-            next_resident += 1;
-        }
-        batch
-    }
-}
-
 /// The hybrid SSD-over-HDD storage system: a policy-agnostic cache engine
 /// whose admission/eviction/promotion decisions come from a pluggable
 /// [`CachePolicy`], built from a [`StorageConfig`] by [`CacheEngine::new`].
 /// With the default [`CachePolicyKind::SemanticPriority`] this **is** the
 /// paper's hStorage-DB cache; with
 /// [`CachePolicyKind::Lru`] / [`CachePolicyKind::Cflru`] /
-/// [`CachePolicyKind::TwoQ`] the same shards, devices and submission
-/// pipeline serve the classical baselines.
+/// [`CachePolicyKind::TwoQ`] / [`CachePolicyKind::Arc`] the same shards,
+/// devices and submission pipeline serve the classical baselines, and
+/// with [`CachePolicyKind::PerStream`] a compositor that routes each
+/// request stream to one of them.
 ///
 /// [`CachePolicyKind::SemanticPriority`]: crate::CachePolicyKind::SemanticPriority
 /// [`CachePolicyKind::Lru`]: crate::CachePolicyKind::Lru
 /// [`CachePolicyKind::Cflru`]: crate::CachePolicyKind::Cflru
 /// [`CachePolicyKind::TwoQ`]: crate::CachePolicyKind::TwoQ
+/// [`CachePolicyKind::Arc`]: crate::CachePolicyKind::Arc
+/// [`CachePolicyKind::PerStream`]: crate::CachePolicyKind::PerStream
 pub struct CacheEngine {
     /// The description the engine was built from.
     config: StorageConfig,
@@ -1198,7 +377,8 @@ impl CacheEngine {
     /// Checks each shard against its invariants, taking its read lock in
     /// turn, and returns the first broken one:
     ///
-    /// * the block table passes [`BlockTable::audit`], and the policy
+    /// * the block table passes
+    ///   [`BlockTable::audit`](crate::BlockTable::audit), and the policy
     ///   [`CachePolicy::check`];
     /// * the table holds no more blocks than the shard has slots;
     /// * a `Some` hot-hit descriptor names a resident block, and a `None`
@@ -1326,59 +506,25 @@ impl CacheEngine {
 
     /// Prices the device traffic one request accumulated and advances
     /// `st`'s clock lane by the total, once — the same integer-nanosecond
-    /// sum as advancing per device. Runs under the shard's write lock, on
-    /// the request's last shard visit, so the disk's mutex is taken inside
-    /// the shard lock: the one order in which the two ever nest.
+    /// sum as advancing per device. SSD transfers go on `st`'s ledger; HDD
+    /// transfers are recorded by the disk, which moves its head. Runs
+    /// under the shard's write lock, on the request's last shard visit, so
+    /// the disk's mutex is taken inside the shard lock: the one order in
+    /// which the two ever nest.
     #[inline(always)]
     fn charge(&self, st: &mut ShardState, req: &ClassifiedRequest, batch: &DeviceBatch) {
-        let t = self.charge_ssd(st, req, batch) + self.charge_hdd(req, batch);
+        let mut t = Duration::ZERO;
+        batch.issue(req.io.range.start, req.io.sequential, |device, io| {
+            t += match device {
+                DeviceKind::Ssd => {
+                    let service = self.ssd.service_time(&io);
+                    st.ssd.record(&io, service, 1);
+                    service
+                }
+                DeviceKind::Hdd => self.hdd.charge(&io),
+            };
+        });
         st.lane.advance(t);
-    }
-
-    /// Prices the SSD traffic one request accumulated and records it in
-    /// `st`'s ledger, returning the service time.
-    #[inline(always)]
-    fn charge_ssd(
-        &self,
-        st: &mut ShardState,
-        req: &ClassifiedRequest,
-        batch: &DeviceBatch,
-    ) -> Duration {
-        let seq = req.io.sequential;
-        let start = req.io.range.start;
-        let mut total = Duration::ZERO;
-        for io in [
-            IoRequest::read(BlockRange::new(start, batch.ssd_read), seq),
-            IoRequest::write(BlockRange::new(start, batch.ssd_write), seq),
-        ] {
-            if io.blocks() > 0 {
-                let t = self.ssd.service_time(&io);
-                st.ssd.record(&io, t, 1);
-                total += t;
-            }
-        }
-        total
-    }
-
-    /// Prices and records the HDD traffic one request accumulated and
-    /// moves the head, returning the service time.
-    fn charge_hdd(&self, req: &ClassifiedRequest, batch: &DeviceBatch) -> Duration {
-        let seq = req.io.sequential;
-        let start = req.io.range.start;
-        let mut total = Duration::ZERO;
-        if batch.hdd_read > 0 {
-            total += self.hdd.charge(&IoRequest::read(
-                BlockRange::new(start, batch.hdd_read),
-                seq,
-            ));
-        }
-        if batch.hdd_write > 0 {
-            total += self.hdd.charge(&IoRequest::write(
-                BlockRange::new(start, batch.hdd_write),
-                seq,
-            ));
-        }
-        total
     }
 
     /// The address distance of a shard walk's table prefetch: the block
@@ -1412,14 +558,7 @@ impl CacheEngine {
         let base = first.start.0 % n;
         for k in 0..span.min(n) {
             let idx = wrap(base + k, n);
-            let mut blocks = ShardBlocks {
-                ranges: ranges.clone().enumerate(),
-                n,
-                shard: idx,
-                index: 0,
-                next: 0,
-                end: 0,
-            };
+            let mut blocks = ShardBlocks::new(ranges.clone(), n, idx);
             if blocks.peek().is_none() {
                 continue;
             }
@@ -1446,7 +585,7 @@ impl CacheEngine {
             [] => return,
             // Straight to the unbatched path, below the journal wrapper:
             // the run is always part of an already-journaled operation.
-            [one] => return self.submit_inner(*one),
+            [one] => return self.submit_inner(one),
             _ => {}
         }
         let mut work: Vec<(PolicyRequest, DeviceBatch)> = reqs
@@ -1463,21 +602,12 @@ impl CacheEngine {
         // device merge adjacent same-direction transfers.
         let mut hdd_q = Vec::with_capacity(reqs.len());
         let mut ssd_q = Vec::with_capacity(reqs.len());
-        for (req, (_, b)) in reqs.iter().zip(&work) {
-            let seq = req.io.sequential;
-            let start = req.io.range.start;
-            if b.hdd_read > 0 {
-                hdd_q.push(IoRequest::read(BlockRange::new(start, b.hdd_read), seq));
-            }
-            if b.hdd_write > 0 {
-                hdd_q.push(IoRequest::write(BlockRange::new(start, b.hdd_write), seq));
-            }
-            if b.ssd_read > 0 {
-                ssd_q.push(IoRequest::read(BlockRange::new(start, b.ssd_read), seq));
-            }
-            if b.ssd_write > 0 {
-                ssd_q.push(IoRequest::write(BlockRange::new(start, b.ssd_write), seq));
-            }
+        for (req, (_, batch)) in reqs.iter().zip(&work) {
+            let (start, sequential) = (req.io.range.start, req.io.sequential);
+            batch.issue(start, sequential, |device, io| match device {
+                DeviceKind::Hdd => hdd_q.push(io),
+                DeviceKind::Ssd => ssd_q.push(io),
+            });
         }
         if !hdd_q.is_empty() {
             self.hdd.serve_batch(&hdd_q);
@@ -1499,9 +629,7 @@ impl CacheEngine {
             // write lock and the thread that pushed it over the limit
             // sees its own increment here, so a needed flush is never
             // skipped; shards that cannot need one are not locked at all.
-            if shard.write_buffer_limit == 0
-                || shard.write_buffer_resident.load(Ordering::Relaxed) <= shard.write_buffer_limit
-            {
+            if !shard.write_buffer_over_limit() {
                 continue;
             }
             let drained = shard.drain_write_buffer_if_full(&mut shard.lock_for_write());
@@ -1537,9 +665,11 @@ impl CacheEngine {
         }
     }
 
-    /// [`StorageSystem::submit`] below the journal wrapper.
-    fn submit_inner(&self, req: ClassifiedRequest) {
-        self.submit_one(&req, self.shard_index(req.io.range.start), |_| {});
+    /// [`StorageSystem::submit`] below the journal wrapper. By reference,
+    /// so that `submit` hands its request straight on rather than copying
+    /// it first, on the hottest path there is.
+    fn submit_inner(&self, req: &ClassifiedRequest) {
+        self.submit_one(req, self.shard_index(req.io.range.start), |_| {});
     }
 
     /// [`Self::submit_inner`] of `req`, whose first block lives on shard
@@ -1571,9 +701,10 @@ impl CacheEngine {
     /// places on, the list node of the one [`NODE_AHEAD`] on, and that
     /// node's neighbours for the one [`NEIGHBOURS_AHEAD`] on. It reads
     /// only the held shard's table and policy, through pure hints
-    /// ([`BlockTable::prefetch`], [`CachePolicy::prefetch_hit`]), and a
-    /// request on another shard is simply not looked ahead for. Shard
-    /// indices are computed once per request.
+    /// ([`BlockTable::prefetch`](crate::BlockTable::prefetch),
+    /// [`CachePolicy::prefetch_hit`]), and a request on another shard is
+    /// simply not looked ahead for. Shard indices are computed once per
+    /// request.
     fn submit_each_inner(&self, reqs: &[ClassifiedRequest]) {
         let mut shard_of = [0usize; EACH_CHUNK];
         for chunk in reqs.chunks(EACH_CHUNK) {
@@ -1645,7 +776,7 @@ impl CacheEngine {
         }
         st.stats.contention.lock_acquisitions += 1;
         let mut batch = DeviceBatch::default();
-        shard.handle_block(&mut st, lbn, preq, sequential, &mut batch);
+        shard.place_block(&mut st, lbn, preq, sequential, &mut batch);
         self.charge(&mut st, req, &batch);
     }
 
@@ -1690,7 +821,7 @@ impl CacheEngine {
         for (i, req) in reqs.iter().enumerate() {
             if self.config.policy.resolve(req.policy) == CachePriority(0) {
                 self.submit_run(&reqs[start..i]);
-                self.submit_inner(*req);
+                self.submit_inner(req);
                 start = i + 1;
             }
         }
@@ -1753,7 +884,7 @@ impl StorageSystem for CacheEngine {
     }
 
     fn submit(&self, req: ClassifiedRequest) {
-        self.journaled(|| JournalOp::Submit(req), || self.submit_inner(req));
+        self.journaled(|| JournalOp::Submit(req), || self.submit_inner(&req));
     }
 
     fn submit_each(&self, reqs: &[ClassifiedRequest]) {
@@ -1872,45 +1003,23 @@ impl CacheEngine {
         self.migration_rounds.fetch_add(1, Ordering::Relaxed);
         let mut total = DeviceBatch::default();
         for shard in &self.shards {
-            let batch = shard.migration_round(&mut shard.lock_for_write());
-            total.hdd_read += batch.hdd_read;
-            total.hdd_write += batch.hdd_write;
-            total.ssd_read += batch.ssd_read;
-            total.ssd_write += batch.ssd_write;
+            migration_round(shard, &mut shard.lock_for_write(), &mut total);
         }
         // Issue the round's traffic outside every shard lock, one batched
         // command per device and direction (promotion fetches, demotion
         // writebacks of dirty blocks, SSD placements).
-        if total.hdd_read > 0 {
-            self.hdd.serve(&IoRequest::read(
-                BlockRange::new(0u64, total.hdd_read),
-                false,
-            ));
-        }
-        if total.hdd_write > 0 {
-            self.hdd.serve(&IoRequest::write(
-                BlockRange::new(0u64, total.hdd_write),
-                false,
-            ));
-        }
-        if total.ssd_read > 0 {
-            self.ssd.serve(&IoRequest::read(
-                BlockRange::new(0u64, total.ssd_read),
-                false,
-            ));
-        }
-        if total.ssd_write > 0 {
-            self.ssd.serve(&IoRequest::write(
-                BlockRange::new(0u64, total.ssd_write),
-                false,
-            ));
-        }
+        total.issue(BlockAddr(0), false, |device, io| {
+            match device {
+                DeviceKind::Hdd => self.hdd.serve(&io),
+                DeviceKind::Ssd => self.ssd.serve(&io),
+            };
+        });
         self.migration_stats()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::journal::JournalConfig;
     use crate::lru_cache::LruCache;
@@ -1927,7 +1036,12 @@ mod tests {
         CacheEngine::new(&config(kind, capacity))
     }
 
-    fn read_req(start: u64, len: u64, class: RequestClass, policy: QosPolicy) -> ClassifiedRequest {
+    pub(crate) fn read_req(
+        start: u64,
+        len: u64,
+        class: RequestClass,
+        policy: QosPolicy,
+    ) -> ClassifiedRequest {
         let sequential = matches!(class, RequestClass::Sequential);
         ClassifiedRequest::new(
             IoRequest::read(BlockRange::new(start, len), sequential),
@@ -1936,7 +1050,7 @@ mod tests {
         )
     }
 
-    fn write_req(
+    pub(crate) fn write_req(
         start: u64,
         len: u64,
         class: RequestClass,

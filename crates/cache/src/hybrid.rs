@@ -17,12 +17,13 @@
 
 mod tests {
     use crate::config::{StorageConfig, StorageConfigKind};
+    use crate::engine::tests::{read_req, write_req};
     use crate::engine::CacheEngine;
     use crate::stats::CacheAction;
     use crate::system::StorageSystem;
     use hstorage_storage::{
-        BlockAddr, BlockRange, CachePriority, ClassifiedRequest, IoRequest, QosPolicy,
-        RequestClass, TrimCommand,
+        BlockAddr, BlockRange, CachePriority, ClassifiedRequest, QosPolicy, RequestClass,
+        TrimCommand,
     };
 
     fn config(capacity: u64) -> StorageConfig {
@@ -31,28 +32,6 @@ mod tests {
 
     fn cache(capacity: u64) -> CacheEngine {
         CacheEngine::new(&config(capacity))
-    }
-
-    fn read_req(start: u64, len: u64, class: RequestClass, policy: QosPolicy) -> ClassifiedRequest {
-        let sequential = matches!(class, RequestClass::Sequential);
-        ClassifiedRequest::new(
-            IoRequest::read(BlockRange::new(start, len), sequential),
-            class,
-            policy,
-        )
-    }
-
-    fn write_req(
-        start: u64,
-        len: u64,
-        class: RequestClass,
-        policy: QosPolicy,
-    ) -> ClassifiedRequest {
-        ClassifiedRequest::new(
-            IoRequest::write(BlockRange::new(start, len), false),
-            class,
-            policy,
-        )
     }
 
     #[test]

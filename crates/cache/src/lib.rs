@@ -48,6 +48,7 @@ pub mod passthrough;
 pub mod policy;
 pub mod priority_group;
 pub mod recovery;
+mod shard;
 mod shard_lock;
 pub mod stats;
 pub mod system;

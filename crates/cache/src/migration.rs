@@ -21,12 +21,11 @@
 //!   promotion (the normal allocation path already moved the block).
 //!
 //! Migration stays policy-correct by construction: demotions flow through
-//! the policy layer as [`RemoveReason::Evict`](crate::RemoveReason::Evict)
-//! — so ghost-keeping policies (2Q, ARC) learn from them exactly as from
-//! their own evictions — and promotions re-enter via the normal admission
-//! path (`admits` → `on_insert`) using the request shape last observed for
-//! the block, so every [`CachePolicy`](crate::CachePolicy) keeps a
-//! consistent view of the resident set.
+//! the policy layer as [`RemoveReason::Evict`] — so ghost-keeping policies
+//! (2Q, ARC) learn from them exactly as from their own evictions — and
+//! promotions re-enter via the normal admission path (`admits` →
+//! `on_insert`) using the request shape last observed for the block, so
+//! every [`CachePolicy`] keeps a consistent view of the resident set.
 //!
 //! The knob set lives in [`MigrationConfig`]. The default is **off**,
 //! which is bit-identical to the engine without this module: no heat is
@@ -86,8 +85,10 @@
 //! assert!(cache.contains_block(hstorage_storage::BlockAddr(1_000)));
 //! ```
 
-use crate::policy::PolicyRequest;
-use hstorage_storage::BlockAddr;
+use crate::policy::{CachePolicy, PolicyRequest, RemoveReason};
+use crate::shard::{DeviceBatch, Shard, ShardState};
+use crate::table::BlockState;
+use hstorage_storage::{BlockAddr, CachePriority, Direction};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -363,8 +364,9 @@ pub(crate) struct ShardMigration {
     /// lazily; a TRIM cancels it.
     ///
     /// Never names a resident block: a block enters only while absent,
-    /// and both paths that make a block resident take it out first —
-    /// `place_block`'s [`Self::note_insert`] and the round's `promote`.
+    /// and both paths that make a block resident take it out right after
+    /// [`Shard::admit`] — `Shard::place_block`, through
+    /// [`Self::note_insert`], and a promotion of [`migration_round`].
     /// `CacheEngine::audit` checks this.
     pub(crate) pending_promote: HashSet<BlockAddr>,
     /// Resident blocks queued for demotion by the last round. A
@@ -438,6 +440,149 @@ impl ShardMigration {
         self.moves.trim_cancellations += u64::from(self.pending_promote.remove(&lbn))
             + u64::from(self.pending_demote.remove(&lbn));
     }
+}
+
+/// Runs one tier-migration round on `shard` (no-op when migration is
+/// disabled), adding the device traffic it generates to `batch`; the
+/// engine issues that after the shard lock is released. Under the
+/// caller's write lock the round:
+///
+/// 1. drops the hot descriptor — crediting the heat of the repeat hits
+///    tallied against it, and sending the next hit through the queues
+///    this round rebuilds — then advances the round counter, applies
+///    decay on the half-life cadence and prunes the tracker;
+/// 2. re-validates the pending promote/demote queues against current
+///    residency;
+/// 3. ranks residents coldest-first (write-buffered blocks excluded:
+///    the buffer has its own drain lifecycle) and admissible absent
+///    blocks hottest-first — both orders fully deterministic (heat,
+///    then address), so the metadata map's iteration order never
+///    reaches an observable decision;
+/// 4. within the per-round budget, first promotes the hottest absents
+///    into free slots, then demote/promote pairs — a cold resident
+///    makes room for a strictly hotter absent block. Demotions leave
+///    through [`Shard::retire`] with [`RemoveReason::Evict`] (ghost
+///    directories learn); promotions pass `admits` and enter through
+///    [`Shard::admit`] with the request shape last observed for the
+///    block;
+/// 5. queues the unconsumed candidates for the lazy window until the
+///    next round.
+///
+/// The round deliberately records no
+/// [`CacheAction`](crate::CacheAction): migration is background work,
+/// and the per-action statistics stay bit-comparable between
+/// migration-on and migration-off runs of identical foreground traffic.
+pub(crate) fn migration_round(shard: &Shard, st: &mut ShardState, batch: &mut DeviceBatch) {
+    shard.set_hot(st, None);
+    // Out of the shard state for the round, so the shard's own insertion
+    // and removal can take the rest of it; put back at the end.
+    let Some(mut mig) = st.migration.take() else {
+        return;
+    };
+    mig.rounds += 1;
+    if mig.rounds % u64::from(mig.config.half_life_rounds) == 0 {
+        mig.heat.decay();
+    }
+    mig.heat.retain_hottest(mig.track_cap);
+    mig.shapes.retain(|lbn, _| mig.heat.heat(*lbn) > 0);
+    mig.pending_demote.retain(|lbn| st.meta.contains(*lbn));
+    mig.pending_promote
+        .retain(|lbn| !st.meta.contains(*lbn) && mig.heat.heat(*lbn) > 0);
+
+    let mut absents: Vec<(u64, BlockAddr, PolicyRequest)> = mig
+        .heat
+        .iter()
+        .filter(|(lbn, heat)| **heat > 0 && !st.meta.contains(**lbn))
+        .filter_map(|(lbn, h)| {
+            let shape = mig.shapes.get(lbn)?;
+            // A promotion is a background fetch, whatever direction the
+            // remembered foreground access had.
+            let preq = PolicyRequest {
+                direction: Direction::Read,
+                ..*shape
+            };
+            // Write-buffer shapes are excluded: promoting into the buffer
+            // would grow occupancy outside the per-request flush check.
+            // Everything else must pass normal admission.
+            if preq.prio == CachePriority(0) || !st.policy.admits(&preq) {
+                return None;
+            }
+            Some((*h, *lbn, preq))
+        })
+        .collect();
+    absents.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+
+    // Residents are only consumed by the absents-gated pairing below, so a
+    // round with no promotion candidate (the steady state of a stable
+    // working set) skips the full metadata sweep and sort. The sweep
+    // reuses the shard's scratch buffer instead of reallocating a
+    // shard-sized Vec every round.
+    let residents = &mut mig.resident_scratch;
+    residents.clear();
+    if !absents.is_empty() {
+        residents.extend(
+            st.meta
+                .iter()
+                .filter(|(_, slot)| !st.policy.write_buffered(slot.entry.priority))
+                .map(|(lbn, _)| (mig.heat.heat(lbn), lbn)),
+        );
+        residents.sort_unstable();
+    }
+
+    // Free slots first: promotion without displacement. Once the shard is
+    // full, demote/promote pairs: a cold resident makes room for a
+    // strictly hotter absent block (ties never migrate — churn without
+    // gain).
+    let mut budget = mig.config.round_budget;
+    let (mut next_absent, mut next_resident) = (0, 0);
+    while let Some(&(absent_heat, lbn, preq)) = absents.get(next_absent) {
+        if st.meta.len() < shard.capacity {
+            if budget < 1 {
+                break;
+            }
+            budget -= 1;
+        } else {
+            let Some(&(resident_heat, cold)) = residents.get(next_resident) else {
+                break;
+            };
+            if budget < 2 || absent_heat <= resident_heat {
+                break;
+            }
+            let entry = shard
+                .retire(st, cold, RemoveReason::Evict)
+                .expect("demotion candidate was checked resident");
+            if entry.is_dirty() {
+                batch.hdd_write += 1;
+            }
+            mig.pending_demote.remove(&cold);
+            mig.moves.demoted += 1;
+            next_resident += 1;
+            budget -= 2;
+        }
+        // One promotion: fetch from HDD, place in SSD, clean, through the
+        // policy's normal insertion path.
+        shard.admit(st, lbn, &preq, BlockState::Clean);
+        batch.hdd_read += 1;
+        batch.ssd_write += 1;
+        mig.pending_promote.remove(&lbn);
+        mig.moves.promoted += 1;
+        next_absent += 1;
+    }
+
+    // Queue what the budget did not cover for the lazy window: an admitted
+    // miss resolves a queued promotion, a hit rescues a queued demotion, a
+    // TRIM cancels either.
+    let budget = mig.config.round_budget;
+    for (_, lbn, _) in absents.iter().skip(next_absent).take(budget) {
+        mig.pending_promote.insert(*lbn);
+    }
+    let pairs = absents[next_absent..]
+        .iter()
+        .zip(&residents[next_resident..]);
+    for (_, &(_, cold)) in pairs.take(budget).take_while(|(a, r)| a.0 > r.0) {
+        mig.pending_demote.insert(cold);
+    }
+    st.migration = Some(mig);
 }
 
 #[cfg(test)]

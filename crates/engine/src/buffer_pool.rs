@@ -7,8 +7,10 @@
 //! in the storage system.
 //!
 //! Sequential scans use a small ring of buffers in PostgreSQL so they do
-//! not flood the pool; we reproduce that by making sequential accesses
-//! non-caching in the pool.
+//! not flood the pool. The executor goes further: scans and temporary-data
+//! streams skip the pool entirely and reach storage as vectored batches,
+//! so a scanned block neither hits in the pool nor refreshes it. Only
+//! random (index) reads come through here, all of them cacheable.
 //!
 //! The pool is small next to the data (the paper's is ≈ 2 %), so nearly
 //! every random probe misses and pays for finding the block, admitting it
@@ -89,7 +91,9 @@ impl BufferPool {
 
     /// Accesses one block through the pool. Returns `true` on a pool hit
     /// (no storage I/O needed). On a miss the block is admitted unless
-    /// `cacheable` is false (used for sequential scans).
+    /// `cacheable` is false, which only looks the block up. The executor
+    /// always passes `true`: sequential scans do not come through the
+    /// pool (see the module docs).
     ///
     /// A miss that overfills the pool admits the block first and then
     /// drops the LRU block — the block an admission past capacity drops,

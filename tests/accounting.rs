@@ -142,6 +142,10 @@ fn folded_statistics_equal_a_locked_twin_after_every_operation() {
                     reset_at = twin.now();
                 }
                 let context = format!("{kind}, migration {}, op {i} {op:?}", migration.enabled);
+                // Read locks only: the audit settles no descriptor.
+                for engine in [&probed, &quiet, &twin] {
+                    assert_eq!(engine.audit(), Ok(()), "{context}");
+                }
                 let (folded, locked) = (probed.stats(), twin.stats());
                 assert_eq!(folded, locked, "{context}");
                 // A fast-path hit replaces exactly one slow-path visit.
@@ -297,6 +301,8 @@ fn concurrent_submits_conserve_every_counter() {
             .collect()
     });
 
+    // At the end: an audit after every op would read 64k slots 32k times.
+    assert_eq!(engine.audit(), Ok(()));
     let stats = engine.stats();
     let sum = |f: fn(&Expected) -> u64| expected.iter().map(f).sum::<u64>();
     let totals = stats.totals();

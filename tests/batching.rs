@@ -396,7 +396,9 @@ fn each_trace() -> Vec<ClassifiedRequest> {
 /// Whether `submit_each` of `reqs` in slices of `slice` requests leaves an
 /// engine built from `config` exactly as per-request `submit` does: the
 /// full statistics, the simulated time, the resident set and, if the
-/// engine journals, the journal.
+/// engine journals, the journal. The `submit_each` engine must pass its
+/// audit after every slice; the per-request twin, which replays the same
+/// trace for every slicing, at the end.
 fn check_each(
     config: &StorageConfig,
     reqs: &[ClassifiedRequest],
@@ -405,10 +407,12 @@ fn check_each(
     let (each, one) = (CacheEngine::new(config), CacheEngine::new(config));
     for chunk in reqs.chunks(slice) {
         each.submit_each(chunk);
+        each.audit()?;
     }
     for req in reqs {
         one.submit(*req);
     }
+    one.audit()?;
     let differs = |what: &str| Err(format!("{what} differ(s) at slice {slice}"));
     if each.stats() != one.stats() {
         return differs("statistics");

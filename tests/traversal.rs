@@ -210,10 +210,10 @@ fn apply_block_by_block(engine: &CacheEngine, op: &Op) {
 }
 
 /// Replays `ops` on the two engines — `engine` as issued, `reference`
-/// block by block — and asserts that every shard's policy saw the same
-/// event sequence after every op, and that statistics, block-level device
-/// traffic, residency and heat agree at the end. Returns `engine`'s
-/// statistics.
+/// block by block — and asserts that both pass their audit and every
+/// shard's policy saw the same event sequence after every op, and that
+/// statistics, block-level device traffic, residency and heat agree at
+/// the end. Returns `engine`'s statistics.
 fn assert_matches_block_by_block(
     (engine, logs): &(CacheEngine, Logs),
     (reference, expected): &(CacheEngine, Logs),
@@ -223,6 +223,8 @@ fn assert_matches_block_by_block(
     for (step, op) in ops.iter().enumerate() {
         apply(engine, op);
         apply_block_by_block(reference, op);
+        assert_eq!(engine.audit(), Ok(()), "{what}: step {step}");
+        assert_eq!(reference.audit(), Ok(()), "{what}: reference, step {step}");
         let (got, want) = (logs.lock().unwrap(), expected.lock().unwrap());
         for (shard, (got, want)) in got.iter().zip(want.iter()).enumerate() {
             assert_eq!(
@@ -408,6 +410,8 @@ fn inert_requests_match_the_block_by_block_walk() {
                 .with_policy_factory("per-block", common::per_block(kind, &config));
             let what = format!("{shards} shards, {migration:?}");
             let check = |step: &dyn std::fmt::Debug| {
+                assert_eq!(engine.audit(), Ok(()), "{what}: {step:?}");
+                assert_eq!(reference.audit(), Ok(()), "{what}: {step:?}");
                 assert_eq!(engine.stats(), reference.stats(), "{what}: {step:?}");
                 assert_eq!(engine.now(), reference.now(), "{what}: {step:?}");
                 assert_eq!(
@@ -545,6 +549,8 @@ fn long_requests_across_empty_extents_match_the_block_by_block_walk() {
             for op in &ops {
                 apply(&engine, op);
                 apply(&reference, op);
+                assert_eq!(engine.audit(), Ok(()), "{what}: {op:?}");
+                assert_eq!(reference.audit(), Ok(()), "{what}: {op:?}");
                 assert_eq!(engine.stats(), reference.stats(), "{what}: {op:?}");
                 assert_eq!(engine.now(), reference.now(), "{what}: {op:?}");
             }
@@ -671,7 +677,11 @@ fn engine(kind: CachePolicyKind, shards: usize) -> CacheEngine {
 fn a_visit_costs_one_lock_per_touched_shard() {
     for kind in common::matrix_kinds() {
         let c = engine(kind, 8);
-        let locks = || c.stats().contention.lock_acquisitions;
+        // Read after every op; the audit's read locks are not counted.
+        let locks = || {
+            assert_eq!(c.audit(), Ok(()), "{kind}");
+            c.stats().contention.lock_acquisitions
+        };
         c.submit(scan(3, 32));
         assert_eq!(locks(), 8, "{kind}: a 32-block request visits 8 shards");
         c.submit(scan(1_006, 5));
@@ -716,6 +726,8 @@ fn concurrent_walks_conserve_blocks_and_lock_counts() {
                 });
             }
         });
+        // At the end: an audit after every op would read each table thousands of times.
+        assert_eq!(c.audit(), Ok(()), "{kind}");
         let walks = threads * ROUNDS;
         let stats = c.stats();
         assert_eq!(stats.totals().accessed_blocks, walks * 96, "{kind}");
@@ -737,10 +749,12 @@ fn empty_requests_and_trims_touch_no_shard() {
         ]));
         c.trim(&TrimCommand::new(Vec::new()));
         c.submit_batch(vec![empty, empty]);
+        assert_eq!(c.audit(), Ok(()), "{shards} shards");
         assert_eq!(c.stats().contention.lock_acquisitions, 0, "{shards} shards");
         assert_eq!(c.now(), std::time::Duration::ZERO, "{shards} shards");
         // Inside a run an empty request is skipped, not a shard visit.
         c.submit_batch(vec![empty, scan(9, 1), empty]);
+        assert_eq!(c.audit(), Ok(()), "{shards} shards");
         let stats = c.stats();
         assert_eq!(stats.contention.lock_acquisitions, 1, "{shards} shards");
         assert_eq!(stats.totals().accessed_blocks, 1, "{shards} shards");
