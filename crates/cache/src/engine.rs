@@ -44,13 +44,21 @@
 //! `ShardLock` (`crate::shard_lock`), whose waiters spin and yield rather
 //! than park, so a writer releases it with a plain store:
 //!
-//! * every submission, TRIM, write-buffer drain, migration round and
-//!   statistics fold holds the write lock for its whole visit, so
-//!   counters are plain `u64`s written where the lock is already held
-//!   and [`StorageSystem::stats`] takes each shard briefly and sums them;
+//! * every submission, TRIM, migration round and statistics fold holds
+//!   the write lock for its whole visit, so counters — the write-buffer
+//!   occupancy among them — are plain `u64`s written where the lock is
+//!   already held and [`StorageSystem::stats`] takes each shard briefly
+//!   and sums them;
 //! * read-only probes ([`CacheEngine::contains_block`],
-//!   [`CacheEngine::cached_priority`], residency counts, learned heat)
-//!   take the read lock and never serialize with each other.
+//!   [`CacheEngine::cached_priority`], residency and write-buffer
+//!   counts, learned heat) take the read lock and never serialize with
+//!   each other.
+//!
+//! A write-buffer drain has no visit of its own: the visit of the
+//! write-buffered request that overfilled a shard's buffer drains it
+//! before releasing the lock, and the drained dirty blocks are written
+//! to the HDD once it is released (`crate::shard` says why no other
+//! request can overfill it).
 //!
 //! A multi-block request, a [`StorageSystem::submit_batch`] run and a TRIM
 //! walk their blocks **shard-major** (`CacheEngine::visit_shards`): each
@@ -174,10 +182,6 @@ pub struct CacheEngine {
     /// The description the engine was built from.
     config: StorageConfig,
     name: String,
-    /// Whether the installed policy maintains a write buffer (group 0).
-    /// When it does not, the write-buffer flush checks and the batch
-    /// run-splitting they require are skipped entirely.
-    write_buffering: bool,
     /// Whether the installed policy declares repeat hits idempotent —
     /// the precondition for consulting the hot-hit descriptor.
     hit_fast_path: bool,
@@ -236,7 +240,6 @@ impl CacheEngine {
         let mut engine = CacheEngine {
             config: *config,
             name: config.cache_policy.system_name().to_string(),
-            write_buffering: true,
             hit_fast_path: false,
             migration_rounds: AtomicU64::new(0),
             migration_skipped: AtomicU64::new(0),
@@ -251,26 +254,11 @@ impl CacheEngine {
         engine
     }
 
-    /// Re-derives the policy-dependent engine flags from the installed
-    /// policy:
-    ///
-    /// * [`Self::write_buffering`] — and with it the write-buffer
-    ///   contract: the engine's buffer mechanism (limit, flush trigger,
-    ///   batch run-splitting) is keyed to group 0, so a policy declaring
-    ///   any other group buffered would accumulate occupancy the engine
-    ///   never flushes;
-    /// * [`Self::hit_fast_path`] — repeat hits take the descriptor
-    ///   shortcut only when the policy declares them idempotent.
+    /// Re-derives [`Self::hit_fast_path`] from the installed policy:
+    /// repeat hits take the descriptor shortcut only when the policy
+    /// declares them idempotent.
     fn refresh_policy_traits(&mut self) {
         let policy = &self.shards[0].state.get_mut().policy;
-        self.write_buffering = policy.write_buffered(CachePriority(0));
-        for group in 1..=u8::MAX {
-            assert!(
-                !policy.write_buffered(CachePriority(group)),
-                "CachePolicy declares group {group} write-buffered, but the engine's \
-                 write buffer is group 0 (see CachePolicy::write_buffered)"
-            );
-        }
         self.hit_fast_path = policy.repeat_hit_idempotent();
     }
 
@@ -288,12 +276,7 @@ impl CacheEngine {
     ) -> Self {
         self.name = name.into();
         for shard in &mut self.shards {
-            let st = shard.state.get_mut();
-            assert!(
-                st.meta.is_empty(),
-                "cache policy must be installed before submitting traffic"
-            );
-            st.policy = ShardPolicy::Custom(factory(shard.capacity as u64));
+            shard.install(ShardPolicy::Custom(factory(shard.capacity as u64)));
         }
         self.refresh_policy_traits();
         self
@@ -384,7 +367,7 @@ impl CacheEngine {
     /// * a `Some` hot-hit descriptor names a resident block, and a `None`
     ///   has no repeat hits tallied against it;
     /// * the write-buffer occupancy equals the number of resident blocks
-    ///   whose priority the policy write-buffers;
+    ///   that are write-buffered;
     /// * no block queued for promotion is resident (the `pending_promote`
     ///   clause written down in [`crate::migration`]).
     ///
@@ -422,9 +405,9 @@ impl CacheEngine {
             let buffered = st
                 .meta
                 .iter()
-                .filter(|(_, slot)| st.policy.write_buffered(slot.entry.priority))
+                .filter(|(_, slot)| shard.buffered(slot.entry.priority))
                 .count() as u64;
-            let occupancy = shard.write_buffer_resident.load(Ordering::Relaxed);
+            let occupancy = st.write_buffer_resident;
             if occupancy != buffered {
                 return Err(format!(
                     "shard {i}: write-buffer occupancy {occupancy}, but {buffered} resident blocks are write-buffered"
@@ -457,12 +440,12 @@ impl CacheEngine {
         self.shards.iter().map(|s| s.write_buffer_limit).sum()
     }
 
-    /// Number of blocks currently held in the write buffer. Lock-free:
-    /// occupancy is kept on per-shard atomics.
+    /// Number of blocks currently held in the write buffer. Takes each
+    /// shard's read lock in turn: occupancy is kept in the shard state.
     pub fn write_buffer_resident(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.write_buffer_resident.load(Ordering::Relaxed))
+            .map(|s| s.state.read().write_buffer_resident)
             .sum()
     }
 
@@ -514,7 +497,7 @@ impl CacheEngine {
     #[inline(always)]
     fn charge(&self, st: &mut ShardState, req: &ClassifiedRequest, batch: &DeviceBatch) {
         let mut t = Duration::ZERO;
-        batch.issue(req.io.range.start, req.io.sequential, |device, io| {
+        for (device, io) in batch.transfers(req.io.range.start, req.io.sequential) {
             t += match device {
                 DeviceKind::Ssd => {
                     let service = self.ssd.service_time(&io);
@@ -523,7 +506,7 @@ impl CacheEngine {
                 }
                 DeviceKind::Hdd => self.hdd.charge(&io),
             };
-        });
+        }
         st.lane.advance(t);
     }
 
@@ -536,15 +519,16 @@ impl CacheEngine {
     /// The shard-major traversal of a multi-block walk — one request, a
     /// run of requests, a TRIM's ranges. Each shard the
     /// `ranges` touch is visited exactly once: its write lock is taken
-    /// (and counted), `visit` is handed the shard's blocks as
-    /// `(range index, block)` pairs and must consume them, and the lock is
+    /// (and counted), `visit` is handed the shard's index, the shard and
+    /// its blocks as `(range index, block)` pairs and must consume them,
+    /// and the lock is
     /// released before the next shard's is taken — never two at once, so
     /// concurrent walks cannot deadlock. Ranges without blocks touch no
     /// shard.
     fn visit_shards<I>(
         &self,
         ranges: I,
-        mut visit: impl FnMut(&Shard, &mut ShardState, &mut ShardBlocks<I>),
+        mut visit: impl FnMut(usize, &Shard, &mut ShardState, &mut ShardBlocks<I>),
     ) where
         I: ExactSizeIterator<Item = BlockRange> + Clone,
     {
@@ -563,7 +547,12 @@ impl CacheEngine {
                 continue;
             }
             let shard = &self.shards[idx as usize];
-            visit(shard, &mut shard.lock_for_write(), &mut blocks);
+            visit(
+                idx as usize,
+                shard,
+                &mut shard.lock_for_write(),
+                &mut blocks,
+            );
             debug_assert!(blocks.peek().is_none(), "visit left blocks unhandled");
         }
     }
@@ -575,11 +564,9 @@ impl CacheEngine {
     ///
     /// Per-shard block order equals request order, so the cache state and
     /// cache-level statistics after a run are identical to submitting each
-    /// request individually. Under a write-buffering policy, callers must
-    /// ensure no request in the run resolves to the write-buffer priority:
-    /// buffered traffic needs the per-request flush check of
-    /// [`StorageSystem::submit`]. (Non-buffering policies have no flush
-    /// semantics, so any request may appear in a run.)
+    /// request individually. Callers must ensure no request in the run is
+    /// write-buffered ([`Shard::buffered`]): such a request drains the
+    /// buffer it overfills, which a run does not.
     fn submit_run(&self, reqs: &[ClassifiedRequest]) {
         match reqs {
             [] => return,
@@ -593,7 +580,7 @@ impl CacheEngine {
             .map(|r| (self.policy_request(r), DeviceBatch::default()))
             .collect();
         let ahead = self.prefetch_distance();
-        self.visit_shards(reqs.iter().map(|r| r.io.range), |shard, st, blocks| {
+        self.visit_shards(reqs.iter().map(|r| r.io.range), |_, shard, st, blocks| {
             shard.walk_blocks(st, blocks, ahead, reqs, &mut work);
         });
 
@@ -603,11 +590,12 @@ impl CacheEngine {
         let mut hdd_q = Vec::with_capacity(reqs.len());
         let mut ssd_q = Vec::with_capacity(reqs.len());
         for (req, (_, batch)) in reqs.iter().zip(&work) {
-            let (start, sequential) = (req.io.range.start, req.io.sequential);
-            batch.issue(start, sequential, |device, io| match device {
-                DeviceKind::Hdd => hdd_q.push(io),
-                DeviceKind::Ssd => ssd_q.push(io),
-            });
+            for (device, io) in batch.transfers(req.io.range.start, req.io.sequential) {
+                match device {
+                    DeviceKind::Hdd => hdd_q.push(io),
+                    DeviceKind::Ssd => ssd_q.push(io),
+                }
+            }
         }
         if !hdd_q.is_empty() {
             self.hdd.serve_batch(&hdd_q);
@@ -615,37 +603,24 @@ impl CacheEngine {
         if !ssd_q.is_empty() {
             self.ssd.serve_batch(&ssd_q);
         }
-        // No write-buffer flush check: under a buffering policy the run
-        // contains no write-buffer requests, and under a non-buffering
-        // policy the buffer can never grow.
     }
 
-    /// Flushes every shard's write buffer that exceeds its threshold `b`:
-    /// dirty buffered blocks are written to the HDD and the buffer space is
-    /// returned to the cache.
-    fn maybe_flush_write_buffers(&self) {
-        for (idx, shard) in self.shards.iter().enumerate() {
-            // Lock-free occupancy screen. Occupancy only moves under the
-            // write lock and the thread that pushed it over the limit
-            // sees its own increment here, so a needed flush is never
-            // skipped; shards that cannot need one are not locked at all.
-            if !shard.write_buffer_over_limit() {
-                continue;
-            }
-            let drained = shard.drain_write_buffer_if_full(&mut shard.lock_for_write());
-            if let Some(dirty_blocks) = drained {
-                // The drain tore down the buffer inside the enclosing
-                // journal batch; the note marks the torn-drain window the
-                // fault-injection suite crashes into. Never replayed.
-                if let Some(journal) = &self.journal {
-                    journal.note_drain(idx, dirty_blocks);
-                }
-                if dirty_blocks > 0 {
-                    // The flush is a large, mostly sequential transfer.
-                    self.hdd
-                        .serve(&IoRequest::write(BlockRange::new(0u64, dirty_blocks), true));
-                }
-            }
+    /// Completes the drain of shard `shard`'s write buffer, once its lock
+    /// is released: the `dirty_blocks` it dropped are written to the HDD
+    /// as one flush (the write buffer's threshold `b`).
+    #[cold]
+    #[inline(never)]
+    fn flush_drained(&self, shard: usize, dirty_blocks: u64) {
+        // The drain tore down the buffer inside the enclosing journal
+        // batch; the note marks the torn-drain window the fault-injection
+        // suite crashes into. Never replayed.
+        if let Some(journal) = &self.journal {
+            journal.note_drain(shard, dirty_blocks);
+        }
+        if dirty_blocks > 0 {
+            // The flush is a large, mostly sequential transfer.
+            self.hdd
+                .serve(&IoRequest::write(BlockRange::new(0u64, dirty_blocks), true));
         }
     }
 
@@ -678,17 +653,10 @@ impl CacheEngine {
     #[inline(always)]
     fn submit_one(&self, req: &ClassifiedRequest, shard: usize, ahead: impl FnOnce(&ShardState)) {
         let preq = self.policy_request(req);
-        // Only write-buffer traffic can grow the buffer, so the flush
-        // check is needed — and its cost paid — only under a buffering
-        // policy and only then.
-        let buffered = self.write_buffering && preq.prio == CachePriority(0);
         match req.blocks() {
-            0 => return,
-            1 => self.submit_block(req, &preq, buffered, &self.shards[shard], ahead),
+            0 => {}
+            1 => self.submit_block(req, &preq, shard, ahead),
             _ => self.walk_request(req, preq),
-        }
-        if buffered {
-            self.maybe_flush_write_buffers();
         }
     }
 
@@ -743,22 +711,24 @@ impl CacheEngine {
     /// [`CachePolicy::repeat_hit_idempotent`] contract, so the hit is only
     /// tallied on the descriptor, for [`Shard::set_hot`] to account, and
     /// the lane advanced by the SSD transfer it would have been priced at.
-    /// Write-buffer reads always take the full path, which keeps the two
-    /// paths trivially equivalent ahead of the flush check that follows.
+    /// Write-buffered requests always take the full path, which ends by
+    /// draining the buffer if the request overfilled it; the write-back of
+    /// the drained blocks follows once the lock is released.
     ///
-    /// `shard` is the block's shard, and `ahead` runs first under its
+    /// `index` is the block's shard, and `ahead` runs first under its
     /// lock.
     #[inline(always)]
     fn submit_block(
         &self,
         req: &ClassifiedRequest,
         preq: &PolicyRequest,
-        buffered: bool,
-        shard: &Shard,
+        index: usize,
         ahead: impl FnOnce(&ShardState),
     ) {
         let lbn = req.io.range.start;
         let sequential = req.io.sequential;
+        let shard = &self.shards[index];
+        let buffered = shard.buffered(preq.prio);
         let mut st = shard.state.write();
         ahead(&st);
         // The descriptor only ever holds a read's shape, so matching it
@@ -778,11 +748,19 @@ impl CacheEngine {
         let mut batch = DeviceBatch::default();
         shard.place_block(&mut st, lbn, preq, sequential, &mut batch);
         self.charge(&mut st, req, &batch);
+        if buffered {
+            if let Some(dirty_blocks) = shard.drain_write_buffer_if_full(&mut st) {
+                drop(st);
+                self.flush_drained(index, dirty_blocks);
+            }
+        }
     }
 
     /// The shard visits of a multi-block [`Self::submit_inner`], which
     /// settle bypassed blocks in runs; the last visit prices the request
-    /// and advances its shard's clock lane. Out of line, so the
+    /// and advances its shard's clock lane. A visit of a write-buffered
+    /// request drains the buffer it overfilled, and the drained blocks are
+    /// written back after the walk, in shard order. Out of line, so the
     /// lone-block path keeps the code it had without runs.
     #[inline(never)]
     fn walk_request(&self, req: &ClassifiedRequest, preq: PolicyRequest) {
@@ -791,7 +769,8 @@ impl CacheEngine {
         // blocks.
         let mut visits_left = req.blocks().min(self.shards.len() as u64);
         let ahead = self.prefetch_distance();
-        self.visit_shards(std::iter::once(req.io.range), |shard, st, blocks| {
+        let mut drained = Vec::new();
+        self.visit_shards(std::iter::once(req.io.range), |index, shard, st, blocks| {
             shard.walk_blocks(st, blocks, ahead, std::slice::from_ref(req), &mut work);
             visits_left -= 1;
             // Once the request's traffic is complete, its SSD traffic goes
@@ -801,25 +780,31 @@ impl CacheEngine {
             if visits_left == 0 {
                 self.charge(st, req, &work[0].1);
             }
+            if shard.buffered(preq.prio) {
+                if let Some(dirty_blocks) = shard.drain_write_buffer_if_full(st) {
+                    drained.push((index, dirty_blocks));
+                }
+            }
         });
+        // The write-backs move the disk head, so they keep shard order,
+        // whatever shard the walk started on.
+        drained.sort_unstable();
+        for (index, dirty_blocks) in drained {
+            self.flush_drained(index, dirty_blocks);
+        }
     }
 
     /// [`StorageSystem::submit_batch`] below the journal wrapper.
     fn submit_batch_inner(&self, reqs: &[ClassifiedRequest]) {
-        // Under a non-buffering policy the buffer can never grow, so the
-        // whole batch is served as one run — no fragmentation, full
-        // device queue merging.
-        if !self.write_buffering {
-            return self.submit_run(reqs);
-        }
-        // Write-buffer requests keep the per-request flush semantics of
-        // `submit`, so the batch is served as maximal runs of non-buffered
-        // requests, in place, with buffered requests submitted
-        // individually between them. On the hot path (scan batches) the
-        // whole batch is one run.
+        // Write-buffered requests keep the per-request drain of `submit`,
+        // so the batch is served as maximal runs of the other requests, in
+        // place, with buffered requests submitted individually between
+        // them. On the hot path (scan batches), and under a policy without
+        // a write buffer, the whole batch is one run. Every shard runs the
+        // same policy kind, so the first answers for all.
         let mut start = 0;
         for (i, req) in reqs.iter().enumerate() {
-            if self.config.policy.resolve(req.policy) == CachePriority(0) {
+            if self.shards[0].buffered(self.config.policy.resolve(req.policy)) {
                 self.submit_run(&reqs[start..i]);
                 self.submit_inner(req);
                 start = i + 1;
@@ -864,7 +849,7 @@ impl CacheEngine {
     /// [`StorageSystem::trim`] below the journal wrapper.
     fn trim_inner(&self, cmd: &TrimCommand) {
         let ahead = self.prefetch_distance();
-        self.visit_shards(cmd.ranges.iter().copied(), |shard, st, blocks| {
+        self.visit_shards(cmd.ranges.iter().copied(), |_, shard, st, blocks| {
             let trimmed: u64 = blocks
                 .map(|(_, lbn)| {
                     st.meta.prefetch(BlockAddr(lbn.0.wrapping_add(ahead)));
@@ -1008,12 +993,12 @@ impl CacheEngine {
         // Issue the round's traffic outside every shard lock, one batched
         // command per device and direction (promotion fetches, demotion
         // writebacks of dirty blocks, SSD placements).
-        total.issue(BlockAddr(0), false, |device, io| {
+        for (device, io) in total.transfers(BlockAddr(0), false) {
             match device {
                 DeviceKind::Hdd => self.hdd.serve(&io),
                 DeviceKind::Ssd => self.ssd.serve(&io),
             };
-        });
+        }
         self.migration_stats()
     }
 }
@@ -1101,9 +1086,7 @@ pub(crate) mod tests {
                     let mig = st.migration.as_mut().expect("migration is on");
                     mig.pending_promote.insert(BlockAddr(3));
                 }
-                _ => {
-                    shard.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
-                }
+                _ => st.write_buffer_resident += 1,
             }
             drop(st);
             let err = c.audit().expect_err(clause);
@@ -1870,7 +1853,7 @@ pub(crate) mod tests {
             reads.push(read);
         }
         assert_ne!(reads[0], reads[1], "the two shapes must be told apart");
-        // A write-buffer read keeps the full path and its flush check,
+        // A write-buffer read keeps the full path and its drain check,
         // repeat or not.
         let c = engine(CachePolicyKind::SemanticPriority, 64);
         let buffered = read_req(5, 1, RequestClass::Random, QosPolicy::WriteBuffer);

@@ -231,17 +231,10 @@ impl MigrationStats {
 ///
 /// Every foreground access adds one unit of heat; every
 /// [`MigrationConfig::half_life_rounds`] rounds the tracker decays,
-/// halving all counters (dropping the ones that reach zero). Two
-/// invariants make the tracker safe to reason about:
-///
-/// * **boundedness** — a block's heat never exceeds the raw number of
-///   accesses recorded for it, no matter how record/decay interleave
-///   (decay only ever shrinks counters);
-/// * **order-independent merge** — [`HeatTracker::merge`] is commutative
-///   and associative, so folding per-shard trackers into a global view
-///   gives the same answer in any order.
-///
-/// Both are pinned by property tests.
+/// halving all counters (dropping the ones that reach zero). A block's
+/// heat never exceeds the raw number of accesses recorded for it, no
+/// matter how record/decay interleave (decay only ever shrinks
+/// counters); a property test pins it.
 #[derive(Debug, Clone, Default)]
 pub struct HeatTracker {
     counts: HashMap<BlockAddr, u64>,
@@ -293,15 +286,6 @@ impl HeatTracker {
             *h >>= 1;
             *h > 0
         });
-    }
-
-    /// Adds every counter of `other` into this tracker. Commutative and
-    /// associative (up to counter saturation), so per-shard trackers can
-    /// be folded in any order.
-    pub fn merge(&mut self, other: &HeatTracker) {
-        for (&lbn, &h) in &other.counts {
-            self.record_n(lbn, h);
-        }
     }
 
     /// Forgets `lbn` entirely (its lifetime ended — TRIM).
@@ -502,7 +486,7 @@ pub(crate) fn migration_round(shard: &Shard, st: &mut ShardState, batch: &mut De
                 ..*shape
             };
             // Write-buffer shapes are excluded: promoting into the buffer
-            // would grow occupancy outside the per-request flush check.
+            // would grow occupancy in a visit that does not drain it.
             // Everything else must pass normal admission.
             if preq.prio == CachePriority(0) || !st.policy.admits(&preq) {
                 return None;
@@ -523,7 +507,7 @@ pub(crate) fn migration_round(shard: &Shard, st: &mut ShardState, batch: &mut De
         residents.extend(
             st.meta
                 .iter()
-                .filter(|(_, slot)| !st.policy.write_buffered(slot.entry.priority))
+                .filter(|(_, slot)| !shard.buffered(slot.entry.priority))
                 .map(|(lbn, _)| (mig.heat.heat(lbn), lbn)),
         );
         residents.sort_unstable();
@@ -699,53 +683,6 @@ mod tests {
                     t.heat(*lbn)
                 );
             }
-        }
-
-        /// Merging per-shard trackers is order-independent: any
-        /// permutation of merges yields the same aggregate.
-        #[test]
-        fn merge_is_order_independent(
-            a in proptest::collection::vec((0u64..32, 1u64..50), 0..20),
-            b in proptest::collection::vec((0u64..32, 1u64..50), 0..20),
-            c in proptest::collection::vec((0u64..32, 1u64..50), 0..20),
-        ) {
-            let tracker = |entries: &[(u64, u64)]| {
-                let mut t = HeatTracker::new();
-                for &(lbn, n) in entries {
-                    t.record_n(BlockAddr(lbn), n);
-                }
-                t
-            };
-            let (ta, tb, tc) = (tracker(&a), tracker(&b), tracker(&c));
-            let fold = |order: [&HeatTracker; 3]| {
-                let mut out = HeatTracker::new();
-                for t in order {
-                    out.merge(t);
-                }
-                out
-            };
-            let abc = fold([&ta, &tb, &tc]);
-            prop_assert_eq!(fold([&tc, &tb, &ta]).heat_map(), abc.heat_map());
-            prop_assert_eq!(fold([&tb, &ta, &tc]).heat_map(), abc.heat_map());
-            // Associativity: (a ⊎ b) ⊎ c == a ⊎ (b ⊎ c).
-            let mut ab = ta.clone();
-            ab.merge(&tb);
-            ab.merge(&tc);
-            let mut bc = tb.clone();
-            bc.merge(&tc);
-            let mut a_bc = ta.clone();
-            a_bc.merge(&bc);
-            prop_assert_eq!(ab.heat_map(), a_bc.heat_map());
-        }
-    }
-
-    impl HeatTracker {
-        /// Test-only canonical view (sorted) for order-independent
-        /// comparison.
-        fn heat_map(&self) -> Vec<(BlockAddr, u64)> {
-            let mut v: Vec<(BlockAddr, u64)> = self.counts.iter().map(|(&l, &h)| (l, h)).collect();
-            v.sort_unstable();
-            v
         }
     }
 }

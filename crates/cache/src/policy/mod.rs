@@ -51,6 +51,11 @@ pub use semantic::SemanticPriorityPolicy;
 pub use shard_policy::ShardPolicy;
 pub use two_q::TwoQPolicy;
 
+/// The write buffer's group: the priority `WriteBuffer` requests resolve
+/// to, and the only group a policy that [`CachePolicy::buffers_writes`]
+/// buffers.
+pub(crate) const WRITE_BUFFER_GROUP: CachePriority = CachePriority(0);
+
 use hstorage_storage::{
     BlockAddr, CachePriority, Direction, PolicyConfig, QosPolicy, RequestClass,
 };
@@ -361,17 +366,13 @@ pub trait CachePolicy: Send + Sync {
         let _ = lbn;
     }
 
-    /// Whether blocks labelled `group` occupy the engine's write buffer.
-    /// Only the semantic policy buffers writes; the baselines treat
-    /// buffered updates as ordinary cached writes.
-    ///
-    /// The engine's write-buffer mechanism (occupancy limit, flush
-    /// trigger, batch run-splitting) is keyed to **group 0** — the
-    /// priority that `WriteBuffer` requests resolve to. A policy may
-    /// therefore only ever return `true` for `CachePriority(0)`; the
-    /// engine asserts this when the policy is installed.
-    fn write_buffered(&self, group: CachePriority) -> bool {
-        let _ = group;
+    /// Whether the policy keeps the engine's write buffer: when it does,
+    /// exactly the blocks labelled group 0 — the priority `WriteBuffer`
+    /// requests resolve to — occupy the buffer, count against its limit
+    /// and leave through its drain. Only the semantic policy (and a
+    /// per-stream compositor with a semantic inner) buffers writes; the
+    /// baselines treat buffered updates as ordinary cached writes.
+    fn buffers_writes(&self) -> bool {
         false
     }
 

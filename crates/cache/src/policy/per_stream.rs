@@ -28,7 +28,7 @@
 
 use crate::policy::{
     ArcPolicy, CachePolicy, CflruPolicy, HitOutcome, LruPolicy, PolicyRequest, RemoveReason,
-    SemanticPriorityPolicy, ShardPolicy, TwoQPolicy,
+    SemanticPriorityPolicy, ShardPolicy, TwoQPolicy, WRITE_BUFFER_GROUP,
 };
 use hstorage_storage::{BlockAddr, CachePriority, PolicyConfig, RequestClass};
 use serde::{Deserialize, Serialize};
@@ -291,9 +291,7 @@ impl PerStreamPolicy {
             .iter()
             .map(|k| k.build(&config, shard_capacity))
             .collect();
-        let buffering = inners
-            .iter()
-            .position(|p| p.write_buffered(CachePriority(0)));
+        let buffering = inners.iter().position(|p| p.buffers_writes());
         let owned = vec![0; inners.len()];
         PerStreamPolicy {
             inners,
@@ -335,7 +333,7 @@ impl PerStreamPolicy {
     /// the buffering inner whatever its class, everything else routes by
     /// request class.
     fn route_for(&self, req: &PolicyRequest) -> usize {
-        if req.prio == CachePriority(0) {
+        if req.prio == WRITE_BUFFER_GROUP {
             if let Some(idx) = self.buffering {
                 return idx;
             }
@@ -449,8 +447,8 @@ impl CachePolicy for PerStreamPolicy {
         }
     }
 
-    fn write_buffered(&self, group: CachePriority) -> bool {
-        self.inners.iter().any(|i| i.write_buffered(group))
+    fn buffers_writes(&self) -> bool {
+        self.buffering.is_some()
     }
 
     fn drain_write_buffer(&mut self) -> Vec<BlockAddr> {
@@ -702,8 +700,7 @@ mod tests {
             QosPolicy::WriteBuffer,
             Direction::Write,
         );
-        assert!(p.policy.write_buffered(CachePriority(0)));
-        assert!(!p.policy.write_buffered(CachePriority(2)));
+        assert!(p.policy.buffers_writes());
         p.insert(BlockAddr(1), &upd);
         p.insert(
             BlockAddr(2),

@@ -1,7 +1,7 @@
 //! The paper's semantic, priority-driven policy (Section 5.1), expressed
 //! behind the [`CachePolicy`] trait.
 
-use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason};
+use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason, WRITE_BUFFER_GROUP};
 use crate::priority_group::PriorityGroups;
 use hstorage_storage::{BlockAddr, CachePriority, PolicyConfig, QosPolicy};
 
@@ -122,14 +122,17 @@ impl CachePolicy for SemanticPriorityPolicy {
         self.groups.remove(node, group);
     }
 
-    fn write_buffered(&self, group: CachePriority) -> bool {
-        group == CachePriority(0)
+    fn buffers_writes(&self) -> bool {
+        true
     }
 
     fn drain_write_buffer(&mut self) -> Vec<BlockAddr> {
         // Selection only: the engine untracks each block with an Evict
         // notification as it releases the slots.
-        self.groups.iter_group(CachePriority(0)).copied().collect()
+        self.groups
+            .iter_group(WRITE_BUFFER_GROUP)
+            .copied()
+            .collect()
     }
 
     fn check(&self) -> Result<(), String> {
@@ -229,8 +232,7 @@ mod tests {
         p.insert(BlockAddr(1), &req(QosPolicy::WriteBuffer, &config));
         p.insert(BlockAddr(2), &req(QosPolicy::priority(2), &config));
         p.insert(BlockAddr(3), &req(QosPolicy::WriteBuffer, &config));
-        assert!(p.policy.write_buffered(CachePriority(0)));
-        assert!(!p.policy.write_buffered(CachePriority(2)));
+        assert!(p.policy.buffers_writes());
         let mut drained = p.policy.drain_write_buffer();
         // The engine completes the drain with one Evict per block.
         for lbn in &drained {

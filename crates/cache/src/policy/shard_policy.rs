@@ -2,7 +2,7 @@
 //! one boxed escape hatch for custom policies.
 //!
 //! A block the engine places makes several policy calls — `admits`,
-//! `pop_victim`, `on_remove`, `on_insert` and `write_buffered` on a miss,
+//! `pop_victim`, `on_remove` and `on_insert` on a miss,
 //! `on_hit` on a hit. Behind a `Box<dyn CachePolicy>` each is an indirect
 //! call that nothing can inline. [`ShardPolicy`] names the shipped policies
 //! as variants, so a call on a shipped kind is one `match` on the variant
@@ -115,8 +115,8 @@ impl CachePolicy for ShardPolicy {
     }
 
     #[inline]
-    fn write_buffered(&self, group: CachePriority) -> bool {
-        dispatch!(self, p => p.write_buffered(group))
+    fn buffers_writes(&self) -> bool {
+        dispatch!(self, p => p.buffers_writes())
     }
 
     #[inline]
@@ -193,9 +193,9 @@ mod tests {
         fn on_trim_absent(&mut self, _: BlockAddr) {
             self.log("on_trim_absent");
         }
-        fn write_buffered(&self, group: CachePriority) -> bool {
-            self.log("write_buffered");
-            group == CachePriority(0)
+        fn buffers_writes(&self) -> bool {
+            self.log("buffers_writes");
+            true
         }
         fn drain_write_buffer(&mut self) -> Vec<BlockAddr> {
             self.log("drain_write_buffer");
@@ -262,8 +262,8 @@ mod tests {
         called("on_remove");
         shard.on_trim_absent(lbn);
         called("on_trim_absent");
-        assert!(shard.write_buffered(CachePriority(0)));
-        called("write_buffered");
+        assert!(shard.buffers_writes());
+        called("buffers_writes");
         assert_eq!(shard.drain_write_buffer(), [BlockAddr(6)]);
         called("drain_write_buffer");
         assert_eq!(shard.check(), Err("probe".to_string()));
@@ -315,14 +315,12 @@ mod tests {
             rng ^= rng << 17;
             let lbn = BlockAddr(rng % 48);
             let req = &shapes[(rng >> 8) as usize % shapes.len()];
-            let buffered: Vec<bool> = (0..=config.total_priorities)
-                .map(|g| policy.write_buffered(CachePriority(g)))
-                .collect();
             out.push(format!(
-                "admits {} inert {} repeat {} buffered {buffered:?} check {:?}",
+                "admits {} inert {} repeat {} buffers {} check {:?}",
                 policy.admits(req),
                 policy.is_inert(req),
                 policy.repeat_hit_idempotent(),
+                policy.buffers_writes(),
                 policy.check(),
             ));
             if let Some(&(node, _)) = slots.get(&lbn) {

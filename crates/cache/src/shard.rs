@@ -4,11 +4,22 @@
 //! ([`Shard::admit`]: foreground allocation, a round's promotion) and one
 //! removal ([`Shard::retire`]: eviction, drain, TRIM, a round's
 //! demotion); the one other change of occupancy is a group move on a hit
-//! ([`Shard::apply_move`]). `CacheEngine::audit` checks that they agree.
+//! ([`Shard::apply_move`]). Whether a block is write-buffered is asked of
+//! one predicate, [`Shard::buffered`]. `CacheEngine::audit` checks that
+//! they agree.
+//!
+//! Only a write-buffered request can fill the write buffer: group 0 is
+//! entered by an insertion or a hit move for a request that resolves to
+//! it, and a round never promotes such a shape. So the visit of such a
+//! request that pushes the buffer over its limit drains it before the
+//! lock is released ([`Shard::drain_write_buffer_if_full`]), and the
+//! occupancy is a plain counter in [`ShardState`].
 
 use crate::config::StorageConfig;
 use crate::migration::ShardMigration;
-use crate::policy::{CachePolicy, HitOutcome, PolicyRequest, RemoveReason, ShardPolicy};
+use crate::policy::{
+    CachePolicy, HitOutcome, PolicyRequest, RemoveReason, ShardPolicy, WRITE_BUFFER_GROUP,
+};
 use crate::shard_lock::{ShardLock, ShardWriteGuard};
 use crate::stats::{CacheAction, CacheStats};
 use crate::table::{BlockState, BlockTable, CacheEntry, TableSlot};
@@ -16,7 +27,6 @@ use hstorage_storage::{
     BlockAddr, BlockRange, CachePriority, ClassifiedRequest, ClockLane, DeviceKind, DeviceStats,
     Direction, IoRequest,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Per-request batch of device traffic, flushed as one I/O per device and
@@ -31,29 +41,35 @@ pub(crate) struct DeviceBatch {
 }
 
 impl DeviceBatch {
-    /// Hands the batch's transfers to `issue` as requests from `start`,
-    /// each flagged `sequential`: the HDD's, then the SSD's, and on each
-    /// device the read before the write. A direction with no blocks issues
-    /// nothing.
+    /// The batch's transfers as requests from `start`, each flagged
+    /// `sequential`: the HDD's, then the SSD's, and on each device the
+    /// read before the write. A direction with no blocks has none.
     #[inline(always)]
-    pub(crate) fn issue(
+    pub(crate) fn transfers(
         &self,
         start: BlockAddr,
         sequential: bool,
-        mut issue: impl FnMut(DeviceKind, IoRequest),
-    ) {
-        let range = |blocks| BlockRange::new(start, blocks);
+    ) -> impl Iterator<Item = (DeviceKind, IoRequest)> {
         let (hdd, ssd) = (DeviceKind::Hdd, DeviceKind::Ssd);
-        for (device, io) in [
-            (hdd, IoRequest::read(range(self.hdd_read), sequential)),
-            (hdd, IoRequest::write(range(self.hdd_write), sequential)),
-            (ssd, IoRequest::read(range(self.ssd_read), sequential)),
-            (ssd, IoRequest::write(range(self.ssd_write), sequential)),
-        ] {
-            if io.blocks() > 0 {
-                issue(device, io);
-            }
-        }
+        [
+            (hdd, Direction::Read, self.hdd_read),
+            (hdd, Direction::Write, self.hdd_write),
+            (ssd, Direction::Read, self.ssd_read),
+            (ssd, Direction::Write, self.ssd_write),
+        ]
+        .into_iter()
+        .filter(|&(_, _, blocks)| blocks > 0)
+        .map(move |(device, direction, blocks)| {
+            let range = BlockRange::new(start, blocks);
+            (
+                device,
+                IoRequest {
+                    range,
+                    direction,
+                    sequential,
+                },
+            )
+        })
     }
 }
 
@@ -192,6 +208,9 @@ pub(crate) struct ShardState {
     /// Class, priority, action and contention counters of the blocks this
     /// shard handled.
     pub(crate) stats: CacheStats,
+    /// Blocks resident in the write-buffer group. Written only by
+    /// [`Shard::admit`], [`Shard::retire`] and [`Shard::apply_move`].
+    pub(crate) write_buffer_resident: u64,
     /// SSD traffic priced under this shard's lock: the device's own
     /// mutex-guarded ledger sees only what is served outside one. The
     /// two sum to the device statistics `StorageSystem::stats` reports.
@@ -215,12 +234,10 @@ pub(crate) struct Shard {
     /// Maximum blocks this shard's slice of the write buffer may hold.
     /// Immutable after construction.
     pub(crate) write_buffer_limit: u64,
-    /// Blocks currently resident in the write-buffer group. Written only
-    /// by [`Shard::admit`], [`Shard::retire`] and [`Shard::apply_move`],
-    /// under the write lock — one mutator at a time, so a debit's
-    /// load/store pair cannot lose an update; atomic so the occupancy
-    /// getters and the flush pre-check can read it lock-free.
-    pub(crate) write_buffer_resident: AtomicU64,
+    /// Whether the shard's policy keeps the write buffer
+    /// ([`CachePolicy::buffers_writes`]). Set with the policy, before any
+    /// traffic.
+    buffers_writes: bool,
 }
 
 impl Shard {
@@ -235,7 +252,9 @@ impl Shard {
         lane: ClockLane,
     ) -> Self {
         let migration = config.migration;
+        let policy = config.cache_policy.build(&config.policy, capacity);
         Shard {
+            buffers_writes: policy.buffers_writes(),
             state: ShardLock::new(ShardState {
                 // Pre-sized to the shard's slot count: a full shard never
                 // rehashes mid-run. Grouped by the shard stride, so a
@@ -243,11 +262,12 @@ impl Shard {
                 meta: BlockTable::with_capacity(capacity as usize, config.shards),
                 hot: None,
                 fast_hits: 0,
-                policy: config.cache_policy.build(&config.policy, capacity),
+                policy,
                 migration: migration
                     .enabled
                     .then(|| ShardMigration::new(migration, capacity)),
                 stats: CacheStats::new(),
+                write_buffer_resident: 0,
                 ssd: DeviceStats::new(),
                 lane,
             }),
@@ -255,8 +275,28 @@ impl Shard {
             capacity: capacity as usize,
             write_buffer_limit: (capacity as f64 * config.policy.write_buffer_fraction).floor()
                 as u64,
-            write_buffer_resident: AtomicU64::new(0),
         }
+    }
+
+    /// Installs `policy` in place of the shard's own. Panics once the
+    /// shard holds a block: the policy must be installed before any
+    /// traffic.
+    pub(crate) fn install(&mut self, policy: ShardPolicy) {
+        let st = self.state.get_mut();
+        assert!(
+            st.meta.is_empty(),
+            "cache policy must be installed before submitting traffic"
+        );
+        self.buffers_writes = policy.buffers_writes();
+        st.policy = policy;
+    }
+
+    /// Whether a block of `group` — or a request that resolves to it —
+    /// is write-buffered: the shard's policy keeps the write buffer and
+    /// `group` is the buffer's.
+    #[inline]
+    pub(crate) fn buffered(&self, group: CachePriority) -> bool {
+        self.buffers_writes && group == WRITE_BUFFER_GROUP
     }
 
     /// Takes the write lock for a submission-path visit, counting it.
@@ -264,13 +304,6 @@ impl Shard {
         let mut st = self.state.write();
         st.stats.contention.lock_acquisitions += 1;
         st
-    }
-
-    /// Whether the write buffer holds more blocks than its limit (the drain
-    /// trigger). Lock-free: only the thread that pushed it over needs to see it.
-    pub(crate) fn write_buffer_over_limit(&self) -> bool {
-        self.write_buffer_limit > 0
-            && self.write_buffer_resident.load(Ordering::Relaxed) > self.write_buffer_limit
     }
 
     /// Replaces the hot descriptor, first crediting the repeat hits tallied
@@ -322,8 +355,8 @@ impl Shard {
         let (priority, node) = st.policy.on_insert(lbn, req);
         let entry = CacheEntry { priority, state };
         st.meta.insert(lbn, TableSlot { entry, node });
-        if st.policy.write_buffered(priority) {
-            self.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
+        if self.buffered(priority) {
+            st.write_buffer_resident += 1;
         }
     }
 
@@ -331,8 +364,7 @@ impl Shard {
     /// removal: the table drops it, the policy hears of it with `reason`
     /// (`on_remove`), and a write-buffered block leaves the buffer's
     /// count. Returns the block's entry; writing a dirty block back is the
-    /// caller's part. An occupancy underflow would mean the accounting
-    /// diverged from the policy's group labelling: a debug build fails.
+    /// caller's part.
     #[inline]
     pub(crate) fn retire(
         &self,
@@ -342,11 +374,8 @@ impl Shard {
     ) -> Option<CacheEntry> {
         let TableSlot { entry, node } = st.meta.remove(lbn)?;
         st.policy.on_remove(lbn, node, entry.priority, reason);
-        if st.policy.write_buffered(entry.priority) {
-            let resident = self.write_buffer_resident.load(Ordering::Relaxed);
-            debug_assert!(resident > 0, "write-buffer occupancy underflow");
-            self.write_buffer_resident
-                .store(resident.saturating_sub(1), Ordering::Relaxed);
+        if self.buffered(entry.priority) {
+            Self::debit_write_buffer(st);
         }
         Some(entry)
     }
@@ -608,29 +637,41 @@ impl Shard {
     /// Mirrors a policy-initiated group move (already relabelled in the
     /// block's slot) in the write-buffer accounting and statistics.
     fn apply_move(&self, st: &mut ShardState, old: CachePriority, new: CachePriority) {
-        match (st.policy.write_buffered(old), st.policy.write_buffered(new)) {
-            (false, true) => {
-                self.write_buffer_resident.fetch_add(1, Ordering::Relaxed);
-            }
-            (true, false) => {
-                let resident = self.write_buffer_resident.load(Ordering::Relaxed);
-                debug_assert!(resident > 0, "write-buffer occupancy underflow");
-                self.write_buffer_resident
-                    .store(resident.saturating_sub(1), Ordering::Relaxed);
-            }
+        match (self.buffered(old), self.buffered(new)) {
+            (false, true) => st.write_buffer_resident += 1,
+            (true, false) => Self::debit_write_buffer(st),
             _ => {}
         }
         st.stats.record_action(CacheAction::ReAllocation, 1);
     }
 
-    /// Drains the shard's write buffer if its occupancy exceeds the limit:
-    /// buffered blocks are dropped from the cache and the number of *dirty*
-    /// blocks (which must be written to the HDD by the caller, outside the
-    /// shard lock) is returned.
+    /// One block leaves the write buffer. An underflow would mean the
+    /// accounting diverged from the policy's group labelling: a debug
+    /// build fails.
+    fn debit_write_buffer(st: &mut ShardState) {
+        debug_assert!(
+            st.write_buffer_resident > 0,
+            "write-buffer occupancy underflow"
+        );
+        st.write_buffer_resident = st.write_buffer_resident.saturating_sub(1);
+    }
+
+    /// Ends the visit of a write-buffered request: if the buffer now holds
+    /// more blocks than its limit, drains it and returns the number of
+    /// *dirty* blocks dropped, which the caller writes to the HDD once the
+    /// shard lock is released.
+    #[inline]
     pub(crate) fn drain_write_buffer_if_full(&self, st: &mut ShardState) -> Option<u64> {
-        if !self.write_buffer_over_limit() {
-            return None;
-        }
+        let full =
+            self.write_buffer_limit > 0 && st.write_buffer_resident > self.write_buffer_limit;
+        full.then(|| self.drain_write_buffer(st))
+    }
+
+    /// Drops every buffered block from the cache; returns how many were
+    /// dirty.
+    #[cold]
+    #[inline(never)]
+    fn drain_write_buffer(&self, st: &mut ShardState) -> u64 {
         let mut dirty_blocks = 0u64;
         for lbn in st.policy.drain_write_buffer() {
             // The drain names buffered blocks without untracking them; the
@@ -645,7 +686,7 @@ impl Shard {
         self.set_hot(st, None);
         st.stats
             .record_action(CacheAction::WriteBufferFlush, dirty_blocks);
-        Some(dirty_blocks)
+        dirty_blocks
     }
 
     /// Invalidates one block if resident; returns 1 if it was trimmed.
@@ -685,7 +726,6 @@ mod tests {
         let lane = SimClock::with_lanes(1).1.remove(0);
         let shard = Shard::new(&config, 8, [Duration::ZERO; 2], lane);
         let st = &mut shard.state.write();
-        let occupancy = || shard.write_buffer_resident.load(Ordering::Relaxed);
         for (lbn, qos, prio) in [
             (1, QosPolicy::WriteBuffer, 0),
             (2, QosPolicy::priority(2), 2),
@@ -698,10 +738,10 @@ mod tests {
             };
             shard.admit(st, BlockAddr(lbn), &req, BlockState::Dirty);
         }
-        assert_eq!((st.meta.len(), occupancy()), (2, 1));
+        assert_eq!((st.meta.len(), st.write_buffer_resident), (2, 1));
         let entry = shard.retire(st, BlockAddr(1), RemoveReason::Evict);
         assert!(entry.is_some_and(|e| e.is_dirty()));
-        assert_eq!((st.meta.len(), occupancy()), (1, 0));
+        assert_eq!((st.meta.len(), st.write_buffer_resident), (1, 0));
         assert_eq!(shard.retire(st, BlockAddr(1), RemoveReason::Trim), None);
         assert_eq!(st.policy.check(), Ok(()));
     }
@@ -718,10 +758,10 @@ mod tests {
             ssd_read,
             ..DeviceBatch::default()
         };
-        let mut issued = Vec::new();
-        batch.issue(BlockAddr(7), true, |device, io| {
-            issued.push((device, io.direction, io.blocks(), io.range.start.0));
-        });
+        let issued: Vec<_> = batch
+            .transfers(BlockAddr(7), true)
+            .map(|(device, io)| (device, io.direction, io.blocks(), io.range.start.0))
+            .collect();
         assert_eq!(
             issued,
             [(Hdd, Read, 2, 7), (Hdd, Write, 3, 7), (Ssd, Read, 1, 7)]

@@ -184,17 +184,6 @@ pub struct OperatorLevel {
     pub effective_level: u32,
 }
 
-/// A step of the execution order (post-order walk of the tree).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExecStep {
-    /// Operator kind.
-    pub kind: OperatorKind,
-    /// The I/O the operator performs.
-    pub access: Access,
-    /// The operator's effective level (after blocking recalculation).
-    pub level: u32,
-}
-
 /// What a query's execution reads of its plan's shape, from one walk of the
 /// tree ([`PlanTree::profile`]): the effective level of every operator, the
 /// level of every randomly accessed object (Rule 2), and the plan's
@@ -456,32 +445,6 @@ impl PlanTree {
             bounds,
         }
     }
-
-    /// The execution order: a post-order walk (children before parents), as
-    /// produced by an iterator-model executor where blocking operators fully
-    /// consume their input before producing output.
-    pub fn execution_order(&self) -> Vec<ExecStep> {
-        let levels = self.operator_levels();
-        // Build a map from pre-order index to effective level, then walk
-        // post-order.
-        let eff: Vec<u32> = levels.iter().map(|l| l.effective_level).collect();
-        let mut steps = Vec::with_capacity(levels.len());
-        fn walk(node: &PlanNode, counter: &mut usize, eff: &[u32], steps: &mut Vec<ExecStep>) {
-            let my_index = *counter;
-            *counter += 1;
-            for child in &node.children {
-                walk(child, counter, eff, steps);
-            }
-            steps.push(ExecStep {
-                kind: node.kind,
-                access: node.access,
-                level: eff[my_index],
-            });
-        }
-        let mut counter = 0;
-        walk(&self.root, &mut counter, &eff, &mut steps);
-        steps
-    }
 }
 
 #[cfg(test)]
@@ -634,18 +597,6 @@ mod tests {
         // scan on t.a lives inside the hash's subtree, so its level (2) is
         // unaffected by the blocking recalculation.
         assert_eq!(hi, 2);
-    }
-
-    #[test]
-    fn execution_order_is_post_order() {
-        let t = figure2_tree();
-        let order = t.execution_order();
-        assert_eq!(order.len(), t.size());
-        // The root must come last.
-        assert_eq!(order.last().unwrap().kind, OperatorKind::HashJoin);
-        // The first executed operator is the deepest leaf (index scan t.a).
-        assert_eq!(order[0].kind, OperatorKind::IndexScan);
-        assert_eq!(order[0].level, 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! identical per-query statistics and identical simulated storage timing:
 //! the service adds scheduling, not semantics.
 
-use hstorage_cache::{StorageConfig, StorageConfigKind, StorageSystem};
+use hstorage_cache::{CacheEngine, StorageConfig, StorageConfigKind, StorageSystem};
 use hstorage_engine::{
     run_streams_service, Access, Catalog, ConcurrencyRegistry, ExecutorConfig, ObjectKind,
     OperatorKind, PlanNode, PlanTree, QueryExecutor, ServiceConfig, StreamSpec,
@@ -127,9 +127,11 @@ fn soak_ten_thousand_streams_over_bounded_workers() {
     let mut cat = Catalog::new();
     let tiny = cat.register("tiny", ObjectKind::Table, BlockRange::new(0u64, 4));
     cat.set_temp_region(BlockRange::new(50_000u64, 64));
-    let storage: Arc<dyn StorageSystem> = StorageConfig::new(StorageConfigKind::HStorageDb, 1_000)
-        .with_shards(8)
-        .build_shared();
+    // The engine itself beside the service's handle, to audit it at the end.
+    let engine = Arc::new(CacheEngine::new(
+        &StorageConfig::new(StorageConfigKind::HStorageDb, 1_000).with_shards(8),
+    ));
+    let storage: Arc<dyn StorageSystem> = engine.clone();
     let registry = ConcurrencyRegistry::new();
     let streams: Vec<StreamSpec> = (0..10_000)
         .map(|i| StreamSpec {
@@ -168,6 +170,7 @@ fn soak_ten_thousand_streams_over_bounded_workers() {
         report.latency.p999().expect("non-empty"),
     );
     assert!(p50 <= p99 && p99 <= p999, "{p50:?} <= {p99:?} <= {p999:?}");
+    assert_eq!(engine.audit(), Ok(()));
 }
 
 proptest! {

@@ -173,11 +173,6 @@ impl PolicyConfig {
         CachePriority(self.total_priorities)
     }
 
-    /// Size of the random-request priority range, `Cprio = n2 - n1`.
-    pub fn random_range_size(&self) -> u8 {
-        self.random_range_low - self.random_range_high
-    }
-
     /// Resolves a [`QosPolicy`] to the concrete priority number used by the
     /// cache's priority groups. The write buffer is modelled as priority 0,
     /// which outranks every numbered priority — matching the paper's

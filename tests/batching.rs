@@ -366,7 +366,7 @@ fn each_configurations() -> Vec<(String, StorageConfig)> {
 
 /// The deterministic trace, then lone reads and writes over more
 /// addresses than the cache holds, each read hit repeated exactly (the
-/// repeat-hit fast path), write-buffer writes (the flush check) and
+/// repeat-hit fast path), write-buffer writes (the drain check) and
 /// multi-block reads.
 fn each_trace() -> Vec<ClassifiedRequest> {
     let mut reqs = deterministic_trace();

@@ -99,7 +99,7 @@ impl Rng {
 /// One request over a 256-block address space (the engines hold 96, so
 /// shards fill and evict): multi-block reads and writes of every class
 /// whose handling is per block. Buffered updates stay single-block — the
-/// write-buffer flush check is per *request*, the one thing a block-wise
+/// write-buffer drain check is per *request*, the one thing a block-wise
 /// replay would legitimately do differently.
 #[allow(dead_code)] // only the trace-driven suites draw requests
 pub fn request(rng: &mut Rng) -> ClassifiedRequest {
@@ -194,8 +194,8 @@ impl CachePolicy for Twin {
         self.policy.on_trim_absent(lbn);
     }
 
-    fn write_buffered(&self, group: CachePriority) -> bool {
-        self.policy.write_buffered(group)
+    fn buffers_writes(&self) -> bool {
+        self.policy.buffers_writes()
     }
 
     fn drain_write_buffer(&mut self) -> Vec<BlockAddr> {

@@ -123,6 +123,7 @@ fn a_crash_inside_a_drain_batch_never_tears_the_write_buffer() {
     let torn = snapshot.crash_at(snapshot.len() - 1);
     let (recovered, outcome) = recover(&torn, fresh()).expect("well-formed prefix");
     assert!(outcome.torn_tail);
+    assert_eq!(recovered.audit(), Ok(()));
     assert_eq!(recovered.write_buffer_resident(), 10, "buffer torn");
     assert_eq!(recovered.stats().action(CacheAction::WriteBufferFlush), 0);
     let clean = CacheEngine::new(&common::hstorage(100, 1).with_journal(JournalConfig::off()));
@@ -135,11 +136,13 @@ fn a_crash_inside_a_drain_batch_never_tears_the_write_buffer() {
     // same tail.
     for offset in (snapshot.len() - 3)..snapshot.len() {
         let (r, _) = recover(&snapshot.crash_at(offset), fresh()).expect("well-formed prefix");
+        assert_eq!(r.audit(), Ok(()), "offset {offset}");
         assert_eq!(r.write_buffer_resident(), 10, "offset {offset} tore");
     }
 
     // With the commit present, recovery replays the drain completely.
     let (full, _) = recover(&snapshot, fresh()).expect("well-formed log");
+    assert_eq!(full.audit(), Ok(()));
     assert_eq!(full.write_buffer_resident(), 0);
     assert_eq!(full.stats().action(CacheAction::WriteBufferFlush), 11);
 }
@@ -214,6 +217,7 @@ proptest! {
             let torn = snapshot.crash_at(crash_offset(seed, snapshot.len()));
             let (recovered, outcome) =
                 recover(&torn, build(kind, migration, journal)).expect("well-formed prefix");
+            prop_assert_eq!(recovered.audit(), Ok(()));
             prop_assert_eq!(outcome.records_scanned, torn.len());
             prop_assert_eq!(
                 outcome.records_replayed + outcome.records_discarded,
@@ -259,10 +263,12 @@ proptest! {
             // is canonical regardless of the crashed engine's interval.
             let fresh = || build(kind, migration, JournalConfig::on());
             let (first, first_outcome) = recover(&torn, fresh()).expect("well-formed prefix");
+            prop_assert_eq!(first.audit(), Ok(()));
             first.journal_seal();
             let replayed = first.journal_snapshot().expect("journal attached");
             let (second, second_outcome) =
                 recover(&replayed, fresh()).expect("recovered journal is well-formed");
+            prop_assert_eq!(second.audit(), Ok(()));
             prop_assert_eq!(second_outcome.ops_applied, first_outcome.ops_applied);
             if let Err(divergences) = verify_convergence(&second, &first) {
                 prop_assert!(false, "double recovery diverged: {:?}", divergences);

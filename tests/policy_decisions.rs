@@ -28,8 +28,8 @@ use common::{request, Rng};
 const EXPECTED: [(&str, usize, bool, u64); 24] = [
     ("semantic-priority", 1, false, 0xa588_5942_7b94_575c),
     ("semantic-priority", 1, true, 0x61ef_1410_5fc6_f5f3),
-    ("semantic-priority", 8, false, 0xb30e_5fbd_7567_fdbf),
-    ("semantic-priority", 8, true, 0x1cc8_70a7_8d9b_d295),
+    ("semantic-priority", 8, false, 0x52b0_fe0a_9529_cdb1),
+    ("semantic-priority", 8, true, 0xa613_1aa8_f1b7_7455),
     ("lru", 1, false, 0x51f0_72db_d24e_8659),
     ("lru", 1, true, 0xffc6_e1b6_6a2b_dd30),
     ("lru", 8, false, 0x03ef_e2d5_56aa_f410),
@@ -48,8 +48,8 @@ const EXPECTED: [(&str, usize, bool, u64); 24] = [
     ("arc", 8, true, 0xca62_5abf_5083_defb),
     ("per-stream", 1, false, 0xe56a_9171_ba62_fafa),
     ("per-stream", 1, true, 0x146d_a12a_6009_6f0b),
-    ("per-stream", 8, false, 0x59ae_32ae_17f9_ed9a),
-    ("per-stream", 8, true, 0x293a_ea9f_a653_45f3),
+    ("per-stream", 8, false, 0xa9b0_3986_25fb_1e41),
+    ("per-stream", 8, true, 0x36ea_bbef_d7cd_dc4e),
 ];
 
 /// Operations per cell.

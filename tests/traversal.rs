@@ -107,8 +107,8 @@ impl CachePolicy for Recording {
         self.inner.on_trim_absent(lbn);
     }
 
-    fn write_buffered(&self, group: CachePriority) -> bool {
-        self.inner.write_buffered(group)
+    fn buffers_writes(&self) -> bool {
+        self.inner.buffers_writes()
     }
 
     fn drain_write_buffer(&mut self) -> Vec<BlockAddr> {
@@ -665,6 +665,14 @@ fn scan(start: u64, len: u64) -> ClassifiedRequest {
     )
 }
 
+fn buffered_write(start: u64, len: u64) -> ClassifiedRequest {
+    ClassifiedRequest::new(
+        IoRequest::write(BlockRange::new(start, len), false),
+        RequestClass::Update,
+        QosPolicy::WriteBuffer,
+    )
+}
+
 fn engine(kind: CachePolicyKind, shards: usize) -> CacheEngine {
     CacheEngine::new(
         &common::hstorage(4_096, shards)
@@ -696,6 +704,31 @@ fn a_visit_costs_one_lock_per_touched_shard() {
             BlockRange::new(17u64, 2),
         ]));
         assert_eq!(locks(), 29 + 3, "{kind}: two ranges on 3 shards visit 3");
+        // Buffered writes: the one that overfills its shard's write buffer
+        // drains it in the same visit, lone block or walk.
+        let buffers = kind
+            .build(&PolicyConfig::paper_default(), 1)
+            .buffers_writes();
+        let flushed = || c.stats().action(CacheAction::WriteBufferFlush);
+        let limit = c.write_buffer_limit() / 8;
+        for i in 0..=limit {
+            c.submit(buffered_write(10_000 + i * 8, 1));
+        }
+        assert_eq!(locks(), 32 + limit + 1, "{kind}: one visit per lone write");
+        assert_eq!(c.write_buffer_resident(), 0, "{kind}: drained");
+        assert_eq!(flushed(), if buffers { limit + 1 } else { 0 }, "{kind}");
+        c.submit(buffered_write(20_000, 8 * (limit + 1)));
+        assert_eq!(
+            locks(),
+            33 + limit + 8,
+            "{kind}: a write overfilling 8 shards visits 8"
+        );
+        assert_eq!(c.write_buffer_resident(), 0, "{kind}: all 8 drained");
+        assert_eq!(
+            flushed(),
+            if buffers { 9 * (limit + 1) } else { 0 },
+            "{kind}"
+        );
     }
 }
 
