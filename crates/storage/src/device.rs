@@ -15,6 +15,17 @@ use crate::request::IoRequest;
 use crate::stats::DeviceStats;
 use std::time::Duration;
 
+/// Longest transfer, in blocks, that the device models price from a table
+/// built at construction; only longer transfers evaluate the f64 model.
+/// It is the engine executor's default `seq_blocks_per_request`, the size
+/// scans and temporary-data streams are cut into, so every request the
+/// executor issues by default is priced from the table.
+pub const PRICE_TABLE_BLOCKS: u64 = 64;
+
+/// Rows of a device's price table: one per transfer of
+/// 0..=[`PRICE_TABLE_BLOCKS`] blocks.
+pub(crate) const PRICE_TABLE_ROWS: usize = PRICE_TABLE_BLOCKS as usize + 1;
+
 /// Which kind of device a model represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {

@@ -11,10 +11,17 @@
 //! few hundred IOPS random — are what make the paper's observations hold:
 //! an SSD is barely better than the disk for sequential scans but 1–2
 //! orders of magnitude better for random accesses.
+//!
+//! The model depends only on the parameters and the transfer's size, so
+//! the media transfer of every transfer up to [`PRICE_TABLE_BLOCKS`]
+//! blocks is evaluated once, at construction; only longer transfers
+//! evaluate the f64 formula.
 
-use crate::block::{BlockAddr, BLOCK_SIZE};
+use crate::block::{BlockAddr, BlockRange, BLOCK_SIZE};
 use crate::clock::SimClock;
-use crate::device::{serve_merged, DeviceKind, StorageDevice};
+use crate::device::{
+    serve_merged, DeviceKind, StorageDevice, PRICE_TABLE_BLOCKS, PRICE_TABLE_ROWS,
+};
 use crate::request::IoRequest;
 use crate::stats::DeviceStats;
 use parking_lot::Mutex;
@@ -98,20 +105,29 @@ impl HddState {
 pub struct HddDevice {
     params: HddParameters,
     clock: SimClock,
-    /// [`Self::model_transfer`] of one block. Nearly every request the
-    /// cache sends the disk moves one block, so the f64 model is evaluated
-    /// for it once, here, and never per request.
+    /// `transfers[1]`, kept inline and checked first: nearly every request
+    /// the cache sends the disk moves one block, and this way its price
+    /// costs no load through the table's pointer.
     single_block_transfer: Duration,
+    /// [`Self::model_transfer`] of every transfer of 0..=
+    /// [`PRICE_TABLE_BLOCKS`] blocks, by length, so a scan or spill request
+    /// never evaluates the f64 model.
+    transfers: Box<[Duration; PRICE_TABLE_ROWS]>,
     state: Mutex<HddState>,
 }
 
 impl HddDevice {
     /// Creates an HDD with the given parameters sharing `clock`.
     pub fn new(params: HddParameters, clock: SimClock) -> Self {
+        let transfers: Box<[Duration; PRICE_TABLE_ROWS]> =
+            Box::new(std::array::from_fn(|blocks| {
+                Self::model_transfer(&params, BlockRange::new(0u64, blocks as u64).bytes())
+            }));
         HddDevice {
             params,
             clock,
-            single_block_transfer: Self::model_transfer(&params, BLOCK_SIZE as u64),
+            single_block_transfer: transfers[1],
+            transfers,
             state: Mutex::new(HddState::default()),
         }
     }
@@ -134,8 +150,11 @@ impl HddDevice {
 
     #[inline]
     fn transfer_time(&self, req: &IoRequest) -> Duration {
-        if req.blocks() == 1 {
+        let blocks = req.blocks();
+        if blocks == 1 {
             self.single_block_transfer
+        } else if blocks <= PRICE_TABLE_BLOCKS {
+            self.transfers[blocks as usize]
         } else {
             Self::model_transfer(&self.params, req.bytes())
         }

@@ -36,7 +36,7 @@ pub mod trim;
 
 pub use block::{BlockAddr, BlockRange, BLOCK_SIZE};
 pub use clock::{ClockLane, SimClock};
-pub use device::{DeviceKind, StorageDevice};
+pub use device::{DeviceKind, StorageDevice, PRICE_TABLE_BLOCKS};
 pub use dss::ClassifiedRequest;
 pub use hdd::{HddDevice, HddParameters};
 pub use policy::{CachePriority, PolicyConfig, QosPolicy};

@@ -10,10 +10,17 @@
 //! The model charges sequential requests at the sequential bandwidth and
 //! random requests per block at the rated IOPS (Table 2 IOPS are 4 KiB;
 //! we conservatively charge one IO per 8 KiB database block).
+//!
+//! The model is a pure function of the parameters and the transfer's
+//! size, direction and sequential flag, so every transfer of up to
+//! [`PRICE_TABLE_BLOCKS`] blocks is priced once, at construction; only
+//! longer transfers evaluate the f64 formula.
 
 use crate::block::{BlockRange, BLOCK_SIZE};
 use crate::clock::SimClock;
-use crate::device::{serve_merged, DeviceKind, StorageDevice};
+use crate::device::{
+    serve_merged, DeviceKind, StorageDevice, PRICE_TABLE_BLOCKS, PRICE_TABLE_ROWS,
+};
 use crate::request::{Direction, IoRequest};
 use crate::stats::DeviceStats;
 use parking_lot::Mutex;
@@ -74,14 +81,19 @@ impl Default for SsdParameters {
 pub struct SsdDevice {
     params: SsdParameters,
     clock: SimClock,
-    /// [`Self::model_time`] of a one-block request, by [`memo_index`].
-    /// Nearly every cache hit is one of these four transfers, so the f64
-    /// model is evaluated for them once, here, and never per request.
+    /// `prices[1]`, kept inline and checked first: nearly every cache hit
+    /// is one of these four transfers, and this way its price costs no
+    /// load through the table's pointer.
     single_block: [Duration; 4],
+    /// [`Self::model_time`] of every transfer of 0..=[`PRICE_TABLE_BLOCKS`]
+    /// blocks, by length and then [`memo_index`], so a scan or spill
+    /// request never evaluates the f64 model.
+    prices: Box<[[Duration; 4]; PRICE_TABLE_ROWS]>,
     stats: Mutex<DeviceStats>,
 }
 
-/// Slot of a one-block request in [`SsdDevice::single_block`].
+/// Slot of a transfer's direction and sequential flag in a row of
+/// [`SsdDevice::prices`].
 fn memo_index(direction: Direction, sequential: bool) -> usize {
     2 * usize::from(direction.is_write()) + usize::from(sequential)
 }
@@ -89,22 +101,24 @@ fn memo_index(direction: Direction, sequential: bool) -> usize {
 impl SsdDevice {
     /// Creates an SSD with the given parameters sharing `clock`.
     pub fn new(params: SsdParameters, clock: SimClock) -> Self {
-        let mut single_block = [Duration::ZERO; 4];
-        for direction in [Direction::Read, Direction::Write] {
-            for sequential in [false, true] {
-                let one_block = IoRequest {
-                    range: BlockRange::new(0u64, 1),
-                    direction,
-                    sequential,
-                };
-                single_block[memo_index(direction, sequential)] =
-                    Self::model_time(&params, &one_block);
+        let mut prices = Box::new([[Duration::ZERO; 4]; PRICE_TABLE_ROWS]);
+        for (blocks, row) in (0u64..).zip(prices.iter_mut()) {
+            for direction in [Direction::Read, Direction::Write] {
+                for sequential in [false, true] {
+                    let transfer = IoRequest {
+                        range: BlockRange::new(0u64, blocks),
+                        direction,
+                        sequential,
+                    };
+                    row[memo_index(direction, sequential)] = Self::model_time(&params, &transfer);
+                }
             }
         }
         SsdDevice {
             params,
             clock,
-            single_block,
+            single_block: prices[1],
+            prices,
             stats: Mutex::new(DeviceStats::new()),
         }
     }
@@ -151,8 +165,11 @@ impl StorageDevice for SsdDevice {
 
     #[inline]
     fn service_time(&self, req: &IoRequest) -> Duration {
-        if req.blocks() == 1 {
+        let blocks = req.blocks();
+        if blocks == 1 {
             self.single_block[memo_index(req.direction, req.sequential)]
+        } else if blocks <= PRICE_TABLE_BLOCKS {
+            self.prices[blocks as usize][memo_index(req.direction, req.sequential)]
         } else {
             Self::model_time(&self.params, req)
         }

@@ -9,10 +9,11 @@
 //! contention job can re-run it at 16 and 32 threads.
 
 use hstorage_cache::{CacheAction, CacheEngine, CacheStats, MigrationConfig, StorageSystem};
+use hstorage_engine::ExecutorConfig;
 use hstorage_storage::{
     BlockRange, ClassifiedRequest, DeviceStats, Direction, HddDevice, HddParameters, IoRequest,
     PolicyConfig, QosPolicy, RequestClass, SimClock, SsdDevice, SsdParameters, StorageDevice,
-    TrimCommand,
+    TrimCommand, PRICE_TABLE_BLOCKS,
 };
 use std::time::Duration;
 
@@ -333,9 +334,25 @@ fn concurrent_submits_conserve_every_counter() {
     assert!(stats.contention.fast_path_hits > 0);
 }
 
-/// The memoised single-block service times are the f64 model's, to the
-/// nanosecond, for parameters other than the defaults too; multi-block
-/// requests still evaluate it.
+/// Transfer sizes the price checks cover: every row of the devices' price
+/// tables, the first size past them and a write-buffer-flush-sized one,
+/// both of which evaluate the model.
+fn priced_sizes() -> impl Iterator<Item = u64> {
+    (0..=PRICE_TABLE_BLOCKS).chain([PRICE_TABLE_BLOCKS + 1, 4_096])
+}
+
+/// The price tables cover every request the executor cuts by default.
+#[test]
+fn the_price_tables_cover_the_executors_requests() {
+    let executor = ExecutorConfig::default();
+    assert_eq!(executor.seq_blocks_per_request, PRICE_TABLE_BLOCKS);
+    assert!(executor.temp_blocks_per_request <= PRICE_TABLE_BLOCKS);
+}
+
+/// The SSD's tabulated service times — the inline one-block row and every
+/// row up to `PRICE_TABLE_BLOCKS` — are the f64 model's, to the
+/// nanosecond, for parameters other than the defaults too, in every
+/// direction × sequential flag; longer transfers still evaluate it.
 #[test]
 fn memoised_service_times_equal_the_model() {
     let odd = SsdParameters {
@@ -348,7 +365,7 @@ fn memoised_service_times_equal_the_model() {
     };
     for params in [SsdParameters::intel_320(), odd] {
         let ssd = SsdDevice::new(params, SimClock::new());
-        for blocks in [1u64, 2, 64] {
+        for blocks in priced_sizes() {
             for direction in [Direction::Read, Direction::Write] {
                 for sequential in [false, true] {
                     let io = IoRequest {
@@ -378,8 +395,8 @@ fn memoised_service_times_equal_the_model() {
     }
 }
 
-/// The HDD twin of `memoised_service_times_equal_the_model`: the memoised
-/// one-block transfer is the f64 model's, to the nanosecond, for
+/// The HDD twin of `memoised_service_times_equal_the_model`: the
+/// tabulated media transfers are the f64 model's, to the nanosecond, for
 /// parameters other than the defaults too; longer requests still evaluate
 /// it. Requests start at the head and away from it, so both the positioned
 /// and the repositioning branch are priced, and `serve` charges exactly
@@ -397,7 +414,7 @@ fn memoised_hdd_service_times_equal_the_model() {
         let hdd = HddDevice::new(params, SimClock::new());
         // The block after the last one served; the head starts nowhere.
         let mut head: Option<u64> = None;
-        for blocks in [1u64, 2, 64] {
+        for blocks in priced_sizes() {
             for direction in [Direction::Read, Direction::Write] {
                 for sequential in [false, true] {
                     for at_head in [true, false] {
