@@ -142,7 +142,7 @@ impl StorageConfig {
     }
 
     /// Sets [`Self::cache_policy`], knob values included (CFLRU window,
-    /// 2Q `Kin`/`Kout`, per-stream routing).
+    /// 2Q `Kin`/`Kout`).
     pub fn with_cache_policy(mut self, cache_policy: CachePolicyKind) -> Self {
         self.cache_policy = cache_policy;
         self
@@ -291,7 +291,7 @@ mod tests {
             .build();
         assert_eq!(sys.name(), "hybrid-2q");
         let sys = StorageConfig::new(StorageConfigKind::HStorageDb, 256)
-            .with_cache_policy(CachePolicyKind::per_stream())
+            .with_cache_policy(CachePolicyKind::PerStream)
             .build();
         assert_eq!(sys.name(), "hybrid-per-stream");
     }

@@ -169,8 +169,9 @@ const EACH_CHUNK: usize = 128;
 /// [`CachePolicyKind::Lru`] / [`CachePolicyKind::Cflru`] /
 /// [`CachePolicyKind::TwoQ`] / [`CachePolicyKind::Arc`] the same shards,
 /// devices and submission pipeline serve the classical baselines, and
-/// with [`CachePolicyKind::PerStream`] a compositor that routes each
-/// request stream to one of them.
+/// with [`CachePolicyKind::PerStream`] a compositor that keeps the
+/// semantic policy for scans, temporary data and buffered updates and
+/// gives random point reads to ARC.
 ///
 /// [`CachePolicyKind::SemanticPriority`]: crate::CachePolicyKind::SemanticPriority
 /// [`CachePolicyKind::Lru`]: crate::CachePolicyKind::Lru
@@ -1249,7 +1250,7 @@ pub(crate) mod tests {
 
     #[test]
     fn per_stream_engine_routes_scans_to_semantic_and_reads_to_arc() {
-        let c = engine(CachePolicyKind::per_stream(), 100);
+        let c = engine(CachePolicyKind::PerStream, 100);
         // The sequential stream consults the semantic inner: scans bypass.
         c.submit(read_req(
             0,
@@ -1284,7 +1285,7 @@ pub(crate) mod tests {
 
     #[test]
     fn per_stream_engine_keeps_the_semantic_write_buffer() {
-        let c = engine(CachePolicyKind::per_stream(), 100); // buffer limit 10
+        let c = engine(CachePolicyKind::PerStream, 100); // buffer limit 10
         assert_eq!(c.write_buffer_limit(), 10);
         for i in 0..11u64 {
             c.submit(write_req(
@@ -1694,7 +1695,7 @@ pub(crate) mod tests {
         // maintain a write buffer.
         for kind in [
             CachePolicyKind::SemanticPriority,
-            CachePolicyKind::per_stream(),
+            CachePolicyKind::PerStream,
         ] {
             let c = engine(kind, 64); // limit 6
             let mut state = 0x5707_ACEDu64;

@@ -62,10 +62,7 @@ pub use lru_cache::LruCache;
 pub use migration::{HeatTracker, MigrationConfig, MigrationStats};
 pub use paged::PagedArray;
 pub use passthrough::Passthrough;
-pub use policy::{
-    CachePolicy, CachePolicyKind, HitOutcome, PolicyRequest, RemoveReason, StreamPolicyKind,
-    StreamRouting,
-};
+pub use policy::{CachePolicy, CachePolicyKind, HitOutcome, PolicyRequest, RemoveReason};
 pub use recovery::{
     apply_op, crash_offset, recover, replay_plan, verify_convergence, RecoveryError,
     RecoveryOutcome, ReplayPlan,

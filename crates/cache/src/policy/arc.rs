@@ -125,6 +125,15 @@ impl ArcPolicy {
         self.t1.back(&self.arena).copied()
     }
 
+    /// Like [`CachePolicy::pop_victim`] (and equally selection-only), but
+    /// for a block this policy will never track — the per-stream
+    /// compositor stealing a slot for its other inner: plain `REPLACE`
+    /// under the current `p`, with no ghost consultation and no
+    /// adaptation for the foreign address.
+    pub(crate) fn steal_victim(&self) -> Option<BlockAddr> {
+        self.peek_replace(false)
+    }
+
     /// Applies the ghost-hit adaptation of `p` for a miss on `lbn`, at
     /// most once per miss (pop_victim and on_insert both call this; the
     /// `adapted` marker makes the second call a no-op).
@@ -188,13 +197,6 @@ impl CachePolicy for ArcPolicy {
         // ghost hit.
         self.maybe_adapt(incoming);
         self.peek_replace(self.b2.contains(incoming))
-    }
-
-    fn steal_victim(&mut self, _req: &PolicyRequest) -> Option<BlockAddr> {
-        // The freed slot will host another stream's block that this
-        // policy never tracks: plain REPLACE under the current p, with no
-        // ghost consultation and no adaptation for the foreign address.
-        self.peek_replace(false)
     }
 
     fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
@@ -499,10 +501,7 @@ mod tests {
         let p_before = p.policy.p();
         // A compositor steals a slot for a foreign block: plain REPLACE,
         // completed by the engine's Evict notification.
-        let victim = p
-            .policy
-            .steal_victim(&req())
-            .expect("resident blocks exist");
+        let victim = p.policy.steal_victim().expect("resident blocks exist");
         assert_eq!(victim, BlockAddr(1), "T1 LRU under p = 0");
         p.remove(victim, RemoveReason::Evict);
         assert_eq!(p.policy.p(), p_before, "no adaptation for a foreign insert");

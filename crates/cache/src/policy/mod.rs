@@ -20,9 +20,10 @@
 //!   ghost list (tunable `Kin`/`Kout`),
 //! * [`ArcPolicy`] — adaptive replacement: two resident LRU lists backed
 //!   by two [`GhostList`]s and a self-tuning recency/frequency target,
-//! * [`PerStreamPolicy`] — a compositor that routes each request class to
-//!   its own inner policy ([`StreamRouting`]), so mixed workloads get the
-//!   best algorithm per stream.
+//! * [`PerStreamPolicy`] — a compositor that keeps the semantic policy
+//!   for scans, temporary data and buffered updates and gives random
+//!   point reads to ARC, so a mixed workload gets the better algorithm
+//!   per stream.
 //!
 //! A policy instance is **per shard**: the engine builds one via
 //! [`CachePolicyKind::build`] (or a custom factory) for each of its
@@ -46,7 +47,7 @@ pub use arc::ArcPolicy;
 pub use cflru::CflruPolicy;
 pub use ghost::GhostList;
 pub use lru::LruPolicy;
-pub use per_stream::{PerStreamPolicy, StreamPolicyKind, StreamRouting};
+pub use per_stream::PerStreamPolicy;
 pub use semantic::SemanticPriorityPolicy;
 pub use shard_policy::ShardPolicy;
 pub use two_q::TwoQPolicy;
@@ -101,8 +102,9 @@ pub enum RemoveReason {
     /// policy's end-of-lifetime handling of `NonCachingEviction` data).
     Trim,
     /// The engine displaced the block — it was selected by
-    /// [`CachePolicy::pop_victim`] / [`CachePolicy::steal_victim`], swept
-    /// up by a write-buffer drain or demoted by a migration round — and
+    /// [`CachePolicy::pop_victim`] (its own policy's or, under the
+    /// per-stream compositor, the other inner's), swept up by a
+    /// write-buffer drain or demoted by a migration round — and
     /// its slot was released. The address is still live, so ghost-keeping
     /// policies may remember it exactly as they would one of their own
     /// evictions.
@@ -124,10 +126,10 @@ pub enum RemoveReason {
 ///   engine announces its removal via [`CachePolicy::on_remove`] — with
 ///   [`RemoveReason::Trim`] when a TRIM invalidates it, with
 ///   [`RemoveReason::Evict`] when the engine releases the slot itself;
-/// * [`CachePolicy::pop_victim`], [`CachePolicy::steal_victim`] and
-///   [`CachePolicy::drain_write_buffer`] are **selection-only**: they name
-///   tracked blocks without untracking them — the follow-up `on_remove`
-///   call does that, exactly once per block.
+/// * [`CachePolicy::pop_victim`] and [`CachePolicy::drain_write_buffer`]
+///   are **selection-only**: they name tracked blocks without untracking
+///   them — the follow-up `on_remove` call does that, exactly once per
+///   block.
 ///
 /// # Node handles
 ///
@@ -329,18 +331,6 @@ pub trait CachePolicy: Send + Sync {
     /// bias the recency/frequency trade-off of its `REPLACE` step.
     fn pop_victim(&mut self, incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr>;
 
-    /// Like [`CachePolicy::pop_victim`] (and equally selection-only), but
-    /// on behalf of a block this policy will **never** track — a
-    /// compositor stealing space for another stream's insert.
-    /// Implementations must not update any per-address state for the
-    /// request (ARC overrides this to skip its ghost-hit adaptation of
-    /// `p`); the default simply delegates with a sentinel address, which
-    /// is correct for every policy whose victim choice ignores the
-    /// incoming block.
-    fn steal_victim(&mut self, req: &PolicyRequest) -> Option<BlockAddr> {
-        self.pop_victim(BlockAddr(u64::MAX), req)
-    }
-
     /// `lbn` was just allocated a slot: start tracking it. Returns the
     /// group label the engine records for the block (and hands back via
     /// `current` on later hits) and the node handle it stores beside it
@@ -352,7 +342,7 @@ pub trait CachePolicy: Send + Sync {
     /// policies can exploit lifetime hints — a [`RemoveReason::Trim`]
     /// means the address is dead and any ghost history for it must be
     /// dropped, while a [`RemoveReason::Evict`] completes a displacement
-    /// the policy (or a sibling stream's steal) selected, which
+    /// the policy (or the per-stream compositor's steal) selected, which
     /// ghost-keeping policies may remember like one of their own
     /// evictions.
     fn on_remove(&mut self, lbn: BlockAddr, node: u32, group: CachePriority, reason: RemoveReason);
@@ -369,9 +359,9 @@ pub trait CachePolicy: Send + Sync {
     /// Whether the policy keeps the engine's write buffer: when it does,
     /// exactly the blocks labelled group 0 — the priority `WriteBuffer`
     /// requests resolve to — occupy the buffer, count against its limit
-    /// and leave through its drain. Only the semantic policy (and a
-    /// per-stream compositor with a semantic inner) buffers writes; the
-    /// baselines treat buffered updates as ordinary cached writes.
+    /// and leave through its drain. Only the semantic policy (and the
+    /// per-stream compositor, through its semantic inner) buffers writes;
+    /// the baselines treat buffered updates as ordinary cached writes.
     fn buffers_writes(&self) -> bool {
         false
     }
@@ -398,10 +388,9 @@ pub trait CachePolicy: Send + Sync {
 /// selector threaded from `StorageConfig` / `SystemConfig` down to the
 /// engine. The tunable policies carry their knobs as variant fields
 /// (validated by [`CachePolicyKind::validate`]); the bare constructors
-/// ([`CachePolicyKind::cflru`], [`CachePolicyKind::two_q`],
-/// [`CachePolicyKind::per_stream`]) fill in the paper-exact defaults, so
-/// a configuration that never touches a knob behaves bit-identically to
-/// the pre-knob framework.
+/// ([`CachePolicyKind::cflru`], [`CachePolicyKind::two_q`]) fill in the
+/// paper-exact defaults, so a configuration that never touches a knob
+/// behaves bit-identically to the pre-knob framework.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CachePolicyKind {
     /// The paper's semantic, priority-driven policy (selective allocation
@@ -433,9 +422,9 @@ pub enum CachePolicyKind {
     /// Adaptive replacement (ARC): recency and frequency lists with ghost
     /// directories and a self-tuning balance — no knobs by design.
     Arc,
-    /// Per-stream compositor: each request class is served by its own
-    /// inner policy as described by the [`StreamRouting`].
-    PerStream(StreamRouting),
+    /// The [`PerStreamPolicy`] compositor: the semantic policy for scans,
+    /// temporary data and buffered updates, ARC for random point reads.
+    PerStream,
 }
 
 impl CachePolicyKind {
@@ -447,7 +436,7 @@ impl CachePolicyKind {
             CachePolicyKind::cflru(),
             CachePolicyKind::two_q(),
             CachePolicyKind::Arc,
-            CachePolicyKind::per_stream(),
+            CachePolicyKind::PerStream,
         ]
     }
 
@@ -468,12 +457,6 @@ impl CachePolicyKind {
         }
     }
 
-    /// The per-stream compositor under its default routing (semantic for
-    /// sequential/temporary/update streams, ARC for random point reads).
-    pub fn per_stream() -> CachePolicyKind {
-        CachePolicyKind::PerStream(StreamRouting::default())
-    }
-
     /// Short lower-case label for reports, bench IDs and the CI policy
     /// matrix. The label identifies the policy *family*; knob values are
     /// rendered by [`CachePolicyKind::describe`].
@@ -484,7 +467,7 @@ impl CachePolicyKind {
             CachePolicyKind::Cflru { .. } => "cflru",
             CachePolicyKind::TwoQ { .. } => "2q",
             CachePolicyKind::Arc => "arc",
-            CachePolicyKind::PerStream(_) => "per-stream",
+            CachePolicyKind::PerStream => "per-stream",
         }
     }
 
@@ -497,7 +480,7 @@ impl CachePolicyKind {
             "cflru" => CachePolicyKind::cflru(),
             "2q" => CachePolicyKind::two_q(),
             "arc" => CachePolicyKind::Arc,
-            "per-stream" => CachePolicyKind::per_stream(),
+            "per-stream" => CachePolicyKind::PerStream,
             _ => return None,
         })
     }
@@ -510,7 +493,6 @@ impl CachePolicyKind {
             CachePolicyKind::TwoQ { kin_pct, kout_pct } => {
                 format!("2q(kin={kin_pct}%,kout={kout_pct}%)")
             }
-            CachePolicyKind::PerStream(routing) => format!("per-stream({routing})"),
             other => other.label().to_string(),
         }
     }
@@ -524,52 +506,46 @@ impl CachePolicyKind {
             CachePolicyKind::Cflru { .. } => "hybrid-cflru",
             CachePolicyKind::TwoQ { .. } => "hybrid-2q",
             CachePolicyKind::Arc => "hybrid-arc",
-            CachePolicyKind::PerStream(_) => "hybrid-per-stream",
+            CachePolicyKind::PerStream => "hybrid-per-stream",
         }
     }
 
-    /// The equivalent routing leaf for the non-compositor kinds — the
-    /// single place knob ranges and leaf construction live
-    /// ([`StreamPolicyKind`] is the source of truth; this conversion is
-    /// what keeps the two enums from drifting apart).
-    fn stream_kind(&self) -> Option<StreamPolicyKind> {
-        Some(match self {
-            CachePolicyKind::SemanticPriority => StreamPolicyKind::SemanticPriority,
-            CachePolicyKind::Lru => StreamPolicyKind::Lru,
-            CachePolicyKind::Cflru { window_pct } => StreamPolicyKind::Cflru {
-                window_pct: *window_pct,
-            },
-            CachePolicyKind::TwoQ { kin_pct, kout_pct } => StreamPolicyKind::TwoQ {
-                kin_pct: *kin_pct,
-                kout_pct: *kout_pct,
-            },
-            CachePolicyKind::Arc => StreamPolicyKind::Arc,
-            CachePolicyKind::PerStream(_) => return None,
-        })
-    }
-
-    /// Validates the knob ranges (and, for the compositor, the routing).
-    /// Leaf bounds are checked by [`StreamPolicyKind::validate`], the
-    /// shared source of truth.
+    /// Validates the knob ranges.
     pub fn validate(&self) -> Result<(), String> {
-        match (self, self.stream_kind()) {
-            (CachePolicyKind::PerStream(routing), _) => routing.validate(),
-            (_, Some(leaf)) => leaf.validate(),
-            (_, None) => unreachable!("every non-compositor kind has a stream leaf"),
+        match *self {
+            CachePolicyKind::Cflru { window_pct } if !(1..=100).contains(&window_pct) => Err(
+                format!("CFLRU window_pct = {window_pct} must be in 1..=100"),
+            ),
+            CachePolicyKind::TwoQ { kin_pct, .. } if !(1..=100).contains(&kin_pct) => {
+                Err(format!("2Q kin_pct = {kin_pct} must be in 1..=100"))
+            }
+            CachePolicyKind::TwoQ { kout_pct, .. } if !(1..=200).contains(&kout_pct) => {
+                Err(format!("2Q kout_pct = {kout_pct} must be in 1..=200"))
+            }
+            _ => Ok(()),
         }
     }
 
     /// Builds one per-shard policy instance for a shard managing
     /// `shard_capacity` cache slots, as the [`ShardPolicy`] variant of
-    /// its kind (never [`ShardPolicy::Custom`]). Leaf construction is
-    /// shared with the compositor via [`StreamPolicyKind::build`].
+    /// its kind (never [`ShardPolicy::Custom`]). Windows and ghost
+    /// capacities are sized against the shard capacity.
     pub fn build(&self, config: &PolicyConfig, shard_capacity: u64) -> ShardPolicy {
-        match (self, self.stream_kind()) {
-            (CachePolicyKind::PerStream(routing), _) => {
-                ShardPolicy::PerStream(PerStreamPolicy::new(*config, shard_capacity, *routing))
+        match *self {
+            CachePolicyKind::SemanticPriority => {
+                ShardPolicy::Semantic(SemanticPriorityPolicy::new(*config))
             }
-            (_, Some(leaf)) => leaf.build(config, shard_capacity),
-            (_, None) => unreachable!("every non-compositor kind has a stream leaf"),
+            CachePolicyKind::Lru => ShardPolicy::Lru(LruPolicy::new()),
+            CachePolicyKind::Cflru { window_pct } => {
+                ShardPolicy::Cflru(CflruPolicy::with_window(shard_capacity, window_pct))
+            }
+            CachePolicyKind::TwoQ { kin_pct, kout_pct } => {
+                ShardPolicy::TwoQ(TwoQPolicy::with_knobs(shard_capacity, kin_pct, kout_pct))
+            }
+            CachePolicyKind::Arc => ShardPolicy::Arc(ArcPolicy::new(shard_capacity)),
+            CachePolicyKind::PerStream => {
+                ShardPolicy::PerStream(PerStreamPolicy::new(*config, shard_capacity))
+            }
         }
     }
 }

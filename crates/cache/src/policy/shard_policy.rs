@@ -31,7 +31,7 @@ pub enum ShardPolicy {
     TwoQ(TwoQPolicy),
     /// [`ArcPolicy`].
     Arc(ArcPolicy),
-    /// The [`PerStreamPolicy`] compositor, whose inners are leaf variants.
+    /// The [`PerStreamPolicy`] compositor of the semantic and ARC policies.
     PerStream(PerStreamPolicy),
     /// Any other policy, behind one indirect call per method.
     Custom(Box<dyn CachePolicy>),
@@ -53,10 +53,15 @@ macro_rules! dispatch {
     };
 }
 
+// The compositor holds its ARC inner in a box: inline, the mix would be
+// the largest variant and size the policy slot of every shard, whatever
+// policy it runs.
+const _: () = assert!(std::mem::size_of::<PerStreamPolicy>() <= std::mem::size_of::<ArcPolicy>());
+
 // Every method is forwarded, the defaulted ones included: a default left
 // to the trait would answer for the enum and hide the inner policy's
-// override (a lost `is_inert` only costs speed, a lost `steal_victim`
-// changes ARC's decisions).
+// override (a lost `is_inert` or `repeat_hit_idempotent` only costs
+// speed, a lost `buffers_writes` changes the engine's decisions).
 impl CachePolicy for ShardPolicy {
     #[inline]
     fn on_hit(
@@ -92,11 +97,6 @@ impl CachePolicy for ShardPolicy {
     #[inline]
     fn pop_victim(&mut self, incoming: BlockAddr, req: &PolicyRequest) -> Option<BlockAddr> {
         dispatch!(self, p => p.pop_victim(incoming, req))
-    }
-
-    #[inline]
-    fn steal_victim(&mut self, req: &PolicyRequest) -> Option<BlockAddr> {
-        dispatch!(self, p => p.steal_victim(req))
     }
 
     #[inline]
@@ -179,10 +179,6 @@ mod tests {
             self.log("pop_victim");
             Some(BlockAddr(1))
         }
-        fn steal_victim(&mut self, _: &PolicyRequest) -> Option<BlockAddr> {
-            self.log("steal_victim");
-            Some(BlockAddr(2))
-        }
         fn on_insert(&mut self, _: BlockAddr, _: &PolicyRequest) -> (CachePriority, u32) {
             self.log("on_insert");
             (CachePriority(4), 5)
@@ -254,8 +250,6 @@ mod tests {
         called("prefetch_hit");
         assert_eq!(shard.pop_victim(lbn, &req), Some(BlockAddr(1)));
         called("pop_victim");
-        assert_eq!(shard.steal_victim(&req), Some(BlockAddr(2)));
-        called("steal_victim");
         assert_eq!(shard.on_insert(lbn, &req), (CachePriority(4), 5));
         called("on_insert");
         shard.on_remove(lbn, 5, CachePriority(4), RemoveReason::Trim);
@@ -301,8 +295,8 @@ mod tests {
 
     /// Drives `policy` as a 16-slot shard over 48 addresses and writes
     /// down every answer it gives: admission, inertness, the repeat-hit
-    /// and write-buffer declarations, hit outcomes, victims (popped and
-    /// stolen), insert labels and handles, drained blocks and `check`.
+    /// and write-buffer declarations, hit outcomes, victims, insert labels
+    /// and handles, drained blocks and `check`.
     fn transcript<P: CachePolicy + ?Sized>(policy: &mut P, config: &PolicyConfig) -> Vec<String> {
         const SLOTS: usize = 16;
         let shapes = every_shape(config);
@@ -332,8 +326,7 @@ mod tests {
                     policy.on_remove(lbn, node, group, RemoveReason::Trim);
                 }
                 (0, None) => policy.on_trim_absent(lbn),
-                (1, _) => out.push(format!("steal {:?}", policy.steal_victim(req))),
-                (2, _) => {
+                (1, _) => {
                     let drained = policy.drain_write_buffer();
                     out.push(format!("drain {drained:?}"));
                     for victim in drained {
@@ -388,8 +381,8 @@ mod tests {
                     Box::new(TwoQPolicy::with_knobs(cap, kin_pct, kout_pct))
                 }
                 (CachePolicyKind::Arc, ShardPolicy::Arc(_)) => Box::new(ArcPolicy::new(cap)),
-                (CachePolicyKind::PerStream(routing), ShardPolicy::PerStream(_)) => {
-                    Box::new(PerStreamPolicy::new(config, cap, routing))
+                (CachePolicyKind::PerStream, ShardPolicy::PerStream(_)) => {
+                    Box::new(PerStreamPolicy::new(config, cap))
                 }
                 _ => panic!("{kind} built the wrong variant"),
             };

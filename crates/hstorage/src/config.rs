@@ -31,16 +31,11 @@ pub struct SystemConfig {
     /// the paper's exact global allocation/eviction; larger values enable
     /// parallel submits for the threaded stream driver.
     pub storage_shards: usize,
-    /// Device queue depth for the batched submission path: how many
-    /// adjacent same-direction requests a device may merge into one
-    /// transfer when the executor submits a scan batch. 1 (the default)
-    /// disables merging — the paper-exact setting.
-    pub storage_queue_depth: usize,
     /// Replacement policy of the hStorage-DB cache engine, knobs
-    /// included (CFLRU clean-first window, 2Q `Kin`/`Kout`, per-stream
-    /// routing). The default (semantic priority) is the paper's policy;
-    /// the other kinds run the same engine behind a classical baseline,
-    /// adaptive ARC or the per-stream compositor, which is how the
+    /// included (CFLRU clean-first window, 2Q `Kin`/`Kout`). The default
+    /// (semantic priority) is the paper's policy; the other kinds run the
+    /// same engine behind a classical baseline, adaptive ARC or the
+    /// semantic + ARC per-stream compositor, which is how the
     /// policy-comparison and knob-ablation experiments isolate the value
     /// of semantic information. Ignored by the non-engine storage kinds.
     pub cache_policy: CachePolicyKind,
@@ -98,7 +93,6 @@ impl SystemConfig {
                 ..ExecutorConfig::default()
             },
             storage_shards: 1,
-            storage_queue_depth: 1,
             cache_policy: CachePolicyKind::default(),
             migration: MigrationConfig::default(),
             journal: JournalConfig::default(),
@@ -106,16 +100,16 @@ impl SystemConfig {
     }
 
     /// The storage configuration descriptor implied by this system config.
+    /// The devices keep [`StorageConfig::new`]'s queue depth of 1: no
+    /// request merging, the paper-exact setting.
     pub fn storage_config(&self) -> StorageConfig {
         StorageConfig {
-            kind: self.storage_kind,
-            cache_capacity_blocks: self.cache_blocks,
             policy: self.policy,
             shards: self.storage_shards,
-            queue_depth: self.storage_queue_depth,
             cache_policy: self.cache_policy,
             migration: self.migration,
             journal: self.journal,
+            ..StorageConfig::new(self.storage_kind, self.cache_blocks)
         }
     }
 }
@@ -153,7 +147,6 @@ mod tests {
             cache_blocks: 123,
             policy: PolicyConfig::with_priorities(6, 0.2),
             storage_shards: 8,
-            storage_queue_depth: 32,
             cache_policy: CachePolicyKind::cflru(),
             ..base
         };
@@ -162,7 +155,7 @@ mod tests {
         assert_eq!(storage.cache_capacity_blocks, 123);
         assert_eq!(storage.policy.total_priorities, 6);
         assert_eq!(storage.shards, 8);
-        assert_eq!(storage.queue_depth, 32);
+        assert_eq!(storage.queue_depth, 1, "no merging");
         assert_eq!(storage.cache_policy, CachePolicyKind::cflru());
         assert_eq!(cfg.executor.io_batch_size, 64);
         // Every other field is the base's.

@@ -178,10 +178,6 @@ impl CachePolicy for Twin {
         self.policy.pop_victim(incoming, req)
     }
 
-    fn steal_victim(&mut self, req: &PolicyRequest) -> Option<BlockAddr> {
-        self.policy.steal_victim(req)
-    }
-
     fn on_insert(&mut self, lbn: BlockAddr, req: &PolicyRequest) -> (CachePriority, u32) {
         self.policy.on_insert(lbn, req)
     }
