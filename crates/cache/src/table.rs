@@ -51,7 +51,7 @@
 //! * a **residency bitmap** in a [`BlockTable`]: one bit per local
 //!   address, one `u64` word per 64, kept in a [`PagedArray`] — 4 KiB
 //!   pages of 512 words (32,768 local addresses), each existing while its
-//!   range holds a resident block, behind a small page directory. It
+//!   range holds a resident block, behind a radix-tree page directory. It
 //!   answers a run of a shard's blocks a word at a time, by the array's
 //!   range walk — how many are resident and which is last
 //!   ([`BlockTable::resident_in`]), how many absent ones lead

@@ -17,11 +17,13 @@
 //! and evicting the LRU block. The recency order is one intrusive list in
 //! a [`ListArena`]; the address index over it is a [`PagedArray`] of the
 //! blocks' list nodes, not a hash table: 4 KiB pages of 1,024 nodes
-//! behind a page directory that holds a few dozen pages on a TPC-H run,
-//! so its probe stays in L1.
+//! behind a radix-tree page directory. One SF-1 TPC-H pass touches 117
+//! pages, all with page numbers below 256, so the directory is one
+//! 1 KiB node and finding a page is one slot load, with no hashing.
 //!
-//! A miss costs two directory probes — the accessed block's page and the
-//! evicted block's page — plus plain array reads. A page exists while it
+//! A miss reads the directory three times — the executor's prefetch and
+//! the admission on the accessed block's page, the eviction on the
+//! evicted block's — plus plain array reads. A page exists while it
 //! holds a buffered block: the eviction or invalidation that empties it
 //! puts it on the array's free list, and the next new page is taken from
 //! there. So the index takes 4 KiB for each 1,024-address page holding a
@@ -162,8 +164,8 @@ impl BufferPool {
     /// Drops every resident block of `range` (e.g. a temporary file's,
     /// when the file is deleted) and returns how many there were, by the
     /// index's range walk ([`PagedArray::update_range`]): only the pages
-    /// holding a buffered block of the range are visited, with never more
-    /// directory probes than pages in use, however long the range. A
+    /// holding a buffered block of the range are visited, and the walk
+    /// skips the directory's empty subtrees, however long the range. A
     /// range running past the top of the address space stops at
     /// `u64::MAX`.
     pub fn invalidate_range(&mut self, range: BlockRange) -> u64 {

@@ -1,15 +1,21 @@
 //! A query's allocation is O(plan nodes), not O(requests): `run_query` of
 //! one index-scan plan allocates the same number of bytes for a thousand
 //! probes as for a hundred thousand, and a short lookup's setup — its plan
-//! profile, program and registration — makes a handful of allocations. A
-//! test binary of its own, because the counting allocator is the whole
-//! process's.
+//! profile, program and registration — makes a handful of allocations.
+//! Under the paged arrays' page churn — a buffer pool's and a block
+//! table's residency pages freed and set up again — a warm stream
+//! allocates nothing. A test binary of its own, because the counting
+//! allocator is the whole process's.
 
-use hstorage_cache::{CacheStats, StorageSystem};
+use hstorage_cache::table::TableSlot;
+use hstorage_cache::{BlockTable, CacheStats, StorageSystem};
 use hstorage_engine::{
-    Access, Catalog, ExecutorConfig, ObjectKind, OperatorKind, PlanNode, PlanTree, QueryExecutor,
+    Access, BufferPool, Catalog, ExecutorConfig, ObjectKind, OperatorKind, PlanNode, PlanTree,
+    QueryExecutor,
 };
-use hstorage_storage::{BlockRange, ClassifiedRequest, PolicyConfig, RequestClass, TrimCommand};
+use hstorage_storage::{
+    BlockAddr, BlockRange, ClassifiedRequest, PolicyConfig, RequestClass, TrimCommand,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -167,4 +173,64 @@ fn a_warm_lookup_makes_a_handful_of_allocations() {
         calls <= LOOKUP_ALLOCATIONS,
         "a warm lookup made {calls} allocations ({bytes} bytes), at most {LOOKUP_ALLOCATIONS} expected"
     );
+}
+
+/// A stream of pool accesses whose pages churn: each access misses on a
+/// page no buffered block lies on, so it sets that page up, and the
+/// eviction it makes empties and frees another. Page numbers run past
+/// 256, so the index's directory is two levels deep and its leaf nodes
+/// empty and are freed too. Once a first lap has taken the pages and
+/// directory nodes a lap holds at once, later laps take every one from
+/// a free list.
+#[test]
+fn a_warm_pool_with_page_churn_allocates_nothing() {
+    let mut pool = BufferPool::new(16);
+    let block = |i: u64| BlockAddr((i % 512) * 3 * 1024 + i % 5);
+    let mut lap = |start: u64| {
+        allocated(|| {
+            let mut hits = 0;
+            for i in start..start + 512 {
+                pool.prefetch(block(i));
+                hits += u64::from(pool.access(block(i), true));
+                // A hit on the block just admitted.
+                hits += u64::from(pool.access(block(i), true));
+            }
+            hits
+        })
+    };
+    let ((first, _), _) = lap(0);
+    assert!(first > 0, "the first lap sets the pages up");
+    for start in [512, 1024] {
+        let ((calls, bytes), hits) = lap(start);
+        assert_eq!(hits, 512, "every second access hits");
+        assert_eq!((calls, bytes), (0, 0), "a warm lap from {start}");
+    }
+}
+
+/// A block table's residency pages under insert/remove churn: a window
+/// of 16 resident blocks slides over local addresses 40,000 apart, so
+/// nearly every insert sets a residency page up and every removal frees
+/// one, across page numbers past 256. After a first lap nothing grows.
+#[test]
+fn a_warm_residency_churn_allocates_nothing() {
+    let mut table = BlockTable::with_capacity(64, 1);
+    let block = |i: u64| BlockAddr((i % 1024) * 40_000);
+    let mut lap = |start: u64| {
+        allocated(|| {
+            for i in start..start + 1024 {
+                assert!(table.insert(block(i), TableSlot::default()).is_none());
+                if i >= 16 {
+                    assert!(table.remove(block(i - 16)).is_some());
+                }
+            }
+        })
+    };
+    let ((first, _), ()) = lap(0);
+    assert!(first > 0, "the first lap sets the pages up");
+    for start in [1024, 2048] {
+        let ((calls, bytes), ()) = lap(start);
+        assert_eq!((calls, bytes), (0, 0), "a warm lap from {start}");
+    }
+    assert_eq!(table.len(), 16);
+    table.audit().unwrap();
 }
